@@ -182,7 +182,7 @@ BENCHMARK(BM_TrotterStepCircuit);
 
 // --- Kernel-cost fixtures (the CI gate's subject) ----------------------------
 //
-// Two deterministic fixtures measure the amplitude traffic one
+// Three deterministic fixtures measure the amplitude traffic one
 // ensemble check costs, via qsa::obs counter deltas around a single
 // seeded run taken outside the timing loop. The per-record counters
 // (gate_applies, amp_touches, amp_touches_per_trial) are seeded and
@@ -191,7 +191,10 @@ BENCHMARK(BM_TrotterStepCircuit);
 // amplitude slots touched for the same probe count, long before
 // wall-clock noise would reveal it. The fused:0 / tensor:0 variants
 // keep the naive-kernel cost on record so the win stays visible in
-// the artifact itself.
+// the artifact itself. The semiclassical Shor fixture pins the
+// Resimulate path walk: its tail re-simulates once per distinct
+// measurement-outcome path, so a return to per-trial tails shows up
+// as a many-fold rise in amp_touches_per_trial.
 
 /** Value of one metric in a registry snapshot (0 when absent). */
 std::int64_t
@@ -208,8 +211,9 @@ constexpr std::size_t kKernelTrials = 128;
 
 /**
  * QFT-adder ensemble fixture. The coin measurement ends the
- * deterministic head so the whole Fourier-adder tail re-executes per
- * Resimulate trial — the regime gate fusion is for.
+ * deterministic head so the whole Fourier-adder tail re-executes on
+ * each of the coin's two outcome paths — the regime gate fusion is
+ * for.
  */
 circuit::Circuit
 qftAdderFixture()
@@ -280,10 +284,11 @@ void
 runKernelFixture(benchmark::State &state,
                  const circuit::Circuit &circ,
                  const assertions::AssertionSpec &spec, bool fuse,
-                 unsigned tensor_split)
+                 unsigned tensor_split,
+                 std::size_t trials = kKernelTrials)
 {
     assertions::CheckConfig cfg;
-    cfg.ensembleSize = kKernelTrials;
+    cfg.ensembleSize = trials;
     cfg.mode = assertions::EnsembleMode::Resimulate;
     cfg.seed = 0x5eed;
     cfg.numThreads = 1;
@@ -307,7 +312,7 @@ runKernelFixture(benchmark::State &state,
     state.counters["gate_applies"] = delta("sim.gate_applies");
     state.counters["amp_touches"] = delta("sim.amp_touches");
     state.counters["amp_touches_per_trial"] =
-        delta("sim.amp_touches") / (double)kKernelTrials;
+        delta("sim.amp_touches") / (double)trials;
     state.counters["fused_gates"] = delta("sim.fused_gates");
 }
 
@@ -337,6 +342,26 @@ BENCHMARK(BM_KernelCostSwapProbe)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * Semiclassical Shor (t = 3) helper-cleared assertion at "final": the
+ * recycled control qubit is measured three times mid-circuit, so
+ * everything after the first measurement is Resimulate tail — at
+ * most eight outcome paths for the 64 trials.
+ */
+void
+BM_KernelCostSemiclassical(benchmark::State &state)
+{
+    const auto prog =
+        algo::buildSemiclassicalShorProgram(algo::ShorConfig());
+    assertions::AssertionSpec spec;
+    spec.kind = assertions::AssertionKind::Classical;
+    spec.breakpoint = "final";
+    spec.regA = prog.helper;
+    spec.expectedValue = 0;
+    runKernelFixture(state, prog.circuit, spec, true, 0, 64);
+}
+BENCHMARK(BM_KernelCostSemiclassical)->Unit(benchmark::kMillisecond);
 
 /**
  * Replay both kernel-cost fixtures in their optimized configuration

@@ -176,22 +176,6 @@ combineRecords(std::size_t boundary,
 constexpr std::size_t kScanChunk = 64;
 
 /**
- * Widest program the swap-test family accepts: a probe simulates two
- * embedded copies plus an ancilla (2n+1 qubits). Shared by the
- * SwapProber's gate and the Auto paths' escalation-availability
- * check (an Auto search on a wider program keeps its cheap family's
- * verdict instead of dying in a prober it may never need).
- *
- * Tensor-split probe trials (LocateConfig::tensorSwapProbes) simulate
- * the two halves on 2^n states and touch the 2^(2n+1) space only for
- * the ~n comparator gates, so per-prefix-gate probe cost is ~2^n, not
- * 2^(2n+1) — which lifts this gate from the historical 10. The bound
- * is now the comparator's full-size state itself (2^23 amplitudes =
- * 128 MiB per in-flight trial at n = 11).
- */
-constexpr unsigned kSwapQubitGate = 11;
-
-/**
  * Probeable range shared by the marginal-style families (predicate,
  * rotated, swap): under final-state sampling one sampled final state
  * cannot represent an outcome mixture, so the range clamps at the
@@ -337,11 +321,11 @@ class MirrorProber : public Prober
         fatal_if(suspect.numQubits() != reference.numQubits(),
                  "suspect and reference use different qubit spaces");
         fatal_if(suspect.numQubits() == 0, "empty qubit space");
-        fatal_if(suspect.numQubits() > 24,
+        fatal_if(suspect.numQubits() > kMirrorQubitGate,
                  "mirror probes assert on the full qubit space; ",
                  suspect.numQubits(), " qubits is too wide — use "
                  "locateByPredicates on a register instead");
-        fatal_if(resim && suspect.numQubits() > 16,
+        fatal_if(resim && suspect.numQubits() > kResimMirrorQubitGate,
                  "Resimulate mirror probes hold a full-space mixture "
                  "distribution per segment start; ", suspect.numQubits(),
                  " qubits is too wide — use locateByPredicates on a "

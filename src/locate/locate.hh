@@ -187,6 +187,36 @@ enum class ProbeFamily
 /** Human-readable probe-family name. */
 std::string probeFamilyName(ProbeFamily family);
 
+/**
+ * @{ @name Width gates
+ * The widest programs (in qubits) each full-space probe family
+ * accepts; wider programs are rejected when the prober is built.
+ * Exported so front ends (serve::validateLocate) reject such requests
+ * up front with the locator's own bounds instead of a drifting copy.
+ */
+
+/**
+ * Swap-test probes simulate two embedded copies plus an ancilla
+ * (2n+1 qubits). Also the Auto paths' escalation-availability check:
+ * an Auto search on a wider program keeps its cheap family's verdict
+ * instead of dying in a prober it may never need. Tensor-split probe
+ * trials (LocateConfig::tensorSwapProbes) simulate the two halves on
+ * 2^n states and touch the 2^(2n+1) space only for the ~n comparator
+ * gates, which lifted this gate from the historical 10; the bound is
+ * the comparator's full-size state itself (2^23 amplitudes = 128 MiB
+ * per in-flight trial at n = 11).
+ */
+inline constexpr unsigned kSwapQubitGate = 11;
+
+/** Segment-mirror probes assert on the full qubit space. */
+inline constexpr unsigned kMirrorQubitGate = 24;
+
+/** Resimulate segment-mirror probes also hold a full-space mixture
+ *  distribution per segment start. */
+inline constexpr unsigned kResimMirrorQubitGate = 16;
+
+/** @} */
+
 /** Localization configuration. */
 struct LocateConfig
 {

@@ -6,7 +6,12 @@
 #include "runtime/ensemble.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <numeric>
+#include <optional>
 
 #include "circuit/fusion.hh"
 #include "common/logging.hh"
@@ -141,6 +146,325 @@ buildTensorStages(const circuit::Circuit &prefix, unsigned split)
     }
     return stages;
 }
+
+/**
+ * Trials per path walk. gather() and gatherHistogram() both walk the
+ * fixed global chunks [k * kWalkChunk, (k + 1) * kWalkChunk), so the
+ * outcome tree — and with it every sim.* total — never depends on
+ * the shard count; the chunk also bounds the walk's per-trial
+ * bookkeeping (one RNG stream and one index per trial).
+ */
+constexpr std::size_t kWalkChunk = 8192;
+
+/**
+ * The Resimulate trial loop as one walk over the tree of
+ * measurement-outcome paths (see ensemble.hh). A node is the group of
+ * trials sharing one outcome history: one state, one measurement
+ * record, one cursor into the instruction stream. The stream is the
+ * plan's tail (or, staged, the low tail, the high tail and the
+ * combining tail) followed by the truncating readout of spec.qubits.
+ */
+class PathWalk
+{
+  public:
+    /** Walk trials [lo, hi) of `spec`; outcome of trial m -> out[m - lo]. */
+    PathWalk(const ResimPlan &plan, const EnsembleSpec &spec,
+             std::size_t lo, std::size_t hi, std::uint64_t *out)
+        : plan(plan), spec(spec), out(out)
+    {
+        const ResimStages *staged = plan.stages.get();
+        if (staged != nullptr)
+            phases = {&staged->lowTail, &staged->highTail,
+                      &staged->layout->combo};
+        else
+            phases = {&plan.tail};
+        const std::size_t skip =
+            staged != nullptr ? staged->lowDraws : plan.headDraws;
+        const Rng master(spec.seed);
+        rngs.reserve(hi - lo);
+        for (std::size_t m = lo; m < hi; ++m) {
+            rngs.push_back(master.split(m));
+            // The draws the cached head's resets would have consumed.
+            for (std::size_t d = 0; d < skip; ++d)
+                rngs.back().uniform();
+        }
+    }
+
+    /** Walk the whole tree, fanning subtrees out on `pool` if given. */
+    void
+    run(ThreadPool *pool)
+    {
+        QSA_OBS_SPAN(span, "runtime.resim.walk");
+        const ResimStages *staged = plan.stages.get();
+        Node root{staged != nullptr ? staged->lowHead : plan.headState,
+                  nullptr,
+                  {},
+                  std::vector<std::uint32_t>(rngs.size()),
+                  0,
+                  0,
+                  0,
+                  0};
+        std::iota(root.trials.begin(), root.trials.end(), 0u);
+        walk(std::move(root), pool);
+        const std::size_t total = segments.load();
+        QSA_OBS_COUNTER("runtime.resim.segments", total);
+        span.arg("trials", rngs.size()).arg("segments", total);
+    }
+
+  private:
+    /** A group of trials sharing one measurement-outcome history. */
+    struct Node
+    {
+        /** State of the current phase (a half while staged). */
+        sim::StateVector state;
+
+        /** Staged high phase: the low leaf this subtree tensors with. */
+        std::shared_ptr<const sim::StateVector> low;
+
+        /** Measurement record of this outcome history. */
+        std::map<std::string, std::uint64_t> record;
+
+        /** Walk-local indices of the trials on this path. */
+        std::vector<std::uint32_t> trials;
+
+        /** Cursor: phase (phases.size() = readout), instruction,
+         *  target within a multi-qubit Measure. */
+        std::size_t phase = 0;
+        std::size_t pc = 0;
+        std::size_t sub = 0;
+
+        /** Value of the Measure (or readout) in progress. */
+        std::uint64_t value = 0;
+    };
+
+    const ResimPlan &plan;
+    const EnsembleSpec &spec;
+    std::uint64_t *out;
+    std::vector<const circuit::Circuit *> phases;
+
+    /** Per-trial streams; each is touched only by its trial's node. */
+    std::vector<Rng> rngs;
+
+    /** Path segments simulated (tree nodes), for the counter. */
+    std::atomic<std::size_t> segments{0};
+
+    /** Cross into phase `next`: the staged hand-offs, or readout. */
+    void
+    enterPhase(Node &node, std::size_t next)
+    {
+        node.phase = next;
+        node.pc = 0;
+        node.value = 0;
+        const ResimStages *staged = plan.stages.get();
+        if (staged == nullptr || next == phases.size())
+            return;
+        if (next == 1) {
+            // Low leaf: start this history's high half from its head.
+            node.low = std::make_shared<const sim::StateVector>(
+                std::move(node.state));
+            node.state = staged->highHead;
+            for (std::uint32_t t : node.trials)
+                for (std::size_t d = 0; d < staged->highDraws; ++d)
+                    rngs[t].uniform();
+        } else {
+            node.state = node.low->tensorWith(node.state);
+            node.low.reset();
+        }
+    }
+
+    /**
+     * Measure `qubit` for every trial of `node`: probabilityOne once,
+     * one bernoulli per trial from its own stream, then the collapse
+     * measureQubit would make — in place when every trial agrees,
+     * else the outcome-1 trials split off into a copy, returned.
+     * `reset_to` >= 0 X-corrects each branch to that bit (PrepZ);
+     * otherwise the outcome lands in bit `bit` of the node's value.
+     */
+    std::optional<Node>
+    measure(Node &node, unsigned qubit, int reset_to, std::size_t bit)
+    {
+        QSA_OBS_COUNTER("sim.measurements", 1);
+        const double p1 = node.state.probabilityOne(qubit);
+        std::vector<std::uint32_t> ones;
+        auto zeros = node.trials.begin();
+        for (std::uint32_t t : node.trials) {
+            if (rngs[t].bernoulli(p1))
+                ones.push_back(t);
+            else
+                *zeros++ = t;
+        }
+        node.trials.erase(zeros, node.trials.end());
+
+        const auto collapse = [&](Node &branch, unsigned outcome) {
+            branch.state.projectQubit(qubit, outcome,
+                                      outcome ? p1 : 1.0 - p1);
+            if (reset_to < 0)
+                branch.value |= static_cast<std::uint64_t>(outcome)
+                                << bit;
+            else if (outcome != static_cast<unsigned>(reset_to))
+                branch.state.applyGate(sim::Mat2{0.0, 1.0, 1.0, 0.0},
+                                       qubit);
+        };
+        if (ones.empty()) {
+            collapse(node, 0);
+            return std::nullopt;
+        }
+        if (node.trials.empty()) {
+            node.trials = std::move(ones);
+            collapse(node, 1);
+            return std::nullopt;
+        }
+        Node sibling{node.state, node.low,   node.record, std::move(ones),
+                     node.phase, node.pc,    node.sub,    node.value};
+        collapse(node, 0);
+        collapse(sibling, 1);
+        return sibling;
+    }
+
+    /**
+     * Run `node` through one path segment: to its next split (the
+     * split-off sibling is returned and `node` continues as the other
+     * branch) or to its leaf (outcomes written, nullopt returned).
+     */
+    std::optional<Node>
+    advance(Node &node)
+    {
+        segments.fetch_add(1, std::memory_order_relaxed);
+        while (true) {
+            if (node.phase == phases.size()) {
+                // The truncating readout, one qubit at a time.
+                if (node.pc == spec.qubits.size()) {
+                    for (std::uint32_t t : node.trials)
+                        out[t] = node.value;
+                    return std::nullopt;
+                }
+                auto sibling =
+                    measure(node, spec.qubits[node.pc], -1, node.pc);
+                ++node.pc;
+                if (sibling) {
+                    ++sibling->pc;
+                    return sibling;
+                }
+                continue;
+            }
+            const circuit::Circuit &circ = *phases[node.phase];
+            if (node.pc == circ.size()) {
+                enterPhase(node, node.phase + 1);
+                continue;
+            }
+            const circuit::Instruction &inst =
+                circ.instructions()[node.pc];
+            if (!inst.condLabel.empty()) {
+                const auto it = node.record.find(inst.condLabel);
+                fatal_if(it == node.record.end(),
+                         "conditional instruction references "
+                         "unmeasured label '", inst.condLabel, "'");
+                if (it->second != inst.condValue) {
+                    ++node.pc;
+                    continue;
+                }
+            }
+            std::optional<Node> sibling;
+            if (inst.kind == circuit::GateKind::PrepZ) {
+                sibling = measure(node, inst.targets[0],
+                                  static_cast<int>(inst.bit & 1), 0);
+                ++node.pc;
+                if (sibling)
+                    ++sibling->pc;
+            } else if (inst.kind == circuit::GateKind::Measure) {
+                if (node.sub == 0)
+                    node.value = 0; // overwrite semantics
+                if (node.sub == inst.targets.size()) {
+                    node.record[inst.label] = node.value;
+                    node.sub = 0;
+                    ++node.pc;
+                    continue;
+                }
+                sibling = measure(node, inst.targets[node.sub], -1,
+                                  node.sub);
+                ++node.sub;
+                if (sibling)
+                    ++sibling->sub;
+            } else {
+                circuit::applyUnitaryInstruction(circ, inst, node.state);
+                ++node.pc;
+            }
+            if (sibling)
+                return sibling;
+        }
+    }
+
+    /**
+     * Depth-first walk on every thread of `pool` at once (on the
+     * calling thread alone when null). A worker keeps its pending
+     * siblings on a private stack; while some worker holds no subtree
+     * it is handed the oldest pending sibling (nearest the root, so
+     * the most work), so at most workers - 1 subtrees wait in the
+     * hand-off queue.
+     */
+    void
+    walk(Node root, ThreadPool *pool)
+    {
+        const std::size_t workers =
+            pool != nullptr ? pool->concurrency() : 1;
+        std::mutex mutex;
+        std::condition_variable ready;
+        std::vector<Node> handoff;
+        handoff.push_back(std::move(root));
+        std::size_t busy = 0;
+        bool failed = false;
+
+        const auto worker = [&](std::size_t) {
+            std::deque<Node> local;
+            std::unique_lock<std::mutex> lock(mutex);
+            while (true) {
+                ready.wait(lock, [&] {
+                    return failed || !handoff.empty() || busy == 0;
+                });
+                if (failed || handoff.empty())
+                    return; // the walk is complete
+                local.push_back(std::move(handoff.back()));
+                handoff.pop_back();
+                ++busy;
+                lock.unlock();
+                try {
+                    while (!local.empty()) {
+                        Node node = std::move(local.back());
+                        local.pop_back();
+                        while (auto sibling = advance(node)) {
+                            local.push_back(std::move(*sibling));
+                            lock.lock();
+                            while (!local.empty() &&
+                                   busy + handoff.size() < workers) {
+                                handoff.push_back(
+                                    std::move(local.front()));
+                                local.pop_front();
+                                ready.notify_one();
+                            }
+                            lock.unlock();
+                        }
+                    }
+                } catch (...) {
+                    // Wake the waiters so nobody blocks on a walk that
+                    // will never finish; the pool rethrows to the
+                    // poster.
+                    if (!lock.owns_lock())
+                        lock.lock();
+                    failed = true;
+                    ready.notify_all();
+                    throw;
+                }
+                lock.lock();
+                if (--busy == 0 && handoff.empty())
+                    ready.notify_all();
+            }
+        };
+        if (workers == 1)
+            worker(0);
+        else
+            pool->parallelFor(workers, worker);
+    }
+};
 
 } // anonymous namespace
 
@@ -356,6 +680,8 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
     }
     // Build outside the lock (one head simulation); racers may build
     // twice but the builds are identical and the first insertion wins.
+    QSA_OBS_SPAN(span, "runtime.resim.head");
+    span.arg("breakpoint", breakpoint);
     auto sliced = prefix(breakpoint);
     auto stages = tensorStages(breakpoint);
 
@@ -446,57 +772,41 @@ void
 EnsembleEngine::runTrials(const EnsembleSpec &spec,
                           const ResimPlan *plan,
                           const CdfSampler *sampler, std::size_t lo,
-                          std::size_t hi, std::uint64_t *out) const
+                          std::size_t hi, std::uint64_t *out)
 {
+    // From inside a worker (e.g. a BatchRunner unit) or for a single
+    // trial the fan-out would run inline anyway — skip resolving a
+    // pool entirely.
+    ThreadPool *fan_out =
+        ThreadPool::insideWorker() || hi - lo == 1 ? nullptr : &pool();
+    if (spec.mode == SampleMode::Resimulate) {
+        // One walk per global chunk, so the trees (and the sim.*
+        // totals) do not depend on where [lo, hi) starts or ends.
+        for (std::size_t m = lo; m < hi;) {
+            const std::size_t end =
+                std::min(hi, (m / kWalkChunk + 1) * kWalkChunk);
+            PathWalk(*plan, spec, m, end, out + (m - lo)).run(fan_out);
+            m = end;
+        }
+        return;
+    }
     const Rng master(spec.seed);
-    if (spec.mode == SampleMode::Resimulate && plan->stages != nullptr) {
-        // Tensor-split trials: each half re-simulates on its own
-        // small state; the full-size state exists only from the
-        // combining tail on. Draw order — low draws, then high, then
-        // combo — is the monolithic program order, so the measurement
-        // map and stream position match an unstaged run draw for
-        // draw.
-        const ResimStages &staged = *plan->stages;
-        for (std::size_t m = lo; m < hi; ++m) {
-            Rng rng = master.split(m);
-            std::map<std::string, std::uint64_t> measurements;
-            for (std::size_t d = 0; d < staged.lowDraws; ++d)
-                rng.uniform();
-            sim::StateVector low_state = staged.lowHead;
-            circuit::runCircuitOn(staged.lowTail, low_state,
-                                  measurements, rng);
-            for (std::size_t d = 0; d < staged.highDraws; ++d)
-                rng.uniform();
-            sim::StateVector high_state = staged.highHead;
-            circuit::runCircuitOn(staged.highTail, high_state,
-                                  measurements, rng);
-            sim::StateVector state = low_state.tensorWith(high_state);
-            circuit::runCircuitOn(staged.layout->combo, state,
-                                  measurements, rng);
-            out[m - lo] = state.measureQubits(spec.qubits, rng);
-        }
-    } else if (spec.mode == SampleMode::Resimulate) {
-        for (std::size_t m = lo; m < hi; ++m) {
-            // Trial streams are keyed by the global trial index, so
-            // shard boundaries cannot influence any outcome. The
-            // draws the cached head's resets would have consumed are
-            // discarded so the tail sees the same stream position an
-            // uncached full re-simulation would.
-            Rng rng = master.split(m);
-            for (std::size_t d = 0; d < plan->headDraws; ++d)
-                rng.uniform();
-            sim::StateVector state = plan->headState;
-            std::map<std::string, std::uint64_t> measurements;
-            circuit::runCircuitOn(plan->tail, state, measurements,
-                                  rng);
-            out[m - lo] = state.measureQubits(spec.qubits, rng);
-        }
-    } else {
-        for (std::size_t m = lo; m < hi; ++m) {
+    const auto sample = [&](std::size_t a, std::size_t b) {
+        for (std::size_t m = a; m < b; ++m) {
             Rng rng = master.split(m + 1);
             out[m - lo] = sampler->sample(rng.uniform());
         }
+    };
+    if (fan_out == nullptr) {
+        sample(lo, hi);
+        return;
     }
+    const std::size_t num_shards =
+        std::min<std::size_t>(fan_out->concurrency(), hi - lo);
+    fan_out->parallelFor(num_shards, [&](std::size_t s) {
+        const auto [a, b] = shardRange(s, num_shards, hi - lo);
+        sample(lo + a, lo + b);
+    });
 }
 
 std::vector<std::uint64_t>
@@ -522,21 +832,8 @@ EnsembleEngine::gather(const EnsembleSpec &spec)
         sampler = shotSampler(spec);
 
     std::vector<std::uint64_t> results(spec.shots);
-    // From inside a worker (e.g. a BatchRunner unit) or for a single
-    // shot the fan-out would run inline anyway — skip resolving a
-    // pool entirely.
-    if (ThreadPool::insideWorker() || spec.shots == 1) {
-        runTrials(spec, plan.get(), sampler.get(), 0, spec.shots,
-                  results.data());
-        return results;
-    }
-    const std::size_t num_shards =
-        std::min<std::size_t>(pool().concurrency(), spec.shots);
-    pool().parallelFor(num_shards, [&](std::size_t s) {
-        const auto [lo, hi] = shardRange(s, num_shards, spec.shots);
-        runTrials(spec, plan.get(), sampler.get(), lo, hi,
-                  results.data() + lo);
-    });
+    runTrials(spec, plan.get(), sampler.get(), 0, spec.shots,
+              results.data());
     return results;
 }
 
@@ -561,6 +858,22 @@ EnsembleEngine::gatherHistogram(const EnsembleSpec &spec)
         plan = resimPlan(spec.breakpoint);
     else
         sampler = shotSampler(spec);
+
+    if (spec.mode == SampleMode::Resimulate) {
+        // Walk the same global chunks gather() walks (the walk fans
+        // out on its own), folding each into the histogram so peak
+        // memory is O(distinct outcomes), not O(shots).
+        std::map<std::uint64_t, std::uint64_t> hist;
+        std::vector<std::uint64_t> buffer(
+            std::min(kWalkChunk, spec.shots));
+        for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
+            const std::size_t hi = std::min(lo + kWalkChunk, spec.shots);
+            runTrials(spec, plan.get(), nullptr, lo, hi, buffer.data());
+            for (std::size_t k = 0; k < hi - lo; ++k)
+                ++hist[buffer[k]];
+        }
+        return hist;
+    }
 
     const std::size_t num_shards =
         ThreadPool::insideWorker()

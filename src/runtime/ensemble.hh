@@ -8,30 +8,56 @@
  * dominate the cost. The EnsembleEngine reproduces that fan-out on a
  * thread pool:
  *
- *  - the N trials are split into contiguous shards, one per available
- *    worker, and each shard runs on its own thread;
  *  - every trial m derives its own RNG stream from the master seed by
  *    trial index (Rng::split(m), collision-free — see rng.hh), never
  *    from the worker or shard it happens to land on, so results are
  *    bit-identical for any thread count, including 1;
- *  - per-shard results land in disjoint slices of a preallocated
- *    trial-ordered buffer (and per-shard histograms are merged in
- *    shard order), so the merge is deterministic by construction;
+ *  - results land in disjoint slots of a preallocated trial-ordered
+ *    buffer (and per-shard histograms are merged in shard order), so
+ *    the merge is deterministic by construction;
  *  - in SampleFinalState mode the truncated circuit is simulated ONCE,
  *    the final state is cached per (breakpoint, seed), and the N shots
- *    are multinomial-sampled from the exact outcome distribution via
- *    inverse-CDF binary search — re-running the circuit per shot is
+ *    are split into contiguous shards, one per available worker, and
+ *    multinomial-sampled from the exact outcome distribution via
+ *    inverse-CDF binary search — running the circuit per member is
  *    reserved for Resimulate mode, which stays exact for programs with
  *    mid-circuit measurement;
  *  - in Resimulate mode the truncated circuit's *deterministic head*
  *    — the longest prefix containing no measurement, no conditional
  *    instruction, and only resets whose outcome is certain — is
- *    simulated once and cached per breakpoint; each trial then copies
- *    the head state and re-simulates only the nondeterministic tail.
- *    For the paper's measurement-free benchmarks the whole truncated
- *    program is head, collapsing a Resimulate ensemble's cost to one
- *    simulation plus N state copies; for semiclassical programs the
- *    per-trial cost is the region from the first measurement on.
+ *    simulated once and cached per breakpoint. For the paper's
+ *    measurement-free benchmarks the whole truncated program is head.
+ *  - the nondeterministic tail after the head is simulated once per
+ *    measurement-outcome path. Trials differ only in their
+ *    measurement outcomes, so the engine walks the tree of outcome
+ *    paths: trials that share an outcome history share one state. At
+ *    each measured qubit (a tail Measure, a random reset, or the
+ *    truncating readout) the node computes probabilityOne once, each
+ *    of its trials draws its own bernoulli from its own stream, and
+ *    the node splits into at most two children collapsed by
+ *    StateVector::projectQubit — bit for bit the collapse each
+ *    trial's measureQubit would have made on its own copy — each
+ *    child with its own measurement record. A tail with t binary
+ *    measurements costs at most 2^t path segments, not N tails.
+ *    Tensor-staged plans walk the low tail, then the high tail at
+ *    each low leaf, then tensor the halves, then walk the combining
+ *    tail.
+ *  - the walk is iterative (an explicit stack of pending siblings).
+ *    Its live states are the splits on the current path plus at most
+ *    one handed-off subtree per pool thread — never proportional to
+ *    the trial count. Independent subtrees fan out across the pool;
+ *    every path node is simulated exactly once whatever the thread
+ *    count, and inside a pool worker (e.g. a BatchRunner unit) the
+ *    walk runs inline.
+ *  - both gather() and gatherHistogram() walk fixed global chunks of
+ *    trials whose boundaries do not depend on the shard count, so
+ *    the tree — and every sim.* total — is thread-count invariant.
+ *
+ * Work accounting: in Resimulate mode the sim.* counters measure
+ * path-node work, not per-trial work. sim.gate_applies and
+ * sim.amp_touches count each path segment's gates once, and
+ * sim.measurements counts one per measured qubit per path node (the
+ * readout included), however many trials share that node.
  *
  * RNG stream layout (fixed; part of the reproducibility contract):
  *  - Resimulate: trial m uses Rng(seed).split(m) for both gate-level
@@ -40,7 +66,9 @@
  *    exactly the draws the head's resets would have made, so trial
  *    outcomes are bit-identical to an uncached full re-simulation
  *    (up to reset outcomes whose probability is below the ~1e-12
- *    determinism tolerance).
+ *    determinism tolerance). The path walk draws exactly the numbers
+ *    each trial would draw alone, in the same order, against
+ *    bit-identical states, so it changes no outcome.
  *  - SampleFinalState: the single prefix execution uses
  *    Rng(seed).split(0); shot m draws its uniform from
  *    Rng(seed).split(m + 1).
@@ -70,8 +98,8 @@ namespace qsa::runtime
  * Precomputed split of a truncated circuit for Resimulate mode: the
  * deterministic head's final state (simulated once), the number of
  * RNG draws the head's resets would have consumed per trial, and the
- * nondeterministic tail each trial actually re-simulates. See the
- * file comment for the exactness contract.
+ * nondeterministic tail the path walk re-simulates once per outcome
+ * path. See the file comment for the exactness contract.
  */
 struct ResimPlan
 {
@@ -84,7 +112,7 @@ struct ResimPlan
     /** Instructions after the head (possibly empty). */
     circuit::Circuit tail;
 
-    /** Tensor-split stages; when set, trials run staged and the
+    /** Tensor-split stages; when set, the walk runs staged and the
      *  monolithic head above is a 1-qubit placeholder. */
     std::shared_ptr<const struct ResimStages> stages;
 
@@ -97,9 +125,9 @@ struct ResimPlan
  * acting only on the high qubits, followed by a combining tail on the
  * full space — the shape of every swap-test probe (suspect prefix,
  * embedded reference prefix, ancilla-controlled-SWAP comparator).
- * Trials simulate the two halves on 2^split- and 2^(n-split)-sized
+ * Ensembles simulate the two halves on 2^split- and 2^(n-split)-sized
  * states and tensor them together only for the comparator
- * (StateVector::tensorWith), cutting per-trial cost from 2^n toward
+ * (StateVector::tensorWith), cutting per-path cost from 2^n toward
  * 2^split + 2^(n-split) + |combo| full-space applies. RNG draw order
  * is the monolithic program order (low, then high, then combo), so
  * outcome streams match an unstaged run draw for draw.
@@ -234,9 +262,10 @@ class EnsembleEngine
     std::vector<std::uint64_t> gather(const EnsembleSpec &spec);
 
     /**
-     * As gather(), but fold each shard into a local histogram and merge
-     * the shard histograms in shard order — O(distinct outcomes)
-     * memory instead of O(shots), for huge ensembles.
+     * As gather(), but fold the trials into a histogram chunk by chunk
+     * (shard histograms merged in shard order when sampling) —
+     * O(distinct outcomes) memory instead of O(shots), for huge
+     * ensembles.
      */
     std::map<std::uint64_t, std::uint64_t>
     gatherHistogram(const EnsembleSpec &spec);
@@ -332,10 +361,14 @@ class EnsembleEngine
     std::shared_ptr<const CdfSampler>
     shotSampler(const EnsembleSpec &spec);
 
-    /** Run trials [lo, hi) of `spec`, writing out[m] for each m. */
+    /**
+     * Run trials [lo, hi) of `spec`, writing out[m - lo] for each m:
+     * a path walk per global chunk in Resimulate mode, shot sampling
+     * otherwise. Fans out on the pool unless called from a worker.
+     */
     void runTrials(const EnsembleSpec &spec, const ResimPlan *plan,
                    const CdfSampler *sampler, std::size_t lo,
-                   std::size_t hi, std::uint64_t *out) const;
+                   std::size_t hi, std::uint64_t *out);
 };
 
 } // namespace qsa::runtime

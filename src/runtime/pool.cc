@@ -202,7 +202,13 @@ ThreadPool::parallelFor(std::size_t n,
 ThreadPool &
 ThreadPool::shared()
 {
-    static ThreadPool pool;
+    // Immortal by design: never destroyed, so no exit path runs
+    // ~ThreadPool on it. std::exit (fatal()) runs static destructors,
+    // and in a fork()ed child — a gtest death test — the workers the
+    // destructor would join do not exist there, so joining them
+    // crashes the child instead of letting it exit with its status.
+    // The OS reclaims the threads at process exit.
+    static ThreadPool &pool = *new ThreadPool();
     return pool;
 }
 

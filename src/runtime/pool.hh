@@ -92,7 +92,8 @@ class ThreadPool
 
     /**
      * Process-wide pool sized to the hardware concurrency, created on
-     * first use. The default backend for ensembles and batches.
+     * first use and never destroyed. The default backend for
+     * ensembles and batches.
      */
     static ThreadPool &shared();
 

@@ -6,6 +6,7 @@
 #include "analyze/lint.hh"
 #include "circuit/qasm.hh"
 #include "common/errors.hh"
+#include "locate/locate.hh"
 #include "obs/obs.hh"
 #include "session/session.hh"
 
@@ -215,12 +216,30 @@ validateLocate(const Request &request, const Limits &limits)
             return "marginal probe families require 'register'";
     }
 
-    // Swap-test probes simulate 2n+1 qubits; the locator fatals past
-    // n = 10 (and Auto escalation skips itself gracefully).
+    // The locator's prober width gates (locate.hh) fatal when a
+    // prober is built, so reject past them here. Full-space locates
+    // of every family but swap_test build segment-mirror probes;
+    // swap-test probes simulate 2n+1 qubits (Auto escalation past
+    // that gate skips itself gracefully).
+    const unsigned width = suspect.numQubits();
+    if (!marginal && request.family != locate::ProbeFamily::SwapTest) {
+        const bool resim =
+            request.mode == assertions::EnsembleMode::Resimulate;
+        const unsigned gate = resim ? locate::kResimMirrorQubitGate
+                                    : locate::kMirrorQubitGate;
+        if (width > gate)
+            return std::string(resim ? "resimulate " : "") +
+                   "segment-mirror probes support at most " +
+                   std::to_string(gate) + " qubits (" +
+                   std::to_string(width) +
+                   " requested); pass 'register' to probe one "
+                   "register's marginal instead";
+    }
     if (request.family == locate::ProbeFamily::SwapTest &&
-        suspect.numQubits() > 10)
-        return "swap_test probes support at most 10 qubits (" +
-               std::to_string(suspect.numQubits()) + " requested)";
+        width > locate::kSwapQubitGate)
+        return "swap_test probes support at most " +
+               std::to_string(locate::kSwapQubitGate) + " qubits (" +
+               std::to_string(width) + " requested)";
 
     (void)limits;
     return "";

@@ -145,6 +145,38 @@ wideLocateRequestDoc(const std::string &oracle_mode,
     return doc;
 }
 
+/**
+ * An n-qubit GHZ-ladder locate pair; the suspect carries one extra T
+ * mid-ladder. Only its width matters to the validation tests below.
+ */
+std::string
+ladderQasm(unsigned n, bool buggy)
+{
+    std::string qasm =
+        "OPENQASM 2.0;\nqreg q[" + std::to_string(n) + "];\nh q[0];\n";
+    for (unsigned i = 1; i < n; ++i) {
+        qasm += "cx q[" + std::to_string(i - 1) + "],q[" +
+                std::to_string(i) + "];\n";
+        if (buggy && i == n / 2)
+            qasm += "t q[" + std::to_string(i) + "];\n";
+    }
+    return qasm;
+}
+
+json::Value
+ladderLocateDoc(unsigned n, const char *family, const char *mode)
+{
+    json::Value doc = json::Value::object();
+    doc.set("id", json::Value::string("ladder"));
+    doc.set("command", json::Value::string("locate"));
+    doc.set("circuit", json::Value::string(ladderQasm(n, true)));
+    doc.set("reference", json::Value::string(ladderQasm(n, false)));
+    doc.set("family", json::Value::string(family));
+    doc.set("mode", json::Value::string(mode));
+    doc.set("ensemble_size", json::Value::integer(64));
+    return doc;
+}
+
 /** Execute a request document in-process; returns the "result" dump. */
 std::string
 resultDump(const json::Value &doc)
@@ -315,6 +347,62 @@ TEST(ServeProtocol, SampledOracleLocatesTheWideMeasurementProgram)
         ASSERT_NE(result, nullptr);
         EXPECT_TRUE(result->find("bug_found")->asBool())
             << "mode '" << mode << "': " << response;
+    }
+}
+
+TEST(ServeProtocol, SwapTestWidthGateMatchesTheLocator)
+{
+    // The daemon accepts exactly the widths the in-process locator
+    // accepts: swap-test probes up to locate::kSwapQubitGate = 11.
+    EXPECT_EQ(locate::kSwapQubitGate, 11u);
+    serve::Request request;
+    std::string error;
+    EXPECT_TRUE(serve::parseRequest(
+        ladderLocateDoc(11, "swap_test", "sample_final_state"), &request,
+        &error))
+        << error;
+
+    const json::Value doc = json::Value::parseOrDie(
+        serve::handleRequestLine(
+            ladderLocateDoc(12, "swap_test", "sample_final_state")
+                .dump()));
+    ASSERT_FALSE(doc.find("ok")->asBool());
+    EXPECT_NE(doc.find("error")->find("message")->asString().find(
+                  "swap_test probes support at most 11 qubits"),
+              std::string::npos);
+}
+
+TEST(ServeProtocol, MirrorWidthGatesMatchTheLocator)
+{
+    // Full-space mirror probes fatal past their width gates when the
+    // prober is built; a daemon run with a high --max-qubits must
+    // reject such requests instead.
+    serve::Limits limits;
+    limits.maxQubits = 25;
+    const unsigned resim_gate = locate::kResimMirrorQubitGate;
+    for (const char *family : {"segment_mirror", "auto"}) {
+        serve::Request request;
+        std::string error;
+        EXPECT_TRUE(serve::parseRequest(
+            ladderLocateDoc(resim_gate, family, "resimulate"), &request,
+            &error, nullptr, limits))
+            << family << ": " << error;
+        EXPECT_FALSE(serve::parseRequest(
+            ladderLocateDoc(resim_gate + 1, family, "resimulate"),
+            &request, &error, nullptr, limits))
+            << family;
+        EXPECT_NE(error.find("resimulate segment-mirror probes"),
+                  std::string::npos)
+            << error;
+        EXPECT_TRUE(serve::parseRequest(
+            ladderLocateDoc(resim_gate + 1, family, "sample_final_state"),
+            &request, &error, nullptr, limits))
+            << family << ": " << error;
+        EXPECT_FALSE(serve::parseRequest(
+            ladderLocateDoc(locate::kMirrorQubitGate + 1, family,
+                            "sample_final_state"),
+            &request, &error, nullptr, limits))
+            << family;
     }
 }
 
@@ -590,6 +678,47 @@ TEST(ServeServer, SurvivesOracleDeriveFailureOnTheSameConnection)
             doc.find("result")->find("bug_found")->asBool())
             << response;
     }
+
+    server.stop();
+}
+
+TEST(ServeServer, SurvivesWideResimulateMirrorOnTheSameConnection)
+{
+    // One request past the Resimulate mirror prober's width gate used
+    // to kill a daemon started with --max-qubits 17. It must be
+    // rejected, and the next request on the same socket answered.
+    serve::ServerConfig config;
+    config.socketPath = testSocketPath("wide_mirror");
+    config.workers = 2;
+    config.limits.maxQubits = 17;
+
+    serve::Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    serve::Client client;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+
+    std::string response;
+    ASSERT_TRUE(client.request(
+        ladderLocateDoc(17, "segment_mirror", "resimulate").dump(),
+        &response, &error))
+        << error;
+    {
+        const json::Value doc = json::Value::parseOrDie(response);
+        ASSERT_FALSE(doc.find("ok")->asBool()) << response;
+        EXPECT_NE(doc.find("error")->find("message")->asString().find(
+                      "at most 16 qubits"),
+                  std::string::npos)
+            << response;
+    }
+
+    const std::string follow_up = locateRequestDoc(3, 0).dump();
+    ASSERT_TRUE(client.request(follow_up, &response, &error)) << error;
+    EXPECT_TRUE(json::Value::parseOrDie(response).find("ok")->asBool())
+        << response;
+    EXPECT_EQ(stripObs(response),
+              stripObs(serve::handleRequestLine(follow_up)));
 
     server.stop();
 }
