@@ -622,6 +622,9 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
         // prefix tensor-splits, the halves simulate on their small
         // spaces (same instruction and draw order as a monolithic
         // run) and combine only for the tail.
+        QSA_OBS_SPAN(span, "runtime.prefix");
+        span.arg("breakpoint", breakpoint)
+            .arg("instructions", sliced->size());
         try {
             auto stages = tensorStages(breakpoint);
             Rng rng = Rng(seed).split(0);

@@ -6,6 +6,7 @@
 #include "sim/statevector.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -27,8 +28,12 @@ constexpr unsigned max_qubits = 28;
  * Accounting contract: `amps_touched` is the number of amplitude slots
  * the kernel actually reads/writes, each slot counted once — d for an
  * uncontrolled 1q gate, d/2^|c| for a controlled one (2 slots per
- * participating pair), d/2^(|c|+1) for a controlled swap. Kernels that
- * dispatch to another public kernel must not double-count.
+ * participating pair), d/2^(|c|+1) for a controlled swap. Diagonal
+ * kernels count only the slots they scale: an entry that is exactly
+ * 1+0i leaves its slots untouched, so controlled-Z counts d/2^(|c|+1)
+ * and a diagonal Mat4 counts one slot per coset for each entry that
+ * is not 1. Kernels that dispatch to another public kernel must not
+ * double-count.
  */
 inline void
 countGate(std::uint64_t amps_touched)
@@ -77,6 +82,209 @@ expandIndex(std::uint64_t i, const std::uint64_t *masks, unsigned k)
     }
     return i;
 }
+
+/**
+ * Call visit(i | set) for every basis index i below d whose reserved
+ * bits (`masks`, k >= 1 ascending single-bit masks) are clear, in
+ * ascending order. Below the lowest reserved bit the indices run
+ * contiguously, so only one index per run is expanded and the inner
+ * loop is a plain stride-1 sweep.
+ */
+template <typename Visit>
+inline void
+forEachIndex(std::uint64_t d, const std::uint64_t *masks, unsigned k,
+             std::uint64_t set, Visit &&visit)
+{
+    const std::uint64_t run = masks[0];
+    const std::uint64_t count = d >> k;
+    for (std::uint64_t i = 0; i < count; i += run) {
+        const std::uint64_t base = expandIndex(i, masks, k) | set;
+        for (std::uint64_t off = 0; off < run; ++off)
+            visit(base + off);
+    }
+}
+
+/**
+ * The amplitudes as interleaved (re, im) doubles. std::complex<double>
+ * is array-compatible with double[2] ([complex.numbers]), so this is
+ * the same storage, not a copy.
+ */
+inline double *
+interleaved(std::vector<Complex> &amps)
+{
+    return reinterpret_cast<double *>(amps.data());
+}
+
+inline const double *
+interleaved(const std::vector<Complex> &amps)
+{
+    return reinterpret_cast<const double *>(amps.data());
+}
+
+/**
+ * One gate-matrix entry held in local doubles. Kernels copy their
+ * matrix into these once per apply: read through a reference the
+ * matrix may alias the amplitudes as far as the compiler can tell, so
+ * it would be reloaded for every slot.
+ */
+struct Entry
+{
+    double re = 0.0;
+    double im = 0.0;
+    double negIm = 0.0;
+
+    Entry() = default;
+    explicit Entry(const Complex &c)
+        : re(c.real()), im(c.imag()), negIm(-c.imag())
+    {
+    }
+
+    /** Exactly zero (either sign): an off-diagonal that mixes nothing. */
+    bool zero() const { return re == 0.0 && im == 0.0; }
+
+    /** Exactly 1+0i: a diagonal entry that leaves its slots as they are. */
+    bool one() const { return re == 1.0 && im == 0.0; }
+};
+
+/*
+ * The product e·(x + iy) written out as (ac − bd, ad + bc). That is the
+ * value std::complex<double>::operator* returns for finite operands;
+ * only its Annex G branch (both parts NaN → __muldc3) is gone. Sums of
+ * products below keep std::complex's left-to-right order, so every
+ * amplitude is bit-identical to the std::complex expression.
+ *
+ * The real part is computed as ac + (−b)d: negation is exact and IEEE
+ * 754 defines x − y as x + (−y), so it is ac − bd to the bit. Written
+ * as a sum it has the same multiply-add shape as the imaginary part,
+ * and the compiler keeps (re, im) pairs packed in one SSE2 register.
+ */
+
+/** Real part of e·(x + iy). */
+inline double
+mulRe(const Entry &e, double x, double y)
+{
+    return e.re * x + e.negIm * y;
+}
+
+/** Imaginary part of e·(x + iy). */
+inline double
+mulIm(const Entry &e, double x, double y)
+{
+    return e.re * y + e.im * x;
+}
+
+/**
+ * Diagonal sweep: slot i ← e·slot i for every index forEachIndex
+ * visits. This is the whole update of a diagonal gate on that slot
+ * class: the dense update adds the off-diagonal products, which are
+ * zeros, so the results agree under == (only the sign of a zero can
+ * differ).
+ */
+inline void
+scaleSweep(double *a, std::uint64_t d, const std::uint64_t *masks,
+           unsigned k, std::uint64_t set, const Entry &e)
+{
+    forEachIndex(d, masks, k, set, [&](std::uint64_t i) {
+        const double x = a[2 * i];
+        const double y = a[2 * i + 1];
+        a[2 * i] = mulRe(e, x, y);
+        a[2 * i + 1] = mulIm(e, x, y);
+    });
+}
+
+/**
+ * The 2x2 kernel on every pair (i, i | tmask), i visiting the indices
+ * with the reserved bits (`masks`: controls and target) clear, OR'd
+ * with the control mask. Returns the slots touched.
+ */
+std::uint64_t
+mat2Kernel(double *a, std::uint64_t d, const Mat2 &gate,
+           const std::uint64_t *masks, unsigned k, std::uint64_t cmask,
+           std::uint64_t tmask)
+{
+    const Entry g00(gate.a00), g01(gate.a01);
+    const Entry g10(gate.a10), g11(gate.a11);
+    const std::uint64_t pairs = d >> k;
+    if (g01.zero() && g10.zero()) {
+        std::uint64_t touched = 0;
+        if (!g00.one()) {
+            scaleSweep(a, d, masks, k, cmask, g00);
+            touched += pairs;
+        }
+        if (!g11.one()) {
+            scaleSweep(a, d, masks, k, cmask | tmask, g11);
+            touched += pairs;
+        }
+        return touched;
+    }
+    // i0 has the target bit clear, so i0 + tmask is i0 | tmask; the
+    // sum lets the compiler see the two slots' (re, im) pairs as
+    // adjacent doubles and pack them.
+    forEachIndex(d, masks, k, cmask, [&](std::uint64_t i0) {
+        const std::uint64_t i1 = i0 + tmask;
+        const double x0 = a[2 * i0], y0 = a[2 * i0 + 1];
+        const double x1 = a[2 * i1], y1 = a[2 * i1 + 1];
+        a[2 * i0] = mulRe(g00, x0, y0) + mulRe(g01, x1, y1);
+        a[2 * i0 + 1] = mulIm(g00, x0, y0) + mulIm(g01, x1, y1);
+        a[2 * i1] = mulRe(g10, x0, y0) + mulRe(g11, x1, y1);
+        a[2 * i1 + 1] = mulIm(g10, x0, y0) + mulIm(g11, x1, y1);
+    });
+    return 2 * pairs;
+}
+
+/**
+ * The 4x4 kernel on every coset {b, b|m0, b|m1, b|m0|m1}, b visiting
+ * the indices with the reserved bits clear, OR'd with the control
+ * mask. Returns the slots touched.
+ */
+std::uint64_t
+mat4Kernel(double *a, std::uint64_t d, const Mat4 &gate,
+           const std::uint64_t *masks, unsigned k, std::uint64_t cmask,
+           std::uint64_t m0, std::uint64_t m1)
+{
+    // Row major: the diagonal is entries 0, 5, 10 and 15.
+    Entry u[16];
+    bool diagonal = true;
+    for (unsigned e = 0; e < 16; ++e) {
+        u[e] = Entry(gate.m[e]);
+        if (e % 5 != 0 && !u[e].zero())
+            diagonal = false;
+    }
+    const std::uint64_t offset[4] = {0, m0, m1, m0 | m1};
+    const std::uint64_t cosets = d >> k;
+    if (diagonal) {
+        std::uint64_t touched = 0;
+        for (unsigned r = 0; r < 4; ++r) {
+            if (u[5 * r].one())
+                continue;
+            scaleSweep(a, d, masks, k, cmask | offset[r], u[5 * r]);
+            touched += cosets;
+        }
+        return touched;
+    }
+    // base has both target bits clear: base + offset[r] is the slot
+    // (an OR would hide the adjacency the compiler packs on).
+    forEachIndex(d, masks, k, cmask, [&](std::uint64_t base) {
+        double x[4], y[4];
+        for (unsigned c = 0; c < 4; ++c) {
+            x[c] = a[2 * (base + offset[c])];
+            y[c] = a[2 * (base + offset[c]) + 1];
+        }
+        for (unsigned r = 0; r < 4; ++r) {
+            const Entry *row = u + 4 * r;
+            const std::uint64_t i = base + offset[r];
+            a[2 * i] = mulRe(row[0], x[0], y[0]) +
+                       mulRe(row[1], x[1], y[1]) +
+                       mulRe(row[2], x[2], y[2]) +
+                       mulRe(row[3], x[3], y[3]);
+            a[2 * i + 1] = mulIm(row[0], x[0], y[0]) +
+                           mulIm(row[1], x[1], y[1]) +
+                           mulIm(row[2], x[2], y[2]) +
+                           mulIm(row[3], x[3], y[3]);
+        }
+    });
+    return 4 * cosets;
+}
 } // anonymous namespace
 
 StateVector::StateVector(unsigned num_qubits) : nQubits(num_qubits)
@@ -104,23 +312,17 @@ StateVector::setBasisState(std::uint64_t basis)
 }
 
 void
+StateVector::setAmplitudes(std::vector<Complex> amplitudes)
+{
+    panic_if(amplitudes.size() != dim(), "amplitude vector of size ",
+             amplitudes.size(), " for a state of dimension ", dim());
+    amps = std::move(amplitudes);
+}
+
+void
 StateVector::applyGate(const Mat2 &gate, unsigned target)
 {
-    panic_if(target >= nQubits, "gate target out of range");
-
-    const std::uint64_t stride = pow2(target);
-    const std::uint64_t d = dim();
-    countGate(d);
-    for (std::uint64_t base = 0; base < d; base += 2 * stride) {
-        for (std::uint64_t off = 0; off < stride; ++off) {
-            const std::uint64_t i0 = base + off;
-            const std::uint64_t i1 = i0 + stride;
-            const Complex a0 = amps[i0];
-            const Complex a1 = amps[i1];
-            amps[i0] = gate.a00 * a0 + gate.a01 * a1;
-            amps[i1] = gate.a10 * a0 + gate.a11 * a1;
-        }
-    }
+    applyControlled(gate, {}, target);
 }
 
 void
@@ -128,11 +330,6 @@ StateVector::applyControlled(const Mat2 &gate,
                              const std::vector<unsigned> &controls,
                              unsigned target)
 {
-    if (controls.empty()) {
-        applyGate(gate, target);
-        return;
-    }
-
     panic_if(target >= nQubits, "gate target out of range");
     std::uint64_t cmask = 0;
     for (unsigned c : controls) {
@@ -144,16 +341,8 @@ StateVector::applyControlled(const Mat2 &gate,
     const std::uint64_t tmask = pow2(target);
     std::uint64_t masks[64];
     const unsigned k = splitMask(cmask | tmask, masks);
-    const std::uint64_t pairs = dim() >> k;
-    countGate(2 * pairs);
-    for (std::uint64_t i = 0; i < pairs; ++i) {
-        const std::uint64_t i0 = expandIndex(i, masks, k) | cmask;
-        const std::uint64_t i1 = i0 | tmask;
-        const Complex a0 = amps[i0];
-        const Complex a1 = amps[i1];
-        amps[i0] = gate.a00 * a0 + gate.a01 * a1;
-        amps[i1] = gate.a10 * a0 + gate.a11 * a1;
-    }
+    countGate(mat2Kernel(interleaved(amps), dim(), gate, masks, k, cmask,
+                         tmask));
 }
 
 void
@@ -182,21 +371,8 @@ StateVector::applyControlledTwoQubit(const Mat4 &u,
     const std::uint64_t m1 = pow2(q1);
     std::uint64_t masks[64];
     const unsigned k = splitMask(cmask | m0 | m1, masks);
-    const std::uint64_t cosets = dim() >> k;
-    countGate(4 * cosets);
-    for (std::uint64_t i = 0; i < cosets; ++i) {
-        const std::uint64_t base = expandIndex(i, masks, k) | cmask;
-        const std::uint64_t idx[4] = {base, base | m0, base | m1,
-                                      base | m0 | m1};
-        const Complex a0 = amps[idx[0]];
-        const Complex a1 = amps[idx[1]];
-        const Complex a2 = amps[idx[2]];
-        const Complex a3 = amps[idx[3]];
-        for (unsigned r = 0; r < 4; ++r) {
-            amps[idx[r]] = u.at(r, 0) * a0 + u.at(r, 1) * a1 +
-                           u.at(r, 2) * a2 + u.at(r, 3) * a3;
-        }
-    }
+    countGate(mat4Kernel(interleaved(amps), dim(), u, masks, k, cmask, m0,
+                         m1));
 }
 
 void
@@ -223,13 +399,11 @@ StateVector::applyControlledSwap(const std::vector<unsigned> &controls,
     const std::uint64_t m1 = pow2(q1);
     std::uint64_t masks[64];
     const unsigned k = splitMask(cmask | m0 | m1, masks);
-    const std::uint64_t pairs = dim() >> k;
-    countGate(2 * pairs);
-    for (std::uint64_t p = 0; p < pairs; ++p) {
-        // Visit each swapped pair once: q0 set, q1 clear.
-        const std::uint64_t base = expandIndex(p, masks, k) | cmask;
+    countGate(2 * (dim() >> k));
+    // Visit each swapped pair once: q0 set, q1 clear.
+    forEachIndex(dim(), masks, k, cmask, [&](std::uint64_t base) {
         std::swap(amps[base | m0], amps[base | m1]);
-    }
+    });
 }
 
 void
@@ -281,28 +455,40 @@ StateVector::applyControlledUnitary(const CMatrix &u,
     panic_if(cmask & qmask, "controls overlap unitary targets");
 
     const std::uint64_t sub = pow2(k);
-    std::vector<Complex> in(sub), out(sub);
+    std::vector<Entry> mat(sub * sub);
+    std::vector<std::uint64_t> offset(sub);
+    for (std::uint64_t r = 0; r < sub; ++r) {
+        offset[r] = depositBits(0, qubits, r);
+        for (std::uint64_t c = 0; c < sub; ++c)
+            mat[r * sub + c] = Entry(u.at(r, c));
+    }
+    std::vector<double> x(sub), y(sub);
     std::uint64_t masks[64];
     const unsigned reserved = splitMask(cmask | qmask, masks);
-    const std::uint64_t cosets = dim() >> reserved;
-    countGate(sub * cosets);
+    countGate(sub * (dim() >> reserved));
 
-    for (std::uint64_t ci = 0; ci < cosets; ++ci) {
-        // Enumerate each participating coset once: all target bits
-        // clear, all control bits set.
-        const std::uint64_t base = expandIndex(ci, masks, reserved) |
-                                   cmask;
-        for (std::uint64_t v = 0; v < sub; ++v)
-            in[v] = amps[depositBits(base, qubits, v)];
-        for (std::uint64_t r = 0; r < sub; ++r) {
-            Complex acc(0.0);
-            for (std::uint64_t c = 0; c < sub; ++c)
-                acc += u.at(r, c) * in[c];
-            out[r] = acc;
+    // Each participating coset once: all target bits clear, all
+    // control bits set. Rows accumulate from 0.0 in column order, as a
+    // std::complex accumulator does (0.0 + -0.0 is +0.0), so the sums
+    // are bit-identical.
+    double *a = interleaved(amps);
+    forEachIndex(dim(), masks, reserved, cmask, [&](std::uint64_t base) {
+        for (std::uint64_t v = 0; v < sub; ++v) {
+            x[v] = a[2 * (base + offset[v])];
+            y[v] = a[2 * (base + offset[v]) + 1];
         }
-        for (std::uint64_t v = 0; v < sub; ++v)
-            amps[depositBits(base, qubits, v)] = out[v];
-    }
+        for (std::uint64_t r = 0; r < sub; ++r) {
+            const Entry *row = mat.data() + r * sub;
+            double re = 0.0;
+            double im = 0.0;
+            for (std::uint64_t c = 0; c < sub; ++c) {
+                re += mulRe(row[c], x[c], y[c]);
+                im += mulIm(row[c], x[c], y[c]);
+            }
+            a[2 * (base + offset[r])] = re;
+            a[2 * (base + offset[r]) + 1] = im;
+        }
+    });
 }
 
 unsigned
@@ -450,15 +636,20 @@ StateVector::tensorWith(const StateVector &other) const
              "tensor product of ", static_cast<unsigned>(nQubits),
              " + ", static_cast<unsigned>(other.nQubits),
              " qubits exceeds the simulator's memory budget");
+    // Constructed as |0...0>: clearing slot 0 leaves all zeros.
     StateVector product(nQubits + other.nQubits);
-    product.amps.assign(product.amps.size(), Complex(0.0));
+    product.amps[0] = Complex(0.0);
+    const double *lo = interleaved(amps);
+    double *out = interleaved(product.amps);
     for (std::uint64_t hi = 0; hi < other.dim(); ++hi) {
-        const Complex scale = other.amps[hi];
-        if (scale == Complex(0.0))
+        const Entry scale(other.amps[hi]);
+        if (scale.zero())
             continue;
-        const std::uint64_t base = hi << nQubits;
-        for (std::uint64_t lo = 0; lo < dim(); ++lo)
-            product.amps[base | lo] = scale * amps[lo];
+        double *block = out + 2 * (hi << nQubits);
+        for (std::uint64_t i = 0; i < dim(); ++i) {
+            block[2 * i] = mulRe(scale, lo[2 * i], lo[2 * i + 1]);
+            block[2 * i + 1] = mulIm(scale, lo[2 * i], lo[2 * i + 1]);
+        }
     }
     return product;
 }
@@ -479,14 +670,20 @@ StateVector::collapse(unsigned qubit, unsigned value, double prob)
     // floating-point round-off.
     panic_if(prob < 1e-15, "collapse onto zero-probability branch");
 
-    const std::uint64_t mask = pow2(qubit);
+    // Stride-blocked: in each 2·stride block the half where the qubit
+    // reads `value` is rescaled part by part (as Complex *= double
+    // does) and the other half is zeroed, with no per-slot bit test.
+    const std::uint64_t stride = pow2(qubit);
+    const std::uint64_t kept = value ? stride : 0;
     const double scale = 1.0 / std::sqrt(prob);
-    for (std::uint64_t i = 0; i < dim(); ++i) {
-        const bool bit = (i & mask) != 0;
-        if (bit != static_cast<bool>(value))
-            amps[i] = Complex(0.0);
-        else
-            amps[i] *= scale;
+    double *a = interleaved(amps);
+    for (std::uint64_t base = 0; base < dim(); base += 2 * stride) {
+        double *keep = a + 2 * (base + kept);
+        double *drop = a + 2 * (base + (stride - kept));
+        for (std::uint64_t i = 0; i < 2 * stride; ++i) {
+            keep[i] *= scale;
+            drop[i] = 0.0;
+        }
     }
 }
 

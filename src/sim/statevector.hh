@@ -8,6 +8,18 @@
  * need at most 14 qubits, so a flat amplitude array is both exact and
  * fast.
  *
+ * The apply kernels visit only the amplitude slots a gate affects,
+ * hold the gate matrix in local doubles, and write each complex
+ * product out as (ac − bd, ad + bc) summed in std::complex's order, so
+ * amplitudes are bit-identical to std::complex arithmetic without its
+ * NaN-recovery branch. A matrix whose off-diagonal entries are all
+ * exactly zero takes a diagonal path that scales only the slots whose
+ * entry is not exactly 1+0i (equal to the dense update under ==; only
+ * the sign of a zero can differ). sim.amp_touches counts the slots a
+ * kernel actually touches, so a diagonal kernel counts only the slots
+ * it scales (contract at countGate in statevector.cc; DESIGN.md
+ * "Simulation kernels").
+ *
  * Qubit 0 is the least significant bit of a basis-state index (little
  * endian), matching the Scaffold listings in the paper.
  */
@@ -57,6 +69,12 @@ class StateVector
 
     /** Raw amplitude vector (read-only). */
     const std::vector<Complex> &amplitudes() const { return amps; }
+
+    /**
+     * Overwrite the state with the given amplitudes (their number must
+     * be dim()); no normalisation is applied.
+     */
+    void setAmplitudes(std::vector<Complex> amplitudes);
 
     /** @{ @name Unitary evolution */
 
