@@ -187,10 +187,10 @@ BENCHMARK(BM_TrotterStepCircuit);
 // seeded run taken outside the timing loop. The per-record counters
 // (gate_applies, amp_touches, amp_touches_per_trial) are seeded and
 // exact, so scripts/check_bench_regression.py can gate them at a
-// tight tolerance: a kernel or fusion regression shows up as more
-// amplitude slots touched for the same probe count, long before
-// wall-clock noise would reveal it. The fused:0 / tensor:0 variants
-// keep the naive-kernel cost on record so the win stays visible in
+// tight tolerance: a kernel regression shows up as more amplitude
+// slots touched for the same probe count, long before wall-clock
+// noise would reveal it. The tensor:0 variant keeps the monolithic
+// swap-probe cost on record so the tensor-split win stays visible in
 // the artifact itself. The semiclassical Shor fixture pins the
 // Resimulate path walk: its tail re-simulates once per distinct
 // measurement-outcome path, so a return to per-trial tails shows up
@@ -212,8 +212,7 @@ constexpr std::size_t kKernelTrials = 128;
 /**
  * QFT-adder ensemble fixture. The coin measurement ends the
  * deterministic head so the whole Fourier-adder tail re-executes on
- * each of the coin's two outcome paths — the regime gate fusion is
- * for.
+ * each of the coin's two outcome paths.
  */
 circuit::Circuit
 qftAdderFixture()
@@ -283,7 +282,7 @@ kernelSpec(const circuit::Circuit &circ, const std::string &bp,
 void
 runKernelFixture(benchmark::State &state,
                  const circuit::Circuit &circ,
-                 const assertions::AssertionSpec &spec, bool fuse,
+                 const assertions::AssertionSpec &spec,
                  unsigned tensor_split,
                  std::size_t trials = kKernelTrials)
 {
@@ -292,7 +291,6 @@ runKernelFixture(benchmark::State &state,
     cfg.mode = assertions::EnsembleMode::Resimulate;
     cfg.seed = 0x5eed;
     cfg.numThreads = 1;
-    cfg.fuseGates = fuse;
     cfg.tensorSplit = tensor_split;
     const auto once = [&]() {
         const assertions::AssertionChecker checker(circ, cfg);
@@ -313,21 +311,15 @@ runKernelFixture(benchmark::State &state,
     state.counters["amp_touches"] = delta("sim.amp_touches");
     state.counters["amp_touches_per_trial"] =
         delta("sim.amp_touches") / (double)trials;
-    state.counters["fused_gates"] = delta("sim.fused_gates");
 }
 
 void
 BM_KernelCostQftAdder(benchmark::State &state)
 {
     const auto circ = qftAdderFixture();
-    runKernelFixture(state, circ, kernelSpec(circ, "sum", "b"),
-                     state.range(0) != 0, 0);
+    runKernelFixture(state, circ, kernelSpec(circ, "sum", "b"), 0);
 }
-BENCHMARK(BM_KernelCostQftAdder)
-    ->ArgName("fused")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KernelCostQftAdder)->Unit(benchmark::kMillisecond);
 
 void
 BM_KernelCostSwapProbe(benchmark::State &state)
@@ -335,7 +327,7 @@ BM_KernelCostSwapProbe(benchmark::State &state)
     constexpr unsigned n = 5;
     const auto circ = swapProbeFixture(n);
     runKernelFixture(state, circ, kernelSpec(circ, "cmp", "anc"),
-                     true, state.range(0) != 0 ? n : 0);
+                     state.range(0) != 0 ? n : 0);
 }
 BENCHMARK(BM_KernelCostSwapProbe)
     ->ArgName("tensor")
@@ -359,7 +351,7 @@ BM_KernelCostSemiclassical(benchmark::State &state)
     spec.breakpoint = "final";
     spec.regA = prog.helper;
     spec.expectedValue = 0;
-    runKernelFixture(state, prog.circuit, spec, true, 0, 64);
+    runKernelFixture(state, prog.circuit, spec, 0, 64);
 }
 BENCHMARK(BM_KernelCostSemiclassical)->Unit(benchmark::kMillisecond);
 
@@ -367,10 +359,7 @@ BENCHMARK(BM_KernelCostSemiclassical)->Unit(benchmark::kMillisecond);
  * Replay both kernel-cost fixtures in their optimized configuration
  * with the registry freshly reset, so the --json document's
  * "metrics" object records a fixed workload's sim.gate_applies /
- * sim.amp_touches totals (gated within tolerance by CI) and a
- * strictly positive sim.fused_gates (gated by --require-positive: a
- * zero means the fusion pass silently stopped firing, which the
- * tolerance half alone would read as "no regression").
+ * sim.amp_touches totals (gated within tolerance by CI).
  */
 void
 metricsEpilogue()

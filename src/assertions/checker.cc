@@ -33,7 +33,8 @@ assertionKindName(AssertionKind kind)
 }
 
 AssertionChecker::AssertionChecker(const circuit::Circuit &prog,
-                                   const CheckConfig &cfg)
+                                   const CheckConfig &cfg,
+                                   runtime::CheckpointStore *checkpoints)
     : program(prog), config(cfg)
 {
     fatal_if(config.ensembleSize == 0,
@@ -42,7 +43,7 @@ AssertionChecker::AssertionChecker(const circuit::Circuit &prog,
     // them across a pool) never race on lazy initialisation.
     engine = std::make_unique<runtime::EnsembleEngine>(
         program, config.numThreads,
-        runtime::EngineOptions{config.fuseGates, config.tensorSplit});
+        runtime::EngineOptions{config.tensorSplit, checkpoints});
 }
 
 AssertionChecker::~AssertionChecker() = default;

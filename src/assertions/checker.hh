@@ -23,6 +23,7 @@
 namespace qsa::runtime
 {
 class BatchRunner;
+class CheckpointStore;
 class EnsembleEngine;
 } // namespace qsa::runtime
 
@@ -36,9 +37,13 @@ class AssertionChecker
     /**
      * @param program the full instrumented program (with breakpoints)
      * @param config ensemble/test configuration
+     * @param checkpoints prefix-state store shared with other
+     *        checkers (runtime/checkpoint.hh), or null; outcomes are
+     *        identical either way. Must outlive the checker.
      */
     AssertionChecker(const circuit::Circuit &program,
-                     const CheckConfig &config = CheckConfig());
+                     const CheckConfig &config = CheckConfig(),
+                     runtime::CheckpointStore *checkpoints = nullptr);
 
     ~AssertionChecker();
 

@@ -160,14 +160,6 @@ struct CheckConfig
     bool holmBonferroni = false;
 
     /**
-     * Run the gate-fusion pass on every truncated prefix before
-     * ensemble fan-out (runtime::EngineOptions::fuseGates). Verdicts
-     * are unchanged; per-trial simulation cost drops by the fused
-     * gate count. Off only for A/B tests against the naive kernels.
-     */
-    bool fuseGates = true;
-
-    /**
      * Tensor-split hint for the engine
      * (runtime::EngineOptions::tensorSplit): 0 = monolithic. Set by
      * the swap-test prober to the suspect's qubit count so probe

@@ -593,6 +593,38 @@ struct ContentHasher {
     }
 };
 
+/** The canonical encoding of one instruction (see contentHash). */
+void
+hashInstruction(ContentHasher &hash, const Circuit &circ,
+                const Instruction &inst)
+{
+    hash.u64(static_cast<std::uint64_t>(inst.kind));
+    hash.u64(inst.controls.size());
+    for (unsigned c : inst.controls)
+        hash.u64(c);
+    hash.u64(inst.targets.size());
+    for (unsigned t : inst.targets)
+        hash.u64(t);
+    hash.f64(inst.angle);
+    hash.u64(inst.bit);
+    // Hash dense matrix contents, not the side-table id: ids are
+    // allocation order and differ across equal programs.
+    if (inst.kind == GateKind::Unitary && inst.matrixId >= 0) {
+        const auto &m = circ.matrix(inst.matrixId);
+        hash.u64(m.dim());
+        for (std::size_t r = 0; r < m.dim(); ++r)
+            for (std::size_t c = 0; c < m.dim(); ++c) {
+                hash.f64(m.at(r, c).real());
+                hash.f64(m.at(r, c).imag());
+            }
+    } else {
+        hash.u64(0);
+    }
+    hash.str(inst.label);
+    hash.str(inst.condLabel);
+    hash.u64(inst.condValue);
+}
+
 } // namespace
 
 std::uint64_t Circuit::contentHash() const
@@ -608,33 +640,17 @@ std::uint64_t Circuit::contentHash() const
             hash.u64(r.qubit(i));
     }
     hash.u64(insts.size());
-    for (const auto &inst : insts) {
-        hash.u64(static_cast<std::uint64_t>(inst.kind));
-        hash.u64(inst.controls.size());
-        for (unsigned c : inst.controls)
-            hash.u64(c);
-        hash.u64(inst.targets.size());
-        for (unsigned t : inst.targets)
-            hash.u64(t);
-        hash.f64(inst.angle);
-        hash.u64(inst.bit);
-        // Hash dense matrix contents, not the side-table id: ids are
-        // allocation order and differ across equal programs.
-        if (inst.kind == GateKind::Unitary && inst.matrixId >= 0) {
-            const auto &m = matrix(inst.matrixId);
-            hash.u64(m.dim());
-            for (std::size_t r = 0; r < m.dim(); ++r)
-                for (std::size_t c = 0; c < m.dim(); ++c) {
-                    hash.f64(m.at(r, c).real());
-                    hash.f64(m.at(r, c).imag());
-                }
-        } else {
-            hash.u64(0);
-        }
-        hash.str(inst.label);
-        hash.str(inst.condLabel);
-        hash.u64(inst.condValue);
-    }
+    for (const auto &inst : insts)
+        hashInstruction(hash, *this, inst);
+    return hash.h;
+}
+
+std::uint64_t Circuit::chainHash(std::uint64_t chain,
+                                 const Instruction &inst) const
+{
+    ContentHasher hash;
+    hash.h = chain;
+    hashInstruction(hash, *this, inst);
     return hash.h;
 }
 

@@ -239,6 +239,17 @@ class Circuit
      */
     std::uint64_t contentHash() const;
 
+    /**
+     * Fold one instruction of this circuit into a running hash
+     * `chain`: the per-instruction part of contentHash()'s encoding
+     * (a Unitary hashed by its matrix contents). Chaining it over a
+     * prefix gives that prefix a content address independent of the
+     * circuit the prefix sits in — the key of
+     * runtime::CheckpointStore.
+     */
+    std::uint64_t chainHash(std::uint64_t chain,
+                            const Instruction &inst) const;
+
     /** @} */
 
   private:

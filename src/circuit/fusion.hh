@@ -3,15 +3,15 @@
  * Gate fusion: collapse runs of adjacent small unitaries into single
  * dense Mat2/Mat4 applies.
  *
- * Everything the ensemble engine simulates — prefixes, resimulation
- * tails, oracle trajectories — bottoms out in one state-vector apply
- * per gate per trial. Fusing a run of k adjacent 1q gates on the same
- * qubit (or 1q gates sandwiching a 2q gate on its targets) into one
- * dense apply divides that per-trial cost by ~k at identical
- * semantics. The pass runs *after* prefix truncation (inside
- * EnsembleEngine), so fused programs slot into the prefix/head caches
- * by construction and arbitrary probe boundaries stay addressable on
- * the unfused IR.
+ * Fusing a run of k adjacent 1q gates on the same qubit (or 1q gates
+ * sandwiching a 2q gate on its targets) into one dense apply cuts the
+ * apply count by ~k at identical semantics. The ensemble engine does
+ * not run this pass: at the state sizes it simulates, a dense Mat4
+ * costs more than the gates it replaces (it absorbs diagonal gates
+ * the kernels scale cheaply), and a fused long prefix does not begin
+ * with the fused form of a shorter one, which prefix checkpoints
+ * need (DESIGN.md "Simulation kernels"). It remains a standalone
+ * transformation.
  *
  * Fusion rules:
  *  - Fusible: unconditional unitary instructions spanning <= 2 qubits
@@ -54,10 +54,8 @@ struct FusionStats
 
 /**
  * Return a fused copy of `in` (same qubit space and registers).
- * Per-call numbers land in `stats` when non-null. The pass itself is
- * counter-free; the EnsembleEngine bumps `sim.fused_gates` once per
- * distinct cached prefix so the total stays deterministic across
- * thread counts (racing rebuilds must not double-count).
+ * Per-call numbers land in `stats` when non-null; the pass bumps no
+ * counter.
  */
 Circuit fuseGates(const Circuit &in, FusionStats *stats = nullptr);
 

@@ -20,6 +20,7 @@
 #include "common/rng.hh"
 #include "obs/obs.hh"
 #include "runtime/batch.hh"
+#include "runtime/checkpoint.hh"
 #include "sim/statevector.hh"
 
 namespace qsa::locate
@@ -36,6 +37,15 @@ const std::string kProbeLabel = "qsa_locate_probe";
  * and its adjoint unwind (the direct-marginal half of a dual probe).
  */
 const std::string kProbePreLabel = "qsa_locate_probe_pre";
+
+/**
+ * Markers an adaptive mirror probe carries in its suspect prefix, at
+ * the search's passing floor and at the probed boundary: the
+ * positions later probes resume from through the search's
+ * runtime::CheckpointStore.
+ */
+const std::string kFloorLabel = "qsa_locate_floor";
+const std::string kBoundaryMarkLabel = "qsa_locate_boundary";
 
 /** Boundary-breakpoint prefix for predicate probes. */
 const std::string kBoundaryPrefix = "qsa_locate_b";
@@ -119,7 +129,6 @@ baseConfig(const LocateConfig &cfg)
     cc.mode = cfg.mode;
     cc.seed = cfg.seed;
     cc.numThreads = cfg.numThreads;
-    cc.fuseGates = cfg.fuseGates;
     return cc;
 }
 
@@ -267,8 +276,13 @@ class Prober
   public:
     virtual ~Prober() = default;
 
+    /**
+     * Adjudicate `boundary`. `floor` is the search's passing lower
+     * bound (at most `boundary`): every later probe of the search
+     * lies at or above it.
+     */
     virtual ProbeRecord
-    probe(std::size_t boundary,
+    probe(std::size_t boundary, std::size_t floor,
           const assertions::EscalationPolicy &policy) = 0;
 
     virtual std::vector<ProbeRecord>
@@ -420,19 +434,25 @@ class MirrorProber : public Prober
     }
 
     ProbeRecord
-    probe(std::size_t boundary,
+    probe(std::size_t boundary, std::size_t floor,
           const assertions::EscalationPolicy &policy) override
     {
         // One checker per probe program: escalated rounds then reuse
         // its cached prefix statevector and only resample shots, and
         // the boundary-keyed seed makes each round extend the earlier
-        // ensemble (sequential testing, deterministic).
-        const circuit::Circuit program = buildProbe(boundary);
+        // ensemble (sequential testing, deterministic). The search's
+        // checkpoint store carries prefix states from probe to probe:
+        // the floor and boundary markers are where later probes
+        // resume.
+        floor = std::min(floor, boundary);
+        const circuit::Circuit program = buildProbe(boundary, &floor);
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed, boundary);
-        const assertions::AssertionChecker checker(program, cc);
+        const assertions::AssertionChecker checker(program, cc,
+                                                   &checkpoints);
 
-        const auto specs = specsFor(boundary, /*family_wise=*/false);
+        const auto specs =
+            specsFor(boundary, floor, /*family_wise=*/false);
         std::vector<assertions::AssertionOutcome> outcomes;
         outcomes.reserve(specs.size());
         for (const auto &spec : specs)
@@ -459,11 +479,11 @@ class MirrorProber : public Prober
             std::vector<runtime::BatchItem> items;
             items.reserve(end - base);
             for (std::size_t i = base; i < end; ++i) {
-                programs.push_back(buildProbe(boundaries[i]));
+                programs.push_back(buildProbe(boundaries[i], nullptr));
                 auto cc = baseConfig(cfg);
                 cc.seed = seedFor(cfg.seed, boundaries[i]);
                 const auto specs =
-                    specsFor(boundaries[i], family_wise);
+                    specsFor(boundaries[i], 0, family_wise);
                 spans.push_back(specs.size());
                 items.push_back({&programs.back(), specs, cc});
             }
@@ -524,6 +544,13 @@ class MirrorProber : public Prober
     bool scanAll = false;
     mutable std::map<std::size_t, PredicateOracle> lazyOracles;
 
+    /** Prefix states shared by this search's single probes. */
+    runtime::CheckpointStore checkpoints;
+
+    /** The reference's exact mixture kept at the search floor, where
+     *  lazy oracles resume. */
+    mutable BranchMixture floorMixture;
+
     static std::uint64_t
     basisValue(const sim::StateVector &state)
     {
@@ -548,22 +575,25 @@ class MirrorProber : public Prober
      * eager one where it recorded the boundary (segment starts; every
      * boundary under LinearScan), else a lazily built and memoised
      * single-boundary oracle (one extra measurement-resolved pass —
-     * cheap next to the probe's ensemble). Called from the search
-     * thread only; probe workers never touch the cache.
+     * cheap next to the probe's ensemble), resumed from the
+     * reference's mixture kept at min(floor, boundary). Called from
+     * the search thread only; probe workers never touch the cache.
      */
     const PredicateOracle &
-    oracleAt(std::size_t boundary) const
+    oracleAt(std::size_t boundary, std::size_t floor) const
     {
         if (scanAll || segStart[boundary] == boundary)
             return *oracle;
         auto it = lazyOracles.find(boundary);
         if (it == lazyOracles.end()) {
+            floorMixture.target = std::min(floor, boundary);
             it = lazyOracles
                      .emplace(boundary,
                               PredicateOracle(
                                   reference, allReg, cfg.seed,
                                   std::vector<std::size_t>{boundary},
-                                  oracleOptionsFor(cfg)))
+                                  oracleOptionsFor(cfg),
+                                  &floorMixture))
                      .first;
         }
         return it->second;
@@ -583,10 +613,21 @@ class MirrorProber : public Prober
         return start > prologue && start < boundary;
     }
 
+    /**
+     * The probe program at `boundary`; with a `floor`, the suspect
+     * prefix carries the checkpoint markers at the floor and at the
+     * boundary.
+     */
     circuit::Circuit
-    buildProbe(std::size_t boundary) const
+    buildProbe(std::size_t boundary, const std::size_t *floor) const
     {
-        circuit::Circuit probe = suspect.sliceRange(0, boundary);
+        circuit::Circuit probe =
+            suspect.sliceRange(0, floor != nullptr ? *floor : boundary);
+        if (floor != nullptr) {
+            probe.breakpoint(kFloorLabel);
+            probe.appendCircuit(suspect.sliceRange(*floor, boundary));
+            probe.breakpoint(kBoundaryMarkLabel);
+        }
         if (dualProbe(boundary))
             probe.breakpoint(kProbePreLabel);
         const std::size_t start = segStartFor(boundary);
@@ -610,7 +651,8 @@ class MirrorProber : public Prober
      * Holm-Bonferroni step-down control the whole family instead.
      */
     std::vector<assertions::AssertionSpec>
-    specsFor(std::size_t boundary, bool family_wise) const
+    specsFor(std::size_t boundary, std::size_t floor,
+             bool family_wise) const
     {
         std::vector<assertions::AssertionSpec> specs;
         if (!resim) {
@@ -635,8 +677,8 @@ class MirrorProber : public Prober
             // including divergence from earlier segments the unwind
             // would cancel.
             assertions::AssertionSpec pre =
-                oracleAt(boundary).specAt(boundary, kProbePreLabel,
-                                          alpha);
+                oracleAt(boundary, floor)
+                    .specAt(boundary, kProbePreLabel, alpha);
             pre.name = "mirror-marginal@" + std::to_string(boundary);
             specs.push_back(std::move(pre));
         }
@@ -713,7 +755,7 @@ class PredicateProber : public Prober
     }
 
     ProbeRecord
-    probe(std::size_t boundary,
+    probe(std::size_t boundary, std::size_t /*floor*/,
           const assertions::EscalationPolicy &policy) override
     {
         ProbeRecord rec =
@@ -867,7 +909,7 @@ class SwapProber : public Prober
     }
 
     ProbeRecord
-    probe(std::size_t boundary,
+    probe(std::size_t boundary, std::size_t /*floor*/,
           const assertions::EscalationPolicy &policy) override
     {
         const circuit::Circuit program = buildProbe(boundary);
@@ -1041,7 +1083,7 @@ class RotatedProber : public Prober
     }
 
     ProbeRecord
-    probe(std::size_t boundary,
+    probe(std::size_t boundary, std::size_t /*floor*/,
           const assertions::EscalationPolicy &policy) override
     {
         std::vector<assertions::AssertionOutcome> outcomes;
@@ -1222,13 +1264,16 @@ runSearch(Prober &prober, const LocateConfig &cfg,
         return rec;
     };
 
+    // The bracket's passing lower bound, handed to every probe.
+    std::size_t lo = pruned_lo;
+
     // Every single-boundary probe goes through here so the trace gets
     // one span per probe, annotated with family/boundary/verdict.
     const auto probeOne =
         [&](std::size_t boundary,
             const assertions::EscalationPolicy &policy) {
             QSA_OBS_SPAN(span, "locate.probe");
-            const ProbeRecord rec = prober.probe(boundary, policy);
+            const ProbeRecord rec = prober.probe(boundary, lo, policy);
             span.arg("family", probeFamilyName(rec.family))
                 .arg("boundary", rec.boundary)
                 .arg("verdict", rec.failed ? "fail" : "pass")
@@ -1270,7 +1315,6 @@ runSearch(Prober &prober, const LocateConfig &cfg,
     if (!probeOne(top, explore).failed)
         return report;
 
-    std::size_t lo = pruned_lo;
     std::size_t hi = top;
     std::vector<char> passed(top + 1, 0);
     passed[pruned_lo] = 1;
@@ -1635,7 +1679,7 @@ BugLocator::locateByPredicates(const circuit::QubitRegister &reg) const
         if (checkAt > 0) {
             QSA_OBS_SPAN(span, "locate.probe");
             const ProbeRecord check =
-                swapper.probe(checkAt, decisive);
+                swapper.probe(checkAt, pruned, decisive);
             span.arg("family", probeFamilyName(check.family))
                 .arg("boundary", check.boundary)
                 .arg("verdict", check.failed ? "fail" : "pass")

@@ -312,14 +312,6 @@ struct LocateConfig
     bool holmBonferroni = true;
 
     /**
-     * Fuse adjacent small unitaries in every probe prefix before
-     * ensemble fan-out (CheckConfig::fuseGates). Identical verdicts,
-     * fewer amp-touches per trial; off only for A/B comparison
-     * against the naive kernels.
-     */
-    bool fuseGates = true;
-
-    /**
      * Simulate swap-test probes half-by-half: the suspect prefix and
      * the embedded reference prefix each run on their own 2^n state
      * and tensor together only at the ancilla-controlled-SWAP

@@ -19,6 +19,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "obs/obs.hh"
+#include "runtime/checkpoint.hh"
 #include "sim/gates.hh"
 
 namespace qsa::locate
@@ -160,6 +161,44 @@ mixturePurity(const std::vector<circuit::ExecutionBranch> &branches,
     return purity;
 }
 
+/** Bytes of a branch mixture's states. */
+std::size_t
+mixtureBytes(const std::vector<circuit::ExecutionBranch> &branches)
+{
+    std::size_t bytes = 0;
+    for (const auto &branch : branches)
+        bytes += runtime::CheckpointStore::stateBytes(
+            branch.state.numQubits());
+    return bytes;
+}
+
+/**
+ * Advance a kept mixture in place to boundary `to` (never backwards),
+ * starting it at |0...0> when empty. An exception on the way (a
+ * branch-cap overflow) drops the mixture before it propagates.
+ */
+void
+advanceMixture(const circuit::Circuit &reference, BranchMixture &mixture,
+               std::size_t to)
+{
+    if (mixture.branches.empty()) {
+        mixture.boundary = 0;
+        mixture.branches.push_back(circuit::ExecutionBranch{
+            1.0, sim::StateVector(reference.numQubits()), {}});
+    }
+    try {
+        for (; mixture.boundary < to; ++mixture.boundary) {
+            circuit::stepBranches(
+                reference, reference.instructions()[mixture.boundary],
+                mixture.branches, kMaxBranches);
+        }
+    } catch (...) {
+        mixture.branches.clear();
+        mixture.kept = false;
+        throw;
+    }
+}
+
 /**
  * Canonical store key for a predicate-oracle derivation: payload
  * schema version, reference content hash, probed qubits, recorded
@@ -264,10 +303,10 @@ PredicateOracle::PredicateOracle(
     const circuit::Circuit &reference,
     const circuit::QubitRegister &r, std::uint64_t seed_in,
     const std::vector<std::size_t> &boundaries,
-    const OracleOptions &options)
+    const OracleOptions &options, BranchMixture *resume)
     : reg(r), seed(seed_in)
 {
-    build(reference, &boundaries, {Frame::Z}, options);
+    build(reference, &boundaries, {Frame::Z}, options, resume);
 }
 
 PredicateOracle::PredicateOracle(
@@ -411,7 +450,8 @@ void
 PredicateOracle::build(const circuit::Circuit &reference,
                        const std::vector<std::size_t> *boundaries,
                        const std::vector<Frame> &frames,
-                       const OracleOptions &options)
+                       const OracleOptions &options,
+                       BranchMixture *resume)
 {
     fatal_if(reg.width() == 0,
              "predicate oracle needs a non-empty register");
@@ -443,7 +483,7 @@ PredicateOracle::build(const circuit::Circuit &reference,
         return;
     }
     try {
-        buildExact(reference, sorted, all, frames);
+        buildExact(reference, sorted, all, frames, resume);
     } catch (const DeriveError &) {
         if (options.mode == OracleMode::Exact)
             throw;
@@ -460,7 +500,8 @@ void
 PredicateOracle::buildExact(
     const circuit::Circuit &reference,
     const std::vector<std::size_t> &sortedBoundaries,
-    bool allBoundaries, const std::vector<Frame> &frames)
+    bool allBoundaries, const std::vector<Frame> &frames,
+    BranchMixture *resume)
 {
     const auto wanted = [&](std::size_t b) {
         return allBoundaries ||
@@ -498,6 +539,10 @@ PredicateOracle::buildExact(
     {
         // Timed so a warm store shows up as a ~0 derive total.
         QSA_OBS_TIMER(derive, "locate.oracle.derive");
+        QSA_OBS_SPAN(span, "locate.oracle");
+        span.arg("mode", "exact")
+            .arg("boundaries", allBoundaries ? totalBoundaries
+                                             : sortedBoundaries.size());
 
         const auto record =
             [&](std::size_t b,
@@ -514,14 +559,36 @@ PredicateOracle::buildExact(
         // One incremental measurement-resolved pass: advance the
         // branch mixture through instruction k, then record the
         // weighted register marginal(s) as the boundary-(k+1)
-        // predicate.
+        // predicate. The pass starts from the caller's kept mixture
+        // when it lies at or below the first wanted boundary.
+        const std::size_t first_wanted =
+            allBoundaries || sortedBoundaries.empty()
+                ? 0
+                : sortedBoundaries.front();
         std::vector<circuit::ExecutionBranch> branches;
-        branches.push_back(circuit::ExecutionBranch{
-            1.0, sim::StateVector(reference.numQubits()), {}});
+        std::size_t start = 0;
+        if (resume != nullptr && resume->kept &&
+            resume->boundary <= first_wanted) {
+            advanceMixture(reference, *resume,
+                           std::min(resume->target, first_wanted));
+            start = resume->boundary;
+            if (mixtureBytes(resume->branches) >
+                runtime::CheckpointStore::kBudgetBytes) {
+                branches = std::move(resume->branches);
+                resume->branches.clear();
+                resume->kept = false;
+            } else {
+                branches = resume->branches;
+            }
+        } else {
+            branches.push_back(circuit::ExecutionBranch{
+                1.0, sim::StateVector(reference.numQubits()), {}});
+        }
+        span.arg("resumed", start);
 
-        if (wanted(0))
-            record(0, branches);
-        for (std::size_t k = 0; k < reference.size(); ++k) {
+        if (wanted(start))
+            record(start, branches);
+        for (std::size_t k = start; k < reference.size(); ++k) {
             circuit::stepBranches(reference,
                                   reference.instructions()[k],
                                   branches, kMaxBranches);
@@ -579,6 +646,8 @@ PredicateOracle::buildSampled(
 
     {
         QSA_OBS_TIMER(derive, "locate.oracle.derive");
+        QSA_OBS_SPAN(span, "locate.oracle");
+        span.arg("mode", "sampled").arg("trials", trials);
         QSA_OBS_COUNTER("locate.oracle.sampled_derivations", 1);
         QSA_OBS_COUNTER("locate.oracle.sampled_trials", trials);
 

@@ -49,6 +49,7 @@
 
 #include "assertions/spec.hh"
 #include "circuit/circuit.hh"
+#include "circuit/executor.hh"
 #include "circuit/register.hh"
 
 namespace qsa::locate
@@ -161,6 +162,34 @@ struct OracleOptions
 };
 
 /**
+ * The reference's exact measurement-branch mixture at one boundary,
+ * kept by a caller that derives one exact oracle after another at
+ * boundaries that mostly lie above a rising floor (the mirror
+ * prober's lazy per-boundary oracles). An exact derivation handed one
+ * starts from it instead of instruction 0: it first advances the
+ * mixture in place to min(target, smallest wanted boundary) — only
+ * forward, and inside the derivation, so a branch-cap overflow on the
+ * way still falls back to the sampled oracle in Auto mode — then
+ * derives from a copy. The mixture is dropped for good when advancing
+ * it overflows or when it outgrows runtime::CheckpointStore's byte
+ * budget; derivations then start from instruction 0 again.
+ */
+struct BranchMixture
+{
+    /** Boundary the branches describe. */
+    std::size_t boundary = 0;
+
+    /** The mixture at `boundary`; empty means |0...0> at boundary 0. */
+    std::vector<circuit::ExecutionBranch> branches;
+
+    /** Where the next derivation should leave the mixture. */
+    std::size_t target = 0;
+
+    /** False once the mixture was dropped. */
+    bool kept = true;
+};
+
+/**
  * See file comment. Construction runs the reference program once,
  * instruction by instruction, recording a predicate per boundary
  * (boundary k is the state after the first k instructions); cost is
@@ -198,7 +227,8 @@ class PredicateOracle
                     const circuit::QubitRegister &reg,
                     std::uint64_t seed,
                     const std::vector<std::size_t> &boundaries,
-                    const OracleOptions &options = {});
+                    const OracleOptions &options = {},
+                    BranchMixture *resume = nullptr);
 
     /**
      * As above, additionally recording the register's mixture
@@ -259,12 +289,14 @@ class PredicateOracle
     void build(const circuit::Circuit &reference,
                const std::vector<std::size_t> *boundaries,
                const std::vector<Frame> &frames,
-               const OracleOptions &options);
+               const OracleOptions &options,
+               BranchMixture *resume = nullptr);
 
     void buildExact(const circuit::Circuit &reference,
                     const std::vector<std::size_t> &sortedBoundaries,
                     bool allBoundaries,
-                    const std::vector<Frame> &frames);
+                    const std::vector<Frame> &frames,
+                    BranchMixture *resume);
 
     void buildSampled(const circuit::Circuit &reference,
                       const std::vector<std::size_t> &sortedBoundaries,

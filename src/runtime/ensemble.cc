@@ -13,7 +13,6 @@
 #include <numeric>
 #include <optional>
 
-#include "circuit/fusion.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 
@@ -41,26 +40,44 @@ shardRange(std::size_t s, std::size_t num_shards, std::size_t n)
  */
 constexpr double kDeterministicTol = 1e-12;
 
+/** Hash-chain value of the empty prefix (CheckpointKey::chain). */
+constexpr std::uint64_t kChainSeed = 0x71c3c4e8b0a5d2f9ULL;
+
+/** First instruction that ends every deterministic head. */
+bool
+endsHead(const circuit::Instruction &inst)
+{
+    return inst.kind == circuit::GateKind::Measure ||
+           !inst.condLabel.empty();
+}
+
 /**
- * Simulate the deterministic head of `circ` into `state` (which must
- * start as |0...0> on at least circ.numQubits()): unitary gates and
+ * Extend the deterministic head of `circ` from instruction `begin`
+ * into `state` (the state after the first `begin` instructions; at
+ * begin 0, |0...0> on at least circ.numQubits()): unitary gates and
  * markers always; resets only when the current state fixes their
  * implicit measurement outcome; stop at the first Measure or
  * classically-conditioned instruction. Returns the head length;
- * `draws` receives the per-trial RNG draws the head's resets would
- * have consumed.
+ * `draws` accumulates the per-trial RNG draws the head's resets would
+ * have consumed. `at_marker(i)` runs at every marker i passed, with
+ * `state` the state before it.
  */
+template <typename AtMarker>
 std::size_t
-extendDeterministicHead(const circuit::Circuit &circ,
-                        sim::StateVector &state, std::size_t &draws)
+extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
+                        sim::StateVector &state, std::size_t &draws,
+                        AtMarker &&at_marker)
 {
     const auto &insts = circ.instructions();
-    std::size_t head = 0;
+    std::size_t head = begin;
     for (; head < insts.size(); ++head) {
         const circuit::Instruction &inst = insts[head];
-        if (inst.kind == circuit::GateKind::Measure ||
-            !inst.condLabel.empty())
+        if (endsHead(inst))
             break;
+        if (inst.kind == circuit::GateKind::Breakpoint) {
+            at_marker(head);
+            continue;
+        }
         if (inst.kind == circuit::GateKind::PrepZ) {
             const unsigned q = inst.targets[0];
             const double p1 = state.probabilityOne(q);
@@ -77,6 +94,14 @@ extendDeterministicHead(const circuit::Circuit &circ,
         circuit::applyUnitaryInstruction(circ, inst, state);
     }
     return head;
+}
+
+std::size_t
+extendDeterministicHead(const circuit::Circuit &circ,
+                        sim::StateVector &state, std::size_t &draws)
+{
+    return extendDeterministicHead(circ, 0, state, draws,
+                                   [](std::size_t) {});
 }
 
 /**
@@ -534,33 +559,68 @@ EnsembleEngine::prefix(const std::string &breakpoint)
             return it->second;
         }
     }
-    // Slice (and fuse) outside the lock — an O(#gates) circuit copy;
-    // racers may slice twice but the copies are identical and the
-    // first insertion wins. A losing racer counts as a hit so the
-    // miss total stays deterministic (misses == distinct
-    // breakpoints). Fusing here means every downstream consumer —
-    // prefix simulations, resimulation heads and tails, samplers —
-    // sees the fused program, so the fused circuits slot into the
-    // prefix/head caches by construction.
-    circuit::Circuit sliced = program->prefixUpTo(breakpoint);
-    circuit::FusionStats fusion;
-    if (options.fuseGates)
-        sliced = circuit::fuseGates(sliced, &fusion);
-    auto built =
-        std::make_shared<const circuit::Circuit>(std::move(sliced));
+    // Slice outside the lock — an O(#gates) circuit copy; racers may
+    // slice twice but the copies are identical and the first
+    // insertion wins. A losing racer counts as a hit so the miss
+    // total stays deterministic (misses == distinct breakpoints).
+    auto built = std::make_shared<const circuit::Circuit>(
+        program->prefixUpTo(breakpoint));
     std::lock_guard<std::mutex> lock(cacheMutex);
     const auto [it, inserted] =
         prefixCache.emplace(breakpoint, std::move(built));
-    if (inserted) {
+    if (inserted)
         QSA_OBS_COUNTER("runtime.prefix_cache.misses", 1);
-        // Counted on the winning insertion only, so the fusion total
-        // is deterministic (racing rebuilds fuse identically but must
-        // not double-count).
-        QSA_OBS_COUNTER("sim.fused_gates", fusion.fusedGates);
-    } else {
+    else
         QSA_OBS_COUNTER("runtime.prefix_cache.hits", 1);
-    }
     return it->second;
+}
+
+std::size_t
+EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
+                                  sim::StateVector &state,
+                                  std::size_t &draws,
+                                  std::size_t &resumed)
+{
+    resumed = 0;
+    CheckpointStore *store = options.checkpoints;
+    if (store == nullptr)
+        return extendDeterministicHead(circ, state, draws);
+
+    // keys[i] addresses the first i instructions, up to the end of
+    // the hash chain (the first Measure or conditioned instruction).
+    const auto &insts = circ.instructions();
+    std::vector<CheckpointKey> keys;
+    keys.reserve(insts.size() + 1);
+    CheckpointKey key{state.numQubits(), 0, kChainSeed};
+    keys.push_back(key);
+    for (const circuit::Instruction &inst : insts) {
+        if (endsHead(inst))
+            break;
+        if (inst.kind != circuit::GateKind::Breakpoint) {
+            key.chain = circ.chainHash(key.chain, inst);
+            ++key.instructions;
+        }
+        keys.push_back(key);
+    }
+
+    const auto [start, hit] = store->longestPrefix(keys);
+    if (hit != nullptr) {
+        state = hit->state;
+        draws = hit->draws;
+        resumed = start;
+        QSA_OBS_COUNTER("runtime.checkpoint.hits", 1);
+        QSA_OBS_COUNTER("runtime.checkpoint.resumed_instructions", start);
+    } else {
+        QSA_OBS_COUNTER("runtime.checkpoint.misses", 1);
+    }
+    const auto keep = [&, start = start](std::size_t i) {
+        if (i > start && keys[i].instructions > 0)
+            store->insert(keys[i], state, draws);
+    };
+    const std::size_t head =
+        extendDeterministicHead(circ, start, state, draws, keep);
+    keep(head);
+    return head;
 }
 
 std::shared_ptr<const TensorStages>
@@ -628,6 +688,7 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
         try {
             auto stages = tensorStages(breakpoint);
             Rng rng = Rng(seed).split(0);
+            std::size_t resumed = 0;
             if (stages != nullptr) {
                 auto record =
                     std::make_shared<circuit::ExecutionRecord>(
@@ -644,10 +705,27 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
                                       record->measurements, rng);
                 promise.set_value(std::move(record));
             } else {
-                promise.set_value(
+                // The deterministic head (resumed from the checkpoint
+                // store when one is shared), then the rest of the
+                // prefix on the stream the head's resets would have
+                // advanced.
+                auto record =
                     std::make_shared<circuit::ExecutionRecord>(
-                        circuit::runCircuit(*sliced, rng)));
+                        program->numQubits());
+                std::size_t draws = 0;
+                const std::size_t head = deterministicHead(
+                    *sliced, record->state, draws, resumed);
+                for (std::size_t d = 0; d < draws; ++d)
+                    rng.uniform();
+                const auto &insts = sliced->instructions();
+                for (std::size_t i = head; i < insts.size(); ++i)
+                    circuit::stepInstruction(*sliced, insts[i],
+                                             record->state,
+                                             record->measurements, rng);
+                promise.set_value(std::move(record));
             }
+            span.arg("resumed", resumed)
+                .arg("simulated", sliced->size() - resumed);
         } catch (...) {
             // Library errors fatal/panic rather than throw, but e.g.
             // bad_alloc can still unwind here: hand racers the
@@ -708,6 +786,7 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
             stages->high.sliceRange(high_head, stages->high.size());
         plan = std::make_shared<ResimPlan>(1);
         plan->stages = std::move(staged);
+        span.arg("resumed", 0).arg("simulated", low_head + high_head);
     } else {
         plan = std::make_shared<ResimPlan>(program->numQubits());
 
@@ -717,9 +796,11 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
         // stop at the first Measure or classically-conditioned
         // instruction (there is no record to condition on yet — a
         // valid program measures first).
-        const std::size_t head = extendDeterministicHead(
-            *sliced, plan->headState, plan->headDraws);
+        std::size_t resumed = 0;
+        const std::size_t head = deterministicHead(
+            *sliced, plan->headState, plan->headDraws, resumed);
         plan->tail = sliced->sliceRange(head, sliced->size());
+        span.arg("resumed", resumed).arg("simulated", head - resumed);
     }
 
     std::lock_guard<std::mutex> lock(cacheMutex);

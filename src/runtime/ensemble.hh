@@ -21,7 +21,10 @@
  *    multinomial-sampled from the exact outcome distribution via
  *    inverse-CDF binary search — running the circuit per member is
  *    reserved for Resimulate mode, which stays exact for programs with
- *    mid-circuit measurement;
+ *    mid-circuit measurement. The one simulation runs the prefix's
+ *    deterministic head under the Resimulate head rule below (a reset
+ *    whose other outcome has probability <= 1e-12 counts as certain),
+ *    then the rest of the prefix;
  *  - in Resimulate mode the truncated circuit's *deterministic head*
  *    — the longest prefix containing no measurement, no conditional
  *    instruction, and only resets whose outcome is certain — is
@@ -52,12 +55,21 @@
  *  - both gather() and gatherHistogram() walk fixed global chunks of
  *    trials whose boundaries do not depend on the shard count, so
  *    the tree — and every sim.* total — is thread-count invariant.
+ *  - with a shared CheckpointStore (EngineOptions::checkpoints), a
+ *    monolithic prefix simulation or Resimulate head resumes from the
+ *    longest stored prefix of its own program and stores a checkpoint
+ *    at every marker it passes and at the head's end (checkpoint.hh).
+ *    The resumed part is never re-run, so results equal a store-free
+ *    run bit for bit; only the work counters shrink.
  *
  * Work accounting: in Resimulate mode the sim.* counters measure
  * path-node work, not per-trial work. sim.gate_applies and
  * sim.amp_touches count each path segment's gates once, and
  * sim.measurements counts one per measured qubit per path node (the
- * readout included), however many trials share that node.
+ * readout included), however many trials share that node. Certain
+ * resets inside a deterministic head are applied as projections and
+ * are not counted in sim.measurements, in either mode; nor is any
+ * work a checkpoint resume skips.
  *
  * RNG stream layout (fixed; part of the reproducibility contract):
  *  - Resimulate: trial m uses Rng(seed).split(m) for both gate-level
@@ -70,8 +82,12 @@
  *    each trial would draw alone, in the same order, against
  *    bit-identical states, so it changes no outcome.
  *  - SampleFinalState: the single prefix execution uses
- *    Rng(seed).split(0); shot m draws its uniform from
- *    Rng(seed).split(m + 1).
+ *    Rng(seed).split(0) — the head's certain resets each discard one
+ *    draw, as an uncached run's measurement of them would have made —
+ *    and shot m draws its uniform from Rng(seed).split(m + 1). For
+ *    resets whose outcome is exactly certain this is bit for bit a
+ *    plain runCircuit of the prefix; a reset whose other outcome has
+ *    probability in (0, 1e-12] always takes the likely outcome.
  */
 
 #ifndef QSA_RUNTIME_ENSEMBLE_HH
@@ -88,6 +104,7 @@
 
 #include "circuit/circuit.hh"
 #include "circuit/executor.hh"
+#include "runtime/checkpoint.hh"
 #include "runtime/pool.hh"
 #include "sim/statevector.hh"
 
@@ -217,18 +234,10 @@ class CdfSampler
     std::vector<double> cdf;
 };
 
-/**
- * See file comment. An engine is bound to one program; it may be used
- * concurrently from several threads (BatchRunner does), with the
- * prefix caches protected internally.
- */
 /** Per-engine simulation options (fixed for the engine's lifetime, so
  *  every cache entry is built under one option set). */
 struct EngineOptions
 {
-    /** Run the gate-fusion pass on every truncated prefix. */
-    bool fuseGates = true;
-
     /**
      * Tensor-split hint: when non-zero, truncated prefixes whose
      * leading instructions separate into a low block on this many
@@ -238,8 +247,23 @@ struct EngineOptions
      * execution automatically.
      */
     unsigned tensorSplit = 0;
+
+    /**
+     * Shared store of deterministic prefix states (checkpoint.hh), or
+     * null. Monolithic prefix simulations and Resimulate heads then
+     * resume from the longest stored prefix of their own program and
+     * store a checkpoint at every marker they pass and at the head's
+     * end. Results are identical with and without a store. Must
+     * outlive the engine.
+     */
+    CheckpointStore *checkpoints = nullptr;
 };
 
+/**
+ * See file comment. An engine is bound to one program; it may be used
+ * concurrently from several threads (BatchRunner does), with the
+ * prefix caches protected internally.
+ */
 class EnsembleEngine
 {
   public:
@@ -354,6 +378,19 @@ class EnsembleEngine
 
     std::shared_ptr<const circuit::ExecutionRecord>
     prefixState(const std::string &breakpoint, std::uint64_t seed);
+
+    /**
+     * Simulate the deterministic head of `circ` into `state` (|0...0>
+     * on entry) through options.checkpoints when set: resume from the
+     * longest stored prefix, then store a checkpoint at every marker
+     * passed and at the head's end. Returns the head length; `draws`
+     * receives the head resets' per-trial draws and `resumed` the
+     * instructions taken from the store.
+     */
+    std::size_t deterministicHead(const circuit::Circuit &circ,
+                                  sim::StateVector &state,
+                                  std::size_t &draws,
+                                  std::size_t &resumed);
 
     std::shared_ptr<const ResimPlan>
     resimPlan(const std::string &breakpoint);

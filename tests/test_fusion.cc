@@ -2,9 +2,9 @@
  * @file
  * Gate-fusion tests: the fused program must be observationally
  * equivalent to the unfused one — same final states to numerical
- * tolerance, bit-identical seeded measurement histograms through the
- * ensemble engine at every thread count — while actually eliminating
- * gates (FusionStats and the sim.fused_gates counter both positive).
+ * tolerance — while actually eliminating gates (FusionStats
+ * positive). The ensemble engine no longer fuses; the pass remains
+ * for callers that replay it on their own.
  */
 
 #include <gtest/gtest.h>
@@ -12,18 +12,14 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "algo/arith.hh"
 #include "algo/qft.hh"
-#include "algo/teleport.hh"
-#include "assertions/checker.hh"
 #include "circuit/circuit.hh"
 #include "circuit/executor.hh"
 #include "circuit/fusion.hh"
 #include "common/rng.hh"
-#include "obs/obs.hh"
 #include "sim/statevector.hh"
 
 namespace
@@ -34,7 +30,6 @@ using qsa::circuit::Circuit;
 using qsa::circuit::FusionStats;
 using qsa::circuit::fuseGates;
 using qsa::circuit::GateKind;
-using qsa::circuit::QubitRegister;
 
 /**
  * Fused execution reorders floating-point matrix products, so
@@ -296,190 +291,5 @@ TEST(FusionEquivalence, FusionIsIdempotentOnFusedOutput)
     EXPECT_LE(refused.size(), fused.size());
     expectEquivalent(circ, refused, "double fusion");
 }
-
-// --- Engine-level histogram identity -----------------------------------------
-
-assertions::CheckConfig
-engineConfig(bool fuse, unsigned threads,
-             assertions::EnsembleMode mode)
-{
-    assertions::CheckConfig cfg;
-    cfg.ensembleSize = 192;
-    cfg.seed = 0xfeedface;
-    cfg.fuseGates = fuse;
-    cfg.numThreads = threads;
-    cfg.mode = mode;
-    return cfg;
-}
-
-/**
- * The ensemble contract under fusion: measurement draws compare a
- * uniform variate against outcome probabilities, and the fixtures
- * below keep those probabilities far from any draw, so the seeded
- * histograms are exactly equal fused vs unfused — and bit-identical
- * across thread counts regardless.
- */
-void
-expectSameHistograms(const Circuit &program,
-                     const assertions::AssertionSpec &spec,
-                     assertions::EnsembleMode mode,
-                     const std::string &what)
-{
-    std::map<std::uint64_t, std::uint64_t> reference;
-    bool have_reference = false;
-    for (const bool fuse : {false, true}) {
-        for (const unsigned threads : {1u, 4u, 0u}) {
-            const assertions::AssertionChecker checker(
-                program, engineConfig(fuse, threads, mode));
-            const auto outcome = checker.check(spec);
-            if (!have_reference) {
-                reference = outcome.countsA;
-                have_reference = true;
-                continue;
-            }
-            EXPECT_EQ(outcome.countsA, reference)
-                << what << " fuse=" << fuse
-                << " threads=" << threads;
-        }
-    }
-}
-
-assertions::AssertionSpec
-superpositionSpec(const std::string &breakpoint,
-                  const QubitRegister &reg)
-{
-    assertions::AssertionSpec spec;
-    spec.kind = assertions::AssertionKind::Superposition;
-    spec.breakpoint = breakpoint;
-    spec.regA = reg;
-    return spec;
-}
-
-TEST(FusionEnsemble, CliffordProgramHistograms)
-{
-    Circuit circ(3);
-    const auto r = circ.addRegister("r", 3);
-    circ.h(0);
-    circ.s(0);
-    circ.cnot(0, 1);
-    circ.h(2);
-    circ.cnot(2, 1);
-    circ.h(0);
-    circ.breakpoint("bp");
-
-    for (const auto mode :
-         {assertions::EnsembleMode::SampleFinalState,
-          assertions::EnsembleMode::Resimulate})
-        expectSameHistograms(circ, superpositionSpec("bp", r), mode,
-                             "clifford");
-}
-
-TEST(FusionEnsemble, QftAdderHistograms)
-{
-    Circuit circ(4);
-    const auto b = circ.addRegister("b", 4);
-    circ.prepRegister(b, 5);
-    circ.h(0);
-    algo::qft(circ, b);
-    algo::phiAdd(circ, b, 3);
-    algo::iqft(circ, b);
-    circ.breakpoint("sum");
-
-    for (const auto mode :
-         {assertions::EnsembleMode::SampleFinalState,
-          assertions::EnsembleMode::Resimulate})
-        expectSameHistograms(circ, superpositionSpec("sum", b), mode,
-                             "qft adder");
-}
-
-TEST(FusionEnsemble, TeleportHistogramsWithMidCircuitMeasurement)
-{
-    const auto prog = algo::buildTeleportProgram(0.7, 1.1);
-    // Resimulate exercises fusion of the conditioned-correction tail
-    // (the conditioned gates themselves are barriers and survive).
-    for (const auto mode :
-         {assertions::EnsembleMode::SampleFinalState,
-          assertions::EnsembleMode::Resimulate})
-        expectSameHistograms(
-            prog.circuit,
-            superpositionSpec("corrected", prog.receiver), mode,
-            "teleport");
-}
-
-#if QSA_OBS_ENABLED
-
-TEST(FusionEnsemble, FusedGateCounterDeterministicAcrossThreads)
-{
-    Circuit circ(4);
-    const auto b = circ.addRegister("b", 4);
-    circ.prepRegister(b, 5);
-    algo::qft(circ, b);
-    algo::iqft(circ, b);
-    circ.breakpoint("bp");
-    const auto spec = superpositionSpec("bp", b);
-
-    const auto fusedTotal = [&](bool fuse, unsigned threads) {
-        obs::Registry::reset();
-        const assertions::AssertionChecker checker(
-            circ, engineConfig(fuse, threads,
-                               assertions::EnsembleMode::Resimulate));
-        (void)checker.check(spec);
-        for (const auto &[name, value] : obs::Registry::snapshot())
-            if (name == "sim.fused_gates")
-                return value;
-        return (std::int64_t)0;
-    };
-
-    const auto serial = fusedTotal(true, 1);
-    EXPECT_GT(serial, 0);
-    // Counted once per winning prefix-cache insertion, so racing
-    // rebuilds can never inflate the total.
-    EXPECT_EQ(fusedTotal(true, 4), serial);
-    EXPECT_EQ(fusedTotal(true, 0), serial);
-    EXPECT_EQ(fusedTotal(false, 1), 0);
-}
-
-TEST(FusionEnsemble, FusionReducesAmpTouches)
-{
-    // A mid-circuit measurement ends the deterministic head, so the
-    // whole QFT-adder tail re-executes per Resimulate trial and the
-    // per-trial amplitude traffic dominates the totals.
-    Circuit circ(0);
-    const auto coin = circ.addRegister("coin", 1);
-    const auto b = circ.addRegister("b", 4);
-    circ.h(coin.qubit(0));
-    circ.measure(coin, "coin");
-    circ.prepRegister(b, 5);
-    algo::qft(circ, b);
-    algo::phiAdd(circ, b, 3);
-    algo::phiAdd(circ, b, 5);
-    algo::phiAdd(circ, b, 1);
-    algo::iqft(circ, b);
-    circ.breakpoint("bp");
-    const auto spec = superpositionSpec("bp", b);
-
-    const auto touches = [&](bool fuse) {
-        obs::Registry::reset();
-        const assertions::AssertionChecker checker(
-            circ, engineConfig(fuse, 1,
-                               assertions::EnsembleMode::Resimulate));
-        (void)checker.check(spec);
-        for (const auto &[name, value] : obs::Registry::snapshot())
-            if (name == "sim.amp_touches")
-                return value;
-        return (std::int64_t)0;
-    };
-
-    const auto unfused = touches(false);
-    const auto fused = touches(true);
-    ASSERT_GT(unfused, 0);
-    ASSERT_GT(fused, 0);
-    // The QFT-adder prefix is one long run of fusible 1q/2q gates;
-    // the headline claim is a >= 2x per-trial amplitude-traffic win.
-    EXPECT_LT(2 * fused, unfused)
-        << "fused=" << fused << " unfused=" << unfused;
-}
-
-#endif // QSA_OBS_ENABLED
 
 } // anonymous namespace

@@ -20,164 +20,24 @@
 
 #include "circuit/circuit.hh"
 #include "circuit/executor.hh"
-#include "circuit/fusion.hh"
 #include "common/rng.hh"
 #include "obs/obs.hh"
 #include "runtime/ensemble.hh"
 #include "runtime/pool.hh"
+
+#include "program_generator.hh"
 
 namespace
 {
 
 using namespace qsa;
 using qsa::circuit::Circuit;
+using qsa::testgen::ProgramGenerator;
+using qsa::testgen::monolithicProgram;
+using qsa::testgen::prologue;
 
 /** Breakpoint prefix of the instrumented programs below. */
 const std::string kBoundary = "walk_b";
-
-/**
- * Seeded program generator. Appends `count` random instructions on
- * qubits [lo, hi): one-qubit Clifford+T and rotations, controlled
- * gates, mid-circuit Measure of one or two qubits (labels are reused
- * now and then, exercising overwrite semantics), PrepZ to either bit,
- * and gates or resets conditioned on a label measured earlier.
- */
-class ProgramGenerator
-{
-  public:
-    ProgramGenerator(Circuit &circ, std::uint64_t seed)
-        : circ(circ), rng(seed)
-    {
-    }
-
-    void
-    append(unsigned lo, unsigned hi, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            appendOne(lo, hi);
-    }
-
-  private:
-    Circuit &circ;
-    Rng rng;
-
-    /** Labels measured so far, with their widths. */
-    std::vector<std::pair<std::string, unsigned>> labels;
-
-    unsigned
-    pick(unsigned lo, unsigned hi)
-    {
-        return lo + static_cast<unsigned>(rng.uniformInt(hi - lo));
-    }
-
-    /** A qubit of [lo, hi) other than `q`. */
-    unsigned
-    other(unsigned lo, unsigned hi, unsigned q)
-    {
-        const unsigned r = pick(lo, hi - 1);
-        return r >= q ? r + 1 : r;
-    }
-
-    double
-    angle()
-    {
-        return 6.283185307179586 * rng.uniform();
-    }
-
-    void
-    appendOne(unsigned lo, unsigned hi)
-    {
-        const unsigned q = pick(lo, hi);
-        switch (rng.uniformInt(14)) {
-          case 0: circ.h(q); break;
-          case 1: circ.t(q); break;
-          case 2: circ.tdg(q); break;
-          case 3: circ.s(q); break;
-          case 4: circ.rx(q, angle()); break;
-          case 5: circ.ry(q, angle()); break;
-          case 6: circ.rz(q, angle()); break;
-          case 7: circ.cnot(q, other(lo, hi, q)); break;
-          case 8: circ.crz(q, other(lo, hi, q), angle()); break;
-          case 9: {
-            if (hi - lo < 3) {
-                circ.cz(q, other(lo, hi, q));
-                break;
-            }
-            const unsigned c1 = other(lo, hi, q);
-            unsigned t = pick(lo, hi);
-            while (t == q || t == c1)
-                t = pick(lo, hi);
-            circ.ccnot(q, c1, t);
-            break;
-          }
-          case 10:
-          case 11: {
-            std::vector<unsigned> targets{q};
-            if (rng.bernoulli(0.5))
-                targets.push_back(other(lo, hi, q));
-            std::string label;
-            if (!labels.empty() && rng.bernoulli(0.25)) {
-                label = labels[rng.uniformInt(labels.size())].first;
-            } else {
-                label = "m" + std::to_string(labels.size());
-            }
-            circ.measureQubits(targets, label);
-            bool known = false;
-            for (auto &[name, width] : labels) {
-                if (name == label) {
-                    width = static_cast<unsigned>(targets.size());
-                    known = true;
-                }
-            }
-            if (!known)
-                labels.emplace_back(label,
-                                    static_cast<unsigned>(targets.size()));
-            break;
-          }
-          case 12: circ.prepZ(q, static_cast<unsigned>(rng.uniformInt(2)));
-            break;
-          default: {
-            if (labels.empty()) {
-                circ.h(q);
-                break;
-            }
-            const auto &[label, width] =
-                labels[rng.uniformInt(labels.size())];
-            if (rng.bernoulli(0.3))
-                circ.prepZ(q, 1);
-            else if (rng.bernoulli(0.5))
-                circ.x(q);
-            else
-                circ.ry(q, angle());
-            circ.conditionLast(label, rng.uniformInt(1ull << width));
-            break;
-          }
-        }
-    }
-};
-
-/**
- * Block prologue: a reset whose outcome is certain (the engine's
- * cached head absorbs it, and each trial must skip its draw) and a
- * Hadamard, so no block starts with a measurement.
- */
-void
-prologue(Circuit &circ, unsigned q)
-{
-    circ.prepZ(q, 1);
-    circ.h(q);
-}
-
-/** Monolithic program on `n` qubits. */
-Circuit
-monolithicProgram(std::uint64_t seed, unsigned n, std::size_t count)
-{
-    Circuit circ(n);
-    ProgramGenerator gen(circ, seed);
-    prologue(circ, 0);
-    gen.append(0, n, count);
-    return circ;
-}
 
 /**
  * Swap-probe-shaped program: a block on the low `split` qubits, a
@@ -212,15 +72,14 @@ readoutQubits(unsigned n, std::size_t boundary)
 }
 
 /**
- * Uncached per-trial reference: trial m runs the truncated program
- * (fused exactly as the engine fuses it) on Rng(seed).split(m), then
- * measures the readout qubits on the same stream.
+ * Uncached per-trial reference: trial m runs the truncated program on
+ * Rng(seed).split(m), then measures the readout qubits on the same
+ * stream.
  */
 std::vector<std::uint64_t>
 referenceTrials(const Circuit &instrumented, const runtime::EnsembleSpec &spec)
 {
-    const Circuit truncated =
-        circuit::fuseGates(instrumented.prefixUpTo(spec.breakpoint));
+    const Circuit truncated = instrumented.prefixUpTo(spec.breakpoint);
     const Rng master(spec.seed);
     std::vector<std::uint64_t> out(spec.shots);
     for (std::size_t m = 0; m < spec.shots; ++m) {
@@ -290,7 +149,7 @@ expectWalkMatchesReference(const Circuit &program, unsigned tensor_split,
         obs::Registry::reset();
         runtime::EnsembleEngine engine(
             instrumented, threads,
-            runtime::EngineOptions{true, tensor_split});
+            runtime::EngineOptions{tensor_split});
         for (std::size_t i = 0; i < specs.size(); ++i) {
             EXPECT_EQ(engine.gather(specs[i]), expected[i])
                 << specs[i].breakpoint << " threads=" << threads;
