@@ -11,11 +11,19 @@
 
 #include "benchjson_main.hh"
 #include "qsa/qsa.hh"
+#include "sim/kernel_level.hh"
 
 namespace
 {
 
 using namespace qsa;
+
+/** The SIMD level the state-vector kernels ran at, as a run label. */
+const char *
+kernelLevel()
+{
+    return sim::detail::kernelLevelName(sim::detail::activeKernelLevel());
+}
 
 void
 BM_GateApplication(benchmark::State &state)
@@ -30,6 +38,7 @@ BM_GateApplication(benchmark::State &state)
         benchmark::DoNotOptimize(sv);
     }
     state.SetItemsProcessed(state.iterations() * (1ull << n));
+    state.SetLabel(kernelLevel());
 }
 BENCHMARK(BM_GateApplication)->Arg(8)->Arg(13)->Arg(18);
 
@@ -69,6 +78,7 @@ BM_ShorFullCircuit(benchmark::State &state)
     }
     state.counters["qubits"] = prog.circuit.numQubits();
     state.counters["instructions"] = prog.circuit.size();
+    state.SetLabel(kernelLevel());
 }
 BENCHMARK(BM_ShorFullCircuit)->Unit(benchmark::kMillisecond);
 

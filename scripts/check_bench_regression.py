@@ -17,6 +17,12 @@ with the metric names to gate. Gated metrics are costs — probe
 totals, cache misses — so an increase beyond tolerance is a
 regression exactly like a counter increase.
 
+Records are matched by benchmark name, which must be unique in each
+document. A record's label is informational: the kernel benches label
+their runs with the SIMD level that ran, which depends on the host, so
+a label that differs from the baseline's is printed as a note and
+never makes a record count as missing.
+
 Wins can be gated too: --require-positive names metrics that must be
 strictly positive in the current run. The first user is the static
 pruning pre-pass (metrics.locate.pruned_boundaries) — probes saved by
@@ -40,7 +46,7 @@ import sys
 
 
 def load_records(path):
-    """Map (name, label) -> counters dict from one BENCH_*.json."""
+    """Map name -> (label, counters dict) from one BENCH_*.json."""
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -48,8 +54,11 @@ def load_records(path):
         sys.exit(f"error: cannot read {path}: {err}")
     records = {}
     for result in doc.get("results", []):
-        key = (result.get("name", ""), result.get("label", ""))
-        records[key] = result.get("counters", {})
+        name = result.get("name", "")
+        if name in records:
+            sys.exit(f"error: {path}: benchmark {name} appears twice")
+        records[name] = (result.get("label", ""),
+                         result.get("counters", {}))
     if not records:
         sys.exit(f"error: {path} contains no benchmark results")
     return records, doc.get("metrics", {})
@@ -95,12 +104,14 @@ def main():
 
     failures = []
     checked = 0
-    for key, base_counters in sorted(baseline.items()):
-        name = f"{key[0]} [{key[1]}]" if key[1] else key[0]
-        if key not in current:
+    for name, (base_label, base_counters) in sorted(baseline.items()):
+        if name not in current:
             failures.append(f"{name}: missing from the current run")
             continue
-        cur_counters = current[key]
+        cur_label, cur_counters = current[name]
+        if cur_label != base_label:
+            print(f"note: {name}: label '{cur_label}' "
+                  f"(baseline '{base_label}')")
         for counter in gated:
             if counter not in base_counters:
                 continue
@@ -124,8 +135,7 @@ def main():
                       f"{base:g} -> {cur:g} (-{pct:.1f}%) — consider "
                       "refreshing the committed baseline")
 
-    for key in sorted(set(current) - set(baseline)):
-        name = f"{key[0]} [{key[1]}]" if key[1] else key[0]
+    for name in sorted(set(current) - set(baseline)):
         print(f"note: {name}: new benchmark without a baseline")
 
     for metric in gated_metrics:

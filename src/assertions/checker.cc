@@ -327,6 +327,9 @@ AssertionChecker::checkWithSize(const AssertionSpec &spec,
 
     const auto pairs = gatherEnsemble(spec, ensemble_size);
 
+    // Everything past the gather is adjudication: counting the shots
+    // and the chi-square (or G) test.
+    QSA_OBS_SPAN(span, "assertions.adjudicate");
     std::vector<std::uint64_t> values_a;
     values_a.reserve(pairs.size());
     for (const auto &[a, b] : pairs) {

@@ -132,6 +132,28 @@ baseConfig(const LocateConfig &cfg)
     return cc;
 }
 
+/**
+ * A probe's checker, built under its own trace span: the checker
+ * copies the probe program and sets up its ensemble engine.
+ */
+assertions::AssertionChecker
+probeChecker(const circuit::Circuit &program,
+             const assertions::CheckConfig &cc,
+             runtime::CheckpointStore *checkpoints = nullptr)
+{
+    QSA_OBS_SPAN(span, "locate.probe.checker");
+    return assertions::AssertionChecker(program, cc, checkpoints);
+}
+
+/** The suspect with a breakpoint at every boundary, under the
+ *  probe-construction span. */
+circuit::Circuit
+instrumentBoundaries(const circuit::Circuit &suspect)
+{
+    QSA_OBS_SPAN(span, "locate.probe.build");
+    return suspect.withBoundaryBreakpoints(kBoundaryPrefix);
+}
+
 /** The oracle derivation knobs of a locate config (predicates.hh). */
 OracleOptions
 oracleOptionsFor(const LocateConfig &cfg)
@@ -448,8 +470,8 @@ class MirrorProber : public Prober
         const circuit::Circuit program = buildProbe(boundary, &floor);
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed, boundary);
-        const assertions::AssertionChecker checker(program, cc,
-                                                   &checkpoints);
+        const assertions::AssertionChecker checker =
+            probeChecker(program, cc, &checkpoints);
 
         const auto specs =
             specsFor(boundary, floor, /*family_wise=*/false);
@@ -621,6 +643,7 @@ class MirrorProber : public Prober
     circuit::Circuit
     buildProbe(std::size_t boundary, const std::size_t *floor) const
     {
+        QSA_OBS_SPAN(span, "locate.probe.build");
         circuit::Circuit probe =
             suspect.sliceRange(0, floor != nullptr ? *floor : boundary);
         if (floor != nullptr) {
@@ -730,9 +753,10 @@ class PredicateProber : public Prober
                     const circuit::QubitRegister &reg_a,
                     const circuit::QubitRegister *reg_b)
         : cfg(cfg), regA(reg_a),
-          instrumented(suspect.withBoundaryBreakpoints(kBoundaryPrefix)),
+          instrumented(instrumentBoundaries(suspect)),
           oracle(reference, reg_a, cfg.seed, oracleOptionsFor(cfg)),
-          checker(instrumented, baseConfig(cfg)), runner(cfg.numThreads)
+          checker(probeChecker(instrumented, baseConfig(cfg))),
+          runner(cfg.numThreads)
     {
         fatal_if(suspect.numQubits() != reference.numQubits(),
                  "suspect and reference use different qubit spaces");
@@ -917,7 +941,8 @@ class SwapProber : public Prober
         cc.seed = seedFor(cfg.seed ^ kSwapSeedSalt, boundary);
         if (cfg.tensorSwapProbes)
             cc.tensorSplit = n;
-        const assertions::AssertionChecker checker(program, cc);
+        const assertions::AssertionChecker checker =
+            probeChecker(program, cc);
         ProbeRecord rec = toRecord(
             boundary,
             checker.checkEscalated(specFor(boundary), policy));
@@ -1011,6 +1036,7 @@ class SwapProber : public Prober
     circuit::Circuit
     buildProbe(std::size_t boundary) const
     {
+        QSA_OBS_SPAN(span, "locate.probe.build");
         const unsigned space = 2 * n + 1;
         circuit::Circuit probe(space);
         probe.appendCircuit(
@@ -1094,7 +1120,8 @@ class RotatedProber : public Prober
             auto cc = baseConfig(cfg);
             cc.seed = seedFor(cfg.seed ^ frameSeedSalt(frame),
                               boundary);
-            const assertions::AssertionChecker checker(program, cc);
+            const assertions::AssertionChecker checker =
+                probeChecker(program, cc);
             outcomes.push_back(checker.checkEscalated(
                 specFor(oracleAt(boundary), boundary, frame,
                         cfg.alpha / 3.0),
@@ -1205,6 +1232,7 @@ class RotatedProber : public Prober
     circuit::Circuit
     buildProbe(std::size_t boundary, Frame frame) const
     {
+        QSA_OBS_SPAN(span, "locate.probe.build");
         circuit::Circuit probe = suspect.sliceRange(0, boundary);
         appendFrameEpilogue(probe, regA.qubits(), frame);
         probe.breakpoint(kProbeLabel);

@@ -563,8 +563,12 @@ EnsembleEngine::prefix(const std::string &breakpoint)
     // slice twice but the copies are identical and the first
     // insertion wins. A losing racer counts as a hit so the miss
     // total stays deterministic (misses == distinct breakpoints).
-    auto built = std::make_shared<const circuit::Circuit>(
-        program->prefixUpTo(breakpoint));
+    std::shared_ptr<const circuit::Circuit> built;
+    {
+        QSA_OBS_SPAN(span, "runtime.slice");
+        built = std::make_shared<const circuit::Circuit>(
+            program->prefixUpTo(breakpoint));
+    }
     std::lock_guard<std::mutex> lock(cacheMutex);
     const auto [it, inserted] =
         prefixCache.emplace(breakpoint, std::move(built));
@@ -590,17 +594,20 @@ EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
     // the hash chain (the first Measure or conditioned instruction).
     const auto &insts = circ.instructions();
     std::vector<CheckpointKey> keys;
-    keys.reserve(insts.size() + 1);
-    CheckpointKey key{state.numQubits(), 0, kChainSeed};
-    keys.push_back(key);
-    for (const circuit::Instruction &inst : insts) {
-        if (endsHead(inst))
-            break;
-        if (inst.kind != circuit::GateKind::Breakpoint) {
-            key.chain = circ.chainHash(key.chain, inst);
-            ++key.instructions;
-        }
+    {
+        QSA_OBS_SPAN(span, "runtime.checkpoint.keys");
+        keys.reserve(insts.size() + 1);
+        CheckpointKey key{state.numQubits(), 0, kChainSeed};
         keys.push_back(key);
+        for (const circuit::Instruction &inst : insts) {
+            if (endsHead(inst))
+                break;
+            if (inst.kind != circuit::GateKind::Breakpoint) {
+                key.chain = circ.chainHash(key.chain, inst);
+                ++key.instructions;
+            }
+            keys.push_back(key);
+        }
     }
 
     const auto [start, hit] = store->longestPrefix(keys);
@@ -799,7 +806,10 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
         std::size_t resumed = 0;
         const std::size_t head = deterministicHead(
             *sliced, plan->headState, plan->headDraws, resumed);
-        plan->tail = sliced->sliceRange(head, sliced->size());
+        {
+            QSA_OBS_SPAN(slice_span, "runtime.slice");
+            plan->tail = sliced->sliceRange(head, sliced->size());
+        }
         span.arg("resumed", resumed).arg("simulated", head - resumed);
     }
 

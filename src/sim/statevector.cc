@@ -5,18 +5,115 @@
 
 #include "sim/statevector.hh"
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
+#include "sim/kernel_level.hh"
+
+// The wide kernel bodies need x86-64 and a compiler with per-function
+// target attributes; anywhere else only the baseline level exists.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define QSA_WIDE_KERNELS 1
+#include <immintrin.h>
+#define QSA_TARGET_AVX2 __attribute__((target("avx2")))
+#define QSA_TARGET_AVX512 __attribute__((target("avx512f")))
+#else
+#define QSA_WIDE_KERNELS 0
+#endif
 
 namespace qsa::sim
 {
 
+namespace detail
+{
+
+const char *
+kernelLevelName(KernelLevel level)
+{
+    switch (level) {
+      case KernelLevel::Avx2:
+        return "avx2";
+      case KernelLevel::Avx512:
+        return "avx512";
+      case KernelLevel::Baseline:
+        break;
+    }
+    return "baseline";
+}
+
+bool
+hostSupports(KernelLevel level)
+{
+#if QSA_WIDE_KERNELS
+    static const bool avx2 = (__builtin_cpu_init(),
+                              __builtin_cpu_supports("avx2") != 0);
+    static const bool avx512 = __builtin_cpu_supports("avx512f") != 0;
+    switch (level) {
+      case KernelLevel::Avx2:
+        return avx2;
+      case KernelLevel::Avx512:
+        return avx512;
+      case KernelLevel::Baseline:
+        break;
+    }
+#endif
+    return level == KernelLevel::Baseline;
+}
+
+KernelLevel
+hostKernelLevel()
+{
+    static const KernelLevel host =
+        hostSupports(KernelLevel::Avx512) ? KernelLevel::Avx512
+        : hostSupports(KernelLevel::Avx2) ? KernelLevel::Avx2
+                                          : KernelLevel::Baseline;
+    return host;
+}
+
 namespace
 {
+std::atomic<KernelLevel> &
+levelSlot()
+{
+    static std::atomic<KernelLevel> slot{hostKernelLevel()};
+    return slot;
+}
+} // anonymous namespace
+
+KernelLevel
+activeKernelLevel()
+{
+    return levelSlot().load(std::memory_order_relaxed);
+}
+
+ScopedKernelLevel::ScopedKernelLevel(KernelLevel level)
+    : previous(activeKernelLevel())
+{
+    if (!hostSupports(level)) {
+        throw std::invalid_argument(
+            std::string("kernel level ") + kernelLevelName(level) +
+            " is not supported on this host");
+    }
+    levelSlot().store(level, std::memory_order_relaxed);
+}
+
+ScopedKernelLevel::~ScopedKernelLevel()
+{
+    levelSlot().store(previous, std::memory_order_relaxed);
+}
+
+} // namespace detail
+
+namespace
+{
+
+using detail::KernelLevel;
 /** Practical cap: 2^28 amplitudes is 4 GiB of doubles. */
 constexpr unsigned max_qubits = 28;
 
@@ -173,17 +270,212 @@ mulIm(const Entry &e, double x, double y)
     return e.re * y + e.im * x;
 }
 
+#if QSA_WIDE_KERNELS
+/*
+ * Wide bodies of the scale sweep and the dense pair update, one set
+ * per level. A register holds two (AVX2) or four (AVX-512) complex
+ * slots as interleaved (re, im) doubles v, and each slot's product is
+ * re·v + (−im, im)·swap(v): lane re is re·x + (−im)·y, mulRe's sum,
+ * and lane im is re·y + im·x, mulIm's, with the same operands in the
+ * same order. A pair row adds its two column products left to right,
+ * as mat2Kernel's scalar form does. libqsa is built with
+ * -ffp-contract=off (avx512f implies FMA), so every lane rounds
+ * exactly like the baseline loop and amplitudes are bit-identical at
+ * every level.
+ *
+ * A body takes the sweep only where a vector fits: a run below the
+ * lowest reserved bit of at least one vector, or (scale only) a
+ * reserved bit 0 with the next reserved bit at least one vector up.
+ * That second case sweeps whole vectors over the block between them
+ * and stores only the slots whose bit 0 matches `set`, so the slots
+ * the gate leaves alone are never written. Each body returns false
+ * where it does not apply and the caller runs the baseline loop.
+ */
+
+namespace avx2
+{
+
+/** An entry broadcast over two slots: re·v + im·swap(v). */
+struct Lane
+{
+    __m256d re;
+    __m256d im; ///< (−im, im, −im, im)
+};
+
+QSA_TARGET_AVX2 inline Lane
+lane(const Entry &e)
+{
+    return {_mm256_set1_pd(e.re),
+            _mm256_setr_pd(e.negIm, e.im, e.negIm, e.im)};
+}
+
+QSA_TARGET_AVX2 inline __m256d
+mul(const Lane &e, __m256d v)
+{
+    return _mm256_add_pd(_mm256_mul_pd(e.re, v),
+                         _mm256_mul_pd(e.im, _mm256_permute_pd(v, 0x5)));
+}
+
+QSA_TARGET_AVX2 bool
+scaleSweep(double *a, std::uint64_t d, const std::uint64_t *masks,
+           unsigned k, std::uint64_t set, const Entry &entry)
+{
+    const Lane e = lane(entry);
+    if (masks[0] >= 2) {
+        for (std::uint64_t i = 0; i < d >> k; i += masks[0]) {
+            double *p = a + 2 * (expandIndex(i, masks, k) | set);
+            for (double *end = p + 2 * masks[0]; p != end; p += 4)
+                _mm256_storeu_pd(p, mul(e, _mm256_loadu_pd(p)));
+        }
+        return true;
+    }
+    const std::uint64_t block = k > 1 ? masks[1] : d;
+    if (block < 2)
+        return false;
+    // Bit 0 is reserved: of each vector's two slots, store the one
+    // whose bit 0 is set's.
+    const __m256i keep = (set & 1) ? _mm256_setr_epi64x(0, 0, -1, -1)
+                                   : _mm256_setr_epi64x(-1, -1, 0, 0);
+    for (std::uint64_t i = 0; i < d >> (k - 1); i += block) {
+        double *p = a + 2 * (expandIndex(i, masks + 1, k - 1) |
+                             (set & ~std::uint64_t{1}));
+        for (double *end = p + 2 * block; p != end; p += 4)
+            _mm256_maskstore_pd(p, keep, mul(e, _mm256_loadu_pd(p)));
+    }
+    return true;
+}
+
+QSA_TARGET_AVX2 bool
+pairSweep(double *a, std::uint64_t d, const std::uint64_t *masks,
+          unsigned k, std::uint64_t cmask, std::uint64_t tmask,
+          const Entry (&g)[4])
+{
+    if (masks[0] < 2)
+        return false;
+    const Lane g00 = lane(g[0]), g01 = lane(g[1]);
+    const Lane g10 = lane(g[2]), g11 = lane(g[3]);
+    for (std::uint64_t i = 0; i < d >> k; i += masks[0]) {
+        double *p0 = a + 2 * (expandIndex(i, masks, k) | cmask);
+        double *p1 = p0 + 2 * tmask;
+        for (double *end = p0 + 2 * masks[0]; p0 != end;
+             p0 += 4, p1 += 4) {
+            const __m256d v0 = _mm256_loadu_pd(p0);
+            const __m256d v1 = _mm256_loadu_pd(p1);
+            _mm256_storeu_pd(p0, _mm256_add_pd(mul(g00, v0), mul(g01, v1)));
+            _mm256_storeu_pd(p1, _mm256_add_pd(mul(g10, v0), mul(g11, v1)));
+        }
+    }
+    return true;
+}
+
+} // namespace avx2
+
+namespace avx512
+{
+
+/** An entry broadcast over four slots: re·v + im·swap(v). */
+struct Lane
+{
+    __m512d re;
+    __m512d im; ///< (−im, im) four times
+};
+
+QSA_TARGET_AVX512 inline Lane
+lane(const Entry &e)
+{
+    return {_mm512_set1_pd(e.re),
+            _mm512_setr_pd(e.negIm, e.im, e.negIm, e.im, e.negIm, e.im,
+                           e.negIm, e.im)};
+}
+
+QSA_TARGET_AVX512 inline __m512d
+mul(const Lane &e, __m512d v)
+{
+    // shuffle_pd(v, v, 0x55) swaps re and im in every slot.
+    return _mm512_add_pd(_mm512_mul_pd(e.re, v),
+                         _mm512_mul_pd(e.im, _mm512_shuffle_pd(v, v, 0x55)));
+}
+
+QSA_TARGET_AVX512 bool
+scaleSweep(double *a, std::uint64_t d, const std::uint64_t *masks,
+           unsigned k, std::uint64_t set, const Entry &entry)
+{
+    const Lane e = lane(entry);
+    if (masks[0] >= 4) {
+        for (std::uint64_t i = 0; i < d >> k; i += masks[0]) {
+            double *p = a + 2 * (expandIndex(i, masks, k) | set);
+            for (double *end = p + 2 * masks[0]; p != end; p += 8)
+                _mm512_storeu_pd(p, mul(e, _mm512_loadu_pd(p)));
+        }
+        return true;
+    }
+    const std::uint64_t block = k > 1 ? masks[1] : d;
+    if (masks[0] != 1 || block < 4)
+        return false;
+    // Bit 0 is reserved: of each vector's four slots, store the two
+    // whose bit 0 is set's.
+    const __mmask8 keep = (set & 1) ? 0xcc : 0x33;
+    for (std::uint64_t i = 0; i < d >> (k - 1); i += block) {
+        double *p = a + 2 * (expandIndex(i, masks + 1, k - 1) |
+                             (set & ~std::uint64_t{1}));
+        for (double *end = p + 2 * block; p != end; p += 8)
+            _mm512_mask_storeu_pd(p, keep, mul(e, _mm512_loadu_pd(p)));
+    }
+    return true;
+}
+
+QSA_TARGET_AVX512 bool
+pairSweep(double *a, std::uint64_t d, const std::uint64_t *masks,
+          unsigned k, std::uint64_t cmask, std::uint64_t tmask,
+          const Entry (&g)[4])
+{
+    if (masks[0] < 4)
+        return false;
+    const Lane g00 = lane(g[0]), g01 = lane(g[1]);
+    const Lane g10 = lane(g[2]), g11 = lane(g[3]);
+    for (std::uint64_t i = 0; i < d >> k; i += masks[0]) {
+        double *p0 = a + 2 * (expandIndex(i, masks, k) | cmask);
+        double *p1 = p0 + 2 * tmask;
+        for (double *end = p0 + 2 * masks[0]; p0 != end;
+             p0 += 8, p1 += 8) {
+            const __m512d v0 = _mm512_loadu_pd(p0);
+            const __m512d v1 = _mm512_loadu_pd(p1);
+            _mm512_storeu_pd(p0, _mm512_add_pd(mul(g00, v0), mul(g01, v1)));
+            _mm512_storeu_pd(p1, _mm512_add_pd(mul(g10, v0), mul(g11, v1)));
+        }
+    }
+    return true;
+}
+
+} // namespace avx512
+#endif // QSA_WIDE_KERNELS
+
 /**
  * Diagonal sweep: slot i ← e·slot i for every index forEachIndex
  * visits. This is the whole update of a diagonal gate on that slot
  * class: the dense update adds the off-diagonal products, which are
  * zeros, so the results agree under == (only the sign of a zero can
- * differ).
+ * differ). The active level's wide body takes the sweep where a
+ * vector fits.
  */
 inline void
 scaleSweep(double *a, std::uint64_t d, const std::uint64_t *masks,
            unsigned k, std::uint64_t set, const Entry &e)
 {
+#if QSA_WIDE_KERNELS
+    switch (detail::activeKernelLevel()) {
+      case KernelLevel::Avx512:
+        if (avx512::scaleSweep(a, d, masks, k, set, e))
+            return;
+        break;
+      case KernelLevel::Avx2:
+        if (avx2::scaleSweep(a, d, masks, k, set, e))
+            return;
+        break;
+      case KernelLevel::Baseline:
+        break;
+    }
+#endif
     forEachIndex(d, masks, k, set, [&](std::uint64_t i) {
         const double x = a[2 * i];
         const double y = a[2 * i + 1];
@@ -202,8 +494,9 @@ mat2Kernel(double *a, std::uint64_t d, const Mat2 &gate,
            const std::uint64_t *masks, unsigned k, std::uint64_t cmask,
            std::uint64_t tmask)
 {
-    const Entry g00(gate.a00), g01(gate.a01);
-    const Entry g10(gate.a10), g11(gate.a11);
+    const Entry g[4] = {Entry(gate.a00), Entry(gate.a01), Entry(gate.a10),
+                        Entry(gate.a11)};
+    const Entry &g00 = g[0], &g01 = g[1], &g10 = g[2], &g11 = g[3];
     const std::uint64_t pairs = d >> k;
     if (g01.zero() && g10.zero()) {
         std::uint64_t touched = 0;
@@ -217,6 +510,20 @@ mat2Kernel(double *a, std::uint64_t d, const Mat2 &gate,
         }
         return touched;
     }
+#if QSA_WIDE_KERNELS
+    switch (detail::activeKernelLevel()) {
+      case KernelLevel::Avx512:
+        if (avx512::pairSweep(a, d, masks, k, cmask, tmask, g))
+            return 2 * pairs;
+        break;
+      case KernelLevel::Avx2:
+        if (avx2::pairSweep(a, d, masks, k, cmask, tmask, g))
+            return 2 * pairs;
+        break;
+      case KernelLevel::Baseline:
+        break;
+    }
+#endif
     // i0 has the target bit clear, so i0 + tmask is i0 | tmask; the
     // sum lets the compiler see the two slots' (re, im) pairs as
     // adjacent doubles and pack them.

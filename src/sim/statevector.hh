@@ -20,6 +20,14 @@
  * it scales (contract at countGate in statevector.cc; DESIGN.md
  * "Simulation kernels").
  *
+ * The diagonal sweep and the dense 2x2 pair update also have AVX2 and
+ * AVX-512 bodies (two and four amplitudes per register), and the
+ * widest level the CPU supports is picked once per process. Each lane
+ * does the same multiplies and adds in the same order as the baseline
+ * loop, and libqsa is built with -ffp-contract=off, so amplitudes and
+ * sim.* counters are identical at every level. sim/kernel_level.hh
+ * lets tests and benches see and force the level.
+ *
  * Qubit 0 is the least significant bit of a basis-state index (little
  * endian), matching the Scaffold listings in the paper.
  */

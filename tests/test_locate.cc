@@ -3,21 +3,29 @@
  * qsa::locate tests: every injected bug variant of the qsa::bugs
  * taxonomy must localize to an interval containing its injection
  * site, in strictly fewer probes than the exhaustive linear scan,
- * with outputs invariant across thread counts.
+ * with outputs invariant across thread counts and across the
+ * state-vector kernels' SIMD levels.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "algo/arith.hh"
+#include "algo/numtheory.hh"
 #include "algo/qft.hh"
+#include "algo/shor.hh"
 #include "assertions/checker.hh"
 #include "bugs/injectors.hh"
 #include "circuit/circuit.hh"
 #include "circuit/scopes.hh"
 #include "locate/locate.hh"
 #include "locate/predicates.hh"
+#include "sim/kernel_level.hh"
 
 namespace
 {
@@ -765,6 +773,101 @@ TEST(LocatePruning, PredicateProbesPruneToo)
     EXPECT_EQ(pruned.lastPassing, unpruned.lastPassing);
     EXPECT_EQ(pruned.firstFailing, unpruned.firstFailing);
     EXPECT_LE(pruned.probes.size(), unpruned.probes.size());
+}
+
+// --- SIMD-level invariance ---------------------------------------------------
+
+/** One line per probe: boundary, ensemble, verdict, exact p-value, and
+ *  whether it is phase-ambiguous. */
+std::string
+probeLog(const LocalizationReport &report)
+{
+    std::string log;
+    for (const ProbeRecord &probe : report.probes) {
+        char line[160];
+        std::snprintf(line, sizeof line, "%zu %zu %s %a %d\n",
+                      probe.boundary, probe.ensembleSize,
+                      probe.failed ? "fail" : "pass", probe.pValue,
+                      probe.phaseAmbiguous ? 1 : 0);
+        log += line;
+    }
+    return log;
+}
+
+TEST(KernelLevelInvariance, ProbeLogsMatchTheBaselineLevel)
+{
+    // The determinism contract covers SIMD levels as it covers thread
+    // counts: every level the host has must reproduce the baseline
+    // kernels' probe log exactly, on the taxonomy fixtures and on
+    // Table 3's wrong modular inverse in full and semiclassical Shor.
+    struct Run
+    {
+        std::string name;
+        std::function<LocalizationReport()> locate;
+    };
+    std::vector<Run> runs;
+    for (int i = 0; i < 8; ++i) {
+        const Fixture fx = MirrorFixtures::make(i);
+        runs.push_back({fx.name, [fx] {
+                            return BugLocator(fx.suspect, fx.reference,
+                                              testConfig())
+                                .locate();
+                        }});
+    }
+    const Fixture init = wrongInitialValueFixture();
+    runs.push_back({init.name, [init] {
+                        return BugLocator(init.suspect, init.reference,
+                                          testConfig())
+                            .locateByPredicates(init.suspect.reg("y"));
+                    }});
+    algo::ShorConfig good;
+    algo::ShorConfig bad;
+    bad.pairs = algo::shorClassicalInputs(7, 15, 3);
+    bad.pairs[0].second = 12; // Table 3: 12 for the inverse 13
+    const Circuit shor_bad = algo::buildShorProgram(bad).circuit;
+    const Circuit shor_good = algo::buildShorProgram(good).circuit;
+    runs.push_back({"shor/wrong-inverse", [&] {
+                        return BugLocator(shor_bad, shor_good, testConfig())
+                            .locate();
+                    }});
+    const Circuit semi_bad =
+        algo::buildSemiclassicalShorProgram(bad).circuit;
+    const Circuit semi_good =
+        algo::buildSemiclassicalShorProgram(good).circuit;
+    LocateConfig semi = testConfig();
+    semi.mode = assertions::EnsembleMode::Resimulate;
+    semi.ensembleSize = 32;
+    semi.maxEnsembleSize = 256;
+    runs.push_back({"semiclassical-shor/wrong-inverse", [&] {
+                        return BugLocator(semi_bad, semi_good, semi)
+                            .locate();
+                    }});
+
+    using sim::detail::KernelLevel;
+    std::vector<std::string> want;
+    {
+        const sim::detail::ScopedKernelLevel forced(KernelLevel::Baseline);
+        for (const Run &run : runs) {
+            const LocalizationReport report = run.locate();
+            EXPECT_TRUE(report.bugFound) << run.name;
+            want.push_back(probeLog(report));
+        }
+    }
+    for (KernelLevel level : sim::detail::kKernelLevels) {
+        const char *name = sim::detail::kernelLevelName(level);
+        if (level == KernelLevel::Baseline)
+            continue;
+        if (!sim::detail::hostSupports(level)) {
+            std::printf("kernel level %s: not supported on this host, "
+                        "skipped\n",
+                        name);
+            continue;
+        }
+        const sim::detail::ScopedKernelLevel forced(level);
+        for (std::size_t r = 0; r < runs.size(); ++r)
+            EXPECT_EQ(probeLog(runs[r].locate()), want[r])
+                << runs[r].name << " at " << name;
+    }
 }
 
 } // anonymous namespace

@@ -10,6 +10,11 @@
  * reference's under == (a diagonal kernel may differ only in the sign
  * of a zero, which == ignores), and each call must add exactly what
  * the accounting contract at countGate says to sim.amp_touches.
+ *
+ * Every test runs once per kernel level (baseline, AVX2, AVX-512),
+ * forced through sim::detail::ScopedKernelLevel; a level the host
+ * lacks is skipped by name, and the suite ends with one
+ * "[kernel levels] run: ...; skipped: ..." line.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +23,11 @@
 #include <cmath>
 #include <cstdint>
 #include <iomanip>
+#include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +39,8 @@
 #include "common/bits.hh"
 #include "common/rng.hh"
 #include "obs/obs.hh"
+#include "program_generator.hh"
+#include "sim/kernel_level.hh"
 #include "sim/matrix.hh"
 #include "sim/statevector.hh"
 
@@ -44,6 +54,97 @@ using sim::Complex;
 using sim::Mat2;
 using sim::Mat4;
 using sim::StateVector;
+using sim::detail::KernelLevel;
+using sim::detail::kernelLevelName;
+
+// --- Kernel levels -----------------------------------------------------------
+
+/** Runs each test with its level forced; skips a level the host lacks. */
+class SimKernels : public ::testing::TestWithParam<KernelLevel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!sim::detail::hostSupports(GetParam())) {
+            GTEST_SKIP() << "kernel level " << kernelLevelName(GetParam())
+                         << " is not supported on this host";
+        }
+        forced.emplace(GetParam());
+    }
+
+  private:
+    std::optional<sim::detail::ScopedKernelLevel> forced;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Levels, SimKernels, ::testing::ValuesIn(sim::detail::kKernelLevels),
+    [](const ::testing::TestParamInfo<KernelLevel> &info) {
+        return std::string(kernelLevelName(info.param));
+    });
+
+/** Prints which levels the suite ran and which it skipped. */
+class LevelReport : public ::testing::Environment
+{
+  public:
+    void
+    TearDown() override
+    {
+        std::string run, skipped;
+        for (KernelLevel level : sim::detail::kKernelLevels) {
+            std::string &list =
+                sim::detail::hostSupports(level) ? run : skipped;
+            list += std::string(list.empty() ? "" : " ") +
+                    kernelLevelName(level);
+        }
+        std::cout << "[kernel levels] run: " << run
+                  << "; skipped: " << (skipped.empty() ? "none" : skipped)
+                  << std::endl;
+    }
+};
+
+[[maybe_unused]] const ::testing::Environment *const kLevelReport =
+    ::testing::AddGlobalTestEnvironment(new LevelReport);
+
+TEST(KernelLevels, HostLevelIsTheWidestSupported)
+{
+    using sim::detail::hostKernelLevel;
+    using sim::detail::hostSupports;
+    EXPECT_TRUE(hostSupports(KernelLevel::Baseline));
+    EXPECT_TRUE(hostSupports(hostKernelLevel()));
+    for (KernelLevel level : sim::detail::kKernelLevels) {
+        if (level > hostKernelLevel()) {
+            EXPECT_FALSE(hostSupports(level)) << kernelLevelName(level);
+        }
+    }
+    EXPECT_EQ(sim::detail::activeKernelLevel(), hostKernelLevel());
+}
+
+TEST(KernelLevels, GuardForcesAndRestoresTheLevel)
+{
+    const KernelLevel host = sim::detail::hostKernelLevel();
+    for (KernelLevel level : sim::detail::kKernelLevels) {
+        if (!sim::detail::hostSupports(level)) {
+            EXPECT_THROW(sim::detail::ScopedKernelLevel{level},
+                         std::invalid_argument)
+                << kernelLevelName(level);
+            EXPECT_EQ(sim::detail::activeKernelLevel(), host);
+            continue;
+        }
+        {
+            const sim::detail::ScopedKernelLevel outer(level);
+            EXPECT_EQ(sim::detail::activeKernelLevel(), level);
+            {
+                const sim::detail::ScopedKernelLevel inner(
+                    KernelLevel::Baseline);
+                EXPECT_EQ(sim::detail::activeKernelLevel(),
+                          KernelLevel::Baseline);
+            }
+            EXPECT_EQ(sim::detail::activeKernelLevel(), level);
+        }
+        EXPECT_EQ(sim::detail::activeKernelLevel(), host);
+    }
+}
 
 /** Random states per kernel test. */
 constexpr unsigned kTrials = 120;
@@ -450,7 +551,7 @@ randomMatrix(unsigned dim, MatClass cls, Rng &rng)
 
 // --- Kernel tests ------------------------------------------------------------
 
-TEST(SimKernels, EveryOneQubitKindMatchesReference)
+TEST_P(SimKernels, EveryOneQubitKindMatchesReference)
 {
     const GateKind kinds[] = {
         GateKind::H,  GateKind::X,   GateKind::Y,  GateKind::Z,
@@ -489,14 +590,14 @@ TEST(SimKernels, EveryOneQubitKindMatchesReference)
     }
 }
 
-TEST(SimKernels, RandomMat2sMatchReference)
+TEST_P(SimKernels, RandomMat2sMatchReference)
 {
     // Every dense 1q kind has a real or zero a00, so the kinds alone
     // cannot tell apart sums that differ only in how a00's products
     // associate.
     Rng rng(0x3a72);
     for (unsigned trial = 0; trial < kTrials; ++trial) {
-        const unsigned n = 1 + trial % 10;
+        const unsigned n = 1 + trial % 14;
         const auto state = randomState(n, rng);
         for (const auto &[cls, name] : kMatClasses) {
             const unsigned nc = rng.uniformInt(std::min(3u, n - 1) + 1);
@@ -529,7 +630,7 @@ TEST(SimKernels, RandomMat2sMatchReference)
     }
 }
 
-TEST(SimKernels, DiagonalEdgeCasesMatchReference)
+TEST_P(SimKernels, DiagonalEdgeCasesMatchReference)
 {
     // Entries on the boundary of the diagonal class: exact identity
     // (nothing touched), a real part of 1 with a nonzero imaginary
@@ -569,11 +670,11 @@ TEST(SimKernels, DiagonalEdgeCasesMatchReference)
     }
 }
 
-TEST(SimKernels, TwoQubitMatricesMatchReference)
+TEST_P(SimKernels, TwoQubitMatricesMatchReference)
 {
     Rng rng(0x4a74);
     for (unsigned trial = 0; trial < kTrials; ++trial) {
-        const unsigned n = 2 + trial % 9;
+        const unsigned n = 2 + trial % 13;
         const auto state = randomState(n, rng);
         for (const auto &[cls, name] : kMatClasses) {
             const unsigned nc = rng.uniformInt(std::min(2u, n - 2) + 1);
@@ -613,7 +714,7 @@ TEST(SimKernels, TwoQubitMatricesMatchReference)
     }
 }
 
-TEST(SimKernels, SwapAndControlledSwapMatchReference)
+TEST_P(SimKernels, SwapAndControlledSwapMatchReference)
 {
     Rng rng(0x5a4b);
     for (unsigned trial = 0; trial < kTrials; ++trial) {
@@ -641,7 +742,7 @@ TEST(SimKernels, SwapAndControlledSwapMatchReference)
     }
 }
 
-TEST(SimKernels, ThreeQubitUnitaryMatchesReference)
+TEST_P(SimKernels, ThreeQubitUnitaryMatchesReference)
 {
     Rng rng(0x3b17);
     for (unsigned trial = 0; trial < kTrials; ++trial) {
@@ -670,7 +771,7 @@ TEST(SimKernels, ThreeQubitUnitaryMatchesReference)
     }
 }
 
-TEST(SimKernels, TensorWithMatchesReference)
+TEST_P(SimKernels, TensorWithMatchesReference)
 {
     Rng rng(0x7e50);
     for (unsigned trial = 0; trial < kTrials; ++trial) {
@@ -695,7 +796,7 @@ TEST(SimKernels, TensorWithMatchesReference)
     }
 }
 
-TEST(SimKernels, CollapseMatchesReference)
+TEST_P(SimKernels, CollapseMatchesReference)
 {
     Rng rng(0xc011);
     for (unsigned trial = 0; trial < kTrials; ++trial) {
@@ -736,6 +837,84 @@ TEST(SimKernels, CollapseMatchesReference)
     }
 }
 
+// --- Layouts the wide kernels distinguish -----------------------------------
+//
+// A wide body takes a sweep when the run below the lowest reserved bit
+// holds a vector (2 slots for AVX2, 4 for AVX-512), or, for a diagonal
+// sweep, when bit 0 is reserved and the next reserved bit leaves a
+// block of at least one vector, where it stores only the slots whose
+// bit 0 matches. The tests below walk those gates' edges.
+
+/** Check one controlled Mat2 on a fresh random state. */
+void
+checkMat2(unsigned n, const Mat2 &gate,
+          const std::vector<unsigned> &controls, unsigned target, Rng &rng,
+          const std::string &what)
+{
+    checkKernel(
+        n, randomState(n, rng),
+        [&](StateVector &sv) { sv.applyControlled(gate, controls, target); },
+        [&](std::vector<Complex> &amps) {
+            ref::applyControlled(amps, gate, controls, target);
+        },
+        mat2Touches(gate, n, controls.size()),
+        describe(what, n, controls, {target}));
+}
+
+TEST_P(SimKernels, EveryReservedLayoutMatchesReference)
+{
+    // Every target and every set of at most two controls on 1-7
+    // qubits: the lowest reserved bit sits at each of qubits 0-6 with
+    // the next one at every distance above it, and the 1-3-qubit
+    // states are smaller than one AVX-512 vector.
+    Rng rng(0x1a70);
+    for (unsigned n = 1; n <= 7; ++n) {
+        for (unsigned target = 0; target < n; ++target) {
+            for (std::uint64_t cmask = 0; cmask < pow2(n); ++cmask) {
+                if ((cmask & pow2(target)) || popcount64(cmask) > 2)
+                    continue;
+                std::vector<unsigned> controls;
+                for (unsigned q = 0; q < n; ++q)
+                    if (cmask & pow2(q))
+                        controls.push_back(q);
+                for (const auto &[cls, name] : kMatClasses) {
+                    const auto m = randomMatrix(2, cls, rng);
+                    checkMat2(n, Mat2{m[0], m[1], m[2], m[3]}, controls,
+                              target, rng, std::string(name) + " Mat2");
+                }
+            }
+        }
+    }
+}
+
+TEST_P(SimKernels, ControlOnQubitZeroUnderHighTarget)
+{
+    // Controlled phases on a qubit-0 control (set bit 0 is 1), and
+    // diagonals on target 0 under a high control (set bit 0 is 0 for
+    // the |0> entry and 1 for the |1> entry), up to 14 qubits.
+    Rng rng(0xc0b0);
+    for (unsigned n = 2; n <= 14; ++n) {
+        const unsigned high = n - 1;
+        const Complex phase = std::polar(1.0, randomAngle(rng));
+        checkMat2(n, Mat2{1.0, 0.0, 0.0, phase}, {0}, high, rng,
+                  "controlled phase");
+        checkMat2(n, Mat2{phase, 0.0, 0.0, 1.0}, {0}, high, rng,
+                  "controlled |0>-phase");
+        const auto dense = randomMatrix(2, MatClass::Dense, rng);
+        checkMat2(n, Mat2{dense[0], dense[1], dense[2], dense[3]}, {0},
+                  high, rng, "dense Mat2");
+        checkMat2(n, Mat2{phase, 0.0, 0.0, 1.0}, {high}, 0, rng,
+                  "|0>-phase on qubit 0");
+        checkMat2(n, Mat2{1.0, 0.0, 0.0, phase}, {high}, 0, rng,
+                  "phase on qubit 0");
+        if (n < 3)
+            continue;
+        const auto diag = randomMatrix(2, MatClass::Diagonal, rng);
+        checkMat2(n, Mat2{diag[0], 0.0, 0.0, diag[3]}, {1, high}, 0, rng,
+                  "diagonal on qubit 0");
+    }
+}
+
 // --- Whole programs ----------------------------------------------------------
 
 /**
@@ -762,19 +941,30 @@ stepInLockstep(const circuit::Circuit &circ, std::uint64_t seed)
     EXPECT_EQ(measurements, ref_measurements);
 }
 
-TEST(SimKernels, ShorProgramStepsIdentically)
+TEST_P(SimKernels, ShorProgramStepsIdentically)
 {
     const auto prog = algo::buildShorProgram(algo::ShorConfig());
     ASSERT_EQ(prog.circuit.numQubits(), 13u);
     stepInLockstep(prog.circuit, 0x5407);
 }
 
-TEST(SimKernels, FusedShorProgramStepsIdentically)
+TEST_P(SimKernels, FusedShorProgramStepsIdentically)
 {
     const auto prog = algo::buildShorProgram(algo::ShorConfig());
     const circuit::Circuit fused = circuit::fuseGates(prog.circuit);
     ASSERT_LT(fused.size(), prog.circuit.size());
     stepInLockstep(fused, 0x5407);
+}
+
+TEST_P(SimKernels, GeneratedProgramsStepIdentically)
+{
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const unsigned n = 2 + seed % 9;
+        stepInLockstep(testgen::monolithicProgram(seed, n, 80), seed);
+        circuit::Circuit gates(n);
+        testgen::ProgramGenerator(gates, seed).appendGates(0, n, 80);
+        stepInLockstep(gates, seed);
+    }
 }
 
 } // anonymous namespace
