@@ -259,10 +259,9 @@ runLocate(benchmark::State &state, locate::Strategy strategy,
     bool found = true;
     for (auto _ : state) {
         const auto report =
-            reg_name == nullptr
-                ? locator.locate()
-                : locator.locateByPredicates(
-                      pair.first.reg(reg_name));
+            locator.locate(reg_name == nullptr
+                               ? locate::Scope()
+                               : locate::Scope(pair.first.reg(reg_name)));
         probes = report.probes.size();
         measurements = report.totalMeasurements;
         pruned = report.prunedBoundaries;
@@ -419,10 +418,9 @@ metricsEpilogue()
         const locate::BugLocator locator(pair.first, pair.second,
                                          cfg);
         const auto report =
-            reg_name == nullptr
-                ? locator.locate()
-                : locator.locateByPredicates(
-                      pair.first.reg(reg_name));
+            locator.locate(reg_name == nullptr
+                               ? locate::Scope()
+                               : locate::Scope(pair.first.reg(reg_name)));
         benchmark::DoNotOptimize(report);
     };
     using assertions::EnsembleMode;

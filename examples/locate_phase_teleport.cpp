@@ -23,6 +23,11 @@
  * escalation: cheap marginal probes first, swap-test re-adjudication
  * only when a decisive swap probe proves the divergence predates the
  * visible bracket.
+ *
+ * Every search below runs on one scope, the receiver register
+ * (`s.locate(good, recv)`, or `locate(recv)` on a BugLocator); the
+ * configured probe family picks the probes for that scope, so
+ * switching families never changes the call.
  */
 
 #include <cmath>
@@ -109,7 +114,8 @@ main()
 
     // Step 1: the computational families see the failure but bracket
     // the verify step — the phase defect is invisible between its
-    // site and the rotation that exposes it.
+    // site and the rotation that exposes it. On a register scope the
+    // default family is the mixture marginal.
     const auto marginal = s.locate(good, recv);
     std::cout << "mixture-marginal family: " << marginal.summary()
               << "\n";
@@ -135,7 +141,7 @@ main()
         s.locateConfig(locate::Strategy::LinearScan);
     scan_cfg.staticPruning = false;
     const locate::BugLocator scanner(bad, good, scan_cfg);
-    const auto swap_scan = scanner.locateByPredicates(recv);
+    const auto swap_scan = scanner.locate(recv);
     std::cout << "\nswap-test probe savings: " << swap.probes.size()
               << " adaptive probes vs " << swap_scan.probes.size()
               << " for the exhaustive scan\n\n";

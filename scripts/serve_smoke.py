@@ -16,6 +16,11 @@ the outside:
    SAME connection then serves a normal request and a sampled-mode
    retry of the same wide program (the daemon survives oracle
    derivation failures),
+ - every locate the locator rejects that a 12-qubit daemon can reach
+   (a width gate, a family the scope does not support, mismatched
+   qubit spaces, no probeable boundary) gets an error response with
+   the locator's message, each followed by a ping on the SAME
+   connection, and a first-instruction defect is then bracketed,
  - SIGTERM drains gracefully: exit status 0 and the atexit QSA_TRACE
    flush produced a well-formed trace file,
  - the store directory actually holds persisted artifacts.
@@ -200,6 +205,89 @@ def check_derive_error_survival(client, socket_path):
              f"{lines[2]}")
 
 
+def ladder_qasm(n, buggy):
+    """An n-qubit GHZ ladder; the suspect adds one T mid-ladder."""
+    lines = ["OPENQASM 2.0;", f"qreg q[{n}];", "h q[0];"]
+    for i in range(1, n):
+        lines.append(f"cx q[{i - 1}],q[{i}];")
+        if buggy and i == n // 2:
+            lines.append(f"t q[{i}];")
+    return "\n".join(lines) + "\n"
+
+
+def check_rejection_survival(client, socket_path):
+    """One connection: every locate the locator rejects at the default
+    12-qubit limit, each answered with the locator's own error and
+    followed by a ping; then a first-instruction defect, which the
+    daemon must bracket at [0, 1)."""
+    def locate(suspect, reference, **fields):
+        return {"command": "locate", "circuit": suspect,
+                "reference": reference, **fields}
+
+    bell = "OPENQASM 2.0;\nqreg a[1];\nqreg b[1];\nh a[0];\ncx a[0],b[0];\n"
+    measure_first = ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
+                     "measure q[0] -> c[0];\nh q[1];\n")
+    rejections = [
+        ("swap-test width gate",
+         locate(ladder_qasm(12, True), ladder_qasm(12, False),
+                family="swap_test"),
+         "support at most 11 qubits (12 requested)"),
+        ("register family on the full space",
+         locate(ladder_qasm(3, True), ladder_qasm(3, False),
+                family="rotated_marginal"),
+         "rotated-marginal probes assert on one register's marginal"),
+        ("auto on a register pair",
+         locate(bell, bell + "x b[0];\n", family="auto",
+                register="a", register_b="b"),
+         "support ProbeFamily::MixtureMarginal only (got auto)"),
+        ("mismatched qubit spaces",
+         locate(ladder_qasm(3, True), ladder_qasm(4, False)),
+         "different qubit spaces (3 vs 4 qubits)"),
+        ("measurement-leading sample_final_state pair",
+         locate(measure_first + "x q[1];\n", measure_first + "h q[1];\n",
+                mode="sample_final_state"),
+         "no probeable instruction boundary"),
+    ]
+    first_defect = locate(
+        "OPENQASM 2.0;\nqreg q[2];\nx q[0];\ncx q[0],q[1];\n",
+        "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n",
+        id="first-defect")
+    batch = []
+    for name, request, _ in rejections:
+        batch.append(json.dumps({"id": name, **request}))
+        batch.append(json.dumps({"id": "ping", "command": "ping"}))
+    batch.append(json.dumps(first_defect))
+    proc = subprocess.run(
+        [client, "--socket", socket_path],
+        input="\n".join(batch) + "\n", capture_output=True,
+        text=True, timeout=120)
+    if proc.returncode != 0:
+        fail("connection died during the rejected locates: client "
+             f"exited {proc.returncode}: {proc.stderr.strip()}")
+    lines = proc.stdout.strip().splitlines()
+    if len(lines) != len(batch):
+        fail(f"expected {len(batch)} responses on one connection, got "
+             f"{len(lines)}: {proc.stdout!r}")
+    docs = [result_member(line, i) for i, line in enumerate(lines)]
+    for k, (name, _, message) in enumerate(rejections):
+        rejected, ping = docs[2 * k], docs[2 * k + 1]
+        if rejected.get("ok") is not False:
+            fail(f"{name}: the locate was not rejected: {lines[2 * k]}")
+        got = rejected.get("error", {}).get("message", "")
+        if message not in got:
+            fail(f"{name}: error {got!r} lacks {message!r}")
+        if ping.get("ok") is not True:
+            fail(f"daemon stopped serving after {name}: "
+                 f"{lines[2 * k + 1]}")
+    result = docs[-1].get("result", {})
+    if docs[-1].get("ok") is not True or \
+            result.get("bug_found") is not True or \
+            (result.get("last_passing"), result.get("first_failing")) \
+            != (0, 1):
+        fail(f"first-instruction defect not bracketed at [0, 1): "
+             f"{lines[-1]}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--serve", required=True)
@@ -239,6 +327,7 @@ def main():
                      f"  warm: {warm.get(key)}")
 
         check_derive_error_survival(args.client, socket_path)
+        check_rejection_survival(args.client, socket_path)
 
         if not any(files for _, _, files in os.walk(store_dir)):
             fail(f"oracle store {store_dir} persisted nothing")

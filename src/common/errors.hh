@@ -3,12 +3,12 @@
  * Recoverable error types shared across layers.
  *
  * Most invariant violations in this codebase are programmer errors and
- * stay fatal (common/logging.hh). Oracle *derivation* failures are
- * different: they are properties of the analysed program (too many
- * measurement branches, a register too wide for dense predicates), the
- * caller may have a fallback (the sampled oracle), and a long-lived
- * daemon must be able to fail one request without dying. DeriveError
- * is the structured, catchable carrier for exactly that class.
+ * stay fatal (common/logging.hh). A rejected request is different: a
+ * long-lived caller (qsa_serve) must be able to fail one request
+ * without dying. qsa::Error is the catchable base for that class:
+ * the locator throws it for every precondition it has, before any
+ * simulation (locate/locate.hh), and DeriveError is the case an
+ * oracle derivation hits part way through.
  */
 
 #ifndef QSA_COMMON_ERRORS_HH
@@ -22,16 +22,26 @@ namespace qsa
 {
 
 /**
+ * The library cannot carry out a request: a configuration, or a
+ * program pair, that it rejects. The message says what to change.
+ */
+class Error : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
  * A reference-oracle derivation failed for a reason inherent to the
  * program under analysis (not a bug in the caller). `where()` names
  * the offending instruction or register so diagnostics — and serve's
  * per-request NDJSON errors — can point at the cause.
  */
-class DeriveError : public std::runtime_error
+class DeriveError : public Error
 {
   public:
     DeriveError(std::string where, const std::string &message)
-        : std::runtime_error(message), where_(std::move(where))
+        : Error(message), where_(std::move(where))
     {
     }
 

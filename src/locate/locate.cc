@@ -6,8 +6,9 @@
 #include "locate/locate.hh"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 
@@ -56,6 +57,31 @@ const std::string kBoundaryPrefix = "qsa_locate_b";
  * program copies keep disjoint classical records.
  */
 const std::string kRefPrefix = "qsa_locate_ref:";
+
+/**
+ * @{ @name Width gates
+ * The widest programs (in qubits) each probe family accepts
+ * (makeProber checks them).
+ */
+
+/**
+ * Swap-test probes simulate two embedded copies plus an ancilla
+ * (2n+1 qubits). Tensor-split trials (LocateConfig::tensorSwapProbes)
+ * touch the 2^(2n+1) space only for the ~n comparator gates, which
+ * lifted this gate from 10; the bound is the comparator's full state
+ * (2^23 amplitudes = 128 MiB per in-flight trial at n = 11). Auto's
+ * escalation is skipped past it.
+ */
+constexpr unsigned kSwapQubitGate = 11;
+
+/** Segment-mirror probes assert on the full qubit space. */
+constexpr unsigned kMirrorQubitGate = 24;
+
+/** Resimulate segment-mirror probes also hold a full-space mixture
+ *  distribution per segment start. */
+constexpr unsigned kResimMirrorQubitGate = 16;
+
+/** @} */
 
 /**
  * Seed salt separating swap-test probe streams from mirror probe
@@ -203,7 +229,7 @@ combineRecords(std::size_t boundary,
     return rec;
 }
 
-/** Probes per LinearScan batch chunk (memory bound, see probeAll). */
+/** Probes per LinearScan batch chunk (memory bound, see scanBatch). */
 constexpr std::size_t kScanChunk = 64;
 
 /**
@@ -219,55 +245,151 @@ clampedCommonBoundary(const circuit::Circuit &suspect,
 {
     const auto &si = suspect.instructions();
     const auto &ri = reference.instructions();
-    std::size_t hi = std::min(si.size(), ri.size());
-    if (!resim) {
-        for (std::size_t i = 0; i < hi; ++i) {
-            const bool blocked =
-                si[i].kind == circuit::GateKind::Measure ||
-                ri[i].kind == circuit::GateKind::Measure ||
-                !si[i].condLabel.empty() || !ri[i].condLabel.empty();
-            if (blocked) {
-                hi = i;
-                break;
-            }
-        }
+    const std::size_t common = std::min(si.size(), ri.size());
+    if (resim)
+        return common;
+    for (std::size_t i = 0; i < common; ++i) {
+        if (si[i].kind == circuit::GateKind::Measure ||
+            ri[i].kind == circuit::GateKind::Measure ||
+            !si[i].condLabel.empty() || !ri[i].condLabel.empty())
+            return i;
     }
-    fatal_if(hi == 0, "no probeable instruction boundary");
-    return hi;
+    return common;
+}
+
+/** Length of the PrepZ prologue both programs share. */
+std::size_t
+commonPrologue(const circuit::Circuit &suspect,
+               const circuit::Circuit &reference)
+{
+    const auto &si = suspect.instructions();
+    const auto &ri = reference.instructions();
+    const std::size_t common = std::min(si.size(), ri.size());
+    std::size_t k = 0;
+    while (k < common && si[k].kind == circuit::GateKind::PrepZ &&
+           ri[k].kind == circuit::GateKind::PrepZ)
+        ++k;
+    return k;
 }
 
 /**
- * Family-wise adjudication of a scanned probe family: Holm-Bonferroni
- * over the probes with standard reject-to-fail semantics. Entangled
- * probes stay at per-probe alpha — their *pass* is the rejection, so
- * a step-down correction would make a correct entangled boundary
- * harder to pass and could bracket defect-free code.
+ * Probeable range of the mirror family: past the common PrepZ
+ * prologue, boundaries the adjoint of the reference can unwind from.
+ * Under final-state sampling that ends at the first non-invertible
+ * or conditioned instruction. Resimulate probes cross measures and
+ * resets as long as both programs perform the identical operation
+ * there; structural divergence ends the mirrorable range (the
+ * bracket still contains it: the last segment's probes fail first).
+ */
+std::size_t
+mirrorRange(const circuit::Circuit &suspect,
+            const circuit::Circuit &reference, bool resim)
+{
+    const auto &si = suspect.instructions();
+    const auto &ri = reference.instructions();
+    const std::size_t common = std::min(si.size(), ri.size());
+    for (std::size_t i = commonPrologue(suspect, reference); i < common;
+         ++i) {
+        if (resim) {
+            if (segmentSpans(si[i]) && segmentSpans(ri[i]))
+                continue;
+            if (alignedNonInvertible(si[i], ri[i]))
+                continue;
+        } else if (probeable(si[i]) && probeable(ri[i])) {
+            continue;
+        }
+        return i;
+    }
+    return common;
+}
+
+/**
+ * Holm-Bonferroni over a scanned probe family, with standard
+ * reject-to-fail semantics. Entangled probes stay at per-probe alpha
+ * — their *pass* is the rejection, so a step-down correction would
+ * make a correct entangled boundary harder to pass and could bracket
+ * defect-free code.
+ */
+void
+holmFamily(std::vector<assertions::AssertionOutcome> &outcomes)
+{
+    std::vector<std::size_t> index;
+    std::vector<assertions::AssertionOutcome> family;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (outcomes[i].spec.kind !=
+            assertions::AssertionKind::Entangled) {
+            index.push_back(i);
+            family.push_back(outcomes[i]);
+        }
+    }
+    assertions::applyHolmBonferroni(family);
+    for (std::size_t j = 0; j < index.size(); ++j)
+        outcomes[index[j]] = family[j];
+}
+
+/** One probe program of a LinearScan batch and what it asserts. */
+struct ScanProbe
+{
+    circuit::Circuit program;
+    std::vector<assertions::AssertionSpec> specs;
+    assertions::CheckConfig config;
+};
+
+/**
+ * The LinearScan batch loop of the mirror, swap and rotated
+ * families: `build(boundary)` returns one boundary's probe programs,
+ * and they run through runtime::BatchRunner in chunks of kScanChunk
+ * boundaries. Each chunk's programs and checkers (a cached 2^n prefix
+ * state per probe) are dropped before the next chunk starts, bounding
+ * the scan's memory. With `family_wise`, holmFamily controls every
+ * outcome of the batch; `fold` then turns each boundary's outcomes,
+ * in build order, into its record.
  */
 std::vector<ProbeRecord>
-adjudicateFamily(const std::vector<std::size_t> &boundaries,
-                 std::vector<assertions::AssertionOutcome> outcomes,
-                 bool family_wise, ProbeFamily family)
+scanBatch(const std::vector<std::size_t> &boundaries, bool family_wise,
+          unsigned num_threads,
+          const std::function<std::vector<ScanProbe>(std::size_t)> &build,
+          const std::function<ProbeRecord(
+              std::size_t,
+              const std::vector<assertions::AssertionOutcome> &)> &fold)
 {
-    if (family_wise) {
-        std::vector<std::size_t> index;
-        std::vector<assertions::AssertionOutcome> family;
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-            if (outcomes[i].spec.kind !=
-                assertions::AssertionKind::Entangled) {
-                index.push_back(i);
-                family.push_back(outcomes[i]);
+    runtime::BatchRunner runner(num_threads);
+    std::vector<assertions::AssertionOutcome> outcomes;
+    std::vector<std::size_t> counts; // outcomes per boundary
+    counts.reserve(boundaries.size());
+    for (std::size_t base = 0; base < boundaries.size();
+         base += kScanChunk) {
+        const std::size_t end =
+            std::min(boundaries.size(), base + kScanChunk);
+        std::vector<ScanProbe> probes;
+        for (std::size_t i = base; i < end; ++i) {
+            std::size_t specs = 0;
+            for (ScanProbe &probe : build(boundaries[i])) {
+                specs += probe.specs.size();
+                probes.push_back(std::move(probe));
             }
+            counts.push_back(specs);
         }
-        assertions::applyHolmBonferroni(family);
-        for (std::size_t j = 0; j < index.size(); ++j)
-            outcomes[index[j]] = family[j];
+        std::vector<runtime::BatchItem> items;
+        items.reserve(probes.size());
+        for (ScanProbe &probe : probes) {
+            items.push_back(
+                {&probe.program, std::move(probe.specs), probe.config});
+        }
+        for (const auto &per_item : runner.checkAll(items)) {
+            outcomes.insert(outcomes.end(), per_item.begin(),
+                            per_item.end());
+        }
     }
-
+    if (family_wise)
+        holmFamily(outcomes);
     std::vector<ProbeRecord> records;
     records.reserve(boundaries.size());
+    auto cursor = outcomes.begin();
     for (std::size_t i = 0; i < boundaries.size(); ++i) {
-        records.push_back(toRecord(boundaries[i], outcomes[i]));
-        records.back().family = family;
+        records.push_back(
+            fold(boundaries[i], {cursor, cursor + counts[i]}));
+        cursor += counts[i];
     }
     return records;
 }
@@ -296,6 +418,10 @@ stripMarkers(const circuit::Circuit &c)
 class Prober
 {
   public:
+    Prober(ProbeFamily family, std::size_t hi) : family(family), hi(hi)
+    {
+    }
+
     virtual ~Prober() = default;
 
     /**
@@ -311,8 +437,11 @@ class Prober
     probeAll(const std::vector<std::size_t> &boundaries,
              bool family_wise) = 0;
 
-    /** Largest probeable boundary. */
-    virtual std::size_t hiBoundary() const = 0;
+    /** The family every record of this prober carries. */
+    const ProbeFamily family;
+
+    /** Largest probeable boundary (at least 1). */
+    const std::size_t hi;
 };
 
 /**
@@ -349,65 +478,21 @@ class MirrorProber : public Prober
   public:
     MirrorProber(const circuit::Circuit &suspect,
                  const circuit::Circuit &reference,
-                 const LocateConfig &cfg)
-        : suspect(suspect), reference(reference), cfg(cfg),
+                 const LocateConfig &cfg, std::size_t hi)
+        : Prober(ProbeFamily::SegmentMirror, hi), suspect(suspect),
+          reference(reference), cfg(cfg),
           resim(cfg.mode == assertions::EnsembleMode::Resimulate),
-          runner(cfg.numThreads)
+          prologue(commonPrologue(suspect, reference))
     {
-        fatal_if(suspect.numQubits() != reference.numQubits(),
-                 "suspect and reference use different qubit spaces");
-        fatal_if(suspect.numQubits() == 0, "empty qubit space");
-        fatal_if(suspect.numQubits() > kMirrorQubitGate,
-                 "mirror probes assert on the full qubit space; ",
-                 suspect.numQubits(), " qubits is too wide — use "
-                 "locateByPredicates on a register instead");
-        fatal_if(resim && suspect.numQubits() > kResimMirrorQubitGate,
-                 "Resimulate mirror probes hold a full-space mixture "
-                 "distribution per segment start; ", suspect.numQubits(),
-                 " qubits is too wide — use locateByPredicates on a "
-                 "register instead");
-
         std::vector<unsigned> qubits(suspect.numQubits());
         for (unsigned q = 0; q < suspect.numQubits(); ++q)
             qubits[q] = q;
         allReg = circuit::QubitRegister("qsa_locate_all", qubits);
 
-        const auto &si = suspect.instructions();
-        const auto &ri = reference.instructions();
-        const std::size_t common = std::min(si.size(), ri.size());
-
-        // Common PrepZ prologue: boundaries at or below it compare
-        // against the reference's tracked classical state; boundaries
-        // above it get the adjoint-of-reference mirror appended.
-        prologue = 0;
-        while (prologue < common &&
-               si[prologue].kind == circuit::GateKind::PrepZ &&
-               ri[prologue].kind == circuit::GateKind::PrepZ)
-            ++prologue;
-
-        hi = common;
-        for (std::size_t i = prologue; i < common; ++i) {
-            if (resim) {
-                // Resimulate probes cross measures and resets as long
-                // as both programs perform the identical operation
-                // there; structural divergence ends the mirrorable
-                // range (the bracket still contains it: the last
-                // segment's probes fail first).
-                if (segmentSpans(si[i]) && segmentSpans(ri[i]))
-                    continue;
-                if (alignedNonInvertible(si[i], ri[i]))
-                    continue;
-            } else if (probeable(si[i]) && probeable(ri[i])) {
-                continue;
-            }
-            hi = i;
-            break;
-        }
-        fatal_if(hi == 0, "no probeable instruction boundary (does "
-                 "the program start with a measurement?)");
-
-        // Exact semi-classical tracking of the reference prologue:
-        // the expected classical value at every boundary <= prologue.
+        // Boundaries at or below the common PrepZ prologue compare
+        // against the reference's classical state, tracked exactly
+        // here; boundaries above it get the adjoint-of-reference
+        // mirror appended.
         sim::StateVector state(reference.numQubits());
         std::map<std::string, std::uint64_t> meas;
         Rng rng(cfg.seed);
@@ -423,6 +508,7 @@ class MirrorProber : public Prober
             // boundary <= k with only invertible instructions in
             // between, i.e. where the adjoint unwind of the reference
             // segment lands.
+            const auto &ri = reference.instructions();
             segStart.resize(hi + 1);
             segStart[0] = 0;
             for (std::size_t k = 1; k <= hi; ++k) {
@@ -486,53 +572,20 @@ class MirrorProber : public Prober
     probeAll(const std::vector<std::size_t> &boundaries,
              bool family_wise) override
     {
-        // Chunked batches: each chunk's checkers (and their cached
-        // prefix statevectors — a full 2^n vector per probe) are
-        // dropped before the next chunk starts, bounding the scan's
-        // memory at kScanChunk prefixes.
-        std::vector<assertions::AssertionOutcome> outcomes;
-        std::vector<std::size_t> spans; // specs per boundary
-        spans.reserve(boundaries.size());
-        for (std::size_t base = 0; base < boundaries.size();
-             base += kScanChunk) {
-            const std::size_t end =
-                std::min(boundaries.size(), base + kScanChunk);
-            std::deque<circuit::Circuit> programs;
-            std::vector<runtime::BatchItem> items;
-            items.reserve(end - base);
-            for (std::size_t i = base; i < end; ++i) {
-                programs.push_back(buildProbe(boundaries[i], nullptr));
+        // Family-wise control covers every component assertion
+        // (mirror specs are never Entangled, so it is plain Holm);
+        // each boundary's components then fold into one record.
+        return scanBatch(
+            boundaries, family_wise, cfg.numThreads,
+            [&](std::size_t boundary) {
                 auto cc = baseConfig(cfg);
-                cc.seed = seedFor(cfg.seed, boundaries[i]);
-                const auto specs =
-                    specsFor(boundaries[i], 0, family_wise);
-                spans.push_back(specs.size());
-                items.push_back({&programs.back(), specs, cc});
-            }
-            for (const auto &per_item : runner.checkAll(items)) {
-                outcomes.insert(outcomes.end(), per_item.begin(),
-                                per_item.end());
-            }
-        }
-        // Family-wise control over every component assertion (mirror
-        // specs are never Entangled, so plain Holm applies), then
-        // fold the components back into one record per boundary.
-        if (family_wise)
-            assertions::applyHolmBonferroni(outcomes);
-        std::vector<ProbeRecord> records;
-        records.reserve(boundaries.size());
-        std::size_t cursor = 0;
-        for (std::size_t i = 0; i < boundaries.size(); ++i) {
-            const std::vector<assertions::AssertionOutcome> group(
-                outcomes.begin() + cursor,
-                outcomes.begin() + cursor + spans[i]);
-            cursor += spans[i];
-            records.push_back(combineOutcomes(boundaries[i], group));
-        }
-        return records;
+                cc.seed = seedFor(cfg.seed, boundary);
+                return std::vector<ScanProbe>{
+                    {buildProbe(boundary, nullptr),
+                     specsFor(boundary, 0, family_wise), cc}};
+            },
+            combineOutcomes);
     }
-
-    std::size_t hiBoundary() const override { return hi; }
 
     /**
      * True when some probeable boundary unwinds onto a measurement
@@ -556,10 +609,8 @@ class MirrorProber : public Prober
     const circuit::Circuit &reference;
     LocateConfig cfg;
     bool resim = false;
-    runtime::BatchRunner runner;
-    circuit::QubitRegister allReg;
     std::size_t prologue = 0;
-    std::size_t hi = 0;
+    circuit::QubitRegister allReg;
     std::vector<std::uint64_t> refValues;
     std::vector<std::size_t> segStart;
     std::unique_ptr<PredicateOracle> oracle;
@@ -729,7 +780,6 @@ class MirrorProber : public Prober
         const std::vector<assertions::AssertionOutcome> &outcomes)
     {
         ProbeRecord rec = combineRecords(boundary, outcomes);
-        rec.family = ProbeFamily::SegmentMirror;
         if (outcomes.size() == 2) {
             rec.phaseAmbiguous = rec.failed && !outcomes[0].passed &&
                                  outcomes[1].passed;
@@ -747,30 +797,24 @@ class MirrorProber : public Prober
 class PredicateProber : public Prober
 {
   public:
+    /**
+     * Under final-state sampling predicate probes survive mid-program
+     * resets (the reference oracle tracks them exactly) but clamp per
+     * clampedCommonBoundary; in Resimulate mode every trial
+     * re-simulates the truncated prefix (measurements included) and
+     * the oracle's predicate is the exact mixture marginal, so every
+     * boundary is probeable.
+     */
     PredicateProber(const circuit::Circuit &suspect,
                     const circuit::Circuit &reference,
-                    const LocateConfig &cfg,
+                    const LocateConfig &cfg, std::size_t hi,
                     const circuit::QubitRegister &reg_a,
                     const circuit::QubitRegister *reg_b)
-        : cfg(cfg), regA(reg_a),
-          instrumented(instrumentBoundaries(suspect)),
+        : Prober(ProbeFamily::MixtureMarginal, hi), cfg(cfg),
+          regA(reg_a), instrumented(instrumentBoundaries(suspect)),
           oracle(reference, reg_a, cfg.seed, oracleOptionsFor(cfg)),
-          checker(probeChecker(instrumented, baseConfig(cfg))),
-          runner(cfg.numThreads)
+          checker(probeChecker(instrumented, baseConfig(cfg)))
     {
-        fatal_if(suspect.numQubits() != reference.numQubits(),
-                 "suspect and reference use different qubit spaces");
-
-        // Under final-state sampling predicate probes survive
-        // mid-program resets (the reference oracle tracks them
-        // exactly) but clamp per clampedCommonBoundary; in Resimulate
-        // mode every trial re-simulates the truncated prefix
-        // (measurements included) and the oracle's predicate is the
-        // exact mixture marginal, so every boundary is probeable.
-        hi = clampedCommonBoundary(
-            suspect, reference,
-            cfg.mode == assertions::EnsembleMode::Resimulate);
-
         if (reg_b != nullptr) {
             regB = *reg_b;
             for (const auto &scoped : scopeDerivedPredicates(suspect))
@@ -782,21 +826,19 @@ class PredicateProber : public Prober
     probe(std::size_t boundary, std::size_t /*floor*/,
           const assertions::EscalationPolicy &policy) override
     {
-        ProbeRecord rec =
-            toRecord(boundary,
-                     checker.checkEscalated(specFor(boundary),
-                                            policy));
-        rec.family = ProbeFamily::MixtureMarginal;
-        return rec;
+        return toRecord(boundary, checker.checkEscalated(
+                                      specFor(boundary), policy));
     }
 
     std::vector<ProbeRecord>
     probeAll(const std::vector<std::size_t> &boundaries,
              bool family_wise) override
     {
-        // Chunked like the mirror scan: the per-chunk checker (and
-        // its one cached prefix statevector per probed breakpoint)
-        // is dropped before the next chunk starts.
+        // Chunked like scanBatch, but one instrumented program carries
+        // every probe: the per-chunk checker (and its one cached
+        // prefix statevector per probed breakpoint) is dropped before
+        // the next chunk starts.
+        runtime::BatchRunner runner(cfg.numThreads);
         std::vector<assertions::AssertionOutcome> outcomes;
         outcomes.reserve(boundaries.size());
         for (std::size_t base = 0; base < boundaries.size();
@@ -813,12 +855,14 @@ class PredicateProber : public Prober
             outcomes.insert(outcomes.end(), chunk.begin(),
                             chunk.end());
         }
-        return adjudicateFamily(boundaries, std::move(outcomes),
-                                family_wise,
-                                ProbeFamily::MixtureMarginal);
+        if (family_wise)
+            holmFamily(outcomes);
+        std::vector<ProbeRecord> records;
+        records.reserve(boundaries.size());
+        for (std::size_t i = 0; i < boundaries.size(); ++i)
+            records.push_back(toRecord(boundaries[i], outcomes[i]));
+        return records;
     }
-
-    std::size_t hiBoundary() const override { return hi; }
 
   private:
     LocateConfig cfg;
@@ -827,9 +871,7 @@ class PredicateProber : public Prober
     circuit::Circuit instrumented;
     PredicateOracle oracle;
     assertions::AssertionChecker checker;
-    runtime::BatchRunner runner;
     std::map<std::size_t, assertions::AssertionKind> scopeKinds;
-    std::size_t hi = 0;
 
     assertions::AssertionSpec
     specFor(std::size_t boundary) const
@@ -883,9 +925,9 @@ class PredicateProber : public Prober
  * full-space comparator's overlap signal is scaled by the squared
  * branch weights once measured qubits make the branches nearly
  * orthogonal, while a register that excludes them keeps a
- * high-purity null (see OverlapOracle). locateByPredicates(reg) with
+ * high-purity null (see OverlapOracle). A register Scope with
  * ProbeFamily::SwapTest/Auto is therefore the sharp tool; the
- * full-space form backs locate()'s families on measure-light
+ * full-space form backs the full scope's families on measure-light
  * programs.
  *
  * Cost: each probe simulates 2n+1 qubits, so the family is gated to
@@ -894,27 +936,21 @@ class PredicateProber : public Prober
 class SwapProber : public Prober
 {
   public:
-    /** @param reg comparator register (nullptr = the full space) */
+    /**
+     * @param reg comparator register (nullptr = the full space)
+     *
+     * In Resimulate mode the probe runs both copies' measurements per
+     * trial, so even structurally diverging programs stay comparable
+     * past them (the range is clampedCommonBoundary's).
+     */
     SwapProber(const circuit::Circuit &suspect,
                const circuit::Circuit &reference,
-               const LocateConfig &cfg,
+               const LocateConfig &cfg, std::size_t hi,
                const circuit::QubitRegister *reg)
-        : suspect(suspect), reference(reference), cfg(cfg),
-          resim(cfg.mode == assertions::EnsembleMode::Resimulate),
-          runner(cfg.numThreads)
+        : Prober(ProbeFamily::SwapTest, hi), suspect(suspect),
+          reference(reference), cfg(cfg), n(suspect.numQubits()),
+          anc(2 * n), ancReg("qsa_swap_anc", {anc})
     {
-        fatal_if(suspect.numQubits() != reference.numQubits(),
-                 "suspect and reference use different qubit spaces");
-        fatal_if(suspect.numQubits() == 0, "empty qubit space");
-        n = suspect.numQubits();
-        fatal_if(n > kSwapQubitGate,
-                 "swap-test probes simulate two embedded program "
-                 "copies plus an ancilla (", 2 * n + 1,
-                 " qubits for this program); ", n, " qubits is too "
-                 "wide — use locateByPredicates with "
-                 "ProbeFamily::RotatedMarginal on a register instead");
-        anc = 2 * n;
-        ancReg = circuit::QubitRegister("qsa_swap_anc", {anc});
         if (reg != nullptr) {
             swapQubits = reg->qubits();
             oracleQubits = reg->qubits();
@@ -925,11 +961,6 @@ class SwapProber : public Prober
             // Empty register selects the oracle's pairwise-fidelity
             // full-space purity (no 2^n x 2^n density matrix).
         }
-
-        // In Resimulate mode the probe runs both copies' measurements
-        // per trial, so even structurally diverging programs stay
-        // comparable past them.
-        hi = clampedCommonBoundary(suspect, reference, resim);
     }
 
     ProbeRecord
@@ -937,17 +968,10 @@ class SwapProber : public Prober
           const assertions::EscalationPolicy &policy) override
     {
         const circuit::Circuit program = buildProbe(boundary);
-        auto cc = baseConfig(cfg);
-        cc.seed = seedFor(cfg.seed ^ kSwapSeedSalt, boundary);
-        if (cfg.tensorSwapProbes)
-            cc.tensorSplit = n;
         const assertions::AssertionChecker checker =
-            probeChecker(program, cc);
-        ProbeRecord rec = toRecord(
-            boundary,
-            checker.checkEscalated(specFor(boundary), policy));
-        rec.family = ProbeFamily::SwapTest;
-        return rec;
+            probeChecker(program, probeConfig(boundary));
+        return toRecord(boundary, checker.checkEscalated(
+                                      specFor(boundary), policy));
     }
 
     std::vector<ProbeRecord>
@@ -963,48 +987,27 @@ class SwapProber : public Prober
             oracle = std::make_unique<OverlapOracle>(
                 reference, oracleQubits, boundaries);
         }
-        std::vector<assertions::AssertionOutcome> outcomes;
-        outcomes.reserve(boundaries.size());
-        for (std::size_t base = 0; base < boundaries.size();
-             base += kScanChunk) {
-            const std::size_t end =
-                std::min(boundaries.size(), base + kScanChunk);
-            std::deque<circuit::Circuit> programs;
-            std::vector<runtime::BatchItem> items;
-            items.reserve(end - base);
-            for (std::size_t i = base; i < end; ++i) {
-                programs.push_back(buildProbe(boundaries[i]));
-                auto cc = baseConfig(cfg);
-                cc.seed =
-                    seedFor(cfg.seed ^ kSwapSeedSalt, boundaries[i]);
-                if (cfg.tensorSwapProbes)
-                    cc.tensorSplit = n;
-                items.push_back({&programs.back(),
-                                 {specFor(boundaries[i])}, cc});
-            }
-            for (const auto &per_item : runner.checkAll(items)) {
-                outcomes.insert(outcomes.end(), per_item.begin(),
-                                per_item.end());
-            }
-        }
-        return adjudicateFamily(boundaries, std::move(outcomes),
-                                family_wise, ProbeFamily::SwapTest);
+        return scanBatch(
+            boundaries, family_wise, cfg.numThreads,
+            [&](std::size_t boundary) {
+                return std::vector<ScanProbe>{{buildProbe(boundary),
+                                               {specFor(boundary)},
+                                               probeConfig(boundary)}};
+            },
+            [](std::size_t boundary, const auto &outcomes) {
+                return toRecord(boundary, outcomes[0]);
+            });
     }
-
-    std::size_t hiBoundary() const override { return hi; }
 
   private:
     const circuit::Circuit &suspect;
     const circuit::Circuit &reference;
     LocateConfig cfg;
-    bool resim = false;
-    runtime::BatchRunner runner;
     unsigned n = 0;
     unsigned anc = 0;
     circuit::QubitRegister ancReg;
     std::vector<unsigned> swapQubits;
     std::vector<unsigned> oracleQubits; // empty = full space
-    std::size_t hi = 0;
 
     /** Eager purity oracle, built on the first probeAll. */
     std::unique_ptr<OverlapOracle> oracle;
@@ -1031,6 +1034,17 @@ class SwapProber : public Prober
             purity = one.purityAt(boundary);
         }
         return purityMemo.emplace(boundary, purity).first->second;
+    }
+
+    /** The boundary's salted stream, tensor-split when enabled. */
+    assertions::CheckConfig
+    probeConfig(std::size_t boundary) const
+    {
+        auto cc = baseConfig(cfg);
+        cc.seed = seedFor(cfg.seed ^ kSwapSeedSalt, boundary);
+        if (cfg.tensorSwapProbes)
+            cc.tensorSplit = n;
+        return cc;
     }
 
     circuit::Circuit
@@ -1095,17 +1109,11 @@ class RotatedProber : public Prober
   public:
     RotatedProber(const circuit::Circuit &suspect,
                   const circuit::Circuit &reference,
-                  const LocateConfig &cfg,
+                  const LocateConfig &cfg, std::size_t hi,
                   const circuit::QubitRegister &reg)
-        : cfg(cfg), regA(reg), suspect(suspect),
-          reference(reference), runner(cfg.numThreads)
+        : Prober(ProbeFamily::RotatedMarginal, hi), cfg(cfg), regA(reg),
+          suspect(suspect), reference(reference)
     {
-        fatal_if(suspect.numQubits() != reference.numQubits(),
-                 "suspect and reference use different qubit spaces");
-
-        hi = clampedCommonBoundary(
-            suspect, reference,
-            cfg.mode == assertions::EnsembleMode::Resimulate);
     }
 
     ProbeRecord
@@ -1117,19 +1125,14 @@ class RotatedProber : public Prober
         for (Frame frame : kAllFrames) {
             const circuit::Circuit program =
                 buildProbe(boundary, frame);
-            auto cc = baseConfig(cfg);
-            cc.seed = seedFor(cfg.seed ^ frameSeedSalt(frame),
-                              boundary);
             const assertions::AssertionChecker checker =
-                probeChecker(program, cc);
+                probeChecker(program, frameConfig(boundary, frame));
             outcomes.push_back(checker.checkEscalated(
                 specFor(oracleAt(boundary), boundary, frame,
                         cfg.alpha / 3.0),
                 policy));
         }
-        ProbeRecord rec = combineRecords(boundary, outcomes);
-        rec.family = ProbeFamily::RotatedMarginal;
-        return rec;
+        return combineRecords(boundary, outcomes);
     }
 
     std::vector<ProbeRecord>
@@ -1148,56 +1151,26 @@ class RotatedProber : public Prober
                 std::vector<Frame>{Frame::Z, Frame::X, Frame::Y},
                 oracleOptionsFor(cfg));
         }
-        std::vector<assertions::AssertionOutcome> outcomes;
-        for (std::size_t base = 0; base < boundaries.size();
-             base += kScanChunk) {
-            const std::size_t end =
-                std::min(boundaries.size(), base + kScanChunk);
-            std::deque<circuit::Circuit> programs;
-            std::vector<runtime::BatchItem> items;
-            items.reserve(3 * (end - base));
-            for (std::size_t i = base; i < end; ++i) {
+        return scanBatch(
+            boundaries, family_wise, cfg.numThreads,
+            [&](std::size_t boundary) {
+                std::vector<ScanProbe> frames;
                 for (Frame frame : kAllFrames) {
-                    programs.push_back(
-                        buildProbe(boundaries[i], frame));
-                    auto cc = baseConfig(cfg);
-                    cc.seed = seedFor(cfg.seed ^ frameSeedSalt(frame),
-                                      boundaries[i]);
-                    items.push_back(
-                        {&programs.back(),
-                         {specFor(*scanOracle, boundaries[i], frame,
-                                  alpha)},
-                         cc});
+                    frames.push_back(
+                        {buildProbe(boundary, frame),
+                         {specFor(*scanOracle, boundary, frame, alpha)},
+                         frameConfig(boundary, frame)});
                 }
-            }
-            for (const auto &per_item : runner.checkAll(items)) {
-                outcomes.insert(outcomes.end(), per_item.begin(),
-                                per_item.end());
-            }
-        }
-        if (family_wise)
-            assertions::applyHolmBonferroni(outcomes);
-        std::vector<ProbeRecord> records;
-        records.reserve(boundaries.size());
-        for (std::size_t i = 0; i < boundaries.size(); ++i) {
-            const std::vector<assertions::AssertionOutcome> group(
-                outcomes.begin() + 3 * i,
-                outcomes.begin() + 3 * (i + 1));
-            records.push_back(combineRecords(boundaries[i], group));
-            records.back().family = ProbeFamily::RotatedMarginal;
-        }
-        return records;
+                return frames;
+            },
+            combineRecords);
     }
-
-    std::size_t hiBoundary() const override { return hi; }
 
   private:
     LocateConfig cfg;
     circuit::QubitRegister regA;
     const circuit::Circuit &suspect;
     const circuit::Circuit &reference;
-    runtime::BatchRunner runner;
-    std::size_t hi = 0;
 
     /** Eager three-frame oracle, built on the first probeAll. */
     std::unique_ptr<PredicateOracle> scanOracle;
@@ -1229,6 +1202,15 @@ class RotatedProber : public Prober
         return *it->second;
     }
 
+    /** The frame's own stream at the boundary. */
+    assertions::CheckConfig
+    frameConfig(std::size_t boundary, Frame frame) const
+    {
+        auto cc = baseConfig(cfg);
+        cc.seed = seedFor(cfg.seed ^ frameSeedSalt(frame), boundary);
+        return cc;
+    }
+
     circuit::Circuit
     buildProbe(std::size_t boundary, Frame frame) const
     {
@@ -1247,8 +1229,43 @@ class RotatedProber : public Prober
     }
 };
 
+/** Log one adjudicated probe into the report and the locate counters. */
+void
+logProbe(LocalizationReport &report, const ProbeRecord &rec)
+{
+    QSA_OBS_COUNTER("locate.probes", 1);
+    QSA_OBS_COUNTER("locate.measurements", rec.ensembleSize);
+    if (rec.failed)
+        QSA_OBS_COUNTER("locate.probe_failures", 1);
+    report.probes.push_back(rec);
+    report.totalMeasurements += rec.ensembleSize;
+}
+
 /**
- * Shared search driver over either probe family. `pruned_lo` is the
+ * Run and log one single-boundary probe. Every single probe — the
+ * search's and an escalation trigger's decisive one — goes through
+ * here, so the trace gets one span per probe, annotated with
+ * family/boundary/verdict.
+ */
+ProbeRecord
+recordProbe(Prober &prober, std::size_t boundary, std::size_t floor,
+            const assertions::EscalationPolicy &policy,
+            LocalizationReport &report)
+{
+    QSA_OBS_SPAN(span, "locate.probe");
+    ProbeRecord rec = prober.probe(boundary, floor, policy);
+    rec.family = prober.family;
+    span.arg("family", probeFamilyName(rec.family))
+        .arg("boundary", rec.boundary)
+        .arg("verdict", rec.failed ? "fail" : "pass")
+        .arg("p_value", rec.pValue)
+        .arg("ensemble", rec.ensembleSize);
+    logProbe(report, rec);
+    return rec;
+}
+
+/**
+ * The search every probe family shares. `pruned_lo` is the
  * static pre-pass' certified-equivalent boundary: every boundary up to
  * it provably passes (the suspect and reference prefixes act
  * identically up to global phase, and every probe statistic is
@@ -1260,7 +1277,8 @@ runSearch(Prober &prober, const LocateConfig &cfg,
           std::size_t pruned_lo = 0)
 {
     LocalizationReport report;
-    const std::size_t top = prober.hiBoundary();
+    report.decidedBy = prober.family;
+    const std::size_t top = prober.hi;
     // The probeable range can end below the certified boundary (e.g.
     // clamped at the first Measure); the certificate still covers the
     // clamped range.
@@ -1282,32 +1300,12 @@ runSearch(Prober &prober, const LocateConfig &cfg,
     const assertions::EscalationPolicy confirm{
         cfg.maxEnsembleSize, cfg.maxEnsembleSize, cfg.passThreshold};
 
-    const auto add = [&](const ProbeRecord &rec) {
-        QSA_OBS_COUNTER("locate.probes", 1);
-        QSA_OBS_COUNTER("locate.measurements", rec.ensembleSize);
-        if (rec.failed)
-            QSA_OBS_COUNTER("locate.probe_failures", 1);
-        report.probes.push_back(rec);
-        report.totalMeasurements += rec.ensembleSize;
-        return rec;
-    };
-
     // The bracket's passing lower bound, handed to every probe.
     std::size_t lo = pruned_lo;
-
-    // Every single-boundary probe goes through here so the trace gets
-    // one span per probe, annotated with family/boundary/verdict.
     const auto probeOne =
         [&](std::size_t boundary,
             const assertions::EscalationPolicy &policy) {
-            QSA_OBS_SPAN(span, "locate.probe");
-            const ProbeRecord rec = prober.probe(boundary, lo, policy);
-            span.arg("family", probeFamilyName(rec.family))
-                .arg("boundary", rec.boundary)
-                .arg("verdict", rec.failed ? "fail" : "pass")
-                .arg("p_value", rec.pValue)
-                .arg("ensemble", rec.ensembleSize);
-            return add(rec);
+            return recordProbe(prober, boundary, lo, policy, report);
         };
 
     if (cfg.strategy == Strategy::LinearScan) {
@@ -1320,9 +1318,10 @@ runSearch(Prober &prober, const LocateConfig &cfg,
         std::size_t first_failing = 0;
         QSA_OBS_SPAN(scan_span, "locate.scan");
         scan_span.arg("boundaries", boundaries.size());
-        for (const auto &rec :
+        for (ProbeRecord &rec :
              prober.probeAll(boundaries, cfg.holmBonferroni)) {
-            add(rec);
+            rec.family = prober.family;
+            logProbe(report, rec);
             if (rec.failed && first_failing == 0)
                 first_failing = rec.boundary;
         }
@@ -1495,6 +1494,143 @@ phaseAmbiguousVerdict(const LocalizationReport &report,
     return false;
 }
 
+/** Throw qsa::Error with the streamed message unless `ok`. */
+template <typename... Args>
+void
+require(bool ok, Args &&...args)
+{
+    if (!ok)
+        throw Error(messageString(std::forward<Args>(args)...));
+}
+
+/**
+ * The one place that knows which family runs on which scope (the
+ * table in locate.hh's file comment). Auto gets its cheap prober
+ * here, and its escalation asks for SwapTest on the same scope. Every
+ * precondition is checked before a prober is built, so a rejected
+ * pair throws qsa::Error before anything is simulated.
+ */
+std::unique_ptr<Prober>
+makeProber(ProbeFamily family, const Scope &scope,
+           const circuit::Circuit &suspect,
+           const circuit::Circuit &reference, const LocateConfig &cfg)
+{
+    const auto &regs = scope.registers();
+    const unsigned n = suspect.numQubits();
+    const bool resim = cfg.mode == assertions::EnsembleMode::Resimulate;
+    require(n == reference.numQubits(),
+            "suspect and reference use different qubit spaces (", n,
+            " vs ", reference.numQubits(), " qubits)");
+    require(n > 0, "empty qubit space");
+    for (const auto &reg : regs) {
+        const auto &qs = reg.qubits();
+        require(!qs.empty() &&
+                    *std::max_element(qs.begin(), qs.end()) < n,
+                "register '", reg.name(),
+                "' is empty or reaches past the ", n, "-qubit space");
+    }
+
+    const bool mirror =
+        regs.empty() && (family == ProbeFamily::SegmentMirror ||
+                         family == ProbeFamily::Auto);
+    const bool swap = regs.size() < 2 && family == ProbeFamily::SwapTest;
+    require(!regs.empty() || mirror || swap, probeFamilyName(family),
+            " probes assert on one register's marginal; localize on a "
+            "register scope instead");
+    require(regs.size() < 2 || family == ProbeFamily::SegmentMirror ||
+                family == ProbeFamily::MixtureMarginal,
+            "scope-inherited two-register probes support "
+            "ProbeFamily::MixtureMarginal only (got ",
+            probeFamilyName(family), ")");
+    require(!mirror || n <= kMirrorQubitGate,
+            "segment-mirror probes assert on the full qubit space and "
+            "support at most ", kMirrorQubitGate, " qubits (", n,
+            " requested); localize on a register scope instead");
+    require(!mirror || !resim || n <= kResimMirrorQubitGate,
+            "Resimulate segment-mirror probes hold a full-space mixture "
+            "per segment start and support at most ",
+            kResimMirrorQubitGate, " qubits (", n,
+            " requested); localize on a register scope instead");
+    require(!swap || n <= kSwapQubitGate,
+            "swap-test probes simulate two program copies plus an "
+            "ancilla and support at most ", kSwapQubitGate, " qubits (",
+            n, " requested); use rotated-marginal probes on a register "
+            "scope instead");
+    const std::size_t hi =
+        mirror ? mirrorRange(suspect, reference, resim)
+               : clampedCommonBoundary(suspect, reference, resim);
+    require(hi > 0, "no probeable instruction boundary (is a program "
+                    "empty, or does it start with a measurement?)");
+
+    if (mirror) {
+        return std::make_unique<MirrorProber>(suspect, reference, cfg,
+                                              hi);
+    }
+    if (swap) {
+        return std::make_unique<SwapProber>(
+            suspect, reference, cfg, hi,
+            regs.empty() ? nullptr : &regs[0]);
+    }
+    if (family == ProbeFamily::RotatedMarginal) {
+        return std::make_unique<RotatedProber>(suspect, reference, cfg,
+                                               hi, regs[0]);
+    }
+    return std::make_unique<PredicateProber>(
+        suspect, reference, cfg, hi, regs[0],
+        regs.size() == 2 ? &regs[1] : nullptr);
+}
+
+/**
+ * ProbeFamily::Auto's one escalation step, a trigger on the cheap
+ * verdict and a sharper witness to re-check with (the shape of Rovara
+ * et al.'s assertion refinement). `trigger` may spend decisive probes
+ * of the swap prober it is handed (recordProbe logs them ahead of the
+ * swap search's). When it fires, a swap-test search on the same scope
+ * decides the report if it brackets a defect; the cheap probes stay
+ * in the log as the evidence for escalating. Past the swap-test gate,
+ * or when the swap oracle cannot derive, the cheap verdict stands.
+ */
+void
+escalate(LocalizationReport &report, const Scope &scope,
+         const circuit::Circuit &suspect,
+         const circuit::Circuit &reference, const LocateConfig &cfg,
+         std::size_t pruned,
+         const std::function<bool(Prober &swap,
+                                  LocalizationReport &report)> &trigger)
+{
+    const std::string cheap = probeFamilyName(report.decidedBy);
+    if (suspect.numQubits() > kSwapQubitGate) {
+        warn("program too wide for swap-test escalation (",
+             suspect.numQubits(), " > ", kSwapQubitGate,
+             " qubits); keeping the ", cheap, " bracket");
+        return;
+    }
+    try {
+        const auto swap = makeProber(ProbeFamily::SwapTest, scope,
+                                     suspect, reference, cfg);
+        if (!trigger(*swap, report))
+            return;
+        QSA_OBS_COUNTER("locate.swap_escalations", 1);
+        obs::instant("locate.escalate_swap_test");
+        LocalizationReport refined = runSearch(*swap, cfg, pruned);
+        std::vector<ProbeRecord> probes = std::move(report.probes);
+        probes.insert(probes.end(), refined.probes.begin(),
+                      refined.probes.end());
+        const std::size_t measurements =
+            report.totalMeasurements + refined.totalMeasurements;
+        if (refined.bugFound)
+            report = std::move(refined);
+        report.probes = std::move(probes);
+        report.totalMeasurements = measurements;
+        report.escalatedToSwapTest = true;
+    } catch (const DeriveError &err) {
+        // The swap family's purity oracle is exact-only (a
+        // wide-measurement program past the branch cap).
+        warn("swap-test escalation unavailable (", err.what(),
+             "); keeping the ", cheap, " bracket");
+    }
+}
+
 } // anonymous namespace
 
 std::string
@@ -1540,241 +1676,77 @@ LocalizationReport::summary() const
     return os.str();
 }
 
+Scope::Scope(circuit::QubitRegister reg) : regs{std::move(reg)} {}
+
+Scope::Scope(circuit::QubitRegister reg_a, circuit::QubitRegister reg_b)
+    : regs{std::move(reg_a), std::move(reg_b)}
+{
+}
+
 BugLocator::BugLocator(const circuit::Circuit &suspect,
                        const circuit::Circuit &reference,
                        const LocateConfig &config)
     : suspect(suspect), reference(reference), config(config)
 {
-    fatal_if(config.ensembleSize == 0,
-             "probe ensemble size must be positive");
-    fatal_if(config.maxEnsembleSize < config.ensembleSize,
-             "escalation cap below the probe ensemble size");
-    fatal_if(config.alpha <= 0.0 || config.alpha >= 1.0,
-             "alpha must lie strictly between 0 and 1");
+    require(config.ensembleSize > 0,
+            "probe ensemble size must be positive");
+    require(config.maxEnsembleSize >= config.ensembleSize,
+            "escalation cap below the probe ensemble size");
+    require(config.alpha > 0.0 && config.alpha < 1.0,
+            "alpha must lie strictly between 0 and 1");
     // passThreshold <= alpha is legal: the inconclusive band is then
     // empty and probes simply never escalate (the pre-knob behaviour
     // for alpha >= 0.30 configs).
-    fatal_if(config.passThreshold < 0.0 || config.passThreshold > 1.0,
-             "escalation pass threshold ", config.passThreshold,
-             " outside [0, 1]");
+    require(config.passThreshold >= 0.0 && config.passThreshold <= 1.0,
+            "escalation pass threshold ", config.passThreshold,
+            " outside [0, 1]");
 }
 
 LocalizationReport
-BugLocator::locate() const
+BugLocator::locate(const Scope &scope) const
 {
-    fatal_if(config.family == ProbeFamily::MixtureMarginal ||
-                 config.family == ProbeFamily::RotatedMarginal,
-             probeFamilyName(config.family), " probes assert on one "
-             "register's marginal; call locateByPredicates(reg) "
-             "instead");
-
+    const std::unique_ptr<Prober> prober =
+        makeProber(config.family, scope, suspect, reference, config);
     const std::size_t pruned =
         config.staticPruning
             ? analyze::equivalentPrefixBoundary(suspect, reference)
             : 0;
+    LocalizationReport report = runSearch(*prober, config, pruned);
 
-    if (config.family == ProbeFamily::SwapTest) {
-        SwapProber prober(suspect, reference, config, nullptr);
-        LocalizationReport report = runSearch(prober, config, pruned);
-        report.decidedBy = ProbeFamily::SwapTest;
-        resolveTailDivergence(report, suspect, reference,
-                              prober.hiBoundary());
-        annotate(report, suspect);
-        return report;
-    }
-
-    MirrorProber prober(suspect, reference, config);
-    LocalizationReport report = runSearch(prober, config, pruned);
-    report.decidedBy = ProbeFamily::SegmentMirror;
-    std::size_t probed_hi = prober.hiBoundary();
-
-    if (config.family == ProbeFamily::Auto &&
-        phaseAmbiguousVerdict(report, prober.hasMixtureSegments())) {
-        // The mirror verdict cannot pin (or rule out) divergence
-        // whose only trace is a relative phase: re-adjudicate with
-        // the family whose witness is phase-sound and let it decide
-        // the bracket. The mirror probes stay in the log — they are
-        // the evidence the escalation was warranted. On programs too
-        // wide for the two-copy probes the cheap verdict stands as
-        // is (an Auto search must not die in a family it can only
-        // escalate to).
-        if (suspect.numQubits() > kSwapQubitGate) {
-            warn("phase-ambiguous mirror verdict, but ",
-                 suspect.numQubits(), " qubits exceeds the ",
-                 kSwapQubitGate, "-qubit swap-test gate; keeping the "
-                 "segment-mirror bracket unescalated");
-            resolveTailDivergence(report, suspect, reference,
-                                  probed_hi);
-            annotate(report, suspect);
-            return report;
-        }
-        try {
-            SwapProber swapper(suspect, reference, config, nullptr);
-            QSA_OBS_COUNTER("locate.swap_escalations", 1);
-            obs::instant("locate.escalate_swap_test");
-            LocalizationReport refined =
-                runSearch(swapper, config, pruned);
-            const bool swap_decides = refined.bugFound;
-            LocalizationReport merged =
-                swap_decides ? refined : report;
-            merged.decidedBy = swap_decides
-                                   ? ProbeFamily::SwapTest
-                                   : ProbeFamily::SegmentMirror;
-            merged.escalatedToSwapTest = true;
-            std::vector<ProbeRecord> all = report.probes;
-            all.insert(all.end(), refined.probes.begin(),
-                       refined.probes.end());
-            merged.probes = std::move(all);
-            merged.totalMeasurements =
-                report.totalMeasurements + refined.totalMeasurements;
-            if (swap_decides)
-                probed_hi = swapper.hiBoundary();
-            report = std::move(merged);
-        } catch (const DeriveError &err) {
-            // The swap family's purity oracle is exact-only; when it
-            // cannot derive (wide-measurement program past the
-            // branch cap) the cheap verdict stands.
-            warn("swap-test escalation unavailable (", err.what(),
-                 "); keeping the segment-mirror bracket");
-        }
-    }
-
-    resolveTailDivergence(report, suspect, reference, probed_hi);
-    annotate(report, suspect);
-    return report;
-}
-
-LocalizationReport
-BugLocator::locateByPredicates(const circuit::QubitRegister &reg) const
-{
-    const std::size_t pruned =
-        config.staticPruning
-            ? analyze::equivalentPrefixBoundary(suspect, reference)
-            : 0;
-
-    if (config.family == ProbeFamily::RotatedMarginal) {
-        RotatedProber prober(suspect, reference, config, reg);
-        LocalizationReport report = runSearch(prober, config, pruned);
-        report.decidedBy = ProbeFamily::RotatedMarginal;
-        resolveTailDivergence(report, suspect, reference,
-                              prober.hiBoundary());
-        annotate(report, suspect);
-        return report;
-    }
-
-    if (config.family == ProbeFamily::SwapTest) {
-        SwapProber prober(suspect, reference, config, &reg);
-        LocalizationReport report = runSearch(prober, config, pruned);
-        report.decidedBy = ProbeFamily::SwapTest;
-        resolveTailDivergence(report, suspect, reference,
-                              prober.hiBoundary());
-        annotate(report, suspect);
-        return report;
-    }
-
-    PredicateProber prober(suspect, reference, config, reg, nullptr);
-    LocalizationReport report = runSearch(prober, config, pruned);
-    report.decidedBy = ProbeFamily::MixtureMarginal;
-    std::size_t probed_hi = prober.hiBoundary();
-
-    if (config.family == ProbeFamily::Auto &&
-        suspect.numQubits() > kSwapQubitGate) {
-        // An Auto search must not die constructing a family it may
-        // never need: past the swap-test gate the marginal verdict
-        // stands as is.
-        warn("program too wide for swap-test escalation (",
-             suspect.numQubits(), " > ", kSwapQubitGate,
-             " qubits); keeping the mixture-marginal bracket");
+    if (config.family == ProbeFamily::Auto && scope.registers().empty()) {
+        // A phase-ambiguous mirror verdict cannot pin (or rule out)
+        // divergence whose only trace is a relative phase.
+        // makeProber gives the full space's Auto the mirror prober.
+        const bool ambiguous = phaseAmbiguousVerdict(
+            report, static_cast<const MirrorProber &>(*prober)
+                        .hasMixtureSegments());
+        escalate(report, scope, suspect, reference, config, pruned,
+                 [&](Prober &, LocalizationReport &) {
+                     return ambiguous;
+                 });
     } else if (config.family == ProbeFamily::Auto) {
-        try {
-        // A register marginal is a first-*visible* witness, never a
-        // defect-site witness: the bracket may sit instructions past
-        // the defect (phase divergence transported into the marginal
-        // by a later rotation), and an all-passing run cannot rule
-        // phase divergence out. One swap-test probe decides whether
-        // escalation is warranted: at the marginal bracket's
-        // lastPassing boundary when a bracket exists (a failure there
-        // proves the divergence predates the visible bracket), at
-        // the top boundary otherwise.
-        SwapProber swapper(suspect, reference, config, &reg);
+        // A register marginal is a first-*visible* witness: its
+        // bracket may sit past the defect, and an all-passing run
+        // cannot rule phase divergence out. One decisive swap-test
+        // probe at the bracket's lastPassing (a failure there proves
+        // the divergence predates the visible bracket), or at the top
+        // boundary when nothing failed, decides.
         const assertions::EscalationPolicy decisive{
             config.maxEnsembleSize, config.maxEnsembleSize,
             config.passThreshold};
-        const std::size_t checkAt =
-            report.bugFound ? report.lastPassing
-                            : swapper.hiBoundary();
-        bool escalate = false;
-        if (checkAt > 0) {
-            QSA_OBS_SPAN(span, "locate.probe");
-            const ProbeRecord check =
-                swapper.probe(checkAt, pruned, decisive);
-            span.arg("family", probeFamilyName(check.family))
-                .arg("boundary", check.boundary)
-                .arg("verdict", check.failed ? "fail" : "pass")
-                .arg("p_value", check.pValue)
-                .arg("ensemble", check.ensembleSize);
-            QSA_OBS_COUNTER("locate.probes", 1);
-            QSA_OBS_COUNTER("locate.measurements",
-                            check.ensembleSize);
-            if (check.failed)
-                QSA_OBS_COUNTER("locate.probe_failures", 1);
-            report.probes.push_back(check);
-            report.totalMeasurements += check.ensembleSize;
-            escalate = check.failed;
-        }
-        if (escalate) {
-            QSA_OBS_COUNTER("locate.swap_escalations", 1);
-            obs::instant("locate.escalate_swap_test");
-            LocalizationReport refined =
-                runSearch(swapper, config, pruned);
-            LocalizationReport merged =
-                refined.bugFound ? refined : report;
-            merged.decidedBy = refined.bugFound
-                                   ? ProbeFamily::SwapTest
-                                   : ProbeFamily::MixtureMarginal;
-            merged.escalatedToSwapTest = true;
-            std::vector<ProbeRecord> all = report.probes;
-            all.insert(all.end(), refined.probes.begin(),
-                       refined.probes.end());
-            merged.probes = std::move(all);
-            merged.totalMeasurements =
-                report.totalMeasurements + refined.totalMeasurements;
-            if (refined.bugFound)
-                probed_hi = swapper.hiBoundary();
-            report = std::move(merged);
-        }
-        } catch (const DeriveError &err) {
-            // The swap family's purity oracle is exact-only; when it
-            // cannot derive (wide-measurement program past the
-            // branch cap) the marginal verdict stands.
-            warn("swap-test escalation unavailable (", err.what(),
-                 "); keeping the mixture-marginal bracket");
-        }
+        escalate(report, scope, suspect, reference, config, pruned,
+                 [&](Prober &swap, LocalizationReport &cheap) {
+                     const std::size_t at =
+                         cheap.bugFound ? cheap.lastPassing : swap.hi;
+                     return at > 0 && recordProbe(swap, at, pruned,
+                                                  decisive, cheap)
+                                          .failed;
+                 });
     }
 
-    resolveTailDivergence(report, suspect, reference, probed_hi);
-    annotate(report, suspect);
-    return report;
-}
-
-LocalizationReport
-BugLocator::locateByPredicates(const circuit::QubitRegister &reg_a,
-                               const circuit::QubitRegister &reg_b) const
-{
-    fatal_if(config.family != ProbeFamily::SegmentMirror &&
-                 config.family != ProbeFamily::MixtureMarginal,
-             "scope-inherited two-register probes support "
-             "ProbeFamily::MixtureMarginal only (got ",
-             probeFamilyName(config.family), ")");
-    const std::size_t pruned =
-        config.staticPruning
-            ? analyze::equivalentPrefixBoundary(suspect, reference)
-            : 0;
-    PredicateProber prober(suspect, reference, config, reg_a, &reg_b);
-    LocalizationReport report = runSearch(prober, config, pruned);
-    report.decidedBy = ProbeFamily::MixtureMarginal;
-    resolveTailDivergence(report, suspect, reference,
-                          prober.hiBoundary());
+    // A bracket the swap search found never needs its range: the
+    // tail is only blamed when no probe failed.
+    resolveTailDivergence(report, suspect, reference, prober->hi);
     annotate(report, suspect);
     return report;
 }

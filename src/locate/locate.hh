@@ -26,9 +26,26 @@
  *     converged bracket are re-adjudicated on escalated ensembles
  *     (assertions::EscalationPolicy) before the verdict is final.
  *
- * Two probe families are offered:
+ * One entry point, BugLocator::locate(scope), serves every search.
+ * The Scope says what is compared: the full qubit space, one
+ * register, or a register pair. The scope and LocateConfig::family
+ * together pick the probe family:
  *
- *  - *Mirror probes* (locate()): the probe program is the suspect
+ *    scope          family                         probes
+ *    full space     SegmentMirror, Auto            mirror
+ *                   SwapTest                       full-space swap test
+ *    one register   SegmentMirror, MixtureMarginal predicate
+ *                   RotatedMarginal                rotated predicate
+ *                   SwapTest                       register swap test
+ *                   Auto                           predicate
+ *    register pair  SegmentMirror, MixtureMarginal predicate, plus
+ *                                                  scope-inherited kinds
+ *
+ * Auto starts with the cheap probes of its row and may escalate to
+ * the swap test on the same scope (see the last bullet below). Every
+ * other combination is rejected. The two classic families are:
+ *
+ *  - *Mirror probes* (full space): the probe program is the suspect
  *    prefix followed by the adjoint of the reference prefix, asserted
  *    classically equal to the initial state. Any behavioural
  *    divergence — including pure phase errors invisible to
@@ -36,11 +53,13 @@
  *    one, so the bracketed interval provably contains a diverging
  *    instruction. Requires the compared region to be unitary.
  *
- *  - *Predicate probes* (locateByPredicates()): the suspect program is
+ *  - *Predicate probes* (a register scope): the suspect program is
  *    instrumented at every boundary and each probe tests the oracle's
  *    marginal predicate for one register. Cheaper per probe, tolerant
  *    of mid-program resets (bug type 1 fixtures), blind to phase-only
- *    divergence until it reaches the measured marginal.
+ *    divergence until it reaches the measured marginal. A register
+ *    pair additionally probes entangled/product kinds on the pair at
+ *    the suspect's ComputeScope boundaries.
  *
  * The LinearScan strategy checks *every* boundary in one batch under
  * Holm-Bonferroni family-wise control — the statistically-sound
@@ -120,13 +139,28 @@
  * LocalizationReport::prunedBoundaries records the win.
  *
  *  - ProbeFamily::Auto is the per-segment witness-selection layer:
- *    run the cheap segment-mirror search first; when its verdict is
- *    *phase-ambiguous* — the deciding probe failed only through a
+ *    run the cheap search first, then one escalation step — a
+ *    trigger on the cheap verdict and a sharper witness to re-check
+ *    with, the shape of Rovara et al.'s assertion refinement. When
+ *    the trigger fires, a swap-test search on the same scope
+ *    adjudicates the final bracket (LocalizationReport::decidedBy).
+ *    On the full space the trigger is a *phase-ambiguous* mirror
+ *    verdict: the deciding probe failed only through a
  *    computational-marginal component whose segment unwind passed,
  *    or every probe passed even though post-measurement segments
- *    carry no phase-sound witness — escalate to a swap-test search
- *    and let the family with the sound witness adjudicate the final
- *    bracket (LocalizationReport::decidedBy).
+ *    carry no phase-sound witness. On one register it is one
+ *    decisive swap-test probe failing at the marginal bracket's
+ *    lastPassing boundary (or at the top boundary when nothing
+ *    failed). Programs wider than the swap-test gate (11 qubits)
+ *    keep the cheap verdict.
+ *
+ * Preconditions: BugLocator::locate throws qsa::Error before any
+ * static analysis or simulation when it cannot probe the pair — a
+ * family the scope does not support, qubit spaces that differ or are
+ * empty, a register outside the space, a program wider than its
+ * family's gate (24 qubits for mirrors, 16 for Resimulate mirrors,
+ * 11 for swap tests), or no probeable instruction boundary. The
+ * BugLocator constructor throws it for an out-of-range LocateConfig.
  */
 
 #ifndef QSA_LOCATE_LOCATE_HH
@@ -156,9 +190,8 @@ enum class Strategy
 
 /**
  * Which probe family adjudicates a boundary (see the file comment's
- * witness-soundness taxonomy). SegmentMirror / SwapTest / Auto drive
- * locate() on the full qubit space; MixtureMarginal / RotatedMarginal
- * drive locateByPredicates() on one register.
+ * witness-soundness taxonomy, and its table for the families each
+ * Scope accepts).
  */
 enum class ProbeFamily
 {
@@ -187,36 +220,6 @@ enum class ProbeFamily
 /** Human-readable probe-family name. */
 std::string probeFamilyName(ProbeFamily family);
 
-/**
- * @{ @name Width gates
- * The widest programs (in qubits) each full-space probe family
- * accepts; wider programs are rejected when the prober is built.
- * Exported so front ends (serve::validateLocate) reject such requests
- * up front with the locator's own bounds instead of a drifting copy.
- */
-
-/**
- * Swap-test probes simulate two embedded copies plus an ancilla
- * (2n+1 qubits). Also the Auto paths' escalation-availability check:
- * an Auto search on a wider program keeps its cheap family's verdict
- * instead of dying in a prober it may never need. Tensor-split probe
- * trials (LocateConfig::tensorSwapProbes) simulate the two halves on
- * 2^n states and touch the 2^(2n+1) space only for the ~n comparator
- * gates, which lifted this gate from the historical 10; the bound is
- * the comparator's full-size state itself (2^23 amplitudes = 128 MiB
- * per in-flight trial at n = 11).
- */
-inline constexpr unsigned kSwapQubitGate = 11;
-
-/** Segment-mirror probes assert on the full qubit space. */
-inline constexpr unsigned kMirrorQubitGate = 24;
-
-/** Resimulate segment-mirror probes also hold a full-space mixture
- *  distribution per segment start. */
-inline constexpr unsigned kResimMirrorQubitGate = 16;
-
-/** @} */
-
 /** Localization configuration. */
 struct LocateConfig
 {
@@ -224,14 +227,14 @@ struct LocateConfig
     Strategy strategy = Strategy::AdaptiveBinarySearch;
 
     /**
-     * Probe family. locate() accepts SegmentMirror, SwapTest, and
-     * Auto (full-space comparators); the one-register
-     * locateByPredicates() accepts MixtureMarginal, RotatedMarginal,
-     * SwapTest, and Auto, with the comparator scoped to the register
-     * — the sensitive form past measurements. SegmentMirror, the
-     * config default, selects the classic family per entry point
-     * (mirrors for locate(), mixture marginals for
-     * locateByPredicates), so existing callers keep their probes.
+     * Probe family, chosen per Scope (the file comment's table). The
+     * full space accepts SegmentMirror, SwapTest and Auto; one
+     * register accepts all five, with the swap-test comparator scoped
+     * to the register — the sensitive form past measurements; a
+     * register pair accepts SegmentMirror and MixtureMarginal.
+     * SegmentMirror, the default, selects each scope's classic
+     * family: mirrors on the full space, mixture marginals on a
+     * register.
      */
     ProbeFamily family = ProbeFamily::SegmentMirror;
 
@@ -407,6 +410,36 @@ struct LocalizationReport
 };
 
 /**
+ * What a localization compares: the full qubit space (the default),
+ * one register's marginal, or a register pair (the first register's
+ * marginal, plus entangled/product kinds on the pair inherited from
+ * the suspect's ComputeScope boundaries). A register converts to a
+ * one-register scope.
+ */
+class Scope
+{
+  public:
+    /** The full qubit space. */
+    Scope() = default;
+
+    /** One register. */
+    Scope(circuit::QubitRegister reg);
+
+    /** A register pair. */
+    Scope(circuit::QubitRegister reg_a, circuit::QubitRegister reg_b);
+
+    /** None for the full space, else the one or two registers. */
+    const std::vector<circuit::QubitRegister> &
+    registers() const
+    {
+        return regs;
+    }
+
+  private:
+    std::vector<circuit::QubitRegister> regs;
+};
+
+/**
  * See file comment. A locator is bound to one (suspect, reference)
  * program pair on the same qubit space.
  */
@@ -417,41 +450,25 @@ class BugLocator
      * @param suspect the program whose end-to-end assertion fails
      * @param reference the trusted program it should agree with
      * @param config search/ensemble configuration
+     * @throws qsa::Error when a LocateConfig field is out of range
      */
     BugLocator(const circuit::Circuit &suspect,
                const circuit::Circuit &reference,
                const LocateConfig &config = LocateConfig());
 
     /**
-     * Localize over the full qubit space with the configured family:
-     * mirror probes (default; phase-sensitive where the compared
-     * region is unitary), full-space swap-test probes, or Auto
-     * (mirrors first, swap-test escalation on a phase-ambiguous
-     * verdict).
+     * Localize over `scope` with the configured family (the file
+     * comment's table): for example mirror probes on the full space,
+     * mixture marginals on a register, or Auto's cheap search with
+     * its swap-test escalation step.
+     *
+     * @throws qsa::Error before any static analysis or simulation
+     *         when the locator cannot probe the pair on this scope
+     *         (the file comment's "Preconditions")
+     * @throws qsa::DeriveError when the reference oracle cannot be
+     *         derived (predicates.hh)
      */
-    LocalizationReport locate() const;
-
-    /**
-     * Localize on one register with the configured family: the
-     * oracle's outcome-marginal predicates (default), the
-     * rotated-basis Z/X/Y marginal triple, register-scoped swap-test
-     * comparator probes, or Auto — the cheap marginal search first,
-     * escalating to swap-test probes when a decisive swap probe at
-     * the marginal bracket's lastPassing boundary (or at the top
-     * boundary, when nothing failed) shows the divergence predates
-     * what any computational marginal can see.
-     */
-    LocalizationReport
-    locateByPredicates(const circuit::QubitRegister &reg) const;
-
-    /**
-     * As locateByPredicates(reg_a), additionally inheriting
-     * entangled/product probe kinds on (reg_a, reg_b) at ComputeScope
-     * boundaries of the suspect program.
-     */
-    LocalizationReport
-    locateByPredicates(const circuit::QubitRegister &reg_a,
-                       const circuit::QubitRegister &reg_b) const;
+    LocalizationReport locate(const Scope &scope = Scope()) const;
 
   private:
     circuit::Circuit suspect;

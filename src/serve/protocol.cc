@@ -150,98 +150,22 @@ parseCircuitField(const json::Value &doc, const char *field,
 }
 
 /**
- * Pre-guard the locate-layer fatal preconditions that depend on the
- * pair of programs (see the validate notes in protocol.hh): the
- * daemon must reject these as error responses, not die on fatal().
+ * The request-shape checks of a locate: named registers must exist,
+ * and 'register_b' needs 'register'. Everything else the locator
+ * rejects, it rejects itself (qsa::Error, before any simulation).
  */
 std::string
-validateLocate(const Request &request, const Limits &limits)
+validateLocate(const Request &request)
 {
-    const circuit::Circuit &suspect = request.circuit;
-    const circuit::Circuit &reference = *request.reference;
-
-    if (suspect.numQubits() != reference.numQubits())
-        return "'circuit' and 'reference' use different qubit "
-               "spaces (" +
-               std::to_string(suspect.numQubits()) + " vs " +
-               std::to_string(reference.numQubits()) + " qubits)";
-
-    // The probe range clamps at boundary 0 (a locator fatal) when the
-    // programs' heads are not comparable: reject measurement-leading
-    // or structurally mismatched first instructions up front.
-    const circuit::GateKind head_s = suspect.instructions()[0].kind;
-    const circuit::GateKind head_r = reference.instructions()[0].kind;
-    if (head_s != head_r)
-        return "'circuit' and 'reference' start with different "
-               "instruction kinds; no probeable boundary exists";
-    if (head_s == circuit::GateKind::Measure)
-        return "programs starting with a measurement have no "
-               "probeable boundary";
-
-    // No static pre-guard on measurement count: the exact oracle's
-    // branch-cap overflow depends on measurement *structure* (each
-    // measured qubit at most doubles the branch count, but branches
-    // on zero-probability outcomes never open), so a count bound
-    // would reject programs the oracle handles fine. The oracle
-    // throws qsa::DeriveError past the cap — Auto mode falls back to
-    // the sampled oracle, and handleRequestLine turns an Exact-mode
-    // overflow into a per-request error response naming the
-    // offending instruction.
-
-    const bool marginal = !request.registerA.empty();
-    if (marginal) {
-        if (!hasRegister(suspect, request.registerA))
-            return "'register': unknown register '" +
-                   request.registerA + "'";
-        if (suspect.reg(request.registerA).width() > 10)
-            return "'register': register '" + request.registerA +
-                   "' is too wide for marginal probes (max 10 "
-                   "qubits)";
-        if (!request.registerB.empty()) {
-            if (!hasRegister(suspect, request.registerB))
-                return "'register_b': unknown register '" +
-                       request.registerB + "'";
-            if (request.family !=
-                    locate::ProbeFamily::SegmentMirror &&
-                request.family !=
-                    locate::ProbeFamily::MixtureMarginal)
-                return "two-register locate supports only the "
-                       "mixture_marginal family";
-        }
-    } else {
-        if (!request.registerB.empty())
-            return "'register_b' requires 'register'";
-        if (request.family == locate::ProbeFamily::MixtureMarginal ||
-            request.family == locate::ProbeFamily::RotatedMarginal)
-            return "marginal probe families require 'register'";
+    if (!request.registerB.empty() && request.registerA.empty())
+        return "'register_b' requires 'register'";
+    for (const auto &[field, name] :
+         {std::pair{"register", &request.registerA},
+          std::pair{"register_b", &request.registerB}}) {
+        if (!name->empty() && !hasRegister(request.circuit, *name))
+            return std::string("'") + field + "': unknown register '" +
+                   *name + "'";
     }
-
-    // The locator's prober width gates (locate.hh) fatal when a
-    // prober is built, so reject past them here. Full-space locates
-    // of every family but swap_test build segment-mirror probes;
-    // swap-test probes simulate 2n+1 qubits (Auto escalation past
-    // that gate skips itself gracefully).
-    const unsigned width = suspect.numQubits();
-    if (!marginal && request.family != locate::ProbeFamily::SwapTest) {
-        const bool resim =
-            request.mode == assertions::EnsembleMode::Resimulate;
-        const unsigned gate = resim ? locate::kResimMirrorQubitGate
-                                    : locate::kMirrorQubitGate;
-        if (width > gate)
-            return std::string(resim ? "resimulate " : "") +
-                   "segment-mirror probes support at most " +
-                   std::to_string(gate) + " qubits (" +
-                   std::to_string(width) +
-                   " requested); pass 'register' to probe one "
-                   "register's marginal instead";
-    }
-    if (request.family == locate::ProbeFamily::SwapTest &&
-        width > locate::kSwapQubitGate)
-        return "swap_test probes support at most " +
-               std::to_string(locate::kSwapQubitGate) + " qubits (" +
-               std::to_string(width) + " requested)";
-
-    (void)limits;
     return "";
 }
 
@@ -375,17 +299,15 @@ executeLocate(const Request &request)
     s.probes(request.family);
     s.oracle(request.oracleMode, request.oracleTrials);
 
-    locate::LocalizationReport report =
-        request.registerA.empty()
-            ? s.locate(*request.reference, request.strategy)
-        : request.registerB.empty()
-            ? s.locate(*request.reference,
-                       request.circuit.reg(request.registerA),
-                       request.strategy)
-            : s.locate(*request.reference,
-                       request.circuit.reg(request.registerA),
-                       request.circuit.reg(request.registerB),
-                       request.strategy);
+    locate::Scope scope;
+    if (!request.registerB.empty()) {
+        scope = locate::Scope(request.circuit.reg(request.registerA),
+                              request.circuit.reg(request.registerB));
+    } else if (!request.registerA.empty()) {
+        scope = request.circuit.reg(request.registerA);
+    }
+    const locate::LocalizationReport report =
+        s.locate(*request.reference, scope, request.strategy);
 
     json::Value out = json::Value::object();
     out.set("bug_found", json::Value::boolean(report.bugFound));
@@ -641,8 +563,7 @@ parseRequest(const json::Value &doc, Request *request,
                     return false;
                 }
             }
-            const std::string locate_error =
-                validateLocate(*request, limits);
+            const std::string locate_error = validateLocate(*request);
             if (!locate_error.empty()) {
                 *error = locate_error;
                 return false;
@@ -708,9 +629,13 @@ handleRequestLine(const std::string &line, const Limits &limits)
         QSA_OBS_COUNTER("serve.requests.derive_errors", 1);
         return errorResponse(request.id, e.what(), nullptr,
                              e.where());
+    } catch (const Error &e) {
+        // A pair or configuration the library rejects (every locator
+        // precondition): thrown before any simulation ran.
+        return errorResponse(request.id, e.what(), nullptr);
     } catch (const std::exception &e) {
-        // Belt and braces: no execute path should throw on a
-        // validated request, but a daemon never dies on one either.
+        // Belt and braces: no execute path should throw anything
+        // else, but a daemon never dies on one either.
         return errorResponse(request.id,
                              std::string("internal error: ") +
                                  e.what(),

@@ -49,17 +49,22 @@
  * Robustness: parseRequest/handleRequestLine never fatal on request
  * content. Malformed JSON, bad QASM (positioned via
  * circuit::tryFromQasm), unknown commands, invalid plans
- * (session::validatePlan), and over-limit circuits all produce
- * "ok": false responses. executeRequest assumes a request that passed
- * parseRequest — by then the fatal paths in the session/locate layers
- * have been pre-validated away, with one deliberate exception:
- * program-inherent oracle derivation failures (qsa::DeriveError —
- * e.g. a wide-measurement reference past the exact oracle's branch
- * cap) depend on measurement *structure*, not any statically checkable
- * count, so they surface at execute time. handleRequestLine catches
- * them into "ok": false responses whose error object carries the
- * offending "instruction" — the daemon answers the request and keeps
- * serving.
+ * (session::validatePlan), unknown register names, and over-limit
+ * circuits all produce "ok": false responses from parseRequest. Two
+ * library errors surface from executeRequest instead, and
+ * handleRequestLine turns both into "ok": false responses while the
+ * daemon keeps serving:
+ *
+ *  - qsa::Error: a locate the locator rejects (a family the scope
+ *    does not support, mismatched qubit spaces, a program wider than
+ *    its probe family's gate, no probeable boundary). The locator
+ *    checks these itself before any simulation, so the daemon holds
+ *    no copy of its rules.
+ *  - qsa::DeriveError: program-inherent oracle derivation failures
+ *    (e.g. a wide-measurement reference past the exact oracle's
+ *    branch cap). They depend on measurement *structure*, not any
+ *    statically checkable count; the error object carries the
+ *    offending "instruction".
  */
 
 #ifndef QSA_SERVE_PROTOCOL_HH
@@ -84,7 +89,8 @@ namespace qsa::serve
  * Resource ceilings a request must respect — the daemon's protection
  * against well-formed but absurd work (a 30-qubit statevector, a
  * billion-trial ensemble). Limits violations are rejected at parse
- * time with an explanatory error response.
+ * time with an explanatory error response; a probe family's own width
+ * gate is the locator's to enforce.
  */
 struct Limits
 {
@@ -101,7 +107,11 @@ struct Limits
     std::size_t maxInstructions = 4096;
 };
 
-/** A parsed, validated request — executeRequest cannot fail on it. */
+/**
+ * A parsed request with a well-formed shape. executeRequest can still
+ * throw qsa::Error on it when the library rejects the work it asks
+ * for (see the file comment's robustness notes).
+ */
 struct Request
 {
     /** Echoed verbatim into the response ("id" member; Null when
@@ -151,10 +161,11 @@ bool parseRequest(const json::Value &doc, Request *request,
                   const Limits &limits = Limits());
 
 /**
- * Execute a validated request and return its deterministic "result"
+ * Execute a parsed request and return its deterministic "result"
  * payload (see the file comment's contract). Runs the full
  * session/locate machinery — this is the call the dispatcher fans
- * out over the worker pool.
+ * out over the worker pool. Throws qsa::Error (DeriveError included)
+ * when the library rejects the work; handleRequestLine catches it.
  */
 json::Value executeRequest(const Request &request);
 

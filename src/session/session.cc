@@ -572,6 +572,7 @@ Session::locateConfig(locate::Strategy strategy) const
 
 locate::LocalizationReport
 Session::locate(const circuit::Circuit &reference,
+                const locate::Scope &scope,
                 locate::Strategy strategy) const
 {
     // Localization probes the *original* program: boundary markers
@@ -579,28 +580,7 @@ Session::locate(const circuit::Circuit &reference,
     // locator's boundary indexing.
     const locate::BugLocator locator(original, reference,
                                      locateConfig(strategy));
-    return locator.locate();
-}
-
-locate::LocalizationReport
-Session::locate(const circuit::Circuit &reference,
-                const circuit::QubitRegister &reg_a,
-                locate::Strategy strategy) const
-{
-    const locate::BugLocator locator(original, reference,
-                                     locateConfig(strategy));
-    return locator.locateByPredicates(reg_a);
-}
-
-locate::LocalizationReport
-Session::locate(const circuit::Circuit &reference,
-                const circuit::QubitRegister &reg_a,
-                const circuit::QubitRegister &reg_b,
-                locate::Strategy strategy) const
-{
-    const locate::BugLocator locator(original, reference,
-                                     locateConfig(strategy));
-    return locator.locateByPredicates(reg_a, reg_b);
+    return locator.locate(scope);
 }
 
 } // namespace qsa::session

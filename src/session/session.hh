@@ -275,9 +275,9 @@ class Session
 
     /**
      * Probe family for locate() (locate::LocateConfig::family
-     * semantics). The default keeps the classic families per
-     * overload: segment mirrors for the full-space locate(),
-     * mixture marginals for the register overloads. Select
+     * semantics: the family is chosen per scope). The default keeps
+     * each scope's classic family: segment mirrors on the full space,
+     * mixture marginals on a register. Select
      * locate::ProbeFamily::SwapTest for the phase-sound comparator
      * probes, or locate::ProbeFamily::Auto to run the cheap
      * mirror-marginal search first and auto-escalate to swap-test
@@ -414,38 +414,25 @@ class Session
 
     /**
      * Localize the first diverging instruction against a trusted
-     * reference program with mirror probes (phase-sensitive; the
-     * compared region must be unitary under the default ensemble
-     * mode). Seed, threads, ensemble mode, and any escalation policy
-     * carry over from the session — in particular, a session running
-     * in EnsembleMode::Resimulate (`s.mode(...)`) hands that mode to
-     * the locator, whose probes then cross mid-circuit measurements
-     * (see locate::LocateConfig::mode).
+     * reference program over `scope` — the full qubit space by
+     * default, one register, or a register pair — with the probe
+     * family set by probes() (locate::BugLocator::locate). The
+     * default family gives mirror probes on the full space
+     * (phase-sensitive; the compared region must be unitary under the
+     * default ensemble mode) and outcome-marginal predicates on a
+     * register (tolerant of mid-program resets). Seed, threads,
+     * ensemble mode, oracle mode and any escalation policy carry over
+     * from the session — in particular, a session running in
+     * EnsembleMode::Resimulate (`s.mode(...)`) hands that mode to the
+     * locator, whose probes then cross mid-circuit measurements (see
+     * locate::LocateConfig::mode).
+     *
+     * @throws qsa::Error when the locator rejects the configuration,
+     *         the program pair, or the family on this scope
      */
     locate::LocalizationReport
     locate(const circuit::Circuit &reference,
-           locate::Strategy strategy =
-               locate::Strategy::AdaptiveBinarySearch) const;
-
-    /**
-     * Localize with boundary predicates on one register's outcome
-     * marginal (tolerant of mid-program resets).
-     */
-    locate::LocalizationReport
-    locate(const circuit::Circuit &reference,
-           const circuit::QubitRegister &reg_a,
-           locate::Strategy strategy =
-               locate::Strategy::AdaptiveBinarySearch) const;
-
-    /**
-     * As the one-register overload, additionally inheriting
-     * entangled/product probe kinds on (reg_a, reg_b) at ComputeScope
-     * boundaries.
-     */
-    locate::LocalizationReport
-    locate(const circuit::Circuit &reference,
-           const circuit::QubitRegister &reg_a,
-           const circuit::QubitRegister &reg_b,
+           const locate::Scope &scope = locate::Scope(),
            locate::Strategy strategy =
                locate::Strategy::AdaptiveBinarySearch) const;
 

@@ -440,12 +440,12 @@ TEST(PredicateLocate, WrongInitialValueBrackets)
     const QubitRegister y = fx.suspect.reg("y");
 
     const BugLocator locator(fx.suspect, fx.reference, testConfig());
-    const auto report = locator.locateByPredicates(y);
+    const auto report = locator.locate(y);
     expectLocalizes(fx, report);
 
     const BugLocator linear(fx.suspect, fx.reference,
                             testConfig(Strategy::LinearScan));
-    const auto scan = linear.locateByPredicates(y);
+    const auto scan = linear.locate(y);
     expectLocalizes(fx, scan);
     EXPECT_LT(report.probes.size(), scan.probes.size());
 }
@@ -458,11 +458,11 @@ TEST(PredicateLocate, ThreadCountInvariant)
     const auto a = BugLocator(fx.suspect, fx.reference,
                               testConfig(
                                   Strategy::AdaptiveBinarySearch, 1))
-                       .locateByPredicates(y);
+                       .locate(y);
     const auto b = BugLocator(fx.suspect, fx.reference,
                               testConfig(
                                   Strategy::AdaptiveBinarySearch, 3))
-                       .locateByPredicates(y);
+                       .locate(y);
     EXPECT_EQ(a.lastPassing, b.lastPassing);
     EXPECT_EQ(a.firstFailing, b.firstFailing);
     ASSERT_EQ(a.probes.size(), b.probes.size());
@@ -510,7 +510,7 @@ TEST(PredicateLocate, ScopeInheritedKindsParticipate)
     // this test is about the probes themselves, so scan everything.
     cfg.staticPruning = false;
     const BugLocator locator(fx.suspect, fx.reference, cfg);
-    const auto report = locator.locateByPredicates(work, q);
+    const auto report = locator.locate({work, q});
     expectLocalizes(fx, report);
 
     // The scope labels contributed inherited probe kinds.
@@ -765,9 +765,9 @@ TEST(LocatePruning, PredicateProbesPruneToo)
     off.staticPruning = false;
 
     const auto pruned = BugLocator(fx.suspect, fx.reference, on)
-                            .locateByPredicates(y);
+                            .locate(y);
     const auto unpruned = BugLocator(fx.suspect, fx.reference, off)
-                              .locateByPredicates(y);
+                              .locate(y);
     expectLocalizes(fx, pruned);
     expectLocalizes(fx, unpruned);
     EXPECT_EQ(pruned.lastPassing, unpruned.lastPassing);
@@ -818,7 +818,7 @@ TEST(KernelLevelInvariance, ProbeLogsMatchTheBaselineLevel)
     runs.push_back({init.name, [init] {
                         return BugLocator(init.suspect, init.reference,
                                           testConfig())
-                            .locateByPredicates(init.suspect.reg("y"));
+                            .locate(init.suspect.reg("y"));
                     }});
     algo::ShorConfig good;
     algo::ShorConfig bad;

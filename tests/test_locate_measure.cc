@@ -402,7 +402,7 @@ TEST(MeasureLocate, PredicateProbesCrossMeasurements)
 
     const BugLocator linear(fx.suspect, fx.reference,
                             measureConfig(Strategy::LinearScan));
-    const auto scan = linear.locateByPredicates(recv);
+    const auto scan = linear.locate(recv);
     expectLocalizes(fx, scan);
     // The probeable range extends to the end of the program, not to
     // the first measure; the boundaries the static pre-pass certified
@@ -416,8 +416,7 @@ TEST(MeasureLocate, PredicateProbesCrossMeasurements)
                                          "broken-mirror");
     const BugLocator adaptive(late.suspect, late.reference,
                               measureConfig());
-    const auto report = adaptive.locateByPredicates(
-        late.suspect.reg("recv"));
+    const auto report = adaptive.locate(late.suspect.reg("recv"));
     expectLocalizes(late, report);
     EXPECT_LT(report.probes.size(), scan.probes.size());
 }
@@ -582,10 +581,10 @@ TEST(MeasureFreeRegression, PredicateTrajectoryIdentical)
     cfg.maxEnsembleSize = 1024;
 
     const auto truncate =
-        BugLocator(fx.suspect, fx.reference, cfg).locateByPredicates(y);
+        BugLocator(fx.suspect, fx.reference, cfg).locate(y);
     cfg.mode = assertions::EnsembleMode::Resimulate;
     const auto resim =
-        BugLocator(fx.suspect, fx.reference, cfg).locateByPredicates(y);
+        BugLocator(fx.suspect, fx.reference, cfg).locate(y);
     expectSameTrajectory(truncate, resim, fx.name);
 }
 
@@ -628,7 +627,7 @@ TEST(PhaseBlindSpot, SwapTestBracketsTheDefect)
 
     const BugLocator locator(fx.suspect, fx.reference,
                              zFrameConfig(ProbeFamily::SwapTest));
-    const auto report = locator.locateByPredicates(recv);
+    const auto report = locator.locate(recv);
 
     expectLocalizes(fx, report);
     EXPECT_EQ(report.suspectBegin(), kZFrameDefect)
@@ -648,13 +647,13 @@ TEST(PhaseBlindSpot, SwapTestFewerProbesThanLinearScan)
     LocateConfig fast_cfg = zFrameConfig(ProbeFamily::SwapTest);
     fast_cfg.staticPruning = false;
     const BugLocator adaptive(fx.suspect, fx.reference, fast_cfg);
-    const auto fast = adaptive.locateByPredicates(recv);
+    const auto fast = adaptive.locate(recv);
 
     LocateConfig scan_cfg =
         zFrameConfig(ProbeFamily::SwapTest, Strategy::LinearScan);
     scan_cfg.staticPruning = false;
     const BugLocator linear(fx.suspect, fx.reference, scan_cfg);
-    const auto scan = linear.locateByPredicates(recv);
+    const auto scan = linear.locate(recv);
 
     expectLocalizes(fx, fast);
     expectLocalizes(fx, scan);
@@ -673,7 +672,7 @@ TEST(PhaseBlindSpot, SwapTestThreadCountInvariant)
             fx.suspect, fx.reference,
             zFrameConfig(ProbeFamily::SwapTest,
                          Strategy::AdaptiveBinarySearch, threads));
-        reports.push_back(locator.locateByPredicates(recv));
+        reports.push_back(locator.locate(recv));
     }
     const auto &a = reports.front();
     for (std::size_t r = 1; r < reports.size(); ++r) {
@@ -700,10 +699,10 @@ TEST(PhaseBlindSpot, SwapTestSeedInvariantInterval)
 
     LocateConfig cfg = zFrameConfig(ProbeFamily::SwapTest);
     const auto a = BugLocator(fx.suspect, fx.reference, cfg)
-                       .locateByPredicates(recv);
+                       .locate(recv);
     cfg.seed = 0xfeedbeef;
     const auto b = BugLocator(fx.suspect, fx.reference, cfg)
-                       .locateByPredicates(recv);
+                       .locate(recv);
     EXPECT_EQ(a.lastPassing, b.lastPassing);
     EXPECT_EQ(a.firstFailing, b.firstFailing);
     EXPECT_EQ(a.suspectBegin(), kZFrameDefect);
@@ -742,7 +741,7 @@ TEST(PhaseBlindSpot, ComputationalFamiliesBracketOnlyTheVerifyStep)
         fx.suspect, fx.reference,
         zFrameConfig(ProbeFamily::MixtureMarginal,
                      Strategy::LinearScan));
-    const auto marginal_scan = marginal.locateByPredicates(recv);
+    const auto marginal_scan = marginal.locate(recv);
     ASSERT_TRUE(marginal_scan.bugFound) << marginal_scan.summary();
     EXPECT_GT(marginal_scan.suspectBegin(), kZFrameDefect)
         << marginal_scan.summary();
@@ -773,7 +772,7 @@ TEST(PhaseBlindSpot, RotatedMarginalSeesTheFrameDefectInPlace)
     const BugLocator locator(
         fx.suspect, fx.reference,
         zFrameConfig(ProbeFamily::RotatedMarginal));
-    const auto report = locator.locateByPredicates(recv);
+    const auto report = locator.locate(recv);
 
     expectLocalizes(fx, report);
     EXPECT_EQ(report.suspectBegin(), kZFrameDefect)
@@ -788,7 +787,7 @@ TEST(PhaseBlindSpot, AutoEscalatesFromMarginalsToSwapTest)
 
     const BugLocator locator(fx.suspect, fx.reference,
                              zFrameConfig(ProbeFamily::Auto));
-    const auto report = locator.locateByPredicates(recv);
+    const auto report = locator.locate(recv);
 
     expectLocalizes(fx, report);
     EXPECT_TRUE(report.escalatedToSwapTest) << report.summary();
@@ -819,7 +818,7 @@ TEST(PhaseBlindSpot, AutoDoesNotEscalateWhenTheMarginalBracketHolds)
 
     const BugLocator locator(fx.suspect, fx.reference,
                              zFrameConfig(ProbeFamily::Auto));
-    const auto report = locator.locateByPredicates(recv);
+    const auto report = locator.locate(recv);
 
     expectLocalizes(fx, report);
     EXPECT_FALSE(report.escalatedToSwapTest) << report.summary();
@@ -898,10 +897,10 @@ TEST(PhaseBlindSpot, AutoFallsBackToMarginalsPastTheSwapGate)
     cfg.maxEnsembleSize = 1024;
     cfg.family = ProbeFamily::Auto;
     const auto agile = BugLocator(fx.suspect, fx.reference, cfg)
-                           .locateByPredicates(q);
+                           .locate(q);
     cfg.family = ProbeFamily::MixtureMarginal;
     const auto marginal = BugLocator(fx.suspect, fx.reference, cfg)
-                              .locateByPredicates(q);
+                              .locate(q);
 
     expectLocalizes(fx, agile);
     EXPECT_FALSE(agile.escalatedToSwapTest);
@@ -937,12 +936,18 @@ TEST(LocateValidation, RejectsPassThresholdOutsideUnitInterval)
 {
     const Fixture fx = zFrameFixture();
     LocateConfig cfg = measureConfig();
-    cfg.passThreshold = 1.5;
-    EXPECT_EXIT((BugLocator(fx.suspect, fx.reference, cfg)),
-                ::testing::ExitedWithCode(1), "outside \\[0, 1\\]");
-    cfg.passThreshold = -0.1;
-    EXPECT_EXIT((BugLocator(fx.suspect, fx.reference, cfg)),
-                ::testing::ExitedWithCode(1), "outside \\[0, 1\\]");
+    for (double threshold : {1.5, -0.1}) {
+        cfg.passThreshold = threshold;
+        EXPECT_THROW((BugLocator(fx.suspect, fx.reference, cfg)),
+                     qsa::Error);
+        try {
+            BugLocator(fx.suspect, fx.reference, cfg);
+        } catch (const qsa::Error &err) {
+            EXPECT_NE(std::string(err.what()).find("outside [0, 1]"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(LocateValidation, RegisterFamiliesRejectedOnFullSpaceLocate)
@@ -951,8 +956,14 @@ TEST(LocateValidation, RegisterFamiliesRejectedOnFullSpaceLocate)
     LocateConfig cfg = measureConfig();
     cfg.family = ProbeFamily::RotatedMarginal;
     const BugLocator locator(fx.suspect, fx.reference, cfg);
-    EXPECT_EXIT(locator.locate(), ::testing::ExitedWithCode(1),
-                "locateByPredicates");
+    EXPECT_THROW(locator.locate(), qsa::Error);
+    try {
+        locator.locate();
+    } catch (const qsa::Error &err) {
+        EXPECT_NE(std::string(err.what()).find("register scope"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(LocateValidation, BranchCapDiagnosticNamesTheInstruction)

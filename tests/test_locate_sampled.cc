@@ -38,6 +38,7 @@ using qsa::circuit::Circuit;
 using qsa::circuit::Instruction;
 using qsa::circuit::QubitRegister;
 
+#if QSA_OBS_ENABLED
 std::int64_t
 counterValue(const std::string &name)
 {
@@ -46,6 +47,7 @@ counterValue(const std::string &name)
             return value;
     return 0;
 }
+#endif
 
 bool
 sameInstruction(const Instruction &a, const Instruction &b)
@@ -407,20 +409,36 @@ TEST(WideMeasurement, ExactModeThrowsDeriveError)
 TEST(WideMeasurement, AutoFallsBackToSampledAndBracketsTheDefect)
 {
     const Fixture fx = wideQpeFixture();
+#if QSA_OBS_ENABLED
     const std::int64_t fallbacks0 =
         counterValue("locate.oracle.sampled_fallbacks");
     const std::int64_t trials0 =
         counterValue("locate.oracle.sampled_trials");
+#endif
 
-    const BugLocator locator(fx.suspect, fx.reference,
-                             sampledConfig(OracleMode::Auto));
+    const LocateConfig cfg = sampledConfig(OracleMode::Auto);
+    const BugLocator locator(fx.suspect, fx.reference, cfg);
     const auto report = locator.locate();
     expectLocalizes(fx, report);
 
+    // The fallback's witness in every build: the reference's Auto
+    // oracle over the full space (the mirror probes' register) is a
+    // sampled one.
+    std::vector<unsigned> all(fx.reference.numQubits());
+    for (unsigned q = 0; q < all.size(); ++q)
+        all[q] = q;
+    OracleOptions auto_mode;
+    auto_mode.mode = OracleMode::Auto;
+    EXPECT_TRUE(PredicateOracle(fx.reference, QubitRegister("all", all),
+                                cfg.seed, auto_mode)
+                    .sampled())
+        << "Auto mode never hit the sampled fallback";
+#if QSA_OBS_ENABLED
     EXPECT_GT(counterValue("locate.oracle.sampled_fallbacks"),
               fallbacks0)
         << "Auto mode never hit the sampled fallback";
     EXPECT_GT(counterValue("locate.oracle.sampled_trials"), trials0);
+#endif
 }
 
 TEST(WideMeasurement, AdaptiveUsesFewerProbesThanLinearScan)

@@ -141,6 +141,10 @@ TEST(TraceFlush, ChildWorkload)
 
 TEST(TraceFlush, AtexitFlushSurvivesPoolTeardown)
 {
+#if !QSA_OBS_ENABLED
+    GTEST_SKIP() << "tracing is compiled out (QSA_OBS=OFF): no "
+                    "QSA_TRACE file to flush";
+#endif
     if (std::getenv("QSA_SHUTDOWN_CHILD") != nullptr)
         GTEST_SKIP() << "child process runs ChildWorkload only";
 

@@ -269,8 +269,8 @@ TEST(TensorSplitLocate, SwapProbeBracketParity)
                                 swapConfig(true, strategy));
         const BugLocator monolithic(pair.suspect, pair.reference,
                                     swapConfig(false, strategy));
-        const auto a = staged.locateByPredicates(q);
-        const auto b = monolithic.locateByPredicates(q);
+        const auto a = staged.locate(q);
+        const auto b = monolithic.locate(q);
 
         // The staged and monolithic probes draw the same trial
         // streams against the same overlap Bernoulli, so the whole
@@ -292,7 +292,7 @@ TEST(TensorSplitLocate, StagedProbesThreadCountInvariant)
         LocateConfig cfg = swapConfig(true);
         cfg.numThreads = threads;
         const BugLocator locator(pair.suspect, pair.reference, cfg);
-        reports.push_back(locator.locateByPredicates(q));
+        reports.push_back(locator.locate(q));
     }
     for (std::size_t r = 1; r < reports.size(); ++r) {
         expectSameBrackets(reports.front(), reports[r]);
