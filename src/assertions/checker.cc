@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "circuit/scopes.hh"
 #include "common/bits.hh"
@@ -32,10 +33,10 @@ assertionKindName(AssertionKind kind)
     panic("unknown assertion kind");
 }
 
-AssertionChecker::AssertionChecker(const circuit::Circuit &prog,
+AssertionChecker::AssertionChecker(circuit::Circuit prog,
                                    const CheckConfig &cfg,
                                    runtime::CheckpointStore *checkpoints)
-    : program(prog), config(cfg)
+    : program(std::move(prog)), config(cfg)
 {
     fatal_if(config.ensembleSize == 0,
              "ensemble size must be positive");

@@ -35,13 +35,15 @@ class AssertionChecker
 {
   public:
     /**
-     * @param program the full instrumented program (with breakpoints)
+     * @param program the full instrumented program (with breakpoints),
+     *        taken by value: pass an rvalue (a freshly built probe) to
+     *        move it in, an lvalue to copy it
      * @param config ensemble/test configuration
      * @param checkpoints prefix-state store shared with other
      *        checkers (runtime/checkpoint.hh), or null; outcomes are
      *        identical either way. Must outlive the checker.
      */
-    AssertionChecker(const circuit::Circuit &program,
+    AssertionChecker(circuit::Circuit program,
                      const CheckConfig &config = CheckConfig(),
                      runtime::CheckpointStore *checkpoints = nullptr);
 
@@ -49,7 +51,7 @@ class AssertionChecker
 
     /**
      * Non-copyable: the embedded runtime::EnsembleEngine is bound to
-     * this checker's program copy (and owns the prefix caches).
+     * this checker's own program (and owns the prefix caches).
      */
     AssertionChecker(const AssertionChecker &) = delete;
     AssertionChecker &operator=(const AssertionChecker &) = delete;

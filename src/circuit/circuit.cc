@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <set>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
+#include "obs/obs.hh"
 
 namespace qsa::circuit
 {
@@ -52,56 +52,164 @@ Circuit::checkQubit(unsigned q) const
              nQubits, " qubits)");
 }
 
+namespace
+{
+
+/** Qubit lists up to this long are checked for repeats pairwise. */
+constexpr std::size_t kPairwiseScan = 16;
+
+/**
+ * True when some qubit occurs twice in `qubits`. A list holds a few
+ * qubits, so a pairwise scan needs no allocation; only a wide Measure
+ * or Unitary list is sorted, in a copy.
+ */
+bool
+hasRepeat(const std::vector<unsigned> &qubits)
+{
+    if (qubits.size() > kPairwiseScan) {
+        std::vector<unsigned> sorted(qubits);
+        std::sort(sorted.begin(), sorted.end());
+        return std::adjacent_find(sorted.begin(), sorted.end()) !=
+               sorted.end();
+    }
+    for (auto it = qubits.begin(); it != qubits.end(); ++it) {
+        if (std::find(qubits.begin(), it, *it) != it)
+            return true;
+    }
+    return false;
+}
+
+/** A breakpoint marker. */
+Instruction
+marker(std::string label)
+{
+    Instruction i;
+    i.kind = GateKind::Breakpoint;
+    i.label = std::move(label);
+    return i;
+}
+
+/**
+ * True when `label` is "<prefix><k>" for a boundary k <= last: a name
+ * withBoundaryBreakpoints(prefix) generates (std::to_string never
+ * pads with zeros).
+ */
+bool
+namesBoundary(const std::string &label, const std::string &prefix,
+              std::size_t last)
+{
+    if (label.size() <= prefix.size() ||
+        label.compare(0, prefix.size(), prefix) != 0)
+        return false;
+    if (label.size() > prefix.size() + 1 && label[prefix.size()] == '0')
+        return false;
+    std::size_t k = 0;
+    for (std::size_t i = prefix.size(); i < label.size(); ++i) {
+        if (label[i] < '0' || label[i] > '9' || k > last)
+            return false;
+        k = 10 * k + static_cast<std::size_t>(label[i] - '0');
+    }
+    return k <= last;
+}
+
+/**
+ * Replace a copied instruction by its adjoint (a Unitary's matrix is
+ * left to the caller). A classically-conditioned gate inverts to its
+ * adjoint under the same condition: `if (c == v) U` then
+ * `if (c == v) U+` cancels exactly, provided the record `c` is not
+ * rewritten in between — an invariant only the caller can guarantee
+ * (see Circuit::inverse), so it is opt-in.
+ */
+void
+invertInPlace(Instruction &inst, bool invert_conditioned)
+{
+    if (!gateKindInvertible(inst.kind))
+        fatal("cannot invert non-unitary instruction ",
+              gateKindName(inst.kind));
+    fatal_if(!invert_conditioned && !inst.condLabel.empty(),
+             "cannot invert a classically-conditioned instruction");
+    switch (inst.kind) {
+      case GateKind::S:
+        inst.kind = GateKind::Sdg;
+        break;
+      case GateKind::Sdg:
+        inst.kind = GateKind::S;
+        break;
+      case GateKind::T:
+        inst.kind = GateKind::Tdg;
+        break;
+      case GateKind::Tdg:
+        inst.kind = GateKind::T;
+        break;
+      case GateKind::Rx:
+      case GateKind::Ry:
+      case GateKind::Rz:
+      case GateKind::Phase:
+        inst.angle = -inst.angle;
+        break;
+      default:
+        break; // self-inverse (H, X, Y, Z, Swap), or a Unitary
+    }
+}
+
+} // anonymous namespace
+
 void
 Circuit::validate(const Instruction &inst) const
 {
+    // validate runs on every appended instruction, copies included,
+    // so each check builds its message only when it fails.
     for (unsigned q : inst.targets)
         checkQubit(q);
     for (unsigned q : inst.controls)
         checkQubit(q);
 
-    std::set<unsigned> seen(inst.targets.begin(), inst.targets.end());
-    fatal_if(seen.size() != inst.targets.size(),
-             "duplicate target qubits in ", gateKindName(inst.kind));
-    for (unsigned c : inst.controls) {
-        fatal_if(seen.count(c), "control qubit ", c,
-                 " collides with a target in ", gateKindName(inst.kind));
-        fatal_if(!seen.insert(c).second, "duplicate control qubit ", c);
+    const auto &targets = inst.targets;
+    const auto &controls = inst.controls;
+    if (hasRepeat(targets))
+        fatal("duplicate target qubits in ", gateKindName(inst.kind));
+    for (auto c = controls.begin(); c != controls.end(); ++c) {
+        // Earlier controls count as taken too, so a repeated control
+        // is reported as a collision.
+        if (std::find(targets.begin(), targets.end(), *c) !=
+                targets.end() ||
+            std::find(controls.begin(), c, *c) != c)
+            fatal("control qubit ", *c, " collides with a target in ",
+                  gateKindName(inst.kind));
     }
 
     switch (inst.kind) {
       case GateKind::Swap:
-        fatal_if(inst.targets.size() != 2, "swap needs two targets");
+        fatal_if(targets.size() != 2, "swap needs two targets");
         break;
       case GateKind::Unitary:
         fatal_if(inst.matrixId < 0 ||
                      inst.matrixId >= static_cast<int>(matrices.size()),
                  "unitary instruction with invalid matrix id");
-        fatal_if(matrices[inst.matrixId].dim() !=
-                     pow2(inst.targets.size()),
+        fatal_if(matrices[inst.matrixId].dim() != pow2(targets.size()),
                  "unitary dimension does not match target count");
         break;
       case GateKind::Measure:
       case GateKind::Breakpoint:
-        fatal_if(!inst.controls.empty(), gateKindName(inst.kind),
-                 " cannot be controlled");
+        if (!controls.empty())
+            fatal(gateKindName(inst.kind), " cannot be controlled");
         break;
       case GateKind::PrepZ:
-        fatal_if(!inst.controls.empty(), "prepz cannot be controlled");
-        fatal_if(inst.targets.size() != 1, "prepz takes one target");
+        fatal_if(!controls.empty(), "prepz cannot be controlled");
+        fatal_if(targets.size() != 1, "prepz takes one target");
         break;
       default:
-        fatal_if(inst.targets.size() != 1, gateKindName(inst.kind),
-                 " takes exactly one target");
+        if (targets.size() != 1)
+            fatal(gateKindName(inst.kind), " takes exactly one target");
         break;
     }
 }
 
 void
-Circuit::append(const Instruction &inst)
+Circuit::append(Instruction inst)
 {
     validate(inst);
-    insts.push_back(inst);
+    insts.push_back(std::move(inst));
 }
 
 void
@@ -124,7 +232,7 @@ Circuit::prepZ(unsigned q, unsigned bit)
     i.kind = GateKind::PrepZ;
     i.targets = {q};
     i.bit = bit & 1;
-    append(i);
+    append(std::move(i));
 }
 
 void
@@ -192,7 +300,7 @@ Circuit::controlledGate(GateKind kind,
     i.controls = controls;
     i.targets = {target};
     i.angle = angle;
-    append(i);
+    append(std::move(i));
 }
 
 void
@@ -237,7 +345,7 @@ Circuit::swap(unsigned q0, unsigned q1)
     Instruction i;
     i.kind = GateKind::Swap;
     i.targets = {q0, q1};
-    append(i);
+    append(std::move(i));
 }
 
 void
@@ -247,7 +355,7 @@ Circuit::cswap(unsigned ctrl, unsigned q0, unsigned q1)
     i.kind = GateKind::Swap;
     i.controls = {ctrl};
     i.targets = {q0, q1};
-    append(i);
+    append(std::move(i));
 }
 
 void
@@ -260,7 +368,7 @@ Circuit::unitary(const sim::CMatrix &u,
     i.targets = qubits;
     i.controls = controls;
     i.matrixId = addMatrix(u);
-    append(i);
+    append(std::move(i));
 }
 
 void
@@ -277,7 +385,7 @@ Circuit::measureQubits(const std::vector<unsigned> &qubits,
     i.kind = GateKind::Measure;
     i.targets = qubits;
     i.label = label;
-    append(i);
+    append(std::move(i));
 }
 
 void
@@ -287,23 +395,82 @@ Circuit::breakpoint(const std::string &label)
     for (const auto &inst : insts)
         fatal_if(inst.kind == GateKind::Breakpoint && inst.label == label,
                  "duplicate breakpoint label '", label, "'");
+    append(marker(label));
+}
 
-    Instruction i;
-    i.kind = GateKind::Breakpoint;
-    i.label = label;
-    append(i);
+void
+Circuit::copyRange(const Circuit &src, std::size_t begin, std::size_t end,
+                   const RangeCopy &how,
+                   const std::vector<unsigned> *controls,
+                   const std::string &markers)
+{
+    fatal_if(begin > end || end > src.insts.size(),
+             "invalid instruction range [", begin, ", ", end, ")");
+    const std::size_t count = end - begin;
+    insts.reserve(insts.size() + count +
+                  (markers.empty() ? 0 : count + 1));
+    const bool skip_markers = how.skipMarkers || controls != nullptr;
+    std::size_t copied = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t k = how.adjoint ? end - 1 - i : begin + i;
+        if (!markers.empty())
+            append(marker(markers + std::to_string(k)));
+        const Instruction &from = src.insts[k];
+        if (skip_markers && from.kind == GateKind::Breakpoint)
+            continue; // markers do not survive wrapping or stripping
+
+        Instruction inst = from;
+        if (how.adjoint)
+            invertInPlace(inst, how.invertConditioned);
+        if (controls != nullptr) {
+            if (!gateKindInvertible(inst.kind))
+                fatal("cannot control non-unitary instruction ",
+                      gateKindName(inst.kind));
+            fatal_if(!inst.condLabel.empty(),
+                     "cannot add quantum controls to a classically-"
+                     "conditioned instruction");
+            inst.controls.insert(inst.controls.end(), controls->begin(),
+                                 controls->end());
+        }
+        if (how.qubitOffset != 0) {
+            const auto shift = static_cast<unsigned>(how.qubitOffset);
+            for (unsigned &q : inst.targets)
+                q += shift;
+            for (unsigned &q : inst.controls)
+                q += shift;
+        }
+        if (!how.labelPrefix.empty()) {
+            if (!inst.label.empty())
+                inst.label.insert(0, how.labelPrefix);
+            if (!inst.condLabel.empty())
+                inst.condLabel.insert(0, how.labelPrefix);
+        }
+        if (inst.kind == GateKind::Unitary) {
+            const sim::CMatrix &m = src.matrix(inst.matrixId);
+            inst.matrixId = addMatrix(how.adjoint ? m.adjoint() : m);
+        }
+        append(std::move(inst));
+        ++copied;
+    }
+    if (!markers.empty())
+        append(marker(markers + std::to_string(end)));
+    QSA_OBS_COUNTER("circuit.copied_instructions", copied);
+}
+
+void
+Circuit::appendRange(const Circuit &src, std::size_t begin,
+                     std::size_t end, const RangeCopy &how)
+{
+    fatal_if(static_cast<std::int64_t>(src.nQubits) + how.qubitOffset >
+                 static_cast<std::int64_t>(nQubits),
+             "appended circuit uses more qubits than the target");
+    copyRange(src, begin, end, how);
 }
 
 void
 Circuit::appendCircuit(const Circuit &other)
 {
-    fatal_if(other.nQubits > nQubits,
-             "appended circuit uses more qubits than the target");
-    for (Instruction inst : other.insts) {
-        if (inst.kind == GateKind::Unitary)
-            inst.matrixId = addMatrix(other.matrix(inst.matrixId));
-        append(inst);
-    }
+    appendRange(other, 0, other.size());
 }
 
 void
@@ -312,22 +479,7 @@ Circuit::appendControlled(const Circuit &other,
 {
     fatal_if(other.nQubits > nQubits,
              "appended circuit uses more qubits than the target");
-    for (Instruction inst : other.insts) {
-        fatal_if(!gateKindInvertible(inst.kind) &&
-                     inst.kind != GateKind::Breakpoint,
-                 "cannot control non-unitary instruction ",
-                 gateKindName(inst.kind));
-        fatal_if(!inst.condLabel.empty(),
-                 "cannot add quantum controls to a classically-"
-                 "conditioned instruction");
-        if (inst.kind == GateKind::Breakpoint)
-            continue; // markers do not survive wrapping
-        if (inst.kind == GateKind::Unitary)
-            inst.matrixId = addMatrix(other.matrix(inst.matrixId));
-        inst.controls.insert(inst.controls.end(), controls.begin(),
-                             controls.end());
-        append(inst);
-    }
+    copyRange(other, 0, other.size(), RangeCopy(), &controls);
 }
 
 Circuit
@@ -335,48 +487,10 @@ Circuit::inverse(bool invert_conditioned) const
 {
     Circuit inv(nQubits);
     inv.regs = regs;
-
-    for (auto it = insts.rbegin(); it != insts.rend(); ++it) {
-        Instruction inst = *it;
-        fatal_if(!gateKindInvertible(inst.kind),
-                 "cannot invert non-unitary instruction ",
-                 gateKindName(inst.kind));
-        // A classically-conditioned gate inverts to its adjoint under
-        // the same condition: `if (c == v) U` then `if (c == v) U+`
-        // cancels exactly, provided the record `c` is not rewritten in
-        // between — an invariant only the caller can guarantee (see
-        // the header comment), so it is opt-in.
-        fatal_if(!invert_conditioned && !inst.condLabel.empty(),
-                 "cannot invert a classically-conditioned instruction");
-
-        switch (inst.kind) {
-          case GateKind::S:
-            inst.kind = GateKind::Sdg;
-            break;
-          case GateKind::Sdg:
-            inst.kind = GateKind::S;
-            break;
-          case GateKind::T:
-            inst.kind = GateKind::Tdg;
-            break;
-          case GateKind::Tdg:
-            inst.kind = GateKind::T;
-            break;
-          case GateKind::Rx:
-          case GateKind::Ry:
-          case GateKind::Rz:
-          case GateKind::Phase:
-            inst.angle = -inst.angle;
-            break;
-          case GateKind::Unitary:
-            inst.matrixId =
-                inv.addMatrix(matrix(inst.matrixId).adjoint());
-            break;
-          default:
-            break; // self-inverse (H, X, Y, Z, Swap)
-        }
-        inv.append(inst);
-    }
+    RangeCopy how;
+    how.adjoint = true;
+    how.invertConditioned = invert_conditioned;
+    inv.copyRange(*this, 0, insts.size(), how);
     return inv;
 }
 
@@ -431,49 +545,31 @@ Circuit
 Circuit::withBoundaryBreakpoints(const std::string &prefix) const
 {
     fatal_if(prefix.empty(), "boundary breakpoints need a label prefix");
+    // A source breakpoint named like a generated marker would be a
+    // second marker with its label, wherever it sits.
+    for (const auto &inst : insts)
+        fatal_if(inst.kind == GateKind::Breakpoint &&
+                     namesBoundary(inst.label, prefix, insts.size()),
+                 "duplicate breakpoint label '", inst.label, "'");
 
     Circuit out(nQubits);
     out.regs = regs;
-    for (std::size_t k = 0; k < insts.size(); ++k) {
-        out.breakpoint(prefix + std::to_string(k));
-        Instruction copy = insts[k];
-        if (copy.kind == GateKind::Unitary)
-            copy.matrixId = out.addMatrix(matrix(copy.matrixId));
-        out.append(copy);
-    }
-    out.breakpoint(prefix + std::to_string(insts.size()));
+    out.copyRange(*this, 0, insts.size(), RangeCopy(), nullptr, prefix);
     return out;
 }
 
 Circuit
 Circuit::prefixUpTo(const std::string &bp_label) const
 {
-    Circuit prefix(nQubits);
-    prefix.regs = regs;
-    for (const auto &inst : insts) {
-        if (inst.kind == GateKind::Breakpoint && inst.label == bp_label)
-            return prefix;
-        Instruction copy = inst;
-        if (copy.kind == GateKind::Unitary)
-            copy.matrixId = prefix.addMatrix(matrix(inst.matrixId));
-        prefix.append(copy);
-    }
-    fatal("no breakpoint labelled '", bp_label, "'");
+    return sliceRange(0, breakpointPosition(bp_label));
 }
 
 Circuit
 Circuit::sliceRange(std::size_t begin, std::size_t end) const
 {
-    fatal_if(begin > end || end > insts.size(),
-             "invalid instruction range [", begin, ", ", end, ")");
     Circuit slice(nQubits);
     slice.regs = regs;
-    for (std::size_t i = begin; i < end; ++i) {
-        Instruction copy = insts[i];
-        if (copy.kind == GateKind::Unitary)
-            copy.matrixId = slice.addMatrix(matrix(copy.matrixId));
-        slice.append(copy);
-    }
+    slice.copyRange(*this, begin, end, RangeCopy());
     return slice;
 }
 
@@ -495,19 +591,10 @@ Circuit::embedded(unsigned total_qubits, unsigned offset,
         out.regs.emplace_back(label_prefix + r.name(),
                               std::move(qubits));
     }
-    for (Instruction inst : insts) {
-        for (unsigned &q : inst.targets)
-            q += offset;
-        for (unsigned &q : inst.controls)
-            q += offset;
-        if (!inst.label.empty())
-            inst.label = label_prefix + inst.label;
-        if (!inst.condLabel.empty())
-            inst.condLabel = label_prefix + inst.condLabel;
-        if (inst.kind == GateKind::Unitary)
-            inst.matrixId = out.addMatrix(matrix(inst.matrixId));
-        out.append(inst);
-    }
+    RangeCopy how;
+    how.qubitOffset = static_cast<int>(offset);
+    how.labelPrefix = label_prefix;
+    out.copyRange(*this, 0, insts.size(), how);
     return out;
 }
 

@@ -29,6 +29,35 @@
 namespace qsa::circuit
 {
 
+/**
+ * How Circuit::appendRange rewrites the instructions it copies. The
+ * default copies them verbatim.
+ */
+struct RangeCopy
+{
+    /**
+     * Added to every qubit index: Circuit::embedded shifts a circuit
+     * up; a negative offset moves a block that touches only high
+     * qubits down.
+     */
+    int qubitOffset = 0;
+
+    /** Prepended to every non-empty label and condition label
+     *  (Circuit::embedded's renaming). */
+    std::string labelPrefix;
+
+    /** Copy back to front, each instruction replaced by its
+     *  adjoint under Circuit::inverse's rules. */
+    bool adjoint = false;
+
+    /** With `adjoint`: invert classically-conditioned gates too
+     *  (Circuit::inverse's `invert_conditioned`). */
+    bool invertConditioned = false;
+
+    /** Leave breakpoint markers out. */
+    bool skipMarkers = false;
+};
+
 /** See file comment. */
 class Circuit
 {
@@ -107,8 +136,8 @@ class Circuit
      */
     void breakpoint(const std::string &label);
 
-    /** Append a raw instruction (validated). */
-    void append(const Instruction &inst);
+    /** Append a raw instruction (validated, then moved in). */
+    void append(Instruction inst);
 
     /**
      * Make the most recently appended instruction conditional on a
@@ -147,6 +176,20 @@ class Circuit
      */
     Circuit inverse(bool invert_conditioned = false) const;
 
+    /**
+     * Append instructions [begin, end) of `src`, each copied once,
+     * rewritten as `how` says, and validated. The copy helpers
+     * (appendCircuit, inverse, sliceRange, prefixUpTo, embedded,
+     * withBoundaryBreakpoints, appendControlled) all run this one
+     * loop; callers assembling a program from ranges of others — the
+     * locate probes, the engine's tensor stages — call it directly
+     * instead of composing helpers that copy each instruction again.
+     * Registers are not carried over. Adds the instructions copied to
+     * the `circuit.copied_instructions` counter, once per call.
+     */
+    void appendRange(const Circuit &src, std::size_t begin,
+                     std::size_t end, const RangeCopy &how = RangeCopy());
+
     /** @} */
     /** @{ @name Introspection */
 
@@ -178,7 +221,9 @@ class Circuit
      * preserved, so one instrumented program exposes every boundary to
      * the assertion checker at once — the programmatic counterpart of
      * the paper's "insert breakpoints, recompile one truncated version
-     * each" loop, and the substrate qsa::locate probes.
+     * each" loop, and the substrate qsa::locate probes. A source
+     * breakpoint whose label is one of the generated ones is fatal,
+     * wherever it sits.
      */
     Circuit withBoundaryBreakpoints(
         const std::string &prefix = "qsa_boundary_") const;
@@ -260,6 +305,18 @@ class Circuit
 
     void checkQubit(unsigned q) const;
     void validate(const Instruction &inst) const;
+
+    /**
+     * The one copy loop behind appendRange and every copy helper.
+     * With `controls`, they join every copied instruction's control
+     * list under appendControlled's rules (markers are dropped); a
+     * non-empty `markers` prefix puts breakpoint "<markers><k>" before
+     * each source instruction k and "<markers><end>" after the range.
+     */
+    void copyRange(const Circuit &src, std::size_t begin, std::size_t end,
+                   const RangeCopy &how,
+                   const std::vector<unsigned> *controls = nullptr,
+                   const std::string &markers = {});
 };
 
 } // namespace qsa::circuit

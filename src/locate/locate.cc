@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "analyze/clifford.hh"
 #include "assertions/checker.hh"
@@ -160,15 +161,16 @@ baseConfig(const LocateConfig &cfg)
 
 /**
  * A probe's checker, built under its own trace span: the checker
- * copies the probe program and sets up its ensemble engine.
+ * takes the probe program (moved in when the caller passes a fresh
+ * one) and sets up its ensemble engine.
  */
 assertions::AssertionChecker
-probeChecker(const circuit::Circuit &program,
-             const assertions::CheckConfig &cc,
+probeChecker(circuit::Circuit program, const assertions::CheckConfig &cc,
              runtime::CheckpointStore *checkpoints = nullptr)
 {
     QSA_OBS_SPAN(span, "locate.probe.checker");
-    return assertions::AssertionChecker(program, cc, checkpoints);
+    return assertions::AssertionChecker(std::move(program), cc,
+                                        checkpoints);
 }
 
 /** The suspect with a breakpoint at every boundary, under the
@@ -394,22 +396,6 @@ scanBatch(const std::vector<std::size_t> &boundaries, bool family_wise,
     return records;
 }
 
-/** Copy a circuit with breakpoint markers dropped (for inversion). */
-circuit::Circuit
-stripMarkers(const circuit::Circuit &c)
-{
-    circuit::Circuit out(c.numQubits());
-    for (const auto &inst : c.instructions()) {
-        if (inst.kind == circuit::GateKind::Breakpoint)
-            continue;
-        circuit::Instruction copy = inst;
-        if (copy.kind == circuit::GateKind::Unitary)
-            copy.matrixId = out.addMatrix(c.matrix(inst.matrixId));
-        out.append(copy);
-    }
-    return out;
-}
-
 /**
  * One probe family: adjudicate a single boundary (with sequential
  * escalation) or a whole boundary batch (with optional family-wise
@@ -498,8 +484,9 @@ class MirrorProber : public Prober
         Rng rng(cfg.seed);
         refValues.push_back(basisValue(state));
         for (std::size_t k = 0; k < prologue; ++k) {
-            const auto step = reference.sliceRange(k, k + 1);
-            circuit::runCircuitOn(step, state, meas, rng);
+            circuit::stepInstruction(reference,
+                                     reference.instructions()[k], state,
+                                     meas, rng);
             refValues.push_back(basisValue(state));
         }
 
@@ -553,11 +540,10 @@ class MirrorProber : public Prober
         // the floor and boundary markers are where later probes
         // resume.
         floor = std::min(floor, boundary);
-        const circuit::Circuit program = buildProbe(boundary, &floor);
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed, boundary);
         const assertions::AssertionChecker checker =
-            probeChecker(program, cc, &checkpoints);
+            probeChecker(buildProbe(boundary, &floor), cc, &checkpoints);
 
         const auto specs =
             specsFor(boundary, floor, /*family_wise=*/false);
@@ -687,9 +673,11 @@ class MirrorProber : public Prober
     }
 
     /**
-     * The probe program at `boundary`; with a `floor`, the suspect
-     * prefix carries the checkpoint markers at the floor and at the
-     * boundary.
+     * The probe program at `boundary`, assembled in one pass that
+     * copies each instruction once: the suspect prefix, then the
+     * reversed adjoint of the reference segment with its markers
+     * left out. With a `floor`, the suspect prefix carries the
+     * checkpoint markers at the floor and at the boundary.
      */
     circuit::Circuit
     buildProbe(std::size_t boundary, const std::size_t *floor) const
@@ -699,7 +687,7 @@ class MirrorProber : public Prober
             suspect.sliceRange(0, floor != nullptr ? *floor : boundary);
         if (floor != nullptr) {
             probe.breakpoint(kFloorLabel);
-            probe.appendCircuit(suspect.sliceRange(*floor, boundary));
+            probe.appendRange(suspect, *floor, boundary);
             probe.breakpoint(kBoundaryMarkLabel);
         }
         if (dualProbe(boundary))
@@ -709,10 +697,11 @@ class MirrorProber : public Prober
             // The segment is measure-free by construction, so a
             // conditioned gate's record cannot change inside it and
             // conditioned inversion is exact.
-            const circuit::Circuit seg = stripMarkers(
-                reference.sliceRange(start, boundary));
-            probe.appendCircuit(
-                seg.inverse(/*invert_conditioned=*/true));
+            circuit::RangeCopy unwind;
+            unwind.adjoint = true;
+            unwind.invertConditioned = true;
+            unwind.skipMarkers = true;
+            probe.appendRange(reference, start, boundary, unwind);
         }
         probe.breakpoint(kProbeLabel);
         return probe;
@@ -967,9 +956,8 @@ class SwapProber : public Prober
     probe(std::size_t boundary, std::size_t /*floor*/,
           const assertions::EscalationPolicy &policy) override
     {
-        const circuit::Circuit program = buildProbe(boundary);
         const assertions::AssertionChecker checker =
-            probeChecker(program, probeConfig(boundary));
+            probeChecker(buildProbe(boundary), probeConfig(boundary));
         return toRecord(boundary, checker.checkEscalated(
                                       specFor(boundary), policy));
     }
@@ -1047,16 +1035,18 @@ class SwapProber : public Prober
         return cc;
     }
 
+    /** The probe program at `boundary`; each half is copied once,
+     *  straight into the 2n+1-qubit space. */
     circuit::Circuit
     buildProbe(std::size_t boundary) const
     {
         QSA_OBS_SPAN(span, "locate.probe.build");
-        const unsigned space = 2 * n + 1;
-        circuit::Circuit probe(space);
-        probe.appendCircuit(
-            suspect.sliceRange(0, boundary).embedded(space, 0));
-        probe.appendCircuit(reference.sliceRange(0, boundary)
-                                .embedded(space, n, kRefPrefix));
+        circuit::Circuit probe(2 * n + 1);
+        probe.appendRange(suspect, 0, boundary);
+        circuit::RangeCopy high;
+        high.qubitOffset = static_cast<int>(n);
+        high.labelPrefix = kRefPrefix;
+        probe.appendRange(reference, 0, boundary, high);
         probe.h(anc);
         for (unsigned q : swapQubits)
             probe.cswap(anc, q, n + q);
@@ -1123,10 +1113,8 @@ class RotatedProber : public Prober
         std::vector<assertions::AssertionOutcome> outcomes;
         outcomes.reserve(3);
         for (Frame frame : kAllFrames) {
-            const circuit::Circuit program =
-                buildProbe(boundary, frame);
-            const assertions::AssertionChecker checker =
-                probeChecker(program, frameConfig(boundary, frame));
+            const assertions::AssertionChecker checker = probeChecker(
+                buildProbe(boundary, frame), frameConfig(boundary, frame));
             outcomes.push_back(checker.checkEscalated(
                 specFor(oracleAt(boundary), boundary, frame,
                         cfg.alpha / 3.0),

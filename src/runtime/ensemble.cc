@@ -19,6 +19,96 @@
 namespace qsa::runtime
 {
 
+/**
+ * Instructions [begin, end) of `circ`, read in place: a truncated
+ * program, a head, a tail or a tensor stage, never a copy.
+ */
+struct InstructionRange
+{
+    const circuit::Circuit *circ = nullptr;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+};
+
+/**
+ * Stage decomposition of a truncated program whose leading
+ * instructions act only on the low `split` qubits, followed by a run
+ * acting only on the high qubits, followed by a combining tail on the
+ * full space — the shape of every swap-test probe (suspect prefix,
+ * embedded reference prefix, ancilla-controlled-SWAP comparator).
+ * Ensembles simulate the two halves on 2^split- and 2^(n-split)-sized
+ * states and tensor them together only for the comparator
+ * (StateVector::tensorWith), cutting per-path cost from 2^n toward
+ * 2^split + 2^(n-split) + |combo| full-space applies. RNG draw order
+ * is the monolithic program order (low, then high, then combo), so
+ * outcome streams match an unstaged run draw for draw.
+ */
+struct TensorStages
+{
+    /** Low-qubit count; the high block holds numQubits() - split. */
+    unsigned split = 0;
+
+    /** Leading instructions of the bound program, on qubits
+     *  [0, split). */
+    InstructionRange low;
+
+    /** The following high-only run, copied with indices shifted down
+     *  by `split`: the one block a truncation copies, because it is
+     *  relabelled. */
+    circuit::Circuit high;
+
+    /** Everything after, up to the truncation, on the full space. */
+    InstructionRange combo;
+};
+
+/** Resimulate-mode head/tail splits of both tensor stages. */
+struct ResimStages
+{
+    /** The stage decomposition the tails below lie in. */
+    std::shared_ptr<const TensorStages> layout;
+
+    /** Deterministic-head state and per-trial draws of the low block. */
+    sim::StateVector lowHead;
+    std::size_t lowDraws = 0;
+    InstructionRange lowTail;
+
+    /** Same for the high block (shifted index space). */
+    sim::StateVector highHead;
+    std::size_t highDraws = 0;
+    InstructionRange highTail;
+
+    ResimStages(unsigned low_qubits, unsigned high_qubits)
+        : lowHead(low_qubits), highHead(high_qubits)
+    {
+    }
+};
+
+/**
+ * Precomputed split of a truncated program for Resimulate mode: the
+ * deterministic head's final state (simulated once), the number of
+ * RNG draws the head's resets would have consumed per trial, and the
+ * nondeterministic tail the path walk re-simulates once per outcome
+ * path. See ensemble.hh for the exactness contract.
+ */
+struct ResimPlan
+{
+    /** State after the deterministic head. */
+    sim::StateVector headState;
+
+    /** Per-trial RNG draws the head's resets would have made. */
+    std::size_t headDraws = 0;
+
+    /** Instructions after the head, up to the truncation (possibly
+     *  empty). */
+    InstructionRange tail;
+
+    /** Tensor-split stages; when set, the walk runs staged and the
+     *  monolithic head above is a 1-qubit placeholder. */
+    std::shared_ptr<const ResimStages> stages;
+
+    explicit ResimPlan(unsigned num_qubits) : headState(num_qubits) {}
+};
+
 namespace
 {
 
@@ -51,13 +141,24 @@ endsHead(const circuit::Instruction &inst)
            !inst.condLabel.empty();
 }
 
+/** Run instructions `range` onto `state` (runCircuitOn over a range). */
+void
+stepRange(const InstructionRange &range, sim::StateVector &state,
+          std::map<std::string, std::uint64_t> &measurements, Rng &rng)
+{
+    const auto &insts = range.circ->instructions();
+    for (std::size_t i = range.begin; i < range.end; ++i)
+        circuit::stepInstruction(*range.circ, insts[i], state,
+                                 measurements, rng);
+}
+
 /**
- * Extend the deterministic head of `circ` from instruction `begin`
- * into `state` (the state after the first `begin` instructions; at
- * begin 0, |0...0> on at least circ.numQubits()): unitary gates and
- * markers always; resets only when the current state fixes their
+ * Extend the deterministic head of the range [begin, end) of `circ`
+ * into `state` (the state after the instructions before `begin`; at
+ * begin 0, |0...0> on the qubits the range touches): unitary gates
+ * and markers always; resets only when the current state fixes their
  * implicit measurement outcome; stop at the first Measure or
- * classically-conditioned instruction. Returns the head length;
+ * classically-conditioned instruction. Returns where the head ends;
  * `draws` accumulates the per-trial RNG draws the head's resets would
  * have consumed. `at_marker(i)` runs at every marker i passed, with
  * `state` the state before it.
@@ -65,12 +166,12 @@ endsHead(const circuit::Instruction &inst)
 template <typename AtMarker>
 std::size_t
 extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
-                        sim::StateVector &state, std::size_t &draws,
-                        AtMarker &&at_marker)
+                        std::size_t end, sim::StateVector &state,
+                        std::size_t &draws, AtMarker &&at_marker)
 {
     const auto &insts = circ.instructions();
     std::size_t head = begin;
-    for (; head < insts.size(); ++head) {
+    for (; head < end; ++head) {
         const circuit::Instruction &inst = insts[head];
         if (endsHead(inst))
             break;
@@ -97,78 +198,60 @@ extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
 }
 
 std::size_t
-extendDeterministicHead(const circuit::Circuit &circ,
+extendDeterministicHead(const InstructionRange &range,
                         sim::StateVector &state, std::size_t &draws)
 {
-    return extendDeterministicHead(circ, 0, state, draws,
-                                   [](std::size_t) {});
+    return extendDeterministicHead(*range.circ, range.begin, range.end,
+                                   state, draws, [](std::size_t) {});
 }
 
 /**
- * Scan a truncated circuit for the tensor-split shape: a maximal
- * leading run touching only qubits < split, then a maximal run
- * touching only qubits >= split, then the combining remainder.
- * Returns null when either block is empty (nothing to stage).
- * Qubit-free markers bind to the phase they appear in.
+ * Scan the truncated program [0, end) of `program` for the
+ * tensor-split shape: a maximal leading run touching only qubits <
+ * split, then a maximal run touching only qubits >= split, then the
+ * combining remainder. Returns null when either block is empty
+ * (nothing to stage). Qubit-free markers bind to the phase they
+ * appear in.
  */
 std::shared_ptr<const TensorStages>
-buildTensorStages(const circuit::Circuit &prefix, unsigned split)
+buildTensorStages(const circuit::Circuit &program, std::size_t end,
+                  unsigned split)
 {
-    const unsigned total = prefix.numQubits();
+    const unsigned total = program.numQubits();
     if (split == 0 || split >= total)
         return nullptr;
 
-    const auto spanOf = [](const circuit::Instruction &inst) {
-        std::vector<unsigned> span = inst.targets;
-        span.insert(span.end(), inst.controls.begin(),
-                    inst.controls.end());
-        return span;
-    };
-    const auto onlyBelow = [&](const circuit::Instruction &inst,
-                               unsigned bound, unsigned base) {
-        const auto span = spanOf(inst);
-        if (span.empty())
-            return true; // markers bind to the current phase
-        return std::all_of(span.begin(), span.end(), [&](unsigned q) {
+    // True for a qubit-free marker, which binds to the current phase.
+    const auto within = [](const circuit::Instruction &inst,
+                           unsigned base, unsigned bound) {
+        const auto inside = [&](unsigned q) {
             return q >= base && q < bound;
-        });
+        };
+        return std::all_of(inst.targets.begin(), inst.targets.end(),
+                           inside) &&
+               std::all_of(inst.controls.begin(), inst.controls.end(),
+                           inside);
     };
 
-    const auto &insts = prefix.instructions();
+    const auto &insts = program.instructions();
     std::size_t low_end = 0;
-    while (low_end < insts.size() &&
-           onlyBelow(insts[low_end], split, 0))
+    while (low_end < end && within(insts[low_end], 0, split))
         ++low_end;
     std::size_t high_end = low_end;
-    while (high_end < insts.size() &&
-           onlyBelow(insts[high_end], total, split))
+    while (high_end < end && within(insts[high_end], split, total))
         ++high_end;
     if (low_end == 0 || high_end == low_end)
         return nullptr;
 
     auto stages = std::make_shared<TensorStages>();
     stages->split = split;
-    stages->low = circuit::Circuit(split);
+    stages->low = {&program, 0, low_end};
+    stages->combo = {&program, high_end, end};
     stages->high = circuit::Circuit(total - split);
-    stages->combo = prefix.sliceRange(high_end, insts.size());
-    for (std::size_t i = 0; i < low_end; ++i) {
-        circuit::Instruction copy = insts[i];
-        if (copy.kind == circuit::GateKind::Unitary)
-            copy.matrixId =
-                stages->low.addMatrix(prefix.matrix(copy.matrixId));
-        stages->low.append(copy);
-    }
-    for (std::size_t i = low_end; i < high_end; ++i) {
-        circuit::Instruction copy = insts[i];
-        for (unsigned &q : copy.targets)
-            q -= split;
-        for (unsigned &q : copy.controls)
-            q -= split;
-        if (copy.kind == circuit::GateKind::Unitary)
-            copy.matrixId =
-                stages->high.addMatrix(prefix.matrix(copy.matrixId));
-        stages->high.append(copy);
-    }
+    QSA_OBS_SPAN(span, "runtime.slice");
+    circuit::RangeCopy down;
+    down.qubitOffset = -static_cast<int>(split);
+    stages->high.appendRange(program, low_end, high_end, down);
     return stages;
 }
 
@@ -199,10 +282,10 @@ class PathWalk
     {
         const ResimStages *staged = plan.stages.get();
         if (staged != nullptr)
-            phases = {&staged->lowTail, &staged->highTail,
-                      &staged->layout->combo};
+            phases = {staged->lowTail, staged->highTail,
+                      staged->layout->combo};
         else
-            phases = {&plan.tail};
+            phases = {plan.tail};
         const std::size_t skip =
             staged != nullptr ? staged->lowDraws : plan.headDraws;
         const Rng master(spec.seed);
@@ -226,7 +309,7 @@ class PathWalk
                   {},
                   std::vector<std::uint32_t>(rngs.size()),
                   0,
-                  0,
+                  phases[0].begin,
                   0,
                   0};
         std::iota(root.trials.begin(), root.trials.end(), 0u);
@@ -252,7 +335,8 @@ class PathWalk
         /** Walk-local indices of the trials on this path. */
         std::vector<std::uint32_t> trials;
 
-        /** Cursor: phase (phases.size() = readout), instruction,
+        /** Cursor: phase (phases.size() = readout), instruction
+         *  (an index into the phase's circuit; the readout's qubit),
          *  target within a multi-qubit Measure. */
         std::size_t phase = 0;
         std::size_t pc = 0;
@@ -265,7 +349,7 @@ class PathWalk
     const ResimPlan &plan;
     const EnsembleSpec &spec;
     std::uint64_t *out;
-    std::vector<const circuit::Circuit *> phases;
+    std::vector<InstructionRange> phases;
 
     /** Per-trial streams; each is touched only by its trial's node. */
     std::vector<Rng> rngs;
@@ -278,7 +362,7 @@ class PathWalk
     enterPhase(Node &node, std::size_t next)
     {
         node.phase = next;
-        node.pc = 0;
+        node.pc = next < phases.size() ? phases[next].begin : 0;
         node.value = 0;
         const ResimStages *staged = plan.stages.get();
         if (staged == nullptr || next == phases.size())
@@ -372,11 +456,12 @@ class PathWalk
                 }
                 continue;
             }
-            const circuit::Circuit &circ = *phases[node.phase];
-            if (node.pc == circ.size()) {
+            const InstructionRange &phase = phases[node.phase];
+            if (node.pc == phase.end) {
                 enterPhase(node, node.phase + 1);
                 continue;
             }
+            const circuit::Circuit &circ = *phase.circ;
             const circuit::Instruction &inst =
                 circ.instructions()[node.pc];
             if (!inst.condLabel.empty()) {
@@ -548,8 +633,8 @@ EnsembleEngine::pool()
     return *poolPtr;
 }
 
-std::shared_ptr<const circuit::Circuit>
-EnsembleEngine::prefix(const std::string &breakpoint)
+std::size_t
+EnsembleEngine::prefixEnd(const std::string &breakpoint)
 {
     {
         std::lock_guard<std::mutex> lock(cacheMutex);
@@ -559,19 +644,13 @@ EnsembleEngine::prefix(const std::string &breakpoint)
             return it->second;
         }
     }
-    // Slice outside the lock — an O(#gates) circuit copy; racers may
-    // slice twice but the copies are identical and the first
-    // insertion wins. A losing racer counts as a hit so the miss
-    // total stays deterministic (misses == distinct breakpoints).
-    std::shared_ptr<const circuit::Circuit> built;
-    {
-        QSA_OBS_SPAN(span, "runtime.slice");
-        built = std::make_shared<const circuit::Circuit>(
-            program->prefixUpTo(breakpoint));
-    }
+    // Look up outside the lock — a scan for the marker; racers may
+    // scan twice but find the same position and the first insertion
+    // wins. A losing racer counts as a hit so the miss total stays
+    // deterministic (misses == distinct breakpoints).
+    const std::size_t end = program->breakpointPosition(breakpoint);
     std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        prefixCache.emplace(breakpoint, std::move(built));
+    const auto [it, inserted] = prefixCache.emplace(breakpoint, end);
     if (inserted)
         QSA_OBS_COUNTER("runtime.prefix_cache.misses", 1);
     else
@@ -580,30 +659,30 @@ EnsembleEngine::prefix(const std::string &breakpoint)
 }
 
 std::size_t
-EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
-                                  sim::StateVector &state,
+EnsembleEngine::deterministicHead(std::size_t end, sim::StateVector &state,
                                   std::size_t &draws,
                                   std::size_t &resumed)
 {
     resumed = 0;
     CheckpointStore *store = options.checkpoints;
     if (store == nullptr)
-        return extendDeterministicHead(circ, state, draws);
+        return extendDeterministicHead({program, 0, end}, state, draws);
 
     // keys[i] addresses the first i instructions, up to the end of
     // the hash chain (the first Measure or conditioned instruction).
-    const auto &insts = circ.instructions();
+    const auto &insts = program->instructions();
     std::vector<CheckpointKey> keys;
     {
         QSA_OBS_SPAN(span, "runtime.checkpoint.keys");
-        keys.reserve(insts.size() + 1);
+        keys.reserve(end + 1);
         CheckpointKey key{state.numQubits(), 0, kChainSeed};
         keys.push_back(key);
-        for (const circuit::Instruction &inst : insts) {
+        for (std::size_t i = 0; i < end; ++i) {
+            const circuit::Instruction &inst = insts[i];
             if (endsHead(inst))
                 break;
             if (inst.kind != circuit::GateKind::Breakpoint) {
-                key.chain = circ.chainHash(key.chain, inst);
+                key.chain = program->chainHash(key.chain, inst);
                 ++key.instructions;
             }
             keys.push_back(key);
@@ -624,8 +703,8 @@ EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
         if (i > start && keys[i].instructions > 0)
             store->insert(keys[i], state, draws);
     };
-    const std::size_t head =
-        extendDeterministicHead(circ, start, state, draws, keep);
+    const std::size_t head = extendDeterministicHead(
+        *program, start, end, state, draws, keep);
     keep(head);
     return head;
 }
@@ -641,8 +720,8 @@ EnsembleEngine::tensorStages(const std::string &breakpoint)
         if (it != stagesCache.end())
             return it->second;
     }
-    auto sliced = prefix(breakpoint);
-    auto built = buildTensorStages(*sliced, options.tensorSplit);
+    auto built = buildTensorStages(*program, prefixEnd(breakpoint),
+                                   options.tensorSplit);
     std::lock_guard<std::mutex> lock(cacheMutex);
     const auto [it, inserted] =
         stagesCache.emplace(breakpoint, std::move(built));
@@ -655,7 +734,7 @@ std::shared_ptr<const circuit::ExecutionRecord>
 EnsembleEngine::prefixState(const std::string &breakpoint,
                             std::uint64_t seed)
 {
-    auto sliced = prefix(breakpoint);
+    const std::size_t end = prefixEnd(breakpoint);
     const auto key = std::make_pair(breakpoint, seed);
 
     // Find-or-claim under the lock, simulate outside it: concurrent
@@ -690,49 +769,39 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
         // spaces (same instruction and draw order as a monolithic
         // run) and combine only for the tail.
         QSA_OBS_SPAN(span, "runtime.prefix");
-        span.arg("breakpoint", breakpoint)
-            .arg("instructions", sliced->size());
+        span.arg("breakpoint", breakpoint).arg("instructions", end);
         try {
             auto stages = tensorStages(breakpoint);
             Rng rng = Rng(seed).split(0);
             std::size_t resumed = 0;
+            auto record = std::make_shared<circuit::ExecutionRecord>(
+                program->numQubits());
             if (stages != nullptr) {
-                auto record =
-                    std::make_shared<circuit::ExecutionRecord>(
-                        program->numQubits());
                 sim::StateVector low_state(stages->split);
                 sim::StateVector high_state(program->numQubits() -
                                             stages->split);
-                circuit::runCircuitOn(stages->low, low_state,
-                                      record->measurements, rng);
-                circuit::runCircuitOn(stages->high, high_state,
-                                      record->measurements, rng);
+                stepRange(stages->low, low_state, record->measurements,
+                          rng);
+                stepRange({&stages->high, 0, stages->high.size()},
+                          high_state, record->measurements, rng);
                 record->state = low_state.tensorWith(high_state);
-                circuit::runCircuitOn(stages->combo, record->state,
-                                      record->measurements, rng);
-                promise.set_value(std::move(record));
+                stepRange(stages->combo, record->state,
+                          record->measurements, rng);
             } else {
                 // The deterministic head (resumed from the checkpoint
                 // store when one is shared), then the rest of the
                 // prefix on the stream the head's resets would have
                 // advanced.
-                auto record =
-                    std::make_shared<circuit::ExecutionRecord>(
-                        program->numQubits());
                 std::size_t draws = 0;
                 const std::size_t head = deterministicHead(
-                    *sliced, record->state, draws, resumed);
+                    end, record->state, draws, resumed);
                 for (std::size_t d = 0; d < draws; ++d)
                     rng.uniform();
-                const auto &insts = sliced->instructions();
-                for (std::size_t i = head; i < insts.size(); ++i)
-                    circuit::stepInstruction(*sliced, insts[i],
-                                             record->state,
-                                             record->measurements, rng);
-                promise.set_value(std::move(record));
+                stepRange({program, head, end}, record->state,
+                          record->measurements, rng);
             }
-            span.arg("resumed", resumed)
-                .arg("simulated", sliced->size() - resumed);
+            promise.set_value(std::move(record));
+            span.arg("resumed", resumed).arg("simulated", end - resumed);
         } catch (...) {
             // Library errors fatal/panic rather than throw, but e.g.
             // bad_alloc can still unwind here: hand racers the
@@ -770,7 +839,7 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
     // twice but the builds are identical and the first insertion wins.
     QSA_OBS_SPAN(span, "runtime.resim.head");
     span.arg("breakpoint", breakpoint);
-    auto sliced = prefix(breakpoint);
+    const std::size_t end = prefixEnd(breakpoint);
     auto stages = tensorStages(breakpoint);
 
     std::shared_ptr<ResimPlan> plan;
@@ -785,12 +854,12 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
         staged->layout = stages;
         const std::size_t low_head = extendDeterministicHead(
             stages->low, staged->lowHead, staged->lowDraws);
-        staged->lowTail =
-            stages->low.sliceRange(low_head, stages->low.size());
+        staged->lowTail = {program, low_head, stages->low.end};
+        const InstructionRange high{&stages->high, 0,
+                                    stages->high.size()};
         const std::size_t high_head = extendDeterministicHead(
-            stages->high, staged->highHead, staged->highDraws);
-        staged->highTail =
-            stages->high.sliceRange(high_head, stages->high.size());
+            high, staged->highHead, staged->highDraws);
+        staged->highTail = {high.circ, high_head, high.end};
         plan = std::make_shared<ResimPlan>(1);
         plan->stages = std::move(staged);
         span.arg("resumed", 0).arg("simulated", low_head + high_head);
@@ -805,11 +874,8 @@ EnsembleEngine::resimPlan(const std::string &breakpoint)
         // valid program measures first).
         std::size_t resumed = 0;
         const std::size_t head = deterministicHead(
-            *sliced, plan->headState, plan->headDraws, resumed);
-        {
-            QSA_OBS_SPAN(slice_span, "runtime.slice");
-            plan->tail = sliced->sliceRange(head, sliced->size());
-        }
+            end, plan->headState, plan->headDraws, resumed);
+        plan->tail = {program, head, end};
         span.arg("resumed", resumed).arg("simulated", head - resumed);
     }
 

@@ -55,6 +55,12 @@
  *  - both gather() and gatherHistogram() walk fixed global chunks of
  *    trials whose boundaries do not depend on the shard count, so
  *    the tree — and every sim.* total — is thread-count invariant.
+ *  - truncation copies nothing: a breakpoint resolves to its position
+ *    in the bound program, and the truncated program, its
+ *    deterministic head and its tail are instruction ranges of that
+ *    program, read in place. Only a tensor-staged prefix copies one
+ *    block, its high-qubit run, which is relabelled onto the small
+ *    state.
  *  - with a shared CheckpointStore (EngineOptions::checkpoints), a
  *    monolithic prefix simulation or Resimulate head resumes from the
  *    longest stored prefix of its own program and stores a checkpoint
@@ -111,80 +117,10 @@
 namespace qsa::runtime
 {
 
-/**
- * Precomputed split of a truncated circuit for Resimulate mode: the
- * deterministic head's final state (simulated once), the number of
- * RNG draws the head's resets would have consumed per trial, and the
- * nondeterministic tail the path walk re-simulates once per outcome
- * path. See the file comment for the exactness contract.
- */
-struct ResimPlan
-{
-    /** State after the deterministic head. */
-    sim::StateVector headState;
-
-    /** Per-trial RNG draws the head's resets would have made. */
-    std::size_t headDraws = 0;
-
-    /** Instructions after the head (possibly empty). */
-    circuit::Circuit tail;
-
-    /** Tensor-split stages; when set, the walk runs staged and the
-     *  monolithic head above is a 1-qubit placeholder. */
-    std::shared_ptr<const struct ResimStages> stages;
-
-    explicit ResimPlan(unsigned num_qubits) : headState(num_qubits) {}
-};
-
-/**
- * Stage decomposition of a truncated circuit whose leading
- * instructions act only on the low `split` qubits, followed by a run
- * acting only on the high qubits, followed by a combining tail on the
- * full space — the shape of every swap-test probe (suspect prefix,
- * embedded reference prefix, ancilla-controlled-SWAP comparator).
- * Ensembles simulate the two halves on 2^split- and 2^(n-split)-sized
- * states and tensor them together only for the comparator
- * (StateVector::tensorWith), cutting per-path cost from 2^n toward
- * 2^split + 2^(n-split) + |combo| full-space applies. RNG draw order
- * is the monolithic program order (low, then high, then combo), so
- * outcome streams match an unstaged run draw for draw.
- */
-struct TensorStages
-{
-    /** Low-qubit count; the high block holds numQubits() - split. */
-    unsigned split = 0;
-
-    /** Leading instructions on qubits [0, split). */
-    circuit::Circuit low;
-
-    /** Following high-only run, indices shifted down by `split`. */
-    circuit::Circuit high;
-
-    /** Everything after, on the full qubit space. */
-    circuit::Circuit combo;
-};
-
-/** Resimulate-mode head/tail splits of both tensor stages. */
-struct ResimStages
-{
-    /** The stage decomposition the tails below were cut from. */
-    std::shared_ptr<const TensorStages> layout;
-
-    /** Deterministic-head state and per-trial draws of the low block. */
-    sim::StateVector lowHead;
-    std::size_t lowDraws = 0;
-    circuit::Circuit lowTail;
-
-    /** Same for the high block (shifted index space). */
-    sim::StateVector highHead;
-    std::size_t highDraws = 0;
-    circuit::Circuit highTail;
-
-    ResimStages(unsigned low_qubits, unsigned high_qubits)
-        : lowHead(low_qubits), highHead(high_qubits)
-    {
-    }
-};
+// Private to ensemble.cc: a Resimulate head/tail split and a
+// tensor-stage layout, both ranges of the bound program.
+struct ResimPlan;
+struct TensorStages;
 
 /** How ensemble members are produced (assertions::EnsembleMode twin). */
 enum class SampleMode
@@ -295,11 +231,11 @@ class EnsembleEngine
     gatherHistogram(const EnsembleSpec &spec);
 
     /**
-     * Drop the cached truncated circuits, prefix states, resimulation
-     * head states, and shot samplers. The caches trade memory for
-     * speed — a prefix or head state is a full 2^n statevector per
-     * breakpoint — so long-lived sessions that sweep many breakpoints
-     * can call this to bound the footprint.
+     * Drop the cached truncation points, prefix states, resimulation
+     * heads, tensor-stage layouts, and shot samplers. The caches trade
+     * memory for speed — a prefix or head state is a full 2^n
+     * statevector per breakpoint — so long-lived sessions that sweep
+     * many breakpoints can call this to bound the footprint.
      */
     void clearCache();
 
@@ -319,9 +255,12 @@ class EnsembleEngine
 
     std::mutex cacheMutex;
 
-    /** Truncated circuits keyed by breakpoint label. */
-    std::map<std::string, std::shared_ptr<const circuit::Circuit>>
-        prefixCache;
+    /**
+     * Truncation points keyed by breakpoint label: the marker's
+     * position, so the truncated program is instructions [0, position)
+     * of the bound program, read in place.
+     */
+    std::map<std::string, std::size_t> prefixCache;
 
     /**
      * Resimulate-mode head/tail splits keyed by breakpoint label.
@@ -370,8 +309,8 @@ class EnsembleEngine
     std::map<std::string, std::shared_ptr<const TensorStages>>
         stagesCache;
 
-    std::shared_ptr<const circuit::Circuit>
-    prefix(const std::string &breakpoint);
+    /** Where the program is truncated for `breakpoint` (cached). */
+    std::size_t prefixEnd(const std::string &breakpoint);
 
     std::shared_ptr<const TensorStages>
     tensorStages(const std::string &breakpoint);
@@ -380,14 +319,15 @@ class EnsembleEngine
     prefixState(const std::string &breakpoint, std::uint64_t seed);
 
     /**
-     * Simulate the deterministic head of `circ` into `state` (|0...0>
-     * on entry) through options.checkpoints when set: resume from the
-     * longest stored prefix, then store a checkpoint at every marker
-     * passed and at the head's end. Returns the head length; `draws`
-     * receives the head resets' per-trial draws and `resumed` the
-     * instructions taken from the store.
+     * Simulate the deterministic head of the truncated program
+     * [0, end) into `state` (|0...0> on entry) through
+     * options.checkpoints when set: resume from the longest stored
+     * prefix, then store a checkpoint at every marker passed and at
+     * the head's end. Returns the head length; `draws` receives the
+     * head resets' per-trial draws and `resumed` the instructions
+     * taken from the store.
      */
-    std::size_t deterministicHead(const circuit::Circuit &circ,
+    std::size_t deterministicHead(std::size_t end,
                                   sim::StateVector &state,
                                   std::size_t &draws,
                                   std::size_t &resumed);

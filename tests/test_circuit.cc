@@ -183,6 +183,113 @@ TEST(CircuitIR, ValidationCatchesBadQubits)
     EXPECT_EXIT(c.cnot(0, 0), ::testing::ExitedWithCode(1), "collides");
 }
 
+/** An instruction built field by field, for the rejection table. */
+Instruction
+rawInstruction(GateKind kind, std::vector<unsigned> targets,
+               std::vector<unsigned> controls = {}, int matrix_id = -1)
+{
+    Instruction inst;
+    inst.kind = kind;
+    inst.targets = std::move(targets);
+    inst.controls = std::move(controls);
+    inst.matrixId = matrix_id;
+    return inst;
+}
+
+TEST(CircuitIR, EveryValidationRejectionKeepsItsMessage)
+{
+    struct Rejection
+    {
+        const char *what;
+        Instruction inst;
+        const char *message;
+    };
+    std::vector<unsigned> wide(20);
+    for (unsigned q = 0; q < 20; ++q)
+        wide[q] = q;
+    wide.back() = 3;
+    const std::vector<Rejection> table{
+        {"target out of range", rawInstruction(GateKind::H, {24}),
+         "qubit 24 out of range \\(circuit has 20 qubits\\)"},
+        {"control out of range", rawInstruction(GateKind::X, {0}, {21}),
+         "qubit 21 out of range \\(circuit has 20 qubits\\)"},
+        {"duplicate target", rawInstruction(GateKind::Swap, {1, 1}),
+         "duplicate target qubits in swap"},
+        {"duplicate target in a wide list",
+         rawInstruction(GateKind::Measure, wide),
+         "duplicate target qubits in measure"},
+        {"control colliding with a target",
+         rawInstruction(GateKind::X, {2}, {0, 2}),
+         "control qubit 2 collides with a target in x"},
+        // A repeated control is caught by the collision check, which
+        // also covers the controls already seen, so it reads as a
+        // collision.
+        {"duplicate control", rawInstruction(GateKind::Z, {2}, {0, 0}),
+         "control qubit 0 collides with a target in z"},
+        {"swap without two targets", rawInstruction(GateKind::Swap, {0}),
+         "swap needs two targets"},
+        {"bad matrix id", rawInstruction(GateKind::Unitary, {0}, {}, 1),
+         "unitary instruction with invalid matrix id"},
+        {"wrong unitary dimension",
+         rawInstruction(GateKind::Unitary, {0, 1}, {}, 0),
+         "unitary dimension does not match target count"},
+        {"controlled measure", rawInstruction(GateKind::Measure, {0}, {1}),
+         "measure cannot be controlled"},
+        {"controlled breakpoint",
+         rawInstruction(GateKind::Breakpoint, {}, {1}),
+         "breakpoint cannot be controlled"},
+        {"controlled prepz", rawInstruction(GateKind::PrepZ, {0}, {1}),
+         "prepz cannot be controlled"},
+        {"prepz target count", rawInstruction(GateKind::PrepZ, {0, 1}),
+         "prepz takes one target"},
+        {"single-target kind given two targets",
+         rawInstruction(GateKind::Rz, {0, 1}),
+         "rz takes exactly one target"},
+    };
+    for (const Rejection &row : table) {
+        SCOPED_TRACE(row.what);
+        Circuit c(20);
+        c.addMatrix(sim::CMatrix::fromMat2(sim::gates::x()));
+        EXPECT_EXIT(c.append(row.inst), ::testing::ExitedWithCode(1),
+                    row.message);
+    }
+}
+
+TEST(CircuitIR, BoundaryMarkersRejectAClashingSourceLabel)
+{
+    // A source breakpoint named like a generated marker is a
+    // duplicate wherever it sits: before the boundary whose marker it
+    // copies, or after it.
+    Circuit before(1);
+    for (int k = 0; k < 5; ++k)
+        before.h(0);
+    before.breakpoint("qsa_boundary_7");
+    before.h(0);
+    EXPECT_EXIT(before.withBoundaryBreakpoints(),
+                ::testing::ExitedWithCode(1),
+                "duplicate breakpoint label 'qsa_boundary_7'");
+
+    Circuit after(1);
+    for (int k = 0; k < 5; ++k)
+        after.h(0);
+    after.breakpoint("qsa_boundary_1");
+    after.h(0);
+    EXPECT_EXIT(after.withBoundaryBreakpoints(),
+                ::testing::ExitedWithCode(1),
+                "duplicate breakpoint label 'qsa_boundary_1'");
+
+    // Labels that only look alike are not generated markers.
+    Circuit alike(1);
+    alike.h(0);
+    alike.breakpoint("qsa_boundary_01");
+    alike.breakpoint("qsa_boundary_9");
+    alike.breakpoint("qsa_boundary_x");
+    alike.breakpoint("qsa_boundary_");
+    const Circuit marked = alike.withBoundaryBreakpoints();
+    EXPECT_EQ(marked.size(), 2 * alike.size() + 1);
+    EXPECT_EQ(marked.breakpointPosition("qsa_boundary_5"), 10u);
+}
+
 TEST(CircuitIR, UnitaryInstructionExecutes)
 {
     Circuit c(2);
