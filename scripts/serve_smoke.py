@@ -7,7 +7,11 @@ oracle store and a QSA_TRACE destination, fires N concurrent
 qsa_client processes, and checks the serve determinism contract from
 the outside:
 
- - every response is ok (or the expected positioned QASM error),
+ - every response is ok (or the expected positioned QASM error); the
+   mix holds plain and two-item check plans, sample_final_state and
+   resimulate locates, some at "threads": 4,
+ - a batch of such plans and resimulate locates, pipelined on four
+   connections at once, gives the same results on each,
  - identical requests produce byte-identical "result" members no
    matter how the concurrent batch interleaved,
  - a second (warm-store) round reproduces round one byte-for-byte,
@@ -23,7 +27,15 @@ the outside:
    connection, and a first-instruction defect is then bracketed,
  - SIGTERM drains gracefully: exit status 0 and the atexit QSA_TRACE
    flush produced a well-formed trace file,
- - the store directory actually holds persisted artifacts.
+ - every library span in that trace (runtime.*, locate.*,
+   assertions.*, session.*, analyze.*) sits on a thread that also
+   carries serve.request spans: each request ran inline on its
+   dispatcher, never on a pool worker,
+ - the store directory actually holds persisted artifacts,
+ - a bad numeric flag (negative, trailing junk, out of range) makes
+   qsa_serve exit with status 2 and name the flag, without listening.
+   These runs come last, after every check above, so a daemon that
+   would accept such values never gets to start its threads.
 
 Usage:
   serve_smoke.py --serve build/qsa_serve --client build/qsa_client
@@ -33,6 +45,7 @@ Exit status: 0 on success, 1 on any violation.
 """
 
 import argparse
+import collections
 import json
 import os
 import signal
@@ -47,35 +60,52 @@ def fail(message):
     sys.exit(f"serve_smoke: FAIL: {message}")
 
 
+BELL = ("OPENQASM 2.0;\\nqreg a[1];\\nqreg b[1];\\n"
+        "h a[0];\\ncx a[0],b[0];\\n// qsa.breakpoint done\\n")
+REF = ("OPENQASM 2.0;\\nqreg q[2];\\nh q[0];\\ncx q[0],q[1];\\n"
+       "h q[1];\\ncx q[1],q[0];\\n")
+SUS = ("OPENQASM 2.0;\\nqreg q[2];\\nh q[0];\\ncx q[0],q[1];\\n"
+       "t q[1];\\nh q[1];\\ncx q[1],q[0];\\n")
+ENTANGLED = ('{"at": "done", "expect": "entangled",'
+             ' "register": "a", "register_b": "b"}')
+SUPERPOSITION = ('{"at": "done", "expect": "superposition",'
+                 ' "register": "a"}')
+CHECK = ('{"id": %s, "command": "check", "circuit": "%s",'
+         ' "plan": [%s], "seed": %d, "ensemble_size": 128%s}')
+LOCATE = ('{"id": %s, "command": "locate", "circuit": "%s",'
+          ' "reference": "%s", "seed": %d, "ensemble_size": 128%s}')
+
+
+def two_item_check(request_id, seed, threads):
+    """A two-item check plan: in process, its items fan out over a
+    pool as two BatchRunner units."""
+    return CHECK % (json.dumps(request_id), BELL,
+                    ENTANGLED + ", " + SUPERPOSITION, seed,
+                    ', "threads": %d' % threads)
+
+
+def resimulate_locate(request_id, seed, threads):
+    """A resimulate mirror locate: in process, its path walks fan out
+    over a pool."""
+    return LOCATE % (json.dumps(request_id), SUS, REF, seed,
+                     ', "mode": "resimulate", "threads": %d' % threads)
+
+
 def make_requests(clients):
     """One request per client: locates and checks at repeated seeds
     (so byte-identity across concurrent responses is checkable), one
     lint, and one deliberately malformed circuit."""
-    bell = ("OPENQASM 2.0;\\nqreg a[1];\\nqreg b[1];\\n"
-            "h a[0];\\ncx a[0],b[0];\\n// qsa.breakpoint done\\n")
-    ref = ("OPENQASM 2.0;\\nqreg q[2];\\nh q[0];\\ncx q[0],q[1];\\n"
-           "h q[1];\\ncx q[1],q[0];\\n")
-    sus = ("OPENQASM 2.0;\\nqreg q[2];\\nh q[0];\\ncx q[0],q[1];\\n"
-           "t q[1];\\nh q[1];\\ncx q[1],q[0];\\n")
-    check = (
-        '{"id": %d, "command": "check", "circuit": "%s",'
-        ' "plan": [{"at": "done", "expect": "entangled",'
-        ' "register": "a", "register_b": "b"}],'
-        ' "seed": %d, "ensemble_size": 128}')
-    locate = (
-        '{"id": %d, "command": "locate", "circuit": "%s",'
-        ' "reference": "%s", "seed": %d, "ensemble_size": 128}')
     requests = []
     for i in range(clients):
         kind = i % 4
         if kind == 0:
-            requests.append(check % (i, bell, 7))
+            requests.append(CHECK % (i, BELL, ENTANGLED, 7, ""))
         elif kind == 1:
-            requests.append(locate % (i, sus, ref, 5))
+            requests.append(LOCATE % (i, SUS, REF, 5, ""))
         elif kind == 2:
-            requests.append(check % (i, bell, 11))
+            requests.append(two_item_check(i, 11, 4))
         else:
-            requests.append(locate % (i, sus, ref, 5))
+            requests.append(resimulate_locate(i, 5, 4))
     # Replace one slot with a positioned-error probe.
     requests[-1] = ('{"id": %d, "command": "lint", "circuit":'
                     ' "OPENQASM 2.0;\\nqreg q[1];\\nzz q[0];\\n"}'
@@ -143,6 +173,60 @@ def check_round(requests, responses):
                  "different result under concurrency")
         by_request[key] = result
     return by_request
+
+
+def check_fan_out_round(client, socket_path, connections=4):
+    """The same pipelined batch of pool-fanning requests (two-item
+    plans at "threads" 0 and 4, resimulate locates at "threads" 4) on
+    several concurrent connections. Every response must be ok and
+    byte-identical across connections. Sent many times over, such
+    requests are sure to land work on pool workers if the daemon ever
+    fans them out, which the trace check after the drain would
+    catch."""
+    batch = []
+    for k in range(24):
+        if k % 3 == 2:
+            batch.append(resimulate_locate(f"fan-{k}", 30 + k, 4))
+        else:
+            batch.append(two_item_check(f"fan-{k}", 30 + k, 4 * (k % 3)))
+    replies = [None] * connections
+
+    def one(c):
+        try:
+            replies[c] = subprocess.run(
+                [client, "--socket", socket_path],
+                input="\n".join(batch) + "\n", capture_output=True,
+                text=True, timeout=120)
+        except Exception as err:  # noqa: BLE001 - report, don't die
+            replies[c] = err
+
+    threads = [threading.Thread(target=one, args=(c,))
+               for c in range(connections)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    results = None
+    for c, proc in enumerate(replies):
+        if isinstance(proc, Exception):
+            fail(f"fan-out connection {c}: {proc}")
+        if proc.returncode != 0:
+            fail(f"fan-out connection {c}: client exited "
+                 f"{proc.returncode}: {proc.stderr.strip()}")
+        by_id = {}
+        for i, line in enumerate(proc.stdout.strip().splitlines()):
+            doc = result_member(line, i)
+            if doc.get("ok") is not True:
+                fail(f"fan-out connection {c}: not ok: {line}")
+            by_id[doc.get("id")] = json.dumps(doc.get("result"),
+                                              sort_keys=True)
+        if len(by_id) != len(batch):
+            fail(f"fan-out connection {c}: {len(by_id)} responses for "
+                 f"{len(batch)} requests")
+        if results is not None and by_id != results:
+            fail("fan-out requests gave different results on "
+                 "different connections")
+        results = by_id
 
 
 def wide_measure_qasm(buggy):
@@ -288,6 +372,62 @@ def check_rejection_survival(client, socket_path):
              f"{lines[-1]}")
 
 
+def check_spans_on_dispatchers(events):
+    """Every library span must share its thread with serve.request
+    spans: the daemon runs each request inline on its dispatcher."""
+    dispatchers = {e.get("tid") for e in events
+                   if e.get("name") == "serve.request"}
+    library = ("runtime.", "locate.", "assertions.", "session.",
+               "analyze.")
+    stray = collections.Counter(
+        (e.get("name"), e.get("tid")) for e in events
+        if e.get("name", "").startswith(library) and
+        e.get("tid") not in dispatchers)
+    if stray:
+        listed = ", ".join(f"{n} x{c} on tid {t}"
+                           for (n, t), c in sorted(stray.items()))
+        fail("library spans ran off the dispatcher threads "
+             f"{sorted(dispatchers)}: {listed}")
+
+
+# Each case is rejected by the flag parser before a socket or thread
+# exists. The order runs first the cases a lax parser would survive
+# (such a daemon starts listening, and the run fails when its 10 s
+# wait times out) and the wrapped-around -1 last.
+BAD_FLAGS = [
+    ("--workers", "12abc"),
+    ("--workers", "257"),
+    ("--queue", "0"),
+    ("--max-qubits", "-1"),
+    ("--store-max-entries", "1e3"),
+    ("--workers", "-1"),
+]
+
+
+def check_flag_rejections(serve, workdir):
+    """Every bad numeric flag: exit 2, the flag named on stderr, and
+    never "listening on"."""
+    socket_path = os.path.join(workdir, "rejected.sock")
+    for flag, value in BAD_FLAGS:
+        try:
+            proc = subprocess.run(
+                [serve, "--socket", socket_path, flag, value],
+                capture_output=True, text=True, timeout=10)
+        except subprocess.TimeoutExpired:
+            fail(f"{flag} {value}: qsa_serve started instead of "
+                 "rejecting the value")
+        if "listening on" in proc.stdout:
+            fail(f"{flag} {value}: qsa_serve started listening")
+        if proc.returncode != 2:
+            fail(f"{flag} {value}: exit status {proc.returncode}, "
+                 "expected 2")
+        if flag not in proc.stderr or "usage:" not in proc.stderr:
+            fail(f"{flag} {value}: stderr does not name the flag and "
+                 f"show the usage: {proc.stderr!r}")
+        if os.path.exists(socket_path):
+            fail(f"{flag} {value}: left a socket file behind")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--serve", required=True)
@@ -326,6 +466,7 @@ def main():
                      f"  request: {key}\n  cold: {result}\n"
                      f"  warm: {warm.get(key)}")
 
+        check_fan_out_round(args.client, socket_path)
         check_derive_error_survival(args.client, socket_path)
         check_rejection_survival(args.client, socket_path)
 
@@ -354,9 +495,13 @@ def main():
     if not any(e.get("name") == "serve.request"
                for e in trace["traceEvents"]):
         fail("trace has no serve.request spans")
+    check_spans_on_dispatchers(trace["traceEvents"])
+
+    check_flag_rejections(args.serve, workdir)
 
     print(f"serve_smoke: OK ({args.clients} concurrent clients, "
-          f"{len(trace['traceEvents'])} trace events)")
+          f"{len(trace['traceEvents'])} trace events, "
+          f"{len(BAD_FLAGS)} bad flags rejected)")
 
 
 if __name__ == "__main__":

@@ -10,12 +10,30 @@
 namespace qsa::runtime
 {
 
-BatchRunner::BatchRunner(unsigned num_threads)
-    : poolPtr(&ThreadPool::resolve(num_threads, ownedPool))
+BatchRunner::BatchRunner(unsigned num_threads) : numThreads(num_threads)
 {
 }
 
 BatchRunner::~BatchRunner() = default;
+
+void
+BatchRunner::forEach(std::size_t n,
+                     const std::function<void(std::size_t)> &body)
+{
+    if (n <= 1 || ThreadPool::insideWorker()) {
+        // Nothing to fan out, or a worker already: parallelFor would
+        // run inline anyway, so do not resolve (or spawn) a pool.
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    // call_once: AssertionChecker::checkAll is const and may race on
+    // its shared runner.
+    std::call_once(poolOnce, [this] {
+        poolPtr = &ThreadPool::resolve(numThreads, ownedPool);
+    });
+    poolPtr->parallelFor(n, body);
+}
 
 std::vector<std::vector<assertions::AssertionOutcome>>
 BatchRunner::checkAll(const std::vector<BatchItem> &items)
@@ -45,8 +63,8 @@ BatchRunner::checkAll(const std::vector<BatchItem> &items)
     // Outcomes are numThreads-invariant either way, preserving
     // bit-identity with serial checkAll.
     // (0 = the shared pool; a dedicated count only when this runner
-    // owns a custom-size pool, so a shared-pool runner does not spawn
-    // a redundant hardware-wide pool next to the idle shared one.
+    // has a custom size, so a shared-pool runner does not spawn a
+    // redundant hardware-wide pool next to the idle shared one.
     // Known tradeoff: in the custom-size case the ensemble pool is a
     // second, transient set of threads while the runner's workers sit
     // idle — reusing them would mean plumbing a pool handle through
@@ -55,10 +73,11 @@ BatchRunner::checkAll(const std::vector<BatchItem> &items)
     // inline on the posting thread (not on a pool worker), so without
     // the explicit 1 their engines would resolve the hardware-wide
     // shared pool behind the caller's back.
+    const unsigned concurrency = ThreadPool::concurrencyFor(numThreads);
     const unsigned ensemble_threads =
-        poolPtr->concurrency() == 1         ? 1
-        : units.size() == 1 && ownedPool    ? poolPtr->concurrency()
-                                            : 0;
+        concurrency == 1                        ? 1
+        : units.size() == 1 && numThreads != 0  ? concurrency
+                                                : 0;
     std::vector<std::unique_ptr<assertions::AssertionChecker>> checkers;
     checkers.reserve(items.size());
     for (const auto &item : items) {
@@ -71,7 +90,7 @@ BatchRunner::checkAll(const std::vector<BatchItem> &items)
                 *item.program, config));
     }
 
-    poolPtr->parallelFor(units.size(), [&](std::size_t k) {
+    forEach(units.size(), [&](std::size_t k) {
         const auto [i, j] = units[k];
         results[i][j] = checkers[i]->check(items[i].specs[j]);
     });
@@ -104,16 +123,10 @@ BatchRunner::checkAll(const assertions::AssertionChecker &checker,
             outcomes[j] = checker.check(specs[j]);
         }
     };
-    if (specs.size() <= 1) {
-        // No unit-level fan-out to gain: run directly so the one
-        // ensemble still shards its trials across the engine's pool
-        // (a parallelFor(1) body would count as a worker and force
-        // the nested ensemble gather inline).
-        for (std::size_t j = 0; j < specs.size(); ++j)
-            unit(j);
-    } else {
-        poolPtr->parallelFor(specs.size(), unit);
-    }
+    // A single spec runs directly on the calling thread (forEach), so
+    // its one ensemble still shards its trials across the engine's
+    // pool.
+    forEach(specs.size(), unit);
     return outcomes;
 }
 

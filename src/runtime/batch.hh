@@ -10,6 +10,12 @@
  * inline — see pool.hh), so the pool is never oversubscribed and the
  * fan-out cannot deadlock.
  *
+ * The pool is resolved on the first real fan-out, not at
+ * construction: with at most one unit, or on a thread that already
+ * counts as a worker (a pool body, or a qsa_serve dispatcher holding
+ * a ThreadPool::WorkerScope), the units run inline on the calling
+ * thread and no pool is created, posted to or waited on.
+ *
  * Results are positionally identical — and numerically bit-identical —
  * to checking each item serially with AssertionChecker::checkAll: both
  * paths route through qsa::runtime's EnsembleEngine with the same
@@ -19,7 +25,9 @@
 #ifndef QSA_RUNTIME_BATCH_HH
 #define QSA_RUNTIME_BATCH_HH
 
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "assertions/checker.hh"
@@ -55,7 +63,8 @@ class BatchRunner
   public:
     /**
      * @param num_threads pool concurrency for the fan-out: 0 = the
-     *        process-wide shared pool, otherwise a dedicated pool.
+     *        process-wide shared pool, otherwise a dedicated pool
+     *        (spawned on the first fan-out, see the file comment).
      */
     explicit BatchRunner(unsigned num_threads = 0);
 
@@ -103,12 +112,17 @@ class BatchRunner
              const assertions::EscalationPolicy *escalation = nullptr,
              const std::vector<std::size_t> *ensemble_sizes = nullptr);
 
-    /** The pool the assertion units run on. */
-    ThreadPool &pool() { return *poolPtr; }
-
   private:
+    unsigned numThreads;
+    std::once_flag poolOnce;
     std::unique_ptr<ThreadPool> ownedPool;
-    ThreadPool *poolPtr;
+    ThreadPool *poolPtr = nullptr;
+
+    /** Run body(i) for every i in [0, n): inline when there is
+     *  nothing to fan out (see the file comment), otherwise on the
+     *  pool, resolving it on first use. */
+    void forEach(std::size_t n,
+                 const std::function<void(std::size_t)> &body);
 };
 
 } // namespace qsa::runtime

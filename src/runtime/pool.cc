@@ -25,11 +25,8 @@ thread_local bool inside_worker = false;
 
 ThreadPool::ThreadPool(unsigned num_threads)
 {
-    if (num_threads == 0) {
-        num_threads = std::thread::hardware_concurrency();
-        if (num_threads == 0)
-            num_threads = 1;
-    }
+    num_threads = concurrencyFor(num_threads);
+    QSA_OBS_COUNTER("runtime.pool.spawned_threads", num_threads - 1);
     workers.reserve(num_threads - 1);
     for (unsigned i = 0; i + 1 < num_threads; ++i)
         workers.emplace_back([this] { workerLoop(); });
@@ -61,6 +58,25 @@ bool
 ThreadPool::insideWorker()
 {
     return inside_worker;
+}
+
+ThreadPool::WorkerScope::WorkerScope() : previous(inside_worker)
+{
+    inside_worker = true;
+}
+
+ThreadPool::WorkerScope::~WorkerScope()
+{
+    inside_worker = previous;
+}
+
+unsigned
+ThreadPool::concurrencyFor(unsigned num_threads)
+{
+    if (num_threads != 0)
+        return num_threads;
+    const unsigned hardware = std::thread::hardware_concurrency();
+    return hardware == 0 ? 1 : hardware;
 }
 
 void
@@ -169,10 +185,10 @@ ThreadPool::parallelFor(std::size_t n,
     wake.notify_all();
 
     // The poster works too, then blocks until the stragglers finish.
-    const bool was_inside = inside_worker;
-    inside_worker = true;
-    drainJob(*job);
-    inside_worker = was_inside;
+    {
+        WorkerScope scope;
+        drainJob(*job);
+    }
 
     {
         std::unique_lock<std::mutex> lock(job->doneMutex);

@@ -19,6 +19,13 @@
  * any pool — run inline on the calling worker. That makes composition
  * (BatchRunner fanning out assertion checks whose ensemble generation
  * is itself parallelised) deadlock-free by construction.
+ *
+ * A thread that is itself the unit of parallelism — a qsa_serve
+ * dispatcher, which runs one whole request — holds a WorkerScope: it
+ * counts as a worker, so every parallelFor under it runs inline, and
+ * the layers above (the ensemble engine, BatchRunner) skip resolving
+ * a pool at all. Such a thread never posts to a pool and never spawns
+ * one.
  */
 
 #ifndef QSA_RUNTIME_POOL_HH
@@ -42,8 +49,9 @@ class ThreadPool
   public:
     /**
      * @param num_threads total concurrency including the calling
-     *        thread (the pool spawns num_threads - 1 workers);
-     *        0 means the hardware concurrency.
+     *        thread (the pool spawns num_threads - 1 workers, counted
+     *        by runtime.pool.spawned_threads); 0 means the hardware
+     *        concurrency.
      */
     explicit ThreadPool(unsigned num_threads = 0);
 
@@ -84,11 +92,37 @@ class ThreadPool
 
     /**
      * True when the calling thread is currently executing a
-     * parallelFor body (of any pool). Lets layered code skip
-     * fan-out work — e.g. the ensemble engine avoids resolving a
-     * pool at all for gathers that would run inline anyway.
+     * parallelFor body (of any pool) or holds a WorkerScope. Lets
+     * layered code skip fan-out work — e.g. the ensemble engine
+     * avoids resolving a pool at all for gathers that would run
+     * inline anyway.
      */
     static bool insideWorker();
+
+    /**
+     * Marks the calling thread as a worker for the scope's lifetime
+     * (see the file comment), restoring the previous state on exit,
+     * exceptions included; scopes nest.
+     */
+    class WorkerScope
+    {
+      public:
+        WorkerScope();
+        ~WorkerScope();
+
+        WorkerScope(const WorkerScope &) = delete;
+        WorkerScope &operator=(const WorkerScope &) = delete;
+
+      private:
+        bool previous;
+    };
+
+    /**
+     * The concurrency resolve(num_threads, ...) would give, computed
+     * without constructing a pool: num_threads itself, or the shared
+     * pool's concurrency when it is 0.
+     */
+    static unsigned concurrencyFor(unsigned num_threads);
 
     /**
      * Process-wide pool sized to the hardware concurrency, created on

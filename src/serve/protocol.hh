@@ -24,7 +24,8 @@
  *      "seed": 81985529216486895,
  *      "ensemble_size": 256,
  *      "mode": "sample_final_state" | "resimulate",
- *      "threads": 0,
+ *      "threads": 0,                // [0, 64]; scheduling only, see
+ *                                   // Request::threads
  *      "g_test": false,
  *      "holm_bonferroni": false}
  *
@@ -144,6 +145,11 @@ struct Request
     std::size_t ensembleSize = 256;
     assertions::EnsembleMode mode =
         assertions::EnsembleMode::SampleFinalState;
+    /** CheckConfig::numThreads for an in-process executeRequest:
+     *  0 = the shared pool, otherwise a dedicated pool of that size.
+     *  Scheduling only — the "result" bytes never depend on it. In
+     *  the daemon it changes nothing: a dispatcher runs the whole
+     *  request inline on its own thread (server.hh). */
     unsigned threads = 0;
     bool gTest = false;
     bool holmBonferroni = false;
@@ -163,9 +169,10 @@ bool parseRequest(const json::Value &doc, Request *request,
 /**
  * Execute a parsed request and return its deterministic "result"
  * payload (see the file comment's contract). Runs the full
- * session/locate machinery — this is the call the dispatcher fans
- * out over the worker pool. Throws qsa::Error (DeriveError included)
- * when the library rejects the work; handleRequestLine catches it.
+ * session/locate machinery, fanning out as Request::threads says —
+ * except on a daemon dispatcher, which runs it inline. Throws
+ * qsa::Error (DeriveError included) when the library rejects the
+ * work; handleRequestLine catches it.
  */
 json::Value executeRequest(const Request &request);
 

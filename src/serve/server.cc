@@ -10,6 +10,7 @@
 
 #include "common/json.hh"
 #include "obs/obs.hh"
+#include "runtime/pool.hh"
 
 namespace qsa::serve
 {
@@ -93,6 +94,17 @@ Server::~Server()
 bool
 Server::start(std::string *error)
 {
+    if (config.workers > ServerConfig::kMaxWorkers) {
+        *error = "workers must lie in [0, " +
+                 std::to_string(ServerConfig::kMaxWorkers) +
+                 "] (0 = auto), got " + std::to_string(config.workers);
+        return false;
+    }
+    if (config.maxQueue == 0) {
+        *error = "the request queue bound must be at least 1";
+        return false;
+    }
+
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (config.socketPath.empty() ||
@@ -235,6 +247,9 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
 void
 Server::dispatchLoop()
 {
+    // The request is the unit of parallelism: everything a request
+    // runs stays inline on this thread (see the file comment).
+    const runtime::ThreadPool::WorkerScope worker;
     while (true) {
         Task task;
         {

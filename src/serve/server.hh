@@ -12,12 +12,21 @@
  *                               bounded request queue
  *                                        │
  *                 dispatcher workers ◄───┘
- *                 (each runs protocol::handleRequestLine; the heavy
- *                  ensemble work inside fans out over the ONE
- *                  process-wide runtime::ThreadPool via the session
- *                  layer's BatchRunner — dispatcher threads are I/O
- *                  and orchestration only, so `workers` can exceed
- *                  the core count without oversubscribing simulation)
+ *                 (each runs protocol::handleRequestLine inline, the
+ *                  whole request on its own thread: the request is
+ *                  the unit of parallelism)
+ *
+ * Each dispatcher holds a runtime::ThreadPool::WorkerScope for its
+ * whole life, so every parallelFor under a request — BatchRunner
+ * units, ensemble shards, the Resimulate path walk — runs inline on
+ * the dispatcher. A served request never posts to a pool, waits on
+ * one or spawns a thread, whatever its "threads" field says, and the
+ * daemon never constructs a runtime::ThreadPool. `workers` is thus
+ * the number of requests simulating at once, one core each; a lone
+ * request on an idle daemon uses one core (DESIGN.md "Server
+ * concurrency" has the trade-off). Results do not depend on it:
+ * in-process callers of handleRequestLine keep the library's fan-out
+ * and get the same bytes.
  *
  * Responses are written back on the request's connection under a
  * per-connection write mutex (responses from one connection's
@@ -41,7 +50,7 @@
  * "result" bytes, any interleaving, any thread count) holds end to
  * end because every request executes with its own seed-keyed RNG
  * streams and shares no mutable state with its neighbours beyond the
- * pool and the (idempotent, content-addressed) oracle store.
+ * (idempotent, content-addressed) oracle store.
  */
 
 #ifndef QSA_SERVE_SERVER_HH
@@ -68,13 +77,16 @@ struct ServerConfig
      *  existing socket file at the path is replaced). */
     std::string socketPath;
 
-    /** Dispatcher threads (0 = hardware concurrency, capped at 8).
-     *  See the file comment: these orchestrate; simulation fans out
-     *  over the process-wide runtime pool. */
+    /** Largest `workers` value start() accepts. */
+    static constexpr unsigned kMaxWorkers = 256;
+
+    /** Dispatcher threads, i.e. requests served at once, one core
+     *  each (0 = hardware concurrency, capped at 8; at most
+     *  kMaxWorkers). See the file comment. */
     unsigned workers = 0;
 
-    /** Bounded request-queue depth; beyond it requests are rejected
-     *  with an overload error response. */
+    /** Bounded request-queue depth (at least 1); beyond it requests
+     *  are rejected with an overload error response. */
     std::size_t maxQueue = 64;
 
     /** Per-request resource ceilings (protocol.hh). */
@@ -95,7 +107,9 @@ class Server
 
     /**
      * Bind, listen, and spawn the accept/dispatcher threads. Returns
-     * false with `*error` set when the socket cannot be set up (path
+     * false with `*error` set when the configuration is out of range
+     * (`workers` above kMaxWorkers, `maxQueue` 0; checked before any
+     * socket or thread exists) or the socket cannot be set up (path
      * too long for sockaddr_un, bind/listen failure).
      */
     bool start(std::string *error);

@@ -114,8 +114,6 @@ namespace
 {
 
 using detail::KernelLevel;
-/** Practical cap: 2^28 amplitudes is 4 GiB of doubles. */
-constexpr unsigned max_qubits = 28;
 
 /**
  * One bookkeeping call per kernel invocation (never per amplitude):
@@ -597,8 +595,8 @@ mat4Kernel(double *a, std::uint64_t d, const Mat4 &gate,
 StateVector::StateVector(unsigned num_qubits) : nQubits(num_qubits)
 {
     fatal_if(num_qubits == 0, "state vector needs at least one qubit");
-    fatal_if(num_qubits > max_qubits, "refusing to allocate ",
-             num_qubits, " qubits (limit ", max_qubits, ")");
+    fatal_if(num_qubits > kMaxQubits, "refusing to allocate ",
+             num_qubits, " qubits (limit ", kMaxQubits, ")");
     amps.assign(pow2(num_qubits), Complex(0.0));
     amps[0] = Complex(1.0);
 }

@@ -60,7 +60,10 @@ namespace qsa::sim
 class StateVector
 {
   public:
-    /** Construct |0...0> on num_qubits qubits. */
+    /** Practical width cap: 2^28 amplitudes is 4 GiB of doubles. */
+    static constexpr unsigned kMaxQubits = 28;
+
+    /** Construct |0...0> on num_qubits qubits (at most kMaxQubits). */
     explicit StateVector(unsigned num_qubits);
 
     /** Number of qubits. */

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "qsa/qsa.hh"
@@ -18,6 +19,17 @@ namespace
 {
 
 using namespace qsa;
+
+/** A registry counter's value (0 while unregistered, and always 0 in
+ *  a -DQSA_OBS=OFF build, where the checks on it are compiled out). */
+std::int64_t
+counterValue(const std::string &name)
+{
+    for (const auto &[key, value] : obs::Registry::snapshot())
+        if (key == name)
+            return value;
+    return 0;
+}
 
 // --- ThreadPool ------------------------------------------------------------
 
@@ -85,6 +97,74 @@ TEST(ThreadPool, ReusableAcrossManyInvocations)
     for (int round = 0; round < 50; ++round)
         pool.parallelFor(10, [&](std::size_t i) { sum += (long)i; });
     EXPECT_EQ(sum.load(), 50 * 45);
+}
+
+// --- ThreadPool::WorkerScope -----------------------------------------------
+
+TEST(WorkerScope, ParallelForRunsInlineOnTheCallingThread)
+{
+    runtime::ThreadPool dedicated(4);
+    runtime::ThreadPool &shared = runtime::ThreadPool::shared();
+    EXPECT_FALSE(runtime::ThreadPool::insideWorker());
+    [[maybe_unused]] const std::int64_t jobs0 =
+        counterValue("runtime.pool.jobs");
+    {
+        const runtime::ThreadPool::WorkerScope scope;
+        EXPECT_TRUE(runtime::ThreadPool::insideWorker());
+        for (runtime::ThreadPool *pool : {&shared, &dedicated}) {
+            std::vector<std::thread::id> ran_on(64);
+            pool->parallelFor(ran_on.size(), [&](std::size_t i) {
+                ran_on[i] = std::this_thread::get_id();
+            });
+            for (std::size_t i = 0; i < ran_on.size(); ++i)
+                EXPECT_EQ(ran_on[i], std::this_thread::get_id())
+                    << "index " << i << " of a "
+                    << pool->concurrency() << "-thread pool";
+        }
+    }
+    EXPECT_FALSE(runtime::ThreadPool::insideWorker());
+#if QSA_OBS_ENABLED
+    EXPECT_EQ(counterValue("runtime.pool.jobs"), jobs0)
+        << "a parallelFor under the scope posted a pool job";
+#endif
+}
+
+TEST(WorkerScope, RestoresThePreviousStateOnEveryExit)
+{
+    // Nested scopes: leaving the inner one keeps the outer in force.
+    {
+        const runtime::ThreadPool::WorkerScope outer;
+        {
+            const runtime::ThreadPool::WorkerScope inner;
+            EXPECT_TRUE(runtime::ThreadPool::insideWorker());
+        }
+        EXPECT_TRUE(runtime::ThreadPool::insideWorker());
+    }
+    EXPECT_FALSE(runtime::ThreadPool::insideWorker());
+
+    // A body that throws under the scope unwinds through it.
+    runtime::ThreadPool pool(4);
+    EXPECT_THROW(
+        {
+            const runtime::ThreadPool::WorkerScope scope;
+            pool.parallelFor(8, [](std::size_t i) {
+                if (i == 3)
+                    throw std::runtime_error("boom");
+            });
+        },
+        std::runtime_error);
+    EXPECT_FALSE(runtime::ThreadPool::insideWorker());
+
+    // So does one that throws from a real fan-out, where the poster
+    // drains its own share of the job as a worker.
+    EXPECT_THROW(pool.parallelFor(64,
+                                  [](std::size_t i) {
+                                      if (i == 10)
+                                          throw std::runtime_error(
+                                              "boom");
+                                  }),
+                 std::runtime_error);
+    EXPECT_FALSE(runtime::ThreadPool::insideWorker());
 }
 
 // --- Rng splitting and jumping --------------------------------------------
@@ -503,6 +583,125 @@ TEST(BatchRunner, PerItemConfigsAreHonoured)
     ASSERT_EQ(results.size(), 2u);
     EXPECT_EQ(results[0][0].ensembleSize, 64u);
     EXPECT_EQ(results[1][0].ensembleSize, 512u);
+}
+
+/** Two programs (the Bell pair and an unentangled variant) and two
+ *  specs each: four batch units, enough to fan out. */
+struct LazyBatchFixture
+{
+    circuit::Circuit bell = bellProgram();
+    circuit::Circuit broken;
+    std::vector<assertions::AssertionSpec> specs;
+    assertions::CheckConfig cfg;
+
+    LazyBatchFixture()
+    {
+        auto a = broken.addRegister("a", 1);
+        broken.addRegister("b", 1);
+        broken.h(a[0]);
+        broken.breakpoint("pair");
+        cfg.ensembleSize = 128;
+        cfg.seed = 0x1a2b;
+        assertions::AssertionChecker proto(bell, cfg);
+        proto.assertEntangled("pair", bell.reg("a"), bell.reg("b"));
+        proto.assertSuperposition("pair", bell.reg("a"));
+        specs = proto.assertions();
+    }
+
+    /** The same checks, one program at a time on one thread. */
+    std::vector<std::vector<assertions::AssertionOutcome>>
+    serial() const
+    {
+        std::vector<std::vector<assertions::AssertionOutcome>> out;
+        for (const circuit::Circuit *program : {&bell, &broken}) {
+            auto config = cfg;
+            config.numThreads = 1;
+            assertions::AssertionChecker checker(*program, config);
+            for (const auto &spec : specs)
+                checker.addAssertion(spec);
+            out.push_back(checker.checkAll());
+        }
+        return out;
+    }
+};
+
+void
+expectSameOutcomes(const std::vector<assertions::AssertionOutcome> &got,
+                   const std::vector<assertions::AssertionOutcome> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+        EXPECT_EQ(got[j].pValue, want[j].pValue) << "spec " << j;
+        EXPECT_EQ(got[j].statistic, want[j].statistic) << "spec " << j;
+        EXPECT_EQ(got[j].df, want[j].df) << "spec " << j;
+        EXPECT_EQ(got[j].passed, want[j].passed) << "spec " << j;
+        EXPECT_EQ(got[j].ensembleSize, want[j].ensembleSize)
+            << "spec " << j;
+        EXPECT_EQ(got[j].effectiveAlpha, want[j].effectiveAlpha)
+            << "spec " << j;
+        EXPECT_EQ(got[j].countsA, want[j].countsA) << "spec " << j;
+        EXPECT_EQ(got[j].jointCounts, want[j].jointCounts)
+            << "spec " << j;
+        EXPECT_EQ(got[j].cramersV, want[j].cramersV) << "spec " << j;
+        EXPECT_EQ(got[j].contingencyC, want[j].contingencyC)
+            << "spec " << j;
+        EXPECT_EQ(got[j].impossibleOutcome, want[j].impossibleOutcome)
+            << "spec " << j;
+    }
+}
+
+TEST(BatchRunner, UnderAWorkerScopeSpawnsNothingAndMatchesSerial)
+{
+    const LazyBatchFixture f;
+    const auto want = f.serial();
+    [[maybe_unused]] const std::int64_t spawned0 =
+        counterValue("runtime.pool.spawned_threads");
+    [[maybe_unused]] const std::int64_t jobs0 =
+        counterValue("runtime.pool.jobs");
+    {
+        const runtime::ThreadPool::WorkerScope scope;
+        runtime::BatchRunner runner(8);
+        const auto batch = runner.checkAll({&f.bell, &f.broken}, f.specs,
+                                           f.cfg);
+        ASSERT_EQ(batch.size(), 2u);
+        expectSameOutcomes(batch[0], want[0]);
+        expectSameOutcomes(batch[1], want[1]);
+
+        // The plan-execution overload, on a checker of 8 threads.
+        auto config = f.cfg;
+        config.numThreads = 8;
+        assertions::AssertionChecker checker(f.bell, config);
+        expectSameOutcomes(runner.checkAll(checker, f.specs), want[0]);
+    }
+#if QSA_OBS_ENABLED
+    EXPECT_EQ(counterValue("runtime.pool.spawned_threads"), spawned0);
+    EXPECT_EQ(counterValue("runtime.pool.jobs"), jobs0);
+#endif
+}
+
+TEST(BatchRunner, SpawnsItsDedicatedPoolOnceOnFirstFanOut)
+{
+    const LazyBatchFixture f;
+    const auto want = f.serial();
+    [[maybe_unused]] const std::int64_t spawned0 =
+        counterValue("runtime.pool.spawned_threads");
+    runtime::BatchRunner runner(8);
+#if QSA_OBS_ENABLED
+    EXPECT_EQ(counterValue("runtime.pool.spawned_threads"), spawned0)
+        << "constructing the runner spawned its pool";
+#endif
+    for (int round = 0; round < 2; ++round) {
+        const auto batch = runner.checkAll({&f.bell, &f.broken}, f.specs,
+                                           f.cfg);
+        ASSERT_EQ(batch.size(), 2u);
+        expectSameOutcomes(batch[0], want[0]);
+        expectSameOutcomes(batch[1], want[1]);
+#if QSA_OBS_ENABLED
+        EXPECT_EQ(counterValue("runtime.pool.spawned_threads"),
+                  spawned0 + 7)
+            << "round " << round;
+#endif
+    }
 }
 
 } // anonymous namespace

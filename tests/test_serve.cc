@@ -14,12 +14,16 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/artifacts.hh"
 #include "qsa/qsa.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -1089,32 +1093,238 @@ TEST(ServeServer, SurvivesEveryLocatorRejection)
     server.stop();
 }
 
+TEST(ServeServer, StartRejectsOutOfRangeConfigurations)
+{
+    // Both are refused before a socket is bound or a thread started.
+    serve::ServerConfig too_many;
+    too_many.socketPath = testSocketPath("too_many");
+    too_many.workers = serve::ServerConfig::kMaxWorkers + 1;
+    serve::ServerConfig no_queue;
+    no_queue.socketPath = testSocketPath("no_queue");
+    no_queue.maxQueue = 0;
+
+    for (const auto &[config, message] :
+         {std::pair{too_many, "workers must lie in [0, 256]"},
+          std::pair{no_queue, "queue bound must be at least 1"}}) {
+        std::filesystem::remove(config.socketPath);
+        serve::Server server(config);
+        std::string error;
+        EXPECT_FALSE(server.start(&error)) << message;
+        EXPECT_NE(error.find(message), std::string::npos) << error;
+        EXPECT_FALSE(std::filesystem::exists(config.socketPath))
+            << message;
+    }
+}
+
+/**
+ * The four request shapes that fan out in process, at one "threads"
+ * value: a two-item check plan (BatchRunner units), a Resimulate
+ * mirror locate (the path walk), a LinearScan locate (the scan
+ * batches) and a swap-test locate.
+ */
+std::vector<json::Value>
+fanOutRequestDocs(unsigned threads)
+{
+    json::Value check = checkRequestDoc(17, threads);
+    check.set("plan",
+              json::Value::parseOrDie(
+                  R"([{"at": "done", "expect": "entangled",)"
+                  R"( "register": "a", "register_b": "b"},)"
+                  R"( {"at": "done", "expect": "superposition",)"
+                  R"( "register": "a"}])"));
+
+    json::Value resimulate = locateRequestDoc(19, threads);
+    resimulate.set("id", json::Value::string("resimulate"));
+    resimulate.set("mode", json::Value::string("resimulate"));
+
+    json::Value linear = locateRequestDoc(21, threads);
+    linear.set("id", json::Value::string("linear"));
+    linear.set("strategy", json::Value::string("linear"));
+
+    json::Value swap = locateRequestDoc(23, threads);
+    swap.set("id", json::Value::string("swap"));
+    swap.set("family", json::Value::string("swap_test"));
+    return {check, resimulate, linear, swap};
+}
+
+TEST(ServeServer, RequestsRunInlineOnTheirDispatchers)
+{
+    // In process, these requests fan out (threads 0: the shared pool;
+    // 4: dedicated pools). Served concurrently at "threads": 8, each
+    // runs inline on its dispatcher: the same bytes, no thread
+    // spawned and no pool job posted.
+    const auto fan_out0 = fanOutRequestDocs(0);
+    const auto fan_out4 = fanOutRequestDocs(4);
+    const auto served = fanOutRequestDocs(8);
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        expected.push_back(
+            stripObs(serve::handleRequestLine(fan_out0[i].dump())));
+        EXPECT_EQ(stripObs(serve::handleRequestLine(fan_out4[i].dump())),
+                  expected[i])
+            << "request " << i;
+        EXPECT_TRUE(
+            json::Value::parseOrDie(expected[i]).find("ok")->asBool())
+            << expected[i];
+    }
+
+    serve::ServerConfig config;
+    config.socketPath = testSocketPath("inline");
+    config.workers = 4;
+    serve::Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    [[maybe_unused]] const std::int64_t spawned0 =
+        counterValue("runtime.pool.spawned_threads");
+    [[maybe_unused]] const std::int64_t jobs0 =
+        counterValue("runtime.pool.jobs");
+    std::vector<std::string> got(served.size());
+    std::vector<std::string> failures(served.size());
+    std::vector<std::thread> clients;
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        clients.emplace_back([&, i] {
+            serve::Client client;
+            std::string response;
+            if (client.connect(config.socketPath, &failures[i]) &&
+                client.request(served[i].dump(), &response,
+                               &failures[i]))
+                got[i] = stripObs(response);
+        });
+    }
+    for (auto &t : clients)
+        t.join();
+#if QSA_OBS_ENABLED
+    EXPECT_EQ(counterValue("runtime.pool.spawned_threads"), spawned0)
+        << "a served request spawned pool threads";
+    EXPECT_EQ(counterValue("runtime.pool.jobs"), jobs0)
+        << "a served request posted pool jobs";
+#endif
+    server.stop();
+
+    for (std::size_t i = 0; i < served.size(); ++i) {
+        EXPECT_TRUE(failures[i].empty()) << failures[i];
+        EXPECT_EQ(got[i], expected[i]) << "request " << i;
+    }
+}
+
+/**
+ * An artifact store whose loads wait at a gate until open() (or a
+ * one-minute safety timeout). Installed process-wide, it holds a
+ * dispatcher inside its request, so the queue behind it fills
+ * deterministically. Every load misses and store() keeps nothing, so
+ * results are those of a daemon without a store.
+ */
+class GateStore : public common::ArtifactStore
+{
+  public:
+    GateStore() { common::setArtifactStore(this); }
+    ~GateStore() override { common::setArtifactStore(nullptr); }
+
+    bool
+    load(const std::string &, const std::string &,
+         std::string *) override
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        entered = true;
+        changed.notify_all();
+        changed.wait_for(lock, std::chrono::minutes(1),
+                         [this] { return opened; });
+        return false;
+    }
+
+    void
+    store(const std::string &, const std::string &,
+          const std::string &) override
+    {
+    }
+
+    /** Wait until a load reached the gate; false on timeout. */
+    bool
+    awaitEntered()
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        return changed.wait_for(lock, std::chrono::minutes(1),
+                                [this] { return entered; });
+    }
+
+    void
+    open()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        opened = true;
+        changed.notify_all();
+    }
+
+  private:
+    std::mutex mutex;
+    std::condition_variable changed;
+    bool entered = false;
+    bool opened = false;
+};
+
 TEST(ServeServer, OverloadIsRejectedExplicitly)
 {
+    // One dispatcher and a one-slot queue. A locate holds the
+    // dispatcher at the gate (its first oracle-store load), one ping
+    // takes the queue's slot and the next is turned away.
+    GateStore gate;
     serve::ServerConfig config;
     config.socketPath = testSocketPath("ovl");
     config.workers = 1;
-    config.maxQueue = 0; // every request overloads, deterministically
+    config.maxQueue = 1;
 
     serve::Server server(config);
     std::string error;
     ASSERT_TRUE(server.start(&error)) << error;
 
+    const std::string held = locateRequestDoc(3, 0).dump();
+    std::string held_response;
+    std::string held_error;
+    std::thread holder([&] {
+        serve::Client client;
+        if (client.connect(config.socketPath, &held_error))
+            client.request(held, &held_response, &held_error);
+    });
+    const bool held_at_gate = gate.awaitEntered();
+
+    // Both pings in one write: the reader queues the first and
+    // rejects the second at once, whatever the timing.
     serve::Client client;
-    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
-    std::string response;
-    ASSERT_TRUE(client.request(R"({"id": 1, "command": "ping"})",
-                               &response, &error))
-        << error;
-    const json::Value doc = json::Value::parseOrDie(response);
+    std::string rejection;
+    const bool sent =
+        client.connect(config.socketPath, &error) &&
+        client.request(R"({"id": 1, "command": "ping"})"
+                       "\n"
+                       R"({"id": 2, "command": "ping"})",
+                       &rejection, &error);
+    gate.open();
+    // The server skips an empty line, so this only reads the next
+    // response: the queued ping's, once the dispatcher is free.
+    std::string queued;
+    const bool queued_answered =
+        sent && client.request("", &queued, &error);
+    holder.join();
+
+    ASSERT_TRUE(held_at_gate);
+    ASSERT_TRUE(sent) << error;
+    const json::Value doc = json::Value::parseOrDie(rejection);
     EXPECT_FALSE(doc.find("ok")->asBool());
-    EXPECT_EQ(doc.find("id")->asUint64(), 1u)
+    EXPECT_EQ(doc.find("id")->asUint64(), 2u)
         << "rejection must still echo the request id";
     EXPECT_NE(doc.find("error")
                   ->find("message")
                   ->asString()
                   .find("overloaded"),
               std::string::npos);
+
+    ASSERT_TRUE(queued_answered) << error;
+    const json::Value answered = json::Value::parseOrDie(queued);
+    EXPECT_TRUE(answered.find("ok")->asBool()) << queued;
+    EXPECT_EQ(answered.find("id")->asUint64(), 1u);
+    EXPECT_EQ(stripObs(held_response),
+              stripObs(serve::handleRequestLine(held)))
+        << held_error;
 
     server.stop();
 }

@@ -9,9 +9,9 @@
  *
  * Listens on a Unix-domain socket for newline-delimited JSON requests
  * (serve/protocol.hh documents the wire schema: ping / lint /
- * analyze / check / locate over OpenQASM circuits) and serves them
- * concurrently; every request's ensemble work fans out over the one
- * process-wide runtime::ThreadPool. With --store, a
+ * analyze / check / locate over OpenQASM circuits) and serves up to
+ * --workers of them at once, each inline on its own dispatcher
+ * thread (serve/server.hh). With --store, a
  * serve::OracleStore is installed at the given directory so boundary
  * predicates, mixture purities, and Clifford prefix-equivalence
  * certificates persist across requests AND daemon restarts
@@ -26,15 +26,23 @@
  *
  * Readiness: prints "listening on <path>" to stdout (flushed) once
  * requests can connect; scripts wait for that line.
+ *
+ * Numeric flags take the whole token as a decimal integer within the
+ * flag's range (see usage()); anything else exits with status 2
+ * before a socket or thread exists.
  */
 
+#include <charconv>
 #include <csignal>
-#include <cstdlib>
+#include <cstdint>
+#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "serve/server.hh"
 #include "serve/store.hh"
+#include "sim/statevector.hh"
 
 namespace
 {
@@ -50,15 +58,44 @@ usage(std::ostream &os)
           "[--store-max-bytes N]\n"
           "  --socket     Unix-domain socket path to listen on\n"
           "  --store      oracle store directory (persistent cache)\n"
-          "  --workers    dispatcher threads (default: auto)\n"
-          "  --queue      request queue bound (default: 64)\n"
-          "  --max-qubits per-request qubit ceiling (default: 12)\n"
+          "  --workers    requests served at once, one core each, 0.."
+       << serve::ServerConfig::kMaxWorkers
+       << " (default: 0 = auto)\n"
+          "  --queue      request queue bound, at least 1 "
+          "(default: 64)\n"
+          "  --max-qubits per-request qubit ceiling, 1.."
+       << sim::StateVector::kMaxQubits
+       << " (default: 12)\n"
           "  --store-max-entries\n"
           "               oracle store entry cap, oldest evicted "
-          "first (default: unbounded)\n"
+          "first (default: 0 = unbounded)\n"
           "  --store-max-bytes\n"
           "               oracle store size cap in bytes (default: "
-          "unbounded)\n";
+          "0 = unbounded)\n";
+}
+
+/**
+ * Parse a numeric flag's value strictly: the whole token, decimal
+ * digits only, within [lo, hi]. Otherwise print a message naming the
+ * flag, then the usage text, and return false.
+ */
+bool
+parseNumber(const std::string &flag, const char *text, std::uint64_t lo,
+            std::uint64_t hi, std::uint64_t *out)
+{
+    const char *end = text + std::strlen(text);
+    std::uint64_t value = 0;
+    const auto [stop, status] = std::from_chars(text, end, value);
+    if (status != std::errc() || stop != end || value < lo ||
+        value > hi) {
+        std::cerr << "qsa_serve: " << flag
+                  << " expects a decimal integer in [" << lo << ", "
+                  << hi << "], got '" << text << "'\n";
+        usage(std::cerr);
+        return false;
+    }
+    *out = value;
+    return true;
 }
 
 } // namespace
@@ -71,28 +108,38 @@ main(int argc, char **argv)
     std::size_t store_max_entries = 0;
     std::size_t store_max_bytes = 0;
 
+    constexpr std::uint64_t size_max =
+        std::numeric_limits<std::size_t>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
+        std::uint64_t n = 0;
         if (arg == "--socket" && has_value) {
             config.socketPath = argv[++i];
         } else if (arg == "--store" && has_value) {
             store_dir = argv[++i];
         } else if (arg == "--store-max-entries" && has_value) {
-            store_max_entries =
-                static_cast<std::size_t>(std::atol(argv[++i]));
+            if (!parseNumber(arg, argv[++i], 0, size_max, &n))
+                return 2;
+            store_max_entries = static_cast<std::size_t>(n);
         } else if (arg == "--store-max-bytes" && has_value) {
-            store_max_bytes =
-                static_cast<std::size_t>(std::atol(argv[++i]));
+            if (!parseNumber(arg, argv[++i], 0, size_max, &n))
+                return 2;
+            store_max_bytes = static_cast<std::size_t>(n);
         } else if (arg == "--workers" && has_value) {
-            config.workers =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(arg, argv[++i], 0,
+                             serve::ServerConfig::kMaxWorkers, &n))
+                return 2;
+            config.workers = static_cast<unsigned>(n);
         } else if (arg == "--queue" && has_value) {
-            config.maxQueue =
-                static_cast<std::size_t>(std::atol(argv[++i]));
+            if (!parseNumber(arg, argv[++i], 1, size_max, &n))
+                return 2;
+            config.maxQueue = static_cast<std::size_t>(n);
         } else if (arg == "--max-qubits" && has_value) {
-            config.limits.maxQubits =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(arg, argv[++i], 1,
+                             sim::StateVector::kMaxQubits, &n))
+                return 2;
+            config.limits.maxQubits = static_cast<unsigned>(n);
         } else if (arg == "--help" || arg == "-h") {
             usage(std::cout);
             return 0;
