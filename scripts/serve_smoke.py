@@ -22,8 +22,10 @@ the outside:
    derivation failures),
  - every locate the locator rejects that a 12-qubit daemon can reach
    (a width gate, a family the scope does not support, mismatched
-   qubit spaces, no probeable boundary) gets an error response with
-   the locator's message, each followed by a ping on the SAME
+   qubit spaces, no probeable boundary), and check and analyze plans
+   the Session rejects (an unknown register, a source breakpoint
+   named like the Session's boundary marker), get an error response
+   with the library's message, each followed by a ping on the SAME
    connection, and a first-instruction defect is then bracketed,
  - SIGTERM drains gracefully: exit status 0 and the atexit QSA_TRACE
    flush produced a well-formed trace file,
@@ -301,12 +303,17 @@ def ladder_qasm(n, buggy):
 
 def check_rejection_survival(client, socket_path):
     """One connection: every locate the locator rejects at the default
-    12-qubit limit, each answered with the locator's own error and
-    followed by a ping; then a first-instruction defect, which the
-    daemon must bracket at [0, 1)."""
+    12-qubit limit and plans the Session rejects, each answered with
+    the library's own error and followed by a ping; then a
+    first-instruction defect, which the daemon must bracket at
+    [0, 1)."""
     def locate(suspect, reference, **fields):
         return {"command": "locate", "circuit": suspect,
                 "reference": reference, **fields}
+
+    def plan(command, circuit, item):
+        return {"command": command, "circuit": circuit, "plan": [item],
+                "ensemble_size": 64}
 
     bell = "OPENQASM 2.0;\nqreg a[1];\nqreg b[1];\nh a[0];\ncx a[0],b[0];\n"
     measure_first = ("OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n"
@@ -332,6 +339,21 @@ def check_rejection_survival(client, socket_path):
                 mode="sample_final_state"),
          "no probeable instruction boundary"),
     ]
+    # A source breakpoint named like the Session's first boundary
+    # marker, probed through "after": once fatal to the daemon.
+    clash = ("OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n"
+             "// qsa.breakpoint qsa_session_b0\n")
+    for command in ("check", "analyze"):
+        rejections += [
+            (f"{command}: source breakpoint named like a boundary marker",
+             plan(command, clash, {"after": 1, "expect": "superposition",
+                                   "register": "q"}),
+             "duplicate breakpoint label 'qsa_session_b0'"),
+            (f"{command}: unknown register",
+             plan(command, bell, {"after": 1, "expect": "superposition",
+                                  "register": "nope"}),
+             "plan[0]: no register named 'nope'"),
+        ]
     first_defect = locate(
         "OPENQASM 2.0;\nqreg q[2];\nx q[0];\ncx q[0],q[1];\n",
         "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n",
@@ -346,7 +368,7 @@ def check_rejection_survival(client, socket_path):
         input="\n".join(batch) + "\n", capture_output=True,
         text=True, timeout=120)
     if proc.returncode != 0:
-        fail("connection died during the rejected locates: client "
+        fail("connection died during the rejected requests: client "
              f"exited {proc.returncode}: {proc.stderr.strip()}")
     lines = proc.stdout.strip().splitlines()
     if len(lines) != len(batch):
@@ -356,7 +378,7 @@ def check_rejection_survival(client, socket_path):
     for k, (name, _, message) in enumerate(rejections):
         rejected, ping = docs[2 * k], docs[2 * k + 1]
         if rejected.get("ok") is not False:
-            fail(f"{name}: the locate was not rejected: {lines[2 * k]}")
+            fail(f"{name}: the request was not rejected: {lines[2 * k]}")
         got = rejected.get("error", {}).get("message", "")
         if message not in got:
             fail(f"{name}: error {got!r} lacks {message!r}")

@@ -20,6 +20,18 @@
 namespace qsa::assertions
 {
 
+namespace
+{
+
+/** Widest register a dense goodness-of-fit test accepts: its
+ *  expected distribution holds 2^width entries. */
+constexpr unsigned kMaxDenseWidth = 24;
+
+constexpr const char *kTooWideForDenseFit =
+    "register too wide for a dense goodness-of-fit test";
+
+} // anonymous namespace
+
 std::string
 assertionKindName(AssertionKind kind)
 {
@@ -69,8 +81,7 @@ validateSpecShape(const AssertionSpec &spec)
     if (spec.kind == AssertionKind::Classical ||
         spec.kind == AssertionKind::Superposition ||
         spec.kind == AssertionKind::Distribution) {
-        fatal_if(spec.regA.width() > 24,
-                 "register too wide for a dense goodness-of-fit test");
+        fatal_if(spec.regA.width() > kMaxDenseWidth, kTooWideForDenseFit);
     }
     if (spec.kind == AssertionKind::Classical) {
         // Rejecting here (instead of panicking later inside
@@ -129,6 +140,9 @@ std::vector<double>
 uniformSubsetProbs(unsigned width,
                    const std::vector<std::uint64_t> &support)
 {
+    // Before the 2^width allocation, which validateSpecShape would
+    // only reject afterwards.
+    fatal_if(width > kMaxDenseWidth, kTooWideForDenseFit);
     fatal_if(support.empty(), "support set must be non-empty");
     std::vector<double> probs(pow2(width), 0.0);
     for (std::uint64_t v : support) {

@@ -199,8 +199,9 @@ class AssertionChecker
 
 /**
  * Uniform probability vector over exactly `support` within a
- * width-qubit register's domain (fatal on empty support or
- * out-of-domain values) — the expansion behind both
+ * width-qubit register's domain (qsa::Error on a register too wide
+ * for a dense test, empty support or out-of-domain values) — the
+ * expansion behind both
  * AssertionChecker::assertUniformSubset and the session facade's
  * expectUniformSubset.
  */

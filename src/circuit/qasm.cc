@@ -2,17 +2,18 @@
  * @file
  * OpenQASM 2.0 dialect emitter and recursive-descent parser.
  *
- * The parser reports failures as positioned QasmError values (line,
- * column, offending token) through tryFromQasm and never calls
- * fatal() on malformed *input* — qsa::serve hands it bytes from
- * remote clients, and a bad circuit must come back as an error
- * response, not kill the daemon. Internally errors propagate as a
- * private exception; fromQasm converts them to the classic fatal.
+ * The parser reports every failure as a positioned QasmError (line,
+ * column, offending token): qsa::serve hands it bytes from remote
+ * clients, and the client needs to know where its circuit went
+ * wrong. Inside a line errors propagate as a private, unpositioned
+ * exception; the line loop adds the position.
  *
- * The same robustness rule covers the Circuit building calls: every
- * precondition Circuit::append/measureQubits/breakpoint would fatal
- * on (range, duplicate operands, arity, duplicate labels) is checked
- * here first and reported as a parse error with a position.
+ * The same rule covers the Circuit building calls: every precondition
+ * Circuit::append/measureQubits/breakpoint would reject (range,
+ * duplicate operands, arity, duplicate labels) is checked here first
+ * and reported with the offending token, which Circuit's own messages
+ * cannot name. A qsa::Error the Circuit still raises is positioned on
+ * its line all the same.
  */
 
 #include "circuit/qasm.hh"
@@ -150,8 +151,13 @@ toQasm(const Circuit &circ)
     return os.str();
 }
 
+namespace
+{
+
+/** "line 3, column 7: unsupported QASM gate 'zz'". */
 std::string
-QasmError::render() const
+positioned(std::size_t line, std::size_t column,
+           const std::string &token, const std::string &message)
 {
     std::ostringstream os;
     os << "line " << line << ", column " << column << ": " << message;
@@ -160,23 +166,36 @@ QasmError::render() const
     return os.str();
 }
 
+} // anonymous namespace
+
+QasmError::QasmError(std::size_t line, std::size_t column,
+                     std::string token, const std::string &message)
+    : Error(positioned(line, column, token, message)), line_(line),
+      column_(column), token_(std::move(token))
+{
+}
+
+QasmError::QasmError(const std::string &context, const QasmError &error)
+    : Error(context + error.what()), line_(error.line_),
+      column_(error.column_), token_(error.token_)
+{
+}
+
 namespace
 {
 
-/** Internal error transport; tryFromQasm converts to QasmError. */
+/** A failure inside one line; the line loop positions it. */
 struct ParseFailure
 {
-    QasmError err;
+    std::string token;
+    std::string message;
 };
 
 /** Throw a (not yet positioned) parse failure. */
 [[noreturn]] void
 parseThrow(std::string token, std::string message)
 {
-    ParseFailure failure;
-    failure.err.token = std::move(token);
-    failure.err.message = std::move(message);
-    throw failure;
+    throw ParseFailure{std::move(token), std::move(message)};
 }
 
 /** Strip surrounding whitespace. */
@@ -373,7 +392,7 @@ tryKindFromName(const std::string &name, GateKind &kind)
     return false;
 }
 
-/** See file comment: the positioned, fatal-free QASM parser. */
+/** See file comment: the positioned QASM parser. */
 class QasmParser
 {
   public:
@@ -389,21 +408,16 @@ class QasmParser
             currentLine = line;
             try {
                 parseLine(line);
-            } catch (ParseFailure &f) {
-                position(f.err);
-                throw;
+            } catch (const ParseFailure &f) {
+                fail(f);
             } catch (const std::exception &e) {
-                ParseFailure f;
-                f.err.message = e.what();
-                position(f.err);
-                throw f;
+                fail({"", e.what()});
             }
         }
         try {
             flushMeasures();
-        } catch (ParseFailure &f) {
-            position(f.err);
-            throw;
+        } catch (const ParseFailure &f) {
+            fail(f);
         }
         return std::move(circ);
     }
@@ -432,21 +446,19 @@ class QasmParser
     std::size_t lineNo = 0;
     std::string currentLine;
 
-    /** Fill in line/column on a failure raised while parsing. */
-    void
-    position(QasmError &err) const
+    /** Throw `f` as a QasmError positioned on the current line. */
+    [[noreturn]] void
+    fail(const ParseFailure &f) const
     {
-        if (err.line != 0)
-            return;
-        err.line = lineNo == 0 ? 1 : lineNo;
         std::size_t col = currentLine.find_first_not_of(" \t");
         col = (col == std::string::npos) ? 0 : col;
-        if (!err.token.empty()) {
-            const auto at = currentLine.find(err.token);
+        if (!f.token.empty()) {
+            const auto at = currentLine.find(f.token);
             if (at != std::string::npos)
                 col = at;
         }
-        err.column = col + 1;
+        throw QasmError(lineNo == 0 ? 1 : lineNo, col + 1, f.token,
+                        f.message);
     }
 
     unsigned
@@ -703,23 +715,7 @@ class QasmParser
 Circuit
 fromQasm(const std::string &text)
 {
-    QasmError error;
-    auto circ = tryFromQasm(text, &error);
-    fatal_if(!circ, "QASM parse error: ", error.render());
-    return std::move(*circ);
-}
-
-std::optional<Circuit>
-tryFromQasm(const std::string &text, QasmError *error)
-{
-    QasmParser parser(text);
-    try {
-        return parser.parse();
-    } catch (const ParseFailure &failure) {
-        if (error != nullptr)
-            *error = failure.err;
-        return std::nullopt;
-    }
+    return QasmParser(text).parse();
 }
 
 void

@@ -20,10 +20,10 @@
 #ifndef QSA_CIRCUIT_QASM_HH
 #define QSA_CIRCUIT_QASM_HH
 
-#include <optional>
 #include <string>
 
 #include "circuit/circuit.hh"
+#include "common/errors.hh"
 
 namespace qsa::circuit
 {
@@ -34,43 +34,46 @@ std::string toQasm(const Circuit &circ);
 /**
  * A positioned QASM parse failure: where in the source text the
  * parser gave up (1-based line/column), the offending token when one
- * is identifiable, and what went wrong. Remote clients (qsa::serve)
- * get this verbatim in their error response, so every field must be
- * actionable without access to the server's logs.
+ * is identifiable, and what went wrong. what() reads
+ * "line 3, column 7: unsupported QASM gate 'zz'". Remote clients
+ * (qsa::serve) get the message and each field in their error
+ * response, so every field must be actionable without access to the
+ * server's logs.
  */
-struct QasmError
+class QasmError : public Error
 {
-    std::size_t line = 0;
-    std::size_t column = 0;
-    std::string token;
-    std::string message;
+  public:
+    QasmError(std::size_t line, std::size_t column, std::string token,
+              const std::string &message);
 
-    /** "line 3, column 7: unsupported QASM gate 'zz'". */
-    std::string render() const;
+    /** The same failure with `context` before the position in
+     *  what(): "'circuit': line 3, column 7: ...". */
+    QasmError(const std::string &context, const QasmError &error);
+
+    std::size_t line() const { return line_; }
+    std::size_t column() const { return column_; }
+    const std::string &token() const { return token_; }
+
+  private:
+    std::size_t line_;
+    std::size_t column_;
+    std::string token_;
 };
 
 /**
  * Parse the OpenQASM dialect back into a circuit.
  *
  * Supports the subset toQasm emits plus numeric angle expressions with
- * +, -, *, /, parentheses, and the constant pi. Fatal on malformed
- * input, reporting the position via QasmError::render().
+ * +, -, *, /, parentheses, and the constant pi. Throws QasmError on
+ * malformed input.
  */
 Circuit fromQasm(const std::string &text);
 
-/**
- * Non-fatal form of fromQasm: returns the circuit, or std::nullopt
- * with `*error` (when non-null) describing the failure. The form
- * servers use — a malformed remote circuit must produce an error
- * response, not take the daemon down.
- */
-std::optional<Circuit> tryFromQasm(const std::string &text,
-                                   QasmError *error = nullptr);
-
-/** Write a circuit to a QASM file (fatal on I/O failure). */
+/** Write a circuit to a QASM file (qsa::Error on I/O failure). */
 void saveQasmFile(const Circuit &circ, const std::string &path);
 
-/** Read a circuit from a QASM file (fatal on I/O failure). */
+/** Read a circuit from a QASM file (qsa::Error when it cannot be
+ *  read, QasmError when it cannot be parsed). */
 Circuit loadQasmFile(const std::string &path);
 
 } // namespace qsa::circuit

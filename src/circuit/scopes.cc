@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/errors.hh"
 #include "common/logging.hh"
 
 namespace qsa::circuit
@@ -84,7 +85,13 @@ ComputeScope::uncompute()
 
 ComputeScope::~ComputeScope()
 {
-    uncompute();
+    // A destructor must not throw: a body that cannot be inverted (a
+    // measurement, a reset) is a broken scope, so stop here.
+    try {
+        uncompute();
+    } catch (const Error &e) {
+        panic(e.what());
+    }
 }
 
 ControlScope::ControlScope(Circuit &c, std::vector<unsigned> ctrls)
@@ -107,7 +114,12 @@ ControlScope::close()
 
 ControlScope::~ControlScope()
 {
-    close();
+    // As ~ComputeScope: a body that cannot be controlled panics.
+    try {
+        close();
+    } catch (const Error &e) {
+        panic(e.what());
+    }
 }
 
 } // namespace qsa::circuit

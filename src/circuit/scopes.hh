@@ -58,7 +58,8 @@ class ComputeScope
     /** Append the mirror now (idempotent; destructor calls it). */
     void uncompute();
 
-    /** Uncomputes if not done already. */
+    /** Uncomputes if not done already; panics when the body cannot
+     *  be inverted (a destructor cannot throw the qsa::Error). */
     ~ComputeScope();
 
   private:
@@ -116,6 +117,8 @@ class ControlScope
     /** Wrap now (idempotent; destructor calls it). */
     void close();
 
+    /** Wraps if not done already; panics when the body cannot be
+     *  controlled (a destructor cannot throw the qsa::Error). */
     ~ControlScope();
 
   private:

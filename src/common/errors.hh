@@ -1,14 +1,17 @@
 /**
  * @file
- * Recoverable error types shared across layers.
+ * The library's error model.
  *
- * Most invariant violations in this codebase are programmer errors and
- * stay fatal (common/logging.hh). A rejected request is different: a
- * long-lived caller (qsa_serve) must be able to fail one request
- * without dying. qsa::Error is the catchable base for that class:
- * the locator throws it for every precondition it has, before any
- * simulation (locate/locate.hh), and DeriveError is the case an
- * oracle derivation hits part way through.
+ * Everything the library rejects is ordinary input, so it throws
+ * qsa::Error: fatal()/fatal_if() (common/logging.hh) throw it with
+ * the message, and the library never exits the process. Subclasses
+ * carry what a caller needs to point at the cause: DeriveError the
+ * instruction an oracle derivation failed at, circuit::QasmError a
+ * source position, json::TypeError nothing more. panic() is not an
+ * error: it marks a broken library invariant and aborts.
+ *
+ * A CLI's main turns a qsa::Error into an exit status; qsa_serve
+ * catches it in one place and answers "ok": false.
  */
 
 #ifndef QSA_COMMON_ERRORS_HH
@@ -22,8 +25,9 @@ namespace qsa
 {
 
 /**
- * The library cannot carry out a request: a configuration, or a
- * program pair, that it rejects. The message says what to change.
+ * The library cannot carry out a request: a program, plan,
+ * configuration or argument that it rejects. The message says what to
+ * change.
  */
 class Error : public std::runtime_error
 {

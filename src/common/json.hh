@@ -14,11 +14,9 @@
  *  - numbers keep their source lexeme: a 64-bit integer round-trips
  *    exactly (doubles cannot hold every seed), and re-dumping a
  *    parsed document reproduces the original number text,
- *  - parse errors carry line/column, matching the position-reporting
- *    contract of circuit::tryFromQasm,
- *  - accessor type mismatches throw TypeError (std::runtime_error)
- *    instead of calling fatal(): the serving layer adjudicates
- *    malformed remote input per-request and must outlive it.
+ *  - parse errors carry line/column, like circuit::QasmError,
+ *  - accessor type mismatches throw TypeError, one more qsa::Error,
+ *    so a field of the wrong type is rejected like any other input.
  */
 
 #ifndef QSA_COMMON_JSON_HH
@@ -26,22 +24,20 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/errors.hh"
 
 namespace qsa::json
 {
 
 /** Thrown by typed accessors when the value has another type. */
-class TypeError : public std::runtime_error
+class TypeError : public Error
 {
   public:
-    explicit TypeError(const std::string &what)
-        : std::runtime_error(what)
-    {
-    }
+    using Error::Error;
 };
 
 /** One JSON value (see file comment for the dialect contract). */
@@ -76,7 +72,7 @@ class Value
     static Value array();
     static Value object();
 
-    /** Append to an array (fatal-free: throws TypeError otherwise). */
+    /** Append to an array (TypeError otherwise). */
     Value &push(Value v);
 
     /** Insert or replace an object member; returns *this so
@@ -134,8 +130,8 @@ class Value
     static bool parse(const std::string &text, Value *out,
                       std::string *error = nullptr);
 
-    /** Parse or fatal() with the positioned message (trusted input:
-     *  repo-generated documents, test fixtures). */
+    /** Parse or throw qsa::Error with the positioned message (trusted
+     *  input: repo-generated documents, test fixtures). */
     static Value parseOrDie(const std::string &text);
 
     /** @} */

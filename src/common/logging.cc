@@ -1,8 +1,8 @@
 /**
  * @file
- * Logging sinks. panic() throws in unit-test builds would complicate
- * death tests; instead both fatal() and panic() terminate, and gtest
- * death tests assert on the printed prefix.
+ * Logging sinks. fatal() prints nothing: it throws qsa::Error, and
+ * whoever catches it decides what the user sees. panic() prints and
+ * aborts; its death tests assert on the printed prefix.
  */
 
 #include "common/logging.hh"
@@ -10,6 +10,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
+
+#include "common/errors.hh"
 
 namespace qsa
 {
@@ -53,8 +55,7 @@ warnMessage(const std::string &msg)
 void
 fatalMessage(const std::string &msg)
 {
-    emit("fatal: ", msg);
-    std::exit(1);
+    throw Error(msg);
 }
 
 void

@@ -5,9 +5,14 @@
  * Severity model:
  *  - inform(): normal operating messages.
  *  - warn():   something questionable but survivable.
- *  - fatal():  user error (bad configuration/arguments); exits cleanly.
+ *  - fatal():  the library rejects its input (a bad program, plan,
+ *              configuration or argument); throws qsa::Error
+ *              (common/errors.hh) for the caller to handle.
  *  - panic():  library bug (a condition that should never happen);
  *              aborts so a debugger/core dump sees the state.
+ *
+ * No library code exits the process: a CLI's main turns a qsa::Error
+ * into an exit status, and qsa_serve into an error response.
  */
 
 #ifndef QSA_COMMON_LOGGING_HH
@@ -53,7 +58,7 @@ warn(Args &&...args)
     warnMessage(messageString(std::forward<Args>(args)...));
 }
 
-/** Unrecoverable user error: print and exit(1). */
+/** Rejected input: throw qsa::Error with the message. */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
@@ -78,7 +83,7 @@ panic_if(const Cond &cond, Args &&...args)
         panicMessage(messageString(std::forward<Args>(args)...));
 }
 
-/** fatal() when a user-facing precondition is violated. */
+/** fatal() when a caller-facing precondition is violated. */
 template <typename Cond, typename... Args>
 void
 fatal_if(const Cond &cond, Args &&...args)

@@ -25,6 +25,8 @@
 #include <unordered_map>
 
 #include "common/benchjson.hh"
+#include "common/errors.hh"
+#include "common/logging.hh"
 
 namespace qsa::obs
 {
@@ -408,7 +410,14 @@ envTracePath()
 void
 writeEnvTrace()
 {
-    writeTrace(envTracePath());
+    // An exit handler must not throw: report an unwritable path and
+    // let the process finish exiting.
+    try {
+        writeTrace(envTracePath());
+    } catch (const Error &e) {
+        warn("QSA_TRACE: ", e.what());
+        return;
+    }
     inform("trace written to ", envTracePath());
 }
 

@@ -331,7 +331,7 @@ std::string metricsJson();
 /** Render the trace buffer as a Chrome trace-event JSON document. */
 std::string traceJson();
 
-/** Render and write the trace to `path`; fatal on I/O failure. */
+/** Render and write the trace to `path`; qsa::Error on I/O failure. */
 void writeTrace(const std::string &path);
 
 /** Drop all buffered trace events. */

@@ -803,8 +803,8 @@ EnsembleEngine::prefixState(const std::string &breakpoint,
             promise.set_value(std::move(record));
             span.arg("resumed", resumed).arg("simulated", end - resumed);
         } catch (...) {
-            // Library errors fatal/panic rather than throw, but e.g.
-            // bad_alloc can still unwind here: hand racers the
+            // A qsa::Error (e.g. a condition on a label nothing
+            // measured) or bad_alloc unwinds here: hand racers the
             // exception and drop the entry so later calls retry
             // instead of hitting a broken promise forever.
             promise.set_exception(std::current_exception());

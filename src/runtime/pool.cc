@@ -219,10 +219,10 @@ ThreadPool &
 ThreadPool::shared()
 {
     // Immortal by design: never destroyed, so no exit path runs
-    // ~ThreadPool on it. std::exit (fatal()) runs static destructors,
-    // and in a fork()ed child — a gtest death test — the workers the
-    // destructor would join do not exist there, so joining them
-    // crashes the child instead of letting it exit with its status.
+    // ~ThreadPool on it. Every normal exit runs static destructors,
+    // also one in a fork()ed child (a gtest death test), where the
+    // workers the destructor would join do not exist: joining them
+    // would crash the child instead of letting it report its status.
     // The OS reclaims the threads at process exit.
     static ThreadPool &pool = *new ThreadPool();
     return pool;

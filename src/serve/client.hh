@@ -7,8 +7,7 @@
  * Client per thread — the server handles each connection
  * independently.
  *
- * Non-fatal by design (the same rule as the rest of the serve stack):
- * connection and I/O failures come back as false + error string, so
+ * Connection and I/O failures come back as false + error string, so
  * test harnesses and the qsa_client tool can report them.
  */
 

@@ -6,6 +6,7 @@
 #include "analyze/lint.hh"
 #include "circuit/qasm.hh"
 #include "common/errors.hh"
+#include "common/logging.hh"
 #include "locate/locate.hh"
 #include "obs/obs.hh"
 #include "session/session.hh"
@@ -92,81 +93,29 @@ oracleModeFromName(const std::string &name, locate::OracleMode *mode)
     return false;
 }
 
-/** Non-fatal register-name lookup. */
-bool
-hasRegister(const circuit::Circuit &circ, const std::string &name)
-{
-    for (const auto &reg : circ.registers())
-        if (reg.name() == name)
-            return true;
-    return false;
-}
-
-/**
- * Parse one circuit field into `*out`, enforcing the limits. On
- * failure fills `*error` (and `*qasm` for positioned QASM failures).
- */
-bool
+/** Parse one circuit field, enforcing the limits. */
+circuit::Circuit
 parseCircuitField(const json::Value &doc, const char *field,
-                  const Limits &limits, circuit::Circuit *out,
-                  std::string *error, circuit::QasmError *qasm)
+                  const Limits &limits)
 {
     const json::Value *text = doc.find(field);
-    if (text == nullptr || !text->isString()) {
-        *error = std::string("'") + field +
-                 "' (an OpenQASM string) is required";
-        return false;
+    fatal_if(text == nullptr || !text->isString(), "'", field,
+             "' (an OpenQASM string) is required");
+    circuit::Circuit circ;
+    try {
+        circ = circuit::fromQasm(text->asString());
+    } catch (const circuit::QasmError &e) {
+        throw circuit::QasmError(std::string("'") + field + "': ", e);
     }
-    circuit::QasmError parse_error;
-    auto circ = circuit::tryFromQasm(text->asString(), &parse_error);
-    if (!circ) {
-        *error = std::string("'") + field + "': " +
-                 parse_error.render();
-        if (qasm != nullptr)
-            *qasm = parse_error;
-        return false;
-    }
-    if (circ->numQubits() == 0 || circ->size() == 0) {
-        *error = std::string("'") + field +
-                 "' declares no qubits or no instructions";
-        return false;
-    }
-    if (circ->numQubits() > limits.maxQubits) {
-        *error = std::string("'") + field + "' uses " +
-                 std::to_string(circ->numQubits()) +
-                 " qubits; this server accepts at most " +
-                 std::to_string(limits.maxQubits);
-        return false;
-    }
-    if (circ->size() > limits.maxInstructions) {
-        *error = std::string("'") + field + "' has " +
-                 std::to_string(circ->size()) +
-                 " instructions; this server accepts at most " +
-                 std::to_string(limits.maxInstructions);
-        return false;
-    }
-    *out = std::move(*circ);
-    return true;
-}
-
-/**
- * The request-shape checks of a locate: named registers must exist,
- * and 'register_b' needs 'register'. Everything else the locator
- * rejects, it rejects itself (qsa::Error, before any simulation).
- */
-std::string
-validateLocate(const Request &request)
-{
-    if (!request.registerB.empty() && request.registerA.empty())
-        return "'register_b' requires 'register'";
-    for (const auto &[field, name] :
-         {std::pair{"register", &request.registerA},
-          std::pair{"register_b", &request.registerB}}) {
-        if (!name->empty() && !hasRegister(request.circuit, *name))
-            return std::string("'") + field + "': unknown register '" +
-                   *name + "'";
-    }
-    return "";
+    fatal_if(circ.numQubits() == 0 || circ.size() == 0, "'", field,
+             "' declares no qubits or no instructions");
+    fatal_if(circ.numQubits() > limits.maxQubits, "'", field, "' uses ",
+             circ.numQubits(), " qubits; this server accepts at most ",
+             limits.maxQubits);
+    fatal_if(circ.size() > limits.maxInstructions, "'", field, "' has ",
+             circ.size(), " instructions; this server accepts at most ",
+             limits.maxInstructions);
+    return circ;
 }
 
 /** Render one lint report as the "lint" result payload. */
@@ -212,6 +161,22 @@ countsPayload(
     return out;
 }
 
+/**
+ * Register the request's plan, positioning a rejected item as
+ * "plan[i]: <the library's message>".
+ */
+void
+expectPlan(session::Session &s, const Request &request)
+{
+    for (std::size_t i = 0; i < request.plan.size(); ++i) {
+        try {
+            s.expect(request.plan[i]);
+        } catch (const Error &e) {
+            fatal("plan[", i, "]: ", e.what());
+        }
+    }
+}
+
 /** Build a session configured exactly as the request specifies. */
 assertions::CheckConfig
 configFor(const Request &request)
@@ -231,8 +196,7 @@ executeCheck(const Request &request)
     session::Session s(request.circuit, configFor(request));
     if (request.holmBonferroni)
         s.use(session::HolmBonferroni{});
-    for (const auto &item : request.plan)
-        s.expect(item);
+    expectPlan(s, request);
 
     const auto &outcomes = s.run();
     json::Value out = json::Value::object();
@@ -268,8 +232,7 @@ json::Value
 executeAnalyze(const Request &request)
 {
     session::Session s(request.circuit, configFor(request));
-    for (const auto &item : request.plan)
-        s.expect(item);
+    expectPlan(s, request);
 
     const session::AnalysisReport report = s.analyze();
     json::Value out = json::Value::object();
@@ -345,13 +308,14 @@ executeLocate(const Request &request)
 }
 
 /**
- * Compose one "ok": false response. `where`, when non-empty, names
+ * Compose one "ok": false response. `qasm`, when set, adds the
+ * position of a circuit parse failure; `where`, when non-empty, names
  * the instruction/register an oracle derivation failed at (the
  * DeriveError path).
  */
 std::string
 errorResponse(const json::Value &id, const std::string &message,
-              const circuit::QasmError *qasm,
+              const circuit::QasmError *qasm = nullptr,
               const std::string &where = "")
 {
     json::Value resp = json::Value::object();
@@ -359,10 +323,10 @@ errorResponse(const json::Value &id, const std::string &message,
     resp.set("ok", json::Value::boolean(false));
     json::Value error = json::Value::object();
     error.set("message", json::Value::string(message));
-    if (qasm != nullptr && qasm->line != 0) {
-        error.set("line", json::Value::integer(qasm->line));
-        error.set("column", json::Value::integer(qasm->column));
-        error.set("token", json::Value::string(qasm->token));
+    if (qasm != nullptr) {
+        error.set("line", json::Value::integer(qasm->line()));
+        error.set("column", json::Value::integer(qasm->column()));
+        error.set("token", json::Value::string(qasm->token()));
     }
     if (!where.empty())
         error.set("instruction", json::Value::string(where));
@@ -373,207 +337,139 @@ errorResponse(const json::Value &id, const std::string &message,
 
 } // anonymous namespace
 
-bool
-parseRequest(const json::Value &doc, Request *request,
-             std::string *error, circuit::QasmError *qasm,
-             const Limits &limits)
+Request
+parseRequest(const json::Value &doc, const Limits &limits)
 {
-    try {
-        if (!doc.isObject()) {
-            *error = "request must be a JSON object";
-            return false;
-        }
+    fatal_if(!doc.isObject(), "request must be a JSON object");
 
-        static const char *const kKnown[] = {
-            "id",       "command",       "circuit",
-            "reference", "plan",         "register",
-            "register_b", "strategy",    "family",
-            "oracle_mode", "oracle_trials",
-            "seed",     "ensemble_size", "mode",
-            "threads",  "g_test",        "holm_bonferroni"};
-        for (const auto &member : doc.members()) {
-            bool known = false;
-            for (const char *k : kKnown)
-                known = known || member.first == k;
-            if (!known) {
-                *error = "unknown field '" + member.first + "'";
-                return false;
-            }
-        }
-
-        if (const json::Value *id = doc.find("id"))
-            request->id = *id;
-
-        const json::Value *command = doc.find("command");
-        if (command == nullptr || !command->isString()) {
-            *error = "'command' (a string) is required";
-            return false;
-        }
-        request->command = command->asString();
-        const bool is_check = request->command == "check";
-        const bool is_locate = request->command == "locate";
-        const bool is_analyze = request->command == "analyze";
-        const bool is_lint = request->command == "lint";
-        if (!is_check && !is_locate && !is_analyze && !is_lint &&
-            request->command != "ping") {
-            *error = "unknown command '" + request->command +
-                     "' (expected ping / lint / analyze / check / "
-                     "locate)";
-            return false;
-        }
-
-        // Ensemble configuration (optional, defaulted).
-        if (const json::Value *seed = doc.find("seed"))
-            request->seed = seed->asUint64();
-        if (const json::Value *size = doc.find("ensemble_size")) {
-            request->ensembleSize = size->asUint64();
-            if (request->ensembleSize == 0 ||
-                request->ensembleSize > limits.maxEnsembleSize) {
-                *error = "'ensemble_size' must lie in [1, " +
-                         std::to_string(limits.maxEnsembleSize) + "]";
-                return false;
-            }
-        }
-        if (const json::Value *mode = doc.find("mode")) {
-            if (!modeFromName(mode->asString(), &request->mode)) {
-                *error = "'mode' must be sample_final_state or "
-                         "resimulate";
-                return false;
-            }
-        }
-        if (const json::Value *threads = doc.find("threads")) {
-            const std::uint64_t n = threads->asUint64();
-            if (n > 64) {
-                *error = "'threads' must lie in [0, 64]";
-                return false;
-            }
-            request->threads = static_cast<unsigned>(n);
-        }
-        if (const json::Value *g = doc.find("g_test"))
-            request->gTest = g->asBool();
-        if (const json::Value *hb = doc.find("holm_bonferroni"))
-            request->holmBonferroni = hb->asBool();
-
-        if (request->command == "ping")
-            return true;
-
-        if (!parseCircuitField(doc, "circuit", limits,
-                               &request->circuit, error, qasm))
-            return false;
-
-        // The assertion plan (check: required; analyze: optional).
-        const json::Value *plan = doc.find("plan");
-        if (plan != nullptr && !is_check && !is_analyze) {
-            *error = "'plan' is only valid for check / analyze";
-            return false;
-        }
-        if (is_check && plan == nullptr) {
-            *error = "'plan' (an assertion array) is required for "
-                     "check";
-            return false;
-        }
-        if (plan != nullptr) {
-            if (!session::tryPlanFromValue(*plan, &request->plan,
-                                           error))
-                return false;
-            if (request->plan.size() > limits.maxPlanItems) {
-                *error = "plan has " +
-                         std::to_string(request->plan.size()) +
-                         " items; this server accepts at most " +
-                         std::to_string(limits.maxPlanItems);
-                return false;
-            }
-            if (is_check && request->plan.empty()) {
-                *error = "'plan' must contain at least one assertion";
-                return false;
-            }
-            for (const auto &item : request->plan) {
-                if (item.ensembleSize > limits.maxEnsembleSize) {
-                    *error = "plan ensemble_size exceeds the server "
-                             "limit of " +
-                             std::to_string(limits.maxEnsembleSize);
-                    return false;
-                }
-            }
-            const std::string plan_error =
-                session::validatePlan(request->circuit,
-                                      request->plan);
-            if (!plan_error.empty()) {
-                *error = plan_error;
-                return false;
-            }
-        }
-
-        // Locate-only fields.
-        const json::Value *reference = doc.find("reference");
-        const json::Value *reg = doc.find("register");
-        const json::Value *reg_b = doc.find("register_b");
-        const json::Value *strategy = doc.find("strategy");
-        const json::Value *family = doc.find("family");
-        const json::Value *oracle_mode = doc.find("oracle_mode");
-        const json::Value *oracle_trials = doc.find("oracle_trials");
-        if (!is_locate && (reference != nullptr || reg != nullptr ||
-                           reg_b != nullptr || strategy != nullptr ||
-                           family != nullptr ||
-                           oracle_mode != nullptr ||
-                           oracle_trials != nullptr)) {
-            *error = "'reference' / 'register' / 'strategy' / "
-                     "'family' / 'oracle_mode' / 'oracle_trials' are "
-                     "only valid for locate";
-            return false;
-        }
-        if (is_locate) {
-            circuit::Circuit ref;
-            if (!parseCircuitField(doc, "reference", limits, &ref,
-                                   error, qasm))
-                return false;
-            request->reference = std::move(ref);
-            if (reg != nullptr)
-                request->registerA = reg->asString();
-            if (reg_b != nullptr)
-                request->registerB = reg_b->asString();
-            if (strategy != nullptr &&
-                !strategyFromName(strategy->asString(),
-                                  &request->strategy)) {
-                *error = "'strategy' must be adaptive or linear";
-                return false;
-            }
-            if (family != nullptr &&
-                !familyFromName(family->asString(),
-                                &request->family)) {
-                *error = "'family' must be segment_mirror / "
-                         "mixture_marginal / rotated_marginal / "
-                         "swap_test / auto";
-                return false;
-            }
-            if (oracle_mode != nullptr &&
-                !oracleModeFromName(oracle_mode->asString(),
-                                    &request->oracleMode)) {
-                *error = "'oracle_mode' must be exact / sampled / "
-                         "auto";
-                return false;
-            }
-            if (oracle_trials != nullptr) {
-                request->oracleTrials = oracle_trials->asUint64();
-                if (request->oracleTrials == 0 ||
-                    request->oracleTrials > limits.maxEnsembleSize) {
-                    *error = "'oracle_trials' must lie in [1, " +
-                             std::to_string(limits.maxEnsembleSize) +
-                             "]";
-                    return false;
-                }
-            }
-            const std::string locate_error = validateLocate(*request);
-            if (!locate_error.empty()) {
-                *error = locate_error;
-                return false;
-            }
-        }
-        return true;
-    } catch (const json::TypeError &e) {
-        *error = e.what();
-        return false;
+    static const char *const kKnown[] = {
+        "id",       "command",       "circuit",
+        "reference", "plan",         "register",
+        "register_b", "strategy",    "family",
+        "oracle_mode", "oracle_trials",
+        "seed",     "ensemble_size", "mode",
+        "threads",  "g_test",        "holm_bonferroni"};
+    for (const auto &member : doc.members()) {
+        bool known = false;
+        for (const char *k : kKnown)
+            known = known || member.first == k;
+        fatal_if(!known, "unknown field '", member.first, "'");
     }
+
+    Request request;
+    const json::Value *command = doc.find("command");
+    fatal_if(command == nullptr || !command->isString(),
+             "'command' (a string) is required");
+    request.command = command->asString();
+    const bool is_check = request.command == "check";
+    const bool is_locate = request.command == "locate";
+    const bool is_analyze = request.command == "analyze";
+    const bool is_lint = request.command == "lint";
+    fatal_if(!is_check && !is_locate && !is_analyze && !is_lint &&
+                 request.command != "ping",
+             "unknown command '", request.command,
+             "' (expected ping / lint / analyze / check / locate)");
+
+    // Ensemble configuration (optional, defaulted).
+    if (const json::Value *seed = doc.find("seed"))
+        request.seed = seed->asUint64();
+    if (const json::Value *size = doc.find("ensemble_size")) {
+        request.ensembleSize = size->asUint64();
+        fatal_if(request.ensembleSize == 0 ||
+                     request.ensembleSize > limits.maxEnsembleSize,
+                 "'ensemble_size' must lie in [1, ",
+                 limits.maxEnsembleSize, "]");
+    }
+    if (const json::Value *mode = doc.find("mode")) {
+        fatal_if(!modeFromName(mode->asString(), &request.mode),
+                 "'mode' must be sample_final_state or resimulate");
+    }
+    if (const json::Value *threads = doc.find("threads")) {
+        const std::uint64_t n = threads->asUint64();
+        fatal_if(n > 64, "'threads' must lie in [0, 64]");
+        request.threads = static_cast<unsigned>(n);
+    }
+    if (const json::Value *g = doc.find("g_test"))
+        request.gTest = g->asBool();
+    if (const json::Value *hb = doc.find("holm_bonferroni"))
+        request.holmBonferroni = hb->asBool();
+
+    if (request.command == "ping")
+        return request;
+
+    request.circuit = parseCircuitField(doc, "circuit", limits);
+
+    // The assertion plan (check: required; analyze: optional). Whether
+    // it fits the circuit is the Session's to check, at execution.
+    const json::Value *plan = doc.find("plan");
+    fatal_if(plan != nullptr && !is_check && !is_analyze,
+             "'plan' is only valid for check / analyze");
+    fatal_if(is_check && plan == nullptr,
+             "'plan' (an assertion array) is required for check");
+    if (plan != nullptr) {
+        request.plan = session::planFromValue(*plan);
+        fatal_if(request.plan.size() > limits.maxPlanItems, "plan has ",
+                 request.plan.size(),
+                 " items; this server accepts at most ",
+                 limits.maxPlanItems);
+        fatal_if(is_check && request.plan.empty(),
+                 "'plan' must contain at least one assertion");
+        for (const auto &item : request.plan) {
+            fatal_if(item.ensembleSize > limits.maxEnsembleSize,
+                     "plan ensemble_size exceeds the server limit of ",
+                     limits.maxEnsembleSize);
+        }
+    }
+
+    // Locate-only fields.
+    const json::Value *reference = doc.find("reference");
+    const json::Value *reg = doc.find("register");
+    const json::Value *reg_b = doc.find("register_b");
+    const json::Value *strategy = doc.find("strategy");
+    const json::Value *family = doc.find("family");
+    const json::Value *oracle_mode = doc.find("oracle_mode");
+    const json::Value *oracle_trials = doc.find("oracle_trials");
+    fatal_if(!is_locate && (reference != nullptr || reg != nullptr ||
+                            reg_b != nullptr || strategy != nullptr ||
+                            family != nullptr ||
+                            oracle_mode != nullptr ||
+                            oracle_trials != nullptr),
+             "'reference' / 'register' / 'strategy' / 'family' / "
+             "'oracle_mode' / 'oracle_trials' are only valid for "
+             "locate");
+    if (!is_locate)
+        return request;
+
+    // Everything else a locate can get wrong, the locator rejects
+    // itself (qsa::Error, before any simulation); a register name the
+    // circuit lacks, Circuit::reg rejects.
+    request.reference = parseCircuitField(doc, "reference", limits);
+    if (reg != nullptr)
+        request.registerA = reg->asString();
+    if (reg_b != nullptr)
+        request.registerB = reg_b->asString();
+    fatal_if(strategy != nullptr &&
+                 !strategyFromName(strategy->asString(),
+                                   &request.strategy),
+             "'strategy' must be adaptive or linear");
+    fatal_if(family != nullptr &&
+                 !familyFromName(family->asString(), &request.family),
+             "'family' must be segment_mirror / mixture_marginal / "
+             "rotated_marginal / swap_test / auto");
+    fatal_if(oracle_mode != nullptr &&
+                 !oracleModeFromName(oracle_mode->asString(),
+                                     &request.oracleMode),
+             "'oracle_mode' must be exact / sampled / auto");
+    if (oracle_trials != nullptr) {
+        request.oracleTrials = oracle_trials->asUint64();
+        fatal_if(request.oracleTrials == 0 ||
+                     request.oracleTrials > limits.maxEnsembleSize,
+                 "'oracle_trials' must lie in [1, ",
+                 limits.maxEnsembleSize, "]");
+    }
+    fatal_if(!request.registerB.empty() && request.registerA.empty(),
+             "'register_b' requires 'register'");
+    return request;
 }
 
 json::Value
@@ -606,20 +502,21 @@ handleRequestLine(const std::string &line, const Limits &limits)
     if (!json::Value::parse(line, &doc, &parse_error))
         return errorResponse(json::Value(),
                              "request is not valid JSON: " +
-                                 parse_error,
-                             nullptr);
+                                 parse_error);
+    // Read before parsing, so that every error response echoes it.
+    const json::Value *found = doc.find("id");
+    const json::Value id = found != nullptr ? *found : json::Value();
 
-    Request request;
-    std::string error;
-    circuit::QasmError qasm;
-    if (!parseRequest(doc, &request, &error, &qasm, limits))
-        return errorResponse(request.id, error,
-                             qasm.line != 0 ? &qasm : nullptr);
-
-    const auto start = std::chrono::steady_clock::now();
+    std::string command;
+    std::chrono::steady_clock::time_point start;
     json::Value result;
     try {
+        const Request request = parseRequest(doc, limits);
+        command = request.command;
+        start = std::chrono::steady_clock::now();
         result = executeRequest(request);
+    } catch (const circuit::QasmError &e) {
+        return errorResponse(id, e.what(), &e);
     } catch (const DeriveError &e) {
         // Program-inherent oracle failures (a wide-measurement
         // reference past the exact branch cap, an over-wide
@@ -627,28 +524,25 @@ handleRequestLine(const std::string &line, const Limits &limits)
         // named, keep the daemon alive. An "oracle_mode": "sampled"
         // (or the default auto) request sidesteps the branch cap.
         QSA_OBS_COUNTER("serve.requests.derive_errors", 1);
-        return errorResponse(request.id, e.what(), nullptr,
-                             e.where());
+        return errorResponse(id, e.what(), nullptr, e.where());
     } catch (const Error &e) {
-        // A pair or configuration the library rejects (every locator
-        // precondition): thrown before any simulation ran.
-        return errorResponse(request.id, e.what(), nullptr);
+        // Anything else the library rejects: a malformed request, or
+        // a plan, circuit or locate it will not run.
+        return errorResponse(id, e.what());
     } catch (const std::exception &e) {
-        // Belt and braces: no execute path should throw anything
-        // else, but a daemon never dies on one either.
-        return errorResponse(request.id,
-                             std::string("internal error: ") +
-                                 e.what(),
-                             nullptr);
+        // Belt and braces: no path should throw anything else, but a
+        // daemon never dies on one either.
+        return errorResponse(id,
+                             std::string("internal error: ") + e.what());
     }
     const auto duration =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start);
 
     json::Value resp = json::Value::object();
-    resp.set("id", request.id);
+    resp.set("id", id);
     resp.set("ok", json::Value::boolean(true));
-    resp.set("command", json::Value::string(request.command));
+    resp.set("command", json::Value::string(command));
     resp.set("result", std::move(result));
 
     // Everything timing- or environment-dependent lives here, outside

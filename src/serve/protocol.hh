@@ -47,20 +47,26 @@
  * wall-clock duration and trace-span identity and is excluded from
  * the contract.
  *
- * Robustness: parseRequest/handleRequestLine never fatal on request
- * content. Malformed JSON, bad QASM (positioned via
- * circuit::tryFromQasm), unknown commands, invalid plans
- * (session::validatePlan), unknown register names, and over-limit
- * circuits all produce "ok": false responses from parseRequest. Two
- * library errors surface from executeRequest instead, and
- * handleRequestLine turns both into "ok": false responses while the
- * daemon keeps serving:
+ * Errors: the library throws qsa::Error for everything it rejects,
+ * and handleRequestLine catches it in one place, around both parsing
+ * and execution, and answers "ok": false while the daemon keeps
+ * serving. The daemon holds no copy of a library rule. What serve
+ * checks itself is the request's shape (fields, types, which command
+ * takes which field) and its own Limits; everything else is the
+ * library's:
  *
- *  - qsa::Error: a locate the locator rejects (a family the scope
- *    does not support, mismatched qubit spaces, a program wider than
- *    its probe family's gate, no probeable boundary). The locator
- *    checks these itself before any simulation, so the daemon holds
- *    no copy of its rules.
+ *  - circuit::QasmError: a circuit field that does not parse; the
+ *    response carries its "line", "column" and "token".
+ *  - a plan the Session rejects (an unknown register or site, a value
+ *    outside the register, a malformed distribution or support, an
+ *    alpha outside (0, 1)): the message is "plan[i]: " plus the
+ *    library's. Rules that only run() can check, such as a source
+ *    breakpoint that clashes with a generated boundary marker, carry
+ *    no prefix.
+ *  - a locate the library rejects (a register the circuit lacks, a
+ *    family the scope does not support, mismatched qubit spaces, a
+ *    program wider than its probe family's gate, no probeable
+ *    boundary), before any simulation.
  *  - qsa::DeriveError: program-inherent oracle derivation failures
  *    (e.g. a wide-measurement reference past the exact oracle's
  *    branch cap). They depend on measurement *structure*, not any
@@ -78,7 +84,6 @@
 
 #include "assertions/spec.hh"
 #include "circuit/circuit.hh"
-#include "circuit/qasm.hh"
 #include "common/json.hh"
 #include "locate/locate.hh"
 #include "session/plan.hh"
@@ -111,14 +116,10 @@ struct Limits
 /**
  * A parsed request with a well-formed shape. executeRequest can still
  * throw qsa::Error on it when the library rejects the work it asks
- * for (see the file comment's robustness notes).
+ * for (see the file comment's error notes).
  */
 struct Request
 {
-    /** Echoed verbatim into the response ("id" member; Null when
-     *  absent). */
-    json::Value id;
-
     std::string command;
 
     circuit::Circuit circuit;
@@ -156,15 +157,13 @@ struct Request
 };
 
 /**
- * Parse and validate one request object. Returns false with a
- * human-readable `*error` on any schema, QASM, plan, or limits
- * violation; `*qasm` (when non-null) additionally carries the
- * positioned parse failure when the error came from a circuit field.
+ * Parse one request object and check its shape and the limits.
+ * Throws qsa::Error on any violation: circuit::QasmError when a
+ * circuit field does not parse, its message prefixed with the field
+ * ("'circuit': line 3, ...").
  */
-bool parseRequest(const json::Value &doc, Request *request,
-                  std::string *error,
-                  circuit::QasmError *qasm = nullptr,
-                  const Limits &limits = Limits());
+Request parseRequest(const json::Value &doc,
+                     const Limits &limits = Limits());
 
 /**
  * Execute a parsed request and return its deterministic "result"
@@ -179,7 +178,8 @@ json::Value executeRequest(const Request &request);
 /**
  * The complete per-line entry point: parse `line`, execute, and
  * render the full NDJSON response (without trailing newline). Never
- * throws, never fatals on request content — the daemon's inner loop.
+ * throws: every error becomes an "ok": false response — the daemon's
+ * inner loop.
  */
 std::string handleRequestLine(const std::string &line,
                               const Limits &limits = Limits());

@@ -1,8 +1,6 @@
 #include "session/plan.hh"
 
-#include <cmath>
-#include <sstream>
-
+#include "common/errors.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "session/session.hh"
@@ -12,14 +10,6 @@ namespace qsa::session
 
 namespace
 {
-
-/** "plan[i]: <what>" error rendering. */
-std::string itemError(std::size_t index, const std::string &what)
-{
-    std::ostringstream os;
-    os << "plan[" << index << "]: " << what;
-    return os.str();
-}
 
 bool kindFromName(const std::string &name, PlanKind *kind)
 {
@@ -46,14 +36,9 @@ bool needsRegB(PlanKind kind)
 }
 
 /** Schema-parse one plan object (no program knowledge yet). */
-bool parseItem(const json::Value &obj, std::size_t index,
-               PlanAssertion *item, std::string *error)
+PlanAssertion parseItem(const json::Value &obj)
 {
-    if (!obj.isObject())
-    {
-        *error = itemError(index, "expected an object");
-        return false;
-    }
+    fatal_if(!obj.isObject(), "expected an object");
 
     static const char *const kKnown[] = {
         "at",    "after", "expect",  "register",      "register_b",
@@ -64,133 +49,82 @@ bool parseItem(const json::Value &obj, std::size_t index,
         bool known = false;
         for (const char *k : kKnown)
             known = known || member.first == k;
-        if (!known)
-        {
-            *error = itemError(index, "unknown field '" +
-                                          member.first + "'");
-            return false;
-        }
+        fatal_if(!known, "unknown field '", member.first, "'");
     }
 
+    PlanAssertion item;
     const json::Value *at = obj.find("at");
     const json::Value *after = obj.find("after");
-    if ((at != nullptr) == (after != nullptr))
-    {
-        *error = itemError(
-            index, "exactly one of 'at' / 'after' is required");
-        return false;
-    }
+    fatal_if((at != nullptr) == (after != nullptr),
+             "exactly one of 'at' / 'after' is required");
     if (at != nullptr)
     {
-        item->atBoundary = false;
-        item->breakpoint = at->asString();
+        item.atBoundary = false;
+        item.breakpoint = at->asString();
     }
     else
     {
-        item->atBoundary = true;
-        item->boundary = after->asUint64();
+        item.atBoundary = true;
+        item.boundary = after->asUint64();
     }
 
     const json::Value *expect = obj.find("expect");
-    if (expect == nullptr ||
-        !kindFromName(expect->asString(), &item->kind))
-    {
-        *error = itemError(
-            index,
-            "'expect' must be one of classical / superposition / "
-            "distribution / uniform_subset / entangled / product");
-        return false;
-    }
+    fatal_if(expect == nullptr ||
+                 !kindFromName(expect->asString(), &item.kind),
+             "'expect' must be one of classical / superposition / "
+             "distribution / uniform_subset / entangled / product");
 
     const json::Value *reg = obj.find("register");
-    if (reg == nullptr)
-    {
-        *error = itemError(index, "'register' is required");
-        return false;
-    }
-    item->regA = reg->asString();
+    fatal_if(reg == nullptr, "'register' is required");
+    item.regA = reg->asString();
 
     const json::Value *reg_b = obj.find("register_b");
-    if (needsRegB(item->kind) != (reg_b != nullptr))
+    if (needsRegB(item.kind) != (reg_b != nullptr))
     {
-        *error = itemError(
-            index, needsRegB(item->kind)
-                       ? "'register_b' is required for " +
-                             planKindName(item->kind)
-                       : "'register_b' is only valid for entangled "
-                         "/ product");
-        return false;
+        fatal(needsRegB(item.kind)
+                  ? "'register_b' is required for " +
+                        planKindName(item.kind)
+                  : "'register_b' is only valid for entangled / "
+                    "product");
     }
     if (reg_b != nullptr)
-        item->regB = reg_b->asString();
+        item.regB = reg_b->asString();
 
     const json::Value *value = obj.find("value");
-    if ((item->kind == PlanKind::Classical) != (value != nullptr))
-    {
-        *error = itemError(index,
-                           "'value' is required for (and only for) "
-                           "classical");
-        return false;
-    }
+    fatal_if((item.kind == PlanKind::Classical) != (value != nullptr),
+             "'value' is required for (and only for) classical");
     if (value != nullptr)
-        item->expectedValue = value->asUint64();
+        item.expectedValue = value->asUint64();
 
     const json::Value *probs = obj.find("probs");
-    if ((item->kind == PlanKind::Distribution) != (probs != nullptr))
-    {
-        *error = itemError(index,
-                           "'probs' is required for (and only for) "
-                           "distribution");
-        return false;
-    }
+    fatal_if((item.kind == PlanKind::Distribution) != (probs != nullptr),
+             "'probs' is required for (and only for) distribution");
     if (probs != nullptr)
     {
-        if (!probs->isArray())
-        {
-            *error = itemError(index, "'probs' must be an array");
-            return false;
-        }
+        fatal_if(!probs->isArray(), "'probs' must be an array");
         for (std::size_t p = 0; p < probs->size(); ++p)
-            item->probs.push_back(probs->at(p).asDouble());
+            item.probs.push_back(probs->at(p).asDouble());
     }
 
     const json::Value *support = obj.find("support");
-    if ((item->kind == PlanKind::UniformSubset) !=
-        (support != nullptr))
-    {
-        *error = itemError(index,
-                           "'support' is required for (and only "
-                           "for) uniform_subset");
-        return false;
-    }
+    fatal_if((item.kind == PlanKind::UniformSubset) !=
+                 (support != nullptr),
+             "'support' is required for (and only for) "
+             "uniform_subset");
     if (support != nullptr)
     {
-        if (!support->isArray())
-        {
-            *error = itemError(index, "'support' must be an array");
-            return false;
-        }
+        fatal_if(!support->isArray(), "'support' must be an array");
         for (std::size_t v = 0; v < support->size(); ++v)
-            item->support.push_back(support->at(v).asUint64());
+            item.support.push_back(support->at(v).asUint64());
     }
 
     if (const json::Value *alpha = obj.find("alpha"))
-        item->alpha = alpha->asDouble();
+        item.alpha = alpha->asDouble();
     if (const json::Value *name = obj.find("name"))
-        item->name = name->asString();
+        item.name = name->asString();
     if (const json::Value *size = obj.find("ensemble_size"))
-        item->ensembleSize = size->asUint64();
-    return true;
-}
-
-/** Non-fatal register lookup by name. */
-const circuit::QubitRegister *
-findRegister(const circuit::Circuit &program, const std::string &name)
-{
-    for (const auto &reg : program.registers())
-        if (reg.name() == name)
-            return &reg;
-    return nullptr;
+        item.ensembleSize = size->asUint64();
+    return item;
 }
 
 } // namespace
@@ -215,144 +149,22 @@ std::string planKindName(PlanKind kind)
     panic("unknown plan kind");
 }
 
-bool tryPlanFromValue(const json::Value &array,
-                      std::vector<PlanAssertion> *plan,
-                      std::string *error)
+std::vector<PlanAssertion> planFromValue(const json::Value &array)
 {
-    if (!array.isArray())
-    {
-        *error = "plan must be a JSON array";
-        return false;
-    }
-    std::vector<PlanAssertion> parsed;
+    fatal_if(!array.isArray(), "plan must be a JSON array");
+    std::vector<PlanAssertion> plan;
     for (std::size_t i = 0; i < array.size(); ++i)
     {
-        PlanAssertion item;
         try
         {
-            if (!parseItem(array.at(i), i, &item, error))
-                return false;
+            plan.push_back(parseItem(array.at(i)));
         }
-        catch (const json::TypeError &e)
+        catch (const Error &e)
         {
-            *error = itemError(i, e.what());
-            return false;
+            fatal("plan[", i, "]: ", e.what());
         }
-        parsed.push_back(std::move(item));
     }
-    *plan = std::move(parsed);
-    return true;
-}
-
-bool tryPlanFromJson(const std::string &text,
-                     std::vector<PlanAssertion> *plan,
-                     std::string *error)
-{
-    json::Value doc;
-    if (!json::Value::parse(text, &doc, error))
-        return false;
-    return tryPlanFromValue(doc, plan, error);
-}
-
-std::vector<PlanAssertion> planFromJson(const std::string &text)
-{
-    std::vector<PlanAssertion> plan;
-    std::string error;
-    fatal_if(!tryPlanFromJson(text, &plan, &error),
-             "assertion plan: ", error);
     return plan;
-}
-
-std::string validatePlan(const circuit::Circuit &program,
-                         const std::vector<PlanAssertion> &plan)
-{
-    for (std::size_t i = 0; i < plan.size(); ++i)
-    {
-        const PlanAssertion &item = plan[i];
-
-        if (item.atBoundary)
-        {
-            if (item.boundary > program.size())
-                return itemError(
-                    i, "boundary " + std::to_string(item.boundary) +
-                           " beyond the program (" +
-                           std::to_string(program.size()) +
-                           " instructions)");
-        }
-        else if (!program.hasBreakpoint(item.breakpoint))
-        {
-            return itemError(i, "unknown breakpoint '" +
-                                    item.breakpoint + "'");
-        }
-
-        const circuit::QubitRegister *reg_a =
-            findRegister(program, item.regA);
-        if (reg_a == nullptr)
-            return itemError(i,
-                             "unknown register '" + item.regA + "'");
-        if (reg_a->width() > 24)
-            return itemError(i, "register '" + item.regA +
-                                    "' too wide for marginal "
-                                    "assertions");
-        const std::uint64_t domain = 1ULL << reg_a->width();
-
-        if (needsRegB(item.kind))
-        {
-            const circuit::QubitRegister *reg_b =
-                findRegister(program, item.regB);
-            if (reg_b == nullptr)
-                return itemError(i, "unknown register '" +
-                                        item.regB + "'");
-        }
-
-        switch (item.kind)
-        {
-        case PlanKind::Classical:
-            if (item.expectedValue >= domain)
-                return itemError(
-                    i, "value " + std::to_string(item.expectedValue) +
-                           " does not fit register '" + item.regA +
-                           "'");
-            break;
-        case PlanKind::Distribution:
-        {
-            if (item.probs.size() != domain)
-                return itemError(
-                    i, "probs needs exactly " +
-                           std::to_string(domain) +
-                           " entries for register '" + item.regA +
-                           "'");
-            double total = 0.0;
-            for (double p : item.probs)
-            {
-                if (!std::isfinite(p) || p < 0.0)
-                    return itemError(i, "probs entries must be "
-                                        "finite and non-negative");
-                total += p;
-            }
-            if (std::abs(total - 1.0) > 1e-6)
-                return itemError(i, "probs must sum to 1");
-            break;
-        }
-        case PlanKind::UniformSubset:
-            if (item.support.empty())
-                return itemError(i, "support must be non-empty");
-            for (std::uint64_t v : item.support)
-                if (v >= domain)
-                    return itemError(
-                        i, "support value " + std::to_string(v) +
-                               " does not fit register '" +
-                               item.regA + "'");
-            break;
-        default:
-            break;
-        }
-
-        if (item.alpha != 0.0 &&
-            (item.alpha <= 0.0 || item.alpha >= 1.0))
-            return itemError(i, "alpha must lie in (0, 1)");
-    }
-    return "";
 }
 
 Expectation &Session::expect(const PlanAssertion &item)

@@ -29,19 +29,19 @@
  * of the serve determinism contract (wire request ≡ in-process
  * session).
  *
- * Parsing (tryPlanFromJson) and program-level validation
- * (validatePlan) are non-fatal: the serving layer adjudicates bad
- * requests per-connection and must outlive them.
+ * planFromValue checks the schema and throws qsa::Error on a
+ * violation. Whether a plan fits its program (registers, sites,
+ * values, probabilities, alphas) is the Session's to check, in
+ * expect() and run(): a plan has no rules of its own.
  */
 
 #ifndef QSA_SESSION_PLAN_HH
 #define QSA_SESSION_PLAN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "circuit/circuit.hh"
 
 namespace qsa::json
 {
@@ -100,32 +100,10 @@ struct PlanAssertion
 
 /**
  * Parse a plan from an already-parsed JSON array (the serve request
- * path — requests are parsed once). Returns false with a positioned
- * human-readable `*error` ("plan[2]: ...") on any schema violation.
+ * path — requests are parsed once). Throws qsa::Error with a
+ * positioned message ("plan[2]: ...") on any schema violation.
  */
-bool tryPlanFromValue(const json::Value &array,
-                      std::vector<PlanAssertion> *plan,
-                      std::string *error);
-
-/** As tryPlanFromValue, from JSON text. */
-bool tryPlanFromJson(const std::string &text,
-                     std::vector<PlanAssertion> *plan,
-                     std::string *error);
-
-/** Parse or fatal() — the trusted-input convenience form. */
-std::vector<PlanAssertion> planFromJson(const std::string &text);
-
-/**
- * Validate a parsed plan against a concrete program without
- * registering anything: register names exist, breakpoint labels /
- * boundaries exist, values fit the register, probability vectors have
- * the right arity and normalisation, alphas are in (0, 1). Returns ""
- * when valid, else the first violation ("plan[0]: unknown register
- * 'qq'"). A plan that validates cleanly cannot make
- * Session::expect() or run() fatal on shape grounds.
- */
-std::string validatePlan(const circuit::Circuit &program,
-                         const std::vector<PlanAssertion> &plan);
+std::vector<PlanAssertion> planFromValue(const json::Value &array);
 
 } // namespace qsa::session
 

@@ -337,9 +337,9 @@ class Session
      * Register one deserialized plan item (see session/plan.hh):
      * resolves the site and register names against the program and
      * dispatches to the matching expect* builder, so a JSON plan is
-     * indistinguishable from the equivalent fluent calls. Register /
-     * site resolution is fatal on unknown names — wire callers
-     * pre-validate with session::validatePlan.
+     * indistinguishable from the equivalent fluent calls. Throws
+     * qsa::Error on an unknown register or site, or on a value,
+     * distribution, support or alpha the expect* builders reject.
      */
     Expectation &expect(const PlanAssertion &item);
 

@@ -17,6 +17,8 @@
 
 #include "qsa/qsa.hh"
 
+#include "expect_throw.hh"
+
 namespace
 {
 
@@ -134,10 +136,12 @@ TEST(BugTaxonomy, DynamicOnlyTypesHaveNoStaticFixture)
 {
     // The six paper types are pinned dynamic-only: asking for a
     // static fixture is a designed fatal, not a silent empty result.
-    EXPECT_DEATH(bugs::staticBugFixture(BugType::FlippedRotation),
-                 "dynamic-only");
-    EXPECT_DEATH(bugs::staticBugFixture(BugType::WrongClassicalInput),
-                 "dynamic-only");
+    EXPECT_THROW_MESSAGE(
+        bugs::staticBugFixture(BugType::FlippedRotation), qsa::Error,
+        "dynamic-only");
+    EXPECT_THROW_MESSAGE(
+        bugs::staticBugFixture(BugType::WrongClassicalInput), qsa::Error,
+        "dynamic-only");
 }
 
 TEST(BugTaxonomy, DynamicOnlyDefectEvadesTheLinter)

@@ -13,6 +13,9 @@
 #include "assertions/checker.hh"
 #include "assertions/exact.hh"
 #include "assertions/report.hh"
+#include "common/errors.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -175,9 +178,8 @@ TEST(Checker, UnknownBreakpointRejected)
 {
     BellFixture f;
     AssertionChecker checker(f.circ);
-    EXPECT_EXIT(
-        checker.assertClassical("nope", f.q0, 0),
-        ::testing::ExitedWithCode(1), "no breakpoint");
+    EXPECT_THROW_MESSAGE(checker.assertClassical("nope", f.q0, 0), qsa::Error,
+                         "no breakpoint");
 }
 
 TEST(Checker, GatherEnsembleShape)
@@ -309,12 +311,12 @@ TEST(SpecValidation, OutOfDomainClassicalValueRejected)
     // stats::pointMassExpected mid-check.
     BellFixture f;
     AssertionChecker checker(f.circ);
-    EXPECT_EXIT(checker.assertClassical("classical", f.q0, 2),
-                ::testing::ExitedWithCode(1),
-                "outside the register domain");
-    EXPECT_EXIT(checker.assertClassical("classical", f.circ.reg("q"), 4),
-                ::testing::ExitedWithCode(1),
-                "outside the register domain");
+    EXPECT_THROW_MESSAGE(
+        checker.assertClassical("classical", f.q0, 2), qsa::Error,
+        "outside the register domain");
+    EXPECT_THROW_MESSAGE(
+        checker.assertClassical("classical", f.circ.reg("q"), 4), qsa::Error,
+        "outside the register domain");
     // The top of the domain is still accepted.
     checker.assertClassical("classical", f.circ.reg("q"), 3);
     EXPECT_EQ(checker.assertions().size(), 1u);
@@ -324,9 +326,9 @@ TEST(SpecValidation, UniformSubsetErrorPathConsistent)
 {
     BellFixture f;
     AssertionChecker checker(f.circ);
-    EXPECT_EXIT(checker.assertUniformSubset("classical", f.q0, {2}),
-                ::testing::ExitedWithCode(1),
-                "outside the register domain");
+    EXPECT_THROW_MESSAGE(
+        checker.assertUniformSubset("classical", f.q0, {2}), qsa::Error,
+        "outside the register domain");
 }
 
 TEST(SpecValidation, DistributionShapeRejectedAtRegistration)
@@ -337,23 +339,24 @@ TEST(SpecValidation, DistributionShapeRejectedAtRegistration)
     AssertionChecker checker(f.circ);
 
     // Wrong length: a 1-qubit register needs exactly 2 entries.
-    EXPECT_EXIT(checker.assertDistribution("classical", f.q0,
-                                           {0.5, 0.25, 0.25}),
-                ::testing::ExitedWithCode(1), "2\\^width entries");
-    EXPECT_EXIT(checker.assertDistribution("classical", f.q0, {1.0}),
-                ::testing::ExitedWithCode(1), "2\\^width entries");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("classical", f.q0, {0.5, 0.25, 0.25}),
+        qsa::Error, "2\\^width entries");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("classical", f.q0, {1.0}), qsa::Error,
+        "2\\^width entries");
 
     // Not a probability vector.
-    EXPECT_EXIT(checker.assertDistribution("classical", f.q0,
-                                           {0.7, 0.7}),
-                ::testing::ExitedWithCode(1), "must sum to 1");
-    EXPECT_EXIT(checker.assertDistribution("classical", f.q0,
-                                           {-0.5, 1.5}),
-                ::testing::ExitedWithCode(1), "negative probability");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("classical", f.q0, {0.7, 0.7}), qsa::Error,
+        "must sum to 1");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("classical", f.q0, {-0.5, 1.5}), qsa::Error,
+        "negative probability");
     const double nan = std::nan("");
-    EXPECT_EXIT(checker.assertDistribution("classical", f.q0,
-                                           {nan, 1.0}),
-                ::testing::ExitedWithCode(1), "non-finite");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("classical", f.q0, {nan, 1.0}), qsa::Error,
+        "non-finite");
 
     // A well-formed vector (within the 1e-6 sum tolerance) registers.
     checker.assertDistribution("classical", f.q0,
@@ -375,14 +378,13 @@ TEST(SpecValidation, FreeValidatorsShareTheCheckerSemantics)
     validateSpec(f.circ, spec);       // breakpoint exists: no exit
 
     spec.expectedProbs = {0.25, 0.25, 0.25, 0.25};
-    EXPECT_EXIT(validateSpecShape(spec), ::testing::ExitedWithCode(1),
-                "2\\^width entries");
+    EXPECT_THROW_MESSAGE(validateSpecShape(spec), qsa::Error,
+                         "2\\^width entries");
 
     spec.expectedProbs = {0.5, 0.5};
     spec.breakpoint = "missing";
-    EXPECT_EXIT(validateSpec(f.circ, spec),
-                ::testing::ExitedWithCode(1),
-                "no breakpoint labelled");
+    EXPECT_THROW_MESSAGE(validateSpec(f.circ, spec), qsa::Error,
+                         "no breakpoint labelled");
 }
 
 // --- Holm-Bonferroni family-wise control -------------------------------------

@@ -12,8 +12,11 @@
 #include "circuit/circuit.hh"
 #include "circuit/executor.hh"
 #include "circuit/qasm.hh"
+#include "common/errors.hh"
 #include "common/rng.hh"
 #include "sim/gates.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -121,9 +124,8 @@ TEST(CircuitIR, InverseRejectsMeasurement)
 {
     Circuit c(1);
     c.measureQubits({0}, "m");
-    EXPECT_EXIT(
-        { auto inv = c.inverse(); (void)inv; },
-        ::testing::ExitedWithCode(1), "cannot invert");
+    EXPECT_THROW_MESSAGE({ auto inv = c.inverse(); (void)inv; }, qsa::Error,
+                         "cannot invert");
 }
 
 TEST(CircuitIR, AppendControlledImplementsRecursion)
@@ -172,15 +174,15 @@ TEST(CircuitIR, DuplicateBreakpointRejected)
 {
     Circuit c(1);
     c.breakpoint("b");
-    EXPECT_EXIT(c.breakpoint("b"), ::testing::ExitedWithCode(1),
-                "duplicate breakpoint");
+    EXPECT_THROW_MESSAGE(c.breakpoint("b"), qsa::Error,
+                         "duplicate breakpoint");
 }
 
 TEST(CircuitIR, ValidationCatchesBadQubits)
 {
     Circuit c(2);
-    EXPECT_EXIT(c.h(5), ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(c.cnot(0, 0), ::testing::ExitedWithCode(1), "collides");
+    EXPECT_THROW_MESSAGE(c.h(5), qsa::Error, "out of range");
+    EXPECT_THROW_MESSAGE(c.cnot(0, 0), qsa::Error, "collides");
 }
 
 /** An instruction built field by field, for the rejection table. */
@@ -250,8 +252,7 @@ TEST(CircuitIR, EveryValidationRejectionKeepsItsMessage)
         SCOPED_TRACE(row.what);
         Circuit c(20);
         c.addMatrix(sim::CMatrix::fromMat2(sim::gates::x()));
-        EXPECT_EXIT(c.append(row.inst), ::testing::ExitedWithCode(1),
-                    row.message);
+        EXPECT_THROW_MESSAGE(c.append(row.inst), qsa::Error, row.message);
     }
 }
 
@@ -265,18 +266,16 @@ TEST(CircuitIR, BoundaryMarkersRejectAClashingSourceLabel)
         before.h(0);
     before.breakpoint("qsa_boundary_7");
     before.h(0);
-    EXPECT_EXIT(before.withBoundaryBreakpoints(),
-                ::testing::ExitedWithCode(1),
-                "duplicate breakpoint label 'qsa_boundary_7'");
+    EXPECT_THROW_MESSAGE(before.withBoundaryBreakpoints(), qsa::Error,
+                         "duplicate breakpoint label 'qsa_boundary_7'");
 
     Circuit after(1);
     for (int k = 0; k < 5; ++k)
         after.h(0);
     after.breakpoint("qsa_boundary_1");
     after.h(0);
-    EXPECT_EXIT(after.withBoundaryBreakpoints(),
-                ::testing::ExitedWithCode(1),
-                "duplicate breakpoint label 'qsa_boundary_1'");
+    EXPECT_THROW_MESSAGE(after.withBoundaryBreakpoints(), qsa::Error,
+                         "duplicate breakpoint label 'qsa_boundary_1'");
 
     // Labels that only look alike are not generated markers.
     Circuit alike(1);

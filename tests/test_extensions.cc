@@ -18,8 +18,11 @@
 #include "assertions/report.hh"
 #include "circuit/executor.hh"
 #include "circuit/qasm.hh"
+#include "common/errors.hh"
 #include "common/rng.hh"
 #include "sim/gates.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -80,11 +83,12 @@ TEST(Distribution, ValidationRejectsBadVectors)
     const auto q = circ.addRegister("q", 2);
     circ.breakpoint("bp");
     assertions::AssertionChecker checker(circ);
-    EXPECT_EXIT(checker.assertDistribution("bp", q, {0.5, 0.5}),
-                ::testing::ExitedWithCode(1), "2\\^width");
-    EXPECT_EXIT(checker.assertDistribution("bp", q,
-                                           {0.5, 0.5, 0.5, 0.5}),
-                ::testing::ExitedWithCode(1), "sum to 1");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("bp", q, {0.5, 0.5}), qsa::Error,
+        "2\\^width");
+    EXPECT_THROW_MESSAGE(
+        checker.assertDistribution("bp", q, {0.5, 0.5, 0.5, 0.5}), qsa::Error,
+        "sum to 1");
 }
 
 // --- Teleportation --------------------------------------------------------------
@@ -280,8 +284,9 @@ TEST(QasmFile, SaveLoadRoundTrip)
 
 TEST(QasmFile, MissingFileIsFatal)
 {
-    EXPECT_EXIT(circuit::loadQasmFile("/nonexistent/nope.qasm"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_THROW_MESSAGE(
+        circuit::loadQasmFile("/nonexistent/nope.qasm"), qsa::Error,
+        "cannot open");
 }
 
 } // anonymous namespace

@@ -14,8 +14,11 @@
 #include "assertions/exact.hh"
 #include "circuit/executor.hh"
 #include "common/bits.hh"
+#include "common/errors.hh"
 #include "common/rng.hh"
 #include "sim/gates.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -209,10 +212,10 @@ TEST(Grover, MultipleMarkedValues)
 
 TEST(Grover, MarkedSetValidation)
 {
-    EXPECT_EXIT(buildMarkedSetGrover(3, {}),
-                ::testing::ExitedWithCode(1), "at least one");
-    EXPECT_EXIT(buildMarkedSetGrover(3, {9}),
-                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_THROW_MESSAGE(buildMarkedSetGrover(3, {}), qsa::Error,
+                         "at least one");
+    EXPECT_THROW_MESSAGE(buildMarkedSetGrover(3, {9}), qsa::Error,
+                         "out of range");
 }
 
 TEST(Grover, DiffusionIsInversionAboutMean)

@@ -1,14 +1,14 @@
 /**
  * @file
  * QASM round-trip fixed-point and Circuit::contentHash properties,
- * plus the positioned-error contract of circuit::tryFromQasm.
+ * plus the positioned-error contract of circuit::QasmError.
  *
  * The serving layer (qsa::serve) leans on all three: circuits travel
  * the wire as QASM (so emission∘parse must be a fixed point), the
  * oracle store is content-addressed by contentHash (so the hash must
  * be stable under re-emission and distinct across defect variants),
  * and a daemon fed malformed remote text must get a positioned error
- * back instead of dying in fatal().
+ * back.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "qsa/qsa.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -78,20 +80,6 @@ TEST(QasmRoundTrip, EmissionIsAFixedPointOnEveryCleanReference)
             circuit::toQasm(circuit::fromQasm(twice));
         EXPECT_EQ(once, twice) << name;
         EXPECT_EQ(twice, thrice) << name;
-    }
-}
-
-TEST(QasmRoundTrip, TryFromQasmAgreesWithFromQasm)
-{
-    for (const auto &[name, circ] : cleanReferenceCircuits()) {
-        const std::string text = circuit::toQasm(circ);
-        circuit::QasmError error;
-        const auto parsed = circuit::tryFromQasm(text, &error);
-        ASSERT_TRUE(parsed.has_value())
-            << name << ": " << error.render();
-        EXPECT_EQ(circuit::toQasm(*parsed),
-                  circuit::toQasm(circuit::fromQasm(text)))
-            << name;
     }
 }
 
@@ -267,41 +255,51 @@ TEST(QasmErrors, EveryMalformedInputIsPositioned)
     };
 
     for (const auto &c : cases) {
-        circuit::QasmError error;
-        const auto parsed = circuit::tryFromQasm(c.source, &error);
-        EXPECT_FALSE(parsed.has_value()) << c.label;
-        if (parsed.has_value())
-            continue;
-        EXPECT_EQ(error.line, c.line) << c.label;
-        EXPECT_GE(error.column, 1u) << c.label;
-        if (*c.token != '\0') {
-            EXPECT_EQ(error.token, c.token) << c.label;
+        try {
+            circuit::fromQasm(c.source);
+            ADD_FAILURE() << c.label << ": parsed";
+        } catch (const circuit::QasmError &error) {
+            EXPECT_EQ(error.line(), c.line) << c.label;
+            EXPECT_GE(error.column(), 1u) << c.label;
+            if (*c.token != '\0') {
+                EXPECT_EQ(error.token(), c.token) << c.label;
+            }
+            EXPECT_NE(std::string(error.what()).find(c.messagePart),
+                      std::string::npos)
+                << c.label << ": got '" << error.what() << "'";
         }
-        EXPECT_NE(error.message.find(c.messagePart),
-                  std::string::npos)
-            << c.label << ": got '" << error.message << "'";
     }
 }
 
-TEST(QasmErrors, RenderIncludesPositionAndToken)
+TEST(QasmErrors, WhatIncludesPositionAndToken)
 {
-    circuit::QasmError error;
-    const auto parsed = circuit::tryFromQasm(
-        "OPENQASM 2.0;\nqreg q[1];\nzz q[0];\n", &error);
-    ASSERT_FALSE(parsed.has_value());
-    EXPECT_EQ(error.render(),
-              "line 3, column 1: unsupported QASM gate 'zz'");
+    try {
+        circuit::fromQasm("OPENQASM 2.0;\nqreg q[1];\nzz q[0];\n");
+        ADD_FAILURE() << "parsed";
+    } catch (const circuit::QasmError &error) {
+        EXPECT_EQ(std::string(error.what()),
+                  "line 3, column 1: unsupported QASM gate 'zz'");
+        // A context prefix (serve names the request field) keeps the
+        // position.
+        const circuit::QasmError named("'circuit': ", error);
+        EXPECT_EQ(std::string(named.what()),
+                  "'circuit': line 3, column 1: unsupported QASM gate "
+                  "'zz'");
+        EXPECT_EQ(named.line(), 3u);
+        EXPECT_EQ(named.column(), 1u);
+        EXPECT_EQ(named.token(), "zz");
+    }
 }
 
-TEST(QasmErrorsDeathTest, FromQasmStaysFatalOnMalformedInput)
+TEST(QasmErrors, FromQasmThrowsAQasmError)
 {
-    // The trusted-input entry point keeps the classic behaviour —
-    // and reports through the same positioned rendering.
-    EXPECT_DEATH(
+    // Malformed input is a catchable qsa::Error of the positioned
+    // kind, whatever check rejects it.
+    EXPECT_THROW_MESSAGE(
         circuit::fromQasm("OPENQASM 2.0;\nqreg q[1];\nzz q[0];\n"),
-        "QASM parse error.*line 3.*unsupported QASM gate");
-    EXPECT_DEATH(circuit::fromQasm("qreg q[2];\nh q[9];\n"),
-                 "out of range");
+        circuit::QasmError, "^line 3.*unsupported QASM gate");
+    EXPECT_THROW_MESSAGE(circuit::fromQasm("qreg q[2];\nh q[9];\n"),
+                         circuit::QasmError, "out of range");
 }
 
 } // namespace

@@ -23,11 +23,13 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "common/errors.hh"
 #include "common/rng.hh"
 #include "obs/obs.hh"
 #include "runtime/checkpoint.hh"
 #include "runtime/ensemble.hh"
 
+#include "expect_throw.hh"
 #include "program_generator.hh"
 
 namespace
@@ -222,23 +224,21 @@ TEST(RangeCopy, RejectsWhatTheHelpersReject)
 {
     const Circuit src = markedProgram(5);
     Circuit narrow(kQubits - 1);
-    EXPECT_EXIT(narrow.appendRange(src, 0, 1),
-                ::testing::ExitedWithCode(1),
-                "appended circuit uses more qubits than the target");
+    EXPECT_THROW_MESSAGE(narrow.appendRange(src, 0, 1), qsa::Error,
+                         "appended circuit uses more qubits than the target");
     Circuit dest(kQubits);
-    EXPECT_EXIT(dest.appendRange(src, 2, 1), ::testing::ExitedWithCode(1),
-                "invalid instruction range \\[2, 1\\)");
+    EXPECT_THROW_MESSAGE(dest.appendRange(src, 2, 1), qsa::Error,
+                         "invalid instruction range \\[2, 1\\)");
     RangeCopy adjoint;
     adjoint.adjoint = true;
     adjoint.skipMarkers = true;
     const std::size_t start = measureFreeStart(src);
     // Back to front, the first instruction is the "cond" measurement.
-    EXPECT_EXIT(dest.appendRange(src, 0, start, adjoint),
-                ::testing::ExitedWithCode(1),
-                "cannot invert non-unitary instruction measure");
-    EXPECT_EXIT(dest.appendRange(src, start, src.size(), adjoint),
-                ::testing::ExitedWithCode(1),
-                "cannot invert a classically-conditioned instruction");
+    EXPECT_THROW_MESSAGE(dest.appendRange(src, 0, start, adjoint), qsa::Error,
+                         "cannot invert non-unitary instruction measure");
+    EXPECT_THROW_MESSAGE(
+        dest.appendRange(src, start, src.size(), adjoint), qsa::Error,
+        "cannot invert a classically-conditioned instruction");
 }
 
 #if QSA_OBS_ENABLED

@@ -11,6 +11,7 @@
 
 #include "circuit/circuit.hh"
 #include "circuit/executor.hh"
+#include "common/errors.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -19,6 +20,8 @@
 #include "stats/chi2.hh"
 #include "stats/contingency.hh"
 #include "stats/specfun.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -144,8 +147,8 @@ TEST(ExecutorEdges, StateTooSmallIsFatal)
     sim::StateVector sv(2);
     std::map<std::string, std::uint64_t> meas;
     Rng rng(1);
-    EXPECT_EXIT(circuit::runCircuitOn(circ, sv, meas, rng),
-                ::testing::ExitedWithCode(1), "too small");
+    EXPECT_THROW_MESSAGE(
+        circuit::runCircuitOn(circ, sv, meas, rng), qsa::Error, "too small");
 }
 
 TEST(ExecutorEdges, RepeatedMeasureLabelOverwrites)
@@ -234,9 +237,12 @@ TEST(UtilEdges, LoggingSinksDoNotCrash)
     SUCCEED();
 }
 
-TEST(UtilEdgesDeath, FatalExitsPanicAborts)
+TEST(UtilEdgesDeath, FatalThrowsPanicAborts)
 {
-    EXPECT_EXIT(fatal("boom"), ::testing::ExitedWithCode(1), "boom");
+    // fatal() leaves printing to whoever catches its qsa::Error.
+    ::testing::internal::CaptureStderr();
+    EXPECT_THROW_MESSAGE(fatal("boom"), qsa::Error, "boom");
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
     EXPECT_DEATH(panic("kaboom"), "kaboom");
 }
 

@@ -15,6 +15,8 @@
 
 #include "qsa/qsa.hh"
 
+#include "expect_throw.hh"
+
 namespace
 {
 
@@ -387,6 +389,62 @@ TEST(EnsembleEngine, ZeroShotsYieldsEmpty)
     spec.shots = 0;
     EXPECT_TRUE(engine.gather(spec).empty());
     EXPECT_TRUE(engine.gatherHistogram(spec).empty());
+}
+
+/**
+ * A measurement, a long unitary stretch, then an instruction
+ * conditioned on a label that nothing measures: the executor
+ * (SampleFinalState's one prefix simulation) and the path walk
+ * (Resimulate) both reject it part way through a gather. The walk
+ * splits at the measurement and hands one branch to a second pool
+ * worker; the workers left without a branch wait for one while the
+ * two simulate the stretch, so the failure must wake them.
+ */
+circuit::Circuit
+unmeasuredConditionProgram()
+{
+    constexpr unsigned kQubits = 14;
+    circuit::Circuit circ(kQubits);
+    for (unsigned q = 0; q < kQubits; ++q)
+        circ.h(q);
+    circ.measureQubits({0}, "m0");
+    for (int layer = 0; layer < 30; ++layer)
+        for (unsigned q = 1; q < kQubits; ++q)
+            circ.h(q);
+    circ.x(0);
+    circ.conditionLast("never", 1);
+    circ.breakpoint("end");
+    return circ;
+}
+
+TEST(EnsembleEngine, ErrorsMidGatherUnwindCleanly)
+{
+    // A failed prefix simulation evicts its cache claim, and a failed
+    // path walk wakes the pool workers it handed subtrees to. So
+    // every call on the same engine throws the qsa::Error again: none
+    // hangs, and none throws std::future_error from a broken promise.
+    const auto program = unmeasuredConditionProgram();
+    for (auto mode : {runtime::SampleMode::SampleFinalState,
+                      runtime::SampleMode::Resimulate}) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads " << threads << ", mode "
+                         << (mode == runtime::SampleMode::Resimulate
+                                 ? "resimulate"
+                                 : "sample_final_state"));
+            runtime::EnsembleEngine engine(program, threads);
+            runtime::EnsembleSpec spec;
+            spec.breakpoint = "end";
+            spec.qubits = {0, 1, 2};
+            spec.shots = 256;
+            spec.mode = mode;
+            spec.seed = 7;
+            for (int call = 0; call < 2; ++call) {
+                EXPECT_THROW_MESSAGE(engine.gather(spec), qsa::Error,
+                                     "unmeasured label 'never'");
+            }
+        }
+    }
 }
 
 // --- Checker-level invariance ---------------------------------------------

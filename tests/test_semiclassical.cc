@@ -10,8 +10,11 @@
 #include "algo/shor.hh"
 #include "circuit/executor.hh"
 #include "circuit/qasm.hh"
+#include "common/errors.hh"
 #include "common/rng.hh"
 #include "stats/chi2.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -77,8 +80,8 @@ TEST(Conditional, UnmeasuredLabelIsFatal)
     circ.x(0);
     circ.conditionLast("nope", 1);
     Rng rng(1);
-    EXPECT_EXIT(circuit::runCircuit(circ, rng),
-                ::testing::ExitedWithCode(1), "unmeasured");
+    EXPECT_THROW_MESSAGE(circuit::runCircuit(circ, rng), qsa::Error,
+                         "unmeasured");
 }
 
 TEST(Conditional, CannotInvertOrControl)
@@ -87,8 +90,8 @@ TEST(Conditional, CannotInvertOrControl)
     circ.measureQubits({0}, "m");
     circ.x(1);
     circ.conditionLast("m", 1);
-    EXPECT_EXIT({ auto inv = circ.inverse(); (void)inv; },
-                ::testing::ExitedWithCode(1), "cannot invert");
+    EXPECT_THROW_MESSAGE({ auto inv = circ.inverse(); (void)inv; }, qsa::Error,
+                         "cannot invert");
 }
 
 TEST(Conditional, QasmRoundTrip)

@@ -21,6 +21,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/artifacts.hh"
@@ -186,13 +187,7 @@ ladderLocateDoc(unsigned n, const char *family, const char *mode)
 std::string
 resultDump(const json::Value &doc)
 {
-    serve::Request request;
-    std::string error;
-    const bool ok = serve::parseRequest(doc, &request, &error);
-    EXPECT_TRUE(ok) << error;
-    if (!ok)
-        return "";
-    return serve::executeRequest(request).dump();
+    return serve::executeRequest(serve::parseRequest(doc)).dump();
 }
 
 /** A response line minus its (timing-bearing) "obs" member. */
@@ -255,27 +250,11 @@ TEST(ServeProtocol, QasmErrorsCarryPosition)
     ASSERT_FALSE(doc.find("ok")->asBool());
     const json::Value *error = doc.find("error");
     ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->find("message")->asString(),
+              "'circuit': line 3, column 1: unsupported QASM gate 'zz'");
     EXPECT_EQ(error->find("line")->asUint64(), 3u);
     EXPECT_EQ(error->find("column")->asUint64(), 1u);
     EXPECT_EQ(error->find("token")->asString(), "zz");
-}
-
-TEST(ServeProtocol, PlanValidationIsPositioned)
-{
-    // Unknown register name in the plan: caught by validatePlan, not
-    // by a fatal() inside Session.
-    const std::string response = serve::handleRequestLine(
-        R"({"command": "check",)"
-        R"( "circuit": "OPENQASM 2.0;\nqreg q[1];\nh q[0];\n",)"
-        R"( "plan": [{"after": 1, "expect": "superposition",)"
-        R"( "register": "nope"}]})");
-    const json::Value doc = json::Value::parseOrDie(response);
-    ASSERT_FALSE(doc.find("ok")->asBool());
-    EXPECT_NE(doc.find("error")
-                  ->find("message")
-                  ->asString()
-                  .find("nope"),
-              std::string::npos);
 }
 
 // --- oracle modes and derive-error survival --------------------------------
@@ -388,6 +367,14 @@ unprobeableLadderDoc(unsigned n, const char *family, const char *mode)
     return doc;
 }
 
+TEST(ServeProtocol, RegisterBNeedsRegister)
+{
+    json::Value doc = locateRequestDoc(1, 0);
+    doc.set("register_b", json::Value::string("q"));
+    EXPECT_EQ(responseError(doc, serve::Limits()),
+              "'register_b' requires 'register'");
+}
+
 TEST(ServeProtocol, SwapTestWidthGateMatchesTheLocator)
 {
     // The daemon accepts exactly the widths the in-process locator
@@ -475,19 +462,6 @@ scopeOf(const serve::Request &request)
             request.circuit.reg(request.registerB)};
 }
 
-/** Parse a request document that must be well formed. */
-serve::Request
-parsedRequest(const json::Value &doc,
-              const serve::Limits &limits = serve::Limits())
-{
-    serve::Request request;
-    std::string error;
-    EXPECT_TRUE(
-        serve::parseRequest(doc, &request, &error, nullptr, limits))
-        << error;
-    return request;
-}
-
 json::Value
 locatePairDoc(const std::string &suspect, const std::string &reference)
 {
@@ -549,7 +523,7 @@ void
 expectServeMatchesLibrary(const json::Value &doc, std::size_t last,
                           std::size_t first)
 {
-    const serve::Request request = parsedRequest(doc);
+    const serve::Request request = serve::parseRequest(doc);
     const locate::LocalizationReport report =
         locate::BugLocator(request.circuit, *request.reference,
                            libraryConfig(request))
@@ -610,8 +584,17 @@ locatorRejections()
     pair.set("family", json::Value::string("auto"));
     json::Value full_space = locateRequestDoc(1, 0);
     full_space.set("family", json::Value::string("rotated_marginal"));
+    json::Value unknown = locateRequestDoc(1, 0);
+    unknown.set("family", json::Value::string("mixture_marginal"));
+    unknown.set("register", json::Value::string("nope"));
+    json::Value unknown_b = unknown;
+    unknown_b.set("register", json::Value::string("q"));
+    unknown_b.set("register_b", json::Value::string("nope"));
 
     std::vector<Rejection> out{
+        {"unknown register", unknown, "no register named 'nope'"},
+        {"unknown second register", unknown_b,
+         "no register named 'nope'"},
         {"register family on the full space", full_space,
          "rotated-marginal probes assert on one register's marginal"},
         {"non-marginal family on a register pair", pair,
@@ -661,7 +644,8 @@ wideLimits()
 std::string
 libraryRejection(const Rejection &c)
 {
-    const serve::Request request = parsedRequest(c.doc, wideLimits());
+    const serve::Request request =
+        serve::parseRequest(c.doc, wideLimits());
     locate::LocateConfig cfg = libraryConfig(request);
     if (c.tweak)
         c.tweak(cfg);
@@ -705,6 +689,208 @@ TEST(LocatorRejections, ResponsesCarryTheLibraryMessage)
         // Rejected before anything ran.
         EXPECT_EQ(counterValue("sim.gate_applies"), applies0) << c.name;
         EXPECT_EQ(counterValue("locate.searches"), searches0) << c.name;
+    }
+}
+
+// --- the session's own rules ----------------------------------------------
+
+/**
+ * One plan the Session rejects. `doc` is the check or analyze request
+ * that carries it; `item` is the index of the plan item the Session
+ * rejects when it registers the plan, or -1 for a rule that only
+ * run() (or analyze()) checks, whose message has no "plan[i]: "
+ * prefix.
+ */
+struct PlanRejection
+{
+    const char *name;
+    json::Value doc;
+    const char *message; // part of the qsa::Error message
+    int item;
+};
+
+/** A plan item (JSON text) on the Bell program's "done" breakpoint. */
+std::string
+bellItem(const std::string &fields)
+{
+    return R"({"at": "done", )" + fields + "}";
+}
+
+/**
+ * A request on `qasm` whose plan is `items` (JSON texts), sent as
+ * `command`.
+ */
+json::Value
+planDoc(const char *command, const std::string &qasm,
+        const std::vector<std::string> &items)
+{
+    std::string plan = "[";
+    for (const std::string &item : items)
+        plan += (plan.size() > 1 ? ", " : "") + item;
+    json::Value doc = json::Value::object();
+    doc.set("id", json::Value::string(command));
+    doc.set("command", json::Value::string(command));
+    doc.set("circuit", json::Value::string(qasm));
+    doc.set("plan", json::Value::parseOrDie(plan + "]"));
+    doc.set("ensemble_size", json::Value::integer(64));
+    return doc;
+}
+
+std::vector<PlanRejection>
+planRejections()
+{
+    // Each bad item follows a good one, so its position is plan[1].
+    const std::string good = bellItem(
+        R"("expect": "entangled", "register": "a", "register_b": "b")");
+    std::string wide = "OPENQASM 2.0;\nqreg w[25];\n";
+    for (int i = 0; i < 25; ++i)
+        wide += "h w[" + std::to_string(i) + "];\n";
+    wide += "// qsa.breakpoint done\n";
+    // A source breakpoint named like the Session's first boundary
+    // marker, probed through "after".
+    const std::string clash = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\n"
+                              "cx q[0],q[1];\n"
+                              "// qsa.breakpoint qsa_session_b0\n";
+    const std::string clash_item =
+        R"({"after": 1, "expect": "superposition", "register": "q"})";
+
+    std::vector<PlanRejection> out;
+    const auto bell = [&](const char *name, const std::string &bad,
+                          const char *message) {
+        for (const char *command : {"check", "analyze"})
+            out.push_back({name, planDoc(command, kBellQasm, {good, bad}),
+                           message, 1});
+    };
+    bell("unknown register",
+         bellItem(R"("expect": "superposition", "register": "nope")"),
+         "no register named 'nope'");
+    bell("unknown second register",
+         bellItem(R"("expect": "product", "register": "a",)"
+                  R"( "register_b": "nope")"),
+         "no register named 'nope'");
+    bell("unknown breakpoint",
+         R"({"at": "nowhere", "expect": "superposition",)"
+         R"( "register": "a"})",
+         "program has no breakpoint labelled 'nowhere'");
+    bell("boundary past the end",
+         R"({"after": 99, "expect": "superposition", "register": "a"})",
+         "boundary 99 beyond the program's 3 instructions");
+    bell("classical value outside the domain",
+         bellItem(R"("expect": "classical", "register": "a",)"
+                  R"( "value": 2)"),
+         "classical expected value 2 outside the register domain of 2 "
+         "values");
+    bell("probs of the wrong length",
+         bellItem(R"("expect": "distribution", "register": "a",)"
+                  R"( "probs": [0.5, 0.25, 0.25])"),
+         "expected distribution must have 2^width entries");
+    bell("negative probs",
+         bellItem(R"("expect": "distribution", "register": "a",)"
+                  R"( "probs": [-0.5, 1.5])"),
+         "negative probability in distribution");
+    bell("probs not summing to 1",
+         bellItem(R"("expect": "distribution", "register": "a",)"
+                  R"( "probs": [0.7, 0.7])"),
+         "expected distribution must sum to 1");
+    bell("empty support",
+         bellItem(R"("expect": "uniform_subset", "register": "a",)"
+                  R"( "support": [])"),
+         "support set must be non-empty");
+    bell("support value outside the domain",
+         bellItem(R"("expect": "uniform_subset", "register": "a",)"
+                  R"( "support": [0, 2])"),
+         "support value 2 outside the register domain");
+    bell("alpha above 1",
+         bellItem(R"("expect": "superposition", "register": "a",)"
+                  R"( "alpha": 1.5)"),
+         "alpha must lie strictly between 0 and 1");
+    bell("negative alpha",
+         bellItem(R"("expect": "superposition", "register": "a",)"
+                  R"( "alpha": -0.1)"),
+         "alpha must lie strictly between 0 and 1");
+    for (const char *command : {"check", "analyze"}) {
+        for (const char *kind : {"superposition", "uniform_subset"}) {
+            const std::string fields =
+                std::string(R"("expect": ")") + kind +
+                R"(", "register": "w")" +
+                (std::string(kind) == "uniform_subset"
+                     ? R"(, "support": [0])"
+                     : "");
+            out.push_back({"one-register kind wider than 24 qubits",
+                           planDoc(command, wide, {bellItem(fields)}),
+                           "register too wide for a dense "
+                           "goodness-of-fit test",
+                           0});
+        }
+        out.push_back({"source breakpoint named like a boundary marker",
+                       planDoc(command, clash, {clash_item}),
+                       "duplicate breakpoint label 'qsa_session_b0'",
+                       -1});
+    }
+    return out;
+}
+
+/** Run the case in process; returns the qsa::Error message. */
+std::string
+sessionRejection(const PlanRejection &c)
+{
+    const serve::Request request =
+        serve::parseRequest(c.doc, wideLimits());
+    const auto run = [&] {
+        session::Session s(request.circuit);
+        for (const auto &item : request.plan)
+            s.expect(item);
+        if (request.command == "analyze")
+            s.analyze();
+        else
+            s.run();
+    };
+    EXPECT_THROW(run(), qsa::Error) << c.name;
+    try {
+        run();
+    } catch (const qsa::Error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** The message serve answers the case with: the library's, behind
+ *  the item's position when it has one. */
+std::string
+servedRejection(const PlanRejection &c)
+{
+    const std::string message = sessionRejection(c);
+    if (c.item < 0)
+        return message;
+    return "plan[" + std::to_string(c.item) + "]: " + message;
+}
+
+TEST(PlanRejections, InProcessThrowTypedErrors)
+{
+    for (const PlanRejection &c : planRejections()) {
+        const std::string message = sessionRejection(c);
+        EXPECT_NE(message.find(c.message), std::string::npos)
+            << c.name << ": " << message;
+    }
+}
+
+TEST(PlanRejections, ResponsesCarryTheLibraryMessage)
+{
+    for (const PlanRejection &c : planRejections()) {
+        const std::string expected = servedRejection(c);
+        const std::int64_t applies0 = counterValue("sim.gate_applies");
+        const json::Value response =
+            json::Value::parseOrDie(serve::handleRequestLine(
+                c.doc.dump(), wideLimits()));
+        ASSERT_FALSE(response.find("ok")->asBool()) << c.name;
+        EXPECT_EQ(response.find("id")->asString(),
+                  c.doc.find("id")->asString())
+            << c.name;
+        EXPECT_EQ(response.find("error")->find("message")->asString(),
+                  expected)
+            << c.name;
+        // Rejected before anything ran.
+        EXPECT_EQ(counterValue("sim.gate_applies"), applies0) << c.name;
     }
 }
 
@@ -1056,11 +1242,12 @@ TEST(ServeServer, SurvivesWideResimulateMirrorOnTheSameConnection)
     server.stop();
 }
 
-TEST(ServeServer, SurvivesEveryLocatorRejection)
+TEST(ServeServer, SurvivesEveryLibraryRejection)
 {
-    // Every locate the locator rejects, on one connection to a daemon
-    // wide enough to reach each width gate: each one answered with
-    // the library's message, and each followed by a ping that answers.
+    // Every locate the locator rejects and every plan the Session
+    // rejects, on one connection to a daemon wide enough to reach
+    // each width gate: each one answered with the library's message,
+    // and each followed by a ping that answers.
     serve::ServerConfig config;
     config.socketPath = testSocketPath("reject");
     config.workers = 2;
@@ -1072,23 +1259,29 @@ TEST(ServeServer, SurvivesEveryLocatorRejection)
     serve::Client client;
     ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
 
+    std::vector<std::tuple<std::string, json::Value, std::string>> cases;
     for (const Rejection &c : locatorRejections()) {
-        if (c.tweak)
-            continue;
+        if (!c.tweak)
+            cases.emplace_back(c.name, c.doc, libraryRejection(c));
+    }
+    for (const PlanRejection &c : planRejections())
+        cases.emplace_back(c.name, c.doc, servedRejection(c));
+
+    for (const auto &[name, request, expected] : cases) {
         std::string response;
-        ASSERT_TRUE(client.request(c.doc.dump(), &response, &error))
-            << c.name << ": " << error;
+        ASSERT_TRUE(client.request(request.dump(), &response, &error))
+            << name << ": " << error;
         const json::Value doc = json::Value::parseOrDie(response);
-        EXPECT_FALSE(doc.find("ok")->asBool()) << c.name;
+        EXPECT_FALSE(doc.find("ok")->asBool()) << name;
         EXPECT_EQ(doc.find("error")->find("message")->asString(),
-                  libraryRejection(c))
-            << c.name;
+                  expected)
+            << name;
 
         ASSERT_TRUE(client.request(R"({"id": "ping", "command": "ping"})",
                                    &response, &error))
-            << "daemon died after: " << c.name << ": " << error;
+            << "daemon died after: " << name << ": " << error;
         EXPECT_TRUE(json::Value::parseOrDie(response).find("ok")->asBool())
-            << c.name;
+            << name;
     }
     server.stop();
 }

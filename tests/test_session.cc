@@ -17,6 +17,8 @@
 
 #include "qsa/qsa.hh"
 
+#include "expect_throw.hh"
+
 namespace
 {
 
@@ -516,16 +518,16 @@ TEST(SessionValidation, UnknownLabelRejectedAtAddressTime)
 {
     BellFixture f;
     session::Session s(f.circ);
-    EXPECT_EXIT(s.at("nonexistent"), ::testing::ExitedWithCode(1),
-                "no breakpoint labelled");
+    EXPECT_THROW_MESSAGE(s.at("nonexistent"), qsa::Error,
+                         "no breakpoint labelled");
 }
 
 TEST(SessionValidation, BoundaryBeyondProgramRejected)
 {
     BellFixture f;
     session::Session s(f.circ);
-    EXPECT_EXIT(s.after(f.circ.size() + 1),
-                ::testing::ExitedWithCode(1), "beyond the program");
+    EXPECT_THROW_MESSAGE(s.after(f.circ.size() + 1), qsa::Error,
+                         "beyond the program");
     // The end boundary itself is valid.
     s.after(f.circ.size());
 }
@@ -535,17 +537,16 @@ TEST(SessionValidation, MalformedSpecsRejectedAtRegistration)
     BellFixture f;
     session::Session s(f.circ);
     auto site = s.at("classical");
-    EXPECT_EXIT(site.expectClassical(f.q, 4),
-                ::testing::ExitedWithCode(1),
-                "outside the register domain");
-    EXPECT_EXIT(site.expectDistribution(f.q0, {0.5, 0.25, 0.25}),
-                ::testing::ExitedWithCode(1), "2\\^width entries");
-    EXPECT_EXIT(site.expectDistribution(f.q0, {0.7, 0.7}),
-                ::testing::ExitedWithCode(1), "must sum to 1");
-    EXPECT_EXIT(site.expectSuperposition(f.q0).alpha(1.5),
-                ::testing::ExitedWithCode(1), "strictly between");
-    EXPECT_EXIT(s.ensembleSize(0), ::testing::ExitedWithCode(1),
-                "positive");
+    EXPECT_THROW_MESSAGE(site.expectClassical(f.q, 4), qsa::Error,
+                         "outside the register domain");
+    EXPECT_THROW_MESSAGE(
+        site.expectDistribution(f.q0, {0.5, 0.25, 0.25}), qsa::Error,
+        "2\\^width entries");
+    EXPECT_THROW_MESSAGE(site.expectDistribution(f.q0, {0.7, 0.7}), qsa::Error,
+                         "must sum to 1");
+    EXPECT_THROW_MESSAGE(site.expectSuperposition(f.q0).alpha(1.5), qsa::Error,
+                         "strictly between");
+    EXPECT_THROW_MESSAGE(s.ensembleSize(0), qsa::Error, "positive");
 }
 
 } // anonymous namespace

@@ -11,7 +11,10 @@
 #include "assertions/checker.hh"
 #include "assertions/exact.hh"
 #include "circuit/executor.hh"
+#include "common/errors.hh"
 #include "common/rng.hh"
+
+#include "expect_throw.hh"
 
 namespace
 {
@@ -148,8 +151,8 @@ TEST(Shor, WrongBaseRejectedClassically)
 {
     ShorConfig config;
     config.a = 6; // shares factor 3 with 15
-    EXPECT_EXIT(buildShorProgram(config),
-                ::testing::ExitedWithCode(1), "shares a factor");
+    EXPECT_THROW_MESSAGE(buildShorProgram(config), qsa::Error,
+                         "shares a factor");
 }
 
 } // anonymous namespace

@@ -10,9 +10,9 @@
  * one JSON document per file with --json). --rules lists the
  * registry; --demo lints a built-in defective circuit exercising
  * every rule. Exit status: 0 when no file produced an error-severity
- * finding, 1 otherwise, 2 on usage problems. A file the QASM parser
- * rejects aborts through the library's fatal (exit 1), like every
- * qsa tool.
+ * finding, 1 otherwise, 2 on usage problems. A file that cannot be
+ * read or parsed stops the run with exit status 1 and a "fatal: "
+ * diagnostic on stderr.
  *
  * Tracing: like every qsa::obs client, the linter's passes emit
  * analyze.* spans; run with QSA_TRACE=out.json to capture them.
@@ -26,6 +26,7 @@
 #include "analyze/lint.hh"
 #include "circuit/circuit.hh"
 #include "circuit/qasm.hh"
+#include "common/errors.hh"
 
 namespace
 {
@@ -131,13 +132,19 @@ main(int argc, char **argv)
     }
 
     bool errors = false;
-    if (demo)
-        errors = lintOne("demo", demoCircuit(), json) || errors;
-    for (const std::string &file : files) {
-        // Parse problems are fatal() inside the loader: the process
-        // exits with a diagnostic, matching the library convention.
-        const circuit::Circuit circ = circuit::loadQasmFile(file);
-        errors = lintOne(file, circ, json) || errors;
+    try {
+        if (demo)
+            errors = lintOne("demo", demoCircuit(), json) || errors;
+        for (const std::string &file : files) {
+            const circuit::Circuit circ = circuit::loadQasmFile(file);
+            errors = lintOne(file, circ, json) || errors;
+        }
+    } catch (const circuit::QasmError &e) {
+        std::cerr << "fatal: QASM parse error: " << e.what() << "\n";
+        return 1;
+    } catch (const Error &e) {
+        std::cerr << "fatal: " << e.what() << "\n";
+        return 1;
     }
     return errors ? 1 : 0;
 }
