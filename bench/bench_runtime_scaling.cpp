@@ -30,6 +30,16 @@ groverProgram()
     return prog;
 }
 
+/** A gathered ensemble folded into its outcome histogram. */
+std::map<std::uint64_t, std::uint64_t>
+histogramOf(const std::vector<std::uint64_t> &trials)
+{
+    std::map<std::uint64_t, std::uint64_t> hist;
+    for (std::uint64_t value : trials)
+        ++hist[value];
+    return hist;
+}
+
 void
 BM_ResimulateScaling(benchmark::State &state)
 {
@@ -42,11 +52,11 @@ BM_ResimulateScaling(benchmark::State &state)
     spec.breakpoint = prog.circuit.breakpointLabels().back();
     spec.qubits = prog.circuit.registers().front().qubits();
     spec.shots = shots;
-    spec.mode = runtime::SampleMode::Resimulate;
+    spec.mode = runtime::EnsembleMode::Resimulate;
     spec.seed = 0x51c0ffee;
 
     for (auto _ : state) {
-        auto hist = engine.gatherHistogram(spec);
+        auto hist = histogramOf(engine.gather(spec));
         benchmark::DoNotOptimize(hist);
     }
     state.SetItemsProcessed(state.iterations() * shots);
@@ -75,14 +85,15 @@ BM_SampleFinalStateScaling(benchmark::State &state)
     spec.breakpoint = prog.circuit.breakpointLabels().back();
     spec.qubits = prog.circuit.registers().front().qubits();
     spec.shots = shots;
-    spec.mode = runtime::SampleMode::SampleFinalState;
+    spec.mode = runtime::EnsembleMode::SampleFinalState;
     spec.seed = 0x51c0ffee;
 
-    // Warm the prefix-state cache so the loop times pure sampling.
-    benchmark::DoNotOptimize(engine.gatherHistogram(spec));
+    // Warm the plan and sampler caches so the loop times pure
+    // sampling.
+    benchmark::DoNotOptimize(engine.gather(spec));
 
     for (auto _ : state) {
-        auto hist = engine.gatherHistogram(spec);
+        auto hist = histogramOf(engine.gather(spec));
         benchmark::DoNotOptimize(hist);
     }
     state.SetItemsProcessed(state.iterations() * shots);

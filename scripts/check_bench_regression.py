@@ -33,7 +33,7 @@ tolerance alone would mask as long as the search still converged.
 Usage:
   check_bench_regression.py BASELINE CURRENT
       [--tolerance 0.10] [--counters probes,measurements]
-      [--metrics locate.probes,runtime.prefix_cache.misses]
+      [--metrics locate.probes,runtime.head_cache.misses]
       [--require-positive locate.pruned_boundaries]
 
 Exit status: 0 when every gated counter is within tolerance, 1 on any

@@ -273,9 +273,7 @@ AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
                               spec.regB.qubits().end());
     }
     request.shots = ensemble_size;
-    request.mode = config.mode == EnsembleMode::Resimulate
-                       ? runtime::SampleMode::Resimulate
-                       : runtime::SampleMode::SampleFinalState;
+    request.mode = config.mode;
     request.seed = config.seed;
 
     const auto joint_values = engine->gather(request);

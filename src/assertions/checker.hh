@@ -51,7 +51,7 @@ class AssertionChecker
 
     /**
      * Non-copyable: the embedded runtime::EnsembleEngine is bound to
-     * this checker's own program (and owns the prefix caches).
+     * this checker's own program (and owns the plan caches).
      */
     AssertionChecker(const AssertionChecker &) = delete;
     AssertionChecker &operator=(const AssertionChecker &) = delete;
@@ -154,10 +154,10 @@ class AssertionChecker
     void setHolmBonferroni(bool enabled) { config.holmBonferroni = enabled; }
 
     /**
-     * Drop the runtime's cached truncated circuits and prefix states
-     * (a full statevector per checked breakpoint in SampleFinalState
-     * mode) — the relief valve for long-lived sessions sweeping many
-     * breakpoints. Results are unaffected; only recomputed.
+     * Drop the runtime's cached plans (a full head statevector per
+     * checked breakpoint, in either mode) and shot samplers — the
+     * relief valve for long-lived sessions sweeping many breakpoints.
+     * Results are unaffected; only recomputed.
      */
     void clearRuntimeCache();
 

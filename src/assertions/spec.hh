@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuit/register.hh"
+#include "runtime/ensemble.hh"
 #include "stats/chi2.hh"
 #include "stats/contingency.hh"
 
@@ -103,26 +104,8 @@ struct AssertionSpec
     std::string name;
 };
 
-/** How ensemble members are produced. */
-enum class EnsembleMode
-{
-    /**
-     * Re-run the truncated program once per ensemble member with an
-     * independent random stream — the paper's methodology (one QX
-     * simulation per measurement, Section 3.3). Exact for every
-     * program, including ones with mid-circuit measurement.
-     */
-    Resimulate,
-
-    /**
-     * Run the truncated program once and sample measurement outcomes
-     * from the exact final distribution. Equivalent to Resimulate for
-     * programs whose only nondeterminism is the final measurement
-     * (true of all the paper's benchmarks) and orders of magnitude
-     * faster.
-     */
-    SampleFinalState,
-};
+/** How ensemble members are produced (defined by the runtime). */
+using EnsembleMode = runtime::EnsembleMode;
 
 /** Checker configuration. */
 struct CheckConfig

@@ -779,7 +779,7 @@ class MirrorProber : public Prober
 
 /**
  * Predicate probes: the suspect program instrumented at every
- * boundary, one persistent checker (shared prefix caches), and the
+ * boundary, one persistent checker (shared plan caches), and the
  * reference oracle's marginal predicate — or a scope-inherited
  * entangled/product kind — per boundary.
  */

@@ -17,7 +17,7 @@
  *    (retired slabs fold into a global accumulator on thread exit,
  *    so totals are invariant to which threads did the work).
  *    Names are dot-paths, `<layer>.<component>.<metric>`
- *    (e.g. "runtime.prefix_cache.misses", "sim.gate_applies").
+ *    (e.g. "runtime.head_cache.misses", "sim.gate_applies").
  *
  *  - **Trace spans** (Span / instant / writeTrace). Scoped regions
  *    recorded as Chrome trace-event JSON, loadable in Perfetto or

@@ -53,7 +53,7 @@ BatchRunner::checkAll(const std::vector<BatchItem> &items)
     }
 
     // One checker per item so every assertion against the same program
-    // shares that item's truncated-circuit and prefix-state caches.
+    // shares that item's plan and sampler caches.
     // Per-item numThreads is replaced (see BatchItem::config): with
     // several units, ensembles run inline on the batch workers
     // (nested parallelFor, pool.hh), so dedicated per-item pools

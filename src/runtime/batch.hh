@@ -90,9 +90,9 @@ class BatchRunner
 
     /**
      * Fan one checker's specs across this runner's pool, sharing the
-     * checker's engine (truncated-circuit and prefix-state caches)
-     * across all units — the plan-execution path behind both
-     * AssertionChecker::checkAll and session::Session::run. Each
+     * checker's engine (plan and sampler caches) across all units —
+     * the plan-execution path behind both AssertionChecker::checkAll
+     * and session::Session::run. Each
      * unit's own ensemble generation runs inline on the worker it
      * lands on (nested parallelFor, pool.hh); a single spec is
      * checked directly so its ensemble keeps trial-level fan-out.

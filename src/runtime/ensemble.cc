@@ -13,6 +13,7 @@
 #include <numeric>
 #include <optional>
 
+#include "circuit/executor.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 
@@ -30,83 +31,72 @@ struct InstructionRange
     std::size_t end = 0;
 };
 
-/**
- * Stage decomposition of a truncated program whose leading
- * instructions act only on the low `split` qubits, followed by a run
- * acting only on the high qubits, followed by a combining tail on the
- * full space — the shape of every swap-test probe (suspect prefix,
- * embedded reference prefix, ancilla-controlled-SWAP comparator).
- * Ensembles simulate the two halves on 2^split- and 2^(n-split)-sized
- * states and tensor them together only for the comparator
- * (StateVector::tensorWith), cutting per-path cost from 2^n toward
- * 2^split + 2^(n-split) + |combo| full-space applies. RNG draw order
- * is the monolithic program order (low, then high, then combo), so
- * outcome streams match an unstaged run draw for draw.
- */
-struct TensorStages
+/** A deterministic head simulated once, and the rest of its range. */
+struct Head
 {
-    /** Low-qubit count; the high block holds numQubits() - split. */
-    unsigned split = 0;
+    explicit Head(unsigned num_qubits) : state(num_qubits) {}
 
-    /** Leading instructions of the bound program, on qubits
-     *  [0, split). */
-    InstructionRange low;
+    /** State after the head. */
+    sim::StateVector state;
 
-    /** The following high-only run, copied with indices shifted down
-     *  by `split`: the one block a truncation copies, because it is
+    /** Per-trial RNG draws the head's resets would have made. */
+    std::size_t draws = 0;
+
+    /** Instructions after the head, up to the end of its range
+     *  (possibly empty). */
+    InstructionRange tail;
+};
+
+/**
+ * The high stage of a tensor-staged plan. A truncated program whose
+ * leading instructions act only on the low `split` qubits, followed by
+ * a run acting only on the high qubits, followed by a combining tail
+ * on the full space, has the shape of every swap-test probe (suspect
+ * prefix, embedded reference prefix, ancilla-controlled-SWAP
+ * comparator). Ensembles simulate the two halves on 2^split- and
+ * 2^(n-split)-sized states and tensor them together only for the
+ * comparator (StateVector::tensorWith), cutting per-path cost from 2^n
+ * toward 2^split + 2^(n-split) + |combo| full-space applies. RNG draw
+ * order is the monolithic program order (low, then high, then combo),
+ * so outcome streams match an unstaged run draw for draw.
+ */
+struct HighStage
+{
+    explicit HighStage(unsigned num_qubits)
+        : block(num_qubits), head(num_qubits)
+    {
+    }
+
+    /** The high-only run, copied with indices shifted down by the
+     *  split: the one block a truncation copies, because it is
      *  relabelled. */
-    circuit::Circuit high;
+    circuit::Circuit block;
 
-    /** Everything after, up to the truncation, on the full space. */
+    /** Deterministic head and tail of `block`. */
+    Head head;
+
+    /** Everything after the high run, up to the truncation, on the
+     *  full space. */
     InstructionRange combo;
 };
 
-/** Resimulate-mode head/tail splits of both tensor stages. */
-struct ResimStages
-{
-    /** The stage decomposition the tails below lie in. */
-    std::shared_ptr<const TensorStages> layout;
-
-    /** Deterministic-head state and per-trial draws of the low block. */
-    sim::StateVector lowHead;
-    std::size_t lowDraws = 0;
-    InstructionRange lowTail;
-
-    /** Same for the high block (shifted index space). */
-    sim::StateVector highHead;
-    std::size_t highDraws = 0;
-    InstructionRange highTail;
-
-    ResimStages(unsigned low_qubits, unsigned high_qubits)
-        : lowHead(low_qubits), highHead(high_qubits)
-    {
-    }
-};
-
 /**
- * Precomputed split of a truncated program for Resimulate mode: the
- * deterministic head's final state (simulated once), the number of
- * RNG draws the head's resets would have consumed per trial, and the
- * nondeterministic tail the path walk re-simulates once per outcome
- * path. See ensemble.hh for the exactness contract.
+ * Everything a gather at one breakpoint needs, built once per engine
+ * and shared by both modes (see ensemble.hh): the deterministic head's
+ * final state (simulated once), the number of RNG draws the head's
+ * resets would have consumed per trial, and the nondeterministic tail
+ * after it, up to the truncation point.
  */
-struct ResimPlan
+struct BreakpointPlan
 {
-    /** State after the deterministic head. */
-    sim::StateVector headState;
+    explicit BreakpointPlan(unsigned num_qubits) : head(num_qubits) {}
 
-    /** Per-trial RNG draws the head's resets would have made. */
-    std::size_t headDraws = 0;
+    /** Head and tail of the truncated program; in a staged plan, of
+     *  its low block, on the low qubits. */
+    Head head;
 
-    /** Instructions after the head, up to the truncation (possibly
-     *  empty). */
-    InstructionRange tail;
-
-    /** Tensor-split stages; when set, the walk runs staged and the
-     *  monolithic head above is a 1-qubit placeholder. */
-    std::shared_ptr<const ResimStages> stages;
-
-    explicit ResimPlan(unsigned num_qubits) : headState(num_qubits) {}
+    /** Staged plans only: the high block and the combining tail. */
+    std::unique_ptr<const HighStage> high;
 };
 
 namespace
@@ -124,9 +114,9 @@ shardRange(std::size_t s, std::size_t num_shards, std::size_t n)
 
 /**
  * Reset outcomes at least this certain are treated as deterministic
- * when extending a Resimulate head. An uncached run taking the other
- * branch is below this probability per reset — the quantified slack
- * in the head cache's bit-identity contract (ensemble.hh).
+ * when extending a head. An uncached run taking the other branch is
+ * below this probability per reset — the quantified slack in the
+ * head's bit-identity contract (ensemble.hh).
  */
 constexpr double kDeterministicTol = 1e-12;
 
@@ -152,16 +142,25 @@ stepRange(const InstructionRange &range, sim::StateVector &state,
                                  measurements, rng);
 }
 
+/** Advance `rng` past `draws` draws. */
+void
+discardDraws(Rng &rng, std::size_t draws)
+{
+    for (std::size_t d = 0; d < draws; ++d)
+        rng.uniform();
+}
+
 /**
  * Extend the deterministic head of the range [begin, end) of `circ`
  * into `state` (the state after the instructions before `begin`; at
  * begin 0, |0...0> on the qubits the range touches): unitary gates
  * and markers always; resets only when the current state fixes their
  * implicit measurement outcome; stop at the first Measure or
- * classically-conditioned instruction. Returns where the head ends;
- * `draws` accumulates the per-trial RNG draws the head's resets would
- * have consumed. `at_marker(i)` runs at every marker i passed, with
- * `state` the state before it.
+ * classically-conditioned instruction (there is no record to
+ * condition on yet — a valid program measures first). Returns where
+ * the head ends; `draws` accumulates the per-trial RNG draws the
+ * head's resets would have consumed. `at_marker(i)` runs at every
+ * marker i passed, with `state` the state before it.
  */
 template <typename AtMarker>
 std::size_t
@@ -197,29 +196,31 @@ extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
     return head;
 }
 
+/** Simulate the head of instructions [0, end) of `circ` into `head`
+ *  (no checkpoint store); returns the head length. */
 std::size_t
-extendDeterministicHead(const InstructionRange &range,
-                        sim::StateVector &state, std::size_t &draws)
+simulateHead(const circuit::Circuit &circ, std::size_t end, Head &head)
 {
-    return extendDeterministicHead(*range.circ, range.begin, range.end,
-                                   state, draws, [](std::size_t) {});
+    const std::size_t length = extendDeterministicHead(
+        circ, 0, end, head.state, head.draws, [](std::size_t) {});
+    head.tail = {&circ, length, end};
+    return length;
 }
 
 /**
- * Scan the truncated program [0, end) of `program` for the
- * tensor-split shape: a maximal leading run touching only qubits <
- * split, then a maximal run touching only qubits >= split, then the
- * combining remainder. Returns null when either block is empty
- * (nothing to stage). Qubit-free markers bind to the phase they
- * appear in.
+ * Where the tensor-split shape ends in the truncated program [0, end)
+ * of `program`: the end of a maximal leading run touching only qubits
+ * < split, and the end of the maximal run after it touching only
+ * qubits >= split. Nullopt when either run is empty (nothing to
+ * stage). Qubit-free markers bind to the phase they appear in.
  */
-std::shared_ptr<const TensorStages>
-buildTensorStages(const circuit::Circuit &program, std::size_t end,
-                  unsigned split)
+std::optional<std::pair<std::size_t, std::size_t>>
+stagedRuns(const circuit::Circuit &program, std::size_t end,
+           unsigned split)
 {
     const unsigned total = program.numQubits();
     if (split == 0 || split >= total)
-        return nullptr;
+        return std::nullopt;
 
     // True for a qubit-free marker, which binds to the current phase.
     const auto within = [](const circuit::Instruction &inst,
@@ -241,26 +242,47 @@ buildTensorStages(const circuit::Circuit &program, std::size_t end,
     while (high_end < end && within(insts[high_end], split, total))
         ++high_end;
     if (low_end == 0 || high_end == low_end)
-        return nullptr;
-
-    auto stages = std::make_shared<TensorStages>();
-    stages->split = split;
-    stages->low = {&program, 0, low_end};
-    stages->combo = {&program, high_end, end};
-    stages->high = circuit::Circuit(total - split);
-    QSA_OBS_SPAN(span, "runtime.slice");
-    circuit::RangeCopy down;
-    down.qubitOffset = -static_cast<int>(split);
-    stages->high.appendRange(program, low_end, high_end, down);
-    return stages;
+        return std::nullopt;
+    return std::make_pair(low_end, high_end);
 }
 
 /**
- * Trials per path walk. gather() and gatherHistogram() both walk the
- * fixed global chunks [k * kWalkChunk, (k + 1) * kWalkChunk), so the
- * outcome tree — and with it every sim.* total — never depends on
- * the shard count; the chunk also bounds the walk's per-trial
- * bookkeeping (one RNG stream and one index per trial).
+ * The marginal over `qubits` of the single run of the truncated
+ * program that SampleFinalState samples from (stream Rng(seed).split(0),
+ * ensemble.hh): the plan's head state itself when nothing follows it,
+ * else one path through the tail(s), each head's reset draws
+ * discarded before its tail, in program order.
+ */
+std::vector<double>
+finalMarginal(const BreakpointPlan &plan, std::uint64_t seed,
+              const std::vector<unsigned> &qubits)
+{
+    const InstructionRange &tail = plan.head.tail;
+    if (plan.high == nullptr && tail.begin == tail.end)
+        return plan.head.state.marginalProbs(qubits);
+
+    Rng rng = Rng(seed).split(0);
+    std::map<std::string, std::uint64_t> record;
+    sim::StateVector state = plan.head.state;
+    discardDraws(rng, plan.head.draws);
+    stepRange(tail, state, record, rng);
+    if (plan.high != nullptr) {
+        const HighStage &high = *plan.high;
+        sim::StateVector high_state = high.head.state;
+        discardDraws(rng, high.head.draws);
+        stepRange(high.head.tail, high_state, record, rng);
+        state = state.tensorWith(high_state);
+        stepRange(high.combo, state, record, rng);
+    }
+    return state.marginalProbs(qubits);
+}
+
+/**
+ * Trials per path walk. gather() walks the fixed global chunks
+ * [k * kWalkChunk, (k + 1) * kWalkChunk), so the outcome tree — and
+ * with it every sim.* total — never depends on the shard count; the
+ * chunk also bounds the walk's per-trial bookkeeping (one RNG stream
+ * and one index per trial).
  */
 constexpr std::size_t kWalkChunk = 8192;
 
@@ -276,25 +298,21 @@ class PathWalk
 {
   public:
     /** Walk trials [lo, hi) of `spec`; outcome of trial m -> out[m - lo]. */
-    PathWalk(const ResimPlan &plan, const EnsembleSpec &spec,
+    PathWalk(const BreakpointPlan &plan, const EnsembleSpec &spec,
              std::size_t lo, std::size_t hi, std::uint64_t *out)
         : plan(plan), spec(spec), out(out)
     {
-        const ResimStages *staged = plan.stages.get();
-        if (staged != nullptr)
-            phases = {staged->lowTail, staged->highTail,
-                      staged->layout->combo};
+        if (plan.high != nullptr)
+            phases = {plan.head.tail, plan.high->head.tail,
+                      plan.high->combo};
         else
-            phases = {plan.tail};
-        const std::size_t skip =
-            staged != nullptr ? staged->lowDraws : plan.headDraws;
+            phases = {plan.head.tail};
         const Rng master(spec.seed);
         rngs.reserve(hi - lo);
         for (std::size_t m = lo; m < hi; ++m) {
             rngs.push_back(master.split(m));
             // The draws the cached head's resets would have consumed.
-            for (std::size_t d = 0; d < skip; ++d)
-                rngs.back().uniform();
+            discardDraws(rngs.back(), plan.head.draws);
         }
     }
 
@@ -303,8 +321,7 @@ class PathWalk
     run(ThreadPool *pool)
     {
         QSA_OBS_SPAN(span, "runtime.resim.walk");
-        const ResimStages *staged = plan.stages.get();
-        Node root{staged != nullptr ? staged->lowHead : plan.headState,
+        Node root{plan.head.state,
                   nullptr,
                   {},
                   std::vector<std::uint32_t>(rngs.size()),
@@ -346,7 +363,7 @@ class PathWalk
         std::uint64_t value = 0;
     };
 
-    const ResimPlan &plan;
+    const BreakpointPlan &plan;
     const EnsembleSpec &spec;
     std::uint64_t *out;
     std::vector<InstructionRange> phases;
@@ -364,17 +381,15 @@ class PathWalk
         node.phase = next;
         node.pc = next < phases.size() ? phases[next].begin : 0;
         node.value = 0;
-        const ResimStages *staged = plan.stages.get();
-        if (staged == nullptr || next == phases.size())
+        if (plan.high == nullptr || next == phases.size())
             return;
         if (next == 1) {
             // Low leaf: start this history's high half from its head.
             node.low = std::make_shared<const sim::StateVector>(
                 std::move(node.state));
-            node.state = staged->highHead;
+            node.state = plan.high->head.state;
             for (std::uint32_t t : node.trials)
-                for (std::size_t d = 0; d < staged->highDraws; ++d)
-                    rngs[t].uniform();
+                discardDraws(rngs[t], plan.high->head.draws);
         } else {
             node.state = node.low->tensorWith(node.state);
             node.low.reset();
@@ -578,6 +593,13 @@ class PathWalk
 
 } // anonymous namespace
 
+const char *
+ensembleModeName(EnsembleMode mode)
+{
+    return mode == EnsembleMode::Resimulate ? "resimulate"
+                                            : "sample_final_state";
+}
+
 // --- CdfSampler ------------------------------------------------------------
 
 CdfSampler::CdfSampler(const std::vector<double> &probs)
@@ -633,29 +655,48 @@ EnsembleEngine::pool()
     return *poolPtr;
 }
 
-std::size_t
-EnsembleEngine::prefixEnd(const std::string &breakpoint)
+template <typename Key, typename Value, typename Build>
+std::shared_ptr<const Value>
+EnsembleEngine::singleFlight(std::map<Key, Claim<Value>> &cache,
+                             const Key &key, const Build &build,
+                             bool &built)
 {
+    // Find-or-claim under the lock, build outside it.
+    std::optional<std::promise<std::shared_ptr<const Value>>> promise;
+    std::shared_future<std::shared_ptr<const Value>> future;
+    std::uint64_t id = 0;
     {
         std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = prefixCache.find(breakpoint);
-        if (it != prefixCache.end()) {
-            QSA_OBS_COUNTER("runtime.prefix_cache.hits", 1);
-            return it->second;
+        const auto it = cache.find(key);
+        if (it != cache.end()) {
+            future = it->second.future;
+        } else {
+            promise.emplace();
+            future = promise->get_future().share();
+            id = ++nextClaim;
+            cache.emplace(key, Claim<Value>{future, id});
         }
     }
-    // Look up outside the lock — a scan for the marker; racers may
-    // scan twice but find the same position and the first insertion
-    // wins. A losing racer counts as a hit so the miss total stays
-    // deterministic (misses == distinct breakpoints).
-    const std::size_t end = program->breakpointPosition(breakpoint);
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] = prefixCache.emplace(breakpoint, end);
-    if (inserted)
-        QSA_OBS_COUNTER("runtime.prefix_cache.misses", 1);
-    else
-        QSA_OBS_COUNTER("runtime.prefix_cache.hits", 1);
-    return it->second;
+    built = promise.has_value();
+    if (built) {
+        try {
+            promise->set_value(build());
+        } catch (...) {
+            // A qsa::Error (an unknown breakpoint, a condition on a
+            // label nothing measured) or bad_alloc unwinds here: hand
+            // racers the exception and drop the claim so later calls
+            // retry instead of hitting a broken promise forever. Evict
+            // only our own claim — a clearCache() plus re-claim may
+            // have installed a successor under the same key.
+            promise->set_exception(std::current_exception());
+            std::lock_guard<std::mutex> lock(cacheMutex);
+            const auto it = cache.find(key);
+            if (it != cache.end() && it->second.id == id)
+                cache.erase(it);
+            throw;
+        }
+    }
+    return future.get();
 }
 
 std::size_t
@@ -666,7 +707,8 @@ EnsembleEngine::deterministicHead(std::size_t end, sim::StateVector &state,
     resumed = 0;
     CheckpointStore *store = options.checkpoints;
     if (store == nullptr)
-        return extendDeterministicHead({program, 0, end}, state, draws);
+        return extendDeterministicHead(*program, 0, end, state, draws,
+                                       [](std::size_t) {});
 
     // keys[i] addresses the first i instructions, up to the end of
     // the hash chain (the first Measure or conditioned instruction).
@@ -709,264 +751,83 @@ EnsembleEngine::deterministicHead(std::size_t end, sim::StateVector &state,
     return head;
 }
 
-std::shared_ptr<const TensorStages>
-EnsembleEngine::tensorStages(const std::string &breakpoint)
+std::shared_ptr<const BreakpointPlan>
+EnsembleEngine::buildPlan(const std::string &breakpoint)
 {
-    if (options.tensorSplit == 0)
-        return nullptr;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = stagesCache.find(breakpoint);
-        if (it != stagesCache.end())
-            return it->second;
-    }
-    auto built = buildTensorStages(*program, prefixEnd(breakpoint),
-                                   options.tensorSplit);
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        stagesCache.emplace(breakpoint, std::move(built));
-    if (inserted && it->second != nullptr)
-        QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
-    return it->second;
-}
-
-std::shared_ptr<const circuit::ExecutionRecord>
-EnsembleEngine::prefixState(const std::string &breakpoint,
-                            std::uint64_t seed)
-{
-    const std::size_t end = prefixEnd(breakpoint);
-    const auto key = std::make_pair(breakpoint, seed);
-
-    // Find-or-claim under the lock, simulate outside it: concurrent
-    // gathers at distinct breakpoints run their prefix simulations in
-    // parallel; racers on the same key wait on the winner's future.
-    std::promise<std::shared_ptr<const circuit::ExecutionRecord>>
-        promise;
-    std::shared_future<std::shared_ptr<const circuit::ExecutionRecord>>
-        future;
-    bool claimed = false;
-    std::uint64_t claim_id = 0;
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = stateCache.find(key);
-        if (it == stateCache.end()) {
-            future = promise.get_future().share();
-            claim_id = ++nextClaim;
-            stateCache.emplace(key, PrefixClaim{future, claim_id});
-            claimed = true;
-        } else {
-            future = it->second.future;
-        }
-    }
-    if (claimed)
-        QSA_OBS_COUNTER("runtime.state_cache.misses", 1);
-    else
-        QSA_OBS_COUNTER("runtime.state_cache.hits", 1);
-    if (claimed) {
-        // The one prefix execution of SampleFinalState mode; stream
-        // split(0) per the layout in the file comment. When the
-        // prefix tensor-splits, the halves simulate on their small
-        // spaces (same instruction and draw order as a monolithic
-        // run) and combine only for the tail.
-        QSA_OBS_SPAN(span, "runtime.prefix");
-        span.arg("breakpoint", breakpoint).arg("instructions", end);
-        try {
-            auto stages = tensorStages(breakpoint);
-            Rng rng = Rng(seed).split(0);
-            std::size_t resumed = 0;
-            auto record = std::make_shared<circuit::ExecutionRecord>(
-                program->numQubits());
-            if (stages != nullptr) {
-                sim::StateVector low_state(stages->split);
-                sim::StateVector high_state(program->numQubits() -
-                                            stages->split);
-                stepRange(stages->low, low_state, record->measurements,
-                          rng);
-                stepRange({&stages->high, 0, stages->high.size()},
-                          high_state, record->measurements, rng);
-                record->state = low_state.tensorWith(high_state);
-                stepRange(stages->combo, record->state,
-                          record->measurements, rng);
-            } else {
-                // The deterministic head (resumed from the checkpoint
-                // store when one is shared), then the rest of the
-                // prefix on the stream the head's resets would have
-                // advanced.
-                std::size_t draws = 0;
-                const std::size_t head = deterministicHead(
-                    end, record->state, draws, resumed);
-                for (std::size_t d = 0; d < draws; ++d)
-                    rng.uniform();
-                stepRange({program, head, end}, record->state,
-                          record->measurements, rng);
-            }
-            promise.set_value(std::move(record));
-            span.arg("resumed", resumed).arg("simulated", end - resumed);
-        } catch (...) {
-            // A qsa::Error (e.g. a condition on a label nothing
-            // measured) or bad_alloc unwinds here: hand racers the
-            // exception and drop the entry so later calls retry
-            // instead of hitting a broken promise forever.
-            promise.set_exception(std::current_exception());
-            {
-                // Evict only our own entry — a clearCache() plus
-                // re-claim may have installed a successor's live
-                // future under the same key.
-                std::lock_guard<std::mutex> lock(cacheMutex);
-                auto it = stateCache.find(key);
-                if (it != stateCache.end() &&
-                    it->second.claim == claim_id)
-                    stateCache.erase(it);
-            }
-            throw;
-        }
-    }
-    return future.get();
-}
-
-std::shared_ptr<const ResimPlan>
-EnsembleEngine::resimPlan(const std::string &breakpoint)
-{
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = resimCache.find(breakpoint);
-        if (it != resimCache.end()) {
-            QSA_OBS_COUNTER("runtime.head_cache.hits", 1);
-            return it->second;
-        }
-    }
-    // Build outside the lock (one head simulation); racers may build
-    // twice but the builds are identical and the first insertion wins.
     QSA_OBS_SPAN(span, "runtime.resim.head");
     span.arg("breakpoint", breakpoint);
-    const std::size_t end = prefixEnd(breakpoint);
-    auto stages = tensorStages(breakpoint);
-
-    std::shared_ptr<ResimPlan> plan;
-    if (stages != nullptr) {
-        // Staged: per-half deterministic heads on the small spaces;
-        // trials copy the half states, run the half tails, and tensor
-        // only for the combining tail. The monolithic head is a
-        // 1-qubit placeholder so a cached plan never pins a full-size
-        // state it will not use.
-        auto staged = std::make_shared<ResimStages>(
-            stages->split, program->numQubits() - stages->split);
-        staged->layout = stages;
-        const std::size_t low_head = extendDeterministicHead(
-            stages->low, staged->lowHead, staged->lowDraws);
-        staged->lowTail = {program, low_head, stages->low.end};
-        const InstructionRange high{&stages->high, 0,
-                                    stages->high.size()};
-        const std::size_t high_head = extendDeterministicHead(
-            high, staged->highHead, staged->highDraws);
-        staged->highTail = {high.circ, high_head, high.end};
-        plan = std::make_shared<ResimPlan>(1);
-        plan->stages = std::move(staged);
-        span.arg("resumed", 0).arg("simulated", low_head + high_head);
-    } else {
-        plan = std::make_shared<ResimPlan>(program->numQubits());
-
-        // Extend the head while instructions are deterministic:
-        // unitary gates and markers always; resets only when the
-        // current state fixes their implicit measurement outcome;
-        // stop at the first Measure or classically-conditioned
-        // instruction (there is no record to condition on yet — a
-        // valid program measures first).
+    const std::size_t end = program->breakpointPosition(breakpoint);
+    const unsigned split = options.tensorSplit;
+    const auto runs = stagedRuns(*program, end, split);
+    if (!runs) {
+        auto plan = std::make_shared<BreakpointPlan>(program->numQubits());
         std::size_t resumed = 0;
         const std::size_t head = deterministicHead(
-            end, plan->headState, plan->headDraws, resumed);
-        plan->tail = {program, head, end};
+            end, plan->head.state, plan->head.draws, resumed);
+        plan->head.tail = {program, head, end};
         span.arg("resumed", resumed).arg("simulated", head - resumed);
+        return plan;
     }
 
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        resimCache.emplace(breakpoint, std::move(plan));
-    if (inserted)
+    // Staged: per-half deterministic heads on the small spaces; trials
+    // copy the half states, run the half tails, and tensor only for
+    // the combining tail.
+    const auto [low_end, high_end] = *runs;
+    auto plan = std::make_shared<BreakpointPlan>(split);
+    auto high = std::make_unique<HighStage>(program->numQubits() - split);
+    {
+        QSA_OBS_SPAN(slice, "runtime.slice");
+        circuit::RangeCopy down;
+        down.qubitOffset = -static_cast<int>(split);
+        high->block.appendRange(*program, low_end, high_end, down);
+    }
+    high->combo = {program, high_end, end};
+    const std::size_t simulated =
+        simulateHead(*program, low_end, plan->head) +
+        simulateHead(high->block, high->block.size(), high->head);
+    plan->high = std::move(high);
+    QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
+    span.arg("resumed", 0).arg("simulated", simulated);
+    return plan;
+}
+
+std::shared_ptr<const BreakpointPlan>
+EnsembleEngine::planAt(const std::string &breakpoint)
+{
+    bool built = false;
+    auto plan = singleFlight(
+        plans, breakpoint, [&] { return buildPlan(breakpoint); }, built);
+    if (built)
         QSA_OBS_COUNTER("runtime.head_cache.misses", 1);
     else
         QSA_OBS_COUNTER("runtime.head_cache.hits", 1);
-    return it->second;
+    return plan;
 }
 
 std::shared_ptr<const CdfSampler>
 EnsembleEngine::shotSampler(const EnsembleSpec &spec)
 {
-    const auto key =
-        std::make_tuple(spec.breakpoint, spec.seed, spec.qubits);
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex);
-        auto it = samplerCache.find(key);
-        if (it != samplerCache.end()) {
-            QSA_OBS_COUNTER("runtime.sampler_cache.hits", 1);
-            return it->second;
-        }
-    }
-    // Build outside the lock; racers may build twice but the builds
-    // are identical and the first insertion wins.
-    auto record = prefixState(spec.breakpoint, spec.seed);
-    auto built = std::make_shared<const CdfSampler>(
-        record->state.marginalProbs(spec.qubits));
-    std::lock_guard<std::mutex> lock(cacheMutex);
-    const auto [it, inserted] =
-        samplerCache.emplace(key, std::move(built));
-    if (inserted)
+    const auto build = [&] {
+        return std::make_shared<const CdfSampler>(finalMarginal(
+            *planAt(spec.breakpoint), spec.seed, spec.qubits));
+    };
+    bool built = false;
+    auto sampler = singleFlight(
+        samplers, std::make_tuple(spec.breakpoint, spec.seed, spec.qubits),
+        build, built);
+    if (built)
         QSA_OBS_COUNTER("runtime.sampler_cache.misses", 1);
     else
         QSA_OBS_COUNTER("runtime.sampler_cache.hits", 1);
-    return it->second;
+    return sampler;
 }
 
 void
 EnsembleEngine::clearCache()
 {
     std::lock_guard<std::mutex> lock(cacheMutex);
-    prefixCache.clear();
-    resimCache.clear();
-    stateCache.clear();
-    samplerCache.clear();
-    stagesCache.clear();
-}
-
-void
-EnsembleEngine::runTrials(const EnsembleSpec &spec,
-                          const ResimPlan *plan,
-                          const CdfSampler *sampler, std::size_t lo,
-                          std::size_t hi, std::uint64_t *out)
-{
-    // From inside a worker (e.g. a BatchRunner unit) or for a single
-    // trial the fan-out would run inline anyway — skip resolving a
-    // pool entirely.
-    ThreadPool *fan_out =
-        ThreadPool::insideWorker() || hi - lo == 1 ? nullptr : &pool();
-    if (spec.mode == SampleMode::Resimulate) {
-        // One walk per global chunk, so the trees (and the sim.*
-        // totals) do not depend on where [lo, hi) starts or ends.
-        for (std::size_t m = lo; m < hi;) {
-            const std::size_t end =
-                std::min(hi, (m / kWalkChunk + 1) * kWalkChunk);
-            PathWalk(*plan, spec, m, end, out + (m - lo)).run(fan_out);
-            m = end;
-        }
-        return;
-    }
-    const Rng master(spec.seed);
-    const auto sample = [&](std::size_t a, std::size_t b) {
-        for (std::size_t m = a; m < b; ++m) {
-            Rng rng = master.split(m + 1);
-            out[m - lo] = sampler->sample(rng.uniform());
-        }
-    };
-    if (fan_out == nullptr) {
-        sample(lo, hi);
-        return;
-    }
-    const std::size_t num_shards =
-        std::min<std::size_t>(fan_out->concurrency(), hi - lo);
-    fan_out->parallelFor(num_shards, [&](std::size_t s) {
-        const auto [a, b] = shardRange(s, num_shards, hi - lo);
-        sample(lo + a, lo + b);
-    });
+    plans.clear();
+    samplers.clear();
 }
 
 std::vector<std::uint64_t>
@@ -978,97 +839,51 @@ EnsembleEngine::gather(const EnsembleSpec &spec)
     QSA_OBS_SPAN(span, "runtime.gather");
     span.arg("breakpoint", spec.breakpoint)
         .arg("shots", spec.shots)
-        .arg("mode", spec.mode == SampleMode::Resimulate
-                         ? "resimulate"
-                         : "sample");
+        .arg("mode", ensembleModeName(spec.mode));
     QSA_OBS_TIMER(gather_time, "runtime.ensemble.gather");
     QSA_OBS_COUNTER("runtime.ensemble.trials", spec.shots);
 
-    std::shared_ptr<const ResimPlan> plan;
+    std::shared_ptr<const BreakpointPlan> plan;
     std::shared_ptr<const CdfSampler> sampler;
-    if (spec.mode == SampleMode::Resimulate)
-        plan = resimPlan(spec.breakpoint);
+    if (spec.mode == EnsembleMode::Resimulate)
+        plan = planAt(spec.breakpoint);
     else
         sampler = shotSampler(spec);
 
-    std::vector<std::uint64_t> results(spec.shots);
-    runTrials(spec, plan.get(), sampler.get(), 0, spec.shots,
-              results.data());
-    return results;
-}
-
-std::map<std::uint64_t, std::uint64_t>
-EnsembleEngine::gatherHistogram(const EnsembleSpec &spec)
-{
-    if (spec.shots == 0)
-        return {};
-
-    QSA_OBS_SPAN(span, "runtime.gather_histogram");
-    span.arg("breakpoint", spec.breakpoint)
-        .arg("shots", spec.shots)
-        .arg("mode", spec.mode == SampleMode::Resimulate
-                         ? "resimulate"
-                         : "sample");
-    QSA_OBS_TIMER(gather_time, "runtime.ensemble.gather");
-    QSA_OBS_COUNTER("runtime.ensemble.trials", spec.shots);
-
-    std::shared_ptr<const ResimPlan> plan;
-    std::shared_ptr<const CdfSampler> sampler;
-    if (spec.mode == SampleMode::Resimulate)
-        plan = resimPlan(spec.breakpoint);
-    else
-        sampler = shotSampler(spec);
-
-    if (spec.mode == SampleMode::Resimulate) {
-        // Walk the same global chunks gather() walks (the walk fans
-        // out on its own), folding each into the histogram so peak
-        // memory is O(distinct outcomes), not O(shots).
-        std::map<std::uint64_t, std::uint64_t> hist;
-        std::vector<std::uint64_t> buffer(
-            std::min(kWalkChunk, spec.shots));
+    std::vector<std::uint64_t> out(spec.shots);
+    // From inside a worker (e.g. a BatchRunner unit) or for a single
+    // trial the fan-out would run inline anyway — skip resolving a
+    // pool entirely.
+    ThreadPool *fan_out = ThreadPool::insideWorker() || spec.shots == 1
+                              ? nullptr
+                              : &pool();
+    if (plan != nullptr) {
+        // One walk per global chunk (see kWalkChunk).
         for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
-            const std::size_t hi = std::min(lo + kWalkChunk, spec.shots);
-            runTrials(spec, plan.get(), nullptr, lo, hi, buffer.data());
-            for (std::size_t k = 0; k < hi - lo; ++k)
-                ++hist[buffer[k]];
+            const std::size_t hi = std::min(spec.shots, lo + kWalkChunk);
+            PathWalk(*plan, spec, lo, hi, out.data() + lo).run(fan_out);
         }
-        return hist;
+        return out;
     }
 
-    const std::size_t num_shards =
-        ThreadPool::insideWorker()
-            ? 1
-            : std::min<std::size_t>(pool().concurrency(), spec.shots);
-    std::vector<std::map<std::uint64_t, std::uint64_t>> shard_hists(
-        num_shards);
-    auto run_shard = [&](std::size_t s) {
-        const auto [lo, hi] = shardRange(s, num_shards, spec.shots);
-        // Fold trials into the shard histogram in fixed-size chunks so
-        // peak memory really is O(distinct outcomes), not O(shots).
-        constexpr std::size_t chunk = 8192;
-        std::vector<std::uint64_t> buffer(std::min(chunk, hi - lo));
-        auto &hist = shard_hists[s];
-        for (std::size_t m = lo; m < hi; m += chunk) {
-            const std::size_t end = std::min(m + chunk, hi);
-            runTrials(spec, plan.get(), sampler.get(), m, end,
-                      buffer.data());
-            for (std::size_t k = 0; k < end - m; ++k)
-                ++hist[buffer[k]];
+    const Rng master(spec.seed);
+    const auto sample = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t m = lo; m < hi; ++m) {
+            Rng rng = master.split(m + 1);
+            out[m] = sampler->sample(rng.uniform());
         }
     };
-    if (num_shards == 1)
-        run_shard(0); // no pool to resolve for an inline gather
-    else
-        pool().parallelFor(num_shards, run_shard);
-
-    // Merge in shard order: deterministic regardless of which worker
-    // finished first (counts commute, but the convention is cheap and
-    // makes the reduction order part of the contract).
-    std::map<std::uint64_t, std::uint64_t> merged;
-    for (const auto &hist : shard_hists)
-        for (const auto &[value, count] : hist)
-            merged[value] += count;
-    return merged;
+    if (fan_out == nullptr) {
+        sample(0, spec.shots);
+        return out;
+    }
+    const std::size_t num_shards =
+        std::min<std::size_t>(fan_out->concurrency(), spec.shots);
+    fan_out->parallelFor(num_shards, [&](std::size_t s) {
+        const auto [lo, hi] = shardRange(s, num_shards, spec.shots);
+        sample(lo, hi);
+    });
+    return out;
 }
 
 } // namespace qsa::runtime

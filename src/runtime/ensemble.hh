@@ -13,24 +13,16 @@
  *    from the worker or shard it happens to land on, so results are
  *    bit-identical for any thread count, including 1;
  *  - results land in disjoint slots of a preallocated trial-ordered
- *    buffer (and per-shard histograms are merged in shard order), so
- *    the merge is deterministic by construction;
- *  - in SampleFinalState mode the truncated circuit is simulated ONCE,
- *    the final state is cached per (breakpoint, seed), and the N shots
- *    are split into contiguous shards, one per available worker, and
- *    multinomial-sampled from the exact outcome distribution via
- *    inverse-CDF binary search — running the circuit per member is
- *    reserved for Resimulate mode, which stays exact for programs with
- *    mid-circuit measurement. The one simulation runs the prefix's
- *    deterministic head under the Resimulate head rule below (a reset
- *    whose other outcome has probability <= 1e-12 counts as certain),
- *    then the rest of the prefix;
- *  - in Resimulate mode the truncated circuit's *deterministic head*
- *    — the longest prefix containing no measurement, no conditional
- *    instruction, and only resets whose outcome is certain — is
- *    simulated once and cached per breakpoint. For the paper's
+ *    buffer, so the merge is deterministic by construction;
+ *  - both modes start from one *plan* per breakpoint, built once and
+ *    cached: the truncation point, the tensor-stage layout (below),
+ *    and the truncated program's *deterministic head* — the longest
+ *    prefix containing no measurement, no conditional instruction,
+ *    and only resets whose outcome is certain (a reset whose other
+ *    outcome has probability <= 1e-12 counts as certain) — simulated
+ *    once, followed by the nondeterministic tail. For the paper's
  *    measurement-free benchmarks the whole truncated program is head.
- *  - the nondeterministic tail after the head is simulated once per
+ *  - in Resimulate mode the tail is simulated once per
  *    measurement-outcome path. Trials differ only in their
  *    measurement outcomes, so the engine walks the tree of outcome
  *    paths: trials that share an outcome history share one state. At
@@ -45,6 +37,15 @@
  *    Tensor-staged plans walk the low tail, then the high tail at
  *    each low leaf, then tensor the halves, then walk the combining
  *    tail.
+ *  - in SampleFinalState mode the truncated program runs ONCE — the
+ *    plan's head state itself when the tail is empty, otherwise one
+ *    path through the tail(s) — and the N shots are split into
+ *    contiguous shards, one per available worker, and
+ *    multinomial-sampled from that state's outcome distribution via
+ *    inverse-CDF binary search (a CdfSampler cached per breakpoint,
+ *    seed and qubit list). This is exact only when the tail measures
+ *    nothing; Resimulate stays exact for programs with mid-circuit
+ *    measurement.
  *  - the walk is iterative (an explicit stack of pending siblings).
  *    Its live states are the splits on the current path plus at most
  *    one handed-off subtree per pool thread — never proportional to
@@ -52,21 +53,27 @@
  *    every path node is simulated exactly once whatever the thread
  *    count, and inside a pool worker (e.g. a BatchRunner unit) the
  *    walk runs inline.
- *  - both gather() and gatherHistogram() walk fixed global chunks of
- *    trials whose boundaries do not depend on the shard count, so
- *    the tree — and every sim.* total — is thread-count invariant.
+ *  - gather() walks fixed global chunks of trials whose boundaries do
+ *    not depend on the shard count, so the tree — and every sim.*
+ *    total — is thread-count invariant.
+ *  - both caches, plans and samplers, are single-flight: the first
+ *    gather of a key builds it outside the cache lock and concurrent
+ *    gathers of that key wait for the one build, so each key is
+ *    built — and counted, in sim.* and in its cache's misses — once
+ *    whatever the thread count. A failed build evicts only its own
+ *    claim, so a later gather retries it.
  *  - truncation copies nothing: a breakpoint resolves to its position
  *    in the bound program, and the truncated program, its
  *    deterministic head and its tail are instruction ranges of that
- *    program, read in place. Only a tensor-staged prefix copies one
+ *    program, read in place. Only a tensor-staged plan copies one
  *    block, its high-qubit run, which is relabelled onto the small
  *    state.
  *  - with a shared CheckpointStore (EngineOptions::checkpoints), a
- *    monolithic prefix simulation or Resimulate head resumes from the
- *    longest stored prefix of its own program and stores a checkpoint
- *    at every marker it passes and at the head's end (checkpoint.hh).
- *    The resumed part is never re-run, so results equal a store-free
- *    run bit for bit; only the work counters shrink.
+ *    monolithic plan's head resumes from the longest stored prefix of
+ *    its own program and stores a checkpoint at every marker it
+ *    passes and at the head's end (checkpoint.hh). The resumed part
+ *    is never re-run, so results equal a store-free run bit for bit;
+ *    only the work counters shrink.
  *
  * Work accounting: in Resimulate mode the sim.* counters measure
  * path-node work, not per-trial work. sim.gate_applies and
@@ -87,8 +94,8 @@
  *    determinism tolerance). The path walk draws exactly the numbers
  *    each trial would draw alone, in the same order, against
  *    bit-identical states, so it changes no outcome.
- *  - SampleFinalState: the single prefix execution uses
- *    Rng(seed).split(0) — the head's certain resets each discard one
+ *  - SampleFinalState: the single run of the truncated program uses
+ *    Rng(seed).split(0) — the heads' certain resets each discard one
  *    draw, as an uncached run's measurement of them would have made —
  *    and shot m draws its uniform from Rng(seed).split(m + 1). For
  *    resets whose outcome is exactly certain this is bit for bit a
@@ -109,7 +116,6 @@
 #include <vector>
 
 #include "circuit/circuit.hh"
-#include "circuit/executor.hh"
 #include "runtime/checkpoint.hh"
 #include "runtime/pool.hh"
 #include "sim/statevector.hh"
@@ -117,20 +123,34 @@
 namespace qsa::runtime
 {
 
-// Private to ensemble.cc: a Resimulate head/tail split and a
-// tensor-stage layout, both ranges of the bound program.
-struct ResimPlan;
-struct TensorStages;
+// Private to ensemble.cc: a breakpoint's truncation point, tensor
+// stages, deterministic head(s) and tail(s).
+struct BreakpointPlan;
 
-/** How ensemble members are produced (assertions::EnsembleMode twin). */
-enum class SampleMode
+/** How ensemble members are produced. */
+enum class EnsembleMode
 {
-    /** One truncated-circuit simulation per trial. */
+    /**
+     * Re-run the truncated program once per ensemble member with an
+     * independent random stream — the paper's methodology (one QX
+     * simulation per measurement, Section 3.3). Exact for every
+     * program, including ones with mid-circuit measurement.
+     */
     Resimulate,
 
-    /** Simulate the prefix once, multinomial-sample the shots. */
+    /**
+     * Run the truncated program once and sample measurement outcomes
+     * from the exact final distribution. Equivalent to Resimulate for
+     * programs whose only nondeterminism is the final measurement
+     * (true of all the paper's benchmarks) and orders of magnitude
+     * faster.
+     */
     SampleFinalState,
 };
+
+/** Wire and report name of `mode`: "resimulate" or
+ *  "sample_final_state". */
+const char *ensembleModeName(EnsembleMode mode);
 
 /** One ensemble request: where to truncate, what to measure, how. */
 struct EnsembleSpec
@@ -145,7 +165,7 @@ struct EnsembleSpec
     std::size_t shots = 0;
 
     /** Trial generation mode. */
-    SampleMode mode = SampleMode::SampleFinalState;
+    EnsembleMode mode = EnsembleMode::SampleFinalState;
 
     /** Master seed; every trial gets a split stream (see file comment). */
     std::uint64_t seed = 0;
@@ -186,11 +206,10 @@ struct EngineOptions
 
     /**
      * Shared store of deterministic prefix states (checkpoint.hh), or
-     * null. Monolithic prefix simulations and Resimulate heads then
-     * resume from the longest stored prefix of their own program and
-     * store a checkpoint at every marker they pass and at the head's
-     * end. Results are identical with and without a store. Must
-     * outlive the engine.
+     * null. Monolithic plans' heads then resume from the longest
+     * stored prefix of their own program and store a checkpoint at
+     * every marker they pass and at the head's end. Results are
+     * identical with and without a store. Must outlive the engine.
      */
     CheckpointStore *checkpoints = nullptr;
 };
@@ -198,7 +217,7 @@ struct EngineOptions
 /**
  * See file comment. An engine is bound to one program; it may be used
  * concurrently from several threads (BatchRunner does), with the
- * prefix caches protected internally.
+ * caches protected internally.
  */
 class EnsembleEngine
 {
@@ -222,20 +241,10 @@ class EnsembleEngine
     std::vector<std::uint64_t> gather(const EnsembleSpec &spec);
 
     /**
-     * As gather(), but fold the trials into a histogram chunk by chunk
-     * (shard histograms merged in shard order when sampling) —
-     * O(distinct outcomes) memory instead of O(shots), for huge
-     * ensembles.
-     */
-    std::map<std::uint64_t, std::uint64_t>
-    gatherHistogram(const EnsembleSpec &spec);
-
-    /**
-     * Drop the cached truncation points, prefix states, resimulation
-     * heads, tensor-stage layouts, and shot samplers. The caches trade
-     * memory for speed — a prefix or head state is a full 2^n
-     * statevector per breakpoint — so long-lived sessions that sweep
-     * many breakpoints can call this to bound the footprint.
+     * Drop the cached plans and shot samplers. The caches trade memory
+     * for speed — a plan holds a full 2^n head state per breakpoint —
+     * so long-lived sessions that sweep many breakpoints can call this
+     * to bound the footprint.
      */
     void clearCache();
 
@@ -253,70 +262,47 @@ class EnsembleEngine
     std::unique_ptr<ThreadPool> ownedPool;
     ThreadPool *poolPtr = nullptr;
 
-    std::mutex cacheMutex;
-
     /**
-     * Truncation points keyed by breakpoint label: the marker's
-     * position, so the truncated program is instructions [0, position)
-     * of the bound program, read in place.
+     * One in-flight-or-built cache entry. A future so a miss builds
+     * OUTSIDE the cache mutex: gathers at distinct keys build in
+     * parallel, while racers on one key wait for the one build. The
+     * claim id lets a failed build evict exactly its own entry (not a
+     * successor's, re-claimed after a clearCache()).
      */
-    std::map<std::string, std::size_t> prefixCache;
-
-    /**
-     * Resimulate-mode head/tail splits keyed by breakpoint label.
-     * Seed-independent: the head is deterministic by construction.
-     */
-    std::map<std::string, std::shared_ptr<const ResimPlan>>
-        resimCache;
-
-    /**
-     * One in-flight-or-done prefix simulation. A future so a cache
-     * miss simulates OUTSIDE the cache mutex: concurrent gathers at
-     * distinct breakpoints simulate in parallel, while racers on the
-     * same key wait for the one simulation instead of duplicating it.
-     * The claim id lets exception cleanup evict exactly its own entry
-     * (not a successor's, re-claimed after a clearCache()).
-     */
-    struct PrefixClaim
+    template <typename Value> struct Claim
     {
-        std::shared_future<
-            std::shared_ptr<const circuit::ExecutionRecord>>
-            future;
-        std::uint64_t claim = 0;
+        std::shared_future<std::shared_ptr<const Value>> future;
+        std::uint64_t id = 0;
     };
 
-    /** Prefix execution records keyed by (breakpoint, seed). */
-    std::map<std::pair<std::string, std::uint64_t>, PrefixClaim>
-        stateCache;
+    /** Guards both caches and nextClaim. */
+    std::mutex cacheMutex;
 
-    /** Next claim id for stateCache entries; guarded by cacheMutex. */
+    /** Next claim id. */
     std::uint64_t nextClaim = 0;
 
+    /** Plans keyed by breakpoint label; seed- and mode-independent. */
+    std::map<std::string, Claim<BreakpointPlan>> plans;
+
     /**
-     * Built CdfSamplers keyed by (breakpoint, seed, qubits): repeated
-     * gathers of the same request skip the O(2^n) marginalisation and
-     * CDF build, not just the prefix simulation.
+     * SampleFinalState shot samplers keyed by (breakpoint, seed,
+     * qubits): repeated gathers of the same request skip the O(2^n)
+     * marginalisation and CDF build, not just the simulation.
      */
     std::map<std::tuple<std::string, std::uint64_t,
                         std::vector<unsigned>>,
-             std::shared_ptr<const CdfSampler>>
-        samplerCache;
+             Claim<CdfSampler>>
+        samplers;
 
     /**
-     * Tensor-stage decompositions keyed by breakpoint; a null entry
-     * records "this prefix does not split" so the scan runs once.
+     * The value cached under `key`, built by `build()` on the calling
+     * thread if nobody has claimed the key, else the claimant's
+     * (waiting for its build). `built` reports which.
      */
-    std::map<std::string, std::shared_ptr<const TensorStages>>
-        stagesCache;
-
-    /** Where the program is truncated for `breakpoint` (cached). */
-    std::size_t prefixEnd(const std::string &breakpoint);
-
-    std::shared_ptr<const TensorStages>
-    tensorStages(const std::string &breakpoint);
-
-    std::shared_ptr<const circuit::ExecutionRecord>
-    prefixState(const std::string &breakpoint, std::uint64_t seed);
+    template <typename Key, typename Value, typename Build>
+    std::shared_ptr<const Value>
+    singleFlight(std::map<Key, Claim<Value>> &cache, const Key &key,
+                 const Build &build, bool &built);
 
     /**
      * Simulate the deterministic head of the truncated program
@@ -332,20 +318,18 @@ class EnsembleEngine
                                   std::size_t &draws,
                                   std::size_t &resumed);
 
-    std::shared_ptr<const ResimPlan>
-    resimPlan(const std::string &breakpoint);
+    /** The plan of `breakpoint` (cached, single-flight). */
+    std::shared_ptr<const BreakpointPlan>
+    planAt(const std::string &breakpoint);
 
+    /** Simulate the plan of `breakpoint` (a plan-cache miss). */
+    std::shared_ptr<const BreakpointPlan>
+    buildPlan(const std::string &breakpoint);
+
+    /** The shot sampler of a SampleFinalState spec (cached,
+     *  single-flight). */
     std::shared_ptr<const CdfSampler>
     shotSampler(const EnsembleSpec &spec);
-
-    /**
-     * Run trials [lo, hi) of `spec`, writing out[m - lo] for each m:
-     * a path walk per global chunk in Resimulate mode, shot sampling
-     * otherwise. Fans out on the pool unless called from a worker.
-     */
-    void runTrials(const EnsembleSpec &spec, const ResimPlan *plan,
-                   const CdfSampler *sampler, std::size_t lo,
-                   std::size_t hi, std::uint64_t *out);
 };
 
 } // namespace qsa::runtime

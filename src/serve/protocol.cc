@@ -21,13 +21,12 @@ namespace
 bool
 modeFromName(const std::string &name, assertions::EnsembleMode *mode)
 {
-    if (name == "sample_final_state") {
-        *mode = assertions::EnsembleMode::SampleFinalState;
-        return true;
-    }
-    if (name == "resimulate") {
-        *mode = assertions::EnsembleMode::Resimulate;
-        return true;
+    for (const auto known : {assertions::EnsembleMode::SampleFinalState,
+                             assertions::EnsembleMode::Resimulate}) {
+        if (name == runtime::ensembleModeName(known)) {
+            *mode = known;
+            return true;
+        }
     }
     return false;
 }
@@ -382,7 +381,12 @@ parseRequest(const json::Value &doc, const Limits &limits)
     }
     if (const json::Value *mode = doc.find("mode")) {
         fatal_if(!modeFromName(mode->asString(), &request.mode),
-                 "'mode' must be sample_final_state or resimulate");
+                 "'mode' must be ",
+                 runtime::ensembleModeName(
+                     assertions::EnsembleMode::SampleFinalState),
+                 " or ",
+                 runtime::ensembleModeName(
+                     assertions::EnsembleMode::Resimulate));
     }
     if (const json::Value *threads = doc.find("threads")) {
         const std::uint64_t n = threads->asUint64();

@@ -359,10 +359,7 @@ Session::exportJson()
        << "\"program_size\": " << original.size()
        << ", \"num_qubits\": " << original.numQubits()
        << ", \"ensemble_size\": " << cfg.ensembleSize
-       << ", \"mode\": \""
-       << (cfg.mode == assertions::EnsembleMode::Resimulate
-               ? "resimulate"
-               : "sample_final_state")
+       << ", \"mode\": \"" << runtime::ensembleModeName(cfg.mode)
        << "\", \"seed\": " << cfg.seed
        << ", \"holm_bonferroni\": "
        << (familyWise ? "true" : "false");

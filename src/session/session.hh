@@ -29,8 +29,8 @@
  *
  * run() executes the whole plan in one runtime::BatchRunner fan-out —
  * every (truncation, assertion) pair across one pool, sharing one
- * engine's truncated-circuit and prefix-state caches — with verdicts
- * bit-identical to driving an AssertionChecker directly (enforced by
+ * engine's plan and sampler caches — with verdicts bit-identical to
+ * driving an AssertionChecker directly (enforced by
  * tests/test_session.cc across thread counts and ensemble modes).
  * Escalation (sequential ensemble doubling) and Holm-Bonferroni
  * family-wise control are composable policy objects applied with

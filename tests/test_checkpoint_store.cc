@@ -3,10 +3,10 @@
  * Checkpoint-store tests. Ensemble engines that share one
  * runtime::CheckpointStore resume each program from the longest
  * prefix an earlier engine stored; on sequences of generated
- * probe-like programs that share prefixes, their gather() and
- * gatherHistogram() results must equal those of engines without a
- * store, in both ensemble modes and at every thread count, with work
- * counters that do not depend on the thread count. An exact oracle
+ * probe-like programs that share prefixes, their gather() results
+ * must equal those of engines without a store, in both ensemble
+ * modes and at every thread count, with work counters that do not
+ * depend on the thread count. An exact oracle
  * derivation resumed from a kept branch mixture must equal the
  * from-scratch derivation, the store must stay within its byte
  * budget, and localizations — which share one store per adaptive
@@ -159,7 +159,7 @@ searchPrograms(const Circuit &suspect, std::uint64_t seed)
 }
 
 runtime::EnsembleSpec
-endSpec(const Circuit &program, runtime::SampleMode mode,
+endSpec(const Circuit &program, runtime::EnsembleMode mode,
         std::uint64_t seed)
 {
     runtime::EnsembleSpec spec;
@@ -179,16 +179,14 @@ endSpec(const Circuit &program, runtime::SampleMode mode,
  */
 void
 expectStoreMatchesStoreFree(const std::vector<Circuit> &programs,
-                            runtime::SampleMode mode)
+                            runtime::EnsembleMode mode)
 {
     std::vector<runtime::EnsembleSpec> specs;
     std::vector<std::vector<std::uint64_t>> trials;
-    std::vector<std::map<std::uint64_t, std::uint64_t>> hists;
     for (std::size_t i = 0; i < programs.size(); ++i) {
         specs.push_back(endSpec(programs[i], mode, 0x5107e + i));
         runtime::EnsembleEngine engine(programs[i], 1);
         trials.push_back(engine.gather(specs[i]));
-        hists.push_back(engine.gatherHistogram(specs[i]));
     }
 
 #if QSA_OBS_ENABLED
@@ -201,8 +199,6 @@ expectStoreMatchesStoreFree(const std::vector<Circuit> &programs,
             runtime::EnsembleEngine engine(
                 programs[i], threads, runtime::EngineOptions{0, &store});
             EXPECT_EQ(engine.gather(specs[i]), trials[i])
-                << "program " << i << " threads=" << threads;
-            EXPECT_EQ(engine.gatherHistogram(specs[i]), hists[i])
                 << "program " << i << " threads=" << threads;
             EXPECT_LE(store.bytes(), runtime::CheckpointStore::kBudgetBytes);
         }
@@ -227,7 +223,7 @@ TEST(CheckpointEngine, ResimulateMatchesStoreFreeEngines)
         SCOPED_TRACE("program seed " + std::to_string(seed));
         const Circuit suspect = suspectProgram(seed, 3 + seed % 3);
         expectStoreMatchesStoreFree(searchPrograms(suspect, seed),
-                                    runtime::SampleMode::Resimulate);
+                                    runtime::EnsembleMode::Resimulate);
     }
 }
 
@@ -238,20 +234,20 @@ TEST(CheckpointEngine, SampleFinalStateMatchesStoreFreeEngines)
         const Circuit suspect = suspectProgram(seed, 3 + seed % 3);
         expectStoreMatchesStoreFree(
             searchPrograms(suspect, seed),
-            runtime::SampleMode::SampleFinalState);
+            runtime::EnsembleMode::SampleFinalState);
     }
 }
 
 TEST(CheckpointEngine, MixedModesShareOneStore)
 {
-    // Heads stored by Resimulate plans serve SampleFinalState prefixes
+    // Heads stored by Resimulate gathers serve SampleFinalState gathers
     // and the other way round.
     const Circuit suspect = suspectProgram(21, 4);
     const auto programs = searchPrograms(suspect, 21);
     runtime::CheckpointStore store;
     for (std::size_t i = 0; i < programs.size(); ++i) {
-        const auto mode = i % 2 ? runtime::SampleMode::Resimulate
-                                : runtime::SampleMode::SampleFinalState;
+        const auto mode = i % 2 ? runtime::EnsembleMode::Resimulate
+                                : runtime::EnsembleMode::SampleFinalState;
         const auto spec = endSpec(programs[i], mode, 0x3a11 + i);
         runtime::EnsembleEngine plain(programs[i], 1);
         runtime::EnsembleEngine shared(programs[i], 1,
@@ -280,8 +276,8 @@ TEST(CheckpointEngine, UnitaryMatricesAreHashedByContent)
         circ->h(1);
         circ->breakpoint(kEnd);
     }
-    for (const auto mode : {runtime::SampleMode::Resimulate,
-                            runtime::SampleMode::SampleFinalState}) {
+    for (const auto mode : {runtime::EnsembleMode::Resimulate,
+                            runtime::EnsembleMode::SampleFinalState}) {
         runtime::CheckpointStore store;
         const auto spec = endSpec(b, mode, 0x7);
         runtime::EnsembleEngine first(a, 1,
@@ -445,7 +441,7 @@ TEST(CheckpointBudget, SeventeenQubitStatesAreNeverStored)
                                    runtime::EngineOptions{0, &store});
     runtime::EnsembleEngine plain(circ, 1);
     const auto spec =
-        endSpec(circ, runtime::SampleMode::SampleFinalState, 0x17);
+        endSpec(circ, runtime::EnsembleMode::SampleFinalState, 0x17);
     EXPECT_EQ(engine.gather(spec), plain.gather(spec));
     EXPECT_EQ(store.size(), 0u);
     EXPECT_EQ(store.bytes(), 0u);

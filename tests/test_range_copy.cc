@@ -306,7 +306,7 @@ copiedPrefix(const Circuit &program, const std::string &label)
 
 runtime::EnsembleSpec
 specAt(const std::string &label, std::vector<unsigned> qubits,
-       runtime::SampleMode mode, std::uint64_t seed)
+       runtime::EnsembleMode mode, std::uint64_t seed)
 {
     runtime::EnsembleSpec spec;
     spec.breakpoint = label;
@@ -327,7 +327,7 @@ specAt(const std::string &label, std::vector<unsigned> qubits,
 void
 expectRangeMatchesCopiedPrefix(const Circuit &program,
                                const std::vector<unsigned> &qubits,
-                               runtime::SampleMode mode,
+                               runtime::EnsembleMode mode,
                                unsigned tensor_split, bool shared_stores)
 {
     runtime::CheckpointStore whole_store;
@@ -366,8 +366,8 @@ TEST(RangeTruncation, GatherAtEveryMarkerMatchesCopiedPrefix)
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE(seed);
         const Circuit program = markedProgram(seed);
-        for (const auto mode : {runtime::SampleMode::Resimulate,
-                                runtime::SampleMode::SampleFinalState}) {
+        for (const auto mode : {runtime::EnsembleMode::Resimulate,
+                                runtime::EnsembleMode::SampleFinalState}) {
             for (const bool stores : {false, true}) {
                 SCOPED_TRACE(stores ? "shared stores" : "no store");
                 expectRangeMatchesCopiedPrefix(program, qubits, mode, 0,
@@ -406,8 +406,8 @@ TEST(RangeTruncation, TensorStagedPrefixMatchesCopiedPrefix)
 #if QSA_OBS_ENABLED
     const std::int64_t built = counter("runtime.tensor_stages.built");
 #endif
-    for (const auto mode : {runtime::SampleMode::Resimulate,
-                            runtime::SampleMode::SampleFinalState}) {
+    for (const auto mode : {runtime::EnsembleMode::Resimulate,
+                            runtime::EnsembleMode::SampleFinalState}) {
         expectRangeMatchesCopiedPrefix(program, {anc, 0, n}, mode, n,
                                        false);
     }

@@ -1,14 +1,18 @@
 /**
  * @file
- * Differential tests of the Resimulate path walk. The engine simulates
- * each distinct measurement-outcome path once instead of every trial;
- * on seeded generated programs with mid-circuit multi-qubit Measure,
- * PrepZ and classically conditioned gates, its trial vectors must
- * equal an uncached per-trial reference — runCircuit of the truncated
- * program on Rng(seed).split(m), then measureQubits — at every
- * boundary, for every thread count, in monolithic and tensor-staged
- * plans, and the simulation work it reports must not depend on the
- * thread count.
+ * Differential tests of the engine against the executor. The engine
+ * simulates each breakpoint's deterministic head once, then, in
+ * Resimulate mode, each distinct measurement-outcome path of the tail
+ * once instead of every trial, and in SampleFinalState mode one path
+ * through the tail. On seeded generated programs with mid-circuit
+ * multi-qubit Measure, PrepZ and classically conditioned gates, its
+ * trial vectors must equal an uncached reference at every boundary,
+ * for every thread count, in monolithic and tensor-staged plans, and
+ * the simulation work it reports must not depend on the thread count.
+ * The Resimulate reference is runCircuit of the truncated program on
+ * Rng(seed).split(m), then measureQubits; the SampleFinalState one is
+ * one runCircuit on Rng(seed).split(0), a CdfSampler over its
+ * marginal, and shot m drawn from Rng(seed).split(m + 1).
  */
 
 #include <gtest/gtest.h>
@@ -72,9 +76,12 @@ readoutQubits(unsigned n, std::size_t boundary)
 }
 
 /**
- * Uncached per-trial reference: trial m runs the truncated program on
- * Rng(seed).split(m), then measures the readout qubits on the same
- * stream.
+ * Uncached reference. Resimulate: trial m runs the truncated program
+ * on Rng(seed).split(m), then measures the readout qubits on the same
+ * stream. SampleFinalState: the truncated program runs once on
+ * Rng(seed).split(0), and shot m maps a uniform from
+ * Rng(seed).split(m + 1) through a CdfSampler over the final state's
+ * marginal.
  */
 std::vector<std::uint64_t>
 referenceTrials(const Circuit &instrumented, const runtime::EnsembleSpec &spec)
@@ -82,6 +89,15 @@ referenceTrials(const Circuit &instrumented, const runtime::EnsembleSpec &spec)
     const Circuit truncated = instrumented.prefixUpTo(spec.breakpoint);
     const Rng master(spec.seed);
     std::vector<std::uint64_t> out(spec.shots);
+    if (spec.mode == runtime::EnsembleMode::SampleFinalState) {
+        Rng rng = master.split(0);
+        const runtime::CdfSampler sampler(
+            circuit::runCircuit(truncated, rng)
+                .state.marginalProbs(spec.qubits));
+        for (std::size_t m = 0; m < spec.shots; ++m)
+            out[m] = sampler.sample(master.split(m + 1).uniform());
+        return out;
+    }
     for (std::size_t m = 0; m < spec.shots; ++m) {
         Rng rng = master.split(m);
         circuit::ExecutionRecord record =
@@ -89,15 +105,6 @@ referenceTrials(const Circuit &instrumented, const runtime::EnsembleSpec &spec)
         out[m] = record.state.measureQubits(spec.qubits, rng);
     }
     return out;
-}
-
-std::map<std::uint64_t, std::uint64_t>
-histogramOf(const std::vector<std::uint64_t> &values)
-{
-    std::map<std::uint64_t, std::uint64_t> hist;
-    for (std::uint64_t v : values)
-        ++hist[v];
-    return hist;
 }
 
 #if QSA_OBS_ENABLED
@@ -120,12 +127,15 @@ workCounters()
 #endif
 
 /**
- * Gather every boundary of `program` at each thread count and compare
- * against the per-trial reference; returns the tensor stages built.
+ * Gather every boundary of `program` in `mode` at each thread count
+ * and compare against the uncached reference; returns the tensor
+ * stages built.
  */
 std::int64_t
-expectWalkMatchesReference(const Circuit &program, unsigned tensor_split,
-                           std::uint64_t seed, std::size_t shots)
+expectWalkMatchesReference(const Circuit &program,
+                           runtime::EnsembleMode mode,
+                           unsigned tensor_split, std::uint64_t seed,
+                           std::size_t shots)
 {
     const Circuit instrumented = program.withBoundaryBreakpoints(kBoundary);
     std::vector<runtime::EnsembleSpec> specs;
@@ -135,7 +145,7 @@ expectWalkMatchesReference(const Circuit &program, unsigned tensor_split,
         spec.breakpoint = kBoundary + std::to_string(k);
         spec.qubits = readoutQubits(program.numQubits(), k);
         spec.shots = shots;
-        spec.mode = runtime::SampleMode::Resimulate;
+        spec.mode = mode;
         spec.seed = seed + k;
         expected.push_back(referenceTrials(instrumented, spec));
         specs.push_back(std::move(spec));
@@ -153,14 +163,13 @@ expectWalkMatchesReference(const Circuit &program, unsigned tensor_split,
         for (std::size_t i = 0; i < specs.size(); ++i) {
             EXPECT_EQ(engine.gather(specs[i]), expected[i])
                 << specs[i].breakpoint << " threads=" << threads;
-            EXPECT_EQ(engine.gatherHistogram(specs[i]),
-                      histogramOf(expected[i]))
-                << specs[i].breakpoint << " threads=" << threads;
         }
 #if QSA_OBS_ENABLED
         const auto work = workCounters();
         EXPECT_GT(work.at("sim.gate_applies"), 0);
-        EXPECT_GT(work.at("runtime.resim.segments"), 0);
+        if (mode == runtime::EnsembleMode::Resimulate) {
+            EXPECT_GT(work.at("runtime.resim.segments"), 0);
+        }
         if (threads == 1)
             serial_work = work;
         else
@@ -172,24 +181,29 @@ expectWalkMatchesReference(const Circuit &program, unsigned tensor_split,
     return stages_built;
 }
 
-TEST(ResimWalk, MonolithicMatchesPerTrialReference)
+/** Monolithic programs of seeds 1..10 in `mode`. */
+void
+expectMonolithicMatchReference(runtime::EnsembleMode mode)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
         SCOPED_TRACE("program seed " + std::to_string(seed));
         const Circuit program =
             monolithicProgram(seed, 3 + seed % 3, 28);
-        expectWalkMatchesReference(program, 0, 0x9a11 * seed, 96);
+        expectWalkMatchesReference(program, mode, 0, 0x9a11 * seed, 96);
     }
 }
 
-TEST(ResimWalk, StagedMatchesPerTrialReference)
+/** Staged programs of seeds 1..6 in `mode`; at least one boundary
+ *  must run tensor-staged. */
+void
+expectStagedMatchReference(runtime::EnsembleMode mode)
 {
     std::int64_t staged = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE("program seed " + std::to_string(seed));
         const unsigned split = 2 + seed % 2;
         const Circuit program = stagedProgram(seed + 100, split, 12);
-        staged += expectWalkMatchesReference(program, split,
+        staged += expectWalkMatchesReference(program, mode, split,
                                              0x57a6 * seed, 96);
     }
 #if QSA_OBS_ENABLED
@@ -199,24 +213,42 @@ TEST(ResimWalk, StagedMatchesPerTrialReference)
 #endif
 }
 
+TEST(ResimWalk, MonolithicMatchesPerTrialReference)
+{
+    expectMonolithicMatchReference(runtime::EnsembleMode::Resimulate);
+}
+
+TEST(ResimWalk, StagedMatchesPerTrialReference)
+{
+    expectStagedMatchReference(runtime::EnsembleMode::Resimulate);
+}
+
+TEST(SampleFinalState, MonolithicMatchesOneRunReference)
+{
+    expectMonolithicMatchReference(runtime::EnsembleMode::SampleFinalState);
+}
+
+TEST(SampleFinalState, StagedMatchesOneRunReference)
+{
+    expectStagedMatchReference(runtime::EnsembleMode::SampleFinalState);
+}
+
 TEST(ResimWalk, ChunkedEnsemblesMatchAcrossChunkBoundaries)
 {
-    // Past 8192 trials the walk restarts per global chunk; gather and
-    // gatherHistogram must still agree with the per-trial loop.
+    // Past 8192 trials the walk restarts per global chunk; gather must
+    // still agree with the per-trial loop.
     const Circuit program = monolithicProgram(77, 3, 16);
     const Circuit instrumented = program.withBoundaryBreakpoints(kBoundary);
     runtime::EnsembleSpec spec;
     spec.breakpoint = kBoundary + std::to_string(program.size());
     spec.qubits = {0, 1, 2};
     spec.shots = 8192 + 517;
-    spec.mode = runtime::SampleMode::Resimulate;
+    spec.mode = runtime::EnsembleMode::Resimulate;
     spec.seed = 0xc4a1;
     const auto expected = referenceTrials(instrumented, spec);
     for (const unsigned threads : {1u, 4u}) {
         runtime::EnsembleEngine engine(instrumented, threads);
         EXPECT_EQ(engine.gather(spec), expected) << "threads=" << threads;
-        EXPECT_EQ(engine.gatherHistogram(spec), histogramOf(expected))
-            << "threads=" << threads;
     }
 }
 
@@ -230,7 +262,7 @@ TEST(ResimWalk, InlineInsideAWorkerMatches)
     spec.breakpoint = kBoundary + std::to_string(program.size());
     spec.qubits = {0, 1, 2, 3};
     spec.shots = 200;
-    spec.mode = runtime::SampleMode::Resimulate;
+    spec.mode = runtime::EnsembleMode::Resimulate;
     spec.seed = 0x1d1e;
     const auto expected = referenceTrials(instrumented, spec);
 
@@ -262,7 +294,7 @@ TEST(ResimWalk, DeepOutcomeTreeWalksEveryPath)
     spec.breakpoint = kBoundary + std::to_string(program.size());
     spec.qubits = {0, 1};
     spec.shots = 1000;
-    spec.mode = runtime::SampleMode::Resimulate;
+    spec.mode = runtime::EnsembleMode::Resimulate;
     spec.seed = 0xdee9;
     const auto expected = referenceTrials(instrumented, spec);
     for (const unsigned threads : {1u, 4u}) {

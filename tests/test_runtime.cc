@@ -315,7 +315,7 @@ ghzProgram()
 }
 
 runtime::EnsembleSpec
-bellSpec(runtime::SampleMode mode)
+bellSpec(runtime::EnsembleMode mode)
 {
     runtime::EnsembleSpec spec;
     spec.breakpoint = "pair";
@@ -329,8 +329,8 @@ bellSpec(runtime::SampleMode mode)
 TEST(EnsembleEngine, ThreadCountInvariance)
 {
     const auto program = bellProgram();
-    for (auto mode : {runtime::SampleMode::Resimulate,
-                      runtime::SampleMode::SampleFinalState}) {
+    for (auto mode : {runtime::EnsembleMode::Resimulate,
+                      runtime::EnsembleMode::SampleFinalState}) {
         const auto spec = bellSpec(mode);
         runtime::EnsembleEngine serial(program, 1);
         runtime::EnsembleEngine four(program, 4);
@@ -341,41 +341,38 @@ TEST(EnsembleEngine, ThreadCountInvariance)
         const auto r8 = eight.gather(spec);
         EXPECT_EQ(r1, r4);
         EXPECT_EQ(r1, r8);
-
-        EXPECT_EQ(serial.gatherHistogram(spec),
-                  eight.gatherHistogram(spec));
     }
 }
 
-TEST(EnsembleEngine, HistogramMatchesGather)
+TEST(EnsembleEngine, GhzYieldsOnlyCorrelatedOutcomes)
 {
     const auto program = ghzProgram();
     runtime::EnsembleSpec spec;
     spec.breakpoint = "ghz";
     spec.qubits = {0, 1, 2};
     spec.shots = 300;
-    spec.mode = runtime::SampleMode::Resimulate;
     spec.seed = 42;
 
-    runtime::EnsembleEngine engine(program, 4);
-    const auto values = engine.gather(spec);
-    std::map<std::uint64_t, std::uint64_t> counted;
-    for (auto v : values)
-        ++counted[v];
-    EXPECT_EQ(counted, engine.gatherHistogram(spec));
-
-    // GHZ on |0..0>: only all-zeros and all-ones outcomes exist.
-    for (const auto &[value, count] : counted)
-        EXPECT_TRUE(value == 0 || value == 7) << "outcome " << value;
+    for (auto mode : {runtime::EnsembleMode::Resimulate,
+                      runtime::EnsembleMode::SampleFinalState}) {
+        spec.mode = mode;
+        runtime::EnsembleEngine engine(program, 4);
+        std::set<std::uint64_t> seen;
+        for (auto v : engine.gather(spec))
+            seen.insert(v);
+        // GHZ on |0..0>: only all-zeros and all-ones outcomes exist.
+        EXPECT_EQ(seen, (std::set<std::uint64_t>{0, 7}))
+            << runtime::ensembleModeName(mode);
+    }
 }
 
 TEST(EnsembleEngine, CacheIsTransparent)
 {
     const auto program = bellProgram();
     runtime::EnsembleEngine engine(program, 2);
-    const auto spec = bellSpec(runtime::SampleMode::SampleFinalState);
-    const auto first = engine.gather(spec);   // cold: simulates prefix
-    const auto second = engine.gather(spec);  // warm: cached state
+    const auto spec = bellSpec(runtime::EnsembleMode::SampleFinalState);
+    const auto first = engine.gather(spec);   // cold: builds the plan
+    const auto second = engine.gather(spec);  // warm: cached sampler
     EXPECT_EQ(first, second);
     engine.clearCache();
     EXPECT_EQ(first, engine.gather(spec));
@@ -385,16 +382,15 @@ TEST(EnsembleEngine, ZeroShotsYieldsEmpty)
 {
     const auto program = bellProgram();
     runtime::EnsembleEngine engine(program, 2);
-    auto spec = bellSpec(runtime::SampleMode::Resimulate);
+    auto spec = bellSpec(runtime::EnsembleMode::Resimulate);
     spec.shots = 0;
     EXPECT_TRUE(engine.gather(spec).empty());
-    EXPECT_TRUE(engine.gatherHistogram(spec).empty());
 }
 
 /**
  * A measurement, a long unitary stretch, then an instruction
  * conditioned on a label that nothing measures: the executor
- * (SampleFinalState's one prefix simulation) and the path walk
+ * (SampleFinalState's one path through the tail) and the path walk
  * (Resimulate) both reject it part way through a gather. The walk
  * splits at the measurement and hands one branch to a second pool
  * worker; the workers left without a branch wait for one while the
@@ -419,19 +415,18 @@ unmeasuredConditionProgram()
 
 TEST(EnsembleEngine, ErrorsMidGatherUnwindCleanly)
 {
-    // A failed prefix simulation evicts its cache claim, and a failed
+    // A failed sampler build evicts its cache claim, and a failed
     // path walk wakes the pool workers it handed subtrees to. So
     // every call on the same engine throws the qsa::Error again: none
     // hangs, and none throws std::future_error from a broken promise.
+    // A failed plan build (an unknown breakpoint) evicts its claim too.
     const auto program = unmeasuredConditionProgram();
-    for (auto mode : {runtime::SampleMode::SampleFinalState,
-                      runtime::SampleMode::Resimulate}) {
+    for (auto mode : {runtime::EnsembleMode::SampleFinalState,
+                      runtime::EnsembleMode::Resimulate}) {
         for (unsigned threads : {1u, 4u}) {
             SCOPED_TRACE(testing::Message()
                          << "threads " << threads << ", mode "
-                         << (mode == runtime::SampleMode::Resimulate
-                                 ? "resimulate"
-                                 : "sample_final_state"));
+                         << runtime::ensembleModeName(mode));
             runtime::EnsembleEngine engine(program, threads);
             runtime::EnsembleSpec spec;
             spec.breakpoint = "end";
@@ -439,13 +434,69 @@ TEST(EnsembleEngine, ErrorsMidGatherUnwindCleanly)
             spec.shots = 256;
             spec.mode = mode;
             spec.seed = 7;
+            runtime::EnsembleSpec unknown = spec;
+            unknown.breakpoint = "nowhere";
             for (int call = 0; call < 2; ++call) {
                 EXPECT_THROW_MESSAGE(engine.gather(spec), qsa::Error,
                                      "unmeasured label 'never'");
+                EXPECT_THROW_MESSAGE(engine.gather(unknown), qsa::Error,
+                                     "nowhere");
             }
         }
     }
 }
+
+#if QSA_OBS_ENABLED
+TEST(EnsembleEngine, BothModesShareOnePlan)
+{
+    // One plan per breakpoint: a Resimulate and a SampleFinalState
+    // gather at the same breakpoint simulate its head once between
+    // them.
+    const auto program = bellProgram();
+    runtime::EnsembleEngine engine(program, 1);
+    const std::int64_t misses0 = counterValue("runtime.head_cache.misses");
+    const std::int64_t hits0 = counterValue("runtime.head_cache.hits");
+    (void)engine.gather(bellSpec(runtime::EnsembleMode::Resimulate));
+    (void)engine.gather(bellSpec(runtime::EnsembleMode::SampleFinalState));
+    EXPECT_EQ(counterValue("runtime.head_cache.misses") - misses0, 1);
+    EXPECT_EQ(counterValue("runtime.head_cache.hits") - hits0, 1);
+}
+
+TEST(EnsembleEngine, RacingAssertionsBuildOneHead)
+{
+    // Four Resimulate assertions at one breakpoint fan out across the
+    // pool and race for its plan. The plan cache is single-flight, so
+    // the head is simulated once whatever the thread count: the work
+    // and the cache counters read as on one thread, every time.
+    const auto grover = algo::buildGroverProgram(algo::GroverConfig());
+    const auto work = [&](unsigned threads) {
+        assertions::CheckConfig cfg;
+        cfg.ensembleSize = 64;
+        cfg.mode = assertions::EnsembleMode::Resimulate;
+        cfg.numThreads = threads;
+        assertions::AssertionChecker checker(grover.circuit, cfg);
+        const std::string at = "oracle_computed";
+        checker.assertEntangled(at, grover.q, grover.work);
+        checker.assertSuperposition(at, grover.q);
+        checker.assertProduct(at, grover.q, grover.chain);
+        checker.assertClassical(at, grover.chain, 0);
+        obs::Registry::reset();
+        (void)checker.checkAll();
+        std::map<std::string, std::int64_t> out;
+        for (const char *name :
+             {"sim.amp_touches", "sim.gate_applies",
+              "runtime.head_cache.hits", "runtime.head_cache.misses"})
+            out[name] = counterValue(name);
+        return out;
+    };
+    const auto serial = work(1);
+    EXPECT_GT(serial.at("sim.amp_touches"), 0);
+    EXPECT_EQ(serial.at("runtime.head_cache.misses"), 1);
+    EXPECT_EQ(serial.at("runtime.head_cache.hits"), 3);
+    for (int run = 0; run < 20; ++run)
+        EXPECT_EQ(work(4), serial) << "run " << run;
+}
+#endif
 
 // --- Checker-level invariance ---------------------------------------------
 
