@@ -807,8 +807,8 @@ namespace
 {
 
 /** Sorted copy of a qubit list. */
-std::vector<unsigned>
-sortedQubits(std::vector<unsigned> qubits)
+circuit::QubitList
+sortedQubits(circuit::QubitList qubits)
 {
     std::sort(qubits.begin(), qubits.end());
     return qubits;
@@ -827,7 +827,7 @@ symmetricOperands(const circuit::Instruction &inst)
 std::vector<unsigned>
 operandUnion(const circuit::Instruction &inst)
 {
-    std::vector<unsigned> all = inst.controls;
+    std::vector<unsigned> all(inst.controls.begin(), inst.controls.end());
     all.insert(all.end(), inst.targets.begin(), inst.targets.end());
     std::sort(all.begin(), all.end());
     return all;
@@ -906,7 +906,7 @@ prefixCertKey(const circuit::Circuit &suspect,
               const circuit::Circuit &reference)
 {
     std::ostringstream os;
-    os << "v1:" << std::hex << suspect.contentHash() << ":"
+    os << "v2:" << std::hex << suspect.contentHash() << ":"
        << reference.contentHash();
     return os.str();
 }

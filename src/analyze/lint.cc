@@ -29,7 +29,7 @@ using circuit::Instruction;
 std::vector<unsigned>
 qubitsOf(const Instruction &inst)
 {
-    std::vector<unsigned> all = inst.controls;
+    std::vector<unsigned> all(inst.controls.begin(), inst.controls.end());
     all.insert(all.end(), inst.targets.begin(), inst.targets.end());
     std::sort(all.begin(), all.end());
     all.erase(std::unique(all.begin(), all.end()), all.end());
@@ -374,7 +374,7 @@ runDeadQubit(const Circuit &circ, std::vector<Diagnostic> &out)
 bool
 sameOperands(const Instruction &a, const Instruction &b)
 {
-    const auto sorted = [](std::vector<unsigned> v) {
+    const auto sorted = [](circuit::QubitList v) {
         std::sort(v.begin(), v.end());
         return v;
     };

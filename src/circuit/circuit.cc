@@ -64,10 +64,10 @@ constexpr std::size_t kPairwiseScan = 16;
  * or Unitary list is sorted, in a copy.
  */
 bool
-hasRepeat(const std::vector<unsigned> &qubits)
+hasRepeat(const QubitList &qubits)
 {
     if (qubits.size() > kPairwiseScan) {
-        std::vector<unsigned> sorted(qubits);
+        std::vector<unsigned> sorted(qubits.begin(), qubits.end());
         std::sort(sorted.begin(), sorted.end());
         return std::adjacent_find(sorted.begin(), sorted.end()) !=
                sorted.end();
@@ -245,49 +245,52 @@ Circuit::prepRegister(const QubitRegister &r, std::uint64_t value)
 namespace
 {
 
+/** A gate instruction (the builders' lists fit inline). */
 Instruction
-simpleGate(GateKind kind, unsigned q, double angle = 0.0)
+gate(GateKind kind, QubitList controls, QubitList targets,
+     double angle = 0.0)
 {
     Instruction i;
     i.kind = kind;
-    i.targets = {q};
+    i.controls = std::move(controls);
+    i.targets = std::move(targets);
     i.angle = angle;
     return i;
 }
 
 } // anonymous namespace
 
-void Circuit::h(unsigned q) { append(simpleGate(GateKind::H, q)); }
-void Circuit::x(unsigned q) { append(simpleGate(GateKind::X, q)); }
-void Circuit::y(unsigned q) { append(simpleGate(GateKind::Y, q)); }
-void Circuit::z(unsigned q) { append(simpleGate(GateKind::Z, q)); }
-void Circuit::s(unsigned q) { append(simpleGate(GateKind::S, q)); }
-void Circuit::sdg(unsigned q) { append(simpleGate(GateKind::Sdg, q)); }
-void Circuit::t(unsigned q) { append(simpleGate(GateKind::T, q)); }
-void Circuit::tdg(unsigned q) { append(simpleGate(GateKind::Tdg, q)); }
+void Circuit::h(unsigned q) { append(gate(GateKind::H, {}, {q})); }
+void Circuit::x(unsigned q) { append(gate(GateKind::X, {}, {q})); }
+void Circuit::y(unsigned q) { append(gate(GateKind::Y, {}, {q})); }
+void Circuit::z(unsigned q) { append(gate(GateKind::Z, {}, {q})); }
+void Circuit::s(unsigned q) { append(gate(GateKind::S, {}, {q})); }
+void Circuit::sdg(unsigned q) { append(gate(GateKind::Sdg, {}, {q})); }
+void Circuit::t(unsigned q) { append(gate(GateKind::T, {}, {q})); }
+void Circuit::tdg(unsigned q) { append(gate(GateKind::Tdg, {}, {q})); }
 
 void
 Circuit::rx(unsigned q, double angle)
 {
-    append(simpleGate(GateKind::Rx, q, angle));
+    append(gate(GateKind::Rx, {}, {q}, angle));
 }
 
 void
 Circuit::ry(unsigned q, double angle)
 {
-    append(simpleGate(GateKind::Ry, q, angle));
+    append(gate(GateKind::Ry, {}, {q}, angle));
 }
 
 void
 Circuit::rz(unsigned q, double angle)
 {
-    append(simpleGate(GateKind::Rz, q, angle));
+    append(gate(GateKind::Rz, {}, {q}, angle));
 }
 
 void
 Circuit::phase(unsigned q, double angle)
 {
-    append(simpleGate(GateKind::Phase, q, angle));
+    append(gate(GateKind::Phase, {}, {q}, angle));
 }
 
 void
@@ -295,67 +298,55 @@ Circuit::controlledGate(GateKind kind,
                         const std::vector<unsigned> &controls,
                         unsigned target, double angle)
 {
-    Instruction i;
-    i.kind = kind;
-    i.controls = controls;
-    i.targets = {target};
-    i.angle = angle;
-    append(std::move(i));
+    append(gate(kind, controls, {target}, angle));
 }
 
 void
 Circuit::cnot(unsigned ctrl, unsigned tgt)
 {
-    controlledGate(GateKind::X, {ctrl}, tgt);
+    append(gate(GateKind::X, {ctrl}, {tgt}));
 }
 
 void
 Circuit::ccnot(unsigned c0, unsigned c1, unsigned tgt)
 {
-    controlledGate(GateKind::X, {c0, c1}, tgt);
+    append(gate(GateKind::X, {c0, c1}, {tgt}));
 }
 
 void
 Circuit::cz(unsigned ctrl, unsigned tgt)
 {
-    controlledGate(GateKind::Z, {ctrl}, tgt);
+    append(gate(GateKind::Z, {ctrl}, {tgt}));
 }
 
 void
 Circuit::crz(unsigned ctrl, unsigned tgt, double angle)
 {
-    controlledGate(GateKind::Rz, {ctrl}, tgt, angle);
+    append(gate(GateKind::Rz, {ctrl}, {tgt}, angle));
 }
 
 void
 Circuit::cphase(unsigned ctrl, unsigned tgt, double angle)
 {
-    controlledGate(GateKind::Phase, {ctrl}, tgt, angle);
+    append(gate(GateKind::Phase, {ctrl}, {tgt}, angle));
 }
 
 void
 Circuit::ccphase(unsigned c0, unsigned c1, unsigned tgt, double angle)
 {
-    controlledGate(GateKind::Phase, {c0, c1}, tgt, angle);
+    append(gate(GateKind::Phase, {c0, c1}, {tgt}, angle));
 }
 
 void
 Circuit::swap(unsigned q0, unsigned q1)
 {
-    Instruction i;
-    i.kind = GateKind::Swap;
-    i.targets = {q0, q1};
-    append(std::move(i));
+    append(gate(GateKind::Swap, {}, {q0, q1}));
 }
 
 void
 Circuit::cswap(unsigned ctrl, unsigned q0, unsigned q1)
 {
-    Instruction i;
-    i.kind = GateKind::Swap;
-    i.controls = {ctrl};
-    i.targets = {q0, q1};
-    append(std::move(i));
+    append(gate(GateKind::Swap, {ctrl}, {q0, q1}));
 }
 
 void
@@ -399,6 +390,17 @@ Circuit::breakpoint(const std::string &label)
 }
 
 void
+Circuit::reserveFor(std::size_t n)
+{
+    if (n <= insts.capacity())
+        return;
+    std::size_t capacity = 1;
+    while (capacity < n)
+        capacity *= 2;
+    insts.reserve(capacity);
+}
+
+void
 Circuit::copyRange(const Circuit &src, std::size_t begin, std::size_t end,
                    const RangeCopy &how,
                    const std::vector<unsigned> *controls,
@@ -407,8 +409,9 @@ Circuit::copyRange(const Circuit &src, std::size_t begin, std::size_t end,
     fatal_if(begin > end || end > src.insts.size(),
              "invalid instruction range [", begin, ", ", end, ")");
     const std::size_t count = end - begin;
-    insts.reserve(insts.size() + count +
-                  (markers.empty() ? 0 : count + 1));
+    // Reserved up front, so no copy below moves the vector: `from`
+    // stays valid even when src is *this.
+    reserveFor(insts.size() + count + (markers.empty() ? 0 : count + 1));
     const bool skip_markers = how.skipMarkers || controls != nullptr;
     std::size_t copied = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -419,37 +422,44 @@ Circuit::copyRange(const Circuit &src, std::size_t begin, std::size_t end,
         if (skip_markers && from.kind == GateKind::Breakpoint)
             continue; // markers do not survive wrapping or stripping
 
-        Instruction inst = from;
-        if (how.adjoint)
-            invertInPlace(inst, how.invertConditioned);
-        if (controls != nullptr) {
-            if (!gateKindInvertible(inst.kind))
-                fatal("cannot control non-unitary instruction ",
-                      gateKindName(inst.kind));
-            fatal_if(!inst.condLabel.empty(),
-                     "cannot add quantum controls to a classically-"
-                     "conditioned instruction");
-            inst.controls.insert(inst.controls.end(), controls->begin(),
-                                 controls->end());
+        // Copied straight into place, rewritten there, then
+        // validated; a rejected copy is taken out again.
+        Instruction &inst = insts.emplace_back(from);
+        try {
+            if (how.adjoint)
+                invertInPlace(inst, how.invertConditioned);
+            if (controls != nullptr) {
+                if (!gateKindInvertible(inst.kind))
+                    fatal("cannot control non-unitary instruction ",
+                          gateKindName(inst.kind));
+                fatal_if(!inst.condLabel.empty(),
+                         "cannot add quantum controls to a classically-"
+                         "conditioned instruction");
+                inst.controls.append(controls->data(),
+                                     controls->data() + controls->size());
+            }
+            if (how.qubitOffset != 0) {
+                const auto shift = static_cast<unsigned>(how.qubitOffset);
+                for (unsigned &q : inst.targets)
+                    q += shift;
+                for (unsigned &q : inst.controls)
+                    q += shift;
+            }
+            if (!how.labelPrefix.empty()) {
+                if (!inst.label.empty())
+                    inst.label.insert(0, how.labelPrefix);
+                if (!inst.condLabel.empty())
+                    inst.condLabel.insert(0, how.labelPrefix);
+            }
+            if (inst.kind == GateKind::Unitary) {
+                const sim::CMatrix &m = src.matrix(inst.matrixId);
+                inst.matrixId = addMatrix(how.adjoint ? m.adjoint() : m);
+            }
+            validate(inst);
+        } catch (...) {
+            insts.pop_back();
+            throw;
         }
-        if (how.qubitOffset != 0) {
-            const auto shift = static_cast<unsigned>(how.qubitOffset);
-            for (unsigned &q : inst.targets)
-                q += shift;
-            for (unsigned &q : inst.controls)
-                q += shift;
-        }
-        if (!how.labelPrefix.empty()) {
-            if (!inst.label.empty())
-                inst.label.insert(0, how.labelPrefix);
-            if (!inst.condLabel.empty())
-                inst.condLabel.insert(0, how.labelPrefix);
-        }
-        if (inst.kind == GateKind::Unitary) {
-            const sim::CMatrix &m = src.matrix(inst.matrixId);
-            inst.matrixId = addMatrix(how.adjoint ? m.adjoint() : m);
-        }
-        append(std::move(inst));
         ++copied;
     }
     if (!markers.empty())
@@ -644,29 +654,45 @@ Circuit::gateCounts() const
 namespace {
 
 /**
- * FNV-1a with explicit little-endian canonicalisation: every field is
- * reduced to a fixed-width byte sequence before mixing, so the digest
- * does not depend on host integer width or endianness.
+ * The one hasher behind contentHash and chainHash. Every field is
+ * reduced to 64-bit words in a fixed encoding (strings as their
+ * length, then their bytes packed eight to a word in little-endian
+ * order), so the digest does not depend on host integer width or
+ * endianness. Each word is mixed in with one step of MurmurHash64A:
+ * the word is scrambled on its own, then xored into the state and
+ * multiplied. A step is a bijection of the state for a fixed word and
+ * of the word for a fixed state, so two encodings of the same length
+ * that differ in one word always hash differently.
  */
 struct ContentHasher {
-    std::uint64_t h = 1469598103934665603ULL;
+    static constexpr std::uint64_t kMul = 0xc6a4a7935bd1e995ULL;
 
-    void byte(unsigned char c)
+    std::uint64_t h = 0x6a09e667f3bcc908ULL;
+
+    void u64(std::uint64_t w)
     {
-        h = (h ^ c) * 1099511628211ULL;
+        w *= kMul;
+        w ^= w >> 47;
+        w *= kMul;
+        h = (h ^ w) * kMul;
     }
 
-    void u64(std::uint64_t v)
+    /** Two 32-bit values as one word, `lo` in the low half. */
+    void u32Pair(std::uint32_t lo, std::uint32_t hi)
     {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
+        u64(lo | (static_cast<std::uint64_t>(hi) << 32));
     }
 
     void str(const std::string &s)
     {
         u64(s.size());
-        for (char c : s)
-            byte(static_cast<unsigned char>(c));
+        const auto *bytes =
+            reinterpret_cast<const unsigned char *>(s.data());
+        std::size_t i = 0;
+        for (; i + 8 <= s.size(); i += 8)
+            u64(littleEndianWord(bytes + i, 8));
+        if (i < s.size())
+            u64(littleEndianWord(bytes + i, s.size() - i));
     }
 
     void f64(double d)
@@ -678,22 +704,47 @@ struct ContentHasher {
         std::memcpy(&bits, &d, sizeof(bits));
         u64(bits);
     }
+
+    /** Bytes [p, p + n), n <= 8, as a little-endian word. */
+    static std::uint64_t littleEndianWord(const unsigned char *p,
+                                          std::size_t n)
+    {
+        std::uint64_t w = 0;
+        for (std::size_t j = 0; j < n; ++j)
+            w |= static_cast<std::uint64_t>(p[j]) << (8 * j);
+        return w;
+    }
 };
 
-/** The canonical encoding of one instruction (see contentHash). */
+/**
+ * The canonical encoding of one instruction (see contentHash): kind
+ * and classical bit in one word, the two list sizes in one, the
+ * qubits (controls, then targets) two to a word, the angle, a
+ * Unitary's matrix, both labels and the condition value.
+ */
 void
 hashInstruction(ContentHasher &hash, const Circuit &circ,
                 const Instruction &inst)
 {
-    hash.u64(static_cast<std::uint64_t>(inst.kind));
-    hash.u64(inst.controls.size());
+    hash.u32Pair(static_cast<std::uint32_t>(inst.kind), inst.bit);
+    hash.u32Pair(static_cast<std::uint32_t>(inst.controls.size()),
+                 static_cast<std::uint32_t>(inst.targets.size()));
+    bool half = false;
+    std::uint32_t low = 0;
+    const auto qubit = [&](unsigned q) {
+        if (half)
+            hash.u32Pair(low, q);
+        else
+            low = q;
+        half = !half;
+    };
     for (unsigned c : inst.controls)
-        hash.u64(c);
-    hash.u64(inst.targets.size());
+        qubit(c);
     for (unsigned t : inst.targets)
-        hash.u64(t);
+        qubit(t);
+    if (half)
+        hash.u32Pair(low, 0);
     hash.f64(inst.angle);
-    hash.u64(inst.bit);
     // Hash dense matrix contents, not the side-table id: ids are
     // allocation order and differ across equal programs.
     if (inst.kind == GateKind::Unitary && inst.matrixId >= 0) {
@@ -704,8 +755,6 @@ hashInstruction(ContentHasher &hash, const Circuit &circ,
                 hash.f64(m.at(r, c).real());
                 hash.f64(m.at(r, c).imag());
             }
-    } else {
-        hash.u64(0);
     }
     hash.str(inst.label);
     hash.str(inst.condLabel);
@@ -717,7 +766,7 @@ hashInstruction(ContentHasher &hash, const Circuit &circ,
 std::uint64_t Circuit::contentHash() const
 {
     ContentHasher hash;
-    hash.str("qsa.circuit.v1");
+    hash.str("qsa.circuit.v2");
     hash.u64(nQubits);
     hash.u64(regs.size());
     for (const auto &r : regs) {

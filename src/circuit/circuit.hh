@@ -307,6 +307,13 @@ class Circuit
     void validate(const Instruction &inst) const;
 
     /**
+     * Make room for `n` instructions, rounding the capacity up to a
+     * power of two as push_back's doubling would: the markers a
+     * probe appends after a copied prefix then fit without moving it.
+     */
+    void reserveFor(std::size_t n);
+
+    /**
      * The one copy loop behind appendRange and every copy helper.
      * With `controls`, they join every copied instruction's control
      * list under appendControlled's rules (markers are dropped); a

@@ -136,7 +136,7 @@ tryFusible(const Circuit &circ, const Instruction &inst, Fusible &out)
     for (std::size_t c = 0; c < inst.controls.size(); ++c)
         local = controlledOnHigh(local);
 
-    std::vector<unsigned> lq = inst.targets;
+    std::vector<unsigned> lq(inst.targets.begin(), inst.targets.end());
     lq.insert(lq.end(), inst.controls.begin(), inst.controls.end());
     out.qubits = lq;
     std::sort(out.qubits.begin(), out.qubits.end());

@@ -10,6 +10,54 @@
 namespace qsa::circuit
 {
 
+void
+QubitList::grow(std::size_t need)
+{
+    panic_if(need > UINT32_MAX, "qubit list of ", need, " qubits");
+    const std::size_t next = std::max(need, 2 * std::size_t{cap});
+    auto *block = new unsigned[next];
+    std::copy(items, items + count, block);
+    release();
+    items = block;
+    cap = static_cast<std::uint32_t>(next);
+}
+
+bool
+operator==(const QubitList &a, const QubitList &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+bool
+operator==(const QubitList &a, const std::vector<unsigned> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+bool
+operator==(const std::vector<unsigned> &a, const QubitList &b)
+{
+    return b == a;
+}
+
+bool
+operator!=(const QubitList &a, const QubitList &b)
+{
+    return !(a == b);
+}
+
+bool
+operator!=(const QubitList &a, const std::vector<unsigned> &b)
+{
+    return !(a == b);
+}
+
+bool
+operator!=(const std::vector<unsigned> &a, const QubitList &b)
+{
+    return !(a == b);
+}
+
 std::string
 gateKindName(GateKind kind)
 {

@@ -18,6 +18,7 @@
 
 #include "circuit/qasm.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -694,19 +695,21 @@ class QasmParser
         Instruction inst;
         inst.kind = kind;
         inst.angle = angle;
-        inst.condLabel = cond_label;
+        inst.condLabel = std::move(cond_label);
         inst.condValue = cond_value;
-        std::set<unsigned> seen;
         for (std::size_t i = 0; i < operands.size(); ++i) {
             const unsigned q = resolve(operands[i]);
-            if (!seen.insert(q).second)
+            if (std::find(inst.controls.begin(), inst.controls.end(),
+                          q) != inst.controls.end() ||
+                std::find(inst.targets.begin(), inst.targets.end(), q) !=
+                    inst.targets.end())
                 parseThrow(operands[i], "duplicate qubit operand");
             if (i < num_controls)
                 inst.controls.push_back(q);
             else
                 inst.targets.push_back(q);
         }
-        circ.append(inst);
+        circ.append(std::move(inst));
     }
 };
 

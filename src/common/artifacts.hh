@@ -14,7 +14,7 @@
  * behaviour is exactly as before.
  *
  * Keys are human-readable canonical strings (producers prefix them
- * with a payload schema version, e.g. "v1:<contentHash>:..."), and
+ * with a payload schema version, e.g. "v2:<contentHash>:..."), and
  * payloads are JSON documents whose doubles round-trip bit-exactly
  * (json::Value::number), so a warm store returns artifacts *equal* to
  * what a cold derivation would produce — the serving layer's

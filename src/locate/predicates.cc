@@ -217,7 +217,7 @@ predicateStoreKey(const circuit::Circuit &reference,
                   std::size_t sample_trials, std::uint64_t seed)
 {
     std::ostringstream os;
-    os << "v1:" << std::hex << reference.contentHash() << std::dec
+    os << "v2:" << std::hex << reference.contentHash() << std::dec
        << ":q";
     for (std::size_t i = 0; i < qubits.size(); ++i)
         os << (i ? "," : "") << qubits[i];
@@ -774,7 +774,7 @@ overlapStoreKey(const circuit::Circuit &reference,
                 const std::vector<std::size_t> &boundaries)
 {
     std::ostringstream os;
-    os << "v1:" << std::hex << reference.contentHash() << std::dec
+    os << "v2:" << std::hex << reference.contentHash() << std::dec
        << ":q";
     for (std::size_t i = 0; i < qubits.size(); ++i)
         os << (i ? "," : "") << qubits[i];

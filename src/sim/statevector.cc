@@ -611,7 +611,7 @@ StateVector::amp(std::uint64_t basis) const
 void
 StateVector::setBasisState(std::uint64_t basis)
 {
-    panic_if(basis >= dim(), "basis index out of range");
+    fatal_if(basis >= dim(), "basis index out of range");
     std::fill(amps.begin(), amps.end(), Complex(0.0));
     amps[basis] = Complex(1.0);
 }
@@ -631,15 +631,14 @@ StateVector::applyGate(const Mat2 &gate, unsigned target)
 }
 
 void
-StateVector::applyControlled(const Mat2 &gate,
-                             const std::vector<unsigned> &controls,
+StateVector::applyControlled(const Mat2 &gate, QubitSpan controls,
                              unsigned target)
 {
-    panic_if(target >= nQubits, "gate target out of range");
+    fatal_if(target >= nQubits, "gate target out of range");
     std::uint64_t cmask = 0;
     for (unsigned c : controls) {
-        panic_if(c >= nQubits, "control qubit out of range");
-        panic_if(c == target, "control equals target");
+        fatal_if(c >= nQubits, "control qubit out of range");
+        fatal_if(c == target, "control equals target");
         cmask |= pow2(c);
     }
 
@@ -657,18 +656,17 @@ StateVector::applyTwoQubit(const Mat4 &u, unsigned q0, unsigned q1)
 }
 
 void
-StateVector::applyControlledTwoQubit(const Mat4 &u,
-                                     const std::vector<unsigned> &controls,
+StateVector::applyControlledTwoQubit(const Mat4 &u, QubitSpan controls,
                                      unsigned q0, unsigned q1)
 {
-    panic_if(q0 >= nQubits || q1 >= nQubits,
+    fatal_if(q0 >= nQubits || q1 >= nQubits,
              "two-qubit gate target out of range");
-    panic_if(q0 == q1, "two-qubit gate requires distinct qubits");
+    fatal_if(q0 == q1, "two-qubit gate requires distinct qubits");
 
     std::uint64_t cmask = 0;
     for (unsigned c : controls) {
-        panic_if(c >= nQubits, "control qubit out of range");
-        panic_if(c == q0 || c == q1, "control equals target");
+        fatal_if(c >= nQubits, "control qubit out of range");
+        fatal_if(c == q0 || c == q1, "control equals target");
         cmask |= pow2(c);
     }
 
@@ -687,16 +685,16 @@ StateVector::applySwap(unsigned q0, unsigned q1)
 }
 
 void
-StateVector::applyControlledSwap(const std::vector<unsigned> &controls,
-                                 unsigned q0, unsigned q1)
+StateVector::applyControlledSwap(QubitSpan controls, unsigned q0,
+                                 unsigned q1)
 {
-    panic_if(q0 >= nQubits || q1 >= nQubits, "swap qubit out of range");
-    panic_if(q0 == q1, "swap requires distinct qubits");
+    fatal_if(q0 >= nQubits || q1 >= nQubits, "swap qubit out of range");
+    fatal_if(q0 == q1, "swap requires distinct qubits");
 
     std::uint64_t cmask = 0;
     for (unsigned c : controls) {
-        panic_if(c >= nQubits, "control qubit out of range");
-        panic_if(c == q0 || c == q1, "control equals swap target");
+        fatal_if(c >= nQubits, "control qubit out of range");
+        fatal_if(c == q0 || c == q1, "control equals swap target");
         cmask |= pow2(c);
     }
 
@@ -712,23 +710,21 @@ StateVector::applyControlledSwap(const std::vector<unsigned> &controls,
 }
 
 void
-StateVector::applyUnitary(const CMatrix &u,
-                          const std::vector<unsigned> &qubits)
+StateVector::applyUnitary(const CMatrix &u, QubitSpan qubits)
 {
     applyControlledUnitary(u, {}, qubits);
 }
 
 void
-StateVector::applyControlledUnitary(const CMatrix &u,
-                                    const std::vector<unsigned> &controls,
-                                    const std::vector<unsigned> &qubits)
+StateVector::applyControlledUnitary(const CMatrix &u, QubitSpan controls,
+                                    QubitSpan qubits)
 {
     const unsigned k = qubits.size();
-    panic_if(u.dim() != pow2(k), "unitary dimension mismatch");
+    fatal_if(u.dim() != pow2(k), "unitary dimension mismatch");
     for (unsigned q : qubits) {
-        panic_if(q >= nQubits, "unitary qubit out of range");
+        fatal_if(q >= nQubits, "unitary qubit out of range");
         for (unsigned c : controls)
-            panic_if(c == q, "controls overlap unitary targets");
+            fatal_if(c == q, "controls overlap unitary targets");
     }
 
     // Fast dispatch: small dense unitaries — including every fused
@@ -751,19 +747,21 @@ StateVector::applyControlledUnitary(const CMatrix &u,
 
     std::uint64_t cmask = 0;
     for (unsigned c : controls) {
-        panic_if(c >= nQubits, "control qubit out of range");
+        fatal_if(c >= nQubits, "control qubit out of range");
         cmask |= pow2(c);
     }
     std::uint64_t qmask = 0;
     for (unsigned q : qubits)
         qmask |= pow2(q);
-    panic_if(cmask & qmask, "controls overlap unitary targets");
+    fatal_if(popcount64(qmask) != k, "unitary qubits must be distinct");
 
     const std::uint64_t sub = pow2(k);
     std::vector<Entry> mat(sub * sub);
     std::vector<std::uint64_t> offset(sub);
     for (std::uint64_t r = 0; r < sub; ++r) {
-        offset[r] = depositBits(0, qubits, r);
+        offset[r] = 0;
+        for (unsigned i = 0; i < k; ++i)
+            offset[r] |= getBit(r, i) << qubits[i];
         for (std::uint64_t c = 0; c < sub; ++c)
             mat[r * sub + c] = Entry(u.at(r, c));
     }
@@ -799,7 +797,7 @@ StateVector::applyControlledUnitary(const CMatrix &u,
 unsigned
 StateVector::measureQubit(unsigned qubit, Rng &rng)
 {
-    panic_if(qubit >= nQubits, "measured qubit out of range");
+    fatal_if(qubit >= nQubits, "measured qubit out of range");
 
     QSA_OBS_COUNTER("sim.measurements", 1);
     const double p1 = probabilityOne(qubit);
@@ -809,8 +807,11 @@ StateVector::measureQubit(unsigned qubit, Rng &rng)
 }
 
 std::uint64_t
-StateVector::measureQubits(const std::vector<unsigned> &qubits, Rng &rng)
+StateVector::measureQubits(QubitSpan qubits, Rng &rng)
 {
+    // All checked first, so a bad list collapses nothing.
+    for (unsigned q : qubits)
+        fatal_if(q >= nQubits, "measured qubit out of range");
     std::uint64_t value = 0;
     for (std::size_t i = 0; i < qubits.size(); ++i)
         value |= static_cast<std::uint64_t>(measureQubit(qubits[i], rng))

@@ -56,6 +56,12 @@ namespace qsa::sim
  *  - exact read-out without collapse: probability / marginalProbs /
  *    reducedDensityMatrix (used by the fast sampling ensemble mode and
  *    by test oracles that need ground truth about entanglement).
+ *
+ * The evolution and measurement entry points take their qubit lists
+ * as QubitSpan views, so the executor passes an instruction's own
+ * lists. They check their qubit arguments (and setBasisState its
+ * index): a qubit out of range, a control on a target or a repeated
+ * target throws qsa::Error before the state changes.
  */
 class StateVector
 {
@@ -96,8 +102,7 @@ class StateVector
      * Apply a single-qubit gate controlled on every qubit in controls
      * being |1>. An empty control list is an uncontrolled application.
      */
-    void applyControlled(const Mat2 &gate,
-                         const std::vector<unsigned> &controls,
+    void applyControlled(const Mat2 &gate, QubitSpan controls,
                          unsigned target);
 
     /**
@@ -109,29 +114,26 @@ class StateVector
     void applyTwoQubit(const Mat4 &u, unsigned q0, unsigned q1);
 
     /** Controlled dense two-qubit gate. */
-    void applyControlledTwoQubit(const Mat4 &u,
-                                 const std::vector<unsigned> &controls,
+    void applyControlledTwoQubit(const Mat4 &u, QubitSpan controls,
                                  unsigned q0, unsigned q1);
 
     /** Swap two qubits. */
     void applySwap(unsigned q0, unsigned q1);
 
     /** Controlled swap (Fredkin) with arbitrary control list. */
-    void applyControlledSwap(const std::vector<unsigned> &controls,
-                             unsigned q0, unsigned q1);
+    void applyControlledSwap(QubitSpan controls, unsigned q0,
+                             unsigned q1);
 
     /**
      * Apply a dense unitary to an ordered list of qubits; qubits[0] is
      * the least significant bit of the matrix's index space. The matrix
      * dimension must be 2^qubits.size().
      */
-    void applyUnitary(const CMatrix &u,
-                      const std::vector<unsigned> &qubits);
+    void applyUnitary(const CMatrix &u, QubitSpan qubits);
 
     /** Controlled dense unitary. */
-    void applyControlledUnitary(const CMatrix &u,
-                                const std::vector<unsigned> &controls,
-                                const std::vector<unsigned> &qubits);
+    void applyControlledUnitary(const CMatrix &u, QubitSpan controls,
+                                QubitSpan qubits);
 
     /** @} */
     /** @{ @name Measurement and reset */
@@ -146,8 +148,7 @@ class StateVector
      * Measure a list of qubits; the result packs qubits[i] as bit i.
      * Collapses the state.
      */
-    std::uint64_t measureQubits(const std::vector<unsigned> &qubits,
-                                Rng &rng);
+    std::uint64_t measureQubits(QubitSpan qubits, Rng &rng);
 
     /**
      * Scaffold-style PrepZ: leaves the qubit in |bit>, measuring first

@@ -7,12 +7,55 @@
 #define QSA_SIM_TYPES_HH
 
 #include <complex>
+#include <cstddef>
+#include <initializer_list>
+#include <vector>
 
 namespace qsa::sim
 {
 
 /** Amplitude type used throughout the simulator. */
 using Complex = std::complex<double>;
+
+/**
+ * A non-owning view of a qubit list: what the StateVector entry points
+ * the executor calls take, so an instruction's inline
+ * circuit::QubitList, a std::vector or a braced list reaches a kernel
+ * without building a vector. It is a parameter type only: a braced
+ * list's array lives until the end of the call's full expression, so
+ * never keep a view past the call that received it.
+ */
+class QubitSpan
+{
+  public:
+    constexpr QubitSpan() = default;
+
+    constexpr QubitSpan(const unsigned *first, std::size_t count)
+        : ptr(first), len(count)
+    {
+    }
+
+    QubitSpan(const std::vector<unsigned> &qubits)
+        : ptr(qubits.data()), len(qubits.size())
+    {
+    }
+
+    /** A braced list, for the length of the call it is passed to
+     *  (as std::span's initializer_list constructor in C++26). */
+    constexpr QubitSpan(std::initializer_list<unsigned> qubits)
+        : QubitSpan(qubits.begin(), qubits.size())
+    {
+    }
+
+    constexpr std::size_t size() const { return len; }
+    constexpr const unsigned *begin() const { return ptr; }
+    constexpr const unsigned *end() const { return ptr + len; }
+    constexpr unsigned operator[](std::size_t i) const { return ptr[i]; }
+
+  private:
+    const unsigned *ptr = nullptr;
+    std::size_t len = 0;
+};
 
 /** A 2x2 single-qubit gate matrix, row major. */
 struct Mat2

@@ -316,6 +316,104 @@ TEST(CircuitIR, InverseOfUnitaryInstruction)
 
 // --- QASM -----------------------------------------------------------------
 
+// --- QubitList ---------------------------------------------------------------
+
+TEST(QubitList, SpillsToTheHeapOnlyPastItsInlineCapacity)
+{
+    QubitList list;
+    for (unsigned q = 0; q < QubitList::kInline; ++q)
+        list.push_back(10 + q);
+    EXPECT_EQ(list.capacity(), QubitList::kInline);
+    EXPECT_EQ(list, (std::vector<unsigned>{10, 11, 12, 13}));
+
+    list.push_back(14); // capacity + 1
+    EXPECT_GT(list.capacity(), QubitList::kInline);
+    EXPECT_EQ(list, (std::vector<unsigned>{10, 11, 12, 13, 14}));
+    EXPECT_EQ(list.size(), 5u);
+
+    // Gate lists stay inline however they are built.
+    const QubitList gate{1, 2};
+    EXPECT_EQ(gate.capacity(), QubitList::kInline);
+    const QubitList from_vector(std::vector<unsigned>{5, 6, 7, 8});
+    EXPECT_EQ(from_vector.capacity(), QubitList::kInline);
+}
+
+TEST(QubitList, CopiesAndMovesOfSpilledLists)
+{
+    const std::vector<unsigned> qubits{0, 1, 2, 3, 4, 5, 6};
+    QubitList spilled(qubits);
+    ASSERT_GT(spilled.capacity(), QubitList::kInline);
+
+    QubitList copy(spilled);
+    EXPECT_EQ(copy, qubits);
+    EXPECT_NE(copy.data(), spilled.data());
+    copy[0] = 9; // the copy owns its own block
+    EXPECT_EQ(spilled, qubits);
+
+    const unsigned *block = spilled.data();
+    QubitList moved(std::move(spilled));
+    EXPECT_EQ(moved, qubits);
+    EXPECT_EQ(moved.data(), block); // the block changes hands
+    EXPECT_TRUE(spilled.empty());   // NOLINT(bugprone-use-after-move)
+
+    // Assignment in every direction: inline into spilled, spilled
+    // into inline, moved spilled into inline, and onto itself.
+    QubitList small{7};
+    copy = small;
+    EXPECT_EQ(copy, (std::vector<unsigned>{7}));
+    small = moved;
+    EXPECT_EQ(small, qubits);
+    QubitList target{1, 2};
+    target = std::move(moved);
+    EXPECT_EQ(target, qubits);
+    const QubitList &alias = target;
+    target = alias;
+    EXPECT_EQ(target, qubits);
+
+    // Moving an inline list copies its qubits.
+    QubitList inline_list{3, 4};
+    QubitList taken(std::move(inline_list));
+    EXPECT_EQ(taken, (std::vector<unsigned>{3, 4}));
+    EXPECT_EQ(taken.capacity(), QubitList::kInline);
+}
+
+TEST(QubitList, ComparesWithVectors)
+{
+    const QubitList list{4, 2};
+    const std::vector<unsigned> same{4, 2};
+    EXPECT_TRUE(list == same);
+    EXPECT_TRUE(same == list);
+    EXPECT_FALSE(list != same);
+    EXPECT_TRUE(list != (std::vector<unsigned>{2, 4}));
+    EXPECT_TRUE(list != (std::vector<unsigned>{4, 2, 1}));
+    EXPECT_TRUE((std::vector<unsigned>{4}) != list);
+    EXPECT_TRUE(QubitList() == std::vector<unsigned>());
+    EXPECT_TRUE(list == QubitList({4, 2}));
+    EXPECT_TRUE(list != QubitList({4}));
+}
+
+TEST(QubitList, AppendAtTheEndAsAppendControlledUsesIt)
+{
+    QubitList list{1, 2};
+    const std::vector<unsigned> extra{3, 4, 5};
+    list.append(extra.data(), extra.data() + extra.size());
+    EXPECT_EQ(list, (std::vector<unsigned>{1, 2, 3, 4, 5}));
+    list.append(extra.data(), extra.data()); // empty range
+    EXPECT_EQ(list.size(), 5u);
+
+    // A Toffoli under three more controls: five controls, spilled,
+    // the gate's own first.
+    Circuit body(6);
+    body.ccnot(0, 1, 2);
+    Circuit wrapped(6);
+    wrapped.appendControlled(body, {3, 4, 5});
+    const Instruction &inst = wrapped.instructions().at(0);
+    EXPECT_EQ(inst.controls, (std::vector<unsigned>{0, 1, 3, 4, 5}));
+    EXPECT_EQ(inst.targets, (std::vector<unsigned>{2}));
+    EXPECT_EQ(body.instructions()[0].controls,
+              (std::vector<unsigned>{0, 1}));
+}
+
 TEST(Qasm, EmitContainsExpectedLines)
 {
     Circuit c;

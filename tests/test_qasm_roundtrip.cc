@@ -28,6 +28,10 @@ namespace
 using namespace qsa;
 using circuit::Circuit;
 
+/** ContentHash.PinnedAcrossPlatforms's program, hashed. */
+constexpr std::uint64_t kPinnedContentHash = 0xa289bee8df57dcccULL;
+constexpr std::uint64_t kPinnedChainHash = 0x5edd0ad46278b2adULL;
+
 /** Every circuit the examples run as the *correct* variant (the same
  *  catalogue tests/test_analyze.cc lints clean). */
 std::vector<std::pair<std::string, Circuit>>
@@ -186,6 +190,186 @@ TEST(ContentHash, NegativeZeroAngleIsCanonical)
     const auto q2 = minus.addRegister("q", 1);
     minus.rz(q2[0], -0.0);
     EXPECT_EQ(plus.contentHash(), minus.contentHash());
+}
+
+/** Chain seed for the chainHash comparisons below (any value). */
+constexpr std::uint64_t kSeed = 0x71c3c4e8b0a5d2f9ULL;
+
+/** The two hashes of one instruction, appended alone to a 6-qubit
+ *  circuit whose only dense matrix is `matrix`. */
+std::pair<std::uint64_t, std::uint64_t>
+hashesOf(const circuit::Instruction &inst, const sim::CMatrix &matrix)
+{
+    Circuit c(6);
+    c.addMatrix(matrix);
+    c.append(inst);
+    return {c.contentHash(), c.chainHash(kSeed, inst)};
+}
+
+/** A 4x4 unitary: a permutation with phases. */
+sim::CMatrix
+phasedPermutation(double phase)
+{
+    sim::CMatrix m(4);
+    m.at(0, 1) = 1.0;
+    m.at(1, 0) = 1.0;
+    m.at(2, 3) = std::polar(1.0, phase);
+    m.at(3, 2) = 1.0;
+    return m;
+}
+
+TEST(ContentHash, EverySemanticFieldChangesBothHashes)
+{
+    // Every field is set, so a hasher that skips one fails its row.
+    circuit::Instruction gate;
+    gate.kind = circuit::GateKind::Phase;
+    gate.controls = {0, 1};
+    gate.targets = {2};
+    gate.angle = 0.25;
+    gate.bit = 1;
+    gate.label = "lbl";
+    gate.condLabel = "c";
+    gate.condValue = 3;
+
+    circuit::Instruction dense;
+    dense.kind = circuit::GateKind::Unitary;
+    dense.controls = {0};
+    dense.targets = {1, 2};
+    dense.matrixId = 0;
+
+    using Mutation = void (*)(circuit::Instruction &);
+    struct Row
+    {
+        const char *field;
+        const circuit::Instruction *base;
+        Mutation mutate;
+    };
+    const Row rows[] = {
+        {"kind", &gate, [](circuit::Instruction &i) {
+             i.kind = circuit::GateKind::Rz;
+         }},
+        {"control 0", &gate,
+         [](circuit::Instruction &i) { i.controls[0] = 3; }},
+        {"control 1", &gate,
+         [](circuit::Instruction &i) { i.controls[1] = 4; }},
+        {"target 0", &gate,
+         [](circuit::Instruction &i) { i.targets[0] = 5; }},
+        {"control order", &gate,
+         [](circuit::Instruction &i) { i.controls = {1, 0}; }},
+        {"angle", &gate, [](circuit::Instruction &i) { i.angle = 0.5; }},
+        {"bit", &gate, [](circuit::Instruction &i) { i.bit = 0; }},
+        {"label", &gate,
+         [](circuit::Instruction &i) { i.label = "lbm"; }},
+        {"condLabel", &gate,
+         [](circuit::Instruction &i) { i.condLabel = "d"; }},
+        {"condValue", &gate,
+         [](circuit::Instruction &i) { i.condValue = 4; }},
+        {"unitary target 0", &dense,
+         [](circuit::Instruction &i) { i.targets[0] = 3; }},
+        {"unitary target 1", &dense,
+         [](circuit::Instruction &i) { i.targets[1] = 3; }},
+        {"unitary control", &dense,
+         [](circuit::Instruction &i) { i.controls[0] = 3; }},
+    };
+    const sim::CMatrix matrix = phasedPermutation(0.5);
+    for (const Row &row : rows) {
+        circuit::Instruction mutated = *row.base;
+        row.mutate(mutated);
+        const auto base = hashesOf(*row.base, matrix);
+        const auto changed = hashesOf(mutated, matrix);
+        EXPECT_NE(base.first, changed.first) << row.field;
+        EXPECT_NE(base.second, changed.second) << row.field;
+    }
+
+    // Where the controls end counts, not only the qubit sequence
+    // (checked on chainHash: a Phase with two targets is no valid
+    // circuit instruction, and both hashes share one encoder).
+    circuit::Instruction split = gate;
+    split.controls = {0};
+    split.targets = {1, 2};
+    const Circuit space(6);
+    EXPECT_NE(space.chainHash(kSeed, gate), space.chainHash(kSeed, split));
+
+    // A Unitary hashes its matrix contents, not its side-table id.
+    const auto base = hashesOf(dense, matrix);
+    const auto other_contents = hashesOf(dense, phasedPermutation(0.75));
+    EXPECT_NE(base.first, other_contents.first);
+    EXPECT_NE(base.second, other_contents.second);
+    Circuit shifted(6);
+    shifted.addMatrix(phasedPermutation(0.75));
+    shifted.addMatrix(matrix);
+    circuit::Instruction moved = dense;
+    moved.matrixId = 1;
+    shifted.append(moved);
+    EXPECT_EQ(shifted.contentHash(), base.first);
+    EXPECT_EQ(shifted.chainHash(kSeed, moved), base.second);
+}
+
+TEST(ContentHash, ChainHashCanonicalisesNegativeZero)
+{
+    circuit::Instruction plus;
+    plus.kind = circuit::GateKind::Rz;
+    plus.targets = {0};
+    plus.angle = 0.0;
+    circuit::Instruction minus = plus;
+    minus.angle = -0.0;
+    const auto p = hashesOf(plus, sim::CMatrix(2));
+    const auto m = hashesOf(minus, sim::CMatrix(2));
+    EXPECT_EQ(p.first, m.first);
+    EXPECT_EQ(p.second, m.second);
+}
+
+TEST(ContentHash, LabelLengthAndTailBytesAreMixedIn)
+{
+    // Labels are hashed eight bytes to a word after their length, so
+    // a tail shorter than a word, a full word and a zero byte must
+    // each count.
+    const std::vector<std::string> labels{
+        std::string(7, 'x'), std::string(8, 'x'), std::string(9, 'x'),
+        std::string(16, 'x'), "a", std::string("a\0", 2), "",
+        std::string(8, '\0'), std::string(9, '\0')};
+    std::set<std::uint64_t> content;
+    std::set<std::uint64_t> chain;
+    for (const std::string &label : labels) {
+        circuit::Instruction marker;
+        marker.kind = circuit::GateKind::Breakpoint;
+        marker.label = label;
+        const auto h = hashesOf(marker, sim::CMatrix(2));
+        content.insert(h.first);
+        chain.insert(h.second);
+
+        // The last byte of each tail reaches the hash.
+        if (label.empty())
+            continue;
+        circuit::Instruction last_byte = marker;
+        last_byte.label.back() = 'y';
+        const auto changed = hashesOf(last_byte, sim::CMatrix(2));
+        EXPECT_NE(changed.first, h.first) << label.size();
+        EXPECT_NE(changed.second, h.second) << label.size();
+    }
+    EXPECT_EQ(content.size(), labels.size());
+    EXPECT_EQ(chain.size(), labels.size());
+}
+
+TEST(ContentHash, PinnedAcrossPlatforms)
+{
+    // The encoding is fixed-width and packs string bytes
+    // little-endian explicitly, so these values are the same on every
+    // host; a change to the encoding must change the store-key
+    // version ("v2:") along with them.
+    Circuit c;
+    const auto q = c.addRegister("qreg_name", 3);
+    c.h(q[0]);
+    c.ccphase(q[0], q[1], q[2], 0.375);
+    c.measure(q, "result_label");
+    c.x(q[1]);
+    c.conditionLast("result_label", 5);
+    c.breakpoint("after_all");
+    EXPECT_EQ(c.contentHash(), kPinnedContentHash);
+    std::uint64_t chain = kSeed;
+    for (const auto &inst : c.instructions())
+        chain = c.chainHash(chain, inst);
+    EXPECT_EQ(chain, kPinnedChainHash);
 }
 
 // --- positioned parse errors -----------------------------------------------

@@ -99,25 +99,50 @@ TEST(SimEdges, MidCircuitResetStatistics)
     EXPECT_NEAR(partner_ones / (double)trials, 0.5, 0.1);
 }
 
-TEST(SimEdgesDeath, BadArgumentsPanic)
+TEST(SimEdges, BadArgumentsThrow)
 {
     sim::StateVector sv(2);
-    EXPECT_DEATH(sv.setBasisState(4), "out of range");
-    EXPECT_DEATH(sv.applyGate(sim::gates::x(), 2), "out of range");
-    EXPECT_DEATH(sv.applyControlled(sim::gates::x(), {1}, 1),
-                 "control equals target");
-    EXPECT_DEATH(sv.applySwap(0, 0), "distinct");
+    EXPECT_THROW_MESSAGE(sv.setBasisState(4), Error, "out of range");
+    EXPECT_THROW_MESSAGE(sv.applyGate(sim::gates::x(), 2), Error,
+                         "out of range");
+    EXPECT_THROW_MESSAGE(sv.applyControlled(sim::gates::x(), {1}, 1),
+                         Error, "control equals target");
+    EXPECT_THROW_MESSAGE(sv.applySwap(0, 0), Error, "distinct");
     const sim::CMatrix bad(2);
-    EXPECT_DEATH(sv.applyUnitary(bad, {0, 1}),
-                 "dimension mismatch");
+    EXPECT_THROW_MESSAGE(sv.applyUnitary(bad, {0, 1}), Error,
+                         "dimension mismatch");
 }
 
-TEST(SimEdgesDeath, ControlOverlapsUnitaryTarget)
+TEST(SimEdges, ControlOverlapsUnitaryTarget)
 {
     sim::StateVector sv(3);
     const sim::CMatrix id4 = sim::CMatrix::identity(4);
-    EXPECT_DEATH(sv.applyControlledUnitary(id4, {1}, {0, 1}),
-                 "overlap");
+    EXPECT_THROW_MESSAGE(sv.applyControlledUnitary(id4, {1}, {0, 1}),
+                         Error, "overlap");
+}
+
+TEST(SimEdges, RejectedArgumentsLeaveTheStateUnchanged)
+{
+    // Every qubit argument is checked before a kernel or a collapse
+    // runs, so the caller can catch the error and keep the state.
+    sim::StateVector sv(3);
+    sv.applyGate(sim::gates::h(), 0);
+    sv.applyControlled(sim::gates::x(), {0}, 1);
+    const std::vector<sim::Complex> before = sv.amplitudes();
+    Rng rng(7);
+    EXPECT_THROW_MESSAGE(sv.measureQubits({0, 3}, rng), Error,
+                         "measured qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.prepZ(5, 0, rng), Error,
+                         "measured qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.applyControlledSwap({3}, 0, 1), Error,
+                         "control qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.applyControlledTwoQubit(
+                             sim::mat4Identity(), {0}, 0, 2),
+                         Error, "control equals target");
+    EXPECT_THROW_MESSAGE(
+        sv.applyUnitary(sim::CMatrix::identity(8), {0, 2, 0}), Error,
+        "distinct");
+    EXPECT_EQ(sv.amplitudes(), before);
 }
 
 // --- Executor edges ---------------------------------------------------------------

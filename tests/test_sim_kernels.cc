@@ -53,6 +53,7 @@ using sim::CMatrix;
 using sim::Complex;
 using sim::Mat2;
 using sim::Mat4;
+using sim::QubitSpan;
 using sim::StateVector;
 using sim::detail::KernelLevel;
 using sim::detail::kernelLevelName;
@@ -156,7 +157,7 @@ namespace ref
 
 /** Bit mask of a qubit list. */
 std::uint64_t
-maskOf(const std::vector<unsigned> &qubits)
+maskOf(QubitSpan qubits)
 {
     std::uint64_t mask = 0;
     for (unsigned q : qubits)
@@ -166,7 +167,7 @@ maskOf(const std::vector<unsigned> &qubits)
 
 void
 applyControlled(std::vector<Complex> &amps, const Mat2 &gate,
-                const std::vector<unsigned> &controls, unsigned target)
+                QubitSpan controls, unsigned target)
 {
     const std::uint64_t cmask = maskOf(controls);
     const std::uint64_t tmask = pow2(target);
@@ -183,8 +184,7 @@ applyControlled(std::vector<Complex> &amps, const Mat2 &gate,
 
 void
 applyControlledTwoQubit(std::vector<Complex> &amps, const Mat4 &u,
-                        const std::vector<unsigned> &controls,
-                        unsigned q0, unsigned q1)
+                        QubitSpan controls, unsigned q0, unsigned q1)
 {
     const std::uint64_t cmask = maskOf(controls);
     const std::uint64_t m0 = pow2(q0);
@@ -206,9 +206,8 @@ applyControlledTwoQubit(std::vector<Complex> &amps, const Mat4 &u,
 }
 
 void
-applyControlledSwap(std::vector<Complex> &amps,
-                    const std::vector<unsigned> &controls, unsigned q0,
-                    unsigned q1)
+applyControlledSwap(std::vector<Complex> &amps, QubitSpan controls,
+                    unsigned q0, unsigned q1)
 {
     const std::uint64_t cmask = maskOf(controls);
     const std::uint64_t m0 = pow2(q0);
@@ -223,9 +222,10 @@ applyControlledSwap(std::vector<Complex> &amps,
 /** Dispatches 1q/2q matrices like StateVector::applyControlledUnitary. */
 void
 applyControlledUnitary(std::vector<Complex> &amps, const CMatrix &u,
-                       const std::vector<unsigned> &controls,
-                       const std::vector<unsigned> &qubits)
+                       QubitSpan controls, QubitSpan qubit_span)
 {
+    const std::vector<unsigned> qubits(qubit_span.begin(),
+                                       qubit_span.end());
     const unsigned k = qubits.size();
     if (k == 1) {
         applyControlled(amps,
