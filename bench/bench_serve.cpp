@@ -1,8 +1,9 @@
 /**
  * @file
  * qsa::serve cost: request throughput through the full NDJSON
- * pipeline (parse + validate + execute + render) and the persistent
- * oracle store's cold-versus-warm localization replay.
+ * pipeline (parse + validate + execute + render), the QASM parse
+ * alone, and the persistent oracle store's cold-versus-warm
+ * localization replay.
  *
  * The headline counters are deterministic: per-request probe work is
  * seeded, and the "hit_rate" counter on the warm-store benchmark is
@@ -133,6 +134,42 @@ BM_ServeLocateNoStore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeLocateNoStore)->Unit(benchmark::kMillisecond);
+
+/**
+ * A controlled modular multiplication mod 7 on 9 qubits, the shape of
+ * the serve benchmark's wrong-inverse programs: 533 instructions, 384
+ * of them with an angle.
+ */
+std::string
+modMulQasm()
+{
+    circuit::Circuit circ;
+    const auto ctrl = circ.addRegister("ctrl", 1);
+    const auto x = circ.addRegister("x", 3);
+    const auto b = circ.addRegister("b", 4);
+    const auto anc = circ.addRegister("anc", 1);
+    circ.prepRegister(ctrl, 1);
+    circ.prepRegister(x, 6);
+    circ.prepRegister(b, 0);
+    circ.prepRegister(anc, 0);
+    circ.h(ctrl[0]);
+    algo::cUa(circ, ctrl[0], x, b, 3, 5, 7, anc[0]);
+    return circuit::toQasm(circ);
+}
+
+/** circuit::fromQasm alone; items are instructions parsed. */
+void
+BM_FromQasm(benchmark::State &state)
+{
+    const std::string text = modMulQasm();
+    const std::size_t instructions = circuit::fromQasm(text).size();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(circuit::fromQasm(text));
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * instructions));
+    state.counters["instructions"] = static_cast<double>(instructions);
+}
+BENCHMARK(BM_FromQasm)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ServeLocateWarmStore(benchmark::State &state)

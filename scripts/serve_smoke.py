@@ -9,7 +9,9 @@ the outside:
 
  - every response is ok (or the expected positioned QASM error); the
    mix holds plain and two-item check plans, sample_final_state and
-   resimulate locates, some at "threads": 4,
+   resimulate locates, some at "threads": 4; every ok response
+   reports its execution and parse time in "obs" ("duration_ns",
+   "parse_ns"),
  - a batch of such plans and resimulate locates, pipelined on four
    connections at once, gives the same results on each,
  - identical requests produce byte-identical "result" members no
@@ -147,10 +149,20 @@ def run_round(client, socket_path, requests):
 
 
 def result_member(response_line, i):
+    """Parse one daemon response. An ok one must carry its cost in
+    "obs": execution ("duration_ns") and parsing ("parse_ns"), each a
+    non-negative integer of nanoseconds."""
     try:
         doc = json.loads(response_line)
     except ValueError as err:
         fail(f"response {i} is not JSON: {err}: {response_line!r}")
+    if doc.get("ok") is True:
+        obs = doc.get("obs")
+        for field in ("duration_ns", "parse_ns"):
+            value = obs.get(field) if isinstance(obs, dict) else None
+            if not isinstance(value, int) or value < 0:
+                fail(f"response {i}: \"obs\" lacks a {field} count: "
+                     f"{response_line!r}")
     return doc
 
 

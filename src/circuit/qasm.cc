@@ -1,33 +1,31 @@
 /**
  * @file
- * OpenQASM 2.0 dialect emitter and recursive-descent parser.
+ * OpenQASM 2.0 dialect emitter and one-pass parser.
  *
- * The parser reports every failure as a positioned QasmError (line,
- * column, offending token): qsa::serve hands it bytes from remote
- * clients, and the client needs to know where its circuit went
- * wrong. Inside a line errors propagate as a private, unpositioned
- * exception; the line loop adds the position.
- *
- * The same rule covers the Circuit building calls: every precondition
- * Circuit::append/measureQubits/breakpoint would reject (range,
- * duplicate operands, arity, duplicate labels) is checked here first
- * and reported with the offending token, which Circuit's own messages
- * cannot name. A qsa::Error the Circuit still raises is positioned on
- * its line all the same.
+ * The parser reads the source once, in place: lines, statements and
+ * operands are views into it, and names resolve through flat tables of
+ * views. Every failure is a QasmError positioned at its line, column
+ * and offending token, for remote clients (qsa::serve) as much as for
+ * files; that includes every precondition the Circuit building calls
+ * would reject, checked here first so the message can name the token.
+ * tests/qasm_mutants.golden pins the language and each rejection.
  */
 
 #include "circuit/qasm.hh"
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <map>
-#include <set>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -70,6 +68,18 @@ registersCoverSpace(const Circuit &circ)
     return base == circ.numQubits() && base > 0;
 }
 
+/** "line 3, column 7: unsupported QASM gate 'zz'". */
+std::string
+positioned(std::size_t line, std::size_t column,
+           const std::string &token, const std::string &message)
+{
+    std::ostringstream os;
+    os << "line " << line << ", column " << column << ": " << message;
+    if (!token.empty())
+        os << " '" << token << "'";
+    return os.str();
+}
+
 /** Sanitise a measurement label into a classical register name. */
 std::string
 cregName(const std::string &label)
@@ -86,11 +96,8 @@ std::string
 toQasm(const Circuit &circ)
 {
     std::ostringstream os;
-    os << "OPENQASM 2.0;\n";
-    os << "include \"qelib1.inc\";\n";
-
-    const bool named = registersCoverSpace(circ);
-    if (named) {
+    os << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+    if (registersCoverSpace(circ)) {
         for (const auto &r : circ.registers())
             os << "qreg " << r.name() << "[" << r.width() << "];\n";
     } else {
@@ -99,10 +106,9 @@ toQasm(const Circuit &circ)
 
     // Declare one classical register per measurement label.
     for (const auto &inst : circ.instructions()) {
-        if (inst.kind == GateKind::Measure) {
+        if (inst.kind == GateKind::Measure)
             os << "creg " << cregName(inst.label) << "["
                << inst.targets.size() << "];\n";
-        }
     }
 
     for (const auto &inst : circ.instructions()) {
@@ -115,11 +121,10 @@ toQasm(const Circuit &circ)
             os << "// qsa.breakpoint " << inst.label << "\n";
             continue;
           case GateKind::Measure:
-            for (std::size_t i = 0; i < inst.targets.size(); ++i) {
+            for (std::size_t i = 0; i < inst.targets.size(); ++i)
                 os << "measure " << qubitRef(circ, inst.targets[i])
                    << " -> " << cregName(inst.label) << "[" << i
                    << "];\n";
-            }
             continue;
           case GateKind::Unitary:
             fatal("dense unitary instructions have no QASM form");
@@ -127,47 +132,25 @@ toQasm(const Circuit &circ)
             break;
         }
 
-        if (!inst.condLabel.empty()) {
+        if (!inst.condLabel.empty())
             os << "if(" << cregName(inst.condLabel) << "=="
                << inst.condValue << ") ";
-        }
         std::string name(inst.controls.size(), 'c');
         name += gateKindName(inst.kind);
         os << name;
         if (gateKindHasAngle(inst.kind))
             os << "(" << fmtAngle(inst.angle) << ")";
-        os << " ";
-
-        bool first = true;
-        for (unsigned c : inst.controls) {
-            os << (first ? "" : ",") << qubitRef(circ, c);
-            first = false;
-        }
-        for (unsigned t : inst.targets) {
-            os << (first ? "" : ",") << qubitRef(circ, t);
-            first = false;
+        const char *separator = " ";
+        for (const QubitList *qubits : {&inst.controls, &inst.targets}) {
+            for (unsigned q : *qubits) {
+                os << separator << qubitRef(circ, q);
+                separator = ",";
+            }
         }
         os << ";\n";
     }
     return os.str();
 }
-
-namespace
-{
-
-/** "line 3, column 7: unsupported QASM gate 'zz'". */
-std::string
-positioned(std::size_t line, std::size_t column,
-           const std::string &token, const std::string &message)
-{
-    std::ostringstream os;
-    os << "line " << line << ", column " << column << ": " << message;
-    if (!token.empty())
-        os << " '" << token << "'";
-    return os.str();
-}
-
-} // anonymous namespace
 
 QasmError::QasmError(std::size_t line, std::size_t column,
                      std::string token, const std::string &message)
@@ -185,6 +168,8 @@ QasmError::QasmError(const std::string &context, const QasmError &error)
 namespace
 {
 
+constexpr std::size_t npos = std::string_view::npos;
+
 /** A failure inside one line; the line loop positions it. */
 struct ParseFailure
 {
@@ -194,54 +179,105 @@ struct ParseFailure
 
 /** Throw a (not yet positioned) parse failure. */
 [[noreturn]] void
-parseThrow(std::string token, std::string message)
+parseThrow(std::string_view token, std::string message)
 {
-    throw ParseFailure{std::move(token), std::move(message)};
+    throw ParseFailure{std::string(token), std::move(message)};
+}
+
+/** isspace and isdigit of the "C" locale. */
+bool
+isSpace(char ch)
+{
+    return ch == ' ' || (ch >= '\t' && ch <= '\r');
+}
+
+bool
+isDigit(char ch)
+{
+    return ch >= '0' && ch <= '9';
 }
 
 /** Strip surrounding whitespace. */
-std::string
-trimmed(std::string s)
+std::string_view
+trimmed(std::string_view s)
 {
-    while (!s.empty() &&
-           std::isspace(static_cast<unsigned char>(s.front())))
-        s.erase(s.begin());
-    while (!s.empty() &&
-           std::isspace(static_cast<unsigned char>(s.back())))
-        s.pop_back();
+    while (!s.empty() && isSpace(s.front()))
+        s.remove_prefix(1);
+    while (!s.empty() && isSpace(s.back()))
+        s.remove_suffix(1);
     return s;
+}
+
+/** True when `s` begins with the literal `prefix`. */
+template <std::size_t N>
+bool
+startsWith(std::string_view s, const char (&prefix)[N])
+{
+    return s.size() >= N - 1 && std::memcmp(s.data(), prefix, N - 1) == 0;
 }
 
 /** Parse a decimal unsigned, rejecting junk and overflow. */
 std::uint64_t
-parseUnsigned(const std::string &text, const char *what)
+parseUnsigned(std::string_view text, const char *what)
 {
-    const std::string digits = trimmed(text);
-    if (digits.empty() || digits.size() > 18)
+    const std::string_view digits = trimmed(text);
+    if (digits.empty() || digits.size() > 18 ||
+        !std::all_of(digits.begin(), digits.end(), isDigit))
         parseThrow(digits, std::string("bad ") + what);
-    for (char ch : digits)
-        if (!std::isdigit(static_cast<unsigned char>(ch)))
-            parseThrow(digits, std::string("bad ") + what);
-    return std::strtoull(digits.c_str(), nullptr, 10);
+    std::uint64_t value = 0;
+    std::from_chars(digits.data(), digits.data() + digits.size(), value);
+    return value;
 }
 
 /**
- * Minimal arithmetic expression parser for angle parameters:
- * expr := term (('+'|'-') term)*, term := factor (('*'|'/') factor)*,
- * factor := number | 'pi' | '-' factor | '(' expr ')'.
+ * The two pragma operands, read as `std::istringstream >> unsigned`
+ * reads them: spaces, a sign, decimal digits, negated modulo 2^32
+ * after a '-'. False where that stream fails: no digits, a value past
+ * 2^32 - 1, or no text left for the second read.
  */
-class ExprParser
+bool
+readPragmaOperands(std::string_view text, unsigned &first,
+                   unsigned &second)
+{
+    std::size_t pos = 0;
+    const auto read = [&](unsigned &out) {
+        while (pos < text.size() && isSpace(text[pos]))
+            ++pos;
+        const bool negative = pos < text.size() && text[pos] == '-';
+        if (negative || (pos < text.size() && text[pos] == '+'))
+            ++pos;
+        const std::size_t digits = pos;
+        std::uint64_t value = 0;
+        for (; pos < text.size() && isDigit(text[pos]); ++pos)
+            value = std::min<std::uint64_t>(10 * value + (text[pos] - '0'),
+                                            1ULL << 32);
+        out = static_cast<unsigned>(negative ? 0 - value : value);
+        return pos > digits && (value >> 32) == 0;
+    };
+    return read(first) && pos < text.size() && read(second);
+}
+
+/**
+ * Angles: expr := term (('+'|'-') term)*, term := factor (('*'|'/')
+ * factor)*, factor := '-' factor | '(' expr ')' | 'pi' | a number
+ * strtod reads. An angle ends at its statement's first ')', so a '('
+ * in one never closes: past it the parser only looks for a bad number
+ * to report before the open paren, and it never recurses.
+ */
+class AngleParser
 {
   public:
-    explicit ExprParser(std::string text) : s(std::move(text)), pos(0)
-    {
-    }
+    explicit AngleParser(std::string_view text) : s(text) {}
 
     double
     parse()
     {
-        const double v = expr();
-        skipSpace();
+        double v = term();
+        for (char op; (op = take("+-")) != 0;)
+            v = op == '+' ? v + term() : v - term();
+        if (open)
+            parseThrow(s, "unbalanced parens in angle");
+        take(""); // skips the spaces
         if (pos != s.size())
             parseThrow(s, "trailing characters in angle");
         if (!std::isfinite(v))
@@ -250,404 +286,391 @@ class ExprParser
     }
 
   private:
-    const std::string s;
-    std::size_t pos;
+    const std::string_view s;
+    std::size_t pos = 0;
+    bool open = false;
 
-    void
-    skipSpace()
+    /** Skip spaces, then consume one of `ops`; 0 when none is next. */
+    char
+    take(const char *ops)
     {
-        while (pos < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[pos])))
+        while (pos < s.size() && isSpace(s[pos]))
             ++pos;
-    }
-
-    bool
-    consume(char ch)
-    {
-        skipSpace();
-        if (pos < s.size() && s[pos] == ch) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    double
-    expr()
-    {
-        double v = term();
-        while (true) {
-            if (consume('+'))
-                v += term();
-            else if (consume('-'))
-                v -= term();
-            else
-                return v;
-        }
+        if (pos == s.size() || s[pos] == '\0' || !std::strchr(ops, s[pos]))
+            return 0;
+        return s[pos++];
     }
 
     double
     term()
     {
         double v = factor();
-        while (true) {
-            if (consume('*'))
-                v *= factor();
-            else if (consume('/'))
-                v /= factor();
-            else
-                return v;
-        }
+        for (char op; (op = take("*/")) != 0;)
+            v = op == '*' ? v * factor() : v / factor();
+        return v;
     }
 
     double
     factor()
     {
-        skipSpace();
-        if (consume('-'))
-            return -factor();
-        if (consume('(')) {
-            const double v = expr();
-            if (!consume(')'))
-                parseThrow(s, "unbalanced parens in angle");
-            return v;
-        }
+        bool negate = false;
+        for (char op; (op = take("-(")) != 0; open = open || op == '(')
+            negate ^= op == '-';
         if (s.compare(pos, 2, "pi") == 0) {
             pos += 2;
-            return M_PI;
+            return negate ? -M_PI : M_PI;
         }
-        const char *begin = s.c_str() + pos;
-        char *end = nullptr;
-        const double v = std::strtod(begin, &end);
-        if (end == begin || !std::isfinite(v))
+        // strtod's value and length, read in place: from_chars agrees
+        // with it on a plain decimal; a sign, a hex float, inf or nan
+        // and a value out of range go to strtod itself.
+        const char *begin = s.data() + pos;
+        const char *end = s.data() + s.size();
+        double v = 0.0;
+        std::from_chars_result read{begin, std::errc::invalid_argument};
+        if (begin != end && (isDigit(*begin) || *begin == '.'))
+            read = std::from_chars(begin, end, v);
+        if (read.ec != std::errc() ||
+            (read.ptr != end && (*read.ptr == 'x' || *read.ptr == 'X'))) {
+            const std::string rest(begin, end);
+            char *stop = nullptr;
+            v = std::strtod(rest.c_str(), &stop);
+            read.ptr = begin + (stop - rest.c_str());
+        }
+        if (read.ptr == begin || !std::isfinite(v))
             parseThrow(s, "bad number in angle");
-        pos += static_cast<std::size_t>(end - begin);
-        return v;
+        pos += static_cast<std::size_t>(read.ptr - begin);
+        return negate ? -v : v;
     }
 };
 
-/** Split "a,b,c" into trimmed pieces. */
-std::vector<std::string>
-splitList(const std::string &text, char delim)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (char ch : text) {
-        if (ch == delim) {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
-    out.push_back(cur);
-    for (auto &piece : out)
-        piece = trimmed(piece);
-    return out;
-}
-
-/** Parsed "name[index]" reference. */
-struct RegRef
-{
-    std::string name;
-    unsigned index;
-};
-
-RegRef
-parseRef(const std::string &text)
+/** Parse a "name[index]" reference into its name and index. */
+std::pair<std::string_view, unsigned>
+parseRef(std::string_view text)
 {
     const auto lb = text.find('[');
     const auto rb = text.find(']');
-    if (lb == std::string::npos || rb == std::string::npos || rb < lb)
+    if (lb == npos || rb == npos || rb < lb)
         parseThrow(trimmed(text), "bad register reference");
-    RegRef ref;
-    ref.name = trimmed(text.substr(0, lb));
     const std::uint64_t index = parseUnsigned(
         text.substr(lb + 1, rb - lb - 1), "register index");
     if (index > 0xFFFFFFFFULL)
         parseThrow(trimmed(text), "register index out of range");
-    ref.index = static_cast<unsigned>(index);
-    return ref;
+    return {trimmed(text.substr(0, lb)), static_cast<unsigned>(index)};
+}
+
+/** Base gate kind lookup; returns false for unknown names. */
+bool
+kindFromName(std::string_view name, GateKind &kind)
+{
+    // The commonest first: phases and the X of every cx and ccx.
+    static const std::pair<std::string_view, GateKind> kNames[] = {
+        {"u1", GateKind::Phase}, {"x", GateKind::X},   {"h", GateKind::H},
+        {"rz", GateKind::Rz},    {"ry", GateKind::Ry}, {"rx", GateKind::Rx},
+        {"z", GateKind::Z},      {"y", GateKind::Y},   {"s", GateKind::S},
+        {"sdg", GateKind::Sdg},  {"t", GateKind::T},   {"tdg", GateKind::Tdg},
+        {"swap", GateKind::Swap}};
+    for (const auto &[known, k] : kNames) {
+        if (known == name) {
+            kind = k;
+            return true;
+        }
+    }
+    return false;
 }
 
 /**
- * Base gate kind lookup; returns false for unknown names. No base
- * mnemonic starts with 'c', so control prefixes strip unambiguously.
+ * Names declared in the source, numbered in declaration order: a flat
+ * table of views into the text, scanned; past a handful of names a
+ * hash index keeps lookups constant-time.
  */
-bool
-tryKindFromName(const std::string &name, GateKind &kind)
+class NameIndex
 {
-    if (name == "h") { kind = GateKind::H; return true; }
-    if (name == "x") { kind = GateKind::X; return true; }
-    if (name == "y") { kind = GateKind::Y; return true; }
-    if (name == "z") { kind = GateKind::Z; return true; }
-    if (name == "s") { kind = GateKind::S; return true; }
-    if (name == "sdg") { kind = GateKind::Sdg; return true; }
-    if (name == "t") { kind = GateKind::T; return true; }
-    if (name == "tdg") { kind = GateKind::Tdg; return true; }
-    if (name == "rx") { kind = GateKind::Rx; return true; }
-    if (name == "ry") { kind = GateKind::Ry; return true; }
-    if (name == "rz") { kind = GateKind::Rz; return true; }
-    if (name == "u1") { kind = GateKind::Phase; return true; }
-    if (name == "swap") { kind = GateKind::Swap; return true; }
-    return false;
-}
+  public:
+    std::size_t
+    find(std::string_view name) const
+    {
+        if (names.size() > kScanned) {
+            const auto it = hashed.find(name);
+            return it == hashed.end() ? npos : it->second;
+        }
+        const auto it = std::find(names.begin(), names.end(), name);
+        return it == names.end() ? npos : std::size_t(it - names.begin());
+    }
+
+    /** Number `name`, which find() does not know. */
+    std::size_t
+    add(std::string_view name)
+    {
+        hashed.emplace(name, names.size());
+        names.push_back(name);
+        return names.size() - 1;
+    }
+
+    std::string_view operator[](std::size_t n) const { return names[n]; }
+
+  private:
+    static constexpr std::size_t kScanned = 8;
+    std::vector<std::string_view> names;
+    std::unordered_map<std::string_view, std::size_t> hashed;
+};
 
 /** See file comment: the positioned QASM parser. */
 class QasmParser
 {
   public:
-    explicit QasmParser(const std::string &source) : src(source) {}
+    explicit QasmParser(std::string_view source) : src(source) {}
 
     Circuit
     parse()
     {
-        std::istringstream is(src);
-        std::string line;
-        while (std::getline(is, line)) {
+        for (std::size_t begin = 0; begin < src.size();) {
+            const std::size_t end =
+                std::min(src.find('\n', begin), src.size());
+            line = src.substr(begin, end - begin);
+            begin = end + 1;
             ++lineNo;
-            currentLine = line;
-            try {
-                parseLine(line);
-            } catch (const ParseFailure &f) {
-                fail(f);
-            } catch (const std::exception &e) {
-                fail({"", e.what()});
-            }
+            positionFailures([&] { parseLine(); });
         }
-        try {
-            flushMeasures();
-        } catch (const ParseFailure &f) {
-            fail(f);
-        }
+        positionFailures([&] { flushMeasures(); });
         return std::move(circ);
     }
 
   private:
-    const std::string &src;
+    const std::string_view src;
     Circuit circ;
-
-    /** Register name -> (qubit offset, width). */
-    std::map<std::string, std::pair<unsigned, unsigned>> regLayout;
-
-    /** Classical register name -> measurement label. */
-    std::map<std::string, std::string> cregLabel;
-
-    /**
-     * Pending measurement targets per label (rebuilt into one Measure
-     * instruction per label, in first-seen order).
-     */
-    std::map<std::string, std::vector<std::pair<unsigned, unsigned>>>
-        pendingMeasures;
-    std::vector<std::string> pendingOrder;
-
-    /** Labels some measure statement has already recorded into. */
-    std::set<std::string> measuredLabels;
-
     std::size_t lineNo = 0;
-    std::string currentLine;
+    std::string_view line;
 
-    /** Throw `f` as a QasmError positioned on the current line. */
-    [[noreturn]] void
-    fail(const ParseFailure &f) const
+    /** Quantum registers: (qubit offset, width) per name. */
+    NameIndex qregs;
+    std::vector<std::pair<unsigned, unsigned>> qregSpans;
+
+    /** Classical registers: the measurement label each records. */
+    NameIndex cregs;
+    std::vector<std::size_t> cregLabels;
+
+    /** Measurement labels: recorded into yet, and the pending
+     *  (classical bit, qubit) pairs of each, grouped in first-seen
+     *  order into one Measure instruction per label. */
+    NameIndex labels;
+    std::vector<char> measured;
+    std::vector<std::vector<std::pair<unsigned, unsigned>>> pending;
+    std::vector<std::size_t> pendingOrder;
+
+    NameIndex breakpoints;
+
+    /** Per classical bit and per qubit, the last group that saw it. */
+    std::vector<std::size_t> bitSeen, qubitSeen;
+    std::size_t groups = 0;
+
+    /** Run `step`; rethrow a failure as a QasmError on this line, at
+     *  the token's first occurrence or else the first non-blank. */
+    template <typename Step>
+    void
+    positionFailures(const Step &step)
     {
-        std::size_t col = currentLine.find_first_not_of(" \t");
-        col = (col == std::string::npos) ? 0 : col;
-        if (!f.token.empty()) {
-            const auto at = currentLine.find(f.token);
-            if (at != std::string::npos)
-                col = at;
+        ParseFailure f;
+        try {
+            return step();
+        } catch (const ParseFailure &failure) {
+            f = failure;
+        } catch (const std::exception &e) {
+            f.message = e.what();
         }
+        const std::size_t first = line.find_first_not_of(" \t");
+        const std::size_t at = f.token.empty() ? npos : line.find(f.token);
+        const std::size_t col = at != npos ? at : first != npos ? first : 0;
         throw QasmError(lineNo == 0 ? 1 : lineNo, col + 1, f.token,
                         f.message);
     }
 
     unsigned
-    resolve(const std::string &ref_text)
+    resolve(std::string_view ref_text)
     {
-        const RegRef ref = parseRef(ref_text);
-        const auto it = regLayout.find(ref.name);
-        if (it == regLayout.end())
-            parseThrow(ref.name, "unknown register");
-        if (ref.index >= it->second.second)
+        const auto [name, index] = parseRef(ref_text);
+        const std::size_t reg = qregs.find(name);
+        if (reg == npos)
+            parseThrow(name, "unknown register");
+        if (index >= qregSpans[reg].second)
             parseThrow(trimmed(ref_text),
                        "qubit index out of range for register '" +
-                           ref.name + "'");
-        return it->second.first + ref.index;
+                           std::string(name) + "'");
+        return qregSpans[reg].first + index;
     }
 
     void
     flushMeasures()
     {
-        for (const auto &label : pendingOrder) {
-            const auto &targets = pendingMeasures.at(label);
+        for (const std::size_t label : pendingOrder) {
+            const auto &targets = pending[label];
             std::vector<unsigned> qubits(targets.size());
-            std::set<unsigned> seen_bits, seen_qubits;
+            ++groups;
+            bitSeen.resize(std::max(bitSeen.size(), targets.size()));
+            qubitSeen.resize(circ.numQubits());
+            const auto reject = [&](const char *what) {
+                parseThrow(labels[label],
+                           std::string(what) + " for label");
+            };
             for (const auto &[cbit, qubit] : targets) {
                 if (cbit >= qubits.size())
-                    parseThrow(label, "classical bits of measurement "
-                                      "group are not contiguous for "
-                                      "label");
-                if (!seen_bits.insert(cbit).second)
-                    parseThrow(label, "duplicate classical bit in "
-                                      "measurement group for label");
-                if (!seen_qubits.insert(qubit).second)
-                    parseThrow(label, "duplicate measured qubit in "
-                                      "measurement group for label");
+                    reject("classical bits of measurement group are "
+                           "not contiguous");
+                if (std::exchange(bitSeen[cbit], groups) == groups)
+                    reject("duplicate classical bit in measurement group");
+                if (std::exchange(qubitSeen[qubit], groups) == groups)
+                    reject("duplicate measured qubit in measurement group");
                 qubits[cbit] = qubit;
             }
-            circ.measureQubits(qubits, label);
+            circ.measureQubits(qubits, std::string(labels[label]));
+            pending[label].clear();
         }
-        pendingMeasures.clear();
         pendingOrder.clear();
     }
 
     void
-    parseLine(std::string line)
+    parseLine()
     {
         // Pragmas first; then strip comments.
-        if (line.rfind("// qsa.prepz", 0) == 0) {
+        if (startsWith(line, "// qsa.prepz")) {
             flushMeasures();
-            std::istringstream ls(line.substr(12));
             unsigned qubit = 0, bit = 0;
-            ls >> qubit >> bit;
-            if (!ls)
+            if (!readPragmaOperands(line.substr(12), qubit, bit))
                 parseThrow(trimmed(line),
                            "qsa.prepz pragma needs '<qubit> <bit>'");
             if (qubit >= circ.numQubits())
-                parseThrow(std::to_string(qubit),
-                           "prepz qubit out of range");
+                parseThrow(std::to_string(qubit), "prepz qubit out of range");
             if (bit > 1)
-                parseThrow(std::to_string(bit),
-                           "prepz bit must be 0 or 1");
+                parseThrow(std::to_string(bit), "prepz bit must be 0 or 1");
             circ.prepZ(qubit, bit);
             return;
         }
-        if (line.rfind("// qsa.breakpoint", 0) == 0) {
+        if (startsWith(line, "// qsa.breakpoint")) {
             flushMeasures();
-            std::istringstream ls(line.substr(17));
-            std::string label;
-            ls >> label;
+            // The first word, as `std::istream >> std::string` reads it.
+            std::string_view label = trimmed(line.substr(17));
+            label = label.substr(
+                0, std::find_if(label.begin(), label.end(), isSpace) -
+                       label.begin());
             if (label.empty())
                 parseThrow(trimmed(line),
                            "qsa.breakpoint pragma needs a label");
-            if (circ.hasBreakpoint(label))
+            if (breakpoints.find(label) != npos)
                 parseThrow(label, "duplicate breakpoint label");
-            circ.breakpoint(label);
+            breakpoints.add(label);
+            Instruction marker;
+            marker.kind = GateKind::Breakpoint;
+            marker.label = std::string(label);
+            circ.append(std::move(marker));
             return;
         }
-        const auto comment = line.find("//");
-        if (comment != std::string::npos)
-            line = line.substr(0, comment);
 
         // Statements end with ';'.
-        std::string stmt;
-        for (char ch : line) {
-            if (ch != ';') {
-                stmt += ch;
-                continue;
-            }
-            handleStatement(trimmed(stmt));
-            stmt.clear();
-        }
-        if (!trimmed(stmt).empty())
-            parseThrow(trimmed(stmt), "statement missing ';'");
+        const std::string_view code = line.substr(0, line.find("//"));
+        std::size_t begin = 0;
+        for (std::size_t semi; (semi = code.find(';', begin)) != npos;
+             begin = semi + 1)
+            handleStatement(trimmed(code.substr(begin, semi - begin)));
+        if (const auto rest = trimmed(code.substr(begin)); !rest.empty())
+            parseThrow(rest, "statement missing ';'");
     }
 
     void
-    handleStatement(const std::string &stmt_in)
+    handleStatement(std::string_view stmt)
     {
-        std::string stmt = stmt_in;
-        if (stmt.empty() || stmt.rfind("OPENQASM", 0) == 0 ||
-            stmt.rfind("include", 0) == 0 ||
-            stmt.rfind("barrier", 0) == 0)
+        if (stmt.empty() || startsWith(stmt, "OPENQASM") ||
+            startsWith(stmt, "include") || startsWith(stmt, "barrier"))
             return;
 
         // Adjacent measure lines group into one Measure instruction;
         // anything else flushes the group so program order is
         // preserved.
-        if (stmt.rfind("measure", 0) != 0)
-            flushMeasures();
-
-        if (stmt.rfind("qreg", 0) == 0) {
-            const RegRef ref = parseRef(stmt.substr(5));
-            if (ref.index == 0)
-                parseThrow(ref.name,
-                           "register must have width > 0");
-            if (regLayout.count(ref.name))
-                parseThrow(ref.name, "duplicate register name");
-            regLayout[ref.name] = {circ.numQubits(), ref.index};
-            circ.addRegister(ref.name, ref.index);
-            return;
-        }
-        if (stmt.rfind("creg", 0) == 0) {
-            const RegRef ref = parseRef(stmt.substr(5));
-            std::string label = ref.name;
-            if (label.rfind("m_", 0) == 0)
-                label = label.substr(2);
-            cregLabel[ref.name] = label;
-            return;
-        }
-        if (stmt.rfind("measure", 0) == 0) {
+        if (startsWith(stmt, "measure")) {
             const auto arrow = stmt.find("->");
-            if (arrow == std::string::npos)
+            if (arrow == npos)
                 parseThrow(stmt, "measure without '->'");
             const unsigned qubit = resolve(stmt.substr(8, arrow - 8));
-            const RegRef cref = parseRef(stmt.substr(arrow + 2));
-            const auto it = cregLabel.find(cref.name);
-            if (it == cregLabel.end())
-                parseThrow(cref.name, "unknown creg");
-            if (!pendingMeasures.count(it->second))
-                pendingOrder.push_back(it->second);
-            pendingMeasures[it->second].emplace_back(cref.index,
-                                                     qubit);
-            measuredLabels.insert(it->second);
+            const auto [creg, cbit] = parseRef(stmt.substr(arrow + 2));
+            const std::size_t c = cregs.find(creg);
+            if (c == npos)
+                parseThrow(creg, "unknown creg");
+            const std::size_t label = cregLabels[c];
+            if (pending[label].empty())
+                pendingOrder.push_back(label);
+            pending[label].emplace_back(cbit, qubit);
+            measured[label] = 1;
+            return;
+        }
+        flushMeasures();
+
+        const bool qreg = startsWith(stmt, "qreg");
+        if (qreg || startsWith(stmt, "creg")) {
+            // "name[size]" follows the keyword.
+            const auto [name, size] = parseRef(
+                stmt.substr(std::min<std::size_t>(5, stmt.size())));
+            if (qreg) {
+                if (size == 0)
+                    parseThrow(name, "register must have width > 0");
+                if (qregs.find(name) != npos)
+                    parseThrow(name, "duplicate register name");
+                qregs.add(name);
+                qregSpans.emplace_back(circ.numQubits(), size);
+                circ.addRegister(std::string(name), size);
+                return;
+            }
+            // A name always records the same label, so declaring it
+            // again changes nothing.
+            if (cregs.find(name) != npos)
+                return;
+            const std::string_view label =
+                startsWith(name, "m_") ? name.substr(2) : name;
+            std::size_t l = labels.find(label);
+            if (l == npos) {
+                l = labels.add(label);
+                measured.push_back(0);
+                pending.emplace_back();
+            }
+            cregs.add(name);
+            cregLabels.push_back(l);
             return;
         }
 
         // Optional classical condition prefix "if(creg==v)".
-        std::string cond_label;
-        std::uint64_t cond_value = 0;
-        if (stmt.rfind("if(", 0) == 0) {
+        Instruction inst;
+        if (startsWith(stmt, "if(")) {
             const auto eq = stmt.find("==");
             const auto close = stmt.find(')');
-            if (eq == std::string::npos ||
-                close == std::string::npos || close < eq)
+            if (eq == npos || close == npos || close < eq)
                 parseThrow(stmt, "malformed if condition");
-            const std::string creg = stmt.substr(3, eq - 3);
-            const auto lit = cregLabel.find(creg);
-            if (lit == cregLabel.end())
+            const std::string_view creg = stmt.substr(3, eq - 3);
+            const std::size_t c = cregs.find(creg);
+            if (c == npos)
                 parseThrow(creg, "unknown creg in condition");
-            if (!measuredLabels.count(lit->second))
+            if (!measured[cregLabels[c]])
                 parseThrow(creg, "condition reads creg before any "
                                  "measurement into it");
-            cond_label = lit->second;
-            cond_value = parseUnsigned(
-                stmt.substr(eq + 2, close - eq - 2),
-                "condition value");
+            inst.condLabel = std::string(labels[cregLabels[c]]);
+            inst.condValue = parseUnsigned(
+                stmt.substr(eq + 2, close - eq - 2), "condition value");
             stmt = trimmed(stmt.substr(close + 1));
         }
 
         // Gate statement: name[(params)] operands.
-        std::size_t name_end = 0;
-        while (name_end < stmt.size() &&
-               (std::isalnum(
-                    static_cast<unsigned char>(stmt[name_end])) ||
-                stmt[name_end] == '_'))
-            ++name_end;
-        const std::string name = stmt.substr(0, name_end);
+        std::size_t rest = 0;
+        while (rest < stmt.size() &&
+               (std::isalnum(static_cast<unsigned char>(stmt[rest])) ||
+                stmt[rest] == '_'))
+            ++rest;
+        const std::string_view name = stmt.substr(0, rest);
         if (name.empty())
             parseThrow(stmt, "expected a gate name");
-        std::size_t rest = name_end;
 
-        double angle = 0.0;
         bool has_angle = false;
         if (rest < stmt.size() && stmt[rest] == '(') {
             const auto close = stmt.find(')', rest);
-            if (close == std::string::npos)
+            if (close == npos)
                 parseThrow(name, "unbalanced parameter list for");
-            ExprParser ep(stmt.substr(rest + 1, close - rest - 1));
-            angle = ep.parse();
+            inst.angle = AngleParser(stmt.substr(rest + 1, close - rest - 1))
+                             .parse();
             has_angle = true;
             rest = close + 1;
         }
@@ -655,59 +678,36 @@ class QasmParser
         // Strip 'c' control prefixes: no base mnemonic starts with
         // 'c', so the first non-'c' position starts the base name
         // ("ccu1" -> 2 controls, "u1").
-        unsigned num_controls = 0;
-        while (num_controls < name.size() && name[num_controls] == 'c')
-            ++num_controls;
-
-        GateKind kind;
-        std::string base = name.substr(num_controls);
-        if (!tryKindFromName(base, kind)) {
-            // Names like "cswap" keep a leading 'c' in the base only
-            // if the full string is itself a gate; retry with fewer
-            // stripped prefixes before giving up.
-            bool found = false;
-            for (unsigned k = num_controls; k-- > 0;) {
-                base = name.substr(k);
-                if (tryKindFromName(base, kind)) {
-                    num_controls = k;
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                parseThrow(name, "unsupported QASM gate");
-        }
-        if (has_angle && !gateKindHasAngle(kind))
+        const std::size_t num_controls =
+            std::min(name.find_first_not_of('c'), name.size());
+        if (!kindFromName(name.substr(num_controls), inst.kind))
+            parseThrow(name, "unsupported QASM gate");
+        if (has_angle && !gateKindHasAngle(inst.kind))
             parseThrow(name, "gate takes no parameter:");
 
-        const auto operands = splitList(stmt.substr(rest), ',');
-        const std::size_t expected_targets =
-            kind == GateKind::Swap ? 2 : 1;
-        if (operands.size() != num_controls + expected_targets)
-            parseThrow(name,
-                       "gate expects " +
-                           std::to_string(num_controls +
-                                          expected_targets) +
-                           " operand(s), got " +
-                           std::to_string(operands.size()) +
-                           ", for");
+        const std::string_view operands = stmt.substr(rest);
+        const std::size_t count =
+            1 + std::count(operands.begin(), operands.end(), ',');
+        const std::size_t expected =
+            num_controls + (inst.kind == GateKind::Swap ? 2 : 1);
+        if (count != expected)
+            parseThrow(name, "gate expects " + std::to_string(expected) +
+                                 " operand(s), got " +
+                                 std::to_string(count) + ", for");
 
-        Instruction inst;
-        inst.kind = kind;
-        inst.angle = angle;
-        inst.condLabel = std::move(cond_label);
-        inst.condValue = cond_value;
-        for (std::size_t i = 0; i < operands.size(); ++i) {
-            const unsigned q = resolve(operands[i]);
-            if (std::find(inst.controls.begin(), inst.controls.end(),
-                          q) != inst.controls.end() ||
+        for (std::size_t i = 0, begin = 0; i < count; ++i) {
+            const std::size_t comma =
+                std::min(operands.find(',', begin), operands.size());
+            const std::string_view operand =
+                trimmed(operands.substr(begin, comma - begin));
+            begin = comma + 1;
+            const unsigned q = resolve(operand);
+            if (std::find(inst.controls.begin(), inst.controls.end(), q) !=
+                    inst.controls.end() ||
                 std::find(inst.targets.begin(), inst.targets.end(), q) !=
                     inst.targets.end())
-                parseThrow(operands[i], "duplicate qubit operand");
-            if (i < num_controls)
-                inst.controls.push_back(q);
-            else
-                inst.targets.push_back(q);
+                parseThrow(operand, "duplicate qubit operand");
+            (i < num_controls ? inst.controls : inst.targets).push_back(q);
         }
         circ.append(std::move(inst));
     }
@@ -735,9 +735,7 @@ loadQasmFile(const std::string &path)
 {
     std::ifstream in(path);
     fatal_if(!in, "cannot open '", path, "' for reading");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return fromQasm(buffer.str());
+    return fromQasm(std::string(std::istreambuf_iterator<char>(in), {}));
 }
 
 } // namespace qsa::circuit

@@ -1258,11 +1258,15 @@ recordProbe(Prober &prober, std::size_t boundary, std::size_t floor,
  * it provably passes (the suspect and reference prefixes act
  * identically up to global phase, and every probe statistic is
  * phase-invariant), so the search treats it as a confirmed-passing
- * lower bound and never probes at or below it.
+ * lower bound and never probes at or below it. A non-zero
+ * `failing_top` is a boundary a probe on the escalated ensemble has
+ * already failed: the adaptive search takes it as its confirmed-failing
+ * upper bound and does not probe it again. (Boundary 0, the empty
+ * prefix, passes by construction, so 0 means there is none.)
  */
 LocalizationReport
 runSearch(Prober &prober, const LocateConfig &cfg,
-          std::size_t pruned_lo = 0)
+          std::size_t pruned_lo = 0, std::size_t failing_top = 0)
 {
     LocalizationReport report;
     report.decidedBy = prober.family;
@@ -1325,20 +1329,21 @@ runSearch(Prober &prober, const LocateConfig &cfg,
     // empty prefix, possibly a statically certified-equivalent
     // prefix) passes by construction; the end boundary must fail for
     // there to be anything to localize.
-    if (pruned_lo >= top)
+    std::size_t hi = failing_top > 0 ? std::min(failing_top, top) : top;
+    if (pruned_lo >= hi)
         return report; // whole range certified equivalent
-    if (!probeOne(top, explore).failed)
+    if (failing_top == 0 && !probeOne(top, explore).failed)
         return report;
 
-    std::size_t hi = top;
     std::vector<char> passed(top + 1, 0);
     passed[pruned_lo] = 1;
-    std::set<std::size_t> failedSet{top};
+    std::set<std::size_t> failedSet{hi};
     // Escalated-ensemble verdicts already delivered (at most one
     // confirmation per boundary, so the outer loop is bounded).
     std::vector<char> confirmedPass(top + 1, 0);
     std::vector<char> confirmedFail(top + 1, 0);
     confirmedPass[pruned_lo] = 1;
+    confirmedFail[hi] = failing_top > 0;
     bool located = true;
     while (true) {
         while (hi - lo > 1) {
@@ -1573,18 +1578,21 @@ makeProber(ProbeFamily family, const Scope &scope,
  * verdict and a sharper witness to re-check with (the shape of Rovara
  * et al.'s assertion refinement). `trigger` may spend decisive probes
  * of the swap prober it is handed (recordProbe logs them ahead of the
- * swap search's). When it fires, a swap-test search on the same scope
- * decides the report if it brackets a defect; the cheap probes stay
- * in the log as the evidence for escalating. Past the swap-test gate,
- * or when the swap oracle cannot derive, the cheap verdict stands.
+ * swap search's); when one fails, it names that boundary in
+ * `failing`, and the swap search starts from it as its
+ * confirmed-failing top instead of probing its own. When the trigger
+ * fires, a swap-test search on the same scope decides the report if
+ * it brackets a defect; the cheap probes stay in the log as the
+ * evidence for escalating. Past the swap-test gate, or when the swap
+ * oracle cannot derive, the cheap verdict stands.
  */
 void
 escalate(LocalizationReport &report, const Scope &scope,
          const circuit::Circuit &suspect,
          const circuit::Circuit &reference, const LocateConfig &cfg,
          std::size_t pruned,
-         const std::function<bool(Prober &swap,
-                                  LocalizationReport &report)> &trigger)
+         const std::function<bool(Prober &swap, LocalizationReport &report,
+                                  std::size_t &failing)> &trigger)
 {
     const std::string cheap = probeFamilyName(report.decidedBy);
     if (suspect.numQubits() > kSwapQubitGate) {
@@ -1596,11 +1604,13 @@ escalate(LocalizationReport &report, const Scope &scope,
     try {
         const auto swap = makeProber(ProbeFamily::SwapTest, scope,
                                      suspect, reference, cfg);
-        if (!trigger(*swap, report))
+        std::size_t failing = 0;
+        if (!trigger(*swap, report, failing))
             return;
         QSA_OBS_COUNTER("locate.swap_escalations", 1);
         obs::instant("locate.escalate_swap_test");
-        LocalizationReport refined = runSearch(*swap, cfg, pruned);
+        LocalizationReport refined =
+            runSearch(*swap, cfg, pruned, failing);
         std::vector<ProbeRecord> probes = std::move(report.probes);
         probes.insert(probes.end(), refined.probes.begin(),
                       refined.probes.end());
@@ -1709,7 +1719,7 @@ BugLocator::locate(const Scope &scope) const
             report, static_cast<const MirrorProber &>(*prober)
                         .hasMixtureSegments());
         escalate(report, scope, suspect, reference, config, pruned,
-                 [&](Prober &, LocalizationReport &) {
+                 [&](Prober &, LocalizationReport &, std::size_t &) {
                      return ambiguous;
                  });
     } else if (config.family == ProbeFamily::Auto) {
@@ -1718,17 +1728,22 @@ BugLocator::locate(const Scope &scope) const
         // cannot rule phase divergence out. One decisive swap-test
         // probe at the bracket's lastPassing (a failure there proves
         // the divergence predates the visible bracket), or at the top
-        // boundary when nothing failed, decides.
+        // boundary when nothing failed, decides; the swap search then
+        // brackets below the boundary that failed it.
         const assertions::EscalationPolicy decisive{
             config.maxEnsembleSize, config.maxEnsembleSize,
             config.passThreshold};
         escalate(report, scope, suspect, reference, config, pruned,
-                 [&](Prober &swap, LocalizationReport &cheap) {
+                 [&](Prober &swap, LocalizationReport &cheap,
+                     std::size_t &failing) {
                      const std::size_t at =
                          cheap.bugFound ? cheap.lastPassing : swap.hi;
-                     return at > 0 && recordProbe(swap, at, pruned,
-                                                  decisive, cheap)
-                                          .failed;
+                     if (at == 0 || !recordProbe(swap, at, pruned,
+                                                 decisive, cheap)
+                                         .failed)
+                         return false;
+                     failing = at;
+                     return true;
                  });
     }
 

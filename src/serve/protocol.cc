@@ -479,7 +479,6 @@ parseRequest(const json::Value &doc, const Limits &limits)
 json::Value
 executeRequest(const Request &request)
 {
-    QSA_OBS_SPAN(span, "serve.request");
     QSA_OBS_COUNTER("serve.requests", 1);
 
     if (request.command == "ping") {
@@ -501,24 +500,32 @@ executeRequest(const Request &request)
 std::string
 handleRequestLine(const std::string &line, const Limits &limits)
 {
-    json::Value doc;
-    std::string parse_error;
-    if (!json::Value::parse(line, &doc, &parse_error))
-        return errorResponse(json::Value(),
-                             "request is not valid JSON: " +
-                                 parse_error);
-    // Read before parsing, so that every error response echoes it.
-    const json::Value *found = doc.find("id");
-    const json::Value id = found != nullptr ? *found : json::Value();
-
+    // One span from the first byte read to the last byte rendered, so
+    // a trace attributes parsing and rendering as well as execution.
+    QSA_OBS_SPAN(span, "serve.request");
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point received = Clock::now();
+    json::Value id;
     std::string command;
-    std::chrono::steady_clock::time_point start;
+    Clock::time_point parsed, executed;
     json::Value result;
     try {
-        const Request request = parseRequest(doc, limits);
+        const Request request = [&] {
+            QSA_OBS_SPAN(parse_span, "serve.parse");
+            json::Value doc;
+            std::string parse_error;
+            fatal_if(!json::Value::parse(line, &doc, &parse_error),
+                     "request is not valid JSON: ", parse_error);
+            // Read before parsing, so that every error response
+            // echoes it.
+            if (const json::Value *found = doc.find("id"))
+                id = *found;
+            return parseRequest(doc, limits);
+        }();
         command = request.command;
-        start = std::chrono::steady_clock::now();
+        parsed = Clock::now();
         result = executeRequest(request);
+        executed = Clock::now();
     } catch (const circuit::QasmError &e) {
         return errorResponse(id, e.what(), &e);
     } catch (const DeriveError &e) {
@@ -530,8 +537,9 @@ handleRequestLine(const std::string &line, const Limits &limits)
         QSA_OBS_COUNTER("serve.requests.derive_errors", 1);
         return errorResponse(id, e.what(), nullptr, e.where());
     } catch (const Error &e) {
-        // Anything else the library rejects: a malformed request, or
-        // a plan, circuit or locate it will not run.
+        // Anything else the library rejects: a request that is not
+        // JSON or is malformed, or a plan, circuit or locate it will
+        // not run.
         return errorResponse(id, e.what());
     } catch (const std::exception &e) {
         // Belt and braces: no path should throw anything else, but a
@@ -539,10 +547,13 @@ handleRequestLine(const std::string &line, const Limits &limits)
         return errorResponse(id,
                              std::string("internal error: ") + e.what());
     }
-    const auto duration =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start);
 
+    QSA_OBS_SPAN(render_span, "serve.render");
+    const auto ns = [](Clock::duration d) {
+        return json::Value::integer(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(d)
+                .count()));
+    };
     json::Value resp = json::Value::object();
     resp.set("id", id);
     resp.set("ok", json::Value::boolean(true));
@@ -550,11 +561,11 @@ handleRequestLine(const std::string &line, const Limits &limits)
     resp.set("result", std::move(result));
 
     // Everything timing- or environment-dependent lives here, outside
-    // the deterministic "result" contract.
+    // the deterministic "result" contract: execution time alone
+    // ("duration_ns"), and the JSON and QASM parse before it.
     json::Value obs = json::Value::object();
-    obs.set("duration_ns",
-            json::Value::integer(
-                static_cast<std::uint64_t>(duration.count())));
+    obs.set("duration_ns", ns(executed - parsed));
+    obs.set("parse_ns", ns(parsed - received));
     resp.set("obs", std::move(obs));
     return resp.dump();
 }

@@ -44,8 +44,8 @@
  * in-process or through the daemon (CI byte-compares the two). All
  * timing and environment-dependent observability lives in the
  * separable top-level "obs" member, which carries the request's
- * wall-clock duration and trace-span identity and is excluded from
- * the contract.
+ * execution time ("duration_ns") and the JSON and QASM parse time
+ * before it ("parse_ns"), and is excluded from the contract.
  *
  * Errors: the library throws qsa::Error for everything it rejects,
  * and handleRequestLine catches it in one place, around both parsing
@@ -179,7 +179,8 @@ json::Value executeRequest(const Request &request);
  * The complete per-line entry point: parse `line`, execute, and
  * render the full NDJSON response (without trailing newline). Never
  * throws: every error becomes an "ok": false response — the daemon's
- * inner loop.
+ * inner loop. Traced, the whole call is one "serve.request" span with
+ * "serve.parse" and "serve.render" children.
  */
 std::string handleRequestLine(const std::string &line,
                               const Limits &limits = Limits());

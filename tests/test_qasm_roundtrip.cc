@@ -13,7 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +27,7 @@
 #include "qsa/qsa.hh"
 
 #include "expect_throw.hh"
+#include "program_generator.hh"
 
 namespace
 {
@@ -85,6 +92,37 @@ TEST(QasmRoundTrip, EmissionIsAFixedPointOnEveryCleanReference)
         EXPECT_EQ(once, twice) << name;
         EXPECT_EQ(twice, thrice) << name;
     }
+}
+
+TEST(QasmRoundTrip, ManyNamesResolvePastTheScannedTable)
+{
+    // Past eight names the parser resolves them through a hash index:
+    // twelve registers, labels and breakpoints round-trip, and the
+    // duplicate and unknown-name checks still fire on the twelfth.
+    Circuit circ;
+    std::vector<circuit::QubitRegister> regs;
+    for (int r = 0; r < 12; ++r)
+        regs.push_back(circ.addRegister("r" + std::to_string(r), 1));
+    for (int r = 0; r < 12; ++r) {
+        circ.h(regs[r][0]);
+        circ.measure(regs[r], "m" + std::to_string(r));
+        circ.breakpoint("b" + std::to_string(r));
+    }
+    circ.x(regs[0][0]);
+    circ.conditionLast("m11", 1);
+    const std::string text = circuit::toQasm(circ);
+    EXPECT_EQ(circuit::fromQasm(text).contentHash(), circ.contentHash());
+    EXPECT_THROW_MESSAGE(circuit::fromQasm(text + "qreg r11[1];\n"),
+                         circuit::QasmError,
+                         "duplicate register name 'r11'");
+    EXPECT_THROW_MESSAGE(
+        circuit::fromQasm(text + "// qsa.breakpoint b11\n"),
+        circuit::QasmError, "duplicate breakpoint label 'b11'");
+    EXPECT_THROW_MESSAGE(circuit::fromQasm(text + "h r12[0];\n"),
+                         circuit::QasmError, "unknown register 'r12'");
+    EXPECT_THROW_MESSAGE(
+        circuit::fromQasm(text + "if(m_m12==1) x r0[0];\n"),
+        circuit::QasmError, "unknown creg in condition 'm_m12'");
 }
 
 // --- contentHash -----------------------------------------------------------
@@ -436,6 +474,10 @@ TEST(QasmErrors, EveryMalformedInputIsPositioned)
         {"bad prepz pragma",
          "OPENQASM 2.0;\nqreg q[1];\n// qsa.prepz\n", 3, "",
          "needs '<qubit> <bit>'"},
+        {"bare qreg", "OPENQASM 2.0;\nqreg;\n", 2, "",
+         "bad register reference"},
+        {"bare creg", "OPENQASM 2.0;\nqreg q[1];\n  creg ;\n", 3, "",
+         "bad register reference"},
     };
 
     for (const auto &c : cases) {
@@ -484,6 +526,296 @@ TEST(QasmErrors, FromQasmThrowsAQasmError)
         circuit::QasmError, "^line 3.*unsupported QASM gate");
     EXPECT_THROW_MESSAGE(circuit::fromQasm("qreg q[2];\nh q[9];\n"),
                          circuit::QasmError, "out of range");
+}
+
+TEST(QasmAngles, ReadNumbersAsStrtodDoes)
+{
+    // An angle is an expression over numbers strtod reads (a sign, a
+    // hex float, an exponent, an underflow to zero) and pi.
+    const std::vector<std::pair<const char *, double>> accepted = {
+        {"+0.5", 0.5},
+        {"0x1p-2", 0.25},
+        {"0x.8", 0.5},
+        {"0X1P+1", 2.0},
+        {"1.", 1.0},
+        {".5", 0.5},
+        {"1e+1", 10.0},
+        {"1e-400", 0.0},
+        {" - pi / 2 ", -M_PI / 2},
+        {"2*pi-+1", 2 * M_PI - 1},
+        {"--3", 3.0},
+    };
+    for (const auto &[angle, value] : accepted) {
+        const Circuit parsed = circuit::fromQasm(
+            std::string("qreg q[1];\nrz(") + angle + ") q[0];\n");
+        ASSERT_EQ(parsed.size(), 1u) << angle;
+        EXPECT_EQ(parsed.instructions()[0].angle, value) << angle;
+    }
+    const std::vector<std::pair<const char *, const char *>> rejected = {
+        {"1e", "trailing characters in angle '1e'"},
+        {"1e400", "bad number in angle '1e400'"},
+        {"inf", "bad number in angle 'inf'"},
+        {"nan", "bad number in angle 'nan'"},
+        {"0/0", "non-finite angle '0/0'"},
+        {"1e308*10", "non-finite angle '1e308\\*10'"},
+    };
+    for (const auto &[angle, message] : rejected) {
+        EXPECT_THROW_MESSAGE(
+            circuit::fromQasm(std::string("qreg q[1];\nrz(") + angle +
+                              ") q[0];\n"),
+            circuit::QasmError, message);
+    }
+}
+
+TEST(QasmAngles, DeepNestingNeedsNoRecursion)
+{
+    // A request line of a mebibyte can nest that deep; a recursive
+    // descent overflows the stack long before.
+    const std::string deep = "qreg q[1];\nrz(" + std::string(1000000, '-');
+    const Circuit parsed = circuit::fromQasm(deep + "0.5) q[0];\n");
+    ASSERT_EQ(parsed.size(), 1u);
+    EXPECT_EQ(parsed.instructions()[0].angle, 0.5);
+    try {
+        circuit::fromQasm("qreg q[1];\nrz(" + std::string(1000000, '(') +
+                          "1) q[0];\n");
+        ADD_FAILURE() << "parsed";
+    } catch (const circuit::QasmError &error) {
+        EXPECT_EQ(error.line(), 2u);
+        EXPECT_EQ(error.column(), 4u);
+        EXPECT_EQ(std::string(error.what()).rfind(
+                      "line 2, column 4: unbalanced parens in angle", 0),
+                  0u);
+    }
+}
+
+// --- the accepted language, pinned by mutants -------------------------------
+
+/**
+ * The programs the mutants are cut from: every clean reference and
+ * generated programs (mid-circuit measurements, resets, conditions;
+ * no Unitary, which has no QASM form), emitted.
+ */
+std::vector<std::string>
+mutantBases()
+{
+    std::vector<std::string> bases;
+    for (const auto &[name, circ] : cleanReferenceCircuits())
+        bases.push_back(circuit::toQasm(circ));
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        bases.push_back(circuit::toQasm(
+            testgen::monolithicProgram(seed, 2 + seed, 40)));
+    return bases;
+}
+
+/** `bytes` in double quotes, escaped: '"' and '\\' get a backslash,
+ *  unprintable bytes read "\\x0b". */
+std::string
+escaped(const std::string &bytes)
+{
+    std::string out;
+    for (const char ch : bytes) {
+        const auto byte = static_cast<unsigned char>(ch);
+        if (ch == '"' || ch == '\\') {
+            out += '\\';
+            out += ch;
+        } else if (byte < 0x20 || byte >= 0x7f) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\x%02x", byte);
+            out += buf;
+        } else {
+            out += ch;
+        }
+    }
+    return '"' + out + '"';
+}
+
+/** What fromQasm makes of `text`, as one line. */
+std::string
+verdict(const std::string &text)
+{
+    try {
+        const Circuit parsed = circuit::fromQasm(text);
+        char hash[24];
+        std::snprintf(hash, sizeof(hash), "%016llx",
+                      static_cast<unsigned long long>(
+                          parsed.contentHash()));
+        return "ok " + std::to_string(parsed.size()) + " " + hash;
+    } catch (const circuit::QasmError &error) {
+        return "err " + std::to_string(error.line()) + " " +
+               std::to_string(error.column()) + " " +
+               escaped(error.token()) + " " + escaped(error.what());
+    } catch (const std::exception &error) {
+        return "other " + escaped(error.what());
+    }
+}
+
+/** The byte ranges an edit may hit besides anywhere: inside an
+ *  angle's parentheses (both included), on a pragma or register
+ *  declaration line; and where each declaration starts. */
+struct Targets
+{
+    std::vector<std::pair<std::size_t, std::size_t>> angles;
+    std::vector<std::pair<std::size_t, std::size_t>> lines;
+    std::vector<std::size_t> declarations;
+};
+
+Targets
+targetsOf(const std::string &text)
+{
+    Targets t;
+    for (std::size_t open = text.find('('); open != std::string::npos;
+         open = text.find('(', open + 1)) {
+        const std::size_t close = text.find(')', open);
+        // "if(" opens a condition, not an angle.
+        if (close != std::string::npos &&
+            (open < 2 || text.compare(open - 2, 2, "if") != 0))
+            t.angles.emplace_back(open, close + 1);
+    }
+    for (std::size_t at = 0; at < text.size();
+         at = text.find('\n', at) + 1) {
+        if (text.compare(at, 5, "qreg ") == 0 ||
+            text.compare(at, 5, "creg ") == 0)
+            t.declarations.push_back(at);
+        if (text.compare(at, 7, "// qsa.") == 0 ||
+            text.compare(at, 5, "qreg ") == 0 ||
+            text.compare(at, 5, "creg ") == 0)
+            t.lines.emplace_back(at, text.find('\n', at) + 1);
+    }
+    return t;
+}
+
+/**
+ * `count` mutants of the bases, each one or two single-byte edits
+ * (delete, insert, replace), seeded. Two fifths of the mutants take
+ * their edits anywhere, a fifth inside angles (numbers, signs,
+ * exponents), a fifth on pragma and declaration lines, and a fifth one
+ * byte of syntax random edits seldom reach: a sign or hex prefix on
+ * an angle's number, or a bare register declaration. Each mutant is
+ * described as "b<base> <edit>...".
+ */
+std::vector<std::pair<std::string, std::string>>
+mutants(const std::vector<std::string> &bases, std::size_t count)
+{
+    static const std::string kAny =
+        std::string("0123456789abcdehimnpqrstuxz_ABCEFINOPQSX"
+                    "+-*/.,;:()[]<>=!\"' \t\r\n\v\f") +
+        '\0';
+    static const std::string kAngle = "0123456789+-*/(). eExXpPaAfinp";
+    static const std::string kLine = "0123456789+-.;[] \tqsaprezbk\r";
+
+    std::vector<Targets> targets;
+    for (const std::string &base : bases)
+        targets.push_back(targetsOf(base));
+    Rng rng(0x51a7e5);
+    std::vector<std::pair<std::string, std::string>> out;
+    while (out.size() < count) {
+        // The two Shor programs are a hundred times longer than the
+        // rest; they get a quarter of their share.
+        const std::size_t b = rng.uniformInt(bases.size());
+        if (bases[b].size() > 16384 && rng.uniformInt(4) != 0)
+            continue;
+        std::string text = bases[b];
+        std::string what = "b" + std::to_string(b);
+        const auto focus = rng.uniformInt(5);
+        if (focus == 4 && rng.uniformInt(8) == 0) {
+            // A ';' after the keyword leaves a declaration bare.
+            const auto &starts = targets[b].declarations;
+            const std::size_t pos =
+                starts[rng.uniformInt(starts.size())] + 4;
+            text[pos] = ';';
+            what += " r" + std::to_string(pos) + escaped(";");
+            out.emplace_back(std::move(what), std::move(text));
+            continue;
+        }
+        if (focus == 4 && !targets[b].angles.empty()) {
+            // strtod's own syntax, one byte each: a '+' before an
+            // angle's number, or an 'x' that makes a leading "0." a
+            // hex float ("0x.8", "0X8").
+            const auto &r = targets[b].angles[rng.uniformInt(
+                targets[b].angles.size())];
+            std::size_t pos = r.first + 1;
+            pos += text[pos] == '-';
+            if (text.compare(pos, 2, "0.") != 0 || rng.bernoulli(0.25)) {
+                text.insert(pos, 1, '+');
+                what += " i" + std::to_string(pos) + escaped("+");
+            } else if (rng.bernoulli(0.5)) {
+                text.insert(pos + 1, 1, 'x');
+                what += " i" + std::to_string(pos + 1) + escaped("x");
+            } else {
+                text[pos + 1] = 'X';
+                what += " r" + std::to_string(pos + 1) + escaped("X");
+            }
+            out.emplace_back(std::move(what), std::move(text));
+            continue;
+        }
+        const auto &ranges =
+            focus == 2 ? targets[b].angles : targets[b].lines;
+        const std::string &alphabet =
+            focus == 2 ? kAngle : focus == 3 ? kLine : kAny;
+        // Distinct positions in descending order, so no edit moves
+        // the byte another one hits.
+        std::vector<std::size_t> at;
+        for (std::uint64_t e = 1 + rng.uniformInt(2); e > 0; --e) {
+            if (focus < 2 || ranges.empty()) {
+                at.push_back(rng.uniformInt(text.size()));
+            } else {
+                const auto &r = ranges[rng.uniformInt(ranges.size())];
+                at.push_back(r.first + rng.uniformInt(r.second - r.first));
+            }
+        }
+        std::sort(at.rbegin(), at.rend());
+        at.erase(std::unique(at.begin(), at.end()), at.end());
+        for (const std::size_t pos : at) {
+            const char ch = alphabet[rng.uniformInt(alphabet.size())];
+            switch (rng.uniformInt(3)) {
+              case 0:
+                text.erase(pos, 1);
+                what += " d" + std::to_string(pos);
+                break;
+              case 1:
+                text.insert(pos, 1, ch);
+                what += " i" + std::to_string(pos) + escaped({ch});
+                break;
+              default:
+                text[pos] = ch;
+                what += " r" + std::to_string(pos) + escaped({ch});
+                break;
+            }
+        }
+        out.emplace_back(std::move(what), std::move(text));
+    }
+    return out;
+}
+
+TEST(QasmMutants, EveryVerdictMatchesTheGolden)
+{
+    // The committed golden (tests/qasm_mutants.golden) pins what the
+    // parser accepts and how it rejects the rest, field by field, over
+    // 3,000 edited programs. Set QSA_QASM_GOLDEN_OUT to a path to
+    // write the verdicts this build gives there.
+    const auto cases = mutants(mutantBases(), 3000);
+    std::ostringstream actual;
+    for (const auto &[what, text] : cases)
+        actual << what << " => " << verdict(text) << "\n";
+    if (const char *out = std::getenv("QSA_QASM_GOLDEN_OUT"))
+        std::ofstream(out) << actual.str();
+
+    std::ifstream file(std::string(QSA_TESTS_DIR) +
+                       "/qasm_mutants.golden");
+    ASSERT_TRUE(file) << "tests/qasm_mutants.golden is missing";
+    std::istringstream got(actual.str());
+    std::string expected_line, got_line;
+    std::size_t index = 0, mismatches = 0;
+    while (std::getline(file, expected_line)) {
+        ASSERT_TRUE(std::getline(got, got_line))
+            << "fewer verdicts than the golden's";
+        if (got_line != expected_line && ++mismatches <= 10)
+            ADD_FAILURE() << "mutant " << index << "\n  golden: "
+                          << expected_line << "\n  actual: " << got_line;
+        ++index;
+    }
+    EXPECT_EQ(index, cases.size());
+    EXPECT_EQ(mismatches, 0u);
 }
 
 } // namespace

@@ -15,9 +15,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -214,7 +216,68 @@ TEST(ServeProtocol, PingRoundTrips)
     EXPECT_TRUE(doc.find("result")->find("pong")->asBool());
     ASSERT_NE(doc.find("obs"), nullptr);
     EXPECT_NE(doc.find("obs")->find("duration_ns"), nullptr);
+    EXPECT_NE(doc.find("obs")->find("parse_ns"), nullptr);
 }
+
+TEST(ServeProtocol, ObsReportsExecutionAndParseTime)
+{
+    // "duration_ns" is execution alone; "parse_ns" the JSON and QASM
+    // parse before it. Both are counts of nanoseconds.
+    json::Value req = json::Value::object();
+    req.set("command", json::Value::string("lint"));
+    req.set("circuit",
+            json::Value::string("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n"
+                                "cx q[0],q[1];\n"));
+    const json::Value doc =
+        json::Value::parseOrDie(serve::handleRequestLine(req.dump()));
+    ASSERT_TRUE(doc.find("ok")->asBool());
+    const json::Value *obs = doc.find("obs");
+    ASSERT_NE(obs, nullptr);
+    ASSERT_NE(obs->find("duration_ns"), nullptr);
+    ASSERT_NE(obs->find("parse_ns"), nullptr);
+    EXPECT_GT(obs->find("parse_ns")->asUint64(), 0u);
+    obs->find("duration_ns")->asUint64(); // throws unless an integer
+}
+
+#if QSA_OBS_ENABLED
+TEST(ServeProtocol, RequestSpanCoversParseAndRender)
+{
+    // The request span opens before the JSON parse and closes after
+    // rendering, with serve.parse and serve.render inside it; only a
+    // request that parsed counts in serve.requests.
+    obs::Registry::reset();
+    obs::setTracing(true);
+    serve::handleRequestLine(R"({"id": 1, "command": "ping"})");
+    serve::handleRequestLine("{nope");
+    obs::setTracing(false);
+    EXPECT_EQ(counterValue("serve.requests"), 1);
+
+    const json::Value trace = json::Value::parseOrDie(obs::traceJson());
+    const json::Value &events = *trace.find("traceEvents");
+    std::map<std::string, std::vector<std::pair<double, double>>> spans;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const json::Value &event = events.at(i);
+        if (event.find("ph")->asString() != "X")
+            continue;
+        const double ts = event.find("ts")->asDouble();
+        spans[event.find("name")->asString()].emplace_back(
+            ts, ts + event.find("dur")->asDouble());
+    }
+    obs::clearTrace();
+    ASSERT_EQ(spans["serve.request"].size(), 2u);
+    ASSERT_EQ(spans["serve.parse"].size(), 2u);
+    ASSERT_EQ(spans["serve.render"].size(), 1u); // the error is not
+    const auto inside = [&](const std::pair<double, double> &span) {
+        for (const auto &request : spans["serve.request"])
+            if (request.first <= span.first && span.second <= request.second)
+                return true;
+        return false;
+    };
+    for (const char *child : {"serve.parse", "serve.render"})
+        for (const auto &span : spans[child])
+            EXPECT_TRUE(inside(span)) << child;
+}
+#endif
 
 TEST(ServeProtocol, MalformedJsonIsAnErrorResponse)
 {
@@ -336,6 +399,83 @@ TEST(ServeProtocol, SampledOracleLocatesTheWideMeasurementProgram)
         EXPECT_TRUE(result->find("bug_found")->asBool())
             << "mode '" << mode << "': " << response;
     }
+}
+
+/** Measured teleportation of ry(1.0)|0>; the suspect's receiver
+ *  applies S instead of Z on the m_z outcome (instruction 12). */
+std::string
+zFrameTeleportQasm(bool buggy)
+{
+    circuit::Circuit circ;
+    const auto msg = circ.addRegister("msg", 1);
+    const auto half = circ.addRegister("half", 1);
+    const auto recv = circ.addRegister("recv", 1);
+    circ.prepZ(msg[0], 0);
+    circ.prepZ(half[0], 0);
+    circ.prepZ(recv[0], 0);
+    circ.ry(msg[0], 1.0);
+    circ.rz(msg[0], 0.0);
+    circ.h(half[0]);
+    circ.cnot(half[0], recv[0]);
+    circ.cnot(msg[0], half[0]);
+    circ.h(msg[0]);
+    circ.measureQubits({half[0]}, "m_x");
+    circ.measureQubits({msg[0]}, "m_z");
+    circ.x(recv[0]);
+    circ.conditionLast("m_x", 1);
+    if (buggy)
+        circ.phase(recv[0], M_PI / 2);
+    else
+        circ.z(recv[0]);
+    circ.conditionLast("m_z", 1);
+    circ.rz(recv[0], -0.0);
+    circ.ry(recv[0], -1.0);
+    return circuit::toQasm(circ);
+}
+
+TEST(ServeProtocol, AutoBracketsBelowItsDecisiveSwapFailure)
+{
+    // The marginal search brackets [14, 15), past the defect; the
+    // decisive swap probe at boundary 14 fails on the escalated
+    // ensemble. The swap search must start from that failure: at the
+    // parent it re-probed boundary 15 on 64 shots, missed (p = 1) and
+    // kept the marginal bracket its own log contradicts.
+    json::Value doc = json::Value::object();
+    doc.set("command", json::Value::string("locate"));
+    doc.set("register", json::Value::string("recv"));
+    doc.set("family", json::Value::string("auto"));
+    doc.set("mode", json::Value::string("resimulate"));
+    doc.set("seed", json::Value::integer(7006367244457600ULL));
+    doc.set("ensemble_size", json::Value::integer(64));
+    doc.set("circuit", json::Value::string(zFrameTeleportQasm(true)));
+    doc.set("reference", json::Value::string(zFrameTeleportQasm(false)));
+    const std::string response = serve::handleRequestLine(doc.dump());
+    const json::Value parsed = json::Value::parseOrDie(response);
+    const json::Value *result = parsed.find("result");
+    ASSERT_NE(result, nullptr) << response;
+    EXPECT_TRUE(result->find("bug_found")->asBool()) << response;
+    EXPECT_TRUE(result->find("escalated_to_swap_test")->asBool());
+    EXPECT_EQ(result->find("decided_by")->asString(), "swap-test");
+    EXPECT_EQ(result->find("last_passing")->asUint64(), 12u) << response;
+    EXPECT_EQ(result->find("first_failing")->asUint64(), 13u) << response;
+
+    // No failed probe sits below the bracket, and the swap search
+    // never probes above the boundary that triggered it.
+    const json::Value &probes = *result->find("probes");
+    std::size_t swap_records = 0;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        const json::Value &probe = probes.at(i);
+        const std::uint64_t boundary = probe.find("boundary")->asUint64();
+        const bool swap = probe.find("family")->asString() == "swap-test";
+        if (probe.find("failed")->asBool()) {
+            EXPECT_GE(boundary, 13u) << response;
+        }
+        if (swap) {
+            EXPECT_LE(boundary, 14u) << response;
+            ++swap_records;
+        }
+    }
+    EXPECT_EQ(swap_records, 3u) << response;
 }
 
 /**
