@@ -3,7 +3,7 @@
  * OpenQASM 2.0 dialect emitter and one-pass parser.
  *
  * The parser reads the source once, in place: lines, statements and
- * operands are views into it, and names resolve through flat tables of
+ * operands are views into it, and names resolve through hash tables of
  * views. Every failure is a QasmError positioned at its line, column
  * and offending token, for remote clients (qsa::serve) as much as for
  * files; that includes every precondition the Circuit building calls
@@ -21,10 +21,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -68,18 +68,6 @@ registersCoverSpace(const Circuit &circ)
     return base == circ.numQubits() && base > 0;
 }
 
-/** "line 3, column 7: unsupported QASM gate 'zz'". */
-std::string
-positioned(std::size_t line, std::size_t column,
-           const std::string &token, const std::string &message)
-{
-    std::ostringstream os;
-    os << "line " << line << ", column " << column << ": " << message;
-    if (!token.empty())
-        os << " '" << token << "'";
-    return os.str();
-}
-
 /** Sanitise a measurement label into a classical register name. */
 std::string
 cregName(const std::string &label)
@@ -96,8 +84,11 @@ std::string
 toQasm(const Circuit &circ)
 {
     std::ostringstream os;
-    os << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
-    if (registersCoverSpace(circ)) {
+    os << "OPENQASM 2.0;\n";
+    os << "include \"qelib1.inc\";\n";
+
+    const bool named = registersCoverSpace(circ);
+    if (named) {
         for (const auto &r : circ.registers())
             os << "qreg " << r.name() << "[" << r.width() << "];\n";
     } else {
@@ -106,9 +97,10 @@ toQasm(const Circuit &circ)
 
     // Declare one classical register per measurement label.
     for (const auto &inst : circ.instructions()) {
-        if (inst.kind == GateKind::Measure)
+        if (inst.kind == GateKind::Measure) {
             os << "creg " << cregName(inst.label) << "["
                << inst.targets.size() << "];\n";
+        }
     }
 
     for (const auto &inst : circ.instructions()) {
@@ -121,10 +113,11 @@ toQasm(const Circuit &circ)
             os << "// qsa.breakpoint " << inst.label << "\n";
             continue;
           case GateKind::Measure:
-            for (std::size_t i = 0; i < inst.targets.size(); ++i)
+            for (std::size_t i = 0; i < inst.targets.size(); ++i) {
                 os << "measure " << qubitRef(circ, inst.targets[i])
                    << " -> " << cregName(inst.label) << "[" << i
                    << "];\n";
+            }
             continue;
           case GateKind::Unitary:
             fatal("dense unitary instructions have no QASM form");
@@ -132,25 +125,47 @@ toQasm(const Circuit &circ)
             break;
         }
 
-        if (!inst.condLabel.empty())
+        if (!inst.condLabel.empty()) {
             os << "if(" << cregName(inst.condLabel) << "=="
                << inst.condValue << ") ";
+        }
         std::string name(inst.controls.size(), 'c');
         name += gateKindName(inst.kind);
         os << name;
         if (gateKindHasAngle(inst.kind))
             os << "(" << fmtAngle(inst.angle) << ")";
-        const char *separator = " ";
-        for (const QubitList *qubits : {&inst.controls, &inst.targets}) {
-            for (unsigned q : *qubits) {
-                os << separator << qubitRef(circ, q);
-                separator = ",";
-            }
+        os << " ";
+
+        bool first = true;
+        for (unsigned c : inst.controls) {
+            os << (first ? "" : ",") << qubitRef(circ, c);
+            first = false;
+        }
+        for (unsigned t : inst.targets) {
+            os << (first ? "" : ",") << qubitRef(circ, t);
+            first = false;
         }
         os << ";\n";
     }
     return os.str();
 }
+
+namespace
+{
+
+/** "line 3, column 7: unsupported QASM gate 'zz'". */
+std::string
+positioned(std::size_t line, std::size_t column,
+           const std::string &token, const std::string &message)
+{
+    std::ostringstream os;
+    os << "line " << line << ", column " << column << ": " << message;
+    if (!token.empty())
+        os << " '" << token << "'";
+    return os.str();
+}
+
+} // anonymous namespace
 
 QasmError::QasmError(std::size_t line, std::size_t column,
                      std::string token, const std::string &message)
@@ -262,7 +277,10 @@ readPragmaOperands(std::string_view text, unsigned &first,
  * factor)*, factor := '-' factor | '(' expr ')' | 'pi' | a number
  * strtod reads. An angle ends at its statement's first ')', so a '('
  * in one never closes: past it the parser only looks for a bad number
- * to report before the open paren, and it never recurses.
+ * to report before the open paren, and it never recurses. That ')'
+ * follows the text in memory, and strtod reads in place: a finite
+ * number stops before it, and the one reading that passes it, nan(...),
+ * is rejected as non-finite.
  */
 class AngleParser
 {
@@ -320,9 +338,9 @@ class AngleParser
             pos += 2;
             return negate ? -M_PI : M_PI;
         }
-        // strtod's value and length, read in place: from_chars agrees
-        // with it on a plain decimal; a sign, a hex float, inf or nan
-        // and a value out of range go to strtod itself.
+        // strtod's value and length: from_chars agrees with it on a
+        // plain decimal; a sign, a hex float, inf or nan and a value out
+        // of range go to strtod itself, in place (see the class comment).
         const char *begin = s.data() + pos;
         const char *end = s.data() + s.size();
         double v = 0.0;
@@ -331,10 +349,9 @@ class AngleParser
             read = std::from_chars(begin, end, v);
         if (read.ec != std::errc() ||
             (read.ptr != end && (*read.ptr == 'x' || *read.ptr == 'X'))) {
-            const std::string rest(begin, end);
             char *stop = nullptr;
-            v = std::strtod(rest.c_str(), &stop);
-            read.ptr = begin + (stop - rest.c_str());
+            v = std::strtod(begin, &stop);
+            read.ptr = stop;
         }
         if (read.ptr == begin || !std::isfinite(v))
             parseThrow(s, "bad number in angle");
@@ -378,42 +395,6 @@ kindFromName(std::string_view name, GateKind &kind)
     return false;
 }
 
-/**
- * Names declared in the source, numbered in declaration order: a flat
- * table of views into the text, scanned; past a handful of names a
- * hash index keeps lookups constant-time.
- */
-class NameIndex
-{
-  public:
-    std::size_t
-    find(std::string_view name) const
-    {
-        if (names.size() > kScanned) {
-            const auto it = hashed.find(name);
-            return it == hashed.end() ? npos : it->second;
-        }
-        const auto it = std::find(names.begin(), names.end(), name);
-        return it == names.end() ? npos : std::size_t(it - names.begin());
-    }
-
-    /** Number `name`, which find() does not know. */
-    std::size_t
-    add(std::string_view name)
-    {
-        hashed.emplace(name, names.size());
-        names.push_back(name);
-        return names.size() - 1;
-    }
-
-    std::string_view operator[](std::size_t n) const { return names[n]; }
-
-  private:
-    static constexpr std::size_t kScanned = 8;
-    std::vector<std::string_view> names;
-    std::unordered_map<std::string_view, std::size_t> hashed;
-};
-
 /** See file comment: the positioned QASM parser. */
 class QasmParser
 {
@@ -441,26 +422,28 @@ class QasmParser
     std::size_t lineNo = 0;
     std::string_view line;
 
-    /** Quantum registers: (qubit offset, width) per name. */
-    NameIndex qregs;
-    std::vector<std::pair<unsigned, unsigned>> qregSpans;
+    /** Quantum registers: name -> (qubit offset, width). */
+    std::unordered_map<std::string_view, std::pair<unsigned, unsigned>>
+        qregs;
 
-    /** Classical registers: the measurement label each records. */
-    NameIndex cregs;
-    std::vector<std::size_t> cregLabels;
+    /** Classical registers: name -> the measurement label it records. */
+    std::unordered_map<std::string_view, std::size_t> cregs;
 
-    /** Measurement labels: recorded into yet, and the pending
-     *  (classical bit, qubit) pairs of each, grouped in first-seen
-     *  order into one Measure instruction per label. */
-    NameIndex labels;
+    /** Measurement labels, numbered as declared: recorded into yet, and
+     *  the pending (classical bit, qubit) pairs of each, grouped in
+     *  first-seen order into one Measure instruction per label. */
+    std::unordered_map<std::string_view, std::size_t> labelNumbers;
+    std::vector<std::string_view> labels;
     std::vector<char> measured;
     std::vector<std::vector<std::pair<unsigned, unsigned>>> pending;
     std::vector<std::size_t> pendingOrder;
 
-    NameIndex breakpoints;
+    std::unordered_set<std::string_view> breakpoints;
 
-    /** Per classical bit and per qubit, the last group that saw it. */
-    std::vector<std::size_t> bitSeen, qubitSeen;
+    /** Per classical bit and per measured qubit, the last group that
+     *  saw it: sized by the groups, not by the declared qubits. */
+    std::vector<std::size_t> bitSeen;
+    std::unordered_map<unsigned, std::size_t> qubitSeen;
     std::size_t groups = 0;
 
     /** Run `step`; rethrow a failure as a QasmError on this line, at
@@ -488,14 +471,15 @@ class QasmParser
     resolve(std::string_view ref_text)
     {
         const auto [name, index] = parseRef(ref_text);
-        const std::size_t reg = qregs.find(name);
-        if (reg == npos)
+        const auto reg = qregs.find(name);
+        if (reg == qregs.end())
             parseThrow(name, "unknown register");
-        if (index >= qregSpans[reg].second)
+        const auto [offset, width] = reg->second;
+        if (index >= width)
             parseThrow(trimmed(ref_text),
                        "qubit index out of range for register '" +
                            std::string(name) + "'");
-        return qregSpans[reg].first + index;
+        return offset + index;
     }
 
     void
@@ -506,7 +490,6 @@ class QasmParser
             std::vector<unsigned> qubits(targets.size());
             ++groups;
             bitSeen.resize(std::max(bitSeen.size(), targets.size()));
-            qubitSeen.resize(circ.numQubits());
             const auto reject = [&](const char *what) {
                 parseThrow(labels[label],
                            std::string(what) + " for label");
@@ -554,9 +537,8 @@ class QasmParser
             if (label.empty())
                 parseThrow(trimmed(line),
                            "qsa.breakpoint pragma needs a label");
-            if (breakpoints.find(label) != npos)
+            if (!breakpoints.insert(label).second)
                 parseThrow(label, "duplicate breakpoint label");
-            breakpoints.add(label);
             Instruction marker;
             marker.kind = GateKind::Breakpoint;
             marker.label = std::string(label);
@@ -590,10 +572,10 @@ class QasmParser
                 parseThrow(stmt, "measure without '->'");
             const unsigned qubit = resolve(stmt.substr(8, arrow - 8));
             const auto [creg, cbit] = parseRef(stmt.substr(arrow + 2));
-            const std::size_t c = cregs.find(creg);
-            if (c == npos)
+            const auto c = cregs.find(creg);
+            if (c == cregs.end())
                 parseThrow(creg, "unknown creg");
-            const std::size_t label = cregLabels[c];
+            const std::size_t label = c->second;
             if (pending[label].empty())
                 pendingOrder.push_back(label);
             pending[label].emplace_back(cbit, qubit);
@@ -610,27 +592,25 @@ class QasmParser
             if (qreg) {
                 if (size == 0)
                     parseThrow(name, "register must have width > 0");
-                if (qregs.find(name) != npos)
+                if (!qregs.try_emplace(name, circ.numQubits(), size).second)
                     parseThrow(name, "duplicate register name");
-                qregs.add(name);
-                qregSpans.emplace_back(circ.numQubits(), size);
                 circ.addRegister(std::string(name), size);
                 return;
             }
             // A name always records the same label, so declaring it
             // again changes nothing.
-            if (cregs.find(name) != npos)
+            if (cregs.count(name))
                 return;
             const std::string_view label =
                 startsWith(name, "m_") ? name.substr(2) : name;
-            std::size_t l = labels.find(label);
-            if (l == npos) {
-                l = labels.add(label);
+            const auto [l, added] =
+                labelNumbers.try_emplace(label, labels.size());
+            if (added) {
+                labels.push_back(label);
                 measured.push_back(0);
                 pending.emplace_back();
             }
-            cregs.add(name);
-            cregLabels.push_back(l);
+            cregs.emplace(name, l->second);
             return;
         }
 
@@ -642,13 +622,13 @@ class QasmParser
             if (eq == npos || close == npos || close < eq)
                 parseThrow(stmt, "malformed if condition");
             const std::string_view creg = stmt.substr(3, eq - 3);
-            const std::size_t c = cregs.find(creg);
-            if (c == npos)
+            const auto c = cregs.find(creg);
+            if (c == cregs.end())
                 parseThrow(creg, "unknown creg in condition");
-            if (!measured[cregLabels[c]])
+            if (!measured[c->second])
                 parseThrow(creg, "condition reads creg before any "
                                  "measurement into it");
-            inst.condLabel = std::string(labels[cregLabels[c]]);
+            inst.condLabel = std::string(labels[c->second]);
             inst.condValue = parseUnsigned(
                 stmt.substr(eq + 2, close - eq - 2), "condition value");
             stmt = trimmed(stmt.substr(close + 1));
@@ -735,7 +715,9 @@ loadQasmFile(const std::string &path)
 {
     std::ifstream in(path);
     fatal_if(!in, "cannot open '", path, "' for reading");
-    return fromQasm(std::string(std::istreambuf_iterator<char>(in), {}));
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return fromQasm(buffer.str());
 }
 
 } // namespace qsa::circuit

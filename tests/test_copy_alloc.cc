@@ -5,8 +5,8 @@
  * Instruction, and each copy helper sizes its instruction vector
  * once. This binary replaces the global operator new to count the
  * allocations of sliceRange, an adjoint appendRange and appendCircuit
- * of a ~500-gate circuit. It is its own test binary because the
- * replacement holds for the whole program.
+ * of a ~500-gate circuit, and of parsing a long QASM angle. It is its
+ * own test binary because the replacement holds for the whole program.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +14,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "circuit/circuit.hh"
+#include "circuit/qasm.hh"
 
 namespace
 {
@@ -139,6 +141,24 @@ TEST(CopyAllocations, ProbeMarkersAfterASliceDoNotMoveIt)
                   probe.appendRange(program, 300, 400);
                   probe.breakpoint("probe");
                   EXPECT_EQ(gAllocations.load(), slice_allocations);
+              }),
+              kConstantAllocations);
+}
+
+TEST(ParseAllocations, LongAngleAllocatesAConstantNumberOfTimes)
+{
+    // After the first, every "+1" term is a factor with a sign, which
+    // strtod reads in place. A copy of the rest of the angle per such
+    // factor would make a request line of this size cost gigabytes of
+    // copying: 100,000 terms, a 300 KB angle.
+    std::string angle = "1";
+    for (int i = 0; i < 100000; ++i)
+        angle += "++1";
+    const std::string text = "qreg q[1];\nrz(" + angle + ") q[0];\n";
+    EXPECT_LE(allocationsOf([&] {
+                  const Circuit parsed = circuit::fromQasm(text);
+                  ASSERT_EQ(parsed.size(), 1u);
+                  EXPECT_EQ(parsed.instructions()[0].angle, 100001.0);
               }),
               kConstantAllocations);
 }

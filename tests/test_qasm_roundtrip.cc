@@ -94,11 +94,10 @@ TEST(QasmRoundTrip, EmissionIsAFixedPointOnEveryCleanReference)
     }
 }
 
-TEST(QasmRoundTrip, ManyNamesResolvePastTheScannedTable)
+TEST(QasmRoundTrip, ManyNamesRoundTripAndStayChecked)
 {
-    // Past eight names the parser resolves them through a hash index:
-    // twelve registers, labels and breakpoints round-trip, and the
-    // duplicate and unknown-name checks still fire on the twelfth.
+    // Twelve registers, labels and breakpoints round-trip, and the
+    // duplicate and unknown-name checks fire on the twelfth.
     Circuit circ;
     std::vector<circuit::QubitRegister> regs;
     for (int r = 0; r < 12; ++r)
@@ -474,6 +473,14 @@ TEST(QasmErrors, EveryMalformedInputIsPositioned)
         {"bad prepz pragma",
          "OPENQASM 2.0;\nqreg q[1];\n// qsa.prepz\n", 3, "",
          "needs '<qubit> <bit>'"},
+        {"duplicate measured qubit",
+         "OPENQASM 2.0;\nqreg q[2];\ncreg m_c[2];\n"
+         "measure q[1] -> m_c[0];\nmeasure q[1] -> m_c[1];\n",
+         5, "c", "duplicate measured qubit in measurement group"},
+        {"duplicate classical bit",
+         "OPENQASM 2.0;\nqreg q[2];\ncreg m_c[2];\n"
+         "measure q[0] -> m_c[1];\nmeasure q[1] -> m_c[1];\nh q[0];\n",
+         6, "c", "duplicate classical bit in measurement group"},
         {"bare qreg", "OPENQASM 2.0;\nqreg;\n", 2, "",
          "bad register reference"},
         {"bare creg", "OPENQASM 2.0;\nqreg q[1];\n  creg ;\n", 3, "",
@@ -495,6 +502,22 @@ TEST(QasmErrors, EveryMalformedInputIsPositioned)
                 << c.label << ": got '" << error.what() << "'";
         }
     }
+}
+
+TEST(QasmErrors, MeasuredQubitsAreDistinctWithinAGroupOnly)
+{
+    // A group is the run of adjacent measure statements into one
+    // label; the same qubit may be measured again in a later group.
+    const Circuit parsed = circuit::fromQasm(
+        "qreg q[2];\ncreg m_a[1];\ncreg m_b[2];\n"
+        "measure q[1] -> m_a[0];\nh q[0];\n"
+        "measure q[1] -> m_b[1];\nmeasure q[0] -> m_b[0];\n");
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_EQ(parsed.instructions()[0].label, "a");
+    EXPECT_EQ(parsed.instructions()[2].label, "b");
+    EXPECT_EQ(parsed.instructions()[2].targets.size(), 2u);
+    EXPECT_EQ(parsed.instructions()[2].targets[0], 0u);
+    EXPECT_EQ(parsed.instructions()[2].targets[1], 1u);
 }
 
 TEST(QasmErrors, WhatIncludesPositionAndToken)
