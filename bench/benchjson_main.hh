@@ -6,9 +6,8 @@
  * accept `--json <path>` alongside the normal benchmark flags: runs
  * print to the console exactly as before, and when the flag is given
  * every run is additionally teed into one machine-readable JSON
- * document (format: src/common/benchjson.hh). This header is
- * bench-only on purpose — libqsa carries the renderer but never a
- * benchmark-library dependency.
+ * document (format: benchjson.hh). This header is bench-only on
+ * purpose: libqsa never depends on the benchmark library.
  */
 
 #ifndef QSA_BENCH_BENCHJSON_MAIN_HH
@@ -20,7 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/benchjson.hh"
+#include "benchjson.hh"
 #include "obs/obs.hh"
 
 namespace qsa::benchjson
@@ -75,7 +74,7 @@ benchMain(const std::string &bench_name, int argc, char **argv,
         if (metrics_epilogue)
             metrics_epilogue();
         write(json_path, bench_name, reporter.records,
-              obs::metricsJson());
+              obs::metricsObject());
     }
     benchmark::Shutdown();
     return 0;

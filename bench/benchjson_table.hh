@@ -25,7 +25,7 @@
 #include <string>
 #include <utility>
 
-#include "common/benchjson.hh"
+#include "benchjson.hh"
 #include "obs/obs.hh"
 
 namespace qsa::benchjson
@@ -62,7 +62,7 @@ class TableBenchJson
         if (written || path.empty())
             return;
         written = true;
-        write(path, name, {snapshot}, obs::metricsJson());
+        write(path, name, {snapshot}, obs::metricsObject());
     }
 
   private:

@@ -2,7 +2,7 @@
 """Bench-regression gate over the BENCH_*.json trajectory files.
 
 Compares a freshly generated bench JSON document (see
-src/common/benchjson.hh for the shape) against a committed baseline
+bench/benchjson.hh for the shape) against a committed baseline
 and fails when any gated counter regressed by more than the
 tolerance. The default gated counters are the localization cost
 headline numbers — probes and measurements — which are seeded and

@@ -24,11 +24,13 @@ the outside:
    derivation failures),
  - every locate the locator rejects that a 12-qubit daemon can reach
    (a width gate, a family the scope does not support, mismatched
-   qubit spaces, no probeable boundary), and check and analyze plans
-   the Session rejects (an unknown register, a source breakpoint
-   named like the Session's boundary marker), get an error response
-   with the library's message, each followed by a ping on the SAME
-   connection, and a first-instruction defect is then bracketed,
+   qubit spaces, no probeable boundary), check and analyze plans the
+   Session rejects (an unknown register, a source breakpoint named
+   like the Session's boundary marker), and two lines the JSON parser
+   rejects (100,000 nested arrays, an 80,000-member object) get an
+   error response with the library's message, each followed by a ping
+   on the SAME connection, and a first-instruction defect is then
+   bracketed,
  - SIGTERM drains gracefully: exit status 0 and the atexit QSA_TRACE
    flush produced a well-formed trace file,
  - every library span in that trace (runtime.*, locate.*,
@@ -366,13 +368,25 @@ def check_rejection_survival(client, socket_path):
                                   "register": "nope"}),
              "plan[0]: no register named 'nope'"),
         ]
+    rejections = [(name, json.dumps({"id": name, **request}), message)
+                  for name, request, message in rejections]
+    # Raw lines the JSON parser rejects: 100,000 nested arrays once
+    # overflowed its stack and took the daemon down, and an
+    # 80,000-member object took seconds to parse.
+    rejections += [
+        ("100,000 nested arrays", "[" * 100000,
+         "nesting deeper than 64 levels"),
+        ("80,000-member object",
+         json.dumps({f"k{i}": 0 for i in range(80000)}),
+         "unknown field 'k0'"),
+    ]
     first_defect = locate(
         "OPENQASM 2.0;\nqreg q[2];\nx q[0];\ncx q[0],q[1];\n",
         "OPENQASM 2.0;\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n",
         id="first-defect")
     batch = []
-    for name, request, _ in rejections:
-        batch.append(json.dumps({"id": name, **request}))
+    for _, line, _ in rejections:
+        batch.append(line)
         batch.append(json.dumps({"id": "ping", "command": "ping"}))
     batch.append(json.dumps(first_defect))
     proc = subprocess.run(

@@ -7,7 +7,6 @@
 
 #include <sstream>
 
-#include "common/benchjson.hh"
 #include "common/logging.hh"
 
 namespace qsa::analyze
@@ -61,30 +60,32 @@ LintReport::render() const
     return os.str();
 }
 
-std::string
-LintReport::json() const
+json::Value
+toJson(const LintReport &report)
 {
-    namespace bj = benchjson;
-    std::ostringstream os;
-    os << "{\"diagnostics\": [";
-    for (std::size_t i = 0; i < diagnostics.size(); ++i) {
-        const Diagnostic &d = diagnostics[i];
-        os << (i ? ",\n" : "\n") << "  {\"rule\": \""
-           << bj::escape(d.rule) << "\", \"severity\": \""
-           << severityName(d.severity)
-           << "\", \"instruction\": " << d.instruction
-           << ", \"qubits\": [";
-        for (std::size_t q = 0; q < d.qubits.size(); ++q)
-            os << (q ? ", " : "") << d.qubits[q];
-        os << "], \"label\": \"" << bj::escape(d.label)
-           << "\", \"message\": \"" << bj::escape(d.message)
-           << "\", \"hint\": \"" << bj::escape(d.hint) << "\"}";
+    json::Value out = json::Value::object();
+    out.set("clean", json::Value::boolean(report.clean()));
+    out.set("errors", json::Value::integer(report.count(Severity::Error)));
+    out.set("warnings",
+            json::Value::integer(report.count(Severity::Warning)));
+    out.set("infos", json::Value::integer(report.count(Severity::Info)));
+    json::Value diagnostics = json::Value::array();
+    for (const Diagnostic &d : report.diagnostics) {
+        json::Value item = json::Value::object();
+        item.set("rule", json::Value::string(d.rule));
+        item.set("severity", json::Value::string(severityName(d.severity)));
+        item.set("instruction", json::Value::integer(d.instruction));
+        json::Value qubits = json::Value::array();
+        for (unsigned q : d.qubits)
+            qubits.push(json::Value::integer(q));
+        item.set("qubits", std::move(qubits));
+        item.set("label", json::Value::string(d.label));
+        item.set("message", json::Value::string(d.message));
+        item.set("hint", json::Value::string(d.hint));
+        diagnostics.push(std::move(item));
     }
-    os << (diagnostics.empty() ? "]" : "\n]")
-       << ", \"errors\": " << count(Severity::Error)
-       << ", \"warnings\": " << count(Severity::Warning)
-       << ", \"infos\": " << count(Severity::Info) << "}\n";
-    return os.str();
+    out.set("diagnostics", std::move(diagnostics));
+    return out;
 }
 
 } // namespace qsa::analyze

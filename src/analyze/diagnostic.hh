@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
+
 namespace qsa::analyze
 {
 
@@ -79,11 +81,15 @@ struct LintReport
 
     /** Human-readable rendering, one line per diagnostic. */
     std::string render() const;
-
-    /** Structured JSON rendering (an object with a "diagnostics"
-     *  array), suitable for tooling. */
-    std::string json() const;
 };
+
+/**
+ * The report as one JSON object, the form `qsa_lint --json` prints and
+ * qsa_serve's lint and analyze results carry: "clean", the "errors" /
+ * "warnings" / "infos" counts, and a "diagnostics" array of {"rule",
+ * "severity", "instruction", "qubits", "label", "message", "hint"}.
+ */
+json::Value toJson(const LintReport &report);
 
 } // namespace qsa::analyze
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Assertion report rendering.
+ * Assertion report rendering (table and JSON).
  */
 
 #include "assertions/report.hh"
@@ -44,6 +44,28 @@ renderOutcomeLine(const AssertionOutcome &o)
        << "] p=" << AsciiTable::fmtP(o.pValue) << " (M="
        << o.ensembleSize << ")";
     return os.str();
+}
+
+json::Value
+toJson(const AssertionOutcome &o)
+{
+    json::Value counts = json::Value::object();
+    for (const auto &[value, count] : o.countsA)
+        counts.set(std::to_string(value), json::Value::integer(count));
+    json::Value out = json::Value::object();
+    out.set("name", json::Value::string(o.spec.name));
+    out.set("kind", json::Value::string(assertionKindName(o.spec.kind)));
+    out.set("breakpoint", json::Value::string(o.spec.breakpoint));
+    out.set("passed", json::Value::boolean(o.passed));
+    out.set("p_value", json::Value::number(o.pValue));
+    out.set("statistic", json::Value::number(o.statistic));
+    out.set("df", json::Value::number(o.df));
+    out.set("ensemble_size", json::Value::integer(o.ensembleSize));
+    out.set("alpha", json::Value::number(o.spec.alpha));
+    out.set("effective_alpha", json::Value::number(o.effectiveAlpha));
+    out.set("impossible_outcome", json::Value::boolean(o.impossibleOutcome));
+    out.set("counts", std::move(counts));
+    return out;
 }
 
 bool

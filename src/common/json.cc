@@ -3,11 +3,10 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
-
-#include "benchjson.hh"
-#include "logging.hh"
 
 namespace qsa::json
 {
@@ -43,7 +42,81 @@ const char *typeName(Value::Type t)
     throw TypeError(os.str());
 }
 
+/**
+ * Append the shortest decimal that strtod maps back to the same bits
+ * (%.17g always does; shorter forms first, so 0.25 stays "0.25"). The
+ * oracle store's bit-exact round trip depends on it.
+ */
+void appendNumber(std::string &out, double v)
+{
+    char buf[32];
+    for (int precision : {15, 16, 17})
+    {
+        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    out += buf;
+}
+
+/** Append `s` as a JSON string literal. */
+void appendString(std::string &out, const std::string &s)
+{
+    static constexpr char kHex[] = "0123456789abcdef";
+    out += '"';
+    for (const char ch : s)
+    {
+        const auto c = static_cast<unsigned char>(ch);
+        switch (c)
+        {
+        case '"':
+            out += "\\\"";
+            break;
+        case '\\':
+            out += "\\\\";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        default:
+            if (c < 0x20)
+            {
+                out += "\\u00";
+                out += kHex[c >> 4];
+                out += kHex[c & 0xF];
+            }
+            else
+            {
+                out += ch;
+            }
+        }
+    }
+    out += '"';
+}
+
 } // namespace
+
+Value::Value(const Value &other)
+    : kind(other.kind), boolValue(other.boolValue), text(other.text),
+      elements(other.elements), fields(other.fields),
+      slots(other.slots
+                ? std::make_unique<std::vector<std::uint32_t>>(*other.slots)
+                : nullptr)
+{
+}
+
+Value &Value::operator=(const Value &other)
+{
+    if (this != &other)
+        *this = Value(other);
+    return *this;
+}
 
 Value Value::boolean(bool b)
 {
@@ -56,21 +129,25 @@ Value Value::boolean(bool b)
 Value Value::number(double d)
 {
     Value v;
-    v.kind = Type::Number;
-    v.numValue = d;
-    // benchjson::number emits the shortest lexeme strtod maps back to
-    // the same bits — the store's bit-exact round-trip depends on it.
-    v.text = benchjson::number(d);
     if (!std::isfinite(d))
-        v.kind = Type::Null;
+        return v;
+    v.kind = Type::Number;
+    appendNumber(v.text, d);
     return v;
 }
 
-Value Value::integer(std::uint64_t u)
+Value Value::fromInteger(std::int64_t i)
 {
     Value v;
     v.kind = Type::Number;
-    v.numValue = static_cast<double>(u);
+    v.text = std::to_string(i);
+    return v;
+}
+
+Value Value::fromInteger(std::uint64_t u)
+{
+    Value v;
+    v.kind = Type::Number;
     v.text = std::to_string(u);
     return v;
 }
@@ -109,14 +186,66 @@ Value &Value::set(const std::string &key, Value v)
 {
     if (kind != Type::Object)
         typeFail("object", kind);
-    for (auto &member : fields)
-        if (member.first == key)
-        {
-            member.second = std::move(v);
-            return *this;
-        }
+    const std::size_t at = memberIndex(key);
+    if (at < fields.size())
+    {
+        fields[at].second = std::move(v);
+        return *this;
+    }
     fields.emplace_back(key, std::move(v));
+    indexLastMember();
     return *this;
+}
+
+std::size_t Value::memberIndex(const std::string &key) const
+{
+    if (!slots)
+    {
+        for (std::size_t at = 0; at < fields.size(); ++at)
+            if (fields[at].first == key)
+                return at;
+        return fields.size();
+    }
+    const std::vector<std::uint32_t> &table = *slots;
+    const std::size_t mask = table.size() - 1;
+    for (std::size_t s = std::hash<std::string>()(key) & mask;;
+         s = (s + 1) & mask)
+    {
+        if (table[s] == 0)
+            return fields.size();
+        const std::size_t at = table[s] - 1;
+        if (fields[at].first == key)
+            return at;
+    }
+}
+
+void Value::indexLastMember()
+{
+    if (fields.size() <= kScannedMembers)
+        return;
+    if (!slots)
+        slots = std::make_unique<std::vector<std::uint32_t>>();
+    std::vector<std::uint32_t> &table = *slots;
+    const auto place = [&](std::size_t at) {
+        const std::size_t mask = table.size() - 1;
+        std::size_t s = std::hash<std::string>()(fields[at].first) & mask;
+        while (table[s] != 0)
+            s = (s + 1) & mask;
+        table[s] = static_cast<std::uint32_t>(at + 1);
+    };
+    if (2 * fields.size() <= table.size())
+    {
+        place(fields.size() - 1);
+        return;
+    }
+    // Past half full: rehash every member into the smallest power of
+    // two at least twice the member count.
+    std::size_t size = 1;
+    while (size < 2 * fields.size())
+        size *= 2;
+    table.assign(size, 0);
+    for (std::size_t at = 0; at < fields.size(); ++at)
+        place(at);
 }
 
 bool Value::asBool() const
@@ -130,7 +259,8 @@ double Value::asDouble() const
 {
     if (kind != Type::Number)
         typeFail("number", kind);
-    return numValue;
+    // The lexeme is the number: a composed double's round-trips.
+    return std::strtod(text.c_str(), nullptr);
 }
 
 std::uint64_t Value::asUint64() const
@@ -180,10 +310,8 @@ const Value *Value::find(const std::string &key) const
 {
     if (kind != Type::Object)
         return nullptr;
-    for (const auto &member : fields)
-        if (member.first == key)
-            return &member.second;
-    return nullptr;
+    const std::size_t at = memberIndex(key);
+    return at < fields.size() ? &fields[at].second : nullptr;
 }
 
 const std::vector<std::pair<std::string, Value>> &Value::members() const
@@ -192,18 +320,6 @@ const std::vector<std::pair<std::string, Value>> &Value::members() const
         typeFail("object", kind);
     return fields;
 }
-
-namespace
-{
-
-void dumpString(const std::string &s, std::string &out)
-{
-    out += '"';
-    out += benchjson::escape(s);
-    out += '"';
-}
-
-} // namespace
 
 void Value::dumpTo(std::string &out) const
 {
@@ -220,7 +336,7 @@ void Value::dumpTo(std::string &out) const
         out += text;
         return;
     case Type::String:
-        dumpString(text, out);
+        appendString(out, text);
         return;
     case Type::Array:
         out += '[';
@@ -238,7 +354,7 @@ void Value::dumpTo(std::string &out) const
         {
             if (i)
                 out += ',';
-            dumpString(fields[i].first, out);
+            appendString(out, fields[i].first);
             out += ':';
             fields[i].second.dumpTo(out);
         }
@@ -280,6 +396,9 @@ class Parser
     std::size_t pos = 0;
     std::size_t line = 1;
     std::size_t col = 1;
+
+    /** Arrays and objects open around the current position. */
+    std::size_t depth = 0;
 
     bool fail(const std::string &message)
     {
@@ -341,9 +460,18 @@ class Parser
         switch (peek())
         {
         case '{':
-            return parseObject(out);
         case '[':
-            return parseArray(out);
+        {
+            // Bound the recursion, so no input can exhaust the stack.
+            if (depth == Value::kMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(Value::kMaxDepth) + " levels");
+            ++depth;
+            const bool ok =
+                peek() == '{' ? parseObject(out) : parseArray(out);
+            --depth;
+            return ok;
+        }
         case '"':
         {
             std::string s;
@@ -578,7 +706,6 @@ class Parser
         Value v;
         v.kind = Value::Type::Number;
         v.text = src.substr(start, pos - start);
-        v.numValue = std::strtod(v.text.c_str(), nullptr);
         *out = std::move(v);
         return true;
     }
@@ -589,15 +716,6 @@ bool Value::parse(const std::string &text, Value *out,
 {
     Parser p(text, error);
     return p.run(out);
-}
-
-Value Value::parseOrDie(const std::string &text)
-{
-    Value v;
-    std::string err;
-    fatal_if(!parse(text, &v, &err), "JSON parse error: ",
-                     err);
-    return v;
 }
 
 } // namespace qsa::json

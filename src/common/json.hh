@@ -2,15 +2,19 @@
  * @file
  * Minimal JSON document model: parse, navigate, compose, dump.
  *
- * The repo's machine-readable *writers* (common/benchjson, the
- * session exporter) compose JSON as text; the serving layer
- * (qsa::serve) and the oracle store also need to *read* JSON — wire
- * requests and persisted oracle payloads — so this module adds the
- * missing half as one small value type. Scope is deliberately narrow:
+ * The one JSON reader and writer of the library: serve requests and
+ * responses, oracle-store payloads, Session::exportJson, lint
+ * reports, the metrics snapshot and trace events are all Values, and
+ * dump() is the only code that escapes strings and formats numbers.
+ * Scope is deliberately narrow:
  *
  *  - strict RFC-8259 subset (no comments, no trailing commas),
+ *  - nesting deeper than Value::kMaxDepth is a parse error, so no
+ *    input can exhaust the parser's stack,
  *  - objects preserve insertion order, so dump() is deterministic
- *    for a deterministically composed document,
+ *    for a deterministically composed document; an object past a few
+ *    members hashes its keys, so composing or parsing a k-member
+ *    object is O(k) expected,
  *  - numbers keep their source lexeme: a 64-bit integer round-trips
  *    exactly (doubles cannot hold every seed), and re-dumping a
  *    parsed document reproduces the original number text,
@@ -25,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -57,6 +62,12 @@ class Value
     /** Null value. */
     Value() = default;
 
+    Value(const Value &other);
+    Value &operator=(const Value &other);
+    Value(Value &&) noexcept = default;
+    Value &operator=(Value &&) noexcept = default;
+    ~Value() = default;
+
     /** @{ @name Composition */
 
     static Value boolean(bool b);
@@ -65,8 +76,17 @@ class Value
      *  values dump as null, JSON has no representation for them). */
     static Value number(double v);
 
-    /** Number from an unsigned integer (exact decimal lexeme). */
-    static Value integer(std::uint64_t v);
+    /** Number from any integer type, signed or unsigned (exact
+     *  decimal lexeme). */
+    template <typename Int,
+              typename = std::enable_if_t<std::is_integral_v<Int>>>
+    static Value integer(Int v)
+    {
+        if constexpr (std::is_signed_v<Int>)
+            return fromInteger(static_cast<std::int64_t>(v));
+        else
+            return fromInteger(static_cast<std::uint64_t>(v));
+    }
 
     static Value string(std::string s);
     static Value array();
@@ -76,7 +96,8 @@ class Value
     Value &push(Value v);
 
     /** Insert or replace an object member; returns *this so
-     *  document-building chains. */
+     *  document-building chains. A replaced member keeps its first
+     *  position. */
     Value &set(const std::string &key, Value v);
 
     /** @} */
@@ -122,6 +143,9 @@ class Value
     /** Compact one-line rendering (deterministic, see file comment). */
     std::string dump() const;
 
+    /** Arrays and objects nested deeper than this do not parse. */
+    static constexpr std::size_t kMaxDepth = 64;
+
     /**
      * Parse one JSON document. Returns false on malformed input with
      * `*error` set to "line L, column C: <what>" (1-based positions);
@@ -130,24 +154,39 @@ class Value
     static bool parse(const std::string &text, Value *out,
                       std::string *error = nullptr);
 
-    /** Parse or throw qsa::Error with the positioned message (trusted
-     *  input: repo-generated documents, test fixtures). */
-    static Value parseOrDie(const std::string &text);
-
     /** @} */
 
   private:
+    static Value fromInteger(std::int64_t v);
+    static Value fromInteger(std::uint64_t v);
+
     void dumpTo(std::string &out) const;
+
+    /** Position of member `key`, or fields.size() when absent. */
+    std::size_t memberIndex(const std::string &key) const;
+
+    /** Enter the last member into `slots` once the object has more
+     *  than kScannedMembers, growing the index as needed. */
+    void indexLastMember();
+
+    /** Objects up to this many members are scanned, not hashed. */
+    static constexpr std::size_t kScannedMembers = 16;
 
     Type kind = Type::Null;
     bool boolValue = false;
-    double numValue = 0.0;
 
     /** Number lexeme (numbers) or string payload (strings). */
     std::string text;
 
     std::vector<Value> elements;
     std::vector<std::pair<std::string, Value>> fields;
+
+    /** Open-addressing hash index over the keys of `fields`, null up
+     *  to kScannedMembers members: each slot holds a member position
+     *  plus one, 0 when empty, and its size is the smallest power of
+     *  two at least twice the member count. Behind a pointer, so a
+     *  Value stays the size it would be without it. */
+    std::unique_ptr<std::vector<std::uint32_t>> slots;
 
     friend class Parser;
 };

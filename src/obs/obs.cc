@@ -21,10 +21,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <deque>
+#include <fstream>
 #include <mutex>
 #include <unordered_map>
 
-#include "common/benchjson.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
 
@@ -121,6 +121,30 @@ struct TraceEvent
     int tid;
     std::vector<std::pair<std::string, std::string>> args;
 };
+
+/** One event as a Chrome trace-event object (times in µs). */
+json::Value
+eventObject(const TraceEvent &event)
+{
+    json::Value out = json::Value::object();
+    out.set("name", json::Value::string(event.name));
+    out.set("cat", json::Value::string("qsa"));
+    out.set("ph", json::Value::string(std::string(1, event.phase)));
+    out.set("pid", json::Value::integer(1));
+    out.set("tid", json::Value::integer(event.tid));
+    out.set("ts", json::Value::number(event.tsNs / 1000.0));
+    if (event.phase == 'X')
+        out.set("dur", json::Value::number(event.durNs / 1000.0));
+    else
+        out.set("s", json::Value::string("p"));
+    if (!event.args.empty()) {
+        json::Value args = json::Value::object();
+        for (const auto &[key, value] : event.args)
+            args.set(key, json::Value::string(value));
+        out.set("args", std::move(args));
+    }
+    return out;
+}
 
 /** Keep runaway traces bounded (~a few hundred MB of JSON). */
 constexpr std::size_t max_trace_events = 1u << 20;
@@ -324,67 +348,35 @@ instant(const char *name)
     pushEvent({name, 'i', detail::nowNs(), 0, traceTid(), {}});
 }
 
-std::string
-metricsJson()
+json::Value
+metricsObject()
 {
-    const Snapshot snap = Registry::snapshot();
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[name, value] : snap) {
-        if (!first)
-            out += ", ";
-        first = false;
-        out += "\"" + benchjson::escape(name) +
-               "\": " + std::to_string(value);
-    }
-    out += "}";
-    return out;
-}
-
-std::string
-traceJson()
-{
-    auto &state = traceState();
-    std::lock_guard<std::mutex> lock(state.mutex);
-    std::string out = "{\"traceEvents\": [";
-    bool first = true;
-    for (const auto &event : state.events) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += "  {\"name\": \"" + benchjson::escape(event.name) +
-               "\", \"cat\": \"qsa\", \"ph\": \"";
-        out += event.phase;
-        out += "\", \"pid\": 1, \"tid\": " + std::to_string(event.tid);
-        // Trace-event timestamps are microseconds.
-        out += ", \"ts\": " +
-               benchjson::number(event.tsNs / 1000.0);
-        if (event.phase == 'X')
-            out += ", \"dur\": " +
-                   benchjson::number(event.durNs / 1000.0);
-        else
-            out += ", \"s\": \"p\"";
-        if (!event.args.empty()) {
-            out += ", \"args\": {";
-            bool firstArg = true;
-            for (const auto &[key, value] : event.args) {
-                if (!firstArg)
-                    out += ", ";
-                firstArg = false;
-                out += "\"" + benchjson::escape(key) + "\": \"" +
-                       benchjson::escape(value) + "\"";
-            }
-            out += "}";
-        }
-        out += "}";
-    }
-    out += "\n], \"displayTimeUnit\": \"ms\"}\n";
+    json::Value out = json::Value::object();
+    for (const auto &[name, value] : Registry::snapshot())
+        out.set(name, json::Value::integer(value));
     return out;
 }
 
 void
 writeTrace(const std::string &path)
 {
-    benchjson::writeText(path, traceJson());
+    std::ofstream out(path);
+    fatal_if(!out, "cannot open '", path, "' for writing");
+    auto &state = traceState();
+    {
+        std::lock_guard<std::mutex> lock(state.mutex);
+        // Event by event: a document tree of a full buffer would cost
+        // about 1 KB per event, on top of the buffer itself.
+        out << "{\"traceEvents\":[";
+        const char *separator = "\n";
+        for (const auto &event : state.events) {
+            out << separator << eventObject(event).dump();
+            separator = ",\n";
+        }
+        out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+    }
+    out.flush();
+    fatal_if(!out, "failed writing the trace to '", path, "'");
 }
 
 void

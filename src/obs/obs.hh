@@ -38,8 +38,8 @@
  *
  * Compile-out: configure with -DQSA_OBS=OFF and every class here
  * becomes an empty inline stub — call sites compile to nothing, and
- * the API (snapshot(), metricsJson(), writeTrace()) stays linkable
- * but returns empty documents.
+ * the API (snapshot(), metricsObject(), writeTrace()) stays linkable
+ * but returns an empty object and writes nothing.
  */
 
 #ifndef QSA_OBS_OBS_HH
@@ -50,6 +50,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 
 #ifndef QSA_OBS_ENABLED
@@ -325,13 +326,12 @@ class Span
 /** Record an instantaneous ("i") trace event when tracing is on. */
 void instant(const char *name);
 
-/** Render the metrics snapshot as one flat JSON object. */
-std::string metricsJson();
+/** The metrics snapshot as one flat JSON object of signed 64-bit
+ *  integers, in name order. */
+json::Value metricsObject();
 
-/** Render the trace buffer as a Chrome trace-event JSON document. */
-std::string traceJson();
-
-/** Render and write the trace to `path`; qsa::Error on I/O failure. */
+/** Write the trace buffer to `path` as a Chrome trace-event JSON
+ *  document, one event per line; qsa::Error on I/O failure. */
 void writeTrace(const std::string &path);
 
 /** Drop all buffered trace events. */
@@ -426,14 +426,7 @@ class Span
 };
 
 inline void instant(const char *) {}
-inline std::string metricsJson() { return "{}"; }
-
-inline std::string
-traceJson()
-{
-    return "{\"traceEvents\":[]}";
-}
-
+inline json::Value metricsObject() { return json::Value::object(); }
 inline void writeTrace(const std::string &) {}
 inline void clearTrace() {}
 

@@ -4,6 +4,7 @@
 #include <exception>
 
 #include "analyze/lint.hh"
+#include "assertions/report.hh"
 #include "circuit/qasm.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
@@ -117,49 +118,6 @@ parseCircuitField(const json::Value &doc, const char *field,
     return circ;
 }
 
-/** Render one lint report as the "lint" result payload. */
-json::Value
-lintPayload(const analyze::LintReport &report)
-{
-    json::Value out = json::Value::object();
-    out.set("clean", json::Value::boolean(report.clean()));
-    out.set("errors", json::Value::integer(
-                          report.count(analyze::Severity::Error)));
-    out.set("warnings", json::Value::integer(
-                            report.count(analyze::Severity::Warning)));
-    out.set("infos", json::Value::integer(
-                         report.count(analyze::Severity::Info)));
-    json::Value diags = json::Value::array();
-    for (const auto &d : report.diagnostics) {
-        json::Value item = json::Value::object();
-        item.set("rule", json::Value::string(d.rule));
-        item.set("severity",
-                 json::Value::string(analyze::severityName(d.severity)));
-        item.set("instruction", json::Value::integer(d.instruction));
-        json::Value qubits = json::Value::array();
-        for (unsigned q : d.qubits)
-            qubits.push(json::Value::integer(q));
-        item.set("qubits", std::move(qubits));
-        item.set("label", json::Value::string(d.label));
-        item.set("message", json::Value::string(d.message));
-        item.set("hint", json::Value::string(d.hint));
-        diags.push(std::move(item));
-    }
-    out.set("diagnostics", std::move(diags));
-    return out;
-}
-
-/** Render outcome counts ({"<value>": n} in ascending value order). */
-json::Value
-countsPayload(
-    const std::map<std::uint64_t, std::uint64_t> &counts)
-{
-    json::Value out = json::Value::object();
-    for (const auto &[value, count] : counts)
-        out.set(std::to_string(value), json::Value::integer(count));
-    return out;
-}
-
 /**
  * Register the request's plan, positioning a rejected item as
  * "plan[i]: <the library's message>".
@@ -198,31 +156,12 @@ executeCheck(const Request &request)
     expectPlan(s, request);
 
     const auto &outcomes = s.run();
-    json::Value out = json::Value::object();
-    bool all_passed = true;
     json::Value items = json::Value::array();
-    for (const auto &outcome : outcomes) {
-        all_passed = all_passed && outcome.passed;
-        json::Value item = json::Value::object();
-        item.set("name", json::Value::string(outcome.spec.name));
-        item.set("kind",
-                 json::Value::string(
-                     assertions::assertionKindName(outcome.spec.kind)));
-        item.set("breakpoint",
-                 json::Value::string(outcome.spec.breakpoint));
-        item.set("passed", json::Value::boolean(outcome.passed));
-        item.set("p_value", json::Value::number(outcome.pValue));
-        item.set("statistic",
-                 json::Value::number(outcome.statistic));
-        item.set("df", json::Value::number(outcome.df));
-        item.set("ensemble_size",
-                 json::Value::integer(outcome.ensembleSize));
-        item.set("effective_alpha",
-                 json::Value::number(outcome.effectiveAlpha));
-        item.set("counts", countsPayload(outcome.countsA));
-        items.push(std::move(item));
-    }
-    out.set("all_passed", json::Value::boolean(all_passed));
+    for (const auto &outcome : outcomes)
+        items.push(assertions::toJson(outcome));
+    json::Value out = json::Value::object();
+    out.set("all_passed",
+            json::Value::boolean(assertions::allPassed(outcomes)));
     out.set("assertions", std::move(items));
     return out;
 }
@@ -236,7 +175,7 @@ executeAnalyze(const Request &request)
     const session::AnalysisReport report = s.analyze();
     json::Value out = json::Value::object();
     out.set("clean", json::Value::boolean(report.clean()));
-    out.set("lint", lintPayload(report.lint));
+    out.set("lint", analyze::toJson(report.lint));
     json::Value checks = json::Value::array();
     for (const auto &check : report.checks) {
         json::Value item = json::Value::object();
@@ -487,7 +426,7 @@ executeRequest(const Request &request)
         return out;
     }
     if (request.command == "lint")
-        return lintPayload(analyze::lintCircuit(request.circuit));
+        return analyze::toJson(analyze::lintCircuit(request.circuit));
     if (request.command == "analyze")
         return executeAnalyze(request);
     if (request.command == "check")

@@ -6,12 +6,12 @@
 #include "session/session.hh"
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "analyze/clifford.hh"
 #include "assertions/report.hh"
-#include "common/benchjson.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
@@ -353,74 +353,44 @@ std::string
 Session::exportJson()
 {
     ensureRun();
-    namespace bj = benchjson;
-    std::ostringstream os;
-    os << "{\n  \"session\": {"
-       << "\"program_size\": " << original.size()
-       << ", \"num_qubits\": " << original.numQubits()
-       << ", \"ensemble_size\": " << cfg.ensembleSize
-       << ", \"mode\": \"" << runtime::ensembleModeName(cfg.mode)
-       << "\", \"seed\": " << cfg.seed
-       << ", \"holm_bonferroni\": "
-       << (familyWise ? "true" : "false");
+    json::Value session = json::Value::object();
+    session.set("program_size", json::Value::integer(original.size()));
+    session.set("num_qubits", json::Value::integer(original.numQubits()));
+    session.set("ensemble_size", json::Value::integer(cfg.ensembleSize));
+    session.set("mode",
+                json::Value::string(runtime::ensembleModeName(cfg.mode)));
+    session.set("seed", json::Value::integer(cfg.seed));
+    session.set("holm_bonferroni", json::Value::boolean(familyWise));
     if (escalation) {
-        os << ", \"escalation\": {\"initial_size\": "
-           << escalation->initialSize
-           << ", \"max_size\": " << escalation->maxSize
-           << ", \"pass_threshold\": "
-           << bj::number(escalation->passThreshold) << "}";
+        json::Value policy = json::Value::object();
+        policy.set("initial_size",
+                   json::Value::integer(escalation->initialSize));
+        policy.set("max_size", json::Value::integer(escalation->maxSize));
+        policy.set("pass_threshold",
+                   json::Value::number(escalation->passThreshold));
+        session.set("escalation", std::move(policy));
     }
-    os << "},\n  \"assertions\": [";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const assertions::AssertionOutcome &out = results[i];
-        os << (i ? ",\n" : "\n") << "    {\"name\": \""
-           << bj::escape(out.spec.name) << "\", \"kind\": \""
-           << bj::escape(assertions::assertionKindName(out.spec.kind))
-           << "\", \"breakpoint\": \""
-           << bj::escape(out.spec.breakpoint) << "\""
-           << ", \"passed\": " << (out.passed ? "true" : "false")
-           << ", \"p_value\": " << bj::number(out.pValue)
-           << ", \"statistic\": " << bj::number(out.statistic)
-           << ", \"df\": " << bj::number(out.df)
-           << ", \"ensemble_size\": " << out.ensembleSize
-           << ", \"alpha\": " << bj::number(out.spec.alpha)
-           << ", \"effective_alpha\": "
-           << bj::number(out.effectiveAlpha)
-           << ", \"impossible_outcome\": "
-           << (out.impossibleOutcome ? "true" : "false");
-        os << ", \"counts\": {";
-        bool first = true;
-        for (const auto &[value, count] : out.countsA) {
-            os << (first ? "" : ", ") << "\"" << value
-               << "\": " << count;
-            first = false;
-        }
-        os << "}}";
-    }
-    os << (results.empty() ? "]" : "\n  ]")
-       << ",\n  \"metrics\": " << obs::metricsJson()
-       << ",\n  \"all_passed\": "
-       << (assertions::allPassed(results) ? "true" : "false")
-       << "\n}\n";
-    return os.str();
-}
+    json::Value records = json::Value::array();
+    for (const assertions::AssertionOutcome &out : results)
+        records.push(assertions::toJson(out));
 
-std::string
-Session::metricsJson() const
-{
-    return obs::metricsJson();
-}
-
-void
-Session::traceToFile(const std::string &path) const
-{
-    obs::writeTrace(path);
+    json::Value doc = json::Value::object();
+    doc.set("session", std::move(session));
+    doc.set("assertions", std::move(records));
+    doc.set("metrics", obs::metricsObject());
+    doc.set("all_passed",
+            json::Value::boolean(assertions::allPassed(results)));
+    return doc.dump();
 }
 
 void
 Session::exportJson(const std::string &path)
 {
-    benchjson::writeText(path, exportJson());
+    std::ofstream out(path);
+    fatal_if(!out, "cannot open '", path, "' for writing");
+    out << exportJson() << '\n';
+    out.flush();
+    fatal_if(!out, "failed writing JSON to '", path, "'");
 }
 
 bool

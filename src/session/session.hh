@@ -366,34 +366,16 @@ class Session
 
     /**
      * Machine-readable export of the outcome tables (runs first if
-     * stale): one JSON document with the session configuration and
-     * one record per assertion — name, kind, breakpoint, verdict,
-     * p-value, statistic, ensemble size, effective alpha, and the
-     * observed counts — rendered through common/benchjson's escaping
-     * and number formatting (the BENCH_*.json conventions).
+     * stale): one compact JSON object with the session configuration
+     * ("session"), one assertions::toJson record per assertion
+     * ("assertions"), the process-wide obs::metricsObject()
+     * ("metrics") and "all_passed".
      */
     std::string exportJson();
 
-    /** As exportJson(), written to `path` (fatal on I/O failure). */
+    /** As exportJson() plus a newline, written to `path` (qsa::Error
+     *  on I/O failure). */
     void exportJson(const std::string &path);
-
-    /**
-     * The process-wide qsa::obs metrics snapshot as one flat JSON
-     * object (the same object exportJson embeds under "metrics"):
-     * probe/trial/gate counters, cache hit/miss totals, pool and
-     * timer readings. "{}" when the library was built with
-     * QSA_OBS=OFF. Process-wide, not per-session — a scrape after
-     * two sessions ran reflects both.
-     */
-    std::string metricsJson() const;
-
-    /**
-     * Write the process-wide qsa::obs trace buffer (Chrome
-     * trace-event JSON, Perfetto-loadable) to `path`; fatal on I/O
-     * failure. Spans only accumulate while obs::setTracing(true) (or
-     * the QSA_TRACE environment variable) is in effect.
-     */
-    void traceToFile(const std::string &path) const;
 
     /** True when every assertion passed (runs first if stale). */
     bool allPassed();

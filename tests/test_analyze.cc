@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "parse_json.hh"
 #include "qsa/qsa.hh"
 
 namespace
@@ -390,10 +391,29 @@ TEST(LintReport, CountsRenderAndJson)
     EXPECT_NE(text.find("cond-unwritten-label"), std::string::npos);
     EXPECT_NE(text.find("adjacent-self-inverse"), std::string::npos);
 
-    const std::string json = report.json();
-    EXPECT_NE(json.find("\"diagnostics\""), std::string::npos);
-    EXPECT_NE(json.find("\"cond-unwritten-label\""), std::string::npos);
-    EXPECT_NE(json.find("\"error\""), std::string::npos);
+    const json::Value doc = parseJson(analyze::toJson(report).dump());
+    EXPECT_FALSE(doc.find("clean")->asBool());
+    EXPECT_EQ(doc.find("errors")->asUint64(), 1u);
+    EXPECT_EQ(doc.find("warnings")->asUint64(),
+              report.count(Severity::Warning));
+    EXPECT_EQ(doc.find("infos")->asUint64(), 1u);
+    const json::Value &diagnostics = *doc.find("diagnostics");
+    ASSERT_EQ(diagnostics.size(), report.diagnostics.size());
+    for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
+        const Diagnostic &d = report.diagnostics[i];
+        const json::Value &item = diagnostics.at(i);
+        EXPECT_EQ(item.find("rule")->asString(), d.rule);
+        EXPECT_EQ(item.find("severity")->asString(),
+                  analyze::severityName(d.severity));
+        EXPECT_EQ(item.find("instruction")->asUint64(), d.instruction);
+        const json::Value &qubits = *item.find("qubits");
+        ASSERT_EQ(qubits.size(), d.qubits.size());
+        for (std::size_t q = 0; q < d.qubits.size(); ++q)
+            EXPECT_EQ(qubits.at(q).asUint64(), d.qubits[q]);
+        EXPECT_EQ(item.find("label")->asString(), d.label);
+        EXPECT_EQ(item.find("message")->asString(), d.message);
+        EXPECT_EQ(item.find("hint")->asString(), d.hint);
+    }
 }
 
 TEST(LintReport, CleanCircuitRendersClean)

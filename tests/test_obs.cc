@@ -3,7 +3,7 @@
  * Tests for qsa::obs: exact counter aggregation across threads (live
  * and retired slabs), the determinism contract for work-proportional
  * metrics under varying pool widths, timer/gauge semantics, the JSON
- * renderers (metrics object and Chrome trace-event document), and the
+ * output (metrics object and Chrome trace-event document), and the
  * runtime on/off switches. The whole file also compiles against the
  * QSA_OBS=OFF stubs, where it checks the compiled-out behaviour
  * instead.
@@ -11,11 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "parse_json.hh"
 #include "qsa/qsa.hh"
 
 namespace
@@ -352,14 +357,45 @@ TEST(ObsJson, MetricsDocumentIsValidAndSorted)
 {
     obs::Registry::reset();
     obs::Registry::counter("test.obs.json").add(5);
-    const std::string doc = obs::metricsJson();
+    const std::string doc = obs::metricsObject().dump();
     EXPECT_TRUE(JsonValidator::valid(doc)) << doc;
-    EXPECT_NE(doc.find("\"test.obs.json\": 5"), std::string::npos)
-        << doc;
-    // Snapshot (and therefore the document) is name-sorted.
+    const json::Value metrics = parseJson(doc);
+    ASSERT_NE(metrics.find("test.obs.json"), nullptr) << doc;
+    EXPECT_EQ(metrics.find("test.obs.json")->asUint64(), 5u);
+    // One member per snapshot entry, in the snapshot's name order.
     const auto snap = obs::Registry::snapshot();
-    for (std::size_t i = 1; i < snap.size(); ++i)
-        EXPECT_LT(snap[i - 1].first, snap[i].first);
+    ASSERT_EQ(metrics.size(), snap.size());
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+        EXPECT_EQ(metrics.members()[i].first, snap[i].first);
+        if (i > 0) {
+            EXPECT_LT(snap[i - 1].first, snap[i].first);
+        }
+    }
+}
+
+TEST(ObsJson, NegativeGaugeRendersSigned)
+{
+    // Gauges move both ways (runtime.pool.queue_depth by +-1), and a
+    // snapshot value is an int64_t: it renders as that signed value.
+    obs::Registry::reset();
+    obs::Registry::gauge("test.obs.negative").add(-3);
+    const json::Value metrics = parseJson(obs::metricsObject().dump());
+    ASSERT_NE(metrics.find("test.obs.negative"), nullptr);
+    EXPECT_EQ(metrics.find("test.obs.negative")->dump(), "-3");
+    EXPECT_EQ(metrics.find("test.obs.negative")->asDouble(), -3.0);
+    obs::Registry::reset();
+}
+
+/** The trace buffer as writeTrace writes it. */
+std::string
+traceText()
+{
+    const std::string path = ::testing::TempDir() + "qsa_test_obs_trace.json";
+    obs::writeTrace(path);
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
 }
 
 TEST(ObsTrace, ChromeEventDocumentIsValid)
@@ -374,27 +410,38 @@ TEST(ObsTrace, ChromeEventDocumentIsValid)
     }
     obs::setTracing(false);
 
-    const std::string doc = obs::traceJson();
-    EXPECT_TRUE(JsonValidator::valid(doc)) << doc;
+    const std::string text = traceText();
+    EXPECT_TRUE(JsonValidator::valid(text)) << text;
     // Perfetto essentials: the event array, a complete ("X") event
     // with µs timestamps and duration, our args, and the scoped
-    // instant event.
-    EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(doc.find("\"name\": \"test.span\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(doc.find("\"dur\": "), std::string::npos);
-    EXPECT_NE(doc.find("\"family\": \"swap-test\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"boundary\": \"7\""), std::string::npos);
-    EXPECT_NE(doc.find("\"name\": \"test.instant\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"ph\": \"i\""), std::string::npos);
+    // instant event. The instant is recorded first: the span is
+    // pushed when it closes.
+    const json::Value doc = parseJson(text);
+    EXPECT_EQ(doc.find("displayTimeUnit")->asString(), "ms");
+    const json::Value &events = *doc.find("traceEvents");
+    ASSERT_EQ(events.size(), 2u) << text;
+    const json::Value &instant = events.at(0);
+    EXPECT_EQ(instant.find("name")->asString(), "test.instant");
+    EXPECT_EQ(instant.find("ph")->asString(), "i");
+    EXPECT_EQ(instant.find("s")->asString(), "p");
+    const json::Value &span = events.at(1);
+    EXPECT_EQ(span.find("name")->asString(), "test.span");
+    EXPECT_EQ(span.find("cat")->asString(), "qsa");
+    EXPECT_EQ(span.find("ph")->asString(), "X");
+    EXPECT_EQ(span.find("pid")->asUint64(), 1u);
+    EXPECT_EQ(span.find("tid")->asUint64(),
+              instant.find("tid")->asUint64());
+    EXPECT_GE(span.find("dur")->asDouble(), 0.0);
+    EXPECT_LE(span.find("ts")->asDouble(), instant.find("ts")->asDouble());
+    EXPECT_EQ(span.find("args")->find("family")->asString(), "swap-test");
+    EXPECT_EQ(span.find("args")->find("boundary")->asString(), "7");
+    // One event per line, between the envelope's first and last line.
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4) << text;
 
     obs::clearTrace();
-    const std::string empty = obs::traceJson();
+    const std::string empty = traceText();
     EXPECT_TRUE(JsonValidator::valid(empty)) << empty;
-    EXPECT_EQ(empty.find("\"ph\""), std::string::npos);
+    EXPECT_EQ(parseJson(empty).find("traceEvents")->size(), 0u);
 }
 
 TEST(ObsTrace, SpansAreFreeWhenTracingOff)
@@ -405,7 +452,7 @@ TEST(ObsTrace, SpansAreFreeWhenTracingOff)
         QSA_OBS_SPAN(span, "test.ghost");
         span.arg("key", "value");
     }
-    EXPECT_EQ(obs::traceJson().find("test.ghost"), std::string::npos);
+    EXPECT_EQ(parseJson(traceText()).find("traceEvents")->size(), 0u);
 }
 
 #else // !QSA_OBS_ENABLED
@@ -440,11 +487,14 @@ TEST(ObsStub, EverythingCompilesToNothing)
     EXPECT_FALSE(obs::tracing());
 }
 
-TEST(ObsStub, DocumentsAreEmptyButValid)
+TEST(ObsStub, DocumentsAreEmpty)
 {
-    EXPECT_TRUE(JsonValidator::valid(obs::metricsJson()));
-    EXPECT_EQ(obs::metricsJson(), "{}");
-    EXPECT_TRUE(JsonValidator::valid(obs::traceJson()));
+    EXPECT_EQ(obs::metricsObject().dump(), "{}");
+    const std::string path =
+        ::testing::TempDir() + "qsa_test_obs_stub_trace.json";
+    std::remove(path.c_str());
+    obs::writeTrace(path);
+    EXPECT_FALSE(std::ifstream(path).good());
     obs::clearTrace();
 }
 

@@ -18,15 +18,18 @@
 #include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/artifacts.hh"
+#include "parse_json.hh"
 #include "qsa/qsa.hh"
 #include "serve/client.hh"
 #include "serve/protocol.hh"
@@ -196,7 +199,7 @@ resultDump(const json::Value &doc)
 std::string
 stripObs(const std::string &response_line)
 {
-    const json::Value doc = json::Value::parseOrDie(response_line);
+    const json::Value doc = parseJson(response_line);
     json::Value out = json::Value::object();
     for (const auto &[key, value] : doc.members())
         if (key != "obs")
@@ -210,7 +213,7 @@ TEST(ServeProtocol, PingRoundTrips)
 {
     const std::string response =
         serve::handleRequestLine(R"({"id": 7, "command": "ping"})");
-    const json::Value doc = json::Value::parseOrDie(response);
+    const json::Value doc = parseJson(response);
     EXPECT_TRUE(doc.find("ok")->asBool());
     EXPECT_EQ(doc.find("id")->asUint64(), 7u);
     EXPECT_TRUE(doc.find("result")->find("pong")->asBool());
@@ -229,7 +232,7 @@ TEST(ServeProtocol, ObsReportsExecutionAndParseTime)
             json::Value::string("OPENQASM 2.0;\nqreg q[2];\nh q[0];\n"
                                 "cx q[0],q[1];\n"));
     const json::Value doc =
-        json::Value::parseOrDie(serve::handleRequestLine(req.dump()));
+        parseJson(serve::handleRequestLine(req.dump()));
     ASSERT_TRUE(doc.find("ok")->asBool());
     const json::Value *obs = doc.find("obs");
     ASSERT_NE(obs, nullptr);
@@ -252,7 +255,12 @@ TEST(ServeProtocol, RequestSpanCoversParseAndRender)
     obs::setTracing(false);
     EXPECT_EQ(counterValue("serve.requests"), 1);
 
-    const json::Value trace = json::Value::parseOrDie(obs::traceJson());
+    const std::string path = ::testing::TempDir() + "qsa_serve_trace.json";
+    obs::writeTrace(path);
+    std::ifstream in(path);
+    std::stringstream written;
+    written << in.rdbuf();
+    const json::Value trace = parseJson(written.str());
     const json::Value &events = *trace.find("traceEvents");
     std::map<std::string, std::vector<std::pair<double, double>>> spans;
     for (std::size_t i = 0; i < events.size(); ++i) {
@@ -282,7 +290,7 @@ TEST(ServeProtocol, RequestSpanCoversParseAndRender)
 TEST(ServeProtocol, MalformedJsonIsAnErrorResponse)
 {
     const std::string response = serve::handleRequestLine("{nope");
-    const json::Value doc = json::Value::parseOrDie(response);
+    const json::Value doc = parseJson(response);
     EXPECT_FALSE(doc.find("ok")->asBool());
     EXPECT_NE(doc.find("error")
                   ->find("message")
@@ -295,7 +303,7 @@ TEST(ServeProtocol, UnknownCommandIsRejected)
 {
     const std::string response =
         serve::handleRequestLine(R"({"command": "frobnicate"})");
-    const json::Value doc = json::Value::parseOrDie(response);
+    const json::Value doc = parseJson(response);
     EXPECT_FALSE(doc.find("ok")->asBool());
     EXPECT_NE(doc.find("error")
                   ->find("message")
@@ -309,7 +317,7 @@ TEST(ServeProtocol, QasmErrorsCarryPosition)
     const std::string response = serve::handleRequestLine(
         R"({"command": "lint",)"
         R"( "circuit": "OPENQASM 2.0;\nqreg q[1];\nzz q[0];\n"})");
-    const json::Value doc = json::Value::parseOrDie(response);
+    const json::Value doc = parseJson(response);
     ASSERT_FALSE(doc.find("ok")->asBool());
     const json::Value *error = doc.find("error");
     ASSERT_NE(error, nullptr);
@@ -320,6 +328,85 @@ TEST(ServeProtocol, QasmErrorsCarryPosition)
     EXPECT_EQ(error->find("token")->asString(), "zz");
 }
 
+/** An 80,000-member object with distinct keys, as one request line. */
+std::string
+wideObjectLine()
+{
+    std::string line = "{";
+    for (int i = 0; i < 80000; ++i)
+        line += (i ? ",\"k" : "\"k") + std::to_string(i) + "\":0";
+    return line + "}";
+}
+
+TEST(ServeProtocol, DeepOrWideJsonIsAnErrorResponse)
+{
+    // Without the nesting cap, 100,000 '[' overflow the parser's stack;
+    // checking each member against every earlier one, 80,000 members
+    // take seconds to parse.
+    const std::pair<std::string, std::string> cases[] = {
+        {std::string(100000, '['),
+         "request is not valid JSON: line 1, column 65: nesting deeper "
+         "than 64 levels"},
+        {wideObjectLine(), "unknown field 'k0'"},
+    };
+    for (const auto &[line, message] : cases) {
+        const json::Value doc = parseJson(serve::handleRequestLine(line));
+        EXPECT_FALSE(doc.find("ok")->asBool());
+        EXPECT_EQ(doc.find("error")->find("message")->asString(), message);
+    }
+}
+
+TEST(ServeProtocol, CheckRecordsAreTheSessionExportRecords)
+{
+    // One renderer per record: a check result's assertion items are
+    // the records Session::exportJson writes for the same plan.
+    json::Value doc = checkRequestDoc(17, 0);
+    json::Value plan = json::Value::array();
+    plan.push(doc.find("plan")->at(0));
+    plan.push(parseJson(R"({"at": "done", "expect": "superposition",)"
+                        R"( "register": "a", "alpha": 0.01})"));
+    doc.set("plan", std::move(plan));
+    const serve::Request request = serve::parseRequest(doc);
+    assertions::CheckConfig cfg;
+    cfg.ensembleSize = request.ensembleSize;
+    cfg.mode = request.mode;
+    cfg.seed = request.seed;
+    session::Session s(request.circuit, cfg);
+    for (const auto &item : request.plan)
+        s.expect(item);
+    const json::Value exported = parseJson(s.exportJson());
+
+    const json::Value served =
+        parseJson(serve::handleRequestLine(doc.dump()));
+    const json::Value &items = *served.find("result")->find("assertions");
+    ASSERT_EQ(items.size(), 2u);
+    EXPECT_EQ(items.dump(), exported.find("assertions")->dump());
+    EXPECT_EQ(items.at(1).find("alpha")->asDouble(), 0.01);
+    EXPECT_FALSE(items.at(0).find("impossible_outcome")->asBool());
+}
+
+TEST(ServeProtocol, LintResultsAreTheLintReportObject)
+{
+    // lint's result and analyze's "lint" member are analyze::toJson
+    // of the report.
+    const std::string qasm =
+        "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nh q[0];\ncx q[0],q[1];\n";
+    const std::string expected =
+        analyze::toJson(analyze::lintCircuit(circuit::fromQasm(qasm)))
+            .dump();
+    EXPECT_NE(parseJson(expected).find("diagnostics")->size(), 0u);
+    for (const char *command : {"lint", "analyze"}) {
+        json::Value req = json::Value::object();
+        req.set("command", json::Value::string(command));
+        req.set("circuit", json::Value::string(qasm));
+        const json::Value result =
+            *parseJson(serve::handleRequestLine(req.dump())).find("result");
+        const json::Value &lint =
+            std::string(command) == "lint" ? result : *result.find("lint");
+        EXPECT_EQ(lint.dump(), expected) << command;
+    }
+}
+
 // --- oracle modes and derive-error survival --------------------------------
 
 TEST(ServeProtocol, OracleFieldsAreValidated)
@@ -327,7 +414,7 @@ TEST(ServeProtocol, OracleFieldsAreValidated)
     json::Value bad_mode = locateRequestDoc(1, 0);
     bad_mode.set("oracle_mode", json::Value::string("bogus"));
     json::Value doc =
-        json::Value::parseOrDie(serve::handleRequestLine(
+        parseJson(serve::handleRequestLine(
             bad_mode.dump()));
     ASSERT_FALSE(doc.find("ok")->asBool());
     EXPECT_NE(doc.find("error")->find("message")->asString().find(
@@ -336,7 +423,7 @@ TEST(ServeProtocol, OracleFieldsAreValidated)
 
     json::Value bad_trials = locateRequestDoc(1, 0);
     bad_trials.set("oracle_trials", json::Value::integer(0));
-    doc = json::Value::parseOrDie(
+    doc = parseJson(
         serve::handleRequestLine(bad_trials.dump()));
     ASSERT_FALSE(doc.find("ok")->asBool());
     EXPECT_NE(doc.find("error")->find("message")->asString().find(
@@ -345,7 +432,7 @@ TEST(ServeProtocol, OracleFieldsAreValidated)
 
     json::Value wrong_command = checkRequestDoc(1, 0);
     wrong_command.set("oracle_mode", json::Value::string("sampled"));
-    doc = json::Value::parseOrDie(
+    doc = parseJson(
         serve::handleRequestLine(wrong_command.dump()));
     ASSERT_FALSE(doc.find("ok")->asBool());
     EXPECT_NE(doc.find("error")->find("message")->asString().find(
@@ -364,7 +451,7 @@ TEST(ServeProtocol, ExactOracleOverflowIsAStructuredError)
 #endif
     const std::string response = serve::handleRequestLine(
         wideLocateRequestDoc("exact").dump());
-    const json::Value doc = json::Value::parseOrDie(response);
+    const json::Value doc = parseJson(response);
 
     ASSERT_FALSE(doc.find("ok")->asBool());
     EXPECT_EQ(doc.find("id")->asString(), "wide");
@@ -391,7 +478,7 @@ TEST(ServeProtocol, SampledOracleLocatesTheWideMeasurementProgram)
     for (const char *mode : {"sampled", ""}) {
         const std::string response = serve::handleRequestLine(
             wideLocateRequestDoc(mode).dump());
-        const json::Value doc = json::Value::parseOrDie(response);
+        const json::Value doc = parseJson(response);
         ASSERT_TRUE(doc.find("ok")->asBool())
             << "mode '" << mode << "': " << response;
         const json::Value *result = doc.find("result");
@@ -450,7 +537,7 @@ TEST(ServeProtocol, AutoBracketsBelowItsDecisiveSwapFailure)
     doc.set("circuit", json::Value::string(zFrameTeleportQasm(true)));
     doc.set("reference", json::Value::string(zFrameTeleportQasm(false)));
     const std::string response = serve::handleRequestLine(doc.dump());
-    const json::Value parsed = json::Value::parseOrDie(response);
+    const json::Value parsed = parseJson(response);
     const json::Value *result = parsed.find("result");
     ASSERT_NE(result, nullptr) << response;
     EXPECT_TRUE(result->find("bug_found")->asBool()) << response;
@@ -488,7 +575,7 @@ TEST(ServeProtocol, AutoBracketsBelowItsDecisiveSwapFailure)
 std::string
 responseError(const json::Value &doc, const serve::Limits &limits)
 {
-    const json::Value response = json::Value::parseOrDie(
+    const json::Value response = parseJson(
         serve::handleRequestLine(doc.dump(), limits));
     if (response.find("ok")->asBool())
         return "";
@@ -673,7 +760,7 @@ expectServeMatchesLibrary(const json::Value &doc, std::size_t last,
     EXPECT_EQ(report.firstFailing, first) << report.summary();
 
     const std::string line = serve::handleRequestLine(doc.dump());
-    const json::Value response = json::Value::parseOrDie(line);
+    const json::Value response = parseJson(line);
     ASSERT_TRUE(response.find("ok")->asBool()) << line;
     const json::Value &result = *response.find("result");
     EXPECT_TRUE(result.find("bug_found")->asBool()) << line;
@@ -820,7 +907,7 @@ TEST(LocatorRejections, ResponsesCarryTheLibraryMessage)
         const std::int64_t applies0 = counterValue("sim.gate_applies");
         const std::int64_t searches0 = counterValue("locate.searches");
         const json::Value response =
-            json::Value::parseOrDie(serve::handleRequestLine(
+            parseJson(serve::handleRequestLine(
                 c.doc.dump(), wideLimits()));
         ASSERT_FALSE(response.find("ok")->asBool()) << c.name;
         EXPECT_EQ(response.find("error")->find("message")->asString(),
@@ -871,7 +958,7 @@ planDoc(const char *command, const std::string &qasm,
     doc.set("id", json::Value::string(command));
     doc.set("command", json::Value::string(command));
     doc.set("circuit", json::Value::string(qasm));
-    doc.set("plan", json::Value::parseOrDie(plan + "]"));
+    doc.set("plan", parseJson(plan + "]"));
     doc.set("ensemble_size", json::Value::integer(64));
     return doc;
 }
@@ -1020,7 +1107,7 @@ TEST(PlanRejections, ResponsesCarryTheLibraryMessage)
         const std::string expected = servedRejection(c);
         const std::int64_t applies0 = counterValue("sim.gate_applies");
         const json::Value response =
-            json::Value::parseOrDie(serve::handleRequestLine(
+            parseJson(serve::handleRequestLine(
                 c.doc.dump(), wideLimits()));
         ASSERT_FALSE(response.find("ok")->asBool()) << c.name;
         EXPECT_EQ(response.find("id")->asString(),
@@ -1303,7 +1390,7 @@ TEST(ServeServer, SurvivesOracleDeriveFailureOnTheSameConnection)
                                &response, &error))
         << error;
     {
-        const json::Value doc = json::Value::parseOrDie(response);
+        const json::Value doc = parseJson(response);
         ASSERT_FALSE(doc.find("ok")->asBool()) << response;
         const json::Value *err = doc.find("error");
         ASSERT_NE(err, nullptr);
@@ -1320,7 +1407,7 @@ TEST(ServeServer, SurvivesOracleDeriveFailureOnTheSameConnection)
     const std::string follow_up = checkRequestDoc(1, 0).dump();
     ASSERT_TRUE(client.request(follow_up, &response, &error)) << error;
     {
-        const json::Value doc = json::Value::parseOrDie(response);
+        const json::Value doc = parseJson(response);
         EXPECT_TRUE(doc.find("ok")->asBool()) << response;
     }
     EXPECT_EQ(stripObs(response),
@@ -1331,7 +1418,7 @@ TEST(ServeServer, SurvivesOracleDeriveFailureOnTheSameConnection)
                                &response, &error))
         << error;
     {
-        const json::Value doc = json::Value::parseOrDie(response);
+        const json::Value doc = parseJson(response);
         ASSERT_TRUE(doc.find("ok")->asBool()) << response;
         EXPECT_TRUE(
             doc.find("result")->find("bug_found")->asBool())
@@ -1364,7 +1451,7 @@ TEST(ServeServer, SurvivesWideResimulateMirrorOnTheSameConnection)
         &response, &error))
         << error;
     {
-        const json::Value doc = json::Value::parseOrDie(response);
+        const json::Value doc = parseJson(response);
         ASSERT_FALSE(doc.find("ok")->asBool()) << response;
         EXPECT_NE(doc.find("error")->find("message")->asString().find(
                       "at most 16 qubits"),
@@ -1374,7 +1461,7 @@ TEST(ServeServer, SurvivesWideResimulateMirrorOnTheSameConnection)
 
     const std::string follow_up = locateRequestDoc(3, 0).dump();
     ASSERT_TRUE(client.request(follow_up, &response, &error)) << error;
-    EXPECT_TRUE(json::Value::parseOrDie(response).find("ok")->asBool())
+    EXPECT_TRUE(parseJson(response).find("ok")->asBool())
         << response;
     EXPECT_EQ(stripObs(response),
               stripObs(serve::handleRequestLine(follow_up)));
@@ -1411,7 +1498,7 @@ TEST(ServeServer, SurvivesEveryLibraryRejection)
         std::string response;
         ASSERT_TRUE(client.request(request.dump(), &response, &error))
             << name << ": " << error;
-        const json::Value doc = json::Value::parseOrDie(response);
+        const json::Value doc = parseJson(response);
         EXPECT_FALSE(doc.find("ok")->asBool()) << name;
         EXPECT_EQ(doc.find("error")->find("message")->asString(),
                   expected)
@@ -1420,8 +1507,35 @@ TEST(ServeServer, SurvivesEveryLibraryRejection)
         ASSERT_TRUE(client.request(R"({"id": "ping", "command": "ping"})",
                                    &response, &error))
             << "daemon died after: " << name << ": " << error;
-        EXPECT_TRUE(json::Value::parseOrDie(response).find("ok")->asBool())
+        EXPECT_TRUE(parseJson(response).find("ok")->asBool())
             << name;
+    }
+    server.stop();
+}
+
+TEST(ServeServer, SurvivesDeepAndWideJson)
+{
+    // The daemon answers a line of 100,000 '[' and an 80,000-member
+    // object with errors, and the same connection then serves a ping.
+    serve::ServerConfig config;
+    config.socketPath = testSocketPath("deep");
+    config.workers = 2;
+
+    serve::Server server(config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    serve::Client client;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+    for (const std::string &line :
+         {std::string(100000, '['), wideObjectLine()}) {
+        std::string response;
+        ASSERT_TRUE(client.request(line, &response, &error)) << error;
+        EXPECT_FALSE(parseJson(response).find("ok")->asBool());
+        ASSERT_TRUE(client.request(R"({"id": "ping", "command": "ping"})",
+                                   &response, &error))
+            << "daemon died after a " << line.size() << "-byte line: "
+            << error;
+        EXPECT_TRUE(parseJson(response).find("ok")->asBool());
     }
     server.stop();
 }
@@ -1460,7 +1574,7 @@ fanOutRequestDocs(unsigned threads)
 {
     json::Value check = checkRequestDoc(17, threads);
     check.set("plan",
-              json::Value::parseOrDie(
+              parseJson(
                   R"([{"at": "done", "expect": "entangled",)"
                   R"( "register": "a", "register_b": "b"},)"
                   R"( {"at": "done", "expect": "superposition",)"
@@ -1497,7 +1611,7 @@ TEST(ServeServer, RequestsRunInlineOnTheirDispatchers)
                   expected[i])
             << "request " << i;
         EXPECT_TRUE(
-            json::Value::parseOrDie(expected[i]).find("ok")->asBool())
+            parseJson(expected[i]).find("ok")->asBool())
             << expected[i];
     }
 
@@ -1641,7 +1755,7 @@ TEST(ServeServer, OverloadIsRejectedExplicitly)
 
     ASSERT_TRUE(held_at_gate);
     ASSERT_TRUE(sent) << error;
-    const json::Value doc = json::Value::parseOrDie(rejection);
+    const json::Value doc = parseJson(rejection);
     EXPECT_FALSE(doc.find("ok")->asBool());
     EXPECT_EQ(doc.find("id")->asUint64(), 2u)
         << "rejection must still echo the request id";
@@ -1652,7 +1766,7 @@ TEST(ServeServer, OverloadIsRejectedExplicitly)
               std::string::npos);
 
     ASSERT_TRUE(queued_answered) << error;
-    const json::Value answered = json::Value::parseOrDie(queued);
+    const json::Value answered = parseJson(queued);
     EXPECT_TRUE(answered.find("ok")->asBool()) << queued;
     EXPECT_EQ(answered.find("id")->asUint64(), 1u);
     EXPECT_EQ(stripObs(held_response),

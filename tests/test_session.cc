@@ -18,6 +18,7 @@
 #include "qsa/qsa.hh"
 
 #include "expect_throw.hh"
+#include "parse_json.hh"
 
 namespace
 {
@@ -344,21 +345,51 @@ TEST(SessionExport, JsonCarriesTheOutcomeTable)
     s.at("classical").expectClassical(f.q, 0).named("prep-cleared");
     s.at("entangled").expectEntangled(f.q0, f.q1);
 
-    const std::string doc = s.exportJson();
+    const std::string text = s.exportJson();
+    const json::Value doc = parseJson(text);
 
-    // Session block and one record per assertion.
-    EXPECT_NE(doc.find("\"session\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ensemble_size\": 64"), std::string::npos);
-    EXPECT_NE(doc.find("\"mode\": \"sample_final_state\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"prep-cleared\""), std::string::npos);
-    EXPECT_NE(doc.find("\"entangled@entangled\""), std::string::npos);
-    EXPECT_NE(doc.find("\"kind\": \"entangled\""), std::string::npos);
-    EXPECT_NE(doc.find("\"p_value\": "), std::string::npos);
-    EXPECT_NE(doc.find("\"counts\": {"), std::string::npos);
-    EXPECT_NE(doc.find("\"all_passed\": true"), std::string::npos);
+    // Session block, one record per assertion, and the verdict.
+    const json::Value &config = *doc.find("session");
+    EXPECT_EQ(config.find("program_size")->asUint64(), f.circ.size());
+    EXPECT_EQ(config.find("num_qubits")->asUint64(), f.circ.numQubits());
+    EXPECT_EQ(config.find("ensemble_size")->asUint64(), 64u);
+    EXPECT_EQ(config.find("mode")->asString(), "sample_final_state");
+    EXPECT_FALSE(config.find("holm_bonferroni")->asBool());
+    EXPECT_EQ(config.find("escalation"), nullptr);
+    EXPECT_TRUE(doc.find("all_passed")->asBool());
+    EXPECT_TRUE(doc.find("metrics")->isObject());
 
-    // The file-writing overload round-trips the same document.
+    const auto &outcomes = s.outcomes();
+    const json::Value &records = *doc.find("assertions");
+    ASSERT_EQ(records.size(), 2u);
+    ASSERT_EQ(outcomes.size(), 2u);
+    EXPECT_EQ(records.at(0).find("name")->asString(), "prep-cleared");
+    EXPECT_EQ(records.at(1).find("name")->asString(),
+              "entangled@entangled");
+    EXPECT_EQ(records.at(1).find("kind")->asString(), "entangled");
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        const json::Value &record = records.at(i);
+        const assertions::AssertionOutcome &o = outcomes[i];
+        EXPECT_EQ(record.find("kind")->asString(),
+                  assertions::assertionKindName(o.spec.kind));
+        EXPECT_EQ(record.find("breakpoint")->asString(), o.spec.breakpoint);
+        EXPECT_EQ(record.find("passed")->asBool(), o.passed);
+        EXPECT_EQ(record.find("p_value")->asDouble(), o.pValue);
+        EXPECT_EQ(record.find("df")->asDouble(), o.df);
+        EXPECT_EQ(record.find("ensemble_size")->asUint64(), 64u);
+        EXPECT_EQ(record.find("alpha")->asDouble(), o.spec.alpha);
+        EXPECT_EQ(record.find("effective_alpha")->asDouble(),
+                  o.effectiveAlpha);
+        EXPECT_EQ(record.find("impossible_outcome")->asBool(),
+                  o.impossibleOutcome);
+        const json::Value &counts = *record.find("counts");
+        ASSERT_EQ(counts.size(), o.countsA.size());
+        for (const auto &[value, count] : o.countsA)
+            EXPECT_EQ(counts.find(std::to_string(value))->asUint64(),
+                      count);
+    }
+
+    // The file-writing overload writes the same document as one line.
     const std::string path =
         ::testing::TempDir() + "qsa_session_export.json";
     s.exportJson(path);
@@ -366,7 +397,7 @@ TEST(SessionExport, JsonCarriesTheOutcomeTable)
     ASSERT_TRUE(in.good());
     std::stringstream buffer;
     buffer << in.rdbuf();
-    EXPECT_EQ(buffer.str(), doc);
+    EXPECT_EQ(buffer.str(), text + "\n");
 }
 
 // --- Localization handoff ---------------------------------------------------

@@ -8,7 +8,8 @@
  * Reads newline-delimited JSON requests from stdin, sends each to the
  * daemon, and prints the response line to stdout — the pipe-friendly
  * form scripts and the CI smoke test drive. --ping sends a single
- * ping request instead and exits 0 iff the daemon answered ok.
+ * ping request instead and exits 0 iff the daemon's response parses
+ * and its "ok" member is true.
  *
  * Exit status: 0 when every request got a response (whatever its
  * "ok" verdict — protocol errors are payload, not transport), 1 on
@@ -18,6 +19,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/json.hh"
 #include "serve/client.hh"
 
 int
@@ -54,15 +56,19 @@ main(int argc, char **argv)
     }
 
     if (ping) {
+        qsa::json::Value request = qsa::json::Value::object();
+        request.set("command", qsa::json::Value::string("ping"));
         std::string response;
-        if (!client.request(R"({"command":"ping"})", &response,
-                            &error)) {
+        if (!client.request(request.dump(), &response, &error)) {
             std::cerr << "qsa_client: " << error << "\n";
             return 1;
         }
         std::cout << response << "\n";
-        return response.find("\"ok\":true") != std::string::npos ? 0
-                                                                 : 1;
+        qsa::json::Value doc;
+        const qsa::json::Value *ok = nullptr;
+        if (qsa::json::Value::parse(response, &doc))
+            ok = doc.find("ok");
+        return ok != nullptr && ok->isBool() && ok->asBool() ? 0 : 1;
     }
 
     std::string line;

@@ -6,8 +6,8 @@
  *   qsa_lint [--json] [--rules] [--demo] [file.qasm ...]
  *
  * Each input file is parsed (circuit::loadQasmFile) and run through
- * the full analyze::lintRules() registry; findings print as text (or
- * one JSON document per file with --json). --rules lists the
+ * the full analyze::lintRules() registry; findings print as text (or,
+ * with --json, one compact analyze::toJson line per file). --rules lists the
  * registry; --demo lints a built-in defective circuit exercising
  * every rule. Exit status: 0 when no file produced an error-severity
  * finding, 1 otherwise, 2 on usage problems. A file that cannot be
@@ -38,7 +38,7 @@ usage(std::ostream &os)
 {
     os << "usage: qsa_lint [--json] [--rules] [--demo] "
           "[file.qasm ...]\n"
-          "  --json   machine-readable output (one document per "
+          "  --json   machine-readable output (one JSON line per "
           "input)\n"
           "  --rules  list the registered lint rules and exit\n"
           "  --demo   lint a built-in defective circuit\n";
@@ -89,7 +89,7 @@ lintOne(const std::string &name, const circuit::Circuit &circ,
 {
     const analyze::LintReport report = analyze::lintCircuit(circ);
     if (json) {
-        std::cout << report.json();
+        std::cout << analyze::toJson(report).dump() << "\n";
     } else {
         std::cout << name << ":\n" << report.render();
     }
