@@ -26,8 +26,9 @@ the outside:
    (a width gate, a family the scope does not support, mismatched
    qubit spaces, no probeable boundary), check and analyze plans the
    Session rejects (an unknown register, a source breakpoint named
-   like the Session's boundary marker), and two lines the JSON parser
-   rejects (100,000 nested arrays, an 80,000-member object) get an
+   like the Session's boundary marker), a lint of a 20,000,000-qubit
+   register, and two lines the JSON parser rejects (100,000 nested
+   arrays, an 80,000-member object) get an
    error response with the library's message, each followed by a ping
    on the SAME connection, and a first-instruction defect is then
    bracketed,
@@ -352,6 +353,11 @@ def check_rejection_survival(client, socket_path):
          locate(measure_first + "x q[1];\n", measure_first + "h q[1];\n",
                 mode="sample_final_state"),
          "no probeable instruction boundary"),
+        # 62 bytes that once made the parser allocate the register
+        # before the 12-qubit limit was checked.
+        ("20,000,000-qubit register",
+         {"command": "lint", "circuit": "qreg q[20000000];\nh q[0];\n"},
+         "the program would use 20000000 qubits (at most 12 accepted)"),
     ]
     # A source breakpoint named like the Session's first boundary
     # marker, probed through "after": once fatal to the daemon.

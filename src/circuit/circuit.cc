@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -23,6 +24,9 @@ QubitRegister
 Circuit::addRegister(const std::string &name, unsigned width)
 {
     fatal_if(width == 0, "register '", name, "' must have width > 0");
+    fatal_if(width > std::numeric_limits<unsigned>::max() - nQubits,
+             "register '", name, "' takes the circuit past ",
+             std::numeric_limits<unsigned>::max(), " qubits");
     for (const auto &r : regs)
         fatal_if(r.name() == name, "duplicate register name '", name, "'");
 

@@ -103,16 +103,36 @@ toQasm(const Circuit &circ)
         }
     }
 
+    // Labels of the run of adjacent Measures being written. fromQasm
+    // groups a run's measure statements by label, so a label measured
+    // again within one run starts a new run after a barrier.
+    std::vector<const std::string *> run;
     for (const auto &inst : circ.instructions()) {
+        if (inst.kind != GateKind::Measure)
+            run.clear();
         switch (inst.kind) {
           case GateKind::PrepZ:
-            os << "// qsa.prepz " << inst.targets[0] << " " << inst.bit
-               << "\n";
+            os << "// qsa.prepz " << inst.targets[0] << " " << inst.bit;
+            if (!inst.condLabel.empty())
+                os << " if(" << cregName(inst.condLabel)
+                   << "==" << inst.condValue << ")";
+            os << "\n";
             continue;
           case GateKind::Breakpoint:
             os << "// qsa.breakpoint " << inst.label << "\n";
             continue;
           case GateKind::Measure:
+            if (std::any_of(run.begin(), run.end(),
+                            [&](const std::string *label) {
+                                return *label == inst.label;
+                            })) {
+                os << "barrier ";
+                for (std::size_t i = 0; i < inst.targets.size(); ++i)
+                    os << (i ? "," : "") << qubitRef(circ, inst.targets[i]);
+                os << ";\n";
+                run.clear();
+            }
+            run.push_back(&inst.label);
             for (std::size_t i = 0; i < inst.targets.size(); ++i) {
                 os << "measure " << qubitRef(circ, inst.targets[i])
                    << " -> " << cregName(inst.label) << "[" << i
@@ -248,11 +268,12 @@ parseUnsigned(std::string_view text, const char *what)
  * The two pragma operands, read as `std::istringstream >> unsigned`
  * reads them: spaces, a sign, decimal digits, negated modulo 2^32
  * after a '-'. False where that stream fails: no digits, a value past
- * 2^32 - 1, or no text left for the second read.
+ * 2^32 - 1, or no text left for the second read. `rest` receives the
+ * text after the second operand.
  */
 bool
 readPragmaOperands(std::string_view text, unsigned &first,
-                   unsigned &second)
+                   unsigned &second, std::string_view &rest)
 {
     std::size_t pos = 0;
     const auto read = [&](unsigned &out) {
@@ -269,7 +290,9 @@ readPragmaOperands(std::string_view text, unsigned &first,
         out = static_cast<unsigned>(negative ? 0 - value : value);
         return pos > digits && (value >> 32) == 0;
     };
-    return read(first) && pos < text.size() && read(second);
+    const bool ok = read(first) && pos < text.size() && read(second);
+    rest = text.substr(pos);
+    return ok;
 }
 
 /**
@@ -399,7 +422,10 @@ kindFromName(std::string_view name, GateKind &kind)
 class QasmParser
 {
   public:
-    explicit QasmParser(std::string_view source) : src(source) {}
+    QasmParser(std::string_view source, unsigned max_qubits)
+        : src(source), maxQubits(max_qubits)
+    {
+    }
 
     Circuit
     parse()
@@ -418,6 +444,7 @@ class QasmParser
 
   private:
     const std::string_view src;
+    const unsigned maxQubits;
     Circuit circ;
     std::size_t lineNo = 0;
     std::string_view line;
@@ -517,14 +544,26 @@ class QasmParser
         if (startsWith(line, "// qsa.prepz")) {
             flushMeasures();
             unsigned qubit = 0, bit = 0;
-            if (!readPragmaOperands(line.substr(12), qubit, bit))
+            std::string_view rest;
+            if (!readPragmaOperands(line.substr(12), qubit, bit, rest))
                 parseThrow(trimmed(line),
                            "qsa.prepz pragma needs '<qubit> <bit>'");
             if (qubit >= circ.numQubits())
                 parseThrow(std::to_string(qubit), "prepz qubit out of range");
             if (bit > 1)
                 parseThrow(std::to_string(bit), "prepz bit must be 0 or 1");
-            circ.prepZ(qubit, bit);
+            // An optional condition follows the operands, as toQasm
+            // writes it; other text after them is ignored.
+            Instruction reset;
+            reset.kind = GateKind::PrepZ;
+            reset.targets = {qubit};
+            reset.bit = bit;
+            rest = trimmed(rest);
+            if (startsWith(rest, "if(") &&
+                !readCondition(rest, reset).empty())
+                parseThrow(rest, "trailing characters after qsa.prepz "
+                                 "condition");
+            circ.append(std::move(reset));
             return;
         }
         if (startsWith(line, "// qsa.breakpoint")) {
@@ -556,11 +595,35 @@ class QasmParser
             parseThrow(rest, "statement missing ';'");
     }
 
+    /** Read a leading "if(creg==v)" of `stmt` into `inst`'s
+     *  condition; returns the rest of `stmt`. */
+    std::string_view
+    readCondition(std::string_view stmt, Instruction &inst)
+    {
+        if (!startsWith(stmt, "if("))
+            return stmt;
+        const auto eq = stmt.find("==");
+        const auto close = stmt.find(')');
+        if (eq == npos || close == npos || close < eq)
+            parseThrow(stmt, "malformed if condition");
+        const std::string_view creg = stmt.substr(3, eq - 3);
+        const auto c = cregs.find(creg);
+        if (c == cregs.end())
+            parseThrow(creg, "unknown creg in condition");
+        if (!measured[c->second])
+            parseThrow(creg, "condition reads creg before any "
+                             "measurement into it");
+        inst.condLabel = std::string(labels[c->second]);
+        inst.condValue = parseUnsigned(
+            stmt.substr(eq + 2, close - eq - 2), "condition value");
+        return trimmed(stmt.substr(close + 1));
+    }
+
     void
     handleStatement(std::string_view stmt)
     {
         if (stmt.empty() || startsWith(stmt, "OPENQASM") ||
-            startsWith(stmt, "include") || startsWith(stmt, "barrier"))
+            startsWith(stmt, "include"))
             return;
 
         // Adjacent measure lines group into one Measure instruction;
@@ -583,6 +646,8 @@ class QasmParser
             return;
         }
         flushMeasures();
+        if (startsWith(stmt, "barrier"))
+            return; // it only ends a run of measure statements
 
         const bool qreg = startsWith(stmt, "qreg");
         if (qreg || startsWith(stmt, "creg")) {
@@ -592,6 +657,15 @@ class QasmParser
             if (qreg) {
                 if (size == 0)
                     parseThrow(name, "register must have width > 0");
+                // Checked before addRegister allocates the register.
+                if (size > maxQubits - circ.numQubits())
+                    parseThrow(name,
+                               "the program would use " +
+                                   std::to_string(std::uint64_t{size} +
+                                                  circ.numQubits()) +
+                                   " qubits (at most " +
+                                   std::to_string(maxQubits) +
+                                   " accepted) with register");
                 if (!qregs.try_emplace(name, circ.numQubits(), size).second)
                     parseThrow(name, "duplicate register name");
                 circ.addRegister(std::string(name), size);
@@ -616,23 +690,7 @@ class QasmParser
 
         // Optional classical condition prefix "if(creg==v)".
         Instruction inst;
-        if (startsWith(stmt, "if(")) {
-            const auto eq = stmt.find("==");
-            const auto close = stmt.find(')');
-            if (eq == npos || close == npos || close < eq)
-                parseThrow(stmt, "malformed if condition");
-            const std::string_view creg = stmt.substr(3, eq - 3);
-            const auto c = cregs.find(creg);
-            if (c == cregs.end())
-                parseThrow(creg, "unknown creg in condition");
-            if (!measured[c->second])
-                parseThrow(creg, "condition reads creg before any "
-                                 "measurement into it");
-            inst.condLabel = std::string(labels[c->second]);
-            inst.condValue = parseUnsigned(
-                stmt.substr(eq + 2, close - eq - 2), "condition value");
-            stmt = trimmed(stmt.substr(close + 1));
-        }
+        stmt = readCondition(stmt, inst);
 
         // Gate statement: name[(params)] operands.
         std::size_t rest = 0;
@@ -696,9 +754,9 @@ class QasmParser
 } // anonymous namespace
 
 Circuit
-fromQasm(const std::string &text)
+fromQasm(const std::string &text, unsigned max_qubits)
 {
-    return QasmParser(text).parse();
+    return QasmParser(text, max_qubits).parse();
 }
 
 void

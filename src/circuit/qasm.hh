@@ -20,6 +20,7 @@
 #ifndef QSA_CIRCUIT_QASM_HH
 #define QSA_CIRCUIT_QASM_HH
 
+#include <limits>
 #include <string>
 
 #include "circuit/circuit.hh"
@@ -65,9 +66,11 @@ class QasmError : public Error
  *
  * Supports the subset toQasm emits plus numeric angle expressions with
  * +, -, *, /, parentheses, and the constant pi. Throws QasmError on
- * malformed input.
+ * malformed input, and on a qreg declaration that takes the program
+ * past `max_qubits` qubits, before that register is allocated.
  */
-Circuit fromQasm(const std::string &text);
+Circuit fromQasm(const std::string &text,
+                 unsigned max_qubits = std::numeric_limits<unsigned>::max());
 
 /** Write a circuit to a QASM file (qsa::Error on I/O failure). */
 void saveQasmFile(const Circuit &circ, const std::string &path);

@@ -23,7 +23,7 @@ QubitRegister::QubitRegister(std::string name,
 unsigned
 QubitRegister::qubit(unsigned i) const
 {
-    panic_if(i >= width(), "register '", regName, "' index ", i,
+    fatal_if(i >= width(), "register '", regName, "' index ", i,
              " out of range (width ", width(), ")");
     return qubitList[i];
 }
@@ -32,8 +32,8 @@ QubitRegister
 QubitRegister::slice(unsigned first, unsigned count,
                      const std::string &new_name) const
 {
-    panic_if(first + count > width(), "slice out of range on register '",
-             regName, "'");
+    fatal_if(first > width() || count > width() - first,
+             "slice out of range on register '", regName, "'");
     std::vector<unsigned> sub(qubitList.begin() + first,
                               qubitList.begin() + first + count);
     return QubitRegister(new_name.empty() ? regName + "_slice" : new_name,

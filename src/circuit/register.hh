@@ -38,7 +38,8 @@ class QubitRegister
     /** Number of qubits. */
     unsigned width() const { return qubitList.size(); }
 
-    /** Qubit index holding bit i of the register value. */
+    /** Qubit index holding bit i of the register value (qsa::Error
+     *  when i is out of range). */
     unsigned qubit(unsigned i) const;
 
     /** Shorthand for qubit(i), matching `reg[i]` in the listings. */
@@ -49,7 +50,8 @@ class QubitRegister
 
     /**
      * Sub-register view [first, first + count), keeping bit order;
-     * useful for asserting on a slice of a variable.
+     * useful for asserting on a slice of a variable. A range past the
+     * register throws qsa::Error.
      */
     QubitRegister slice(unsigned first, unsigned count,
                         const std::string &new_name = "") const;

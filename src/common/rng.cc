@@ -13,15 +13,6 @@
 namespace qsa
 {
 
-std::uint64_t
-splitMix64(std::uint64_t &state)
-{
-    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 Rng::Rng(std::uint64_t seed) : seedValue(seed)
 {
     std::uint64_t sm = seed;
@@ -30,38 +21,22 @@ Rng::Rng(std::uint64_t seed) : seedValue(seed)
 }
 
 std::uint64_t
-Rng::rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-std::uint64_t
 Rng::next()
 {
-    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
-    const std::uint64_t t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
+    return detail::xoshiroStep(s[0], s[1], s[2], s[3]);
 }
 
 double
 Rng::uniform()
 {
     // 53 random mantissa bits -> uniform double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
+    return detail::unitInterval(next());
 }
 
 std::uint64_t
 Rng::uniformInt(std::uint64_t bound)
 {
-    panic_if(bound == 0, "uniformInt bound must be positive");
+    fatal_if(bound == 0, "uniformInt bound must be positive");
     // Rejection sampling to remove modulo bias.
     const std::uint64_t limit = ~0ull - (~0ull % bound + 1) % bound;
     std::uint64_t x;
@@ -82,11 +57,11 @@ Rng::discrete(const std::vector<double> &weights)
 {
     double total = 0.0;
     for (double w : weights) {
-        panic_if(w < 0.0 || std::isnan(w),
+        fatal_if(w < 0.0 || std::isnan(w),
                  "discrete() weights must be non-negative");
         total += w;
     }
-    panic_if(total <= 0.0, "discrete() weights must have a positive sum");
+    fatal_if(total <= 0.0, "discrete() weights must have a positive sum");
 
     double r = uniform() * total;
     for (std::size_t i = 0; i < weights.size(); ++i) {
@@ -109,7 +84,7 @@ Rng::split(std::uint64_t child_index) const
     // started at the parent seed: mix(seed + (i + 1) * GAMMA). GAMMA is
     // odd so the pre-mix state is injective in i, and the finalizer is a
     // bijection, so distinct children get distinct seeds (see rng.hh).
-    std::uint64_t sm = seedValue + child_index * 0x9e3779b97f4a7c15ull;
+    std::uint64_t sm = seedValue + child_index * detail::kSplitMixGamma;
     return Rng(splitMix64(sm));
 }
 

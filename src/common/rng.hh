@@ -36,11 +36,66 @@
 namespace qsa
 {
 
+namespace detail
+{
+
+/** SplitMix64's increment (the golden-ratio gamma). */
+constexpr std::uint64_t kSplitMixGamma = 0x9e3779b97f4a7c15ull;
+
+/** SplitMix64's output function: a bijection of the 64-bit words. */
+inline std::uint64_t
+splitMixOutput(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/** x rotated left by k (0 < k < 64). */
+inline std::uint64_t
+rotl(std::uint64_t x, int k)
+{
+    return (x << k) | (x >> (64 - k));
+}
+
+/**
+ * One xoshiro256** step on the state words s0..s3: returns the output
+ * and advances the state. Rng::next and the runtime's trial-stream
+ * bank (runtime/streams.hh) both step through this definition.
+ */
+inline std::uint64_t
+xoshiroStep(std::uint64_t &s0, std::uint64_t &s1, std::uint64_t &s2,
+            std::uint64_t &s3)
+{
+    const std::uint64_t result = rotl(s1 * 5, 7) * 9;
+    const std::uint64_t t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = rotl(s3, 45);
+    return result;
+}
+
+/** A raw draw's top 53 bits as a double in [0, 1): Rng::uniform. */
+inline double
+unitInterval(std::uint64_t draw)
+{
+    return (draw >> 11) * 0x1.0p-53;
+}
+
+} // namespace detail
+
 /**
  * SplitMix64 step: maps a 64-bit state to a well-mixed 64-bit output and
  * advances the state. Used for seed expansion only.
  */
-std::uint64_t splitMix64(std::uint64_t &state);
+inline std::uint64_t
+splitMix64(std::uint64_t &state)
+{
+    return detail::splitMixOutput(state += detail::kSplitMixGamma);
+}
 
 /**
  * xoshiro256** pseudo-random generator (Blackman & Vigna).
@@ -61,7 +116,8 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Uniform integer in [0, bound) without modulo bias. */
+    /** Uniform integer in [0, bound) without modulo bias; a zero
+     *  bound throws qsa::Error. */
     std::uint64_t uniformInt(std::uint64_t bound);
 
     /** Bernoulli draw: true with probability p. */
@@ -69,7 +125,8 @@ class Rng
 
     /**
      * Sample an index from an (unnormalised) weight vector.
-     * Weights must be non-negative with a positive sum.
+     * Weights must be non-negative with a positive sum (qsa::Error
+     * otherwise).
      */
     std::size_t discrete(const std::vector<double> &weights);
 
@@ -106,8 +163,6 @@ class Rng
 
     /** Seed material retained for split(). */
     std::uint64_t seedValue;
-
-    static std::uint64_t rotl(std::uint64_t x, int k);
 };
 
 } // namespace qsa

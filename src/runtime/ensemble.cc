@@ -10,12 +10,15 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <numeric>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "circuit/executor.hh"
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
+#include "runtime/streams.hh"
 
 namespace qsa::runtime
 {
@@ -80,6 +83,24 @@ struct HighStage
     InstructionRange combo;
 };
 
+/** A tail instruction's measurement labels, as measurement-record
+ *  slots: the slot a Measure writes and the slot a condition reads. */
+struct LabelSlots
+{
+    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+
+    std::uint32_t write = kNone;
+    std::uint32_t read = kNone;
+};
+
+/** One stretch of the tail that a walk runs on one state, with the
+ *  record slots of its instructions (labels[i - range.begin]). */
+struct TailPhase
+{
+    InstructionRange range;
+    std::vector<LabelSlots> labels;
+};
+
 /**
  * Everything a gather at one breakpoint needs, built once per engine
  * and shared by both modes (see ensemble.hh): the deterministic head's
@@ -97,6 +118,15 @@ struct BreakpointPlan
 
     /** Staged plans only: the high block and the combining tail. */
     std::unique_ptr<const HighStage> high;
+
+    /** The tail as a walk runs it: head.tail, then, staged, the high
+     *  head's tail and the combining tail. Its measurement labels are
+     *  resolved to record slots once, here (resolveTail). */
+    std::vector<TailPhase> phases;
+
+    /** Distinct labels the tail measures or conditions on: the size of
+     *  a walk node's measurement record. */
+    std::size_t recordSlots = 0;
 };
 
 namespace
@@ -278,21 +308,60 @@ finalMarginal(const BreakpointPlan &plan, std::uint64_t seed,
 }
 
 /**
- * Trials per path walk. gather() walks the fixed global chunks
- * [k * kWalkChunk, (k + 1) * kWalkChunk), so the outcome tree — and
- * with it every sim.* total — never depends on the shard count; the
- * chunk also bounds the walk's per-trial bookkeeping (one RNG stream
- * and one index per trial).
+ * Resolve the tail's measurement labels to record slots, numbered in
+ * the order the phases first name them, so a walk node's record is a
+ * flat vector and no path looks a label up by name.
  */
-constexpr std::size_t kWalkChunk = 8192;
+void
+resolveTail(BreakpointPlan &plan)
+{
+    std::vector<InstructionRange> ranges{plan.head.tail};
+    if (plan.high != nullptr) {
+        ranges.push_back(plan.high->head.tail);
+        ranges.push_back(plan.high->combo);
+    }
+    std::unordered_map<std::string_view, std::uint32_t> slots;
+    const auto slotOf = [&](const std::string &label) {
+        const auto next = static_cast<std::uint32_t>(slots.size());
+        return slots.try_emplace(label, next).first->second;
+    };
+    for (const InstructionRange &range : ranges) {
+        TailPhase phase{range, {}};
+        phase.labels.reserve(range.end - range.begin);
+        const auto &insts = range.circ->instructions();
+        for (std::size_t i = range.begin; i < range.end; ++i) {
+            LabelSlots labels;
+            if (insts[i].kind == circuit::GateKind::Measure)
+                labels.write = slotOf(insts[i].label);
+            if (!insts[i].condLabel.empty())
+                labels.read = slotOf(insts[i].condLabel);
+            phase.labels.push_back(labels);
+        }
+        plan.phases.push_back(std::move(phase));
+    }
+    plan.recordSlots = slots.size();
+}
+
+/**
+ * Trials per path walk: one stream bank. gather() walks the fixed
+ * global chunks [k * kWalkChunk, (k + 1) * kWalkChunk), so the outcome
+ * tree — and with it every sim.* total — never depends on the shard
+ * count; the chunk also bounds the walk's per-trial bookkeeping (one
+ * bank slot per trial).
+ */
+constexpr std::size_t kWalkChunk = StreamBank::kMaxSlots;
+
+/** Shots seeded per bank fill in SampleFinalState mode. */
+constexpr std::size_t kShotBlock = 1024;
 
 /**
  * The Resimulate trial loop as one walk over the tree of
  * measurement-outcome paths (see ensemble.hh). A node is the group of
  * trials sharing one outcome history: one state, one measurement
- * record, one cursor into the instruction stream. The stream is the
- * plan's tail (or, staged, the low tail, the high tail and the
- * combining tail) followed by the truncating readout of spec.qubits.
+ * record, one cursor into the instruction stream, and a contiguous
+ * range of the walk's stream bank. The stream is the plan's tail
+ * phases followed by the truncating readout of spec.qubits, which
+ * runs on compacted sub-states (readout()).
  */
 class PathWalk
 {
@@ -302,18 +371,10 @@ class PathWalk
              std::size_t lo, std::size_t hi, std::uint64_t *out)
         : plan(plan), spec(spec), out(out)
     {
-        if (plan.high != nullptr)
-            phases = {plan.head.tail, plan.high->head.tail,
-                      plan.high->combo};
-        else
-            phases = {plan.head.tail};
-        const Rng master(spec.seed);
-        rngs.reserve(hi - lo);
-        for (std::size_t m = lo; m < hi; ++m) {
-            rngs.push_back(master.split(m));
-            // The draws the cached head's resets would have consumed.
-            discardDraws(rngs.back(), plan.head.draws);
-        }
+        bank.seed(spec.seed, lo, hi - lo);
+        // The draws the cached head's resets would have consumed.
+        bank.discard(0, bank.size(), plan.head.draws);
+        layOutReadout();
     }
 
     /** Walk the whole tree, fanning subtrees out on `pool` if given. */
@@ -323,20 +384,24 @@ class PathWalk
         QSA_OBS_SPAN(span, "runtime.resim.walk");
         Node root{plan.head.state,
                   nullptr,
-                  {},
-                  std::vector<std::uint32_t>(rngs.size()),
+                  Record(plan.recordSlots),
                   0,
-                  phases[0].begin,
+                  bank.size(),
+                  0,
+                  plan.phases[0].range.begin,
                   0,
                   0};
-        std::iota(root.trials.begin(), root.trials.end(), 0u);
         walk(std::move(root), pool);
         const std::size_t total = segments.load();
         QSA_OBS_COUNTER("runtime.resim.segments", total);
-        span.arg("trials", rngs.size()).arg("segments", total);
+        span.arg("trials", bank.size()).arg("segments", total);
     }
 
   private:
+    /** Measurement record: a value per record slot, empty until some
+     *  Measure on the path writes it. */
+    using Record = std::vector<std::optional<std::uint64_t>>;
+
     /** A group of trials sharing one measurement-outcome history. */
     struct Node
     {
@@ -347,49 +412,93 @@ class PathWalk
         std::shared_ptr<const sim::StateVector> low;
 
         /** Measurement record of this outcome history. */
-        std::map<std::string, std::uint64_t> record;
+        Record record;
 
-        /** Walk-local indices of the trials on this path. */
-        std::vector<std::uint32_t> trials;
+        /** The bank slots [lo, hi) of the trials on this path. */
+        std::size_t lo = 0;
+        std::size_t hi = 0;
 
-        /** Cursor: phase (phases.size() = readout), instruction
-         *  (an index into the phase's circuit; the readout's qubit),
-         *  target within a multi-qubit Measure. */
+        /** Cursor: phase (phases.size() = readout), instruction (an
+         *  index into the phase's circuit), target within a
+         *  multi-qubit Measure. */
         std::size_t phase = 0;
         std::size_t pc = 0;
         std::size_t sub = 0;
 
-        /** Value of the Measure (or readout) in progress. */
+        /** Value of the Measure in progress. */
         std::uint64_t value = 0;
+    };
+
+    /**
+     * Readout position j as every readout node at depth j sees it. A
+     * node at depth j holds, in ascending index order, only the
+     * 2^width amplitudes whose qubits read so far match its outcomes;
+     * the rest are exact zeros of the full state. spec.qubits[j] is
+     * bit `bit` of that compact index, unless position `repeats` < j
+     * already read the same qubit.
+     */
+    struct ReadoutStep
+    {
+        unsigned width = 0;
+        unsigned bit = 0;
+        std::size_t repeats = 0;
     };
 
     const BreakpointPlan &plan;
     const EnsembleSpec &spec;
     std::uint64_t *out;
-    std::vector<InstructionRange> phases;
 
-    /** Per-trial streams; each is touched only by its trial's node. */
-    std::vector<Rng> rngs;
+    /** Per-trial streams; each node owns a contiguous slot range. */
+    StreamBank bank;
+
+    /** spec.qubits as readout steps (layOutReadout). */
+    std::vector<ReadoutStep> readoutSteps;
 
     /** Path segments simulated (tree nodes), for the counter. */
     std::atomic<std::size_t> segments{0};
+
+    void
+    layOutReadout()
+    {
+        const unsigned n =
+            plan.head.state.numQubits() +
+            (plan.high != nullptr ? plan.high->head.state.numQubits() : 0);
+        std::uint64_t read = 0; // qubits read so far
+        for (std::size_t j = 0; j < spec.qubits.size(); ++j) {
+            const unsigned q = spec.qubits[j];
+            panic_if(q >= n, "qubit out of range");
+            const std::uint64_t mask = std::uint64_t{1} << q;
+            ReadoutStep step;
+            step.width = n - popcount64(read);
+            step.repeats = j;
+            if (read & mask) {
+                step.repeats = static_cast<std::size_t>(
+                    std::find(spec.qubits.begin(), spec.qubits.end(), q) -
+                    spec.qubits.begin());
+            } else {
+                step.bit = q - popcount64(read & (mask - 1));
+                read |= mask;
+            }
+            readoutSteps.push_back(step);
+        }
+    }
 
     /** Cross into phase `next`: the staged hand-offs, or readout. */
     void
     enterPhase(Node &node, std::size_t next)
     {
         node.phase = next;
-        node.pc = next < phases.size() ? phases[next].begin : 0;
+        node.pc = next < plan.phases.size() ? plan.phases[next].range.begin
+                                            : 0;
         node.value = 0;
-        if (plan.high == nullptr || next == phases.size())
+        if (plan.high == nullptr || next == plan.phases.size())
             return;
         if (next == 1) {
             // Low leaf: start this history's high half from its head.
             node.low = std::make_shared<const sim::StateVector>(
                 std::move(node.state));
             node.state = plan.high->head.state;
-            for (std::uint32_t t : node.trials)
-                discardDraws(rngs[t], plan.high->head.draws);
+            bank.discard(node.lo, node.hi, plan.high->head.draws);
         } else {
             node.state = node.low->tensorWith(node.state);
             node.low.reset();
@@ -409,15 +518,8 @@ class PathWalk
     {
         QSA_OBS_COUNTER("sim.measurements", 1);
         const double p1 = node.state.probabilityOne(qubit);
-        std::vector<std::uint32_t> ones;
-        auto zeros = node.trials.begin();
-        for (std::uint32_t t : node.trials) {
-            if (rngs[t].bernoulli(p1))
-                ones.push_back(t);
-            else
-                *zeros++ = t;
-        }
-        node.trials.erase(zeros, node.trials.end());
+        const std::size_t ones =
+            bank.partition(node.lo, node.hi, bernoulliThreshold(p1));
 
         const auto collapse = [&](Node &branch, unsigned outcome) {
             branch.state.projectQubit(qubit, outcome,
@@ -429,20 +531,157 @@ class PathWalk
                 branch.state.applyGate(sim::Mat2{0.0, 1.0, 1.0, 0.0},
                                        qubit);
         };
-        if (ones.empty()) {
+        if (ones == node.hi) {
             collapse(node, 0);
             return std::nullopt;
         }
-        if (node.trials.empty()) {
-            node.trials = std::move(ones);
+        if (ones == node.lo) {
             collapse(node, 1);
             return std::nullopt;
         }
-        Node sibling{node.state, node.low,   node.record, std::move(ones),
-                     node.phase, node.pc,    node.sub,    node.value};
+        Node sibling{node.state, node.low,  node.record, ones,
+                     node.hi,    node.phase, node.pc,    node.sub,
+                     node.value};
+        node.hi = ones;
         collapse(node, 0);
         collapse(sibling, 1);
         return sibling;
+    }
+
+    /**
+     * A node of the readout subtree: its depth (readout positions
+     * read), bank slots and outcomes so far, and its compacted
+     * amplitudes at `offset` in buffer `buffer` — none once a repeated
+     * qubit read against its earlier outcome left the state zero.
+     */
+    struct ReadoutNode
+    {
+        std::size_t depth = 0;
+        std::size_t lo = 0;
+        std::size_t hi = 0;
+        std::uint64_t value = 0;
+        unsigned buffer = 0;
+        std::uint64_t offset = 0;
+        bool zero = false;
+    };
+
+    /**
+     * The truncating readout of `node`'s trials, all on this thread.
+     * The readout subtree is walked depth first on compacted
+     * sub-states: a node at depth j holds only the 2^width amplitudes
+     * consistent with its outcomes so far (ReadoutStep), in ascending
+     * index order. The terms the full state would add are exact zeros,
+     * so its p1 is probabilityOne's single ascending sum, and each
+     * branch is its half scaled once, as collapse scales it: the
+     * draws, outcomes and sim.measurements count are those of
+     * measuring the full state qubit by qubit. A split writes both
+     * halves from one buffer into the same range of the other: the
+     * node's own amplitudes, then one scratch of the same size.
+     */
+    void
+    readout(Node &node)
+    {
+        std::vector<sim::Complex> own =
+            std::move(node.state).releaseAmplitudes();
+        std::unique_ptr<double[]> scratch(new double[2 * own.size()]);
+        double *const buffers[2] = {reinterpret_cast<double *>(own.data()),
+                                    scratch.get()};
+        ReadoutNode root;
+        root.lo = node.lo;
+        root.hi = node.hi;
+        std::vector<ReadoutNode> pending{root};
+        while (!pending.empty()) {
+            ReadoutNode part = pending.back();
+            pending.pop_back();
+            while (part.depth < readoutSteps.size()) {
+                if (auto sibling = readoutStep(part, buffers)) {
+                    segments.fetch_add(2, std::memory_order_relaxed);
+                    pending.push_back(*sibling);
+                }
+            }
+            for (std::size_t slot = part.lo; slot < part.hi; ++slot)
+                out[bank.trial(slot)] = part.value;
+        }
+    }
+
+    /** Read one qubit out of `part`; a split returns the outcome-1
+     *  branch and leaves `part` the outcome-0 one. */
+    std::optional<ReadoutNode>
+    readoutStep(ReadoutNode &part, double *const (&buffers)[2])
+    {
+        QSA_OBS_COUNTER("sim.measurements", 1);
+        const ReadoutStep &step = readoutSteps[part.depth];
+        const std::size_t j = part.depth++;
+        const std::uint64_t size = std::uint64_t{1} << step.width;
+        const std::uint64_t stride = std::uint64_t{1} << step.bit;
+        double *const a = buffers[part.buffer] + 2 * part.offset;
+        const auto norm = [a](std::uint64_t i) {
+            return std::norm(sim::Complex(a[2 * i], a[2 * i + 1]));
+        };
+        const bool repeated = step.repeats < j;
+        const bool earlier = repeated && ((part.value >> step.repeats) & 1);
+
+        // probabilityOne's sum: ascending over the |1> entries. For a
+        // repeated qubit they are all of the node's entries or none.
+        double p1 = 0.0;
+        if (!part.zero && !repeated) {
+            for (std::uint64_t base = stride; base < size; base += 2 * stride)
+                for (std::uint64_t off = 0; off < stride; ++off)
+                    p1 += norm(base + off);
+        } else if (!part.zero && earlier) {
+            for (std::uint64_t i = 0; i < size; ++i)
+                p1 += norm(i);
+        }
+        p1 = std::min(1.0, std::max(0.0, p1));
+        const std::size_t ones =
+            bank.partition(part.lo, part.hi, bernoulliThreshold(p1));
+        const bool take0 = ones > part.lo, take1 = ones < part.hi;
+        // collapse()'s scale of the branch of probability `prob`.
+        const auto scaleOf = [](double prob) {
+            panic_if(prob < sim::StateVector::kMinBranchProbability,
+                     "collapse onto zero-probability branch");
+            return 1.0 / std::sqrt(prob);
+        };
+        const double scale0 = take0 ? scaleOf(1.0 - p1) : 0.0;
+        const double scale1 = take1 ? scaleOf(p1) : 0.0;
+
+        ReadoutNode one = part;
+        one.lo = ones;
+        one.value |= std::uint64_t{1} << j;
+        part.hi = ones;
+        if (repeated) {
+            // The node keeps its entries: the earlier outcome scales
+            // them all (by exactly 1 when that outcome was 0), the
+            // other outcome zeroes them.
+            if (take1 && !part.zero)
+                for (std::uint64_t i = 0; i < 2 * size; ++i)
+                    a[i] *= scale1;
+            part.zero = part.zero || earlier;
+        } else {
+            // Each half, compacted, into the node's range of the other
+            // buffer: outcome 0 first, outcome 1 after it.
+            const auto compact = [&](std::uint64_t set, double scale,
+                                     double *to) {
+                for (std::uint64_t base = set; base < size;
+                     base += 2 * stride, to += 2 * stride)
+                    for (std::uint64_t i = 0; i < 2 * stride; ++i)
+                        to[i] = a[2 * base + i] * scale;
+            };
+            double *const to = buffers[1 - part.buffer] + 2 * part.offset;
+            if (take0 && !part.zero)
+                compact(0, scale0, to);
+            if (take1 && !part.zero)
+                compact(stride, scale1, to + size);
+            part.buffer = one.buffer = 1 - part.buffer;
+            one.offset = part.offset + size / 2;
+        }
+        if (!take0) {
+            part = one;
+            return std::nullopt;
+        }
+        if (!take1)
+            return std::nullopt;
+        return one;
     }
 
     /**
@@ -455,36 +694,26 @@ class PathWalk
     {
         segments.fetch_add(1, std::memory_order_relaxed);
         while (true) {
-            if (node.phase == phases.size()) {
-                // The truncating readout, one qubit at a time.
-                if (node.pc == spec.qubits.size()) {
-                    for (std::uint32_t t : node.trials)
-                        out[t] = node.value;
-                    return std::nullopt;
-                }
-                auto sibling =
-                    measure(node, spec.qubits[node.pc], -1, node.pc);
-                ++node.pc;
-                if (sibling) {
-                    ++sibling->pc;
-                    return sibling;
-                }
-                continue;
+            if (node.phase == plan.phases.size()) {
+                readout(node);
+                return std::nullopt;
             }
-            const InstructionRange &phase = phases[node.phase];
-            if (node.pc == phase.end) {
+            const TailPhase &phase = plan.phases[node.phase];
+            if (node.pc == phase.range.end) {
                 enterPhase(node, node.phase + 1);
                 continue;
             }
-            const circuit::Circuit &circ = *phase.circ;
+            const circuit::Circuit &circ = *phase.range.circ;
             const circuit::Instruction &inst =
                 circ.instructions()[node.pc];
+            const LabelSlots &labels =
+                phase.labels[node.pc - phase.range.begin];
             if (!inst.condLabel.empty()) {
-                const auto it = node.record.find(inst.condLabel);
-                fatal_if(it == node.record.end(),
+                const auto &recorded = node.record[labels.read];
+                fatal_if(!recorded,
                          "conditional instruction references "
                          "unmeasured label '", inst.condLabel, "'");
-                if (it->second != inst.condValue) {
+                if (*recorded != inst.condValue) {
                     ++node.pc;
                     continue;
                 }
@@ -500,7 +729,7 @@ class PathWalk
                 if (node.sub == 0)
                     node.value = 0; // overwrite semantics
                 if (node.sub == inst.targets.size()) {
-                    node.record[inst.label] = node.value;
+                    node.record[labels.write] = node.value;
                     node.sub = 0;
                     ++node.pc;
                     continue;
@@ -765,6 +994,7 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
         const std::size_t head = deterministicHead(
             end, plan->head.state, plan->head.draws, resumed);
         plan->head.tail = {program, head, end};
+        resolveTail(*plan);
         span.arg("resumed", resumed).arg("simulated", head - resumed);
         return plan;
     }
@@ -786,6 +1016,7 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
         simulateHead(*program, low_end, plan->head) +
         simulateHead(high->block, high->block.size(), high->head);
     plan->high = std::move(high);
+    resolveTail(*plan);
     QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
     span.arg("resumed", 0).arg("simulated", simulated);
     return plan;
@@ -866,11 +1097,15 @@ EnsembleEngine::gather(const EnsembleSpec &spec)
         return out;
     }
 
-    const Rng master(spec.seed);
+    // Shot m draws from Rng(seed).split(m + 1), seeded a block at a
+    // time.
     const auto sample = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t m = lo; m < hi; ++m) {
-            Rng rng = master.split(m + 1);
-            out[m] = sampler->sample(rng.uniform());
+        StreamBank bank;
+        for (std::size_t block = lo; block < hi; block += kShotBlock) {
+            const std::size_t count = std::min(hi - block, kShotBlock);
+            bank.seed(spec.seed, block + 1, count);
+            for (std::size_t slot = 0; slot < count; ++slot)
+                out[block + slot] = sampler->sample(bank.uniform(slot));
         }
     };
     if (fan_out == nullptr) {

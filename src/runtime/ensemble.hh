@@ -36,7 +36,11 @@
  *    measurements costs at most 2^t path segments, not N tails.
  *    Tensor-staged plans walk the low tail, then the high tail at
  *    each low leaf, then tensor the halves, then walk the combining
- *    tail.
+ *    tail. The trials' streams live in a StreamBank
+ *    (runtime/streams.hh) whose slot ranges the nodes partition in
+ *    place, and the readout keeps, per node, only the amplitudes
+ *    consistent with its outcomes so far — the same sums and scalings
+ *    as the full-state readout, bit for bit (ensemble.cc).
  *  - in SampleFinalState mode the truncated program runs ONCE — the
  *    plan's head state itself when the tail is empty, otherwise one
  *    path through the tail(s) — and the N shots are split into
@@ -49,7 +53,9 @@
  *  - the walk is iterative (an explicit stack of pending siblings).
  *    Its live states are the splits on the current path plus at most
  *    one handed-off subtree per pool thread — never proportional to
- *    the trial count. Independent subtrees fan out across the pool;
+ *    the trial count — and, per readout in progress, at most 2^n
+ *    scratch amplitudes; a readout is never handed off. Independent
+ *    subtrees fan out across the pool;
  *    every path node is simulated exactly once whatever the thread
  *    count, and inside a pool worker (e.g. a BatchRunner unit) the
  *    walk runs inline.

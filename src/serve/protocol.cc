@@ -103,15 +103,12 @@ parseCircuitField(const json::Value &doc, const char *field,
              "' (an OpenQASM string) is required");
     circuit::Circuit circ;
     try {
-        circ = circuit::fromQasm(text->asString());
+        circ = circuit::fromQasm(text->asString(), limits.maxQubits);
     } catch (const circuit::QasmError &e) {
         throw circuit::QasmError(std::string("'") + field + "': ", e);
     }
     fatal_if(circ.numQubits() == 0 || circ.size() == 0, "'", field,
              "' declares no qubits or no instructions");
-    fatal_if(circ.numQubits() > limits.maxQubits, "'", field, "' uses ",
-             circ.numQubits(), " qubits; this server accepts at most ",
-             limits.maxQubits);
     fatal_if(circ.size() > limits.maxInstructions, "'", field, "' has ",
              circ.size(), " instructions; this server accepts at most ",
              limits.maxInstructions);

@@ -974,7 +974,8 @@ StateVector::collapse(unsigned qubit, unsigned value, double prob)
 {
     // Guard against collapsing onto a zero-probability branch due to
     // floating-point round-off.
-    panic_if(prob < 1e-15, "collapse onto zero-probability branch");
+    panic_if(prob < kMinBranchProbability,
+             "collapse onto zero-probability branch");
 
     // Stride-blocked: in each 2·stride block the half where the qubit
     // reads `value` is rescaled part by part (as Complex *= double

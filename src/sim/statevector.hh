@@ -36,6 +36,7 @@
 #define QSA_SIM_STATEVECTOR_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -69,6 +70,10 @@ class StateVector
     /** Practical width cap: 2^28 amplitudes is 4 GiB of doubles. */
     static constexpr unsigned kMaxQubits = 28;
 
+    /** A collapse onto a branch less likely than this panics: the
+     *  outcome can only have come from floating-point round-off. */
+    static constexpr double kMinBranchProbability = 1e-15;
+
     /** Construct |0...0> on num_qubits qubits (at most kMaxQubits). */
     explicit StateVector(unsigned num_qubits);
 
@@ -86,6 +91,13 @@ class StateVector
 
     /** Raw amplitude vector (read-only). */
     const std::vector<Complex> &amplitudes() const { return amps; }
+
+    /**
+     * Move the amplitude vector out of a state that is not used again
+     * (it is left empty): for a consumer that reads the state out in
+     * place, as Resimulate's readout does (runtime/ensemble.cc).
+     */
+    std::vector<Complex> releaseAmplitudes() && { return std::move(amps); }
 
     /**
      * Overwrite the state with the given amplitudes (their number must

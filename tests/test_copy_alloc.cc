@@ -5,8 +5,10 @@
  * Instruction, and each copy helper sizes its instruction vector
  * once. This binary replaces the global operator new to count the
  * allocations of sliceRange, an adjoint appendRange and appendCircuit
- * of a ~500-gate circuit, and of parsing a long QASM angle. It is its
- * own test binary because the replacement holds for the whole program.
+ * of a ~500-gate circuit, and of parsing a long QASM angle, and the
+ * bytes a parse allocates before it refuses a register past its qubit
+ * bound. It is its own test binary because the replacement holds for
+ * the whole program.
  */
 
 #include <gtest/gtest.h>
@@ -23,11 +25,13 @@ namespace
 {
 
 std::atomic<std::size_t> gAllocations{0};
+std::atomic<std::size_t> gAllocatedBytes{0};
 
 void *
 countedAlloc(std::size_t size)
 {
     gAllocations.fetch_add(1, std::memory_order_relaxed);
+    gAllocatedBytes.fetch_add(size, std::memory_order_relaxed);
     if (void *p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -91,6 +95,10 @@ gateProgram(unsigned layers)
 /** Generous for a handful of vectors and register copies, far below
  *  one allocation per instruction. */
 constexpr std::size_t kConstantAllocations = 16;
+
+/** Bytes a rejected QASM parse may allocate: its tables and message,
+ *  never the register it refused. */
+constexpr std::size_t kConstantBytes = 4096;
 
 TEST(CopyAllocations, SliceRangeAllocatesAConstantNumberOfTimes)
 {
@@ -161,6 +169,22 @@ TEST(ParseAllocations, LongAngleAllocatesAConstantNumberOfTimes)
                   EXPECT_EQ(parsed.instructions()[0].angle, 100001.0);
               }),
               kConstantAllocations);
+}
+
+TEST(ParseAllocations, OversizedRegisterIsRejectedBeforeAllocating)
+{
+    // Under a qubit bound, a declaration past it is rejected before
+    // its register is allocated: the parse allocates the same few
+    // bytes whatever width the text declares.
+    for (const char *width : {"13", "20000000", "4294967295"}) {
+        const std::string text =
+            "qreg q[" + std::string(width) + "];\nh q[0];\n";
+        circuit::fromQasm("qreg q[1];\n", 12); // warm up
+        const std::size_t before = gAllocatedBytes.load();
+        EXPECT_THROW(circuit::fromQasm(text, 12), circuit::QasmError);
+        EXPECT_LE(gAllocatedBytes.load() - before, kConstantBytes)
+            << width;
+    }
 }
 
 } // anonymous namespace

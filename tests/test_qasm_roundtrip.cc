@@ -94,6 +94,47 @@ TEST(QasmRoundTrip, EmissionIsAFixedPointOnEveryCleanReference)
     }
 }
 
+TEST(QasmRoundTrip, GeneratedProgramsRoundTripWithTheirConditions)
+{
+    // Generated programs carry mid-circuit measurements, resets and
+    // conditions, conditioned resets included: one round trip keeps
+    // every instruction (their chained hash; the trip adds a register
+    // "q", which contentHash would count), and emission is a fixed
+    // point.
+    const auto instructionsHash = [](const Circuit &circ) {
+        std::uint64_t chain = 0;
+        for (const auto &inst : circ.instructions())
+            chain = circ.chainHash(chain, inst);
+        return chain;
+    };
+    std::size_t conditioned_resets = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        const Circuit program =
+            testgen::monolithicProgram(seed, 2 + seed % 4, 60);
+        for (const auto &inst : program.instructions())
+            conditioned_resets += inst.kind == circuit::GateKind::PrepZ &&
+                                  !inst.condLabel.empty();
+        const std::string once = circuit::toQasm(program);
+        const Circuit parsed = circuit::fromQasm(once);
+        EXPECT_EQ(instructionsHash(parsed), instructionsHash(program))
+            << "seed " << seed;
+        EXPECT_EQ(circuit::toQasm(parsed), once) << "seed " << seed;
+    }
+    EXPECT_GT(conditioned_resets, 0u);
+
+    // An unconditioned reset is written as it always was.
+    Circuit reset(2);
+    reset.h(0);
+    reset.measureQubits({0}, "m");
+    reset.prepZ(1, 1);
+    reset.prepZ(0, 0);
+    reset.conditionLast("m", 1);
+    const std::string text = circuit::toQasm(reset);
+    EXPECT_NE(text.find("\n// qsa.prepz 1 1\n"), std::string::npos);
+    EXPECT_NE(text.find("\n// qsa.prepz 0 0 if(m_m==1)\n"),
+              std::string::npos);
+}
+
 TEST(QasmRoundTrip, ManyNamesRoundTripAndStayChecked)
 {
     // Twelve registers, labels and breakpoints round-trip, and the
@@ -473,6 +514,17 @@ TEST(QasmErrors, EveryMalformedInputIsPositioned)
         {"bad prepz pragma",
          "OPENQASM 2.0;\nqreg q[1];\n// qsa.prepz\n", 3, "",
          "needs '<qubit> <bit>'"},
+        {"prepz condition before measurement",
+         "OPENQASM 2.0;\nqreg q[1];\ncreg m_c[1];\n"
+         "// qsa.prepz 0 1 if(m_c==1)\n",
+         4, "m_c", "before any measurement"},
+        {"prepz condition with trailing text",
+         "OPENQASM 2.0;\nqreg q[1];\ncreg m_c[1];\n"
+         "measure q[0] -> m_c[0];\n// qsa.prepz 0 1 if(m_c==1) x\n",
+         5, "if(m_c==1) x", "trailing characters after qsa.prepz"},
+        {"register past the qubit range",
+         "OPENQASM 2.0;\nqreg a[4294967295];\nqreg b[1];\n", 2, "a",
+         "would use 4294967295 qubits (at most 12 accepted)"},
         {"duplicate measured qubit",
          "OPENQASM 2.0;\nqreg q[2];\ncreg m_c[2];\n"
          "measure q[1] -> m_c[0];\nmeasure q[1] -> m_c[1];\n",
@@ -489,7 +541,9 @@ TEST(QasmErrors, EveryMalformedInputIsPositioned)
 
     for (const auto &c : cases) {
         try {
-            circuit::fromQasm(c.source);
+            // A bound of 12 keeps the wide registers above from being
+            // allocated; no other case comes near it.
+            circuit::fromQasm(c.source, 12);
             ADD_FAILURE() << c.label << ": parsed";
         } catch (const circuit::QasmError &error) {
             EXPECT_EQ(error.line(), c.line) << c.label;
@@ -549,6 +603,25 @@ TEST(QasmErrors, FromQasmThrowsAQasmError)
         circuit::QasmError, "^line 3.*unsupported QASM gate");
     EXPECT_THROW_MESSAGE(circuit::fromQasm("qreg q[2];\nh q[9];\n"),
                          circuit::QasmError, "out of range");
+}
+
+TEST(QasmErrors, QubitBoundRejectsTheDeclarationThatPassesIt)
+{
+    // The bound counts every register declared so far; the one that
+    // takes the program past it is rejected before it is allocated.
+    EXPECT_EQ(circuit::fromQasm("qreg a[8];\nqreg b[4];\nh b[3];\n", 12)
+                  .numQubits(),
+              12u);
+    try {
+        circuit::fromQasm("qreg a[8];\nqreg b[5];\nh b[3];\n", 12);
+        ADD_FAILURE() << "parsed";
+    } catch (const circuit::QasmError &error) {
+        EXPECT_EQ(error.line(), 2u);
+        EXPECT_EQ(error.token(), "b");
+        EXPECT_STREQ(error.what(),
+                     "line 2, column 6: the program would use 13 qubits "
+                     "(at most 12 accepted) with register 'b'");
+    }
 }
 
 TEST(QasmAngles, ReadNumbersAsStrtodDoes)

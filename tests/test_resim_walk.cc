@@ -12,22 +12,32 @@
  * The Resimulate reference is runCircuit of the truncated program on
  * Rng(seed).split(m), then measureQubits; the SampleFinalState one is
  * one runCircuit on Rng(seed).split(0), a CdfSampler over its
- * marginal, and shot m drawn from Rng(seed).split(m + 1).
+ * marginal, and shot m drawn from Rng(seed).split(m + 1). Every
+ * comparison runs at each kernel level the host has, since the trial
+ * streams' bank (runtime/streams.hh) has a body per level; the bank
+ * itself is checked against Rng draw for draw.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "assertions/checker.hh"
 #include "circuit/circuit.hh"
 #include "circuit/executor.hh"
 #include "common/rng.hh"
 #include "obs/obs.hh"
 #include "runtime/ensemble.hh"
 #include "runtime/pool.hh"
+#include "runtime/streams.hh"
+#include "sim/kernel_level.hh"
 
 #include "program_generator.hh"
 
@@ -62,7 +72,13 @@ stagedProgram(std::uint64_t seed, unsigned split, std::size_t count)
     return circ;
 }
 
-/** The readout of one boundary: a pseudo-random qubit subset. */
+/**
+ * The readout of one boundary: a pseudo-random qubit subset, by
+ * boundary in ascending order, descending, interleaved (the odd
+ * positions of the ascending list, then the even ones), or ascending
+ * with one qubit read a second time, so every readout position meets
+ * each compact-index shift of the walk's readout.
+ */
 std::vector<unsigned>
 readoutQubits(unsigned n, std::size_t boundary)
 {
@@ -72,7 +88,37 @@ readoutQubits(unsigned n, std::size_t boundary)
             qubits.push_back(q);
     if (qubits.empty())
         qubits.push_back(static_cast<unsigned>(boundary % n));
+    switch (boundary % 4) {
+      case 1:
+        std::reverse(qubits.begin(), qubits.end());
+        break;
+      case 2: {
+        std::vector<unsigned> interleaved;
+        for (std::size_t start : {1, 0})
+            for (std::size_t i = start; i < qubits.size(); i += 2)
+                interleaved.push_back(qubits[i]);
+        qubits = std::move(interleaved);
+        break;
+      }
+      case 3:
+        qubits.insert(qubits.begin() + qubits.size() / 2,
+                      qubits[(boundary / 4) % qubits.size()]);
+        break;
+      default:
+        break;
+    }
     return qubits;
+}
+
+/** Every kernel level this host can run. */
+std::vector<sim::detail::KernelLevel>
+hostLevels()
+{
+    std::vector<sim::detail::KernelLevel> levels;
+    for (const auto level : sim::detail::kKernelLevels)
+        if (sim::detail::hostSupports(level))
+            levels.push_back(level);
+    return levels;
 }
 
 /**
@@ -155,28 +201,35 @@ expectWalkMatchesReference(const Circuit &program,
 #if QSA_OBS_ENABLED
     std::map<std::string, std::int64_t> serial_work;
 #endif
-    for (const unsigned threads : {1u, 4u, 0u}) {
-        obs::Registry::reset();
-        runtime::EnsembleEngine engine(
-            instrumented, threads,
-            runtime::EngineOptions{tensor_split});
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            EXPECT_EQ(engine.gather(specs[i]), expected[i])
-                << specs[i].breakpoint << " threads=" << threads;
-        }
+    for (const auto level : hostLevels()) {
+        const sim::detail::ScopedKernelLevel forced(level);
+        const std::string where =
+            std::string(" level=") + sim::detail::kernelLevelName(level);
+        for (const unsigned threads : {1u, 4u, 0u}) {
+            obs::Registry::reset();
+            runtime::EnsembleEngine engine(
+                instrumented, threads,
+                runtime::EngineOptions{tensor_split});
+            for (std::size_t i = 0; i < specs.size(); ++i) {
+                EXPECT_EQ(engine.gather(specs[i]), expected[i])
+                    << specs[i].breakpoint << " threads=" << threads
+                    << where;
+            }
 #if QSA_OBS_ENABLED
-        const auto work = workCounters();
-        EXPECT_GT(work.at("sim.gate_applies"), 0);
-        if (mode == runtime::EnsembleMode::Resimulate) {
-            EXPECT_GT(work.at("runtime.resim.segments"), 0);
-        }
-        if (threads == 1)
-            serial_work = work;
-        else
-            EXPECT_EQ(work, serial_work) << "threads=" << threads;
-        if (work.count("runtime.tensor_stages.built"))
-            stages_built = work.at("runtime.tensor_stages.built");
+            const auto work = workCounters();
+            EXPECT_GT(work.at("sim.gate_applies"), 0);
+            if (mode == runtime::EnsembleMode::Resimulate) {
+                EXPECT_GT(work.at("runtime.resim.segments"), 0);
+            }
+            if (serial_work.empty())
+                serial_work = work;
+            else
+                EXPECT_EQ(work, serial_work)
+                    << "threads=" << threads << where;
+            if (work.count("runtime.tensor_stages.built"))
+                stages_built = work.at("runtime.tensor_stages.built");
 #endif
+        }
     }
     return stages_built;
 }
@@ -246,9 +299,14 @@ TEST(ResimWalk, ChunkedEnsemblesMatchAcrossChunkBoundaries)
     spec.mode = runtime::EnsembleMode::Resimulate;
     spec.seed = 0xc4a1;
     const auto expected = referenceTrials(instrumented, spec);
-    for (const unsigned threads : {1u, 4u}) {
-        runtime::EnsembleEngine engine(instrumented, threads);
-        EXPECT_EQ(engine.gather(spec), expected) << "threads=" << threads;
+    for (const auto level : hostLevels()) {
+        const sim::detail::ScopedKernelLevel forced(level);
+        for (const unsigned threads : {1u, 4u}) {
+            runtime::EnsembleEngine engine(instrumented, threads);
+            EXPECT_EQ(engine.gather(spec), expected)
+                << "threads=" << threads << " level="
+                << sim::detail::kernelLevelName(level);
+        }
     }
 }
 
@@ -300,6 +358,163 @@ TEST(ResimWalk, DeepOutcomeTreeWalksEveryPath)
     for (const unsigned threads : {1u, 4u}) {
         runtime::EnsembleEngine engine(instrumented, threads);
         EXPECT_EQ(engine.gather(spec), expected) << "threads=" << threads;
+    }
+}
+
+TEST(ResimWalk, SharedQubitEntangledSpecMatchesReference)
+{
+    // An Entangled assertion over registers that share qubit 1: the
+    // checker's joint readout {0, 1, 1, 2} reads qubit 1 twice, after
+    // a tail with a mid-circuit measurement and a conditioned gate.
+    Circuit program(3);
+    program.h(0);
+    program.cnot(0, 1);
+    program.ry(2, 1.1);
+    program.measureQubits({2}, "m");
+    program.ry(1, 0.4);
+    program.conditionLast("m", 1);
+    program.cnot(1, 2);
+    program.ry(0, 0.3);
+    const Circuit instrumented = program.withBoundaryBreakpoints(kBoundary);
+
+    assertions::AssertionSpec spec;
+    spec.kind = assertions::AssertionKind::Entangled;
+    spec.breakpoint = kBoundary + std::to_string(program.size());
+    spec.regA = circuit::QubitRegister("a", {0, 1});
+    spec.regB = circuit::QubitRegister("b", {1, 2});
+
+    assertions::CheckConfig config;
+    config.mode = runtime::EnsembleMode::Resimulate;
+    config.ensembleSize = 600;
+    config.seed = 0x5a4ed;
+
+    runtime::EnsembleSpec request;
+    request.breakpoint = spec.breakpoint;
+    request.qubits = {0, 1, 1, 2};
+    request.shots = config.ensembleSize;
+    request.mode = config.mode;
+    request.seed = config.seed;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+    for (const std::uint64_t joint : referenceTrials(instrumented, request))
+        expected.emplace_back(joint & 3, joint >> 2);
+
+    std::optional<assertions::AssertionOutcome> first;
+    for (const auto level : hostLevels()) {
+        const sim::detail::ScopedKernelLevel forced(level);
+        for (const unsigned threads : {1u, 4u, 0u}) {
+            config.numThreads = threads;
+            const assertions::AssertionChecker checker(instrumented,
+                                                       config);
+            EXPECT_EQ(checker.gatherEnsemble(spec), expected)
+                << "threads=" << threads << " level="
+                << sim::detail::kernelLevelName(level);
+            const auto outcome = checker.check(spec);
+            if (!first) {
+                first = outcome;
+                continue;
+            }
+            EXPECT_EQ(outcome.pValue, first->pValue);
+            EXPECT_EQ(outcome.statistic, first->statistic);
+            EXPECT_EQ(outcome.jointCounts, first->jointCounts);
+        }
+    }
+    // Qubit 1 reads the same both times.
+    for (const auto &[a, b] : expected)
+        EXPECT_EQ(a >> 1, b & 1);
+}
+
+TEST(StreamBank, SlotsAreSplitStreamsDrawForDraw)
+{
+    // Slot i of a bank seeded (seed, first) is Rng(seed).split(first +
+    // i), through seeding, discards and partitions of unaligned
+    // sub-ranges, at every kernel level: 45 slots leave a scalar tail
+    // after the AVX2 and AVX-512 bodies.
+    const std::size_t count = 45;
+    for (const auto level : hostLevels()) {
+        const sim::detail::ScopedKernelLevel forced(level);
+        SCOPED_TRACE(sim::detail::kernelLevelName(level));
+        for (const std::uint64_t seed :
+             {std::uint64_t{0}, std::uint64_t{1},
+              std::uint64_t{0x9e3779b97f4a7c15ull}, ~std::uint64_t{0}}) {
+            for (const std::uint64_t first :
+                 {std::uint64_t{0}, std::uint64_t{8192},
+                  ~std::uint64_t{0} - 20}) {
+                runtime::StreamBank bank;
+                bank.seed(seed, first, count);
+                std::vector<Rng> ref;
+                for (std::size_t i = 0; i < count; ++i) {
+                    EXPECT_EQ(bank.trial(i), i);
+                    ref.push_back(Rng(seed).split(first + i));
+                }
+                bank.discard(3, 40, 5);
+                for (std::size_t i = 3; i < 40; ++i)
+                    for (int d = 0; d < 5; ++d)
+                        ref[i].next();
+
+                Rng ps(seed ^ first);
+                for (int round = 0; round < 24; ++round) {
+                    const std::size_t lo = round % 3 == 0 ? 0 : 7;
+                    const std::size_t hi = round % 2 == 0 ? count : 38;
+                    const double p = round % 5 == 0 ? 0.5 : ps.uniform();
+                    const std::size_t ones = bank.partition(
+                        lo, hi, runtime::bernoulliThreshold(p));
+                    ASSERT_GE(ones, lo);
+                    ASSERT_LE(ones, hi);
+                    for (std::size_t slot = lo; slot < hi; ++slot)
+                        EXPECT_EQ(slot >= ones,
+                                  ref[bank.trial(slot)].bernoulli(p))
+                            << "seed " << seed << " first " << first
+                            << " round " << round << " slot " << slot;
+                }
+                std::vector<bool> seen(count, false);
+                for (std::size_t slot = 0; slot < count; ++slot) {
+                    const std::uint32_t t = bank.trial(slot);
+                    ASSERT_LT(t, count);
+                    EXPECT_FALSE(seen[t]);
+                    seen[t] = true;
+                    EXPECT_EQ(bank.uniform(slot), ref[t].uniform());
+                }
+            }
+        }
+    }
+}
+
+TEST(StreamBank, ThresholdEqualsBernoulli)
+{
+    // (next() >> 11) < bernoulliThreshold(p) exactly when
+    // Rng::bernoulli(p) is true on the same draw.
+    std::vector<double> ps = {-0.0,
+                              0.0,
+                              std::numeric_limits<double>::denorm_min(),
+                              0x1.0p-1060,
+                              0x1.0p-53,
+                              0.5,
+                              1.0 - 0x1.0p-53,
+                              1.0,
+                              1.5,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              -0.25};
+    Rng pick(0x7e5);
+    for (int i = 0; i < 200; ++i)
+        ps.push_back(pick.uniform());
+    Rng rng(0xd4a3);
+    for (const double p : ps) {
+        const std::uint64_t threshold = runtime::bernoulliThreshold(p);
+        for (int i = 0; i < 500; ++i) {
+            Rng peek = rng;
+            const std::uint64_t draw = peek.next();
+            EXPECT_EQ((draw >> 11) < threshold, rng.bernoulli(p))
+                << "p=" << p << " draw=" << draw;
+        }
+        // The draws on either side of the threshold, as bernoulli
+        // would judge them.
+        for (const std::uint64_t k :
+             {threshold - 1, threshold, threshold + 1}) {
+            if (k >> 53)
+                continue;
+            EXPECT_EQ(k < threshold, qsa::detail::unitInterval(k << 11) < p)
+                << "p=" << p << " k=" << k;
+        }
     }
 }
 

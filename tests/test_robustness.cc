@@ -274,16 +274,20 @@ TEST(UtilEdgesDeath, FatalThrowsPanicAborts)
 TEST(UtilEdgesDeath, RngValidation)
 {
     Rng rng(1);
-    EXPECT_DEATH(rng.uniformInt(0), "positive");
-    EXPECT_DEATH(rng.discrete({0.0, 0.0}), "positive sum");
-    EXPECT_DEATH(rng.discrete({-1.0, 2.0}), "non-negative");
+    EXPECT_THROW_MESSAGE(rng.uniformInt(0), qsa::Error, "positive");
+    EXPECT_THROW_MESSAGE(rng.discrete({0.0, 0.0}), qsa::Error,
+                         "positive sum");
+    EXPECT_THROW_MESSAGE(rng.discrete({-1.0, 2.0}), qsa::Error,
+                         "non-negative");
 }
 
 TEST(UtilEdgesDeath, RegisterSliceBounds)
 {
     circuit::QubitRegister r("r", {0, 1, 2});
-    EXPECT_DEATH(r.slice(2, 2), "out of range");
-    EXPECT_DEATH(r.qubit(3), "out of range");
+    EXPECT_THROW_MESSAGE(r.slice(2, 2), qsa::Error, "out of range");
+    EXPECT_THROW_MESSAGE(r.slice(1, 0xFFFFFFFFu), qsa::Error,
+                         "out of range");
+    EXPECT_THROW_MESSAGE(r.qubit(3), qsa::Error, "out of range");
 }
 
 } // anonymous namespace

@@ -312,6 +312,31 @@ TEST(ServeProtocol, UnknownCommandIsRejected)
               std::string::npos);
 }
 
+TEST(ServeProtocol, OversizedRegisterIsRejectedAtItsDeclaration)
+{
+    // A 62-byte request once made the parser allocate a
+    // 20,000,000-qubit register before the limit check; the parser
+    // now stops at the declaration, which the reply positions (at the
+    // token's first occurrence on the line, the 'q' of "qreg").
+    const std::string response = serve::handleRequestLine(
+        R"({"command": "lint", "circuit": "qreg q[20000000];\nh q[0];\n"})");
+    const json::Value doc = parseJson(response);
+    ASSERT_FALSE(doc.find("ok")->asBool());
+    const json::Value *error = doc.find("error");
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->find("message")->asString(),
+              "'circuit': line 1, column 1: the program would use "
+              "20000000 qubits (at most 12 accepted) with register 'q'");
+    EXPECT_EQ(error->find("line")->asUint64(), 1u);
+    EXPECT_EQ(error->find("token")->asString(), "q");
+    // Just inside the limit parses.
+    EXPECT_TRUE(parseJson(serve::handleRequestLine(
+                              R"({"command": "lint", "circuit": )"
+                              R"("qreg q[12];\nh q[0];\n"})"))
+                    .find("ok")
+                    ->asBool());
+}
+
 TEST(ServeProtocol, QasmErrorsCarryPosition)
 {
     const std::string response = serve::handleRequestLine(
