@@ -455,7 +455,12 @@ TEST(StreamBank, SlotsAreSplitStreamsDrawForDraw)
                 for (int round = 0; round < 24; ++round) {
                     const std::size_t lo = round % 3 == 0 ? 0 : 7;
                     const std::size_t hi = round % 2 == 0 ? count : 38;
-                    const double p = round % 5 == 0 ? 0.5 : ps.uniform();
+                    // Certain outcomes too: they only advance the
+                    // streams.
+                    const double p = round % 6 == 1   ? 0.0
+                                     : round % 6 == 4 ? 1.0
+                                     : round % 5 == 0 ? 0.5
+                                                      : ps.uniform();
                     const std::size_t ones = bank.partition(
                         lo, hi, runtime::bernoulliThreshold(p));
                     ASSERT_GE(ones, lo);
