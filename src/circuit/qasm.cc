@@ -595,13 +595,11 @@ class QasmParser
             parseThrow(rest, "statement missing ';'");
     }
 
-    /** Read a leading "if(creg==v)" of `stmt` into `inst`'s
+    /** Read the "if(creg==v)" that `stmt` starts with into `inst`'s
      *  condition; returns the rest of `stmt`. */
     std::string_view
     readCondition(std::string_view stmt, Instruction &inst)
     {
-        if (!startsWith(stmt, "if("))
-            return stmt;
         const auto eq = stmt.find("==");
         const auto close = stmt.find(')');
         if (eq == npos || close == npos || close < eq)
@@ -690,7 +688,8 @@ class QasmParser
 
         // Optional classical condition prefix "if(creg==v)".
         Instruction inst;
-        stmt = readCondition(stmt, inst);
+        if (startsWith(stmt, "if("))
+            stmt = readCondition(stmt, inst);
 
         // Gate statement: name[(params)] operands.
         std::size_t rest = 0;
