@@ -39,6 +39,7 @@
 #include "runtime/streams.hh"
 #include "sim/kernel_level.hh"
 
+#include "expect_throw.hh"
 #include "program_generator.hh"
 
 namespace
@@ -421,6 +422,30 @@ TEST(ResimWalk, SharedQubitEntangledSpecMatchesReference)
     // Qubit 1 reads the same both times.
     for (const auto &[a, b] : expected)
         EXPECT_EQ(a >> 1, b & 1);
+}
+
+TEST(ResimWalk, ConditionBeforeItsMeasurementThrows)
+{
+    // Labels get record slots once per plan, in program order, so a
+    // condition on a label only a later Measure writes has a slot
+    // that is still empty when the walk reaches it.
+    Circuit program(2);
+    program.h(0);
+    program.x(1);
+    program.conditionLast("m", 1);
+    program.measureQubits({0}, "m");
+    program.h(1);
+    const Circuit instrumented = program.withBoundaryBreakpoints(kBoundary);
+    runtime::EnsembleSpec spec;
+    spec.breakpoint = kBoundary + std::to_string(program.size());
+    spec.qubits = {0, 1};
+    spec.shots = 64;
+    spec.mode = runtime::EnsembleMode::Resimulate;
+    for (const unsigned threads : {1u, 4u}) {
+        runtime::EnsembleEngine engine(instrumented, threads);
+        EXPECT_THROW_MESSAGE(engine.gather(spec), qsa::Error,
+                             "unmeasured label 'm'");
+    }
 }
 
 TEST(StreamBank, SlotsAreSplitStreamsDrawForDraw)
