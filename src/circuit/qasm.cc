@@ -105,7 +105,8 @@ toQasm(const Circuit &circ)
 
     // Labels of the run of adjacent Measures being written. fromQasm
     // groups a run's measure statements by label, so a label measured
-    // again within one run starts a new run after a barrier.
+    // again within one run starts a new run after a qsa.measure_break
+    // pragma.
     std::vector<const std::string *> run;
     for (const auto &inst : circ.instructions()) {
         if (inst.kind != GateKind::Measure)
@@ -126,10 +127,7 @@ toQasm(const Circuit &circ)
                             [&](const std::string *label) {
                                 return *label == inst.label;
                             })) {
-                os << "barrier ";
-                for (std::size_t i = 0; i < inst.targets.size(); ++i)
-                    os << (i ? "," : "") << qubitRef(circ, inst.targets[i]);
-                os << ";\n";
+                os << "// qsa.measure_break\n";
                 run.clear();
             }
             run.push_back(&inst.label);
@@ -566,6 +564,10 @@ class QasmParser
             circ.append(std::move(reset));
             return;
         }
+        if (startsWith(line, "// qsa.measure_break")) {
+            flushMeasures();
+            return;
+        }
         if (startsWith(line, "// qsa.breakpoint")) {
             flushMeasures();
             // The first word, as `std::istream >> std::string` reads it.
@@ -621,7 +623,7 @@ class QasmParser
     handleStatement(std::string_view stmt)
     {
         if (stmt.empty() || startsWith(stmt, "OPENQASM") ||
-            startsWith(stmt, "include"))
+            startsWith(stmt, "include") || startsWith(stmt, "barrier"))
             return;
 
         // Adjacent measure lines group into one Measure instruction;
@@ -644,8 +646,6 @@ class QasmParser
             return;
         }
         flushMeasures();
-        if (startsWith(stmt, "barrier"))
-            return; // it only ends a run of measure statements
 
         const bool qreg = startsWith(stmt, "qreg");
         if (qreg || startsWith(stmt, "creg")) {

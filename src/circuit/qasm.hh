@@ -12,8 +12,13 @@
  *  - multi-controlled gates use repeated 'c' prefixes (ccx, ccu1, ...),
  *  - PrepZ is a `// qsa.prepz <qubit> <bit>` pragma (semantically
  *    reset + optional x, but kept exact for IR round-tripping),
+ *    followed by ` if(<creg>==<value>)` when conditioned,
  *  - breakpoints are `// qsa.breakpoint <label>` pragmas,
- *  - measurements use one classical register per measure label.
+ *  - measurements use one classical register per measure label;
+ *    adjacent measure statements group into one Measure per register
+ *    (a `barrier` between them is ignored), and a
+ *    `// qsa.measure_break` pragma ends the group, so a label measured
+ *    twice in a row stays two Measures.
  * Dense Unitary instructions have no QASM form and fail emission.
  */
 

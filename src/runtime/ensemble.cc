@@ -34,7 +34,7 @@ struct InstructionRange
     std::size_t end = 0;
 };
 
-/** A deterministic head simulated once, and the rest of its range. */
+/** A deterministic head simulated once. */
 struct Head
 {
     explicit Head(unsigned num_qubits) : state(num_qubits) {}
@@ -44,10 +44,6 @@ struct Head
 
     /** Per-trial RNG draws the head's resets would have made. */
     std::size_t draws = 0;
-
-    /** Instructions after the head, up to the end of its range
-     *  (possibly empty). */
-    InstructionRange tail;
 };
 
 /**
@@ -75,12 +71,8 @@ struct HighStage
      *  relabelled. */
     circuit::Circuit block;
 
-    /** Deterministic head and tail of `block`. */
+    /** Deterministic head of `block`. */
     Head head;
-
-    /** Everything after the high run, up to the truncation, on the
-     *  full space. */
-    InstructionRange combo;
 };
 
 /** A tail instruction's measurement labels, as measurement-record
@@ -93,8 +85,8 @@ struct LabelSlots
     std::uint32_t read = kNone;
 };
 
-/** One stretch of the tail that a walk runs on one state, with the
- *  record slots of its instructions (labels[i - range.begin]). */
+/** One stretch of the tail that runs on one state, with the record
+ *  slots of its instructions (labels[i - range.begin]). */
 struct TailPhase
 {
     InstructionRange range;
@@ -112,16 +104,18 @@ struct BreakpointPlan
 {
     explicit BreakpointPlan(unsigned num_qubits) : head(num_qubits) {}
 
-    /** Head and tail of the truncated program; in a staged plan, of
-     *  its low block, on the low qubits. */
+    /** Head of the truncated program; in a staged plan, of its low
+     *  block, on the low qubits. */
     Head head;
 
-    /** Staged plans only: the high block and the combining tail. */
+    /** Staged plans only: the high block. */
     std::unique_ptr<const HighStage> high;
 
-    /** The tail as a walk runs it: head.tail, then, staged, the high
-     *  head's tail and the combining tail. Its measurement labels are
-     *  resolved to record slots once, here (resolveTail). */
+    /** The tail, in program order: the instructions after the head
+     *  (possibly none), then, staged, those after the high block's
+     *  head and the combining tail (everything after the high run, up
+     *  to the truncation, on the full space). Its measurement labels
+     *  are resolved to record slots once, here (setTail). */
     std::vector<TailPhase> phases;
 
     /** Distinct labels the tail measures or conditions on: the size of
@@ -161,15 +155,44 @@ endsHead(const circuit::Instruction &inst)
            !inst.condLabel.empty();
 }
 
-/** Run instructions `range` onto `state` (runCircuitOn over a range). */
-void
-stepRange(const InstructionRange &range, sim::StateVector &state,
-          std::map<std::string, std::uint64_t> &measurements, Rng &rng)
+/** Measurement record of a tail run: a value per record slot
+ *  (BreakpointPlan::recordSlots), empty until some Measure writes it. */
+using Record = std::vector<std::optional<std::uint64_t>>;
+
+/** Whether `inst` runs on a path with `record`: it has no condition,
+ *  or its condition holds. */
+bool
+conditionHolds(const circuit::Instruction &inst, const LabelSlots &labels,
+               const Record &record)
 {
-    const auto &insts = range.circ->instructions();
-    for (std::size_t i = range.begin; i < range.end; ++i)
-        circuit::stepInstruction(*range.circ, insts[i], state,
-                                 measurements, rng);
+    if (inst.condLabel.empty())
+        return true;
+    const auto &recorded = record[labels.read];
+    fatal_if(!recorded,
+             "conditional instruction references unmeasured label '",
+             inst.condLabel, "'");
+    return *recorded == inst.condValue;
+}
+
+/** Run `phase` onto `state` on one stream (circuit::stepInstruction
+ *  over the phase, with the record kept in slots). */
+void
+runPhase(const TailPhase &phase, sim::StateVector &state, Record &record,
+         Rng &rng)
+{
+    const circuit::Circuit &circ = *phase.range.circ;
+    for (std::size_t i = phase.range.begin; i < phase.range.end; ++i) {
+        const circuit::Instruction &inst = circ.instructions()[i];
+        const LabelSlots &labels = phase.labels[i - phase.range.begin];
+        if (!conditionHolds(inst, labels, record))
+            continue;
+        if (inst.kind == circuit::GateKind::PrepZ)
+            state.prepZ(inst.targets[0], inst.bit, rng);
+        else if (inst.kind == circuit::GateKind::Measure)
+            record[labels.write] = state.measureQubits(inst.targets, rng);
+        else
+            circuit::applyUnitaryInstruction(circ, inst, state);
+    }
 }
 
 /** Advance `rng` past `draws` draws. */
@@ -231,10 +254,8 @@ extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
 std::size_t
 simulateHead(const circuit::Circuit &circ, std::size_t end, Head &head)
 {
-    const std::size_t length = extendDeterministicHead(
-        circ, 0, end, head.state, head.draws, [](std::size_t) {});
-    head.tail = {&circ, length, end};
-    return length;
+    return extendDeterministicHead(circ, 0, end, head.state, head.draws,
+                                   [](std::size_t) {});
 }
 
 /**
@@ -287,39 +308,34 @@ std::vector<double>
 finalMarginal(const BreakpointPlan &plan, std::uint64_t seed,
               const std::vector<unsigned> &qubits)
 {
-    const InstructionRange &tail = plan.head.tail;
+    const InstructionRange &tail = plan.phases[0].range;
     if (plan.high == nullptr && tail.begin == tail.end)
         return plan.head.state.marginalProbs(qubits);
 
     Rng rng = Rng(seed).split(0);
-    std::map<std::string, std::uint64_t> record;
+    Record record(plan.recordSlots);
     sim::StateVector state = plan.head.state;
     discardDraws(rng, plan.head.draws);
-    stepRange(tail, state, record, rng);
+    runPhase(plan.phases[0], state, record, rng);
     if (plan.high != nullptr) {
         const HighStage &high = *plan.high;
         sim::StateVector high_state = high.head.state;
         discardDraws(rng, high.head.draws);
-        stepRange(high.head.tail, high_state, record, rng);
+        runPhase(plan.phases[1], high_state, record, rng);
         state = state.tensorWith(high_state);
-        stepRange(high.combo, state, record, rng);
+        runPhase(plan.phases[2], state, record, rng);
     }
     return state.marginalProbs(qubits);
 }
 
 /**
- * Resolve the tail's measurement labels to record slots, numbered in
- * the order the phases first name them, so a walk node's record is a
- * flat vector and no path looks a label up by name.
+ * Set `plan`'s tail to `ranges`, its measurement labels resolved to
+ * record slots numbered in the order the ranges first name them, so a
+ * record is a flat vector and no run looks a label up by name.
  */
 void
-resolveTail(BreakpointPlan &plan)
+setTail(BreakpointPlan &plan, const std::vector<InstructionRange> &ranges)
 {
-    std::vector<InstructionRange> ranges{plan.head.tail};
-    if (plan.high != nullptr) {
-        ranges.push_back(plan.high->head.tail);
-        ranges.push_back(plan.high->combo);
-    }
     std::unordered_map<std::string_view, std::uint32_t> slots;
     const auto slotOf = [&](const std::string &label) {
         const auto next = static_cast<std::uint32_t>(slots.size());
@@ -350,9 +366,6 @@ resolveTail(BreakpointPlan &plan)
  * bank slot per trial).
  */
 constexpr std::size_t kWalkChunk = StreamBank::kMaxSlots;
-
-/** Shots seeded per bank fill in SampleFinalState mode. */
-constexpr std::size_t kShotBlock = 1024;
 
 /**
  * The Resimulate trial loop as one walk over the tree of
@@ -398,10 +411,6 @@ class PathWalk
     }
 
   private:
-    /** Measurement record: a value per record slot, empty until some
-     *  Measure on the path writes it. */
-    using Record = std::vector<std::optional<std::uint64_t>>;
-
     /** A group of trials sharing one measurement-outcome history. */
     struct Node
     {
@@ -567,16 +576,14 @@ class PathWalk
 
     /**
      * The truncating readout of `node`'s trials, all on this thread.
-     * The readout subtree is walked depth first on compacted
-     * sub-states: a node at depth j holds only the 2^width amplitudes
-     * consistent with its outcomes so far (ReadoutStep), in ascending
-     * index order. The terms the full state would add are exact zeros,
-     * so its p1 is probabilityOne's single ascending sum, and each
-     * branch is its half scaled once, as collapse scales it: the
-     * draws, outcomes and sim.measurements count are those of
-     * measuring the full state qubit by qubit. A split writes both
-     * halves from one buffer into the same range of the other: the
-     * node's own amplitudes, then one scratch of the same size.
+     * The readout subtree is walked depth first on compacted blocks
+     * (StateVector::blockProbabilityOne and blockCollapse): a node at
+     * depth j holds only the 2^width amplitudes consistent with its
+     * outcomes so far (ReadoutStep), so the draws, outcomes and
+     * sim.measurements count are those of measuring the full state
+     * qubit by qubit. A split writes both halves from one buffer into
+     * the same range of the other: the node's own amplitudes, then one
+     * scratch of the same size.
      */
     void
     readout(Node &node)
@@ -610,76 +617,46 @@ class PathWalk
     readoutStep(ReadoutNode &part, double *const (&buffers)[2])
     {
         QSA_OBS_COUNTER("sim.measurements", 1);
+        using sim::StateVector;
         const ReadoutStep &step = readoutSteps[part.depth];
         const std::size_t j = part.depth++;
-        const std::uint64_t size = std::uint64_t{1} << step.width;
-        const std::uint64_t stride = std::uint64_t{1} << step.bit;
-        double *const a = buffers[part.buffer] + 2 * part.offset;
-        const auto norm = [a](std::uint64_t i) {
-            return std::norm(sim::Complex(a[2 * i], a[2 * i + 1]));
-        };
-        const bool repeated = step.repeats < j;
-        const bool earlier = repeated && ((part.value >> step.repeats) & 1);
-
-        // probabilityOne's sum: ascending over the |1> entries. For a
-        // repeated qubit they are all of the node's entries or none.
-        double p1 = 0.0;
-        if (!part.zero && !repeated) {
-            for (std::uint64_t base = stride; base < size; base += 2 * stride)
-                for (std::uint64_t off = 0; off < stride; ++off)
-                    p1 += norm(base + off);
-        } else if (!part.zero && earlier) {
-            for (std::uint64_t i = 0; i < size; ++i)
-                p1 += norm(i);
-        }
-        p1 = std::min(1.0, std::max(0.0, p1));
+        StateVector::BlockQubit qubit{step.bit};
+        if (step.repeats < j)
+            qubit.fixed = static_cast<int>((part.value >> step.repeats) & 1);
+        const double *const block = buffers[part.buffer] + 2 * part.offset;
+        const double p1 =
+            part.zero ? 0.0
+                      : StateVector::blockProbabilityOne(block, step.width,
+                                                         qubit);
         const std::size_t ones =
             bank.partition(part.lo, part.hi, bernoulliThreshold(p1));
-        const bool take0 = ones > part.lo, take1 = ones < part.hi;
-        // collapse()'s scale of the branch of probability `prob`.
-        const auto scaleOf = [](double prob) {
-            panic_if(prob < sim::StateVector::kMinBranchProbability,
-                     "collapse onto zero-probability branch");
-            return 1.0 / std::sqrt(prob);
-        };
-        const double scale0 = take0 ? scaleOf(1.0 - p1) : 0.0;
-        const double scale1 = take1 ? scaleOf(p1) : 0.0;
 
         ReadoutNode one = part;
         one.lo = ones;
         one.value |= std::uint64_t{1} << j;
         part.hi = ones;
-        if (repeated) {
-            // The node keeps its entries: the earlier outcome scales
-            // them all (by exactly 1 when that outcome was 0), the
-            // other outcome zeroes them.
-            if (take1 && !part.zero)
-                for (std::uint64_t i = 0; i < 2 * size; ++i)
-                    a[i] *= scale1;
-            part.zero = part.zero || earlier;
-        } else {
-            // Each half, compacted, into the node's range of the other
-            // buffer: outcome 0 first, outcome 1 after it.
-            const auto compact = [&](std::uint64_t set, double scale,
-                                     double *to) {
-                for (std::uint64_t base = set; base < size;
-                     base += 2 * stride, to += 2 * stride)
-                    for (std::uint64_t i = 0; i < 2 * stride; ++i)
-                        to[i] = a[2 * base + i] * scale;
-            };
-            double *const to = buffers[1 - part.buffer] + 2 * part.offset;
-            if (take0 && !part.zero)
-                compact(0, scale0, to);
-            if (take1 && !part.zero)
-                compact(stride, scale1, to + size);
+        // Each half, compacted, into the node's range of the other
+        // buffer: outcome 0 first, outcome 1 after it. A fixed qubit
+        // leaves the block where it is; at most one of its branches
+        // is not zero.
+        if (qubit.fixed < 0) {
             part.buffer = one.buffer = 1 - part.buffer;
-            one.offset = part.offset + size / 2;
+            one.offset = part.offset + (std::uint64_t{1} << step.width) / 2;
         }
-        if (!take0) {
+        const auto collapse = [&](ReadoutNode &branch, unsigned value,
+                                  double prob) {
+            if (branch.lo < branch.hi && !branch.zero)
+                branch.zero = !StateVector::blockCollapse(
+                    block, step.width, qubit, value, prob,
+                    buffers[branch.buffer] + 2 * branch.offset);
+        };
+        collapse(part, 0, 1.0 - p1);
+        collapse(one, 1, p1);
+        if (part.lo == part.hi) {
             part = one;
             return std::nullopt;
         }
-        if (!take1)
+        if (one.lo == one.hi)
             return std::nullopt;
         return one;
     }
@@ -708,15 +685,9 @@ class PathWalk
                 circ.instructions()[node.pc];
             const LabelSlots &labels =
                 phase.labels[node.pc - phase.range.begin];
-            if (!inst.condLabel.empty()) {
-                const auto &recorded = node.record[labels.read];
-                fatal_if(!recorded,
-                         "conditional instruction references "
-                         "unmeasured label '", inst.condLabel, "'");
-                if (*recorded != inst.condValue) {
-                    ++node.pc;
-                    continue;
-                }
+            if (!conditionHolds(inst, labels, node.record)) {
+                ++node.pc;
+                continue;
             }
             std::optional<Node> sibling;
             if (inst.kind == circuit::GateKind::PrepZ) {
@@ -993,8 +964,7 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
         std::size_t resumed = 0;
         const std::size_t head = deterministicHead(
             end, plan->head.state, plan->head.draws, resumed);
-        plan->head.tail = {program, head, end};
-        resolveTail(*plan);
+        setTail(*plan, {{program, head, end}});
         span.arg("resumed", resumed).arg("simulated", head - resumed);
         return plan;
     }
@@ -1011,14 +981,15 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
         down.qubitOffset = -static_cast<int>(split);
         high->block.appendRange(*program, low_end, high_end, down);
     }
-    high->combo = {program, high_end, end};
-    const std::size_t simulated =
-        simulateHead(*program, low_end, plan->head) +
+    const std::size_t low_head = simulateHead(*program, low_end, plan->head);
+    const std::size_t high_head =
         simulateHead(high->block, high->block.size(), high->head);
+    setTail(*plan, {{program, low_head, low_end},
+                    {&high->block, high_head, high->block.size()},
+                    {program, high_end, end}});
     plan->high = std::move(high);
-    resolveTail(*plan);
     QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
-    span.arg("resumed", 0).arg("simulated", simulated);
+    span.arg("resumed", 0).arg("simulated", low_head + high_head);
     return plan;
 }
 
@@ -1097,15 +1068,11 @@ EnsembleEngine::gather(const EnsembleSpec &spec)
         return out;
     }
 
-    // Shot m draws from Rng(seed).split(m + 1), seeded a block at a
-    // time.
+    const Rng master(spec.seed);
     const auto sample = [&](std::size_t lo, std::size_t hi) {
-        StreamBank bank;
-        for (std::size_t block = lo; block < hi; block += kShotBlock) {
-            const std::size_t count = std::min(hi - block, kShotBlock);
-            bank.seed(spec.seed, block + 1, count);
-            for (std::size_t slot = 0; slot < count; ++slot)
-                out[block + slot] = sampler->sample(bank.uniform(slot));
+        for (std::size_t m = lo; m < hi; ++m) {
+            Rng rng = master.split(m + 1);
+            out[m] = sampler->sample(rng.uniform());
         }
     };
     if (fan_out == nullptr) {

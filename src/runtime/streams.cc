@@ -1,7 +1,6 @@
 /**
  * @file
- * StreamBank implementation: the seeding, discard and draw loops, each
- * with a baseline body and AVX2 and AVX-512 bodies.
+ * StreamBank implementation: the seeding, discard and draw loops.
  */
 
 #include "runtime/streams.hh"
@@ -13,18 +12,6 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "sim/kernel_level.hh"
-
-// As in the state-vector kernels (sim/statevector.cc): the wide
-// bodies need x86-64 and per-function target attributes.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define QSA_WIDE_STREAMS 1
-#include <immintrin.h>
-#define QSA_TARGET_AVX2 __attribute__((target("avx2")))
-#define QSA_TARGET_AVX512 __attribute__((target("avx512f")))
-#else
-#define QSA_WIDE_STREAMS 0
-#endif
 
 namespace qsa::runtime
 {
@@ -38,256 +25,6 @@ bernoulliThreshold(double p)
         return std::uint64_t{1} << 53;
     return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
-
-namespace
-{
-
-using sim::detail::KernelLevel;
-
-/** The four word planes of a bank, as the loops take them. */
-struct Planes
-{
-    std::uint64_t *s0, *s1, *s2, *s3;
-};
-
-/*
- * The wide bodies run the scalar step of common/rng.hh on four
- * (AVX2) or eight (AVX-512) slots at once. Everything in it is 64-bit
- * lane arithmetic: the multiplies by 5 and 9 become a shift and an
- * add, and SplitMix64's two constant multiplies are AVX-512's 64-bit
- * low multiply. AVX2 has none: emulated with three 32-bit multiplies,
- * four lanes of seeding measured slower than four scalar rounds, so
- * seeding has no AVX2 body. Each body handles the whole vectors of
- * its range and returns how many slots it covered; the baseline loop
- * finishes the rest.
- */
-
-#if QSA_WIDE_STREAMS
-namespace avx2
-{
-
-template <int K>
-QSA_TARGET_AVX2 inline __m256i
-rotl(__m256i x)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, K),
-                           _mm256_srli_epi64(x, 64 - K));
-}
-
-struct State
-{
-    __m256i s0, s1, s2, s3;
-};
-
-QSA_TARGET_AVX2 inline __m256i
-load(const std::uint64_t *at)
-{
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(at));
-}
-
-QSA_TARGET_AVX2 inline State
-load(const Planes &p, std::size_t i)
-{
-    return {load(p.s0 + i), load(p.s1 + i), load(p.s2 + i),
-            load(p.s3 + i)};
-}
-
-QSA_TARGET_AVX2 inline void
-store(const Planes &p, std::size_t i, const State &s)
-{
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p.s0 + i), s.s0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p.s1 + i), s.s1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p.s2 + i), s.s2);
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(p.s3 + i), s.s3);
-}
-
-/** detail::xoshiroStep per lane. */
-QSA_TARGET_AVX2 inline __m256i
-step(State &s)
-{
-    __m256i r = _mm256_add_epi64(s.s1, _mm256_slli_epi64(s.s1, 2));
-    r = rotl<7>(r);
-    r = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
-    const __m256i t = _mm256_slli_epi64(s.s1, 17);
-    s.s2 = _mm256_xor_si256(s.s2, s.s0);
-    s.s3 = _mm256_xor_si256(s.s3, s.s1);
-    s.s1 = _mm256_xor_si256(s.s1, s.s2);
-    s.s0 = _mm256_xor_si256(s.s0, s.s3);
-    s.s2 = _mm256_xor_si256(s.s2, t);
-    s.s3 = rotl<45>(s.s3);
-    return r;
-}
-
-QSA_TARGET_AVX2 std::size_t
-discard(const Planes &p, std::size_t lo, std::size_t hi, std::size_t draws)
-{
-    std::size_t i = lo;
-    for (; i + 4 <= hi; i += 4) {
-        State s = load(p, i);
-        for (std::size_t d = 0; d < draws; ++d)
-            step(s);
-        store(p, i, s);
-    }
-    return i - lo;
-}
-
-/** Success bits of slots [lo, lo + n), bit j for slot lo + j. */
-QSA_TARGET_AVX2 std::size_t
-draw(const Planes &p, std::size_t lo, std::size_t n,
-     std::uint64_t threshold, std::uint64_t *bits)
-{
-    // Both sides are below 2^63, so the signed compare is exact.
-    const __m256i limit = _mm256_set1_epi64x(threshold);
-    std::size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        State s = load(p, lo + j);
-        const __m256i k = _mm256_srli_epi64(step(s), 11);
-        store(p, lo + j, s);
-        const int mask = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpgt_epi64(limit, k)));
-        bits[j >> 6] |= static_cast<std::uint64_t>(mask) << (j & 63);
-    }
-    return j;
-}
-
-} // namespace avx2
-
-namespace avx512
-{
-
-// The shifts and rotations go through their all-lanes maskz forms:
-// GCC 12's unmasked forms merge into an undefined vector and warn
-// under -Wall (-Wmaybe-uninitialized).
-
-template <int K>
-QSA_TARGET_AVX512 inline __m512i
-shl(__m512i x)
-{
-    return _mm512_maskz_slli_epi64(0xFF, x, K);
-}
-
-template <int K>
-QSA_TARGET_AVX512 inline __m512i
-shr(__m512i x)
-{
-    return _mm512_maskz_srli_epi64(0xFF, x, K);
-}
-
-template <int K>
-QSA_TARGET_AVX512 inline __m512i
-rotl(__m512i x)
-{
-    return _mm512_maskz_rol_epi64(0xFF, x, K);
-}
-
-QSA_TARGET_AVX512 inline __m512i
-splitMixOutput(__m512i z)
-{
-    z = _mm512_mullox_epi64(_mm512_xor_si512(z, shr<30>(z)),
-                            _mm512_set1_epi64(0xbf58476d1ce4e5b9ull));
-    z = _mm512_mullox_epi64(_mm512_xor_si512(z, shr<27>(z)),
-                            _mm512_set1_epi64(0x94d049bb133111ebull));
-    return _mm512_xor_si512(z, shr<31>(z));
-}
-
-struct State
-{
-    __m512i s0, s1, s2, s3;
-};
-
-QSA_TARGET_AVX512 inline State
-load(const Planes &p, std::size_t i)
-{
-    return {_mm512_loadu_si512(p.s0 + i), _mm512_loadu_si512(p.s1 + i),
-            _mm512_loadu_si512(p.s2 + i), _mm512_loadu_si512(p.s3 + i)};
-}
-
-QSA_TARGET_AVX512 inline void
-store(const Planes &p, std::size_t i, const State &s)
-{
-    _mm512_storeu_si512(p.s0 + i, s.s0);
-    _mm512_storeu_si512(p.s1 + i, s.s1);
-    _mm512_storeu_si512(p.s2 + i, s.s2);
-    _mm512_storeu_si512(p.s3 + i, s.s3);
-}
-
-/** detail::xoshiroStep per lane. */
-QSA_TARGET_AVX512 inline __m512i
-step(State &s)
-{
-    __m512i r = _mm512_add_epi64(s.s1, shl<2>(s.s1));
-    r = rotl<7>(r);
-    r = _mm512_add_epi64(r, shl<3>(r));
-    const __m512i t = shl<17>(s.s1);
-    s.s2 = _mm512_xor_si512(s.s2, s.s0);
-    s.s3 = _mm512_xor_si512(s.s3, s.s1);
-    s.s1 = _mm512_xor_si512(s.s1, s.s2);
-    s.s0 = _mm512_xor_si512(s.s0, s.s3);
-    s.s2 = _mm512_xor_si512(s.s2, t);
-    s.s3 = rotl<45>(s.s3);
-    return r;
-}
-
-QSA_TARGET_AVX512 std::size_t
-seed(const Planes &p, std::uint64_t base, std::size_t count)
-{
-    const std::uint64_t g = detail::kSplitMixGamma;
-    const __m512i gamma = _mm512_set1_epi64(g);
-    const __m512i stride = _mm512_set1_epi64(8 * g);
-    __m512i x = _mm512_add_epi64(
-        _mm512_set1_epi64(base),
-        _mm512_mullox_epi64(_mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7),
-                            gamma));
-    std::size_t i = 0;
-    for (; i + 8 <= count; i += 8, x = _mm512_add_epi64(x, stride)) {
-        __m512i sm = splitMixOutput(x);
-        State s;
-        sm = _mm512_add_epi64(sm, gamma);
-        s.s0 = splitMixOutput(sm);
-        sm = _mm512_add_epi64(sm, gamma);
-        s.s1 = splitMixOutput(sm);
-        sm = _mm512_add_epi64(sm, gamma);
-        s.s2 = splitMixOutput(sm);
-        sm = _mm512_add_epi64(sm, gamma);
-        s.s3 = splitMixOutput(sm);
-        store(p, i, s);
-    }
-    return i;
-}
-
-QSA_TARGET_AVX512 std::size_t
-discard(const Planes &p, std::size_t lo, std::size_t hi, std::size_t draws)
-{
-    std::size_t i = lo;
-    for (; i + 8 <= hi; i += 8) {
-        State s = load(p, i);
-        for (std::size_t d = 0; d < draws; ++d)
-            step(s);
-        store(p, i, s);
-    }
-    return i - lo;
-}
-
-QSA_TARGET_AVX512 std::size_t
-draw(const Planes &p, std::size_t lo, std::size_t n,
-     std::uint64_t threshold, std::uint64_t *bits)
-{
-    const __m512i limit = _mm512_set1_epi64(threshold);
-    std::size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        State s = load(p, lo + j);
-        const __m512i k = shr<11>(step(s));
-        store(p, lo + j, s);
-        const __mmask8 mask = _mm512_cmplt_epu64_mask(k, limit);
-        bits[j >> 6] |= static_cast<std::uint64_t>(mask) << (j & 63);
-    }
-    return j;
-}
-
-} // namespace avx512
-#endif // QSA_WIDE_STREAMS
-
-} // anonymous namespace
 
 void
 StreamBank::seed(std::uint64_t seed, std::uint64_t first, std::size_t count)
@@ -304,26 +41,16 @@ StreamBank::seed(std::uint64_t seed, std::uint64_t first, std::size_t count)
 
     // Slot i is Rng(seed).split(first + i): Rng(x_i) for the child
     // seed x_i = splitMixOutput(seed + (first + i + 1) * gamma).
-    const Planes p{plane(0), plane(1), plane(2), plane(3)};
+    std::uint64_t *const s0 = plane(0), *const s1 = plane(1),
+                        *const s2 = plane(2), *const s3 = plane(3);
     const std::uint64_t base = seed + (first + 1) * detail::kSplitMixGamma;
-    std::size_t i = 0;
-#if QSA_WIDE_STREAMS
-    switch (sim::detail::activeKernelLevel()) {
-      case KernelLevel::Avx512:
-        i = avx512::seed(p, base, count);
-        break;
-      case KernelLevel::Avx2:
-      case KernelLevel::Baseline:
-        break;
-    }
-#endif
-    for (; i < count; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
         std::uint64_t sm = base + i * detail::kSplitMixGamma;
         sm = detail::splitMixOutput(sm);
-        p.s0[i] = splitMix64(sm);
-        p.s1[i] = splitMix64(sm);
-        p.s2[i] = splitMix64(sm);
-        p.s3[i] = splitMix64(sm);
+        s0[i] = splitMix64(sm);
+        s1[i] = splitMix64(sm);
+        s2[i] = splitMix64(sm);
+        s3[i] = splitMix64(sm);
     }
 }
 
@@ -332,23 +59,11 @@ StreamBank::discard(std::size_t lo, std::size_t hi, std::size_t draws)
 {
     if (draws == 0)
         return;
-    const Planes p{plane(0), plane(1), plane(2), plane(3)};
-    std::size_t i = lo;
-#if QSA_WIDE_STREAMS
-    switch (sim::detail::activeKernelLevel()) {
-      case KernelLevel::Avx512:
-        i += avx512::discard(p, lo, hi, draws);
-        break;
-      case KernelLevel::Avx2:
-        i += avx2::discard(p, lo, hi, draws);
-        break;
-      case KernelLevel::Baseline:
-        break;
-    }
-#endif
-    for (; i < hi; ++i) {
+    std::uint64_t *const s0 = plane(0), *const s1 = plane(1),
+                        *const s2 = plane(2), *const s3 = plane(3);
+    for (std::size_t i = lo; i < hi; ++i) {
         for (std::size_t d = 0; d < draws; ++d)
-            detail::xoshiroStep(p.s0[i], p.s1[i], p.s2[i], p.s3[i]);
+            detail::xoshiroStep(s0[i], s1[i], s2[i], s3[i]);
     }
 }
 
@@ -364,24 +79,12 @@ StreamBank::partition(std::size_t lo, std::size_t hi,
     const std::size_t n = hi - lo;
     std::uint64_t bits[kMaxSlots / 64];
     std::fill_n(bits, (n + 63) / 64, 0);
-    const Planes p{plane(0), plane(1), plane(2), plane(3)};
-    std::size_t j = 0;
-#if QSA_WIDE_STREAMS
-    switch (sim::detail::activeKernelLevel()) {
-      case KernelLevel::Avx512:
-        j = avx512::draw(p, lo, n, threshold, bits);
-        break;
-      case KernelLevel::Avx2:
-        j = avx2::draw(p, lo, n, threshold, bits);
-        break;
-      case KernelLevel::Baseline:
-        break;
-    }
-#endif
-    for (; j < n; ++j) {
+    std::uint64_t *const s0 = plane(0), *const s1 = plane(1),
+                        *const s2 = plane(2), *const s3 = plane(3);
+    for (std::size_t j = 0; j < n; ++j) {
         const std::size_t i = lo + j;
         const std::uint64_t k =
-            detail::xoshiroStep(p.s0[i], p.s1[i], p.s2[i], p.s3[i]) >> 11;
+            detail::xoshiroStep(s0[i], s1[i], s2[i], s3[i]) >> 11;
         bits[j >> 6] |= static_cast<std::uint64_t>(k < threshold) << (j & 63);
     }
 

@@ -8,9 +8,7 @@
  * probability shared by the group. The bank keeps each trial's four
  * xoshiro256** words in four planes and its trial index beside them
  * (36 bytes a slot), so seeding, discarding and drawing are loops over
- * a contiguous slot range, with AVX-512 bodies for all three and AVX2
- * bodies for the last two, chosen by the simulator's kernel level
- * (sim/kernel_level.hh). Every body steps each stream exactly as
+ * a contiguous slot range. Each loop steps each stream exactly as
  * Rng::next does, through the one definition in common/rng.hh, so a
  * slot's draws are its Rng's draw for draw.
  *

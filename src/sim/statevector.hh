@@ -70,10 +70,6 @@ class StateVector
     /** Practical width cap: 2^28 amplitudes is 4 GiB of doubles. */
     static constexpr unsigned kMaxQubits = 28;
 
-    /** A collapse onto a branch less likely than this panics: the
-     *  outcome can only have come from floating-point round-off. */
-    static constexpr double kMinBranchProbability = 1e-15;
-
     /** Construct |0...0> on num_qubits qubits (at most kMaxQubits). */
     explicit StateVector(unsigned num_qubits);
 
@@ -183,6 +179,51 @@ class StateVector
                       double probability);
 
     /** @} */
+    /**
+     * @{ @name Compacted read-out
+     *
+     * Resimulate's readout (runtime/ensemble.cc) measures qubit after
+     * qubit on compacted blocks instead of the full state. A block
+     * holds, as interleaved (re, im) doubles in ascending index order,
+     * only the 2^width amplitudes whose already-read qubits match the
+     * block's outcomes; every other amplitude of the state is an exact
+     * zero. These two are probabilityOne and collapse on a block:
+     * probabilityOne is blockProbabilityOne on the whole state, and
+     * blockCollapse scales each kept double once by collapse's scale,
+     * so with the exact zeros left out the probability and every kept
+     * amplitude equal the full state's bit for bit.
+     */
+
+    /** A read-out qubit's place in a block. */
+    struct BlockQubit
+    {
+        /** Its bit in the block index, for a qubit not read before. */
+        unsigned bit = 0;
+
+        /** For a qubit read before: its earlier outcome, which every
+         *  entry of the block holds; -1 otherwise. */
+        int fixed = -1;
+    };
+
+    /** probabilityOne of `qubit` on a block of 2^width amplitudes. */
+    static double blockProbabilityOne(const double *block, unsigned width,
+                                      BlockQubit qubit);
+
+    /**
+     * collapse of a block onto `qubit` reading `value`, whose
+     * probability is `prob`: writes the kept amplitudes, scaled, to
+     * `to` and returns true — the 2^(width-1) with the qubit's bit
+     * removed from their index, or, for a fixed qubit reading its
+     * earlier outcome, the whole block (`to` may be `block`). Returns
+     * false, writing nothing, when the state left is zero (a fixed
+     * qubit reading the other outcome). Panics as collapse does when
+     * the branch probability is ~0.
+     */
+    static bool blockCollapse(const double *block, unsigned width,
+                              BlockQubit qubit, unsigned value,
+                              double prob, double *to);
+
+    /** @} */
     /** @{ @name Exact read-out (no collapse) */
 
     /** Probability that the given qubit measures |1>. */
@@ -240,6 +281,10 @@ class StateVector
 
     /** Collapse to the subspace where qubit == value, renormalising. */
     void collapse(unsigned qubit, unsigned value, double prob);
+
+    /** The scale 1/sqrt(prob) of a collapse onto a branch of
+     *  probability `prob`; panics when the branch is ~0. */
+    static double branchScale(double prob);
 };
 
 } // namespace qsa::sim

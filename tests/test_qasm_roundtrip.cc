@@ -135,6 +135,38 @@ TEST(QasmRoundTrip, GeneratedProgramsRoundTripWithTheirConditions)
               std::string::npos);
 }
 
+TEST(QasmRoundTrip, OnlyTheMeasureBreakPragmaSplitsAMeasureGroup)
+{
+    // A barrier is ignored: measure/barrier/measure into one creg, the
+    // shape Qiskit emits, reads as one two-bit Measure.
+    const Circuit grouped = circuit::fromQasm(
+        "OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[0];\n"
+        "barrier q;\nmeasure q[1] -> c[1];\n");
+    ASSERT_EQ(grouped.size(), 1u);
+    const auto &measure = grouped.instructions()[0];
+    EXPECT_EQ(measure.kind, circuit::GateKind::Measure);
+    EXPECT_EQ(measure.label, "c");
+    EXPECT_EQ(measure.targets, (std::vector<unsigned>{0, 1}));
+
+    // A label measured twice in a row is written with a
+    // qsa.measure_break pragma between the two, and reads back as two
+    // Measures.
+    Circuit twice(1);
+    twice.h(0);
+    twice.measureQubits({0}, "m");
+    twice.measureQubits({0}, "m");
+    const std::string text = circuit::toQasm(twice);
+    EXPECT_NE(text.find("measure q[0] -> m_m[0];\n// qsa.measure_break\n"
+                        "measure q[0] -> m_m[0];\n"),
+              std::string::npos)
+        << text;
+    const Circuit parsed = circuit::fromQasm(text);
+    ASSERT_EQ(parsed.size(), 3u);
+    EXPECT_EQ(parsed.instructions()[1].kind, circuit::GateKind::Measure);
+    EXPECT_EQ(parsed.instructions()[2].kind, circuit::GateKind::Measure);
+    EXPECT_EQ(circuit::toQasm(parsed), text);
+}
+
 TEST(QasmRoundTrip, ManyNamesRoundTripAndStayChecked)
 {
     // Twelve registers, labels and breakpoints round-trip, and the

@@ -13,9 +13,9 @@
  * Rng(seed).split(m), then measureQubits; the SampleFinalState one is
  * one runCircuit on Rng(seed).split(0), a CdfSampler over its
  * marginal, and shot m drawn from Rng(seed).split(m + 1). Every
- * comparison runs at each kernel level the host has, since the trial
- * streams' bank (runtime/streams.hh) has a body per level; the bank
- * itself is checked against Rng draw for draw.
+ * comparison runs at each kernel level the host has, since the walk's
+ * state-vector kernels have a body per level. The trial streams' bank
+ * (runtime/streams.hh) is checked against Rng draw for draw.
  */
 
 #include <gtest/gtest.h>
@@ -451,59 +451,53 @@ TEST(ResimWalk, ConditionBeforeItsMeasurementThrows)
 TEST(StreamBank, SlotsAreSplitStreamsDrawForDraw)
 {
     // Slot i of a bank seeded (seed, first) is Rng(seed).split(first +
-    // i), through seeding, discards and partitions of unaligned
-    // sub-ranges, at every kernel level: 45 slots leave a scalar tail
-    // after the AVX2 and AVX-512 bodies.
+    // i), through seeding, discards and partitions of sub-ranges.
     const std::size_t count = 45;
-    for (const auto level : hostLevels()) {
-        const sim::detail::ScopedKernelLevel forced(level);
-        SCOPED_TRACE(sim::detail::kernelLevelName(level));
-        for (const std::uint64_t seed :
-             {std::uint64_t{0}, std::uint64_t{1},
-              std::uint64_t{0x9e3779b97f4a7c15ull}, ~std::uint64_t{0}}) {
-            for (const std::uint64_t first :
-                 {std::uint64_t{0}, std::uint64_t{8192},
-                  ~std::uint64_t{0} - 20}) {
-                runtime::StreamBank bank;
-                bank.seed(seed, first, count);
-                std::vector<Rng> ref;
-                for (std::size_t i = 0; i < count; ++i) {
-                    EXPECT_EQ(bank.trial(i), i);
-                    ref.push_back(Rng(seed).split(first + i));
-                }
-                bank.discard(3, 40, 5);
-                for (std::size_t i = 3; i < 40; ++i)
-                    for (int d = 0; d < 5; ++d)
-                        ref[i].next();
+    for (const std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1},
+          std::uint64_t{0x9e3779b97f4a7c15ull}, ~std::uint64_t{0}}) {
+        for (const std::uint64_t first :
+             {std::uint64_t{0}, std::uint64_t{8192},
+              ~std::uint64_t{0} - 20}) {
+            runtime::StreamBank bank;
+            bank.seed(seed, first, count);
+            std::vector<Rng> ref;
+            for (std::size_t i = 0; i < count; ++i) {
+                EXPECT_EQ(bank.trial(i), i);
+                ref.push_back(Rng(seed).split(first + i));
+            }
+            bank.discard(3, 40, 5);
+            for (std::size_t i = 3; i < 40; ++i)
+                for (int d = 0; d < 5; ++d)
+                    ref[i].next();
 
-                Rng ps(seed ^ first);
-                for (int round = 0; round < 24; ++round) {
-                    const std::size_t lo = round % 3 == 0 ? 0 : 7;
-                    const std::size_t hi = round % 2 == 0 ? count : 38;
-                    // Certain outcomes too: they only advance the
-                    // streams.
-                    const double p = round % 6 == 1   ? 0.0
-                                     : round % 6 == 4 ? 1.0
-                                     : round % 5 == 0 ? 0.5
-                                                      : ps.uniform();
-                    const std::size_t ones = bank.partition(
-                        lo, hi, runtime::bernoulliThreshold(p));
-                    ASSERT_GE(ones, lo);
-                    ASSERT_LE(ones, hi);
-                    for (std::size_t slot = lo; slot < hi; ++slot)
-                        EXPECT_EQ(slot >= ones,
-                                  ref[bank.trial(slot)].bernoulli(p))
-                            << "seed " << seed << " first " << first
-                            << " round " << round << " slot " << slot;
-                }
-                std::vector<bool> seen(count, false);
-                for (std::size_t slot = 0; slot < count; ++slot) {
-                    const std::uint32_t t = bank.trial(slot);
-                    ASSERT_LT(t, count);
-                    EXPECT_FALSE(seen[t]);
-                    seen[t] = true;
-                    EXPECT_EQ(bank.uniform(slot), ref[t].uniform());
-                }
+            Rng ps(seed ^ first);
+            for (int round = 0; round < 24; ++round) {
+                const std::size_t lo = round % 3 == 0 ? 0 : 7;
+                const std::size_t hi = round % 2 == 0 ? count : 38;
+                // Certain outcomes too: they only advance the
+                // streams.
+                const double p = round % 6 == 1   ? 0.0
+                                 : round % 6 == 4 ? 1.0
+                                 : round % 5 == 0 ? 0.5
+                                                  : ps.uniform();
+                const std::size_t ones = bank.partition(
+                    lo, hi, runtime::bernoulliThreshold(p));
+                ASSERT_GE(ones, lo);
+                ASSERT_LE(ones, hi);
+                for (std::size_t slot = lo; slot < hi; ++slot)
+                    EXPECT_EQ(slot >= ones,
+                              ref[bank.trial(slot)].bernoulli(p))
+                        << "seed " << seed << " first " << first
+                        << " round " << round << " slot " << slot;
+            }
+            std::vector<bool> seen(count, false);
+            for (std::size_t slot = 0; slot < count; ++slot) {
+                const std::uint32_t t = bank.trial(slot);
+                ASSERT_LT(t, count);
+                EXPECT_FALSE(seen[t]);
+                seen[t] = true;
+                EXPECT_EQ(bank.uniform(slot), ref[t].uniform());
             }
         }
     }
