@@ -62,8 +62,15 @@ StreamBank::discard(std::size_t lo, std::size_t hi, std::size_t draws)
     std::uint64_t *const s0 = plane(0), *const s1 = plane(1),
                         *const s2 = plane(2), *const s3 = plane(3);
     for (std::size_t i = lo; i < hi; ++i) {
-        for (std::size_t d = 0; d < draws; ++d)
-            detail::xoshiroStep(s0[i], s1[i], s2[i], s3[i]);
+        // The words in locals: stepping the planes in place would
+        // store and reload each word on every draw.
+        std::uint64_t a = s0[i], b = s1[i], c = s2[i], d = s3[i];
+        for (std::size_t k = 0; k < draws; ++k)
+            detail::xoshiroStep(a, b, c, d);
+        s0[i] = a;
+        s1[i] = b;
+        s2[i] = c;
+        s3[i] = d;
     }
 }
 
@@ -76,16 +83,24 @@ StreamBank::partition(std::size_t lo, std::size_t hi,
         discard(lo, hi, 1);
         return threshold == 0 ? hi : lo;
     }
+    // One draw per slot; bit j of the words is slot lo + j's success.
     const std::size_t n = hi - lo;
     std::uint64_t bits[kMaxSlots / 64];
-    std::fill_n(bits, (n + 63) / 64, 0);
     std::uint64_t *const s0 = plane(0), *const s1 = plane(1),
                         *const s2 = plane(2), *const s3 = plane(3);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t i = lo + j;
-        const std::uint64_t k =
-            detail::xoshiroStep(s0[i], s1[i], s2[i], s3[i]) >> 11;
-        bits[j >> 6] |= static_cast<std::uint64_t>(k < threshold) << (j & 63);
+    for (std::size_t w = 0; w * 64 < n; ++w) {
+        std::uint64_t word = 0;
+        for (std::size_t j = w * 64; j < std::min(n, w * 64 + 64); ++j) {
+            const std::size_t i = lo + j;
+            std::uint64_t a = s0[i], b = s1[i], c = s2[i], d = s3[i];
+            const std::uint64_t k = detail::xoshiroStep(a, b, c, d) >> 11;
+            s0[i] = a;
+            s1[i] = b;
+            s2[i] = c;
+            s3[i] = d;
+            word |= static_cast<std::uint64_t>(k < threshold) << (j & 63);
+        }
+        bits[w] = word;
     }
 
     // Successes among the first `end` slots.
