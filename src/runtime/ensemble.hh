@@ -40,7 +40,8 @@
  *    (runtime/streams.hh) whose slot ranges the nodes partition in
  *    place, and the readout keeps, per node, only the amplitudes
  *    consistent with its outcomes so far — the same sums and scalings
- *    as the full-state readout, bit for bit (ensemble.cc).
+ *    as the full-state readout, bit for bit
+ *    (sim::StateVector::blockCollapse).
  *  - in SampleFinalState mode the truncated program runs ONCE — the
  *    plan's head state itself when the tail is empty, otherwise one
  *    path through the tail(s) — and the N shots are split into
