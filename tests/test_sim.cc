@@ -229,10 +229,11 @@ TEST(StateVector, PrepZResets)
 
 TEST(StateVector, CompactedBlockReadOutMatchesTheFullState)
 {
-    // Read qubits 2, 0, 2 again and 3 out of a 4-qubit state twice:
-    // on the full state (probabilityOne, projectQubit) and on a block
-    // that keeps only the amplitudes consistent with the outcomes read
-    // so far. Probabilities and kept amplitudes must agree under ==.
+    // Read qubits 2, 0, 2 again and 3 (outcomes 1, 0, 1, 1) out of a
+    // 4-qubit state twice: on the full state (probabilityOne,
+    // projectQubit) and on a block that keeps only the amplitudes
+    // consistent with the outcomes read so far. Probabilities and kept
+    // amplitudes must agree under ==.
     StateVector full(4);
     const double angles[4] = {0.3, 1.1, 2.2, 0.7};
     for (unsigned q = 0; q < 4; ++q)
@@ -248,7 +249,9 @@ TEST(StateVector, CompactedBlockReadOutMatchesTheFullState)
     }
     unsigned width = 4;
     std::vector<std::pair<unsigned, unsigned>> read; // (qubit, outcome)
-    for (const unsigned q : {2u, 0u, 2u, 3u}) {
+    const std::pair<unsigned, unsigned> reads[] = {
+        {2, 1}, {0, 0}, {2, 1}, {3, 1}};
+    for (const auto &[q, value] : reads) {
         StateVector::BlockQubit qubit;
         qubit.bit = q;
         for (const auto &[earlier, outcome] : read) {
@@ -261,8 +264,8 @@ TEST(StateVector, CompactedBlockReadOutMatchesTheFullState)
                                                    qubit),
                   p1)
             << "qubit " << q;
-        const unsigned value = qubit.fixed >= 0 ? qubit.fixed : p1 < 0.5;
         const double prob = value ? p1 : 1.0 - p1;
+        ASSERT_GT(prob, 0.01) << "qubit " << q;
         full.projectQubit(q, value, prob);
         std::vector<double> kept(block.size());
         ASSERT_TRUE(StateVector::blockCollapse(block.data(), width, qubit,
