@@ -17,6 +17,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -208,13 +209,18 @@ struct ParseFailure
 {
     std::string token;
     std::string message;
+
+    /** The address the token's view started at; it may lie outside
+     *  the source (a token built from a number). */
+    std::uintptr_t at = 0;
 };
 
 /** Throw a (not yet positioned) parse failure. */
 [[noreturn]] void
 parseThrow(std::string_view token, std::string message)
 {
-    throw ParseFailure{std::string(token), std::move(message)};
+    throw ParseFailure{std::string(token), std::move(message),
+                       reinterpret_cast<std::uintptr_t>(token.data())};
 }
 
 /** isspace and isdigit of the "C" locale. */
@@ -472,7 +478,9 @@ class QasmParser
     std::size_t groups = 0;
 
     /** Run `step`; rethrow a failure as a QasmError on this line, at
-     *  the token's first occurrence or else the first non-blank. */
+     *  its token: where the token's view lies when that is inside the
+     *  line, else the token's first occurrence, else the first
+     *  non-blank. */
     template <typename Step>
     void
     positionFailures(const Step &step)
@@ -485,8 +493,15 @@ class QasmParser
         } catch (const std::exception &e) {
             f.message = e.what();
         }
+        // Wraps to a huge value for a view that starts before the line.
+        const std::uintptr_t offset =
+            f.at - reinterpret_cast<std::uintptr_t>(line.data());
+        const bool in_line = !f.token.empty() && offset <= line.size() &&
+                             f.token.size() <= line.size() - offset;
         const std::size_t first = line.find_first_not_of(" \t");
-        const std::size_t at = f.token.empty() ? npos : line.find(f.token);
+        const std::size_t at = in_line          ? offset
+                               : f.token.empty() ? npos
+                                                 : line.find(f.token);
         const std::size_t col = at != npos ? at : first != npos ? first : 0;
         throw QasmError(lineNo == 0 ? 1 : lineNo, col + 1, f.token,
                         f.message);

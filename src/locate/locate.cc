@@ -67,7 +67,7 @@ const std::string kRefPrefix = "qsa_locate_ref:";
 
 /**
  * Swap-test probes simulate two embedded copies plus an ancilla
- * (2n+1 qubits). Tensor-split trials (LocateConfig::tensorSwapProbes)
+ * (2n+1 qubits). Their tensor-split trials (SwapProber::probeConfig)
  * touch the 2^(2n+1) space only for the ~n comparator gates, which
  * lifted this gate from 10; the bound is the comparator's full state
  * (2^23 amplitudes = 128 MiB per in-flight trial at n = 11). Auto's
@@ -1024,14 +1024,13 @@ class SwapProber : public Prober
         return purityMemo.emplace(boundary, purity).first->second;
     }
 
-    /** The boundary's salted stream, tensor-split when enabled. */
+    /** The boundary's salted stream, tensor-split at n. */
     assertions::CheckConfig
     probeConfig(std::size_t boundary) const
     {
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed ^ kSwapSeedSalt, boundary);
-        if (cfg.tensorSwapProbes)
-            cc.tensorSplit = n;
+        cc.tensorSplit = n;
         return cc;
     }
 

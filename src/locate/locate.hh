@@ -313,16 +313,6 @@ struct LocateConfig
      * cut the other way.
      */
     bool holmBonferroni = true;
-
-    /**
-     * Simulate swap-test probes half-by-half: the suspect prefix and
-     * the embedded reference prefix each run on their own 2^n state
-     * and tensor together only at the ancilla-controlled-SWAP
-     * comparator (CheckConfig::tensorSplit), cutting per-trial probe
-     * cost from 2^(2n+1) toward ~2^n. Identical overlap statistics
-     * and brackets; disable to force monolithic probe simulation.
-     */
-    bool tensorSwapProbes = true;
 };
 
 /** Evidence from one probe: where, what, and how decisive. */

@@ -15,7 +15,6 @@
 #include <unordered_map>
 
 #include "circuit/executor.hh"
-#include "common/bits.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "runtime/streams.hh"
@@ -373,8 +372,8 @@ constexpr std::size_t kWalkChunk = StreamBank::kMaxSlots;
  * trials sharing one outcome history: one state, one measurement
  * record, one cursor into the instruction stream, and a contiguous
  * range of the walk's stream bank. The stream is the plan's tail
- * phases followed by the truncating readout of spec.qubits, which
- * runs on compacted sub-states (readout()).
+ * phases followed by the truncating readout of spec.qubits: one
+ * CdfSampler draw per trial at each leaf (readout()).
  */
 class PathWalk
 {
@@ -387,7 +386,6 @@ class PathWalk
         bank.seed(spec.seed, lo, hi - lo);
         // The draws the cached head's resets would have consumed.
         bank.discard(0, bank.size(), plan.head.draws);
-        layOutReadout();
     }
 
     /** Walk the whole tree, fanning subtrees out on `pool` if given. */
@@ -438,21 +436,6 @@ class PathWalk
         std::uint64_t value = 0;
     };
 
-    /**
-     * Readout position j as every readout node at depth j sees it. A
-     * node at depth j holds, in ascending index order, only the
-     * 2^width amplitudes whose qubits read so far match its outcomes;
-     * the rest are exact zeros of the full state. spec.qubits[j] is
-     * bit `bit` of that compact index, unless position `repeats` < j
-     * already read the same qubit.
-     */
-    struct ReadoutStep
-    {
-        unsigned width = 0;
-        unsigned bit = 0;
-        std::size_t repeats = 0;
-    };
-
     const BreakpointPlan &plan;
     const EnsembleSpec &spec;
     std::uint64_t *out;
@@ -460,37 +443,8 @@ class PathWalk
     /** Per-trial streams; each node owns a contiguous slot range. */
     StreamBank bank;
 
-    /** spec.qubits as readout steps (layOutReadout). */
-    std::vector<ReadoutStep> readoutSteps;
-
     /** Path segments simulated (tree nodes), for the counter. */
     std::atomic<std::size_t> segments{0};
-
-    void
-    layOutReadout()
-    {
-        const unsigned n =
-            plan.head.state.numQubits() +
-            (plan.high != nullptr ? plan.high->head.state.numQubits() : 0);
-        std::uint64_t read = 0; // qubits read so far
-        for (std::size_t j = 0; j < spec.qubits.size(); ++j) {
-            const unsigned q = spec.qubits[j];
-            panic_if(q >= n, "qubit out of range");
-            const std::uint64_t mask = std::uint64_t{1} << q;
-            ReadoutStep step;
-            step.width = n - popcount64(read);
-            step.repeats = j;
-            if (read & mask) {
-                step.repeats = static_cast<std::size_t>(
-                    std::find(spec.qubits.begin(), spec.qubits.end(), q) -
-                    spec.qubits.begin());
-            } else {
-                step.bit = q - popcount64(read & (mask - 1));
-                read |= mask;
-            }
-            readoutSteps.push_back(step);
-        }
-    }
 
     /** Cross into phase `next`: the staged hand-offs, or readout. */
     void
@@ -558,107 +512,17 @@ class PathWalk
     }
 
     /**
-     * A node of the readout subtree: its depth (readout positions
-     * read), bank slots and outcomes so far, and its compacted
-     * amplitudes at `offset` in buffer `buffer` — none once a repeated
-     * qubit read against its earlier outcome left the state zero.
-     */
-    struct ReadoutNode
-    {
-        std::size_t depth = 0;
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-        std::uint64_t value = 0;
-        unsigned buffer = 0;
-        std::uint64_t offset = 0;
-        bool zero = false;
-    };
-
-    /**
-     * The truncating readout of `node`'s trials, all on this thread.
-     * The readout subtree is walked depth first on compacted blocks
-     * (StateVector::blockProbabilityOne and blockCollapse): a node at
-     * depth j holds only the 2^width amplitudes consistent with its
-     * outcomes so far (ReadoutStep), so the draws, outcomes and
-     * sim.measurements count are those of measuring the full state
-     * qubit by qubit. A split writes both halves from one buffer into
-     * the same range of the other: the node's own amplitudes, then one
-     * scratch of the same size.
+     * The truncating readout of `node`'s trials: one CdfSampler over
+     * the node's marginal of spec.qubits, and one uniform per trial
+     * from its own stream, as SampleFinalState draws its shots.
      */
     void
-    readout(Node &node)
+    readout(const Node &node)
     {
-        std::vector<sim::Complex> own =
-            std::move(node.state).releaseAmplitudes();
-        std::unique_ptr<double[]> scratch(new double[2 * own.size()]);
-        double *const buffers[2] = {reinterpret_cast<double *>(own.data()),
-                                    scratch.get()};
-        ReadoutNode root;
-        root.lo = node.lo;
-        root.hi = node.hi;
-        std::vector<ReadoutNode> pending{root};
-        while (!pending.empty()) {
-            ReadoutNode part = pending.back();
-            pending.pop_back();
-            while (part.depth < readoutSteps.size()) {
-                if (auto sibling = readoutStep(part, buffers)) {
-                    segments.fetch_add(2, std::memory_order_relaxed);
-                    pending.push_back(*sibling);
-                }
-            }
-            for (std::size_t slot = part.lo; slot < part.hi; ++slot)
-                out[bank.trial(slot)] = part.value;
-        }
-    }
-
-    /** Read one qubit out of `part`; a split returns the outcome-1
-     *  branch and leaves `part` the outcome-0 one. */
-    std::optional<ReadoutNode>
-    readoutStep(ReadoutNode &part, double *const (&buffers)[2])
-    {
-        QSA_OBS_COUNTER("sim.measurements", 1);
-        using sim::StateVector;
-        const ReadoutStep &step = readoutSteps[part.depth];
-        const std::size_t j = part.depth++;
-        StateVector::BlockQubit qubit{step.bit};
-        if (step.repeats < j)
-            qubit.fixed = static_cast<int>((part.value >> step.repeats) & 1);
-        const double *const block = buffers[part.buffer] + 2 * part.offset;
-        const double p1 =
-            part.zero ? 0.0
-                      : StateVector::blockProbabilityOne(block, step.width,
-                                                         qubit);
-        const std::size_t ones =
-            bank.partition(part.lo, part.hi, bernoulliThreshold(p1));
-
-        ReadoutNode one = part;
-        one.lo = ones;
-        one.value |= std::uint64_t{1} << j;
-        part.hi = ones;
-        // Each half, compacted, into the node's range of the other
-        // buffer: outcome 0 first, outcome 1 after it. A fixed qubit
-        // leaves the block where it is; at most one of its branches
-        // is not zero.
-        if (qubit.fixed < 0) {
-            part.buffer = one.buffer = 1 - part.buffer;
-            one.offset = part.offset + (std::uint64_t{1} << step.width) / 2;
-        }
-        const auto collapse = [&](ReadoutNode &branch, unsigned value,
-                                  double prob) {
-            if (branch.lo < branch.hi && !branch.zero)
-                branch.zero = !StateVector::blockCollapse(
-                    block, step.width, qubit, value, prob,
-                    buffers[branch.buffer] + 2 * branch.offset);
-        };
-        collapse(part, 0, 1.0 - p1);
-        collapse(one, 1, p1);
-        if (part.lo == part.hi) {
-            part = one;
-            return std::nullopt;
-        }
-        if (one.lo == one.hi)
-            return std::nullopt;
-        return one;
+        QSA_OBS_COUNTER("sim.measurements", spec.qubits.size());
+        const CdfSampler sampler(node.state.marginalProbs(spec.qubits));
+        for (std::size_t slot = node.lo; slot < node.hi; ++slot)
+            out[bank.trial(slot)] = sampler.sample(bank.uniform(slot));
     }
 
     /**

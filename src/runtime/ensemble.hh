@@ -26,22 +26,22 @@
  *    measurement-outcome path. Trials differ only in their
  *    measurement outcomes, so the engine walks the tree of outcome
  *    paths: trials that share an outcome history share one state. At
- *    each measured qubit (a tail Measure, a random reset, or the
- *    truncating readout) the node computes probabilityOne once, each
- *    of its trials draws its own bernoulli from its own stream, and
- *    the node splits into at most two children collapsed by
- *    StateVector::projectQubit — bit for bit the collapse each
- *    trial's measureQubit would have made on its own copy — each
- *    child with its own measurement record. A tail with t binary
- *    measurements costs at most 2^t path segments, not N tails.
- *    Tensor-staged plans walk the low tail, then the high tail at
- *    each low leaf, then tensor the halves, then walk the combining
- *    tail. The trials' streams live in a StreamBank
+ *    each measured qubit of the tail (a Measure or a random reset)
+ *    the node computes probabilityOne once, each of its trials draws
+ *    its own bernoulli from its own stream, and the node splits into
+ *    at most two children collapsed by StateVector::projectQubit —
+ *    bit for bit the collapse each trial's measureQubit would have
+ *    made on its own copy — each child with its own measurement
+ *    record. A tail with t binary measurements costs at most 2^t path
+ *    segments, not N tails. Tensor-staged plans walk the low tail,
+ *    then the high tail at each low leaf, then tensor the halves, then
+ *    walk the combining tail. The trials' streams live in a StreamBank
  *    (runtime/streams.hh) whose slot ranges the nodes partition in
- *    place, and the readout keeps, per node, only the amplitudes
- *    consistent with its outcomes so far — the same sums and scalings
- *    as the full-state readout, bit for bit
- *    (sim::StateVector::blockCollapse).
+ *    place. At a leaf, the truncating readout builds one CdfSampler
+ *    over the leaf state's marginal of the readout qubits, and each
+ *    trial maps one uniform from its own stream through it: the
+ *    paper's one measurement of each ensemble member at the
+ *    breakpoint, drawn jointly, as SampleFinalState draws its shots.
  *  - in SampleFinalState mode the truncated program runs ONCE — the
  *    plan's head state itself when the tail is empty, otherwise one
  *    path through the tail(s) — and the N shots are split into
@@ -54,9 +54,9 @@
  *  - the walk is iterative (an explicit stack of pending siblings).
  *    Its live states are the splits on the current path plus at most
  *    one handed-off subtree per pool thread — never proportional to
- *    the trial count — and, per readout in progress, at most 2^n
- *    scratch amplitudes; a readout is never handed off. Independent
- *    subtrees fan out across the pool;
+ *    the trial count — and, per readout in progress, one marginal and
+ *    its CDF (2^|qubits| doubles each). Independent subtrees fan out
+ *    across the pool;
  *    every path node is simulated exactly once whatever the thread
  *    count, and inside a pool worker (e.g. a BatchRunner unit) the
  *    walk runs inline.
@@ -85,22 +85,27 @@
  * Work accounting: in Resimulate mode the sim.* counters measure
  * path-node work, not per-trial work. sim.gate_applies and
  * sim.amp_touches count each path segment's gates once, and
- * sim.measurements counts one per measured qubit per path node (the
- * readout included), however many trials share that node. Certain
+ * sim.measurements counts one per measured qubit per path node: one
+ * per tail measurement, and |qubits| per leaf for the readout,
+ * however many trials share that node. runtime.resim.segments counts
+ * the tail's path segments (tree nodes); a readout adds none. Certain
  * resets inside a deterministic head are applied as projections and
  * are not counted in sim.measurements, in either mode; nor is any
  * work a checkpoint resume skips.
  *
  * RNG stream layout (fixed; part of the reproducibility contract):
  *  - Resimulate: trial m uses Rng(seed).split(m) for both gate-level
- *    randomness and the truncating measurement. The cached head
- *    consumes no outcome-relevant randomness, and each trial discards
- *    exactly the draws the head's resets would have made, so trial
- *    outcomes are bit-identical to an uncached full re-simulation
- *    (up to reset outcomes whose probability is below the ~1e-12
- *    determinism tolerance). The path walk draws exactly the numbers
- *    each trial would draw alone, in the same order, against
- *    bit-identical states, so it changes no outcome.
+ *    randomness and the truncating measurement: after its head
+ *    discards and its tail's draws, trial m's readout is one uniform
+ *    from that stream, mapped through a CdfSampler over its final
+ *    state's marginal. The cached head consumes no outcome-relevant
+ *    randomness, and each trial discards exactly the draws the head's
+ *    resets would have made, so trial outcomes are bit-identical to an
+ *    uncached full re-simulation followed by that one draw (up to
+ *    reset outcomes whose probability is below the ~1e-12 determinism
+ *    tolerance). The path walk draws exactly the numbers each trial
+ *    would draw alone, in the same order, against bit-identical
+ *    states, so it changes no outcome.
  *  - SampleFinalState: the single run of the truncated program uses
  *    Rng(seed).split(0) — the heads' certain resets each discard one
  *    draw, as an uncached run's measurement of them would have made —
@@ -180,9 +185,10 @@ struct EnsembleSpec
 
 /**
  * Inverse-CDF sampler over a fixed discrete distribution: O(domain)
- * once to build, O(log domain) per draw — the multinomial shot sampler
- * behind SampleFinalState mode (the linear scan in Rng::discrete is
- * too slow at 2^width bins times millions of shots).
+ * once to build, O(log domain) per draw — the readout of both modes,
+ * SampleFinalState's shots and each Resimulate leaf's trials (the
+ * linear scan in Rng::discrete is too slow at 2^width bins times
+ * millions of shots).
  */
 class CdfSampler
 {

@@ -32,10 +32,8 @@ StreamBank::seed(std::uint64_t seed, std::uint64_t first, std::size_t count)
     panic_if(count > kMaxSlots, "stream bank holds at most ", kMaxSlots,
              " slots");
     slots = count;
-    if (words.size() < 4 * count) {
-        words.resize(4 * count);
-        trials.resize(count);
-    }
+    words.reset(new std::uint64_t[4 * count]);
+    trials.reset(new std::uint32_t[count]);
     for (std::size_t i = 0; i < count; ++i)
         trials[i] = static_cast<std::uint32_t>(i);
 

@@ -4,11 +4,12 @@
  *
  * Every ensemble trial m draws from its own stream Rng(seed).split(m)
  * (ensemble.hh). A Resimulate walk draws for a group of trials at a
- * time: one bernoulli per trial at each measured qubit, with one
- * probability shared by the group. The bank keeps each trial's four
- * xoshiro256** words in four planes and its trial index beside them
- * (36 bytes a slot), so seeding, discarding and drawing are loops over
- * a contiguous slot range. Each loop steps each stream exactly as
+ * time: one bernoulli per trial at each measured qubit of the tail,
+ * with one probability shared by the group, and one uniform per trial
+ * for the readout at the group's leaf. The bank keeps each trial's
+ * four xoshiro256** words in four planes and its trial index beside
+ * them (36 bytes a slot), so seeding, discarding and drawing are loops
+ * over a contiguous slot range. Each loop steps each stream exactly as
  * Rng::next does, through the one definition in common/rng.hh, so a
  * slot's draws are its Rng's draw for draw.
  *
@@ -22,7 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "common/rng.hh"
 
@@ -73,7 +74,7 @@ class StreamBank
                           std::uint64_t threshold);
 
     /** The next uniform [0, 1) draw of `slot`'s stream
-     *  (Rng::uniform). */
+     *  (Rng::uniform): a Resimulate trial's readout draw. */
     double
     uniform(std::size_t slot)
     {
@@ -86,13 +87,13 @@ class StreamBank
     std::size_t slots = 0;
 
     /** The xoshiro256** words: word w of slot i at w * size() + i.
-     *  Both vectors only grow, so a reseeded bank reuses them. */
-    std::vector<std::uint64_t> words;
+     *  seed() allocates both arrays unfilled and writes every entry. */
+    std::unique_ptr<std::uint64_t[]> words;
 
-    std::vector<std::uint32_t> trials;
+    std::unique_ptr<std::uint32_t[]> trials;
 
     /** The four word planes. */
-    std::uint64_t *plane(unsigned w) { return words.data() + w * slots; }
+    std::uint64_t *plane(unsigned w) { return words.get() + w * slots; }
 
     void swapSlots(std::size_t a, std::size_t b);
 };

@@ -604,7 +604,7 @@ StateVector::StateVector(unsigned num_qubits) : nQubits(num_qubits)
 Complex
 StateVector::amp(std::uint64_t basis) const
 {
-    panic_if(basis >= dim(), "basis index out of range");
+    fatal_if(basis >= dim(), "basis index out of range");
     return amps[basis];
 }
 
@@ -619,7 +619,7 @@ StateVector::setBasisState(std::uint64_t basis)
 void
 StateVector::setAmplitudes(std::vector<Complex> amplitudes)
 {
-    panic_if(amplitudes.size() != dim(), "amplitude vector of size ",
+    fatal_if(amplitudes.size() != dim(), "amplitude vector of size ",
              amplitudes.size(), " for a state of dimension ", dim());
     amps = std::move(amplitudes);
 }
@@ -831,72 +831,31 @@ void
 StateVector::projectQubit(unsigned qubit, unsigned value,
                           double probability)
 {
-    panic_if(qubit >= nQubits, "projected qubit out of range");
+    fatal_if(qubit >= nQubits, "projected qubit out of range");
     collapse(qubit, value & 1, probability);
 }
 
 double
 StateVector::probabilityOne(unsigned qubit) const
 {
-    panic_if(qubit >= nQubits, "qubit out of range");
-    return blockProbabilityOne(interleaved(amps), nQubits,
-                               BlockQubit{qubit});
-}
-
-double
-StateVector::blockProbabilityOne(const double *block, unsigned width,
-                                 BlockQubit qubit)
-{
+    fatal_if(qubit >= nQubits, "qubit out of range");
     // Stride-blocked over the |1> half only: same ascending visit
-    // order (so bit-identical sums), half the indices scanned. The
-    // half is the runs of `run` entries every 2·run from `first`; a
-    // qubit fixed at 1 reads 1 in every entry, one fixed at 0 in none.
-    const std::uint64_t size = pow2(width);
-    std::uint64_t first = pow2(qubit.bit), run = first;
-    if (qubit.fixed >= 0) {
-        first = qubit.fixed == 1 ? 0 : size;
-        run = size;
-    }
+    // order (so bit-identical sums), half the indices scanned.
+    const std::uint64_t stride = pow2(qubit);
+    const std::uint64_t d = dim();
     double p1 = 0.0;
-    for (std::uint64_t base = first; base < size; base += 2 * run) {
-        for (std::uint64_t off = 0; off < run; ++off) {
-            const std::uint64_t i = base + off;
-            p1 += std::norm(Complex(block[2 * i], block[2 * i + 1]));
-        }
+    for (std::uint64_t base = stride; base < d; base += 2 * stride) {
+        for (std::uint64_t off = 0; off < stride; ++off)
+            p1 += std::norm(amps[base + off]);
     }
     return std::min(1.0, std::max(0.0, p1));
-}
-
-bool
-StateVector::blockCollapse(const double *block, unsigned width,
-                           BlockQubit qubit, unsigned value, double prob,
-                           double *to)
-{
-    const double scale = branchScale(prob);
-    const std::uint64_t size = pow2(width);
-    if (qubit.fixed >= 0) {
-        if (value != static_cast<unsigned>(qubit.fixed))
-            return false;
-        for (std::uint64_t i = 0; i < 2 * size; ++i)
-            to[i] = block[i] * scale;
-        return true;
-    }
-    // collapse's kept half, part by part, with the dropped half left
-    // out of the index.
-    const std::uint64_t stride = pow2(qubit.bit);
-    for (std::uint64_t base = value ? stride : 0; base < size;
-         base += 2 * stride, to += 2 * stride) {
-        for (std::uint64_t i = 0; i < 2 * stride; ++i)
-            to[i] = block[2 * base + i] * scale;
-    }
-    return true;
 }
 
 std::vector<double>
 StateVector::marginalProbs(const std::vector<unsigned> &qubits) const
 {
     for (unsigned q : qubits)
-        panic_if(q >= nQubits, "qubit out of range");
+        fatal_if(q >= nQubits, "qubit out of range");
 
     std::vector<double> probs(pow2(qubits.size()), 0.0);
     for (std::uint64_t i = 0; i < dim(); ++i) {
@@ -913,9 +872,9 @@ StateVector::reducedDensityMatrix(
     const std::vector<unsigned> &qubits) const
 {
     const unsigned k = qubits.size();
-    panic_if(k > 16, "reduced density matrix too large");
+    fatal_if(k > 16, "reduced density matrix too large");
     for (unsigned q : qubits)
-        panic_if(q >= nQubits, "qubit out of range");
+        fatal_if(q >= nQubits, "qubit out of range");
 
     std::uint64_t qmask = 0;
     for (unsigned q : qubits)
@@ -963,7 +922,7 @@ StateVector::norm() const
 Complex
 StateVector::innerProduct(const StateVector &other) const
 {
-    panic_if(dim() != other.dim(), "state dimension mismatch");
+    fatal_if(dim() != other.dim(), "state dimension mismatch");
     Complex acc(0.0);
     for (std::uint64_t i = 0; i < dim(); ++i)
         acc += std::conj(amps[i]) * other.amps[i];
@@ -1013,12 +972,16 @@ StateVector::normalize()
 void
 StateVector::collapse(unsigned qubit, unsigned value, double prob)
 {
+    // Guard against collapsing onto a zero-probability branch due to
+    // floating-point round-off.
+    panic_if(prob < 1e-15, "collapse onto zero-probability branch");
+
     // Stride-blocked: in each 2·stride block the half where the qubit
     // reads `value` is rescaled part by part (as Complex *= double
     // does) and the other half is zeroed, with no per-slot bit test.
     const std::uint64_t stride = pow2(qubit);
     const std::uint64_t kept = value ? stride : 0;
-    const double scale = branchScale(prob);
+    const double scale = 1.0 / std::sqrt(prob);
     double *a = interleaved(amps);
     for (std::uint64_t base = 0; base < dim(); base += 2 * stride) {
         double *keep = a + 2 * (base + kept);
@@ -1028,15 +991,6 @@ StateVector::collapse(unsigned qubit, unsigned value, double prob)
             drop[i] = 0.0;
         }
     }
-}
-
-double
-StateVector::branchScale(double prob)
-{
-    // Guard against collapsing onto a zero-probability branch due to
-    // floating-point round-off.
-    panic_if(prob < 1e-15, "collapse onto zero-probability branch");
-    return 1.0 / std::sqrt(prob);
 }
 
 } // namespace qsa::sim

@@ -36,7 +36,6 @@
 #define QSA_SIM_STATEVECTOR_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -55,14 +54,17 @@ namespace qsa::sim
  *    / prepZ (used by the "resimulate" ensemble mode, which mirrors the
  *    paper's one-simulation-per-ensemble-member methodology),
  *  - exact read-out without collapse: probability / marginalProbs /
- *    reducedDensityMatrix (used by the fast sampling ensemble mode and
+ *    reducedDensityMatrix (used by both ensemble modes' readout and
  *    by test oracles that need ground truth about entanglement).
  *
  * The evolution and measurement entry points take their qubit lists
  * as QubitSpan views, so the executor passes an instruction's own
  * lists. They check their qubit arguments (and setBasisState its
  * index): a qubit out of range, a control on a target or a repeated
- * target throws qsa::Error before the state changes.
+ * target throws qsa::Error before the state changes. The read-out
+ * entry points check theirs the same way (a qubit or basis index out
+ * of range, an amplitude count other than dim(), a reduced density
+ * matrix over more than 16 qubits, states of different dimension).
  */
 class StateVector
 {
@@ -87,13 +89,6 @@ class StateVector
 
     /** Raw amplitude vector (read-only). */
     const std::vector<Complex> &amplitudes() const { return amps; }
-
-    /**
-     * Move the amplitude vector out of a state that is not used again
-     * (it is left empty): for a consumer that reads the state out in
-     * place, as Resimulate's readout does (runtime/ensemble.cc).
-     */
-    std::vector<Complex> releaseAmplitudes() && { return std::move(amps); }
 
     /**
      * Overwrite the state with the given amplitudes (their number must
@@ -179,51 +174,6 @@ class StateVector
                       double probability);
 
     /** @} */
-    /**
-     * @{ @name Compacted read-out
-     *
-     * Resimulate's readout (runtime/ensemble.cc) measures qubit after
-     * qubit on compacted blocks instead of the full state. A block
-     * holds, as interleaved (re, im) doubles in ascending index order,
-     * only the 2^width amplitudes whose already-read qubits match the
-     * block's outcomes; every other amplitude of the state is an exact
-     * zero. These two are probabilityOne and collapse on a block:
-     * probabilityOne is blockProbabilityOne on the whole state, and
-     * blockCollapse scales each kept double once by collapse's scale,
-     * so with the exact zeros left out the probability and every kept
-     * amplitude equal the full state's bit for bit.
-     */
-
-    /** A read-out qubit's place in a block. */
-    struct BlockQubit
-    {
-        /** Its bit in the block index, for a qubit not read before. */
-        unsigned bit = 0;
-
-        /** For a qubit read before: its earlier outcome, which every
-         *  entry of the block holds; -1 otherwise. */
-        int fixed = -1;
-    };
-
-    /** probabilityOne of `qubit` on a block of 2^width amplitudes. */
-    static double blockProbabilityOne(const double *block, unsigned width,
-                                      BlockQubit qubit);
-
-    /**
-     * collapse of a block onto `qubit` reading `value`, whose
-     * probability is `prob`: writes the kept amplitudes, scaled, to
-     * `to` and returns true — the 2^(width-1) with the qubit's bit
-     * removed from their index, or, for a fixed qubit reading its
-     * earlier outcome, the whole block (`to` may be `block`). Returns
-     * false, writing nothing, when the state left is zero (a fixed
-     * qubit reading the other outcome). Panics as collapse does when
-     * the branch probability is ~0.
-     */
-    static bool blockCollapse(const double *block, unsigned width,
-                              BlockQubit qubit, unsigned value,
-                              double prob, double *to);
-
-    /** @} */
     /** @{ @name Exact read-out (no collapse) */
 
     /** Probability that the given qubit measures |1>. */
@@ -281,10 +231,6 @@ class StateVector
 
     /** Collapse to the subspace where qubit == value, renormalising. */
     void collapse(unsigned qubit, unsigned value, double prob);
-
-    /** The scale 1/sqrt(prob) of a collapse onto a branch of
-     *  probability `prob`; panics when the branch is ~0. */
-    static double branchScale(double prob);
 };
 
 } // namespace qsa::sim

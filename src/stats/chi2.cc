@@ -17,7 +17,7 @@ namespace qsa::stats
 double
 chiSquareCdf(double x, double df)
 {
-    panic_if(df <= 0.0, "chiSquareCdf requires df > 0, got ", df);
+    fatal_if(df <= 0.0, "chiSquareCdf requires df > 0, got ", df);
     if (x <= 0.0)
         return 0.0;
     return gammaP(df / 2.0, x / 2.0);
@@ -26,7 +26,7 @@ chiSquareCdf(double x, double df)
 double
 chiSquareSf(double x, double df)
 {
-    panic_if(df <= 0.0, "chiSquareSf requires df > 0, got ", df);
+    fatal_if(df <= 0.0, "chiSquareSf requires df > 0, got ", df);
     if (x <= 0.0)
         return 1.0;
     if (std::isinf(x))
@@ -37,7 +37,7 @@ chiSquareSf(double x, double df)
 double
 chiSquareQuantile(double p, double df)
 {
-    panic_if(p < 0.0 || p >= 1.0,
+    fatal_if(p < 0.0 || p >= 1.0,
              "chiSquareQuantile requires p in [0, 1), got ", p);
     if (p == 0.0)
         return 0.0;
@@ -73,7 +73,7 @@ binnedTest(const std::vector<double> &observed,
            const std::vector<double> &expected, int constraints,
            BinTerm term)
 {
-    panic_if(observed.size() != expected.size(),
+    fatal_if(observed.size() != expected.size(),
              "bin count mismatch: ", observed.size(), " observed vs ",
              expected.size(), " expected");
 
@@ -83,7 +83,7 @@ binnedTest(const std::vector<double> &observed,
     for (std::size_t i = 0; i < observed.size(); ++i) {
         const double o = observed[i];
         const double e = expected[i];
-        panic_if(o < 0.0 || e < 0.0, "negative bin count");
+        fatal_if(o < 0.0 || e < 0.0, "negative bin count");
         if (e == 0.0 && o == 0.0)
             continue;
         if (e == 0.0) {
@@ -145,18 +145,18 @@ Chi2Result
 chiSquareTwoSample(const std::vector<double> &sample1,
                    const std::vector<double> &sample2, int constraints)
 {
-    panic_if(sample1.size() != sample2.size(),
+    fatal_if(sample1.size() != sample2.size(),
              "bin count mismatch between samples");
 
     double total_r = 0.0;
     double total_s = 0.0;
     for (std::size_t i = 0; i < sample1.size(); ++i) {
-        panic_if(sample1[i] < 0.0 || sample2[i] < 0.0,
+        fatal_if(sample1[i] < 0.0 || sample2[i] < 0.0,
                  "negative bin count");
         total_r += sample1[i];
         total_s += sample2[i];
     }
-    panic_if(total_r == 0.0 || total_s == 0.0,
+    fatal_if(total_r == 0.0 || total_s == 0.0,
              "two-sample test needs a positive total in each sample");
 
     // NR §14.3 chstwo with unequal sample sizes: each bin contributes
@@ -194,14 +194,14 @@ chiSquareTwoSample(const std::vector<double> &sample1,
 std::vector<double>
 uniformExpected(std::size_t num_bins, double total)
 {
-    panic_if(num_bins == 0, "uniformExpected needs at least one bin");
+    fatal_if(num_bins == 0, "uniformExpected needs at least one bin");
     return std::vector<double>(num_bins, total / num_bins);
 }
 
 std::vector<double>
 pointMassExpected(std::size_t num_bins, std::uint64_t value, double total)
 {
-    panic_if(value >= num_bins, "point-mass value ", value,
+    fatal_if(value >= num_bins, "point-mass value ", value,
              " outside domain of ", num_bins, " bins");
     std::vector<double> e(num_bins, 0.0);
     e[value] = total;

@@ -46,10 +46,10 @@ ContingencyTable::fromCounts(const std::vector<std::uint64_t> &row_labels,
                              const std::vector<std::uint64_t> &col_labels,
                              const std::vector<std::vector<double>> &counts)
 {
-    panic_if(counts.size() != row_labels.size(),
+    fatal_if(counts.size() != row_labels.size(),
              "row label/count mismatch");
     for (const auto &row : counts)
-        panic_if(row.size() != col_labels.size(),
+        fatal_if(row.size() != col_labels.size(),
                  "column label/count mismatch");
 
     ContingencyTable t;
@@ -72,7 +72,7 @@ ContingencyTable::total() const
 double
 ContingencyTable::at(std::size_t r, std::size_t c) const
 {
-    panic_if(r >= numRows() || c >= numCols(),
+    fatal_if(r >= numRows() || c >= numCols(),
              "contingency cell out of range");
     return cells[r][c];
 }
@@ -104,7 +104,7 @@ independenceCore(const ContingencyTable &table, bool yates_for_2x2,
     }
 
     IndependenceResult res;
-    panic_if(n <= 0.0, "independence test on an empty table");
+    fatal_if(n <= 0.0, "independence test on an empty table");
 
     const auto nnr = std::count_if(row_sum.begin(), row_sum.end(),
                                    [](double s) { return s > 0.0; });

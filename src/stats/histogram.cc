@@ -25,7 +25,7 @@ denseCounts(const std::vector<std::uint64_t> &outcomes,
 {
     std::vector<double> counts(domain, 0.0);
     for (std::uint64_t v : outcomes) {
-        panic_if(v >= domain, "outcome ", v, " outside domain ", domain);
+        fatal_if(v >= domain, "outcome ", v, " outside domain ", domain);
         counts[v] += 1.0;
     }
     return counts;

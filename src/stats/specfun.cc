@@ -17,7 +17,7 @@ namespace qsa::stats
 double
 lnGamma(double x)
 {
-    panic_if(x <= 0.0, "lnGamma requires x > 0, got ", x);
+    fatal_if(x <= 0.0, "lnGamma requires x > 0, got ", x);
 
     // Lanczos coefficients (g = 5, n = 6), as tabulated in NR.
     static const double cof[6] = {
@@ -93,8 +93,8 @@ gammaQContinuedFraction(double a, double x)
 double
 gammaP(double a, double x)
 {
-    panic_if(a <= 0.0, "gammaP requires a > 0, got ", a);
-    panic_if(x < 0.0, "gammaP requires x >= 0, got ", x);
+    fatal_if(a <= 0.0, "gammaP requires a > 0, got ", a);
+    fatal_if(x < 0.0, "gammaP requires x >= 0, got ", x);
 
     if (x == 0.0)
         return 0.0;
@@ -106,8 +106,8 @@ gammaP(double a, double x)
 double
 gammaQ(double a, double x)
 {
-    panic_if(a <= 0.0, "gammaQ requires a > 0, got ", a);
-    panic_if(x < 0.0, "gammaQ requires x >= 0, got ", x);
+    fatal_if(a <= 0.0, "gammaQ requires a > 0, got ", a);
+    fatal_if(x < 0.0, "gammaQ requires x >= 0, got ", x);
 
     if (x == 0.0)
         return 1.0;

@@ -451,7 +451,10 @@ TEST(CheckpointBudget, SeventeenQubitStatesAreNeverStored)
 //
 // The brackets, probe counts and shots below are those the locator
 // produced before probes shared a checkpoint store (and before the
-// engine stopped fusing gates); the store must not move them.
+// engine stopped fusing gates); the store must not move them. The
+// shots of qpe/flipped-phase and qpe/wrong-feedback come from a
+// store-free run after Resimulate's readout became one CDF draw per
+// trial, which moved their escalations.
 
 struct Pinned
 {
@@ -702,8 +705,8 @@ measureFixtures()
     }
     const std::tuple<QpeBug, const char *, Pinned> qpes[] = {
         {QpeBug::WrongEigenstate, "wrong-eigenstate", {0, 1, 6, 1408}},
-        {QpeBug::FlippedPhase, "flipped-phase", {8, 9, 7, 4608}},
-        {QpeBug::WrongFeedback, "wrong-feedback", {15, 16, 6, 4544}},
+        {QpeBug::FlippedPhase, "flipped-phase", {8, 9, 7, 4800}},
+        {QpeBug::WrongFeedback, "wrong-feedback", {15, 16, 6, 4928}},
     };
     for (const auto &[bug, name, pinned] : qpes) {
         out.push_back(bothHalves(

@@ -10,8 +10,9 @@
  * for every thread count, in monolithic and tensor-staged plans, and
  * the simulation work it reports must not depend on the thread count.
  * The Resimulate reference is runCircuit of the truncated program on
- * Rng(seed).split(m), then measureQubits; the SampleFinalState one is
- * one runCircuit on Rng(seed).split(0), a CdfSampler over its
+ * Rng(seed).split(m), then one uniform from the same stream through a
+ * CdfSampler over the final state's marginal; the SampleFinalState one
+ * is one runCircuit on Rng(seed).split(0), a CdfSampler over its
  * marginal, and shot m drawn from Rng(seed).split(m + 1). Every
  * comparison runs at each kernel level the host has, since the walk's
  * state-vector kernels have a body per level. The trial streams' bank
@@ -77,8 +78,8 @@ stagedProgram(std::uint64_t seed, unsigned split, std::size_t count)
  * The readout of one boundary: a pseudo-random qubit subset, by
  * boundary in ascending order, descending, interleaved (the odd
  * positions of the ascending list, then the even ones), or ascending
- * with one qubit read a second time, so every readout position meets
- * each compact-index shift of the walk's readout.
+ * with one qubit read a second time, so the joint readout meets every
+ * order of its qubits and a repeated one.
  */
 std::vector<unsigned>
 readoutQubits(unsigned n, std::size_t boundary)
@@ -124,8 +125,9 @@ hostLevels()
 
 /**
  * Uncached reference. Resimulate: trial m runs the truncated program
- * on Rng(seed).split(m), then measures the readout qubits on the same
- * stream. SampleFinalState: the truncated program runs once on
+ * on Rng(seed).split(m), then maps one more uniform from the same
+ * stream through a CdfSampler over its final state's marginal.
+ * SampleFinalState: the truncated program runs once on
  * Rng(seed).split(0), and shot m maps a uniform from
  * Rng(seed).split(m + 1) through a CdfSampler over the final state's
  * marginal.
@@ -147,9 +149,10 @@ referenceTrials(const Circuit &instrumented, const runtime::EnsembleSpec &spec)
     }
     for (std::size_t m = 0; m < spec.shots; ++m) {
         Rng rng = master.split(m);
-        circuit::ExecutionRecord record =
+        const circuit::ExecutionRecord record =
             circuit::runCircuit(truncated, rng);
-        out[m] = record.state.measureQubits(spec.qubits, rng);
+        out[m] = runtime::CdfSampler(record.state.marginalProbs(spec.qubits))
+                     .sample(rng.uniform());
     }
     return out;
 }

@@ -113,6 +113,28 @@ TEST(SimEdges, BadArgumentsThrow)
                          "dimension mismatch");
 }
 
+TEST(SimEdges, ReadOutArgumentsThrow)
+{
+    // The read-out entry points report a bad argument as qsa::Error,
+    // so a host process that passes one can catch it.
+    sim::StateVector sv(2);
+    EXPECT_THROW_MESSAGE(sv.amp(4), Error, "basis index out of range");
+    EXPECT_THROW_MESSAGE(sv.setAmplitudes({1.0, 0.0}), Error,
+                         "amplitude vector of size 2");
+    EXPECT_THROW_MESSAGE(sv.projectQubit(2, 0, 1.0), Error,
+                         "projected qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.probabilityOne(2), Error,
+                         "qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.marginalProbs({0, 2}), Error,
+                         "qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.reducedDensityMatrix({1, 5}), Error,
+                         "qubit out of range");
+    EXPECT_THROW_MESSAGE(sv.reducedDensityMatrix(std::vector<unsigned>(17)),
+                         Error, "reduced density matrix too large");
+    EXPECT_THROW_MESSAGE(sv.innerProduct(sim::StateVector(3)), Error,
+                         "state dimension mismatch");
+}
+
 TEST(SimEdges, ControlOverlapsUnitaryTarget)
 {
     sim::StateVector sv(3);
@@ -221,19 +243,19 @@ TEST(StatsEdges, TwoSampleDetectsShift)
 
 TEST(StatsEdgesDeath, InvalidInputs)
 {
-    EXPECT_DEATH(stats::chiSquareSf(1.0, 0.0), "df > 0");
-    EXPECT_DEATH(stats::lnGamma(-1.0), "x > 0");
-    EXPECT_DEATH(
-        stats::chiSquareGof({1.0}, {1.0, 2.0}),
-        "mismatch");
-    EXPECT_DEATH(stats::pointMassExpected(4, 9, 16.0), "outside");
+    EXPECT_THROW_MESSAGE(stats::chiSquareSf(1.0, 0.0), Error, "df > 0");
+    EXPECT_THROW_MESSAGE(stats::lnGamma(-1.0), Error, "x > 0");
+    EXPECT_THROW_MESSAGE(stats::chiSquareGof({1.0}, {1.0, 2.0}), Error,
+                         "mismatch");
+    EXPECT_THROW_MESSAGE(stats::pointMassExpected(4, 9, 16.0), Error,
+                         "outside");
 }
 
 TEST(StatsEdgesDeath, ContingencyShapeChecks)
 {
-    EXPECT_DEATH(stats::ContingencyTable::fromCounts(
-                     {0, 1}, {0}, {{1.0}, {2.0, 3.0}}),
-                 "mismatch");
+    EXPECT_THROW_MESSAGE(stats::ContingencyTable::fromCounts(
+                             {0, 1}, {0}, {{1.0}, {2.0, 3.0}}),
+                         Error, "mismatch");
 }
 
 // --- Utility edges -----------------------------------------------------------------

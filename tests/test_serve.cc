@@ -316,8 +316,8 @@ TEST(ServeProtocol, OversizedRegisterIsRejectedAtItsDeclaration)
 {
     // A 62-byte request once made the parser allocate a
     // 20,000,000-qubit register before the limit check; the parser
-    // now stops at the declaration, which the reply positions (at the
-    // token's first occurrence on the line, the 'q' of "qreg").
+    // now stops at the declaration, which the reply positions at the
+    // register name.
     const std::string response = serve::handleRequestLine(
         R"({"command": "lint", "circuit": "qreg q[20000000];\nh q[0];\n"})");
     const json::Value doc = parseJson(response);
@@ -325,9 +325,10 @@ TEST(ServeProtocol, OversizedRegisterIsRejectedAtItsDeclaration)
     const json::Value *error = doc.find("error");
     ASSERT_NE(error, nullptr);
     EXPECT_EQ(error->find("message")->asString(),
-              "'circuit': line 1, column 1: the program would use "
+              "'circuit': line 1, column 6: the program would use "
               "20000000 qubits (at most 12 accepted) with register 'q'");
     EXPECT_EQ(error->find("line")->asUint64(), 1u);
+    EXPECT_EQ(error->find("column")->asUint64(), 6u);
     EXPECT_EQ(error->find("token")->asString(), "q");
     // Just inside the limit parses.
     EXPECT_TRUE(parseJson(serve::handleRequestLine(

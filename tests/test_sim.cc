@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -225,76 +224,6 @@ TEST(StateVector, PrepZResets)
     EXPECT_NEAR(sv.probabilityOne(0), 1.0, tol);
     sv.prepZ(0, 0, rng);
     EXPECT_NEAR(sv.probabilityOne(0), 0.0, tol);
-}
-
-TEST(StateVector, CompactedBlockReadOutMatchesTheFullState)
-{
-    // Read qubits 2, 0, 2 again and 3 (outcomes 1, 0, 1, 1) out of a
-    // 4-qubit state twice: on the full state (probabilityOne,
-    // projectQubit) and on a block that keeps only the amplitudes
-    // consistent with the outcomes read so far. Probabilities and kept
-    // amplitudes must agree under ==.
-    StateVector full(4);
-    const double angles[4] = {0.3, 1.1, 2.2, 0.7};
-    for (unsigned q = 0; q < 4; ++q)
-        full.applyGate(gates::ry(angles[q]), q);
-    full.applyControlled(gates::x(), {0}, 2);
-    full.applyControlled(gates::rz(0.9), {2}, 3);
-    full.applyControlled(gates::ry(1.7), {3}, 1);
-
-    std::vector<double> block;
-    for (const Complex &a : full.amplitudes()) {
-        block.push_back(a.real());
-        block.push_back(a.imag());
-    }
-    unsigned width = 4;
-    std::vector<std::pair<unsigned, unsigned>> read; // (qubit, outcome)
-    const std::pair<unsigned, unsigned> reads[] = {
-        {2, 1}, {0, 0}, {2, 1}, {3, 1}};
-    for (const auto &[q, value] : reads) {
-        StateVector::BlockQubit qubit;
-        qubit.bit = q;
-        for (const auto &[earlier, outcome] : read) {
-            if (earlier == q)
-                qubit.fixed = static_cast<int>(outcome);
-            qubit.bit -= earlier < q && qubit.fixed < 0;
-        }
-        const double p1 = full.probabilityOne(q);
-        ASSERT_EQ(StateVector::blockProbabilityOne(block.data(), width,
-                                                   qubit),
-                  p1)
-            << "qubit " << q;
-        const double prob = value ? p1 : 1.0 - p1;
-        ASSERT_GT(prob, 0.01) << "qubit " << q;
-        full.projectQubit(q, value, prob);
-        std::vector<double> kept(block.size());
-        ASSERT_TRUE(StateVector::blockCollapse(block.data(), width, qubit,
-                                               value, prob, kept.data()));
-        if (qubit.fixed >= 0) {
-            // The other outcome leaves a zero state, written nowhere.
-            EXPECT_FALSE(StateVector::blockCollapse(
-                block.data(), width, qubit, 1 - value, 0.5, kept.data()));
-        } else {
-            read.emplace_back(q, value);
-            kept.resize(block.size() / 2);
-            --width;
-        }
-        block = kept;
-
-        std::vector<double> expected;
-        for (std::uint64_t i = 0; i < full.dim(); ++i) {
-            bool consistent = true;
-            for (const auto &[earlier, outcome] : read)
-                consistent = consistent && ((i >> earlier) & 1) == outcome;
-            if (consistent) {
-                expected.push_back(full.amp(i).real());
-                expected.push_back(full.amp(i).imag());
-            } else {
-                EXPECT_EQ(full.amp(i), Complex(0.0)) << "index " << i;
-            }
-        }
-        EXPECT_EQ(block, expected) << "after qubit " << q;
-    }
 }
 
 TEST(StateVector, MarginalProbs)
