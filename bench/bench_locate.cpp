@@ -207,6 +207,24 @@ wideMeasurePair()
     return pair;
 }
 
+/**
+ * Table 3's wrong modular inverse (12 for 13) in semiclassical Shor:
+ * 2,808 instructions whose recycled control qubit is measured each
+ * round, so every probe past the first measurement is a dual mirror
+ * probe whose long tail one Resimulate walk reads out at both of its
+ * breakpoints, and its lazy oracles stop at their boundary.
+ */
+std::pair<Circuit, Circuit>
+semiclassicalWrongInversePair()
+{
+    algo::ShorConfig good;
+    algo::ShorConfig bad;
+    bad.pairs = algo::shorClassicalInputs(7, 15, 3);
+    bad.pairs[0].second = 12;
+    return {algo::buildSemiclassicalShorProgram(bad).circuit,
+            algo::buildSemiclassicalShorProgram(good).circuit};
+}
+
 std::pair<Circuit, Circuit>
 fixturePair(int which)
 {
@@ -216,7 +234,8 @@ fixturePair(int which)
       case 2: return wrongInversePair();
       case 3: return measuredTeleportPair();
       case 4: return zFrameTeleportPair();
-      default: return wideMeasurePair();
+      case 5: return wideMeasurePair();
+      default: return semiclassicalWrongInversePair();
     }
 }
 
@@ -229,8 +248,20 @@ fixtureName(int which)
       case 2: return "wrong-inverse";
       case 3: return "measured-teleport";
       case 4: return "zframe-teleport";
-      default: return "wide-measure";
+      case 5: return "wide-measure";
+      default: return "semiclassical-wrong-inverse";
     }
+}
+
+/** A fixture's ensemble sizes: 64 escalating to 1,024, except the
+ *  semiclassical search, which runs on 32 escalating to 256 as the
+ *  paper-session workload and its pinned test do. */
+void
+setEnsembleSizes(locate::LocateConfig &cfg, int which)
+{
+    const bool semiclassical = which == 6;
+    cfg.ensembleSize = semiclassical ? 32 : 64;
+    cfg.maxEnsembleSize = semiclassical ? 256 : 1024;
 }
 
 void
@@ -249,8 +280,7 @@ runLocate(benchmark::State &state, locate::Strategy strategy,
     cfg.mode = mode;
     cfg.family = family;
     cfg.oracleMode = oracle_mode;
-    cfg.ensembleSize = 64;
-    cfg.maxEnsembleSize = 1024;
+    setEnsembleSizes(cfg, (int)state.range(0));
     const locate::BugLocator locator(pair.first, pair.second, cfg);
 
     std::size_t probes = 0;
@@ -315,6 +345,18 @@ BM_LocateResimulateScan(benchmark::State &state)
               assertions::EnsembleMode::Resimulate);
 }
 BENCHMARK(BM_LocateResimulateScan)->Arg(3)
+    ->Unit(benchmark::kMillisecond);
+
+// The paper's semiclassical Shor defect: dual mirror probes on a
+// 2,800-instruction tail, the shape the one-walk dual probe and the
+// boundary-bounded lazy oracles are for.
+void
+BM_LocateSemiclassical(benchmark::State &state)
+{
+    runLocate(state, locate::Strategy::AdaptiveBinarySearch,
+              assertions::EnsembleMode::Resimulate);
+}
+BENCHMARK(BM_LocateSemiclassical)->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
 // Phase-sensitive families on the conditioned-Z-frame teleport — the
@@ -413,8 +455,7 @@ metricsEpilogue()
         cfg.mode = mode;
         cfg.family = family;
         cfg.oracleMode = oracle_mode;
-        cfg.ensembleSize = 64;
-        cfg.maxEnsembleSize = 1024;
+        setEnsembleSizes(cfg, which);
         const locate::BugLocator locator(pair.first, pair.second,
                                          cfg);
         const auto report =
@@ -439,6 +480,8 @@ metricsEpilogue()
              EnsembleMode::Resimulate, ProbeFamily::SegmentMirror,
              nullptr);
     once(3, Strategy::LinearScan, EnsembleMode::Resimulate,
+         ProbeFamily::SegmentMirror, nullptr);
+    once(6, Strategy::AdaptiveBinarySearch, EnsembleMode::Resimulate,
          ProbeFamily::SegmentMirror, nullptr);
     once(4, Strategy::AdaptiveBinarySearch, EnsembleMode::Resimulate,
          ProbeFamily::SwapTest, "recv");

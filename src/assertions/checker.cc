@@ -253,21 +253,20 @@ AssertionChecker::assertProduct(const std::string &breakpoint,
 std::vector<std::pair<std::uint64_t, std::uint64_t>>
 AssertionChecker::gatherEnsemble(const AssertionSpec &spec) const
 {
-    return gatherEnsemble(spec, config.ensembleSize);
+    return valuePairs(spec,
+                      engine->gather(request(spec, config.ensembleSize)));
 }
 
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
-                                 std::size_t ensemble_size) const
+runtime::EnsembleSpec
+AssertionChecker::request(const AssertionSpec &spec,
+                          std::size_t ensemble_size) const
 {
-    const bool two_vars = spec.kind == AssertionKind::Entangled ||
-                          spec.kind == AssertionKind::Product;
-
     // Joint measurement qubit list: regA bits first, then regB.
     runtime::EnsembleSpec request;
     request.breakpoint = spec.breakpoint;
     request.qubits = spec.regA.qubits();
-    if (two_vars) {
+    if (spec.kind == AssertionKind::Entangled ||
+        spec.kind == AssertionKind::Product) {
         request.qubits.insert(request.qubits.end(),
                               spec.regB.qubits().begin(),
                               spec.regB.qubits().end());
@@ -275,9 +274,15 @@ AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
     request.shots = ensemble_size;
     request.mode = config.mode;
     request.seed = config.seed;
+    return request;
+}
 
-    const auto joint_values = engine->gather(request);
-
+std::vector<std::pair<std::uint64_t, std::uint64_t>>
+AssertionChecker::valuePairs(const AssertionSpec &spec,
+                             const std::vector<std::uint64_t> &joint_values)
+{
+    const bool two_vars = spec.kind == AssertionKind::Entangled ||
+                          spec.kind == AssertionKind::Product;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
     pairs.reserve(joint_values.size());
     for (std::uint64_t joint : joint_values) {
@@ -294,18 +299,25 @@ AssertionChecker::gatherEnsemble(const AssertionSpec &spec,
 AssertionOutcome
 AssertionChecker::check(const AssertionSpec &spec) const
 {
-    return checkWithSize(spec, config.ensembleSize);
+    return checkWithSize({&spec}, config.ensembleSize).front();
 }
 
 AssertionOutcome
 AssertionChecker::check(const AssertionSpec &spec,
                         std::size_t ensemble_size) const
 {
-    return checkWithSize(spec, ensemble_size);
+    return checkWithSize({&spec}, ensemble_size).front();
 }
 
 AssertionOutcome
 AssertionChecker::checkEscalated(const AssertionSpec &spec,
+                                 const EscalationPolicy &policy) const
+{
+    return checkEscalated(std::vector<AssertionSpec>{spec}, policy).front();
+}
+
+std::vector<AssertionOutcome>
+AssertionChecker::checkEscalated(const std::vector<AssertionSpec> &specs,
                                  const EscalationPolicy &policy) const
 {
     fatal_if(policy.initialSize == 0,
@@ -313,36 +325,69 @@ AssertionChecker::checkEscalated(const AssertionSpec &spec,
     fatal_if(policy.maxSize < policy.initialSize,
              "escalation cap below the initial ensemble size");
 
-    std::size_t size = policy.initialSize;
-    while (true) {
-        AssertionOutcome out = checkWithSize(spec, size);
-        if (!escalationInconclusive(policy, spec.kind, spec.alpha,
-                                    out.pValue) ||
-            size >= policy.maxSize)
-            return out;
-        QSA_OBS_COUNTER("assertions.escalations", 1);
-        size = std::min(policy.maxSize, size * 2);
+    // Every open spec is at the same size in each round: all start at
+    // initialSize and double together until final.
+    std::vector<AssertionOutcome> outcomes(specs.size());
+    std::vector<std::size_t> open(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        open[i] = i;
+    for (std::size_t size = policy.initialSize; !open.empty();
+         size = std::min(policy.maxSize, size * 2)) {
+        std::vector<const AssertionSpec *> round;
+        for (const std::size_t i : open)
+            round.push_back(&specs[i]);
+        auto results = checkWithSize(round, size);
+        std::vector<std::size_t> inconclusive;
+        for (std::size_t r = 0; r < open.size(); ++r) {
+            const AssertionSpec &spec = specs[open[r]];
+            if (escalationInconclusive(policy, spec.kind, spec.alpha,
+                                       results[r].pValue) &&
+                size < policy.maxSize) {
+                QSA_OBS_COUNTER("assertions.escalations", 1);
+                inconclusive.push_back(open[r]);
+            }
+            outcomes[open[r]] = std::move(results[r]);
+        }
+        open = std::move(inconclusive);
     }
+    return outcomes;
+}
+
+std::vector<AssertionOutcome>
+AssertionChecker::checkWithSize(const std::vector<const AssertionSpec *> &specs,
+                                std::size_t ensemble_size) const
+{
+    std::vector<runtime::EnsembleSpec> requests;
+    requests.reserve(specs.size());
+    for (const AssertionSpec *spec : specs) {
+        validateSpec(*spec);
+        requests.push_back(request(*spec, ensemble_size));
+    }
+    fatal_if(ensemble_size == 0, "ensemble size must be positive");
+
+    QSA_OBS_COUNTER("assertions.checks", specs.size());
+    const auto joint_values = engine->gather(requests);
+    std::vector<AssertionOutcome> outcomes;
+    outcomes.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        outcomes.push_back(adjudicate(
+            *specs[i], ensemble_size, valuePairs(*specs[i], joint_values[i])));
+    }
+    return outcomes;
 }
 
 AssertionOutcome
-AssertionChecker::checkWithSize(const AssertionSpec &spec,
-                                std::size_t ensemble_size) const
+AssertionChecker::adjudicate(
+    const AssertionSpec &spec, std::size_t ensemble_size,
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> &pairs) const
 {
-    validateSpec(spec);
-    fatal_if(ensemble_size == 0, "ensemble size must be positive");
-
-    QSA_OBS_COUNTER("assertions.checks", 1);
+    // Counting the shots and the chi-square (or G) test.
+    QSA_OBS_SPAN(span, "assertions.adjudicate");
     AssertionOutcome out;
     out.spec = spec;
     out.ensembleSize = ensemble_size;
     out.effectiveAlpha = spec.alpha;
 
-    const auto pairs = gatherEnsemble(spec, ensemble_size);
-
-    // Everything past the gather is adjudication: counting the shots
-    // and the chi-square (or G) test.
-    QSA_OBS_SPAN(span, "assertions.adjudicate");
     std::vector<std::uint64_t> values_a;
     values_a.reserve(pairs.size());
     for (const auto &[a, b] : pairs) {

@@ -138,6 +138,19 @@ class AssertionChecker
                                     const EscalationPolicy &policy) const;
 
     /**
+     * checkEscalated() over several specs at once: outcome i equals
+     * checkEscalated(specs[i], policy). It works round by round: each
+     * round gathers every spec still inconclusive at that round's size
+     * in one engine call, so specs whose ensembles share one
+     * Resimulate path walk (a dual mirror probe's two breakpoints,
+     * runtime::EnsembleEngine::gather) are read out of it together,
+     * and no walk is made for a spec that is already final.
+     */
+    std::vector<AssertionOutcome>
+    checkEscalated(const std::vector<AssertionSpec> &specs,
+                   const EscalationPolicy &policy) const;
+
+    /**
      * Check every registered assertion. The (truncation, assertion)
      * pairs fan across the runtime pool through
      * runtime::BatchRunner (the same fan-out session::Session::run
@@ -188,13 +201,29 @@ class AssertionChecker
 
     void validateSpec(const AssertionSpec &spec) const;
 
-    /** check() with an explicit ensemble size (escalation rounds). */
-    AssertionOutcome checkWithSize(const AssertionSpec &spec,
-                                   std::size_t ensemble_size) const;
+    /** The engine request of `spec` at `ensemble_size` trials. */
+    runtime::EnsembleSpec request(const AssertionSpec &spec,
+                                  std::size_t ensemble_size) const;
 
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>
-    gatherEnsemble(const AssertionSpec &spec,
-                   std::size_t ensemble_size) const;
+    /** A joint readout split into (valueA, valueB) pairs. */
+    static std::vector<std::pair<std::uint64_t, std::uint64_t>>
+    valuePairs(const AssertionSpec &spec,
+               const std::vector<std::uint64_t> &joint_values);
+
+    /**
+     * Check each spec at `ensemble_size` trials, their ensembles
+     * gathered in one engine call (runtime::EnsembleEngine::gather):
+     * a check() round, or an escalation round.
+     */
+    std::vector<AssertionOutcome>
+    checkWithSize(const std::vector<const AssertionSpec *> &specs,
+                  std::size_t ensemble_size) const;
+
+    /** The statistical verdict of `spec` on its gathered pairs. */
+    AssertionOutcome adjudicate(
+        const AssertionSpec &spec, std::size_t ensemble_size,
+        const std::vector<std::pair<std::uint64_t, std::uint64_t>> &pairs)
+        const;
 };
 
 /**

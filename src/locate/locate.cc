@@ -42,11 +42,13 @@ const std::string kProbePreLabel = "qsa_locate_probe_pre";
 
 /**
  * Markers an adaptive mirror probe carries in its suspect prefix, at
- * the search's passing floor and at the probed boundary: the
+ * the search's passing floor, at the boundary the search probes next
+ * if this probe fails (searchMidpoint) and at the probed boundary: the
  * positions later probes resume from through the search's
  * runtime::CheckpointStore.
  */
 const std::string kFloorLabel = "qsa_locate_floor";
+const std::string kMidpointLabel = "qsa_locate_midpoint";
 const std::string kBoundaryMarkLabel = "qsa_locate_boundary";
 
 /** Boundary-breakpoint prefix for predicate probes. */
@@ -139,6 +141,18 @@ alignedNonInvertible(const circuit::Instruction &a,
            a.controls == b.controls && a.label == b.label &&
            a.bit == b.bit && a.condLabel == b.condLabel &&
            a.condValue == b.condValue;
+}
+
+/**
+ * The boundary an adaptive search probes next inside its bracket
+ * (lo, hi): runSearch's bisection step, and so also where a mirror
+ * probe at `hi` above the floor `lo` leaves a checkpoint for the next
+ * probe, should this one fail.
+ */
+std::size_t
+searchMidpoint(std::size_t lo, std::size_t hi)
+{
+    return lo + (hi - lo) / 2;
 }
 
 /** Per-boundary probe seed (escalation keeps the boundary's stream). */
@@ -456,7 +470,14 @@ class Prober
  *
  * A single (adaptive) probe runs on its own checker so escalation
  * rounds reuse the cached prefix statevector, with the ensemble
- * fanned across the runtime pool; a LinearScan batch fans probe-wise
+ * fanned across the runtime pool. Its assertions go to the checker in
+ * one call (AssertionChecker::checkEscalated over the spec list), so
+ * a dual probe's two breakpoints, which share the probe's seed, are
+ * read out of one path walk per round: the pre-unwind one as a tap
+ * of the walk to the probe's end. Its suspect prefix carries
+ * checkpoint markers at the search floor, at the midpoint the search
+ * probes next if this probe fails, and at the boundary
+ * (runtime/checkpoint.hh). A LinearScan batch fans probe-wise
  * through runtime::BatchRunner in bounded-memory chunks.
  */
 class MirrorProber : public Prober
@@ -535,23 +556,22 @@ class MirrorProber : public Prober
         // One checker per probe program: escalated rounds then reuse
         // its cached prefix statevector and only resample shots, and
         // the boundary-keyed seed makes each round extend the earlier
-        // ensemble (sequential testing, deterministic). The search's
-        // checkpoint store carries prefix states from probe to probe:
-        // the floor and boundary markers are where later probes
-        // resume.
+        // ensemble (sequential testing, deterministic). A dual probe's
+        // two specs share that seed, so one checker call checks both
+        // and each round walks the tail once, reading the pre-unwind
+        // breakpoint out as it passes (a tap, runtime/ensemble.hh).
+        // The search's checkpoint store carries prefix states from
+        // probe to probe: the floor, midpoint and boundary markers are
+        // where later probes resume.
         floor = std::min(floor, boundary);
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed, boundary);
         const assertions::AssertionChecker checker =
             probeChecker(buildProbe(boundary, &floor), cc, &checkpoints);
-
-        const auto specs =
-            specsFor(boundary, floor, /*family_wise=*/false);
-        std::vector<assertions::AssertionOutcome> outcomes;
-        outcomes.reserve(specs.size());
-        for (const auto &spec : specs)
-            outcomes.push_back(checker.checkEscalated(spec, policy));
-        return combineOutcomes(boundary, outcomes);
+        return combineOutcomes(
+            boundary,
+            checker.checkEscalated(
+                specsFor(boundary, floor, /*family_wise=*/false), policy));
     }
 
     std::vector<ProbeRecord>
@@ -677,7 +697,9 @@ class MirrorProber : public Prober
      * copies each instruction once: the suspect prefix, then the
      * reversed adjoint of the reference segment with its markers
      * left out. With a `floor`, the suspect prefix carries the
-     * checkpoint markers at the floor and at the boundary.
+     * checkpoint markers at the floor, at the midpoint the search
+     * probes next if this probe fails (when it lies above the floor)
+     * and at the boundary.
      */
     circuit::Circuit
     buildProbe(std::size_t boundary, const std::size_t *floor) const
@@ -687,7 +709,12 @@ class MirrorProber : public Prober
             suspect.sliceRange(0, floor != nullptr ? *floor : boundary);
         if (floor != nullptr) {
             probe.breakpoint(kFloorLabel);
-            probe.appendRange(suspect, *floor, boundary);
+            const std::size_t mid = searchMidpoint(*floor, boundary);
+            if (mid > *floor) {
+                probe.appendRange(suspect, *floor, mid);
+                probe.breakpoint(kMidpointLabel);
+            }
+            probe.appendRange(suspect, mid, boundary);
             probe.breakpoint(kBoundaryMarkLabel);
         }
         if (dualProbe(boundary))
@@ -1346,7 +1373,7 @@ runSearch(Prober &prober, const LocateConfig &cfg,
     bool located = true;
     while (true) {
         while (hi - lo > 1) {
-            const std::size_t mid = lo + (hi - lo) / 2;
+            const std::size_t mid = searchMidpoint(lo, hi);
             if (probeOne(mid, explore).failed) {
                 hi = mid;
                 failedSet.insert(mid);

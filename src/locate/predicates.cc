@@ -242,6 +242,23 @@ predicateStoreKey(const circuit::Circuit &reference,
     return os.str();
 }
 
+/**
+ * Where a pass recording the wanted boundaries ends: at the last of
+ * them (the reference's end when every boundary is wanted), since
+ * nothing after it is recorded. An overflow or a draw past it would
+ * change no recorded predicate.
+ */
+std::size_t
+passEnd(const circuit::Circuit &reference,
+        const std::vector<std::size_t> &sorted_boundaries, bool all)
+{
+    if (all)
+        return reference.size();
+    return sorted_boundaries.empty()
+               ? 0
+               : std::min(sorted_boundaries.back(), reference.size());
+}
+
 const char *
 predicateKindTag(assertions::AssertionKind kind)
 {
@@ -560,7 +577,8 @@ PredicateOracle::buildExact(
         // branch mixture through instruction k, then record the
         // weighted register marginal(s) as the boundary-(k+1)
         // predicate. The pass starts from the caller's kept mixture
-        // when it lies at or below the first wanted boundary.
+        // when it lies at or below the first wanted boundary, and
+        // ends at the last (passEnd).
         const std::size_t first_wanted =
             allBoundaries || sortedBoundaries.empty()
                 ? 0
@@ -588,7 +606,9 @@ PredicateOracle::buildExact(
 
         if (wanted(start))
             record(start, branches);
-        for (std::size_t k = start; k < reference.size(); ++k) {
+        const std::size_t end =
+            passEnd(reference, sortedBoundaries, allBoundaries);
+        for (std::size_t k = start; k < end; ++k) {
             circuit::stepBranches(reference,
                                   reference.instructions()[k],
                                   branches, kMaxBranches);
@@ -693,13 +713,15 @@ PredicateOracle::buildSampled(
         // amplitudes), its RNG stream keyed by the trial index — the
         // tallies are independent of thread count and iteration
         // order by construction.
+        const std::size_t end =
+            passEnd(reference, sortedBoundaries, allBoundaries);
         for (std::size_t t = 0; t < trials; ++t) {
             Rng traj = Rng(seed).split(t);
             sim::StateVector state(reference.numQubits());
             std::map<std::string, std::uint64_t> meas;
             if (wanted(0))
                 drawAt(0, t, state);
-            for (std::size_t k = 0; k < reference.size(); ++k) {
+            for (std::size_t k = 0; k < end; ++k) {
                 circuit::stepInstruction(reference,
                                          reference.instructions()[k],
                                          state, meas, traj);
@@ -894,7 +916,8 @@ OverlapOracle::OverlapOracle(const circuit::Circuit &reference,
 
         if (wanted(0))
             purities.emplace(0, mixturePurity(branches, qubits));
-        for (std::size_t k = 0; k < reference.size(); ++k) {
+        const std::size_t end = passEnd(reference, sorted, sorted.empty());
+        for (std::size_t k = 0; k < end; ++k) {
             circuit::stepBranches(reference,
                                   reference.instructions()[k],
                                   branches, kMaxBranches);

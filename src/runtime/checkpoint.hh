@@ -33,8 +33,15 @@
  * than the whole budget is never copied in, so wide programs behave
  * as they do without a store.
  *
- * Scope. One store per adaptive mirror search (locate.cc); engines
- * without one keep their per-breakpoint caches only.
+ * Scope. One store per adaptive mirror search (locate.cc), whose
+ * probes mark three positions of their suspect prefix: the search's
+ * passing floor, the boundary it probes next if the probe fails (the
+ * midpoint between floor and boundary) and the probed boundary. The
+ * next probe lies at that midpoint if this one fails and above the
+ * boundary if it passes, so its head resumes at its own boundary or at
+ * this one's, and simulates only the suspect instructions after that
+ * plus the probe's reference unwind. Engines without a store keep
+ * their per-breakpoint caches only.
  */
 
 #ifndef QSA_RUNTIME_CHECKPOINT_HH

@@ -367,21 +367,37 @@ setTail(BreakpointPlan &plan, const std::vector<InstructionRange> &ranges)
 constexpr std::size_t kWalkChunk = StreamBank::kMaxSlots;
 
 /**
+ * A spec read out of another spec's walk as the walk passes its
+ * breakpoint (EnsembleEngine::gather): the breakpoint's position in
+ * the program, the qubits it reads and where trial m's value goes
+ * (out[m - lo] of the walked chunk).
+ */
+struct Tap
+{
+    std::size_t position = 0;
+    const std::vector<unsigned> *qubits = nullptr;
+    std::uint64_t *out = nullptr;
+};
+
+/**
  * The Resimulate trial loop as one walk over the tree of
  * measurement-outcome paths (see ensemble.hh). A node is the group of
  * trials sharing one outcome history: one state, one measurement
  * record, one cursor into the instruction stream, and a contiguous
  * range of the walk's stream bank. The stream is the plan's tail
  * phases followed by the truncating readout of spec.qubits: one
- * CdfSampler draw per trial at each leaf (readout()).
+ * CdfSampler draw per trial at each leaf (readout()). Taps, sorted by
+ * position, are read out the same way where a node's cursor reaches
+ * their breakpoint.
  */
 class PathWalk
 {
   public:
     /** Walk trials [lo, hi) of `spec`; outcome of trial m -> out[m - lo]. */
     PathWalk(const BreakpointPlan &plan, const EnsembleSpec &spec,
-             std::size_t lo, std::size_t hi, std::uint64_t *out)
-        : plan(plan), spec(spec), out(out)
+             const std::vector<Tap> &taps, std::size_t lo, std::size_t hi,
+             std::uint64_t *out)
+        : plan(plan), spec(spec), taps(taps), out(out)
     {
         bank.seed(spec.seed, lo, hi - lo);
         // The draws the cached head's resets would have consumed.
@@ -434,10 +450,15 @@ class PathWalk
 
         /** Value of the Measure in progress. */
         std::uint64_t value = 0;
+
+        /** The first tap this node's trials have not been read out
+         *  at. */
+        std::size_t tap = 0;
     };
 
     const BreakpointPlan &plan;
     const EnsembleSpec &spec;
+    const std::vector<Tap> &taps;
     std::uint64_t *out;
 
     /** Per-trial streams; each node owns a contiguous slot range. */
@@ -502,9 +523,9 @@ class PathWalk
             collapse(node, 1);
             return std::nullopt;
         }
-        Node sibling{node.state, node.low,  node.record, ones,
-                     node.hi,    node.phase, node.pc,    node.sub,
-                     node.value};
+        Node sibling{node.state, node.low,   node.record, ones,
+                     node.hi,    node.phase, node.pc,     node.sub,
+                     node.value, node.tap};
         node.hi = ones;
         collapse(node, 0);
         collapse(sibling, 1);
@@ -512,17 +533,20 @@ class PathWalk
     }
 
     /**
-     * The truncating readout of `node`'s trials: one CdfSampler over
-     * the node's marginal of spec.qubits, and one uniform per trial
-     * from its own stream, as SampleFinalState draws its shots.
+     * A truncating readout of `node`'s trials: one CdfSampler over
+     * the node's marginal of `qubits`, and per trial the next uniform
+     * of its own stream, as SampleFinalState draws its shots. The
+     * uniform is peeked, not drawn: a tap's trials walk on from here,
+     * and at a leaf nothing draws again.
      */
     void
-    readout(const Node &node)
+    readout(const Node &node, const std::vector<unsigned> &qubits,
+            std::uint64_t *dest)
     {
-        QSA_OBS_COUNTER("sim.measurements", spec.qubits.size());
-        const CdfSampler sampler(node.state.marginalProbs(spec.qubits));
+        QSA_OBS_COUNTER("sim.measurements", qubits.size());
+        const CdfSampler sampler(node.state.marginalProbs(qubits));
         for (std::size_t slot = node.lo; slot < node.hi; ++slot)
-            out[bank.trial(slot)] = sampler.sample(bank.uniform(slot));
+            dest[bank.trial(slot)] = sampler.sample(bank.peekUniform(slot));
     }
 
     /**
@@ -535,8 +559,17 @@ class PathWalk
     {
         segments.fetch_add(1, std::memory_order_relaxed);
         while (true) {
+            // Taps lie in a monolithic plan's one phase, so a cursor
+            // at a tap's position has run every instruction before its
+            // breakpoint and none after.
+            if (node.tap < taps.size() &&
+                taps[node.tap].position == node.pc) {
+                readout(node, *taps[node.tap].qubits, taps[node.tap].out);
+                ++node.tap;
+                continue;
+            }
             if (node.phase == plan.phases.size()) {
-                readout(node);
+                readout(node, spec.qubits, out);
                 return std::nullopt;
             }
             const TailPhase &phase = plan.phases[node.phase];
@@ -654,6 +687,34 @@ class PathWalk
             pool->parallelFor(workers, worker);
     }
 };
+
+/**
+ * SampleFinalState's shots: shot m maps a uniform from
+ * Rng(seed).split(m + 1) through `sampler`, in contiguous shards, one
+ * per thread of `fan_out` (inline when null).
+ */
+void
+sampleShots(const CdfSampler &sampler, std::uint64_t seed,
+            std::vector<std::uint64_t> &out, ThreadPool *fan_out)
+{
+    const Rng master(seed);
+    const auto sample = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t m = lo; m < hi; ++m) {
+            Rng rng = master.split(m + 1);
+            out[m] = sampler.sample(rng.uniform());
+        }
+    };
+    if (fan_out == nullptr) {
+        sample(0, out.size());
+        return;
+    }
+    const std::size_t num_shards =
+        std::min<std::size_t>(fan_out->concurrency(), out.size());
+    fan_out->parallelFor(num_shards, [&](std::size_t s) {
+        const auto [lo, hi] = shardRange(s, num_shards, out.size());
+        sample(lo, hi);
+    });
+}
 
 } // anonymous namespace
 
@@ -899,57 +960,98 @@ EnsembleEngine::clearCache()
 std::vector<std::uint64_t>
 EnsembleEngine::gather(const EnsembleSpec &spec)
 {
-    if (spec.shots == 0)
-        return {};
+    return std::move(gather(std::vector<EnsembleSpec>{spec}).front());
+}
 
-    QSA_OBS_SPAN(span, "runtime.gather");
-    span.arg("breakpoint", spec.breakpoint)
-        .arg("shots", spec.shots)
-        .arg("mode", ensembleModeName(spec.mode));
-    QSA_OBS_TIMER(gather_time, "runtime.ensemble.gather");
-    QSA_OBS_COUNTER("runtime.ensemble.trials", spec.shots);
-
-    std::shared_ptr<const BreakpointPlan> plan;
-    std::shared_ptr<const CdfSampler> sampler;
-    if (spec.mode == EnsembleMode::Resimulate)
-        plan = planAt(spec.breakpoint);
-    else
-        sampler = shotSampler(spec);
-
-    std::vector<std::uint64_t> out(spec.shots);
-    // From inside a worker (e.g. a BatchRunner unit) or for a single
-    // trial the fan-out would run inline anyway — skip resolving a
-    // pool entirely.
-    ThreadPool *fan_out = ThreadPool::insideWorker() || spec.shots == 1
-                              ? nullptr
-                              : &pool();
-    if (plan != nullptr) {
-        // One walk per global chunk (see kWalkChunk).
-        for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
-            const std::size_t hi = std::min(spec.shots, lo + kWalkChunk);
-            PathWalk(*plan, spec, lo, hi, out.data() + lo).run(fan_out);
-        }
-        return out;
+std::vector<std::vector<std::uint64_t>>
+EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
+{
+    std::vector<std::vector<std::uint64_t>> outs(specs.size());
+    std::vector<char> done(specs.size(), 0);
+    // Breakpoint positions of the specs that could share a walk (a
+    // one-spec call has nothing to share).
+    std::vector<std::size_t> positions(specs.size(), 0);
+    for (std::size_t i = 0; i < specs.size() && specs.size() > 1; ++i) {
+        if (specs[i].mode == EnsembleMode::Resimulate && specs[i].shots > 0)
+            positions[i] = program->breakpointPosition(specs[i].breakpoint);
     }
-
-    const Rng master(spec.seed);
-    const auto sample = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t m = lo; m < hi; ++m) {
-            Rng rng = master.split(m + 1);
-            out[m] = sampler->sample(rng.uniform());
-        }
+    const auto byPosition = [&](std::size_t a, std::size_t b) {
+        return positions[a] < positions[b];
     };
-    if (fan_out == nullptr) {
-        sample(0, spec.shots);
-        return out;
+
+    for (std::size_t first = 0; first < specs.size(); ++first) {
+        while (!done[first]) {
+            // The open specs whose trials draw from specs[first]'s
+            // streams. The one with the latest breakpoint is walked.
+            std::vector<std::size_t> group{first};
+            for (std::size_t j = first + 1; j < specs.size(); ++j) {
+                const EnsembleSpec &a = specs[first], &b = specs[j];
+                if (!done[j] && a.mode == EnsembleMode::Resimulate &&
+                    b.mode == EnsembleMode::Resimulate &&
+                    a.seed == b.seed && a.shots == b.shots && a.shots > 0)
+                    group.push_back(j);
+            }
+            const std::size_t walked =
+                *std::max_element(group.begin(), group.end(), byPosition);
+            const EnsembleSpec &spec = specs[walked];
+            done[walked] = 1;
+            if (spec.shots == 0)
+                continue;
+
+            QSA_OBS_SPAN(span, "runtime.gather");
+            span.arg("breakpoint", spec.breakpoint)
+                .arg("shots", spec.shots)
+                .arg("mode", ensembleModeName(spec.mode));
+            QSA_OBS_TIMER(gather_time, "runtime.ensemble.gather");
+            QSA_OBS_COUNTER("runtime.ensemble.trials", spec.shots);
+
+            std::vector<std::uint64_t> &out = outs[walked];
+            out.resize(spec.shots);
+            // From inside a worker (e.g. a BatchRunner unit) or for a
+            // single trial the fan-out would run inline anyway — skip
+            // resolving a pool entirely.
+            ThreadPool *fan_out =
+                ThreadPool::insideWorker() || spec.shots == 1 ? nullptr
+                                                              : &pool();
+            if (spec.mode == EnsembleMode::SampleFinalState) {
+                sampleShots(*shotSampler(spec), spec.seed, out, fan_out);
+                continue;
+            }
+
+            // The group's other specs whose breakpoints lie in this
+            // plan's monolithic tail are read out as the walk passes
+            // them: the same head, the same tail up to there, and the
+            // same streams (ensemble.hh). Each still counts as a
+            // gather of its own.
+            const auto plan = planAt(spec.breakpoint);
+            std::vector<std::size_t> tapped;
+            for (const std::size_t j : group) {
+                if (j != walked && plan->high == nullptr &&
+                    positions[j] >= plan->phases[0].range.begin)
+                    tapped.push_back(j);
+            }
+            std::sort(tapped.begin(), tapped.end(), byPosition);
+            for (const std::size_t j : tapped) {
+                done[j] = 1;
+                outs[j].resize(spec.shots);
+                QSA_OBS_COUNTER("runtime.ensemble.trials", spec.shots);
+                QSA_OBS_COUNTER("runtime.ensemble.gather.count", 1);
+            }
+            span.arg("taps", tapped.size());
+
+            // One walk per global chunk (see kWalkChunk).
+            for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
+                const std::size_t hi = std::min(spec.shots, lo + kWalkChunk);
+                std::vector<Tap> taps;
+                for (const std::size_t j : tapped)
+                    taps.push_back(
+                        {positions[j], &specs[j].qubits, outs[j].data() + lo});
+                PathWalk(*plan, spec, taps, lo, hi, out.data() + lo)
+                    .run(fan_out);
+            }
+        }
     }
-    const std::size_t num_shards =
-        std::min<std::size_t>(fan_out->concurrency(), spec.shots);
-    fan_out->parallelFor(num_shards, [&](std::size_t s) {
-        const auto [lo, hi] = shardRange(s, num_shards, spec.shots);
-        sample(lo, hi);
-    });
-    return out;
+    return outs;
 }
 
 } // namespace qsa::runtime

@@ -75,6 +75,16 @@
  *    program, read in place. Only a tensor-staged plan copies one
  *    block, its high-qubit run, which is relabelled onto the small
  *    state.
+ *  - a multi-spec gather walks once for every Resimulate spec that
+ *    shares the walked spec's seed and trial count and whose
+ *    breakpoint lies at or after the start of the walked plan's
+ *    monolithic tail: such a spec truncates the same program earlier,
+ *    so its own plan would have the same head (the head rule stops at
+ *    the same instruction), and its own walk would be the walked
+ *    tree cut off at its breakpoint. Each node whose cursor reaches
+ *    that breakpoint reads the spec out there, a *tap*: one
+ *    CdfSampler over the node's marginal, as at a leaf. Staged plans
+ *    take no taps.
  *  - with a shared CheckpointStore (EngineOptions::checkpoints), a
  *    monolithic plan's head resumes from the longest stored prefix of
  *    its own program and stores a checkpoint at every marker it
@@ -88,10 +98,14 @@
  * sim.measurements counts one per measured qubit per path node: one
  * per tail measurement, and |qubits| per leaf for the readout,
  * however many trials share that node. runtime.resim.segments counts
- * the tail's path segments (tree nodes); a readout adds none. Certain
- * resets inside a deterministic head are applied as projections and
- * are not counted in sim.measurements, in either mode; nor is any
- * work a checkpoint resume skips.
+ * the tail's path segments (tree nodes); a readout adds none. A tap
+ * adds |qubits| to sim.measurements per tapped node and no segments;
+ * the tail before it is counted once, by the walk. Trials
+ * (runtime.ensemble.trials) and gathers (runtime.ensemble.gather's
+ * count) still count per spec, tapped or walked. Certain resets inside
+ * a deterministic head are applied as projections and are not counted
+ * in sim.measurements, in either mode; nor is any work a checkpoint
+ * resume skips.
  *
  * RNG stream layout (fixed; part of the reproducibility contract):
  *  - Resimulate: trial m uses Rng(seed).split(m) for both gate-level
@@ -105,7 +119,12 @@
  *    reset outcomes whose probability is below the ~1e-12 determinism
  *    tolerance). The path walk draws exactly the numbers each trial
  *    would draw alone, in the same order, against bit-identical
- *    states, so it changes no outcome.
+ *    states, so it changes no outcome. A tap reads trial m's next
+ *    uniform without consuming it (StreamBank::peekUniform): that is
+ *    the uniform a separate gather of the tapped spec maps through
+ *    the same marginal, since its trial m has drawn exactly the same
+ *    numbers by then, and the walk's own trial m draws on as if the
+ *    tap were not there.
  *  - SampleFinalState: the single run of the truncated program uses
  *    Rng(seed).split(0) — the heads' certain resets each discard one
  *    draw, as an uncached run's measurement of them would have made —
@@ -250,8 +269,22 @@ class EnsembleEngine
     /**
      * Gather the ensemble: trial-ordered joint measurement outcomes
      * (entry m is trial m's value, identical for any thread count).
+     * The one-spec form of the call below.
      */
     std::vector<std::uint64_t> gather(const EnsembleSpec &spec);
+
+    /**
+     * Gather several ensembles in one call: entry i is gather(specs[i])
+     * bit for bit. Resimulate specs with one seed and one trial count
+     * draw from the same trial streams, so the walk of the latest
+     * breakpoint among them reads out each other one whose breakpoint
+     * lies in its plan's monolithic tail as a *tap* (file comment);
+     * every other spec gathers alone. Throws as gathering the specs
+     * one by one would, though not necessarily for the same spec
+     * first.
+     */
+    std::vector<std::vector<std::uint64_t>>
+    gather(const std::vector<EnsembleSpec> &specs);
 
     /**
      * Drop the cached plans and shot samplers. The caches trade memory

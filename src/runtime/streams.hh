@@ -6,10 +6,11 @@
  * (ensemble.hh). A Resimulate walk draws for a group of trials at a
  * time: one bernoulli per trial at each measured qubit of the tail,
  * with one probability shared by the group, and one uniform per trial
- * for the readout at the group's leaf. The bank keeps each trial's
- * four xoshiro256** words in four planes and its trial index beside
- * them (36 bytes a slot), so seeding, discarding and drawing are loops
- * over a contiguous slot range. Each loop steps each stream exactly as
+ * for each readout of the group, at its leaf and at every tap it
+ * passes, peeked rather than drawn (peekUniform). The bank keeps each
+ * trial's four xoshiro256** words in four planes and its trial index
+ * beside them (36 bytes a slot), so seeding, discarding and drawing
+ * are loops over a contiguous slot range. Each loop steps each stream exactly as
  * Rng::next does, through the one definition in common/rng.hh, so a
  * slot's draws are its Rng's draw for draw.
  *
@@ -73,14 +74,19 @@ class StreamBank
     std::size_t partition(std::size_t lo, std::size_t hi,
                           std::uint64_t threshold);
 
-    /** The next uniform [0, 1) draw of `slot`'s stream
-     *  (Rng::uniform): a Resimulate trial's readout draw. */
+    /**
+     * The uniform [0, 1) the next draw of `slot`'s stream would give
+     * (Rng::uniform), leaving the stream where it is: a Resimulate
+     * trial's readout draw. A walk reads a tap out with it and walks
+     * on, so the trial's later draws, and its own readout, are those
+     * of a walk without the tap.
+     */
     double
-    uniform(std::size_t slot)
+    peekUniform(std::size_t slot) const
     {
-        return detail::unitInterval(detail::xoshiroStep(
-            plane(0)[slot], plane(1)[slot], plane(2)[slot],
-            plane(3)[slot]));
+        std::uint64_t a = plane(0)[slot], b = plane(1)[slot],
+                      c = plane(2)[slot], d = plane(3)[slot];
+        return detail::unitInterval(detail::xoshiroStep(a, b, c, d));
     }
 
   private:
@@ -94,6 +100,11 @@ class StreamBank
 
     /** The four word planes. */
     std::uint64_t *plane(unsigned w) { return words.get() + w * slots; }
+    const std::uint64_t *
+    plane(unsigned w) const
+    {
+        return words.get() + w * slots;
+    }
 
     void swapSlots(std::size_t a, std::size_t b);
 };

@@ -854,15 +854,34 @@ StateVector::probabilityOne(unsigned qubit) const
 std::vector<double>
 StateVector::marginalProbs(const std::vector<unsigned> &qubits) const
 {
-    for (unsigned q : qubits)
-        fatal_if(q >= nQubits, "qubit out of range");
+    // The list once, in a local array, so the bit gather below runs
+    // inline; a list of 64 or more entries has no 2^k-entry marginal.
+    const std::size_t k = qubits.size();
+    fatal_if(k >= 64, "marginal over too many qubits");
+    unsigned local[64];
+    bool identity = k == nQubits;
+    for (std::size_t j = 0; j < k; ++j) {
+        fatal_if(qubits[j] >= nQubits, "qubit out of range");
+        local[j] = qubits[j];
+        identity = identity && qubits[j] == j;
+    }
 
-    std::vector<double> probs(pow2(qubits.size()), 0.0);
+    // Every bin sums its amplitudes' weights in ascending index order.
+    std::vector<double> probs(pow2(k), 0.0);
+    if (identity) {
+        // Qubits 0, 1, ..., n-1: each bin holds one weight.
+        for (std::uint64_t i = 0; i < dim(); ++i)
+            probs[i] = std::norm(amps[i]);
+        return probs;
+    }
     for (std::uint64_t i = 0; i < dim(); ++i) {
         const double p = std::norm(amps[i]);
         if (p == 0.0)
             continue;
-        probs[extractBits(i, qubits)] += p;
+        std::uint64_t v = 0;
+        for (std::size_t j = 0; j < k; ++j)
+            v |= getBit(i, local[j]) << j;
+        probs[v] += p;
     }
     return probs;
 }

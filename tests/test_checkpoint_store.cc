@@ -8,7 +8,9 @@
  * modes and at every thread count, with work counters that do not
  * depend on the thread count. An exact oracle
  * derivation resumed from a kept branch mixture must equal the
- * from-scratch derivation, the store must stay within its byte
+ * from-scratch derivation, an oracle pass that ends at its last wanted
+ * boundary must record what a pass over the whole reference records
+ * there, the store must stay within its byte
  * budget, and localizations — which share one store per adaptive
  * mirror search — must keep the brackets, probe counts and shots
  * they had before the store existed.
@@ -406,6 +408,112 @@ TEST(CheckpointOracle, AutoOverflowBeforeTheFloorStillSamples)
     EXPECT_EQ(low.boundary, 8u);
 }
 
+/**
+ * Predicates of `got` and `want` at every wanted boundary and frame:
+ * an oracle whose pass ended at its last wanted boundary against a
+ * pass over the whole reference.
+ */
+void
+expectSameWantedPredicates(const locate::PredicateOracle &got,
+                           const locate::PredicateOracle &want,
+                           const std::vector<std::size_t> &wanted,
+                           const std::vector<locate::Frame> &frames,
+                           const std::string &what)
+{
+    EXPECT_EQ(got.sampled(), want.sampled()) << what;
+    for (const std::size_t b : wanted) {
+        for (const locate::Frame frame : frames) {
+            const auto &pred = got.at(b, frame);
+            const auto &other = want.at(b, frame);
+            EXPECT_EQ(pred.kind, other.kind) << what << " b=" << b;
+            EXPECT_EQ(pred.expectedValue, other.expectedValue) << what;
+            EXPECT_EQ(pred.expectedProbs, other.expectedProbs) << what;
+            EXPECT_EQ(pred.referenceCounts, other.referenceCounts) << what;
+            EXPECT_EQ(pred.referenceTrials, other.referenceTrials) << what;
+        }
+    }
+}
+
+TEST(CheckpointOracle, PassesEndingAtTheirLastBoundaryMatchFullPasses)
+{
+    // Each wanted set below ends before the reference does; adding the
+    // reference's end to it makes the same derivation walk the whole
+    // program. Every predicate (and purity) the short pass records
+    // must equal the long pass's, for exact, sampled and overlap
+    // oracles.
+    locate::OracleOptions exact;
+    exact.mode = locate::OracleMode::Exact;
+    locate::OracleOptions sampled;
+    sampled.mode = locate::OracleMode::Sampled;
+    sampled.sampleTrials = 256;
+    const std::vector<locate::Frame> frames{locate::Frame::Z,
+                                            locate::Frame::X};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const Circuit reference =
+            testgen::monolithicProgram(seed, 3 + seed % 2, 24);
+        const auto reg = allQubits(reference);
+        const std::size_t end = reference.size();
+        Rng rng(seed * 17);
+        for (int round = 0; round < 4; ++round) {
+            std::vector<std::size_t> wanted;
+            for (int i = 0; i < 3; ++i)
+                wanted.push_back(rng.uniformInt(end));
+            std::vector<std::size_t> full = wanted;
+            full.push_back(end);
+            const std::string what = "seed " + std::to_string(seed) +
+                                     " round " + std::to_string(round);
+            for (const auto &options : {exact, sampled}) {
+                expectSameWantedPredicates(
+                    locate::PredicateOracle(reference, reg, 11, &wanted,
+                                            frames, options),
+                    locate::PredicateOracle(reference, reg, 11, &full,
+                                            frames, options),
+                    wanted, frames,
+                    what + " " + locate::oracleModeName(options.mode));
+            }
+            const std::vector<unsigned> comparator{0, 1};
+            const locate::OverlapOracle short_pass(reference, comparator,
+                                                   wanted);
+            const locate::OverlapOracle long_pass(reference, comparator,
+                                                  full);
+            for (const std::size_t b : wanted)
+                EXPECT_EQ(short_pass.purityAt(b), long_pass.purityAt(b))
+                    << what << " b=" << b;
+        }
+    }
+}
+
+TEST(CheckpointOracle, OverflowPastTheLastWantedBoundaryDerivesExactly)
+{
+    // The mixture overflows at the 13th coin; boundary 8 lies after
+    // the third. A pass that wants only boundary 8 ends there, so it
+    // derives exactly: Exact no longer throws DeriveError and Auto no
+    // longer falls back to sampling.
+    const Circuit reference = overflowingProgram();
+    const auto reg = allQubits(reference);
+    locate::OracleOptions exact;
+    exact.mode = locate::OracleMode::Exact;
+    locate::OracleOptions automatic;
+    automatic.mode = locate::OracleMode::Auto;
+    automatic.sampleTrials = 512;
+
+    const locate::PredicateOracle pinned(reference, reg, 9, {8}, exact);
+    EXPECT_FALSE(pinned.sampled());
+    const locate::PredicateOracle fallback_free(reference, reg, 9, {8},
+                                                automatic);
+    EXPECT_FALSE(fallback_free.sampled());
+    expectSamePredicates(fallback_free, pinned, "auto at boundary 8");
+    EXPECT_EQ(pinned.at(8).kind, assertions::AssertionKind::Distribution);
+
+    // Wanting the end as well still overflows, as before.
+    const std::vector<std::size_t> with_end{8, reference.size()};
+    EXPECT_THROW(locate::PredicateOracle(reference, reg, 9, with_end, exact),
+                 DeriveError);
+    EXPECT_TRUE(
+        locate::PredicateOracle(reference, reg, 9, with_end, automatic)
+            .sampled());
+}
+
 // --- Budget ------------------------------------------------------------------
 
 TEST(CheckpointBudget, StoredBytesStayWithinTheBudget)
@@ -746,8 +854,15 @@ paperFixtures()
     return out;
 }
 
+/**
+ * Every fixture keeps its pinned bracket, probes and shots, and, under
+ * QSA_OBS, resumes from the store at least once; a fixture named in
+ * `resumed` also resumes exactly that many instructions
+ * (runtime.checkpoint.resumed_instructions).
+ */
 void
-expectPinned(const std::vector<Fixture> &fixtures)
+expectPinned(const std::vector<Fixture> &fixtures,
+             const std::map<std::string, std::int64_t> &resumed = {})
 {
     for (const Fixture &fx : fixtures) {
         obs::Registry::reset();
@@ -761,6 +876,14 @@ expectPinned(const std::vector<Fixture> &fixtures)
         EXPECT_EQ(report.totalMeasurements, fx.pinned.shots) << fx.name;
 #if QSA_OBS_ENABLED
         EXPECT_GT(counter("runtime.checkpoint.hits"), 0) << fx.name;
+        const auto pin = resumed.find(fx.name);
+        if (pin != resumed.end()) {
+            EXPECT_EQ(counter("runtime.checkpoint.resumed_instructions"),
+                      pin->second)
+                << fx.name;
+        }
+#else
+        (void)resumed;
 #endif
     }
 }
@@ -777,7 +900,13 @@ TEST(CheckpointLocator, MeasureFixturesKeepTheirTrajectories)
 
 TEST(CheckpointLocator, PaperWrongInversePairsKeepTheirTrajectories)
 {
-    expectPinned(paperFixtures());
+    // Full Shor resumes more than its heads alone would: each probe
+    // also marks the midpoint the search probes next if it fails.
+    // Semiclassical Shor builds one plan per probe, not two: a
+    // dual probe's pre-unwind breakpoint is a tap of its walk.
+    expectPinned(paperFixtures(), {{"shor/wrong-inverse", 9985},
+                                   {"semiclassical-shor/wrong-inverse",
+                                    8082}});
 }
 
 } // anonymous namespace

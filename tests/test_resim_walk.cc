@@ -15,8 +15,10 @@
  * is one runCircuit on Rng(seed).split(0), a CdfSampler over its
  * marginal, and shot m drawn from Rng(seed).split(m + 1). Every
  * comparison runs at each kernel level the host has, since the walk's
- * state-vector kernels have a body per level. The trial streams' bank
- * (runtime/streams.hh) is checked against Rng draw for draw.
+ * state-vector kernels have a body per level. A multi-spec gather,
+ * whose walk reads the specs at earlier breakpoints out as taps, must
+ * return spec by spec what separate gathers return. The trial streams'
+ * bank (runtime/streams.hh) is checked against Rng draw for draw.
  */
 
 #include <gtest/gtest.h>
@@ -314,6 +316,149 @@ TEST(ResimWalk, ChunkedEnsemblesMatchAcrossChunkBoundaries)
     }
 }
 
+/**
+ * One multi-spec gather of `specs` against a separate gather of each,
+ * at each kernel level and thread count 1, 4 and 0. Under QSA_OBS the
+ * work must not depend on the thread count, and with `expect_taps`
+ * the multi-spec gather must have built fewer plans than the separate
+ * gathers, which it only skips for specs it read out as taps.
+ */
+void
+expectTapsMatchSeparateGathers(const Circuit &instrumented,
+                               const std::vector<runtime::EnsembleSpec> &specs,
+                               unsigned tensor_split, bool expect_taps)
+{
+    std::vector<std::vector<std::uint64_t>> separate;
+    obs::Registry::reset();
+    {
+        runtime::EnsembleEngine engine(instrumented, 1,
+                                       runtime::EngineOptions{tensor_split});
+        for (const auto &spec : specs)
+            separate.push_back(engine.gather(spec));
+    }
+#if QSA_OBS_ENABLED
+    const std::int64_t separate_plans =
+        workCounters()["runtime.head_cache.misses"];
+    std::map<std::string, std::int64_t> serial_work;
+#endif
+    for (const auto level : hostLevels()) {
+        const sim::detail::ScopedKernelLevel forced(level);
+        for (const unsigned threads : {1u, 4u, 0u}) {
+            const std::string where =
+                "threads=" + std::to_string(threads) +
+                " level=" + sim::detail::kernelLevelName(level);
+            obs::Registry::reset();
+            runtime::EnsembleEngine engine(
+                instrumented, threads, runtime::EngineOptions{tensor_split});
+            const auto joint = engine.gather(specs);
+            ASSERT_EQ(joint.size(), specs.size()) << where;
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                EXPECT_EQ(joint[i], separate[i])
+                    << "spec " << i << " at " << specs[i].breakpoint << " "
+                    << where;
+#if QSA_OBS_ENABLED
+            auto work = workCounters();
+            if (expect_taps) {
+                EXPECT_LT(work["runtime.head_cache.misses"], separate_plans)
+                    << where;
+            }
+            if (serial_work.empty())
+                serial_work = work;
+            else
+                EXPECT_EQ(work, serial_work) << where;
+#else
+            (void)expect_taps;
+#endif
+        }
+    }
+}
+
+/**
+ * A spec per boundary of `program` on one seed and trial count, so a
+ * walk of the last boundary taps every boundary of its tail: the one
+ * where the tail starts, before the first split, and those inside
+ * split subtrees. Around them: a second spec at the walked breakpoint
+ * and at a tapped one (two specs at one breakpoint), a spec on
+ * another seed and a SampleFinalState spec, each of which gathers
+ * alone.
+ */
+std::vector<runtime::EnsembleSpec>
+tapSpecs(const Circuit &program, std::uint64_t seed, std::size_t shots)
+{
+    std::vector<runtime::EnsembleSpec> specs;
+    const auto add = [&](std::size_t k, std::vector<unsigned> qubits,
+                         runtime::EnsembleMode mode,
+                         std::uint64_t spec_seed) {
+        runtime::EnsembleSpec spec;
+        spec.breakpoint = kBoundary + std::to_string(k);
+        spec.qubits = std::move(qubits);
+        spec.shots = shots;
+        spec.mode = mode;
+        spec.seed = spec_seed;
+        specs.push_back(std::move(spec));
+    };
+    const unsigned n = program.numQubits();
+    const std::size_t last = program.size();
+    const auto resim = runtime::EnsembleMode::Resimulate;
+    for (std::size_t k = 0; k <= last; ++k) {
+        add(k, readoutQubits(n, k), resim, seed);
+        if (k == last / 2) {
+            add(k, readoutQubits(n, k + 1), resim, seed);
+            add(k, readoutQubits(n, k), resim, seed + 1);
+            add(k, readoutQubits(n, k),
+                runtime::EnsembleMode::SampleFinalState, seed);
+        }
+    }
+    add(last, readoutQubits(n, last + 2), resim, seed);
+    // The walked spec in the middle of the list, not first or last.
+    std::rotate(specs.begin(), specs.begin() + specs.size() / 2,
+                specs.end());
+    return specs;
+}
+
+TEST(ResimWalk, TapsMatchSeparateGathers)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        SCOPED_TRACE("program seed " + std::to_string(seed));
+        const Circuit program = monolithicProgram(seed, 3 + seed % 3, 28);
+        expectTapsMatchSeparateGathers(
+            program.withBoundaryBreakpoints(kBoundary),
+            tapSpecs(program, 0x7a95 * seed, 96), 0, true);
+    }
+}
+
+TEST(ResimWalk, StagedPlansTakeNoTapsAndStillMatch)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("program seed " + std::to_string(seed));
+        const unsigned split = 2 + seed % 2;
+        const Circuit program = stagedProgram(seed + 100, split, 12);
+        expectTapsMatchSeparateGathers(
+            program.withBoundaryBreakpoints(kBoundary),
+            tapSpecs(program, 0x57a7 * seed, 64), split, false);
+    }
+}
+
+TEST(ResimWalk, TapsMatchAcrossChunkBoundaries)
+{
+    // Past 8192 trials each global chunk is a walk of its own, and
+    // each reads its taps out into its own stretch of their vectors.
+    const Circuit program = monolithicProgram(77, 3, 16);
+    std::vector<runtime::EnsembleSpec> specs;
+    for (const std::size_t k : {program.size(), program.size() - 5,
+                                program.size() - 9, program.size()}) {
+        runtime::EnsembleSpec spec;
+        spec.breakpoint = kBoundary + std::to_string(k);
+        spec.qubits = readoutQubits(program.numQubits(), k + specs.size());
+        spec.shots = 8192 + 517;
+        spec.mode = runtime::EnsembleMode::Resimulate;
+        spec.seed = 0xc4a2;
+        specs.push_back(std::move(spec));
+    }
+    expectTapsMatchSeparateGathers(program.withBoundaryBreakpoints(kBoundary),
+                                   specs, 0, true);
+}
+
 TEST(ResimWalk, InlineInsideAWorkerMatches)
 {
     // A gather issued from a pool worker (as BatchRunner units do)
@@ -500,7 +645,42 @@ TEST(StreamBank, SlotsAreSplitStreamsDrawForDraw)
                 ASSERT_LT(t, count);
                 EXPECT_FALSE(seen[t]);
                 seen[t] = true;
-                EXPECT_EQ(bank.uniform(slot), ref[t].uniform());
+                EXPECT_EQ(bank.peekUniform(slot), ref[t].uniform());
+            }
+        }
+    }
+}
+
+TEST(StreamBank, PeekLeavesTheStream)
+{
+    // A peek is the uniform of the stream's next draw and moves
+    // nothing: peeking again gives it again, and the draws that
+    // follow (a partition, a discard, the next peek) are the stream's
+    // own, as if nothing had been peeked.
+    const std::size_t count = 70;
+    runtime::StreamBank bank;
+    bank.seed(0x9eec, 5, count);
+    std::vector<Rng> ref;
+    for (std::size_t i = 0; i < count; ++i)
+        ref.push_back(Rng(0x9eec).split(5 + i));
+    for (int round = 0; round < 6; ++round) {
+        for (std::size_t slot = 0; slot < count; ++slot) {
+            const double peeked = bank.peekUniform(slot);
+            EXPECT_EQ(bank.peekUniform(slot), peeked);
+            Rng ahead = ref[bank.trial(slot)];
+            EXPECT_EQ(peeked, ahead.uniform()) << "slot " << slot;
+        }
+        if (round % 2 == 0) {
+            const std::size_t ones =
+                bank.partition(0, count, runtime::bernoulliThreshold(0.4));
+            for (std::size_t slot = 0; slot < count; ++slot)
+                EXPECT_EQ(slot >= ones, ref[bank.trial(slot)].bernoulli(0.4))
+                    << "round " << round << " slot " << slot;
+        } else {
+            bank.discard(0, count, 2);
+            for (Rng &rng : ref) {
+                rng.next();
+                rng.next();
             }
         }
     }

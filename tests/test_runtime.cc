@@ -543,6 +543,162 @@ TEST(CheckerRuntime, ClearRuntimeCacheIsTransparent)
     EXPECT_EQ(before.countsA, after.countsA);
 }
 
+// --- Spec-list escalation --------------------------------------------------
+
+void
+expectSameOutcome(const assertions::AssertionOutcome &got,
+                  const assertions::AssertionOutcome &want,
+                  const std::string &where)
+{
+    EXPECT_EQ(got.spec.name, want.spec.name) << where;
+    EXPECT_EQ(got.pValue, want.pValue) << where;
+    EXPECT_EQ(got.statistic, want.statistic) << where;
+    EXPECT_EQ(got.df, want.df) << where;
+    EXPECT_EQ(got.ensembleSize, want.ensembleSize) << where;
+    EXPECT_EQ(got.effectiveAlpha, want.effectiveAlpha) << where;
+    EXPECT_EQ(got.passed, want.passed) << where;
+    EXPECT_EQ(got.countsA, want.countsA) << where;
+    EXPECT_EQ(got.jointCounts, want.jointCounts) << where;
+    EXPECT_EQ(got.cramersV, want.cramersV) << where;
+    EXPECT_EQ(got.impossibleOutcome, want.impossibleOutcome) << where;
+}
+
+/**
+ * A coin measured mid-circuit, then two breakpoints in the tail:
+ * "mid", where qubit 1 reads 1 whatever the coin, and "end", where
+ * qubit 0 (re-randomised) and qubit 2 (rotated on heads) are
+ * independent. A Classical assertion at "mid" is final at once
+ * (p = 1); an Entangled one at "end" is not rejected, so it escalates.
+ */
+circuit::Circuit
+escalationProgram()
+{
+    circuit::Circuit circ(3);
+    circ.h(0);
+    circ.measureQubits({0}, "coin");
+    circ.x(1);
+    circ.breakpoint("mid");
+    circ.ry(2, 0.7);
+    circ.conditionLast("coin", 1);
+    circ.h(0);
+    circ.breakpoint("end");
+    return circ;
+}
+
+TEST(CheckerRuntime, SpecListEscalationMatchesPerSpecChecks)
+{
+    const auto program = escalationProgram();
+    assertions::AssertionSpec mid;
+    mid.kind = assertions::AssertionKind::Classical;
+    mid.breakpoint = "mid";
+    mid.regA = circuit::QubitRegister("one", {1});
+    mid.expectedValue = 1;
+    mid.name = "mid";
+    assertions::AssertionSpec end;
+    end.kind = assertions::AssertionKind::Entangled;
+    end.breakpoint = "end";
+    end.regA = circuit::QubitRegister("zero", {0});
+    end.regB = circuit::QubitRegister("two", {2});
+    end.name = "end";
+    assertions::AssertionSpec superposed = end;
+    superposed.kind = assertions::AssertionKind::Superposition;
+    superposed.name = "end-superposed";
+    const assertions::EscalationPolicy policy{32, 512, 0.3};
+
+    for (const unsigned threads : {1u, 4u, 0u}) {
+        assertions::CheckConfig cfg;
+        cfg.mode = assertions::EnsembleMode::Resimulate;
+        cfg.seed = 0xe5ca1;
+        cfg.numThreads = threads;
+        for (const auto &specs :
+             {std::vector<assertions::AssertionSpec>{mid, end},
+              std::vector<assertions::AssertionSpec>{end, superposed, mid}}) {
+            const std::string where = "threads=" + std::to_string(threads) +
+                                      " specs=" +
+                                      std::to_string(specs.size());
+            obs::Registry::reset();
+            std::vector<assertions::AssertionOutcome> separate;
+            {
+                const assertions::AssertionChecker checker(program, cfg);
+                for (const auto &spec : specs)
+                    separate.push_back(checker.checkEscalated(spec, policy));
+            }
+            const std::int64_t separate_trials =
+                counterValue("runtime.ensemble.trials");
+            const std::int64_t separate_checks =
+                counterValue("assertions.checks");
+            const std::int64_t separate_plans =
+                counterValue("runtime.head_cache.misses");
+
+            obs::Registry::reset();
+            const assertions::AssertionChecker checker(program, cfg);
+            const auto together = checker.checkEscalated(specs, policy);
+            ASSERT_EQ(together.size(), specs.size()) << where;
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                expectSameOutcome(together[i], separate[i],
+                                  where + " " + specs[i].name);
+#if QSA_OBS_ENABLED
+            // No spec is gathered after it is final, and "mid" is read
+            // out of the walk of "end" in the first round.
+            EXPECT_EQ(counterValue("runtime.ensemble.trials"),
+                      separate_trials)
+                << where;
+            EXPECT_EQ(counterValue("assertions.checks"), separate_checks)
+                << where;
+            EXPECT_LT(counterValue("runtime.head_cache.misses"),
+                      separate_plans)
+                << where;
+#else
+            (void)separate_trials;
+            (void)separate_checks;
+            (void)separate_plans;
+#endif
+        }
+    }
+
+    // The case the round-by-round loop exists for: "mid" is final
+    // after its first round while "end" escalates past it.
+    assertions::CheckConfig cfg;
+    cfg.mode = assertions::EnsembleMode::Resimulate;
+    cfg.seed = 0xe5ca1;
+    const assertions::AssertionChecker checker(program, cfg);
+    const auto outcomes = checker.checkEscalated({mid, end}, policy);
+    EXPECT_EQ(outcomes[0].ensembleSize, policy.initialSize);
+    EXPECT_GT(outcomes[1].ensembleSize, policy.initialSize);
+}
+
+TEST(EnsembleEngine, TappedGatherThrowsAsItsSpecsWould)
+{
+    // A walk that fails past a tap's breakpoint fails the whole call,
+    // as the walked spec's own gather would, and wakes every pool
+    // worker it handed a subtree to.
+    auto program = unmeasuredConditionProgram();
+    circuit::Circuit tapped(program.numQubits());
+    const auto &insts = program.instructions();
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+        if (i > 0 && insts[i - 1].kind == circuit::GateKind::Measure)
+            tapped.breakpoint("after_measure");
+        tapped.appendRange(program, i, i + 1);
+    }
+    runtime::EnsembleSpec early;
+    early.breakpoint = "after_measure";
+    early.qubits = {0, 1};
+    early.shots = 256;
+    early.mode = runtime::EnsembleMode::Resimulate;
+    early.seed = 7;
+    runtime::EnsembleSpec late = early;
+    late.breakpoint = "end";
+    for (unsigned threads : {1u, 4u}) {
+        runtime::EnsembleEngine engine(tapped, threads);
+        for (int call = 0; call < 2; ++call) {
+            EXPECT_THROW_MESSAGE(engine.gather({early, late}), qsa::Error,
+                                 "unmeasured label 'never'");
+        }
+        // Alone, the early spec walks only up to its breakpoint.
+        EXPECT_EQ(engine.gather(early).size(), early.shots);
+    }
+}
+
 // --- BatchRunner -----------------------------------------------------------
 
 TEST(BatchRunner, MatchesSerialCheckAll)

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "common/bits.hh"
 #include "common/rng.hh"
 #include "sim/gates.hh"
 #include "sim/matrix.hh"
@@ -247,6 +248,53 @@ TEST(StateVector, MarginalOrderMatters)
     const auto msb_first = sv.marginalProbs({1, 0});
     EXPECT_NEAR(lsb_first[0b10], 1.0, tol);
     EXPECT_NEAR(msb_first[0b01], 1.0, tol);
+}
+
+TEST(StateVector, MarginalMatchesThePerAmplitudeGather)
+{
+    // marginalProbs against the loop it replaced: extractBits per
+    // nonzero amplitude, bins summed in ascending index order. The
+    // sums must agree bit for bit on the identity register, permuted,
+    // partial and repeated lists, and a 1-qubit state.
+    const auto reference = [](const StateVector &sv,
+                              const std::vector<unsigned> &qubits) {
+        std::vector<double> probs(pow2(qubits.size()), 0.0);
+        const auto &amps = sv.amplitudes();
+        for (std::uint64_t i = 0; i < amps.size(); ++i) {
+            const double p = std::norm(amps[i]);
+            if (p == 0.0)
+                continue;
+            probs[extractBits(i, qubits)] += p;
+        }
+        return probs;
+    };
+    Rng rng(0x3a291);
+    for (const unsigned n : {1u, 3u, 6u, 9u}) {
+        StateVector sv(n);
+        std::vector<Complex> amps(pow2(n));
+        for (auto &a : amps) {
+            // Some exact zeros, as a collapsed state has.
+            a = rng.uniform() < 0.2
+                    ? Complex(0.0, 0.0)
+                    : Complex(rng.uniform() - 0.5, rng.uniform() - 0.5);
+        }
+        sv.setAmplitudes(amps);
+        std::vector<unsigned> identity(n);
+        for (unsigned q = 0; q < n; ++q)
+            identity[q] = q;
+        std::vector<std::vector<unsigned>> lists{identity};
+        std::vector<unsigned> reversed(identity.rbegin(), identity.rend());
+        lists.push_back(reversed);
+        lists.push_back({n - 1});
+        lists.push_back({0, n - 1, 0});
+        if (n > 2) {
+            lists.push_back({2, 0});
+            lists.push_back({1, 2, 0});
+        }
+        for (const auto &qubits : lists)
+            EXPECT_EQ(sv.marginalProbs(qubits), reference(sv, qubits))
+                << "n=" << n << " qubits=" << qubits.size();
+    }
 }
 
 TEST(StateVector, PurityProductState)
