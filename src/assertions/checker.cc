@@ -334,6 +334,7 @@ AssertionChecker::checkEscalated(const std::vector<AssertionSpec> &specs,
     for (std::size_t size = policy.initialSize; !open.empty();
          size = std::min(policy.maxSize, size * 2)) {
         std::vector<const AssertionSpec *> round;
+        round.reserve(open.size());
         for (const std::size_t i : open)
             round.push_back(&specs[i]);
         auto results = checkWithSize(round, size);

@@ -1043,6 +1043,7 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
             for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
                 const std::size_t hi = std::min(spec.shots, lo + kWalkChunk);
                 std::vector<Tap> taps;
+                taps.reserve(tapped.size());
                 for (const std::size_t j : tapped)
                     taps.push_back(
                         {positions[j], &specs[j].qubits, outs[j].data() + lo});

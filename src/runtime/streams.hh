@@ -10,9 +10,9 @@
  * passes, peeked rather than drawn (peekUniform). The bank keeps each
  * trial's four xoshiro256** words in four planes and its trial index
  * beside them (36 bytes a slot), so seeding, discarding and drawing
- * are loops over a contiguous slot range. Each loop steps each stream exactly as
- * Rng::next does, through the one definition in common/rng.hh, so a
- * slot's draws are its Rng's draw for draw.
+ * are loops over a contiguous slot range. Each loop steps each stream
+ * exactly as Rng::next does, through the one definition in
+ * common/rng.hh, so a slot's draws are its Rng's draw for draw.
  *
  * A walk node owns a contiguous slot range; a measurement partitions
  * the range in place, so a split hands each branch a sub-range and
