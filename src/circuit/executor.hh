@@ -48,12 +48,11 @@ void runCircuitOn(const Circuit &circ, sim::StateVector &state,
 
 /**
  * Execute a single instruction of `circ` onto an existing state —
- * the loop body of runCircuitOn, exposed so trajectory-stepping
- * callers (e.g. the sampled oracle, which needs the state at every
- * boundary of one sampled run) produce amplitudes bit-identical to a
- * full runCircuitOn pass. Honors the instruction's classical
- * condition against `measurements` and records Measure outcomes
- * into it.
+ * the loop body of runCircuitOn, exposed so callers that need the
+ * state between instructions of one run produce amplitudes
+ * bit-identical to a full runCircuitOn pass. Honors the
+ * instruction's classical condition against `measurements` and
+ * records Measure outcomes into it.
  */
 void stepInstruction(const Circuit &circ, const Instruction &inst,
                      sim::StateVector &state,

@@ -20,6 +20,7 @@
 #include "common/rng.hh"
 #include "obs/obs.hh"
 #include "runtime/checkpoint.hh"
+#include "runtime/walk.hh"
 #include "sim/gates.hh"
 
 namespace qsa::locate
@@ -87,29 +88,36 @@ classify(const std::vector<double> &probs)
 }
 
 /**
- * Weighted register marginal over a measurement-branch mixture, read
- * in `frame`: each branch state is rotated by the frame's
- * basis-change epilogue before marginalisation — exactly the
- * distribution a probe carrying frameEpilogue(reg, frame) samples.
+ * The marginal of `state` over `qubits`, read in `frame`: the state is
+ * first rotated by the frame's basis-change epilogue, so this is
+ * exactly the distribution a probe carrying
+ * appendFrameEpilogue(qubits, frame) samples.
  */
+std::vector<double>
+frameMarginal(const sim::StateVector &state,
+              const std::vector<unsigned> &qubits, Frame frame)
+{
+    if (frame == Frame::Z)
+        return state.marginalProbs(qubits);
+    sim::StateVector rotated = state;
+    for (unsigned q : qubits) {
+        if (frame == Frame::Y)
+            rotated.applyGate(sim::gates::sdg(), q);
+        rotated.applyGate(sim::gates::h(), q);
+    }
+    return rotated.marginalProbs(qubits);
+}
+
+/** Weighted register marginal over a measurement-branch mixture, read
+ *  in `frame` (frameMarginal of each branch). */
 std::vector<double>
 mixtureMarginal(const std::vector<circuit::ExecutionBranch> &branches,
                 const std::vector<unsigned> &qubits, Frame frame)
 {
     std::vector<double> probs(pow2(qubits.size()), 0.0);
     for (const auto &branch : branches) {
-        std::vector<double> marginal;
-        if (frame == Frame::Z) {
-            marginal = branch.state.marginalProbs(qubits);
-        } else {
-            sim::StateVector rotated = branch.state;
-            for (unsigned q : qubits) {
-                if (frame == Frame::Y)
-                    rotated.applyGate(sim::gates::sdg(), q);
-                rotated.applyGate(sim::gates::h(), q);
-            }
-            marginal = rotated.marginalProbs(qubits);
-        }
+        const std::vector<double> marginal =
+            frameMarginal(branch.state, qubits, frame);
         for (std::size_t v = 0; v < probs.size(); ++v)
             probs[v] += branch.weight * marginal[v];
     }
@@ -200,21 +208,46 @@ advanceMixture(const circuit::Circuit &reference, BranchMixture &mixture,
 }
 
 /**
- * Canonical store key for a predicate-oracle derivation: payload
- * schema version, reference content hash, probed qubits, recorded
- * boundary set ("all" for the dense form), frames in probe order —
- * and, for sampled derivations, the trial budget and master seed
- * (two sampled derivations agree only when both match; an exact
- * derivation depends on neither). Everything the derivation depends
- * on is in the key, so a hit is usable as-is and a version bump
- * invalidates every old entry.
+ * The boundaries a derivation records: every one (`all`), or those in
+ * the ascending list `sorted` (repeats allowed).
+ */
+struct Wanted
+{
+    const std::vector<std::size_t> &sorted;
+    bool all = false;
+
+    bool
+    operator()(std::size_t b) const
+    {
+        return all || std::binary_search(sorted.begin(), sorted.end(), b);
+    }
+
+    /**
+     * Where a pass recording them over `reference` ends: at the last
+     * (the reference's end when every boundary is wanted), since
+     * nothing after it is recorded. An overflow or a draw past it
+     * would change no recorded predicate.
+     */
+    std::size_t
+    end(const circuit::Circuit &reference) const
+    {
+        if (all)
+            return reference.size();
+        return sorted.empty() ? 0 : std::min(sorted.back(), reference.size());
+    }
+};
+
+/**
+ * Canonical store key of a derivation over the `wanted` boundaries of
+ * `reference` on `qubits`: payload schema version, reference content
+ * hash, probed qubits and boundary set ("all" for the dense form, else
+ * the distinct boundaries in order). Everything an overlap derivation
+ * depends on; predicate keys add the rest (predicateStoreKey), so a
+ * hit is usable as-is and a version bump invalidates every old entry.
  */
 std::string
-predicateStoreKey(const circuit::Circuit &reference,
-                  const std::vector<unsigned> &qubits,
-                  const std::vector<std::size_t> *boundaries,
-                  const std::vector<Frame> &frames,
-                  std::size_t sample_trials, std::uint64_t seed)
+storeKey(const circuit::Circuit &reference,
+         const std::vector<unsigned> &qubits, const Wanted &wanted)
 {
     std::ostringstream os;
     os << "v2:" << std::hex << reference.contentHash() << std::dec
@@ -222,17 +255,32 @@ predicateStoreKey(const circuit::Circuit &reference,
     for (std::size_t i = 0; i < qubits.size(); ++i)
         os << (i ? "," : "") << qubits[i];
     os << ":b";
-    if (boundaries == nullptr) {
+    if (wanted.all) {
         os << "all";
     } else {
-        std::vector<std::size_t> sorted = *boundaries;
-        std::sort(sorted.begin(), sorted.end());
-        sorted.erase(std::unique(sorted.begin(), sorted.end()),
-                     sorted.end());
-        for (std::size_t i = 0; i < sorted.size(); ++i)
-            os << (i ? "," : "") << sorted[i];
+        std::vector<std::size_t> distinct = wanted.sorted;
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        for (std::size_t i = 0; i < distinct.size(); ++i)
+            os << (i ? "," : "") << distinct[i];
     }
-    os << ":f";
+    return os.str();
+}
+
+/**
+ * Store key of a predicate-oracle derivation: storeKey, then the
+ * frames in probe order and, for sampled derivations, the trial
+ * budget and master seed (two sampled derivations agree only when
+ * both match; an exact derivation depends on neither).
+ */
+std::string
+predicateStoreKey(const circuit::Circuit &reference,
+                  const std::vector<unsigned> &qubits,
+                  const Wanted &wanted, const std::vector<Frame> &frames,
+                  std::size_t sample_trials, std::uint64_t seed)
+{
+    std::ostringstream os;
+    os << storeKey(reference, qubits, wanted) << ":f";
     for (Frame frame : frames)
         os << frameName(frame);
     if (sample_trials != 0) {
@@ -240,23 +288,6 @@ predicateStoreKey(const circuit::Circuit &reference,
            << std::dec;
     }
     return os.str();
-}
-
-/**
- * Where a pass recording the wanted boundaries ends: at the last of
- * them (the reference's end when every boundary is wanted), since
- * nothing after it is recorded. An overflow or a draw past it would
- * change no recorded predicate.
- */
-std::size_t
-passEnd(const circuit::Circuit &reference,
-        const std::vector<std::size_t> &sorted_boundaries, bool all)
-{
-    if (all)
-        return reference.size();
-    return sorted_boundaries.empty()
-               ? 0
-               : std::min(sorted_boundaries.back(), reference.size());
 }
 
 const char *
@@ -340,16 +371,60 @@ PredicateOracle::PredicateOracle(
 namespace
 {
 
-/** Serialize a predicate map for the oracle store (see build()). */
+/**
+ * A store payload: {"v": 1, "total": total, "entries": entries}, one
+ * entry per recorded boundary (and frame).
+ */
 std::string
-serializePredicates(
-    std::size_t total,
-    const std::map<std::pair<std::size_t, Frame>, BoundaryPredicate>
-        &preds)
+payloadOf(std::size_t total, json::Value entries)
 {
     json::Value doc = json::Value::object();
     doc.set("v", json::Value::integer(1));
     doc.set("total", json::Value::integer(total));
+    doc.set("entries", std::move(entries));
+    return doc.dump();
+}
+
+/**
+ * Parse a payloadOf() document for `total` boundaries into a fresh
+ * map, adding each entry with add(entry, map). False on any shape
+ * mismatch (add returns false on a bad entry): the caller then just
+ * re-derives.
+ */
+template <typename Map, typename Add>
+bool
+restoreEntries(const std::string &payload, std::size_t total, Map *out,
+               const Add &add)
+{
+    json::Value doc;
+    if (!json::Value::parse(payload, &doc))
+        return false;
+    try {
+        const json::Value *v = doc.find("v");
+        const json::Value *t = doc.find("total");
+        const json::Value *entries = doc.find("entries");
+        if (v == nullptr || v->asUint64() != 1 || t == nullptr ||
+            t->asUint64() != total || entries == nullptr ||
+            !entries->isArray())
+            return false;
+        Map restored;
+        for (std::size_t i = 0; i < entries->size(); ++i) {
+            if (!add(entries->at(i), restored))
+                return false;
+        }
+        *out = std::move(restored);
+        return true;
+    } catch (const json::TypeError &) {
+        return false;
+    }
+}
+
+/** Serialize a predicate map for the oracle store (see build()). */
+std::string
+serialize(std::size_t total,
+          const std::map<std::pair<std::size_t, Frame>, BoundaryPredicate>
+              &preds)
+{
     json::Value entries = json::Value::array();
     for (const auto &entry : preds) {
         const BoundaryPredicate &pred = entry.second;
@@ -376,89 +451,124 @@ serializePredicates(
         }
         entries.push(std::move(e));
     }
-    doc.set("entries", std::move(entries));
-    return doc.dump();
+    return payloadOf(total, std::move(entries));
+}
+
+/** Parse a stored predicate payload back into a map. */
+bool
+restore(const std::string &payload, std::size_t total,
+        std::map<std::pair<std::size_t, Frame>, BoundaryPredicate> *out)
+{
+    const auto add = [](const json::Value &e, auto &restored) {
+        const json::Value *b = e.find("b");
+        const json::Value *f = e.find("f");
+        const json::Value *k = e.find("k");
+        if (b == nullptr || f == nullptr || k == nullptr)
+            return false;
+        const Frame *frame = std::find_if(
+            std::begin(kAllFrames), std::end(kAllFrames),
+            [&](Frame named) { return frameName(named) == f->asString(); });
+        if (frame == std::end(kAllFrames))
+            return false;
+        BoundaryPredicate pred;
+        if (k->asString() == "classical") {
+            pred.kind = assertions::AssertionKind::Classical;
+            const json::Value *value = e.find("value");
+            if (value == nullptr)
+                return false;
+            pred.expectedValue = value->asUint64();
+        } else if (k->asString() == "superposition") {
+            pred.kind = assertions::AssertionKind::Superposition;
+        } else if (k->asString() == "distribution") {
+            pred.kind = assertions::AssertionKind::Distribution;
+            const json::Value *probs = e.find("probs");
+            if (probs == nullptr || !probs->isArray())
+                return false;
+            for (std::size_t p = 0; p < probs->size(); ++p)
+                pred.expectedProbs.push_back(probs->at(p).asDouble());
+        } else {
+            return false;
+        }
+        const json::Value *counts = e.find("counts");
+        const json::Value *trials = e.find("trials");
+        if ((counts == nullptr) != (trials == nullptr))
+            return false;
+        if (counts != nullptr) {
+            if (!counts->isArray())
+                return false;
+            for (std::size_t c = 0; c < counts->size(); ++c)
+                pred.referenceCounts.push_back(counts->at(c).asDouble());
+            pred.referenceTrials = trials->asUint64();
+            if (pred.referenceTrials == 0)
+                return false;
+        }
+        restored.emplace(std::make_pair(b->asUint64(), *frame),
+                         std::move(pred));
+        return true;
+    };
+    return restoreEntries(payload, total, out, add);
+}
+
+/** Serialize an overlap oracle's purities for the oracle store. */
+std::string
+serialize(std::size_t total, const std::map<std::size_t, double> &purities)
+{
+    json::Value entries = json::Value::array();
+    for (const auto &entry : purities) {
+        json::Value e = json::Value::object();
+        e.set("b", json::Value::integer(entry.first));
+        e.set("p", json::Value::number(entry.second));
+        entries.push(std::move(e));
+    }
+    return payloadOf(total, std::move(entries));
+}
+
+/** Parse stored purities back into a map. */
+bool
+restore(const std::string &payload, std::size_t total,
+        std::map<std::size_t, double> *out)
+{
+    const auto add = [](const json::Value &e, auto &restored) {
+        const json::Value *b = e.find("b");
+        const json::Value *p = e.find("p");
+        if (b == nullptr || p == nullptr)
+            return false;
+        restored.emplace(b->asUint64(), p->asDouble());
+        return true;
+    };
+    return restoreEntries(payload, total, out, add);
 }
 
 /**
- * Parse a stored predicate payload back into a map. Returns false on
- * any shape mismatch — the caller then just re-derives.
+ * Fill `out` from the installed oracle store (common::artifactStore)
+ * when its `kind` entry under key() restores and covered(b) holds for
+ * every boundary b < total; otherwise run derive(), which fills `out`,
+ * and store what it derived under that key. A restored payload that
+ * misses a wanted entry is a miss: it is dropped and re-derived.
  */
-bool
-restorePredicates(
-    const std::string &payload, std::size_t total,
-    std::map<std::pair<std::size_t, Frame>, BoundaryPredicate> *out)
+template <typename Map, typename Key, typename Covered, typename Derive>
+void
+loadOrDerive(const char *kind, const Key &key, std::size_t total,
+             Map &out, const Covered &covered, const Derive &derive)
 {
-    json::Value doc;
-    if (!json::Value::parse(payload, &doc))
-        return false;
-    try {
-        if (doc.find("v") == nullptr ||
-            doc.find("v")->asUint64() != 1 ||
-            doc.find("total") == nullptr ||
-            doc.find("total")->asUint64() != total)
-            return false;
-        const json::Value *entries = doc.find("entries");
-        if (entries == nullptr || !entries->isArray())
-            return false;
-        std::map<std::pair<std::size_t, Frame>, BoundaryPredicate>
-            restored;
-        for (std::size_t i = 0; i < entries->size(); ++i) {
-            const json::Value &e = entries->at(i);
-            const json::Value *b = e.find("b");
-            const json::Value *f = e.find("f");
-            const json::Value *k = e.find("k");
-            if (b == nullptr || f == nullptr || k == nullptr)
-                return false;
-            Frame frame = Frame::Z;
-            if (f->asString() == "X")
-                frame = Frame::X;
-            else if (f->asString() == "Y")
-                frame = Frame::Y;
-            else if (f->asString() != "Z")
-                return false;
-            BoundaryPredicate pred;
-            if (k->asString() == "classical") {
-                pred.kind = assertions::AssertionKind::Classical;
-                const json::Value *value = e.find("value");
-                if (value == nullptr)
-                    return false;
-                pred.expectedValue = value->asUint64();
-            } else if (k->asString() == "superposition") {
-                pred.kind = assertions::AssertionKind::Superposition;
-            } else if (k->asString() == "distribution") {
-                pred.kind = assertions::AssertionKind::Distribution;
-                const json::Value *probs = e.find("probs");
-                if (probs == nullptr || !probs->isArray())
-                    return false;
-                for (std::size_t p = 0; p < probs->size(); ++p)
-                    pred.expectedProbs.push_back(
-                        probs->at(p).asDouble());
-            } else {
-                return false;
-            }
-            const json::Value *counts = e.find("counts");
-            const json::Value *trials = e.find("trials");
-            if ((counts == nullptr) != (trials == nullptr))
-                return false;
-            if (counts != nullptr) {
-                if (!counts->isArray())
-                    return false;
-                for (std::size_t c = 0; c < counts->size(); ++c)
-                    pred.referenceCounts.push_back(
-                        counts->at(c).asDouble());
-                pred.referenceTrials = trials->asUint64();
-                if (pred.referenceTrials == 0)
-                    return false;
-            }
-            restored.emplace(std::make_pair(b->asUint64(), frame),
-                             std::move(pred));
+    common::ArtifactStore *store = common::artifactStore();
+    std::string name;
+    if (store != nullptr) {
+        name = key();
+        std::string payload;
+        if (store->load(kind, name, &payload) &&
+            restore(payload, total, &out)) {
+            bool hit = true;
+            for (std::size_t b = 0; hit && b < total; ++b)
+                hit = covered(b);
+            if (hit)
+                return;
+            out.clear();
         }
-        *out = std::move(restored);
-        return true;
-    } catch (const json::TypeError &) {
-        return false;
     }
+    derive();
+    if (store != nullptr)
+        store->store(kind, name, serialize(total, out));
 }
 
 } // anonymous namespace
@@ -492,15 +602,43 @@ PredicateOracle::build(const circuit::Circuit &reference,
         sorted = *boundaries;
         std::sort(sorted.begin(), sorted.end());
     }
-    const bool all = boundaries == nullptr;
+    const Wanted wanted{sorted, boundaries == nullptr};
+
+    // A persistent store (when installed) short-circuits a whole
+    // derivation: a restored map must cover exactly the wanted
+    // (boundary, frame) grid, otherwise it is treated as a miss.
+    const auto covered = [&](std::size_t b) {
+        return !wanted(b) ||
+               std::all_of(frames.begin(), frames.end(), [&](Frame f) {
+                   return preds.count({b, f}) != 0;
+               });
+    };
+    const auto derive = [&](std::size_t sample_trials, const auto &pass) {
+        loadOrDerive(
+            "predicates",
+            [&] {
+                return predicateStoreKey(reference, reg.qubits(), wanted,
+                                         frames, sample_trials, seed);
+            },
+            totalBoundaries, preds, covered, pass);
+    };
+    const auto sampled = [&] {
+        fatal_if(options.sampleTrials == 0,
+                 "sampled oracle needs a non-zero trial budget");
+        sampledTrials = options.sampleTrials;
+        derive(sampledTrials, [&] {
+            buildSampled(reference, sorted, wanted.all, frames);
+        });
+    };
 
     if (options.mode == OracleMode::Sampled) {
-        buildSampled(reference, sorted, all, frames,
-                     options.sampleTrials);
+        sampled();
         return;
     }
     try {
-        buildExact(reference, sorted, all, frames, resume);
+        derive(0, [&] {
+            buildExact(reference, sorted, wanted.all, frames, resume);
+        });
     } catch (const DeriveError &) {
         if (options.mode == OracleMode::Exact)
             throw;
@@ -508,8 +646,7 @@ PredicateOracle::build(const circuit::Circuit &reference,
         // unenumerable — re-derive by Monte-Carlo instead.
         QSA_OBS_COUNTER("locate.oracle.sampled_fallbacks", 1);
         preds.clear();
-        buildSampled(reference, sorted, all, frames,
-                     options.sampleTrials);
+        sampled();
     }
 }
 
@@ -520,237 +657,148 @@ PredicateOracle::buildExact(
     bool allBoundaries, const std::vector<Frame> &frames,
     BranchMixture *resume)
 {
-    const auto wanted = [&](std::size_t b) {
-        return allBoundaries ||
-               std::binary_search(sortedBoundaries.begin(),
-                                  sortedBoundaries.end(), b);
-    };
+    const Wanted wanted{sortedBoundaries, allBoundaries};
+    // Timed so a warm store shows up as a ~0 derive total.
+    QSA_OBS_TIMER(derive, "locate.oracle.derive");
+    QSA_OBS_SPAN(span, "locate.oracle");
+    span.arg("mode", "exact")
+        .arg("boundaries",
+             allBoundaries ? totalBoundaries : sortedBoundaries.size());
 
-    // A persistent store (when installed) short-circuits the whole
-    // derivation: a restored map must cover exactly the wanted
-    // (boundary, frame) grid, otherwise it is treated as a miss.
-    common::ArtifactStore *store = common::artifactStore();
-    std::string key;
-    if (store != nullptr) {
-        key = predicateStoreKey(
-            reference, reg.qubits(),
-            allBoundaries ? nullptr : &sortedBoundaries, frames, 0, 0);
-        std::string payload;
-        if (store->load("predicates", key, &payload) &&
-            restorePredicates(payload, totalBoundaries, &preds)) {
-            bool covered = true;
-            for (std::size_t b = 0;
-                 covered && b < totalBoundaries; ++b) {
-                if (!wanted(b))
-                    continue;
-                for (Frame frame : frames)
-                    covered = covered &&
-                              preds.count({b, frame}) != 0;
+    const auto record =
+        [&](std::size_t b,
+            const std::vector<circuit::ExecutionBranch> &branches) {
+            for (Frame frame : frames) {
+                preds.emplace(std::make_pair(b, frame),
+                              classify(mixtureMarginal(
+                                  branches, reg.qubits(), frame)));
             }
-            if (covered)
-                return;
-            preds.clear();
-        }
-    }
+        };
 
-    {
-        // Timed so a warm store shows up as a ~0 derive total.
-        QSA_OBS_TIMER(derive, "locate.oracle.derive");
-        QSA_OBS_SPAN(span, "locate.oracle");
-        span.arg("mode", "exact")
-            .arg("boundaries", allBoundaries ? totalBoundaries
-                                             : sortedBoundaries.size());
-
-        const auto record =
-            [&](std::size_t b,
-                const std::vector<circuit::ExecutionBranch>
-                    &branches) {
-                for (Frame frame : frames) {
-                    preds.emplace(std::make_pair(b, frame),
-                                  classify(mixtureMarginal(
-                                      branches, reg.qubits(),
-                                      frame)));
-                }
-            };
-
-        // One incremental measurement-resolved pass: advance the
-        // branch mixture through instruction k, then record the
-        // weighted register marginal(s) as the boundary-(k+1)
-        // predicate. The pass starts from the caller's kept mixture
-        // when it lies at or below the first wanted boundary, and
-        // ends at the last (passEnd).
-        const std::size_t first_wanted =
-            allBoundaries || sortedBoundaries.empty()
-                ? 0
-                : sortedBoundaries.front();
-        std::vector<circuit::ExecutionBranch> branches;
-        std::size_t start = 0;
-        if (resume != nullptr && resume->kept &&
-            resume->boundary <= first_wanted) {
-            advanceMixture(reference, *resume,
-                           std::min(resume->target, first_wanted));
-            start = resume->boundary;
-            if (mixtureBytes(resume->branches) >
-                runtime::CheckpointStore::kBudgetBytes) {
-                branches = std::move(resume->branches);
-                resume->branches.clear();
-                resume->kept = false;
-            } else {
-                branches = resume->branches;
-            }
+    // One incremental measurement-resolved pass: advance the branch
+    // mixture through instruction k, then record the weighted register
+    // marginal(s) as the boundary-(k+1) predicate. The pass starts from
+    // the caller's kept mixture when it lies at or below the first
+    // wanted boundary, and ends at the last (Wanted::end).
+    const std::size_t first_wanted =
+        allBoundaries || sortedBoundaries.empty() ? 0
+                                                  : sortedBoundaries.front();
+    std::vector<circuit::ExecutionBranch> branches;
+    std::size_t start = 0;
+    if (resume != nullptr && resume->kept &&
+        resume->boundary <= first_wanted) {
+        advanceMixture(reference, *resume,
+                       std::min(resume->target, first_wanted));
+        start = resume->boundary;
+        if (mixtureBytes(resume->branches) >
+            runtime::CheckpointStore::kBudgetBytes) {
+            branches = std::move(resume->branches);
+            resume->branches.clear();
+            resume->kept = false;
         } else {
-            branches.push_back(circuit::ExecutionBranch{
-                1.0, sim::StateVector(reference.numQubits()), {}});
+            branches = resume->branches;
         }
-        span.arg("resumed", start);
-
-        if (wanted(start))
-            record(start, branches);
-        const std::size_t end =
-            passEnd(reference, sortedBoundaries, allBoundaries);
-        for (std::size_t k = start; k < end; ++k) {
-            circuit::stepBranches(reference,
-                                  reference.instructions()[k],
-                                  branches, kMaxBranches);
-            if (wanted(k + 1))
-                record(k + 1, branches);
-        }
+    } else {
+        branches.push_back(circuit::ExecutionBranch{
+            1.0, sim::StateVector(reference.numQubits()), {}});
     }
+    span.arg("resumed", start);
 
-    if (store != nullptr)
-        store->store("predicates", key,
-                     serializePredicates(totalBoundaries, preds));
+    if (wanted(start))
+        record(start, branches);
+    const std::size_t end = wanted.end(reference);
+    for (std::size_t k = start; k < end; ++k) {
+        circuit::stepBranches(reference, reference.instructions()[k],
+                              branches, kMaxBranches);
+        if (wanted(k + 1))
+            record(k + 1, branches);
+    }
 }
 
 void
 PredicateOracle::buildSampled(
     const circuit::Circuit &reference,
     const std::vector<std::size_t> &sortedBoundaries,
-    bool allBoundaries, const std::vector<Frame> &frames,
-    std::size_t trials)
+    bool allBoundaries, const std::vector<Frame> &frames)
 {
-    fatal_if(trials == 0,
-             "sampled oracle needs a non-zero trial budget");
-    sampledTrials = trials;
+    const Wanted wanted{sortedBoundaries, allBoundaries};
+    QSA_OBS_TIMER(derive, "locate.oracle.derive");
+    QSA_OBS_SPAN(span, "locate.oracle");
+    span.arg("mode", "sampled").arg("trials", sampledTrials);
+    QSA_OBS_COUNTER("locate.oracle.sampled_derivations", 1);
+    QSA_OBS_COUNTER("locate.oracle.sampled_trials", sampledTrials);
 
-    const auto wanted = [&](std::size_t b) {
-        return allBoundaries ||
-               std::binary_search(sortedBoundaries.begin(),
-                                  sortedBoundaries.end(), b);
-    };
-
-    common::ArtifactStore *store = common::artifactStore();
-    std::string key;
-    if (store != nullptr) {
-        key = predicateStoreKey(
-            reference, reg.qubits(),
-            allBoundaries ? nullptr : &sortedBoundaries, frames,
-            trials, seed);
-        std::string payload;
-        if (store->load("predicates", key, &payload) &&
-            restorePredicates(payload, totalBoundaries, &preds)) {
-            bool covered = true;
-            for (std::size_t b = 0;
-                 covered && b < totalBoundaries; ++b) {
-                if (!wanted(b))
-                    continue;
-                for (Frame frame : frames)
-                    covered = covered &&
-                              preds.count({b, frame}) != 0;
-            }
-            if (covered)
-                return;
-            preds.clear();
-        }
+    // The wanted boundaries the pass reaches, once each: the walk's
+    // cursor positions, boundary b being the cursor at instruction b.
+    const std::size_t end = wanted.end(reference);
+    std::vector<std::size_t> positions;
+    for (std::size_t b = 0; b <= end; ++b) {
+        if (wanted(b))
+            positions.push_back(b);
+    }
+    // One flat tally per (position, frame), at k * 3 + frame.
+    std::vector<std::vector<double>> tallies(3 * positions.size());
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+        for (Frame frame : frames)
+            tallies[3 * k + static_cast<std::size_t>(frame)].assign(
+                pow2(reg.width()), 0.0);
     }
 
-    {
-        QSA_OBS_TIMER(derive, "locate.oracle.derive");
-        QSA_OBS_SPAN(span, "locate.oracle");
-        span.arg("mode", "sampled").arg("trials", trials);
-        QSA_OBS_COUNTER("locate.oracle.sampled_derivations", 1);
-        QSA_OBS_COUNTER("locate.oracle.sampled_trials", trials);
-
-        // Per-(boundary, frame) outcome tallies over all trials.
-        std::map<std::pair<std::size_t, Frame>, std::vector<double>>
-            counts;
-
-        // Draw one outcome of trial t's state at boundary b in each
-        // frame. The draw stream is keyed by (boundary, frame,
-        // trial) and independent of the trajectory stream: recording
-        // an extra boundary must not perturb the trajectory's later
-        // measurements, or the derivation would depend on the probed
-        // boundary set.
-        const auto drawAt = [&](std::size_t b, std::size_t trial,
-                                const sim::StateVector &state) {
+    // Trial t walks on Rng(seed).split(t), through the same kernels as
+    // a Resimulate run (bit-identical amplitudes), from |0...0>: there
+    // is no deterministic head, so every reset draws. At each wanted
+    // boundary b, each node computes its marginal in each frame once,
+    // and each of its trials draws one outcome from its own stream
+    // Rng(seed ^ kSampleDrawSalt).split(3b + frame).split(t). The
+    // draws never touch the trajectory streams, so recording an extra
+    // boundary perturbs no later measurement, and the tallies do not
+    // depend on the thread count or on the order the walk visits
+    // nodes in.
+    const Rng draws(seed ^ kSampleDrawSalt);
+    const runtime::Tail tail({{&reference, 0, end}});
+    for (std::size_t lo = 0; lo < sampledTrials; lo += runtime::kWalkChunk) {
+        runtime::StreamBank bank;
+        bank.seed(seed, lo, std::min(sampledTrials - lo, runtime::kWalkChunk));
+        const auto draw = [&](std::size_t k, const sim::StateVector &state,
+                              std::size_t first, std::size_t last) {
+            if (k == positions.size())
+                return; // a leaf: `end` is a position when wanted
             for (Frame frame : frames) {
-                std::vector<double> marginal;
-                if (frame == Frame::Z) {
-                    marginal = state.marginalProbs(reg.qubits());
-                } else {
-                    sim::StateVector rotated = state;
-                    for (unsigned q : reg.qubits()) {
-                        if (frame == Frame::Y)
-                            rotated.applyGate(sim::gates::sdg(), q);
-                        rotated.applyGate(sim::gates::h(), q);
-                    }
-                    marginal = rotated.marginalProbs(reg.qubits());
+                const std::size_t f = static_cast<std::size_t>(frame);
+                const std::vector<double> marginal =
+                    frameMarginal(state, reg.qubits(), frame);
+                const Rng stream = draws.split(3 * positions[k] + f);
+                std::vector<double> &tally = tallies[3 * k + f];
+                for (std::size_t slot = first; slot < last; ++slot) {
+                    Rng trial = stream.split(lo + bank.trial(slot));
+                    tally[trial.discrete(marginal)] += 1.0;
                 }
-                Rng draw =
-                    Rng(seed ^ kSampleDrawSalt)
-                        .split(b * 3 +
-                               static_cast<std::size_t>(frame))
-                        .split(trial);
-                std::vector<double> &tally = counts[{b, frame}];
-                if (tally.empty())
-                    tally.assign(pow2(reg.width()), 0.0);
-                tally[draw.discrete(marginal)] += 1.0;
             }
         };
+        runtime::walkTail(tail, sim::StateVector(reference.numQubits()),
+                          bank, positions, draw);
+    }
 
-        // One sampled trajectory per trial, stepped with the same
-        // interpreter as a Resimulate run (bit-identical
-        // amplitudes), its RNG stream keyed by the trial index — the
-        // tallies are independent of thread count and iteration
-        // order by construction.
-        const std::size_t end =
-            passEnd(reference, sortedBoundaries, allBoundaries);
-        for (std::size_t t = 0; t < trials; ++t) {
-            Rng traj = Rng(seed).split(t);
-            sim::StateVector state(reference.numQubits());
-            std::map<std::string, std::uint64_t> meas;
-            if (wanted(0))
-                drawAt(0, t, state);
-            for (std::size_t k = 0; k < end; ++k) {
-                circuit::stepInstruction(reference,
-                                         reference.instructions()[k],
-                                         state, meas, traj);
-                if (wanted(k + 1))
-                    drawAt(k + 1, t, state);
-            }
-        }
-
-        // Sampled predicates are always Distribution-with-counts:
-        // classifying a finite sample as Classical/Superposition
-        // would promote sampling noise into an exact hypothesis and
-        // hard-fail probes on rare-but-possible outcomes. The
-        // two-sample test downstream prices in both sides' noise.
-        for (auto &entry : counts) {
+    // Sampled predicates are always Distribution-with-counts:
+    // classifying a finite sample as Classical/Superposition would
+    // promote sampling noise into an exact hypothesis and hard-fail
+    // probes on rare-but-possible outcomes. The two-sample test
+    // downstream prices in both sides' noise.
+    for (std::size_t k = 0; k < positions.size(); ++k) {
+        for (Frame frame : frames) {
             BoundaryPredicate pred;
             pred.kind = assertions::AssertionKind::Distribution;
-            pred.referenceCounts = std::move(entry.second);
-            pred.referenceTrials = trials;
+            pred.referenceCounts =
+                std::move(tallies[3 * k + static_cast<std::size_t>(frame)]);
+            pred.referenceTrials = sampledTrials;
             pred.expectedProbs.reserve(pred.referenceCounts.size());
             for (double c : pred.referenceCounts)
                 pred.expectedProbs.push_back(
-                    c / static_cast<double>(trials));
-            preds.emplace(entry.first, std::move(pred));
+                    c / static_cast<double>(sampledTrials));
+            preds.emplace(std::make_pair(positions[k], frame),
+                          std::move(pred));
         }
     }
-
-    if (store != nullptr)
-        store->store("predicates", key,
-                     serializePredicates(totalBoundaries, preds));
 }
 
 const BoundaryPredicate &
@@ -786,86 +834,6 @@ PredicateOracle::specAt(std::size_t boundary,
     return spec;
 }
 
-namespace
-{
-
-/** Canonical overlap-oracle store key (see predicateStoreKey). */
-std::string
-overlapStoreKey(const circuit::Circuit &reference,
-                const std::vector<unsigned> &qubits,
-                const std::vector<std::size_t> &boundaries)
-{
-    std::ostringstream os;
-    os << "v2:" << std::hex << reference.contentHash() << std::dec
-       << ":q";
-    for (std::size_t i = 0; i < qubits.size(); ++i)
-        os << (i ? "," : "") << qubits[i];
-    os << ":b";
-    if (boundaries.empty()) {
-        os << "all";
-    } else {
-        std::vector<std::size_t> sorted = boundaries;
-        std::sort(sorted.begin(), sorted.end());
-        sorted.erase(std::unique(sorted.begin(), sorted.end()),
-                     sorted.end());
-        for (std::size_t i = 0; i < sorted.size(); ++i)
-            os << (i ? "," : "") << sorted[i];
-    }
-    return os.str();
-}
-
-std::string
-serializePurities(std::size_t total,
-                  const std::map<std::size_t, double> &purities)
-{
-    json::Value doc = json::Value::object();
-    doc.set("v", json::Value::integer(1));
-    doc.set("total", json::Value::integer(total));
-    json::Value entries = json::Value::array();
-    for (const auto &entry : purities) {
-        json::Value e = json::Value::object();
-        e.set("b", json::Value::integer(entry.first));
-        e.set("p", json::Value::number(entry.second));
-        entries.push(std::move(e));
-    }
-    doc.set("entries", std::move(entries));
-    return doc.dump();
-}
-
-bool
-restorePurities(const std::string &payload, std::size_t total,
-                std::map<std::size_t, double> *out)
-{
-    json::Value doc;
-    if (!json::Value::parse(payload, &doc))
-        return false;
-    try {
-        if (doc.find("v") == nullptr ||
-            doc.find("v")->asUint64() != 1 ||
-            doc.find("total") == nullptr ||
-            doc.find("total")->asUint64() != total)
-            return false;
-        const json::Value *entries = doc.find("entries");
-        if (entries == nullptr || !entries->isArray())
-            return false;
-        std::map<std::size_t, double> restored;
-        for (std::size_t i = 0; i < entries->size(); ++i) {
-            const json::Value &e = entries->at(i);
-            const json::Value *b = e.find("b");
-            const json::Value *p = e.find("p");
-            if (b == nullptr || p == nullptr)
-                return false;
-            restored.emplace(b->asUint64(), p->asDouble());
-        }
-        *out = std::move(restored);
-        return true;
-    } catch (const json::TypeError &) {
-        return false;
-    }
-}
-
-} // anonymous namespace
-
 OverlapOracle::OverlapOracle(const circuit::Circuit &reference,
                              const std::vector<unsigned> &qubits,
                              const std::vector<std::size_t> &boundaries)
@@ -885,51 +853,34 @@ OverlapOracle::OverlapOracle(const circuit::Circuit &reference,
     totalBoundaries = reference.size() + 1;
     std::vector<std::size_t> sorted = boundaries;
     std::sort(sorted.begin(), sorted.end());
-    const auto wanted = [&](std::size_t b) {
-        return sorted.empty() ||
-               std::binary_search(sorted.begin(), sorted.end(), b);
-    };
+    const Wanted wanted{sorted, sorted.empty()};
 
-    common::ArtifactStore *store = common::artifactStore();
-    std::string key;
-    if (store != nullptr) {
-        key = overlapStoreKey(reference, qubits, boundaries);
-        std::string payload;
-        if (store->load("overlap", key, &payload) &&
-            restorePurities(payload, totalBoundaries, &purities)) {
-            bool covered = true;
-            for (std::size_t b = 0;
-                 covered && b < totalBoundaries; ++b)
-                covered = !wanted(b) || purities.count(b) != 0;
-            if (covered)
-                return;
-            purities.clear();
-        }
-    }
+    loadOrDerive(
+        "overlap", [&] { return storeKey(reference, qubits, wanted); },
+        totalBoundaries, purities,
+        [&](std::size_t b) { return !wanted(b) || purities.count(b) != 0; },
+        [&] {
+            QSA_OBS_TIMER(derive, "locate.oracle.derive");
+            QSA_OBS_SPAN(span, "locate.oracle");
+            span.arg("mode", "overlap")
+                .arg("boundaries",
+                     wanted.all ? totalBoundaries : sorted.size());
 
-    {
-        QSA_OBS_TIMER(derive, "locate.oracle.derive");
-
-        std::vector<circuit::ExecutionBranch> branches;
-        branches.push_back(circuit::ExecutionBranch{
-            1.0, sim::StateVector(reference.numQubits()), {}});
-
-        if (wanted(0))
-            purities.emplace(0, mixturePurity(branches, qubits));
-        const std::size_t end = passEnd(reference, sorted, sorted.empty());
-        for (std::size_t k = 0; k < end; ++k) {
-            circuit::stepBranches(reference,
-                                  reference.instructions()[k],
-                                  branches, kMaxBranches);
-            if (wanted(k + 1))
-                purities.emplace(k + 1,
-                                 mixturePurity(branches, qubits));
-        }
-    }
-
-    if (store != nullptr)
-        store->store("overlap", key,
-                     serializePurities(totalBoundaries, purities));
+            std::vector<circuit::ExecutionBranch> branches;
+            branches.push_back(circuit::ExecutionBranch{
+                1.0, sim::StateVector(reference.numQubits()), {}});
+            if (wanted(0))
+                purities.emplace(0, mixturePurity(branches, qubits));
+            const std::size_t end = wanted.end(reference);
+            for (std::size_t k = 0; k < end; ++k) {
+                circuit::stepBranches(reference,
+                                      reference.instructions()[k],
+                                      branches, kMaxBranches);
+                if (wanted(k + 1))
+                    purities.emplace(k + 1,
+                                     mixturePurity(branches, qubits));
+            }
+        });
 }
 
 double

@@ -128,13 +128,14 @@ enum class OracleMode
     Exact,
 
     /**
-     * Monte-Carlo: sample reference trajectories with the splittable
-     * per-trial-index RNG discipline (bit-identical across thread
-     * counts) and estimate each boundary marginal from one outcome
-     * draw per trial. Predicates become Distribution-with-counts and
-     * probes compare suspect vs reference by two-sample tests. Cost
-     * is linear in the trial budget regardless of how many qubits
-     * the program measures.
+     * Monte-Carlo: walk reference trajectories as one outcome tree
+     * (runtime/walk.hh) with the splittable per-trial-index RNG
+     * discipline (bit-identical across thread counts) and estimate
+     * each boundary marginal from one outcome draw per trial.
+     * Predicates become Distribution-with-counts and probes compare
+     * suspect vs reference by two-sample tests. Cost is the walk's
+     * path nodes plus one draw per trial, wanted boundary and frame,
+     * regardless of how many qubits the program measures.
      */
     Sampled,
 
@@ -301,8 +302,7 @@ class PredicateOracle
     void buildSampled(const circuit::Circuit &reference,
                       const std::vector<std::size_t> &sortedBoundaries,
                       bool allBoundaries,
-                      const std::vector<Frame> &frames,
-                      std::size_t trials);
+                      const std::vector<Frame> &frames);
 };
 
 /**

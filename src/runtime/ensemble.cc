@@ -6,44 +6,17 @@
 #include "runtime/ensemble.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <optional>
-#include <string_view>
-#include <unordered_map>
 
 #include "circuit/executor.hh"
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "runtime/streams.hh"
+#include "runtime/walk.hh"
 
 namespace qsa::runtime
 {
-
-/**
- * Instructions [begin, end) of `circ`, read in place: a truncated
- * program, a head, a tail or a tensor stage, never a copy.
- */
-struct InstructionRange
-{
-    const circuit::Circuit *circ = nullptr;
-    std::size_t begin = 0;
-    std::size_t end = 0;
-};
-
-/** A deterministic head simulated once. */
-struct Head
-{
-    explicit Head(unsigned num_qubits) : state(num_qubits) {}
-
-    /** State after the head. */
-    sim::StateVector state;
-
-    /** Per-trial RNG draws the head's resets would have made. */
-    std::size_t draws = 0;
-};
 
 /**
  * The high stage of a tensor-staged plan. A truncated program whose
@@ -74,24 +47,6 @@ struct HighStage
     Head head;
 };
 
-/** A tail instruction's measurement labels, as measurement-record
- *  slots: the slot a Measure writes and the slot a condition reads. */
-struct LabelSlots
-{
-    static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-
-    std::uint32_t write = kNone;
-    std::uint32_t read = kNone;
-};
-
-/** One stretch of the tail that runs on one state, with the record
- *  slots of its instructions (labels[i - range.begin]). */
-struct TailPhase
-{
-    InstructionRange range;
-    std::vector<LabelSlots> labels;
-};
-
 /**
  * Everything a gather at one breakpoint needs, built once per engine
  * and shared by both modes (see ensemble.hh): the deterministic head's
@@ -101,7 +56,12 @@ struct TailPhase
  */
 struct BreakpointPlan
 {
-    explicit BreakpointPlan(unsigned num_qubits) : head(num_qubits) {}
+    BreakpointPlan(Head head_in, std::unique_ptr<const HighStage> high_in,
+                   const std::vector<InstructionRange> &ranges)
+        : head(std::move(head_in)), high(std::move(high_in)),
+          tail(ranges, high != nullptr ? &high->head : nullptr)
+    {
+    }
 
     /** Head of the truncated program; in a staged plan, of its low
      *  block, on the low qubits. */
@@ -113,13 +73,8 @@ struct BreakpointPlan
     /** The tail, in program order: the instructions after the head
      *  (possibly none), then, staged, those after the high block's
      *  head and the combining tail (everything after the high run, up
-     *  to the truncation, on the full space). Its measurement labels
-     *  are resolved to record slots once, here (setTail). */
-    std::vector<TailPhase> phases;
-
-    /** Distinct labels the tail measures or conditions on: the size of
-     *  a walk node's measurement record. */
-    std::size_t recordSlots = 0;
+     *  to the truncation, on the full space). */
+    Tail tail;
 };
 
 namespace
@@ -152,54 +107,6 @@ endsHead(const circuit::Instruction &inst)
 {
     return inst.kind == circuit::GateKind::Measure ||
            !inst.condLabel.empty();
-}
-
-/** Measurement record of a tail run: a value per record slot
- *  (BreakpointPlan::recordSlots), empty until some Measure writes it. */
-using Record = std::vector<std::optional<std::uint64_t>>;
-
-/** Whether `inst` runs on a path with `record`: it has no condition,
- *  or its condition holds. */
-bool
-conditionHolds(const circuit::Instruction &inst, const LabelSlots &labels,
-               const Record &record)
-{
-    if (inst.condLabel.empty())
-        return true;
-    const auto &recorded = record[labels.read];
-    fatal_if(!recorded,
-             "conditional instruction references unmeasured label '",
-             inst.condLabel, "'");
-    return *recorded == inst.condValue;
-}
-
-/** Run `phase` onto `state` on one stream (circuit::stepInstruction
- *  over the phase, with the record kept in slots). */
-void
-runPhase(const TailPhase &phase, sim::StateVector &state, Record &record,
-         Rng &rng)
-{
-    const circuit::Circuit &circ = *phase.range.circ;
-    for (std::size_t i = phase.range.begin; i < phase.range.end; ++i) {
-        const circuit::Instruction &inst = circ.instructions()[i];
-        const LabelSlots &labels = phase.labels[i - phase.range.begin];
-        if (!conditionHolds(inst, labels, record))
-            continue;
-        if (inst.kind == circuit::GateKind::PrepZ)
-            state.prepZ(inst.targets[0], inst.bit, rng);
-        else if (inst.kind == circuit::GateKind::Measure)
-            record[labels.write] = state.measureQubits(inst.targets, rng);
-        else
-            circuit::applyUnitaryInstruction(circ, inst, state);
-    }
-}
-
-/** Advance `rng` past `draws` draws. */
-void
-discardDraws(Rng &rng, std::size_t draws)
-{
-    for (std::size_t d = 0; d < draws; ++d)
-        rng.uniform();
 }
 
 /**
@@ -300,393 +207,26 @@ stagedRuns(const circuit::Circuit &program, std::size_t end,
  * The marginal over `qubits` of the single run of the truncated
  * program that SampleFinalState samples from (stream Rng(seed).split(0),
  * ensemble.hh): the plan's head state itself when nothing follows it,
- * else one path through the tail(s), each head's reset draws
- * discarded before its tail, in program order.
+ * else a one-trial walk of the tail from it, whose leaf keeps the
+ * marginal.
  */
 std::vector<double>
 finalMarginal(const BreakpointPlan &plan, std::uint64_t seed,
               const std::vector<unsigned> &qubits)
 {
-    const InstructionRange &tail = plan.phases[0].range;
+    const InstructionRange &tail = plan.tail.phases[0].range;
     if (plan.high == nullptr && tail.begin == tail.end)
         return plan.head.state.marginalProbs(qubits);
 
-    Rng rng = Rng(seed).split(0);
-    Record record(plan.recordSlots);
-    sim::StateVector state = plan.head.state;
-    discardDraws(rng, plan.head.draws);
-    runPhase(plan.phases[0], state, record, rng);
-    if (plan.high != nullptr) {
-        const HighStage &high = *plan.high;
-        sim::StateVector high_state = high.head.state;
-        discardDraws(rng, high.head.draws);
-        runPhase(plan.phases[1], high_state, record, rng);
-        state = state.tensorWith(high_state);
-        runPhase(plan.phases[2], state, record, rng);
-    }
-    return state.marginalProbs(qubits);
-}
-
-/**
- * Set `plan`'s tail to `ranges`, its measurement labels resolved to
- * record slots numbered in the order the ranges first name them, so a
- * record is a flat vector and no run looks a label up by name.
- */
-void
-setTail(BreakpointPlan &plan, const std::vector<InstructionRange> &ranges)
-{
-    std::unordered_map<std::string_view, std::uint32_t> slots;
-    const auto slotOf = [&](const std::string &label) {
-        const auto next = static_cast<std::uint32_t>(slots.size());
-        return slots.try_emplace(label, next).first->second;
-    };
-    for (const InstructionRange &range : ranges) {
-        TailPhase phase{range, {}};
-        phase.labels.reserve(range.end - range.begin);
-        const auto &insts = range.circ->instructions();
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-            LabelSlots labels;
-            if (insts[i].kind == circuit::GateKind::Measure)
-                labels.write = slotOf(insts[i].label);
-            if (!insts[i].condLabel.empty())
-                labels.read = slotOf(insts[i].condLabel);
-            phase.labels.push_back(labels);
-        }
-        plan.phases.push_back(std::move(phase));
-    }
-    plan.recordSlots = slots.size();
-}
-
-/**
- * Trials per path walk: one stream bank. gather() walks the fixed
- * global chunks [k * kWalkChunk, (k + 1) * kWalkChunk), so the outcome
- * tree — and with it every sim.* total — never depends on the shard
- * count; the chunk also bounds the walk's per-trial bookkeeping (one
- * bank slot per trial).
- */
-constexpr std::size_t kWalkChunk = StreamBank::kMaxSlots;
-
-/**
- * A spec read out of another spec's walk as the walk passes its
- * breakpoint (EnsembleEngine::gather): the breakpoint's position in
- * the program, the qubits it reads and where trial m's value goes
- * (out[m - lo] of the walked chunk).
- */
-struct Tap
-{
-    std::size_t position = 0;
-    const std::vector<unsigned> *qubits = nullptr;
-    std::uint64_t *out = nullptr;
-};
-
-/**
- * The Resimulate trial loop as one walk over the tree of
- * measurement-outcome paths (see ensemble.hh). A node is the group of
- * trials sharing one outcome history: one state, one measurement
- * record, one cursor into the instruction stream, and a contiguous
- * range of the walk's stream bank. The stream is the plan's tail
- * phases followed by the truncating readout of spec.qubits: one
- * CdfSampler draw per trial at each leaf (readout()). Taps, sorted by
- * position, are read out the same way where a node's cursor reaches
- * their breakpoint.
- */
-class PathWalk
-{
-  public:
-    /** Walk trials [lo, hi) of `spec`; outcome of trial m -> out[m - lo]. */
-    PathWalk(const BreakpointPlan &plan, const EnsembleSpec &spec,
-             const std::vector<Tap> &taps, std::size_t lo, std::size_t hi,
-             std::uint64_t *out)
-        : plan(plan), spec(spec), taps(taps), out(out)
-    {
-        bank.seed(spec.seed, lo, hi - lo);
-        // The draws the cached head's resets would have consumed.
-        bank.discard(0, bank.size(), plan.head.draws);
-    }
-
-    /** Walk the whole tree, fanning subtrees out on `pool` if given. */
-    void
-    run(ThreadPool *pool)
-    {
-        QSA_OBS_SPAN(span, "runtime.resim.walk");
-        Node root{plan.head.state,
-                  nullptr,
-                  Record(plan.recordSlots),
-                  0,
-                  bank.size(),
-                  0,
-                  plan.phases[0].range.begin,
-                  0,
-                  0};
-        walk(std::move(root), pool);
-        const std::size_t total = segments.load();
-        QSA_OBS_COUNTER("runtime.resim.segments", total);
-        span.arg("trials", bank.size()).arg("segments", total);
-    }
-
-  private:
-    /** A group of trials sharing one measurement-outcome history. */
-    struct Node
-    {
-        /** State of the current phase (a half while staged). */
-        sim::StateVector state;
-
-        /** Staged high phase: the low leaf this subtree tensors with. */
-        std::shared_ptr<const sim::StateVector> low;
-
-        /** Measurement record of this outcome history. */
-        Record record;
-
-        /** The bank slots [lo, hi) of the trials on this path. */
-        std::size_t lo = 0;
-        std::size_t hi = 0;
-
-        /** Cursor: phase (phases.size() = readout), instruction (an
-         *  index into the phase's circuit), target within a
-         *  multi-qubit Measure. */
-        std::size_t phase = 0;
-        std::size_t pc = 0;
-        std::size_t sub = 0;
-
-        /** Value of the Measure in progress. */
-        std::uint64_t value = 0;
-
-        /** The first tap this node's trials have not been read out
-         *  at. */
-        std::size_t tap = 0;
-    };
-
-    const BreakpointPlan &plan;
-    const EnsembleSpec &spec;
-    const std::vector<Tap> &taps;
-    std::uint64_t *out;
-
-    /** Per-trial streams; each node owns a contiguous slot range. */
     StreamBank bank;
-
-    /** Path segments simulated (tree nodes), for the counter. */
-    std::atomic<std::size_t> segments{0};
-
-    /** Cross into phase `next`: the staged hand-offs, or readout. */
-    void
-    enterPhase(Node &node, std::size_t next)
-    {
-        node.phase = next;
-        node.pc = next < plan.phases.size() ? plan.phases[next].range.begin
-                                            : 0;
-        node.value = 0;
-        if (plan.high == nullptr || next == plan.phases.size())
-            return;
-        if (next == 1) {
-            // Low leaf: start this history's high half from its head.
-            node.low = std::make_shared<const sim::StateVector>(
-                std::move(node.state));
-            node.state = plan.high->head.state;
-            bank.discard(node.lo, node.hi, plan.high->head.draws);
-        } else {
-            node.state = node.low->tensorWith(node.state);
-            node.low.reset();
-        }
-    }
-
-    /**
-     * Measure `qubit` for every trial of `node`: probabilityOne once,
-     * one bernoulli per trial from its own stream, then the collapse
-     * measureQubit would make — in place when every trial agrees,
-     * else the outcome-1 trials split off into a copy, returned.
-     * `reset_to` >= 0 X-corrects each branch to that bit (PrepZ);
-     * otherwise the outcome lands in bit `bit` of the node's value.
-     */
-    std::optional<Node>
-    measure(Node &node, unsigned qubit, int reset_to, std::size_t bit)
-    {
-        QSA_OBS_COUNTER("sim.measurements", 1);
-        const double p1 = node.state.probabilityOne(qubit);
-        const std::size_t ones =
-            bank.partition(node.lo, node.hi, bernoulliThreshold(p1));
-
-        const auto collapse = [&](Node &branch, unsigned outcome) {
-            branch.state.projectQubit(qubit, outcome,
-                                      outcome ? p1 : 1.0 - p1);
-            if (reset_to < 0)
-                branch.value |= static_cast<std::uint64_t>(outcome)
-                                << bit;
-            else if (outcome != static_cast<unsigned>(reset_to))
-                branch.state.applyGate(sim::Mat2{0.0, 1.0, 1.0, 0.0},
-                                       qubit);
-        };
-        if (ones == node.hi) {
-            collapse(node, 0);
-            return std::nullopt;
-        }
-        if (ones == node.lo) {
-            collapse(node, 1);
-            return std::nullopt;
-        }
-        Node sibling{node.state, node.low,   node.record, ones,
-                     node.hi,    node.phase, node.pc,     node.sub,
-                     node.value, node.tap};
-        node.hi = ones;
-        collapse(node, 0);
-        collapse(sibling, 1);
-        return sibling;
-    }
-
-    /**
-     * A truncating readout of `node`'s trials: one CdfSampler over
-     * the node's marginal of `qubits`, and per trial the next uniform
-     * of its own stream, as SampleFinalState draws its shots. The
-     * uniform is peeked, not drawn: a tap's trials walk on from here,
-     * and at a leaf nothing draws again.
-     */
-    void
-    readout(const Node &node, const std::vector<unsigned> &qubits,
-            std::uint64_t *dest)
-    {
-        QSA_OBS_COUNTER("sim.measurements", qubits.size());
-        const CdfSampler sampler(node.state.marginalProbs(qubits));
-        for (std::size_t slot = node.lo; slot < node.hi; ++slot)
-            dest[bank.trial(slot)] = sampler.sample(bank.peekUniform(slot));
-    }
-
-    /**
-     * Run `node` through one path segment: to its next split (the
-     * split-off sibling is returned and `node` continues as the other
-     * branch) or to its leaf (outcomes written, nullopt returned).
-     */
-    std::optional<Node>
-    advance(Node &node)
-    {
-        segments.fetch_add(1, std::memory_order_relaxed);
-        while (true) {
-            // Taps lie in a monolithic plan's one phase, so a cursor
-            // at a tap's position has run every instruction before its
-            // breakpoint and none after.
-            if (node.tap < taps.size() &&
-                taps[node.tap].position == node.pc) {
-                readout(node, *taps[node.tap].qubits, taps[node.tap].out);
-                ++node.tap;
-                continue;
-            }
-            if (node.phase == plan.phases.size()) {
-                readout(node, spec.qubits, out);
-                return std::nullopt;
-            }
-            const TailPhase &phase = plan.phases[node.phase];
-            if (node.pc == phase.range.end) {
-                enterPhase(node, node.phase + 1);
-                continue;
-            }
-            const circuit::Circuit &circ = *phase.range.circ;
-            const circuit::Instruction &inst =
-                circ.instructions()[node.pc];
-            const LabelSlots &labels =
-                phase.labels[node.pc - phase.range.begin];
-            if (!conditionHolds(inst, labels, node.record)) {
-                ++node.pc;
-                continue;
-            }
-            std::optional<Node> sibling;
-            if (inst.kind == circuit::GateKind::PrepZ) {
-                sibling = measure(node, inst.targets[0],
-                                  static_cast<int>(inst.bit & 1), 0);
-                ++node.pc;
-                if (sibling)
-                    ++sibling->pc;
-            } else if (inst.kind == circuit::GateKind::Measure) {
-                if (node.sub == 0)
-                    node.value = 0; // overwrite semantics
-                if (node.sub == inst.targets.size()) {
-                    node.record[labels.write] = node.value;
-                    node.sub = 0;
-                    ++node.pc;
-                    continue;
-                }
-                sibling = measure(node, inst.targets[node.sub], -1,
-                                  node.sub);
-                ++node.sub;
-                if (sibling)
-                    ++sibling->sub;
-            } else {
-                circuit::applyUnitaryInstruction(circ, inst, node.state);
-                ++node.pc;
-            }
-            if (sibling)
-                return sibling;
-        }
-    }
-
-    /**
-     * Depth-first walk on every thread of `pool` at once (on the
-     * calling thread alone when null). A worker keeps its pending
-     * siblings on a private stack; while some worker holds no subtree
-     * it is handed the oldest pending sibling (nearest the root, so
-     * the most work), so at most workers - 1 subtrees wait in the
-     * hand-off queue.
-     */
-    void
-    walk(Node root, ThreadPool *pool)
-    {
-        const std::size_t workers =
-            pool != nullptr ? pool->concurrency() : 1;
-        std::mutex mutex;
-        std::condition_variable ready;
-        std::vector<Node> handoff;
-        handoff.push_back(std::move(root));
-        std::size_t busy = 0;
-        bool failed = false;
-
-        const auto worker = [&](std::size_t) {
-            std::deque<Node> local;
-            std::unique_lock<std::mutex> lock(mutex);
-            while (true) {
-                ready.wait(lock, [&] {
-                    return failed || !handoff.empty() || busy == 0;
-                });
-                if (failed || handoff.empty())
-                    return; // the walk is complete
-                local.push_back(std::move(handoff.back()));
-                handoff.pop_back();
-                ++busy;
-                lock.unlock();
-                try {
-                    while (!local.empty()) {
-                        Node node = std::move(local.back());
-                        local.pop_back();
-                        while (auto sibling = advance(node)) {
-                            local.push_back(std::move(*sibling));
-                            lock.lock();
-                            while (!local.empty() &&
-                                   busy + handoff.size() < workers) {
-                                handoff.push_back(
-                                    std::move(local.front()));
-                                local.pop_front();
-                                ready.notify_one();
-                            }
-                            lock.unlock();
-                        }
-                    }
-                } catch (...) {
-                    // Wake the waiters so nobody blocks on a walk that
-                    // will never finish; the pool rethrows to the
-                    // poster.
-                    if (!lock.owns_lock())
-                        lock.lock();
-                    failed = true;
-                    ready.notify_all();
-                    throw;
-                }
-                lock.lock();
-                if (--busy == 0 && handoff.empty())
-                    ready.notify_all();
-            }
-        };
-        if (workers == 1)
-            worker(0);
-        else
-            pool->parallelFor(workers, worker);
-    }
-};
+    bank.seed(seed, 0, 1);
+    bank.discard(0, 1, plan.head.draws);
+    std::vector<double> marginal;
+    walkTail(plan.tail, plan.head.state, bank, {},
+             [&](std::size_t, const sim::StateVector &state, std::size_t,
+                 std::size_t) { marginal = state.marginalProbs(qubits); });
+    return marginal;
+}
 
 /**
  * SampleFinalState's shots: shot m maps a uniform from
@@ -885,20 +425,20 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
     const unsigned split = options.tensorSplit;
     const auto runs = stagedRuns(*program, end, split);
     if (!runs) {
-        auto plan = std::make_shared<BreakpointPlan>(program->numQubits());
+        Head head(program->numQubits());
         std::size_t resumed = 0;
-        const std::size_t head = deterministicHead(
-            end, plan->head.state, plan->head.draws, resumed);
-        setTail(*plan, {{program, head, end}});
-        span.arg("resumed", resumed).arg("simulated", head - resumed);
-        return plan;
+        const std::size_t head_end =
+            deterministicHead(end, head.state, head.draws, resumed);
+        span.arg("resumed", resumed).arg("simulated", head_end - resumed);
+        return std::make_shared<BreakpointPlan>(
+            std::move(head), nullptr,
+            std::vector<InstructionRange>{{program, head_end, end}});
     }
 
     // Staged: per-half deterministic heads on the small spaces; trials
     // copy the half states, run the half tails, and tensor only for
     // the combining tail.
     const auto [low_end, high_end] = *runs;
-    auto plan = std::make_shared<BreakpointPlan>(split);
     auto high = std::make_unique<HighStage>(program->numQubits() - split);
     {
         QSA_OBS_SPAN(slice, "runtime.slice");
@@ -906,16 +446,18 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
         down.qubitOffset = -static_cast<int>(split);
         high->block.appendRange(*program, low_end, high_end, down);
     }
-    const std::size_t low_head = simulateHead(*program, low_end, plan->head);
+    Head low(split);
+    const std::size_t low_head = simulateHead(*program, low_end, low);
     const std::size_t high_head =
         simulateHead(high->block, high->block.size(), high->head);
-    setTail(*plan, {{program, low_head, low_end},
-                    {&high->block, high_head, high->block.size()},
-                    {program, high_end, end}});
-    plan->high = std::move(high);
+    const std::vector<InstructionRange> ranges{
+        {program, low_head, low_end},
+        {&high->block, high_head, high->block.size()},
+        {program, high_end, end}};
     QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
     span.arg("resumed", 0).arg("simulated", low_head + high_head);
-    return plan;
+    return std::make_shared<BreakpointPlan>(std::move(low), std::move(high),
+                                            ranges);
 }
 
 std::shared_ptr<const BreakpointPlan>
@@ -1027,28 +569,49 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
             std::vector<std::size_t> tapped;
             for (const std::size_t j : group) {
                 if (j != walked && plan->high == nullptr &&
-                    positions[j] >= plan->phases[0].range.begin)
+                    positions[j] >= plan->tail.phases[0].range.begin)
                     tapped.push_back(j);
             }
             std::sort(tapped.begin(), tapped.end(), byPosition);
+            std::vector<std::size_t> taps;
             for (const std::size_t j : tapped) {
                 done[j] = 1;
                 outs[j].resize(spec.shots);
+                taps.push_back(positions[j]);
                 QSA_OBS_COUNTER("runtime.ensemble.trials", spec.shots);
                 QSA_OBS_COUNTER("runtime.ensemble.gather.count", 1);
             }
             span.arg("taps", tapped.size());
 
-            // One walk per global chunk (see kWalkChunk).
+            // One walk per global chunk (see kWalkChunk). At a tap and
+            // at each leaf, the node's trials are read out with one
+            // CdfSampler over its marginal and, per trial, the next
+            // uniform of its own stream, as SampleFinalState draws its
+            // shots. The uniform is peeked, not drawn: a tap's trials
+            // walk on from there, and at a leaf nothing draws again.
             for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
+                QSA_OBS_SPAN(walk_span, "runtime.resim.walk");
                 const std::size_t hi = std::min(spec.shots, lo + kWalkChunk);
-                std::vector<Tap> taps;
-                taps.reserve(tapped.size());
-                for (const std::size_t j : tapped)
-                    taps.push_back(
-                        {positions[j], &specs[j].qubits, outs[j].data() + lo});
-                PathWalk(*plan, spec, taps, lo, hi, out.data() + lo)
-                    .run(fan_out);
+                StreamBank bank;
+                bank.seed(spec.seed, lo, hi - lo);
+                // The draws the cached head's resets would have consumed.
+                bank.discard(0, bank.size(), plan->head.draws);
+                const auto readout = [&](std::size_t k,
+                                         const sim::StateVector &state,
+                                         std::size_t first, std::size_t last) {
+                    const std::size_t j = k < taps.size() ? tapped[k] : walked;
+                    QSA_OBS_COUNTER("sim.measurements", specs[j].qubits.size());
+                    const CdfSampler sampler(
+                        state.marginalProbs(specs[j].qubits));
+                    std::uint64_t *dest = outs[j].data() + lo;
+                    for (std::size_t slot = first; slot < last; ++slot)
+                        dest[bank.trial(slot)] =
+                            sampler.sample(bank.peekUniform(slot));
+                };
+                const std::size_t segments = walkTail(
+                    plan->tail, plan->head.state, bank, taps, readout, fan_out);
+                QSA_OBS_COUNTER("runtime.resim.segments", segments);
+                walk_span.arg("trials", hi - lo).arg("segments", segments);
             }
         }
     }

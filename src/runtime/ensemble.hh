@@ -23,46 +23,32 @@
  *    once, followed by the nondeterministic tail. For the paper's
  *    measurement-free benchmarks the whole truncated program is head.
  *  - in Resimulate mode the tail is simulated once per
- *    measurement-outcome path. Trials differ only in their
- *    measurement outcomes, so the engine walks the tree of outcome
- *    paths: trials that share an outcome history share one state. At
- *    each measured qubit of the tail (a Measure or a random reset)
- *    the node computes probabilityOne once, each of its trials draws
- *    its own bernoulli from its own stream, and the node splits into
- *    at most two children collapsed by StateVector::projectQubit —
- *    bit for bit the collapse each trial's measureQubit would have
- *    made on its own copy — each child with its own measurement
- *    record. A tail with t binary measurements costs at most 2^t path
- *    segments, not N tails. Tensor-staged plans walk the low tail,
- *    then the high tail at each low leaf, then tensor the halves, then
- *    walk the combining tail. The trials' streams live in a StreamBank
- *    (runtime/streams.hh) whose slot ranges the nodes partition in
- *    place. At a leaf, the truncating readout builds one CdfSampler
- *    over the leaf state's marginal of the readout qubits, and each
- *    trial maps one uniform from its own stream through it: the
- *    paper's one measurement of each ensemble member at the
- *    breakpoint, drawn jointly, as SampleFinalState draws its shots.
+ *    measurement-outcome path, not once per trial: gather() walks the
+ *    trials through it as one outcome tree (runtime/walk.hh), so
+ *    trials that share an outcome history share one state, each
+ *    drawing exactly what it would draw alone. A tail with t binary
+ *    measurements costs at most 2^t path segments, not N tails.
+ *    Tensor-staged plans walk the low tail, then the high tail at each
+ *    low leaf, then tensor the halves, then walk the combining tail.
+ *    At a leaf, the truncating readout builds one CdfSampler over the
+ *    leaf state's marginal of the readout qubits, and each trial maps
+ *    one uniform from its own stream through it: the paper's one
+ *    measurement of each ensemble member at the breakpoint, drawn
+ *    jointly, as SampleFinalState draws its shots.
  *  - in SampleFinalState mode the truncated program runs ONCE — the
- *    plan's head state itself when the tail is empty, otherwise one
- *    path through the tail(s) — and the N shots are split into
+ *    plan's head state itself when the tail is empty, otherwise a
+ *    one-trial walk of the tail(s) — and the N shots are split into
  *    contiguous shards, one per available worker, and
  *    multinomial-sampled from that state's outcome distribution via
  *    inverse-CDF binary search (a CdfSampler cached per breakpoint,
  *    seed and qubit list). This is exact only when the tail measures
  *    nothing; Resimulate stays exact for programs with mid-circuit
  *    measurement.
- *  - the walk is iterative (an explicit stack of pending siblings).
- *    Its live states are the splits on the current path plus at most
- *    one handed-off subtree per pool thread — never proportional to
- *    the trial count — and, per readout in progress, one marginal and
- *    its CDF (2^|qubits| doubles each). Independent subtrees fan out
- *    across the pool;
- *    every path node is simulated exactly once whatever the thread
- *    count, and inside a pool worker (e.g. a BatchRunner unit) the
- *    walk runs inline.
- *  - gather() walks fixed global chunks of trials whose boundaries do
- *    not depend on the shard count, so the tree — and every sim.*
- *    total — is thread-count invariant.
+ *  - gather() walks fixed global chunks of trials (kWalkChunk) whose
+ *    boundaries do not depend on the shard count, fanning subtrees
+ *    out across the pool (inline inside a pool worker, e.g. a
+ *    BatchRunner unit), so every sim.* total is thread-count
+ *    invariant.
  *  - both caches, plans and samplers, are single-flight: the first
  *    gather of a key builds it outside the cache lock and concurrent
  *    gathers of that key wait for the one build, so each key is
@@ -117,14 +103,12 @@
  *    resets would have made, so trial outcomes are bit-identical to an
  *    uncached full re-simulation followed by that one draw (up to
  *    reset outcomes whose probability is below the ~1e-12 determinism
- *    tolerance). The path walk draws exactly the numbers each trial
- *    would draw alone, in the same order, against bit-identical
- *    states, so it changes no outcome. A tap reads trial m's next
- *    uniform without consuming it (StreamBank::peekUniform): that is
- *    the uniform a separate gather of the tapped spec maps through
- *    the same marginal, since its trial m has drawn exactly the same
- *    numbers by then, and the walk's own trial m draws on as if the
- *    tap were not there.
+ *    tolerance); the path walk (walk.hh) changes no outcome. A tap
+ *    reads trial m's next uniform without consuming it
+ *    (StreamBank::peekUniform): that is the uniform a separate gather
+ *    of the tapped spec maps through the same marginal, since its
+ *    trial m has drawn exactly the same numbers by then, and the
+ *    walk's own trial m draws on as if the tap were not there.
  *  - SampleFinalState: the single run of the truncated program uses
  *    Rng(seed).split(0) — the heads' certain resets each discard one
  *    draw, as an uncached run's measurement of them would have made —

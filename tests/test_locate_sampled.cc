@@ -13,21 +13,35 @@
  * semiclassical QPE whose 8192 outcome histories overflow the 4096
  * branch cap — throws a catchable DeriveError in exact mode and
  * localizes in Auto mode (sampled fallback) to a bracket containing
- * the defect, in fewer probes than a linear scan.
+ * the defect, in fewer probes than a linear scan; (5) the sampled
+ * oracle, one outcome-tree walk (runtime/walk.hh), tallies exactly
+ * what a per-trial loop (perTrialTallies below) tallies, on generated
+ * programs, every frame, dense and sparse boundary sets and budgets
+ * that span two stream-bank chunks, and throws the same error on a
+ * condition that reads an unmeasured label.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/circuit.hh"
+#include "circuit/executor.hh"
+#include "common/bits.hh"
 #include "common/errors.hh"
+#include "common/rng.hh"
 #include "locate/locate.hh"
 #include "locate/predicates.hh"
 #include "obs/obs.hh"
+#include "runtime/pool.hh"
+#include "sim/gates.hh"
+
+#include "program_generator.hh"
 
 namespace
 {
@@ -259,19 +273,27 @@ TEST(SampledOracle, MarginalsAgreeWithExactWithinConfidenceInterval)
     // marginal must sit within a binomial confidence half-width of
     // the exact mixture marginal (z = 4, plus one count of slack):
     // the estimator is unbiased and the trial budget is the only
-    // noise source.
+    // noise source. The inputs are the hand fixtures and generated
+    // programs with mid-circuit measures, random resets and
+    // conditions, read on two of their qubits.
     struct Case
     {
         Circuit circ;
-        std::string reg;
+        QubitRegister reg;
     };
-    const Case cases[] = {
-        {buildMeasuredTeleport(TeleportBug::None), "recv"},
-        {buildSemiclassicalQpe(QpeBug::None), "anc"},
-    };
+    std::vector<Case> cases;
+    const Circuit teleport = buildMeasuredTeleport(TeleportBug::None);
+    cases.push_back({teleport, teleport.reg("recv")});
+    const Circuit qpe = buildSemiclassicalQpe(QpeBug::None);
+    cases.push_back({qpe, qpe.reg("anc")});
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const Circuit program =
+            testgen::monolithicProgram(seed, 3 + seed % 2, 20);
+        cases.push_back({program, QubitRegister("pair", {0, 2})});
+    }
 
     for (const Case &c : cases) {
-        const QubitRegister reg = c.circ.reg(c.reg);
+        const QubitRegister &reg = c.reg;
 
         OracleOptions exact_opts;
         exact_opts.mode = OracleMode::Exact;
@@ -307,12 +329,12 @@ TEST(SampledOracle, MarginalsAgreeWithExactWithinConfidenceInterval)
                     4.0 * std::sqrt(p * (1.0 - p) / trials) +
                     1.0 / trials;
                 EXPECT_NEAR(phat, p, half_width)
-                    << c.reg << " boundary " << b << " value " << v;
+                    << reg.name() << " boundary " << b << " value " << v;
                 EXPECT_EQ(pred.referenceCounts[v], phat * trials);
                 total += pred.referenceCounts[v];
             }
             EXPECT_EQ(total, trials)
-                << c.reg << " boundary " << b;
+                << reg.name() << " boundary " << b;
         }
     }
 }
@@ -346,6 +368,244 @@ TEST(SampledOracle, DerivationIsDeterministicInTheSeed)
                   itb->second.expectedProbs);
         EXPECT_EQ(ita->second.referenceCounts,
                   itb->second.referenceCounts);
+    }
+}
+
+// --- The walked oracle against a per-trial loop -----------------------------
+
+/** Salt of the sampled oracle's outcome-draw streams (predicates.cc);
+ *  part of the stream layout its store payloads depend on. */
+constexpr std::uint64_t kSampleDrawSalt = 0x5a3d53edc0117ecULL;
+
+/** Outcome tallies of a sampled derivation by (boundary, frame). */
+using Tallies = std::map<std::pair<std::size_t, Frame>, std::vector<double>>;
+
+/**
+ * The sampled oracle as a loop over trials: trial t runs `reference`
+ * alone from |0...0> on Rng(seed).split(t), one instruction at a time,
+ * with its own measurement record, and at each wanted boundary b
+ * (every one when `boundaries` is null) draws one outcome per frame
+ * through Rng::discrete over its state's marginal of `qubits` in that
+ * frame, from Rng(seed ^ kSampleDrawSalt).split(3b + frame).split(t).
+ * The pass ends at the last wanted boundary.
+ */
+Tallies
+perTrialTallies(const Circuit &reference, const std::vector<unsigned> &qubits,
+                std::uint64_t seed, const std::vector<std::size_t> *boundaries,
+                const std::vector<Frame> &frames, std::size_t trials)
+{
+    const auto wanted = [&](std::size_t b) {
+        return boundaries == nullptr ||
+               std::find(boundaries->begin(), boundaries->end(), b) !=
+                   boundaries->end();
+    };
+    std::size_t end = reference.size();
+    if (boundaries != nullptr) {
+        end = boundaries->empty()
+                  ? 0
+                  : std::min(*std::max_element(boundaries->begin(),
+                                               boundaries->end()),
+                             reference.size());
+    }
+    Tallies counts;
+    const auto drawAt = [&](std::size_t b, std::size_t trial,
+                            const sim::StateVector &state) {
+        for (Frame frame : frames) {
+            sim::StateVector rotated = state;
+            for (unsigned q : qubits) {
+                if (frame == Frame::Y)
+                    rotated.applyGate(sim::gates::sdg(), q);
+                if (frame != Frame::Z)
+                    rotated.applyGate(sim::gates::h(), q);
+            }
+            Rng draw = Rng(seed ^ kSampleDrawSalt)
+                           .split(b * 3 + static_cast<std::size_t>(frame))
+                           .split(trial);
+            std::vector<double> &tally = counts[{b, frame}];
+            if (tally.empty())
+                tally.assign(pow2(qubits.size()), 0.0);
+            tally[draw.discrete(rotated.marginalProbs(qubits))] += 1.0;
+        }
+    };
+    for (std::size_t t = 0; t < trials; ++t) {
+        Rng traj = Rng(seed).split(t);
+        sim::StateVector state(reference.numQubits());
+        std::map<std::string, std::uint64_t> meas;
+        if (wanted(0))
+            drawAt(0, t, state);
+        for (std::size_t k = 0; k < end; ++k) {
+            circuit::stepInstruction(reference, reference.instructions()[k],
+                                     state, meas, traj);
+            if (wanted(k + 1))
+                drawAt(k + 1, t, state);
+        }
+    }
+    return counts;
+}
+
+/** A sampled oracle's entries equal `want`'s tallies, as counts and as
+ *  counts / trials. */
+void
+expectSameTallies(const PredicateOracle &oracle, const Tallies &want,
+                  std::size_t trials, const std::string &what)
+{
+    ASSERT_TRUE(oracle.sampled()) << what;
+    ASSERT_EQ(oracle.entries().size(), want.size()) << what;
+    for (const auto &[key, counts] : want) {
+        const auto it = oracle.entries().find(key);
+        ASSERT_NE(it, oracle.entries().end())
+            << what << " b=" << key.first << " " << frameName(key.second);
+        const BoundaryPredicate &pred = it->second;
+        EXPECT_EQ(pred.kind, assertions::AssertionKind::Distribution);
+        EXPECT_EQ(pred.referenceTrials, trials) << what;
+        EXPECT_EQ(pred.referenceCounts, counts)
+            << what << " b=" << key.first << " " << frameName(key.second);
+        std::vector<double> probs;
+        for (double c : counts)
+            probs.push_back(c / static_cast<double>(trials));
+        EXPECT_EQ(pred.expectedProbs, probs)
+            << what << " b=" << key.first << " " << frameName(key.second);
+    }
+}
+
+/**
+ * A sampled derivation, made on the calling thread and on each worker
+ * of a four-thread pool and of the shared pool at once, tallies what
+ * perTrialTallies does.
+ */
+void
+expectWalkedOracleMatchesPerTrial(const Circuit &reference,
+                                  const QubitRegister &reg,
+                                  std::uint64_t seed,
+                                  const std::vector<std::size_t> *boundaries,
+                                  const std::vector<Frame> &frames,
+                                  std::size_t trials, const std::string &what)
+{
+    const Tallies want =
+        perTrialTallies(reference, reg.qubits(), seed, boundaries, frames,
+                        trials);
+    OracleOptions options;
+    options.mode = OracleMode::Sampled;
+    options.sampleTrials = trials;
+    const auto derive = [&] {
+        return PredicateOracle(reference, reg, seed, boundaries, frames,
+                               options);
+    };
+    expectSameTallies(derive(), want, trials, what + " threads=1");
+    for (const unsigned threads : {4u, 0u}) {
+        std::unique_ptr<runtime::ThreadPool> owned;
+        runtime::ThreadPool &pool = runtime::ThreadPool::resolve(threads, owned);
+        std::vector<std::map<std::pair<std::size_t, Frame>, BoundaryPredicate>>
+            got(pool.concurrency());
+        pool.parallelFor(got.size(),
+                         [&](std::size_t i) { got[i] = derive().entries(); });
+        for (const auto &entries : got) {
+            ASSERT_EQ(entries.size(), want.size()) << what;
+            for (const auto &[key, counts] : want)
+                EXPECT_EQ(entries.at(key).referenceCounts, counts)
+                    << what << " threads=" << threads << " b=" << key.first;
+        }
+    }
+}
+
+TEST(SampledOracle, WalkedTalliesEqualThePerTrialLoop)
+{
+    // Generated programs with mid-circuit measures (label reuse),
+    // random resets and conditions; every frame; dense, sparse (with
+    // repeats and a boundary past the end) and empty boundary sets.
+    const std::vector<Frame> z{Frame::Z};
+    const std::vector<Frame> all_frames{Frame::Z, Frame::X, Frame::Y};
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const Circuit reference =
+            testgen::monolithicProgram(seed, 3 + seed % 2, 22);
+        const QubitRegister reg("r", {2, 0});
+        const std::size_t n = reference.size();
+        const std::vector<std::size_t> sparse{n / 3, 2, n / 3, n - 4};
+        const std::vector<std::size_t> past_end{0, n / 2, n + 3};
+        const std::vector<std::size_t> none;
+        const std::string what = "program " + std::to_string(seed);
+        expectWalkedOracleMatchesPerTrial(reference, reg, seed * 31, nullptr,
+                                          all_frames, 256, what + " dense");
+        expectWalkedOracleMatchesPerTrial(reference, reg, seed * 31, &sparse,
+                                          all_frames, 256, what + " sparse");
+        expectWalkedOracleMatchesPerTrial(reference, reg, seed * 31,
+                                          &past_end, z, 256,
+                                          what + " past the end");
+        expectWalkedOracleMatchesPerTrial(reference, reg, seed * 31, &none, z,
+                                          256, what + " none");
+    }
+}
+
+TEST(SampledOracle, WalkedTalliesEqualThePerTrialLoopAtEveryBudget)
+{
+    // One trial, the default budget and one that spans two stream-bank
+    // chunks (8,192 + 517 trials: the second walk's trials are 8,192
+    // onwards, each on its own stream).
+    const Circuit reference = testgen::monolithicProgram(9, 3, 18);
+    const QubitRegister reg("r", {0, 1, 2});
+    const std::vector<std::size_t> sparse{1, reference.size() / 2,
+                                          reference.size()};
+    const std::vector<Frame> frames{Frame::Z, Frame::Y};
+    for (const std::size_t trials : {1u, 256u, 4096u, 8192u + 517u}) {
+        expectWalkedOracleMatchesPerTrial(
+            reference, reg, 0x51c0ffee, &sparse, frames, trials,
+            "trials " + std::to_string(trials));
+    }
+}
+
+TEST(SampledOracle, WalkedTalliesEqualThePerTrialLoopOnTheWideFixture)
+{
+    // The wide-measurement reference the sampled oracle exists for:
+    // work qubit measured in 13 rounds (8,192 outcome histories),
+    // carry qubit in superposition, read on both, at every boundary.
+    Circuit reference;
+    const auto work = reference.addRegister("work", 1);
+    const auto carry = reference.addRegister("carry", 1);
+    reference.h(work[0]);
+    reference.measureQubits({work[0]}, "m_r0");
+    reference.h(carry[0]);
+    for (int round = 1; round < 13; ++round) {
+        reference.h(work[0]);
+        reference.measureQubits({work[0]}, "m_r" + std::to_string(round));
+    }
+    expectWalkedOracleMatchesPerTrial(
+        reference, QubitRegister("all", {0, 1}), 0x51c0ffee, nullptr,
+        {Frame::Z}, 4096, "wide-measure");
+}
+
+TEST(SampledOracle, ConditionOnAnUnmeasuredLabelThrowsAsThePerTrialLoop)
+{
+    // A condition on a label nothing measures, and one on a label
+    // measured only after it, once the walk has split on an earlier
+    // measurement: the walk throws the per-trial loop's error.
+    Circuit never(2);
+    never.h(0);
+    never.x(1);
+    never.conditionLast("never", 1);
+    Circuit too_early(2);
+    too_early.h(0);
+    too_early.measureQubits({0}, "a");
+    too_early.x(1);
+    too_early.conditionLast("b", 1);
+    too_early.measureQubits({1}, "b");
+
+    OracleOptions options;
+    options.mode = OracleMode::Sampled;
+    options.sampleTrials = 64;
+    for (const Circuit *reference : {&never, &too_early}) {
+        std::string want;
+        try {
+            perTrialTallies(*reference, {0}, 7, nullptr, {Frame::Z}, 64);
+        } catch (const qsa::Error &err) {
+            want = err.what();
+        }
+        ASSERT_NE(want, "");
+        try {
+            PredicateOracle(*reference, QubitRegister("q", {0}), 7, options);
+            ADD_FAILURE() << "no error for " << want;
+        } catch (const qsa::Error &err) {
+            EXPECT_EQ(std::string(err.what()), want);
+        }
     }
 }
 

@@ -444,6 +444,51 @@ TEST(ObsTrace, ChromeEventDocumentIsValid)
     EXPECT_EQ(parseJson(empty).find("traceEvents")->size(), 0u);
 }
 
+TEST(ObsTrace, OverlapDerivationsOpenAnOracleSpan)
+{
+    // A swap-test search derives each probed boundary's purity with
+    // its own OverlapOracle pass. Each pass sits under a locate.oracle
+    // span (mode "overlap", with the boundaries it records), as the
+    // exact and sampled passes do, not in the probe's self time.
+    circuit::Circuit reference;
+    circuit::Circuit suspect;
+    for (circuit::Circuit *circ : {&reference, &suspect}) {
+        const auto a = circ->addRegister("a", 1);
+        const auto b = circ->addRegister("b", 1);
+        circ->h(a[0]);
+        circ->cnot(a[0], b[0]);
+        circ->ry(b[0], circ == &suspect ? 1.3 : 0.3);
+        circ->h(b[0]);
+        circ->rz(b[0], 0.7);
+    }
+    locate::LocateConfig cfg;
+    cfg.family = locate::ProbeFamily::SwapTest;
+    cfg.numThreads = 1;
+
+    obs::Registry::reset();
+    obs::setTracing(true);
+    locate::BugLocator(suspect, reference, cfg).locate(suspect.reg("b"));
+    obs::setTracing(false);
+
+    const json::Value doc = parseJson(traceText());
+    const json::Value &events = *doc.find("traceEvents");
+    std::size_t overlap = 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const json::Value &event = events.at(i);
+        if (event.find("name")->asString() != "locate.oracle")
+            continue;
+        const json::Value *args = event.find("args");
+        ASSERT_NE(args, nullptr);
+        if (args->find("mode")->asString() != "overlap")
+            continue;
+        ++overlap;
+        ASSERT_NE(args->find("boundaries"), nullptr);
+        EXPECT_EQ(args->find("boundaries")->asString(), "1");
+    }
+    EXPECT_GT(overlap, 0u) << "no overlap derivation opened a span";
+    obs::clearTrace();
+}
+
 TEST(ObsTrace, SpansAreFreeWhenTracingOff)
 {
     obs::Registry::reset();
