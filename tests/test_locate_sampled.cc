@@ -23,9 +23,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -723,7 +725,7 @@ TEST(WideMeasurement, AdaptiveUsesFewerProbesThanLinearScan)
 
 TEST(WideMeasurement, ThreadCountInvariant)
 {
-    // The sampled derivation is a single serial trajectory loop and
+    // The sampled derivation is one walk on the calling thread and
     // every ensemble trial keys its stream by trial index: the whole
     // localization — probed boundaries, ensemble sizes, p-values —
     // is bit-identical at 1, 4, and auto threads.
