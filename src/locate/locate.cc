@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -178,13 +180,13 @@ baseConfig(const LocateConfig &cfg)
  * takes the probe program (moved in when the caller passes a fresh
  * one) and sets up its ensemble engine.
  */
-assertions::AssertionChecker
+std::shared_ptr<assertions::AssertionChecker>
 probeChecker(circuit::Circuit program, const assertions::CheckConfig &cc,
              runtime::CheckpointStore *checkpoints = nullptr)
 {
     QSA_OBS_SPAN(span, "locate.probe.checker");
-    return assertions::AssertionChecker(std::move(program), cc,
-                                        checkpoints);
+    return std::make_shared<assertions::AssertionChecker>(
+        std::move(program), cc, checkpoints);
 }
 
 /** The suspect with a breakpoint at every boundary, under the
@@ -195,6 +197,53 @@ instrumentBoundaries(const circuit::Circuit &suspect)
     QSA_OBS_SPAN(span, "locate.probe.build");
     return suspect.withBoundaryBreakpoints(kBoundaryPrefix);
 }
+
+/**
+ * One checker call of a probe: a checker and the specs it checks
+ * together. A dual mirror probe's two breakpoints share one call, so
+ * one path walk reads both out (a tap, runtime/ensemble.hh).
+ */
+struct Check
+{
+    /** The probe's own checker, or the one its prober shares across
+     *  probes (the predicate family's instrumented suspect). */
+    std::shared_ptr<assertions::AssertionChecker> checker;
+    std::vector<assertions::AssertionSpec> specs;
+};
+
+/**
+ * Reference oracles by boundary. Each derivation is held for every
+ * boundary it recorded, and an entry is never replaced: an adaptive
+ * search derives what it probes on first use, and a scan primes its
+ * whole boundary list in one pass (Prober::prime). Search-thread
+ * only: probe workers never touch it.
+ */
+template <typename Oracle>
+class OracleMemo
+{
+  public:
+    /** The oracle holding `boundary`, or null. */
+    const Oracle *
+    find(std::size_t boundary) const
+    {
+        const auto it = held.find(boundary);
+        return it == held.end() ? nullptr : it->second.get();
+    }
+
+    /** Hold `oracle`, derived over the non-empty `boundaries`, and
+     *  return it. */
+    const Oracle &
+    hold(const std::vector<std::size_t> &boundaries,
+         std::shared_ptr<const Oracle> oracle)
+    {
+        for (const std::size_t b : boundaries)
+            held.emplace(b, oracle);
+        return *oracle;
+    }
+
+  private:
+    std::map<std::size_t, std::shared_ptr<const Oracle>> held;
+};
 
 /** The oracle derivation knobs of a locate config (predicates.hh). */
 OracleOptions
@@ -207,45 +256,11 @@ oracleOptionsFor(const LocateConfig &cfg)
     return opts;
 }
 
-ProbeRecord
-toRecord(std::size_t boundary,
-         const assertions::AssertionOutcome &out)
-{
-    ProbeRecord rec;
-    rec.boundary = boundary;
-    rec.kind = out.spec.kind;
-    rec.ensembleSize = out.ensembleSize;
-    rec.pValue = out.pValue;
-    rec.failed = !out.passed;
-    return rec;
-}
-
 /**
- * Fold a probe's component outcomes into one record: the probe fails
- * when any component fails, reports the smallest component p-value,
- * the failing component's kind, and the summed ensemble cost. Shared
- * by every multi-component probe family (dual mirrors, the three
- * rotated frames).
+ * Boundaries per LinearScan chunk: a scan holds one chunk's probe
+ * programs and plan states (a cached 2^n prefix state per probe) at a
+ * time.
  */
-ProbeRecord
-combineRecords(std::size_t boundary,
-               const std::vector<assertions::AssertionOutcome> &outcomes)
-{
-    ProbeRecord rec;
-    rec.boundary = boundary;
-    rec.kind = outcomes.back().spec.kind;
-    for (const auto &out : outcomes) {
-        rec.ensembleSize += out.ensembleSize;
-        rec.pValue = std::min(rec.pValue, out.pValue);
-        if (!out.passed && !rec.failed) {
-            rec.failed = true;
-            rec.kind = out.spec.kind;
-        }
-    }
-    return rec;
-}
-
-/** Probes per LinearScan batch chunk (memory bound, see scanBatch). */
 constexpr std::size_t kScanChunk = 64;
 
 /**
@@ -343,77 +358,12 @@ holmFamily(std::vector<assertions::AssertionOutcome> &outcomes)
         outcomes[index[j]] = family[j];
 }
 
-/** One probe program of a LinearScan batch and what it asserts. */
-struct ScanProbe
-{
-    circuit::Circuit program;
-    std::vector<assertions::AssertionSpec> specs;
-    assertions::CheckConfig config;
-};
-
 /**
- * The LinearScan batch loop of the mirror, swap and rotated
- * families: `build(boundary)` returns one boundary's probe programs,
- * and they run through runtime::BatchRunner in chunks of kScanChunk
- * boundaries. Each chunk's programs and checkers (a cached 2^n prefix
- * state per probe) are dropped before the next chunk starts, bounding
- * the scan's memory. With `family_wise`, holmFamily controls every
- * outcome of the batch; `fold` then turns each boundary's outcomes,
- * in build order, into its record.
- */
-std::vector<ProbeRecord>
-scanBatch(const std::vector<std::size_t> &boundaries, bool family_wise,
-          unsigned num_threads,
-          const std::function<std::vector<ScanProbe>(std::size_t)> &build,
-          const std::function<ProbeRecord(
-              std::size_t,
-              const std::vector<assertions::AssertionOutcome> &)> &fold)
-{
-    runtime::BatchRunner runner(num_threads);
-    std::vector<assertions::AssertionOutcome> outcomes;
-    std::vector<std::size_t> counts; // outcomes per boundary
-    counts.reserve(boundaries.size());
-    for (std::size_t base = 0; base < boundaries.size();
-         base += kScanChunk) {
-        const std::size_t end =
-            std::min(boundaries.size(), base + kScanChunk);
-        std::vector<ScanProbe> probes;
-        for (std::size_t i = base; i < end; ++i) {
-            std::size_t specs = 0;
-            for (ScanProbe &probe : build(boundaries[i])) {
-                specs += probe.specs.size();
-                probes.push_back(std::move(probe));
-            }
-            counts.push_back(specs);
-        }
-        std::vector<runtime::BatchItem> items;
-        items.reserve(probes.size());
-        for (ScanProbe &probe : probes) {
-            items.push_back(
-                {&probe.program, std::move(probe.specs), probe.config});
-        }
-        for (const auto &per_item : runner.checkAll(items)) {
-            outcomes.insert(outcomes.end(), per_item.begin(),
-                            per_item.end());
-        }
-    }
-    if (family_wise)
-        holmFamily(outcomes);
-    std::vector<ProbeRecord> records;
-    records.reserve(boundaries.size());
-    auto cursor = outcomes.begin();
-    for (std::size_t i = 0; i < boundaries.size(); ++i) {
-        records.push_back(
-            fold(boundaries[i], {cursor, cursor + counts[i]}));
-        cursor += counts[i];
-    }
-    return records;
-}
-
-/**
- * One probe family: adjudicate a single boundary (with sequential
- * escalation) or a whole boundary batch (with optional family-wise
- * control).
+ * One probe family: what it checks at a boundary (checks) and how the
+ * outcomes become the boundary's record (fold). runSearch drives both
+ * strategies through the two: an adaptive probe runs its checks under
+ * an escalation policy, a scan runs every boundary's checks at the
+ * fixed exploratory ensemble.
  */
 class Prober
 {
@@ -425,17 +375,55 @@ class Prober
     virtual ~Prober() = default;
 
     /**
-     * Adjudicate `boundary`. `floor` is the search's passing lower
-     * bound (at most `boundary`): every later probe of the search
-     * lies at or above it.
+     * The checks of the probe at `boundary`, in fold order. An
+     * adaptive search passes its passing lower bound as `floor` (every
+     * later probe of the search lies at or above it) and the probe
+     * splits its alpha across its specs (Bonferroni). A scan passes no
+     * floor: its probes run concurrently, and under Holm-Bonferroni
+     * each spec keeps the full alpha for holmFamily's step-down.
      */
-    virtual ProbeRecord
-    probe(std::size_t boundary, std::size_t floor,
-          const assertions::EscalationPolicy &policy) = 0;
+    virtual std::vector<Check> checks(std::size_t boundary,
+                                      const std::size_t *floor) = 0;
 
-    virtual std::vector<ProbeRecord>
-    probeAll(const std::vector<std::size_t> &boundaries,
-             bool family_wise) = 0;
+    /**
+     * Derive, in one pass, the reference predicates a scan of
+     * `boundaries` reads. Families whose adaptive probes derive their
+     * oracle per probed boundary override it.
+     */
+    virtual void prime(const std::vector<std::size_t> & /*boundaries*/) {}
+
+    /**
+     * Fold a probe's outcomes, in check order, into its record: the
+     * probe fails when any component fails, and reports the smallest
+     * component p-value, the failing component's kind and the summed
+     * ensemble cost. A dual mirror probe ([pre-marginal,
+     * segment-unwind]) that rejected only through the computational
+     * pre-marginal while its phase-sensitive unwind passed is flagged
+     * phase-ambiguous: the divergence was transported here, not
+     * necessarily born here.
+     */
+    ProbeRecord
+    fold(std::size_t boundary,
+         const std::vector<assertions::AssertionOutcome> &outcomes) const
+    {
+        ProbeRecord rec;
+        rec.boundary = boundary;
+        rec.family = family;
+        rec.kind = outcomes.back().spec.kind;
+        for (const auto &out : outcomes) {
+            rec.ensembleSize += out.ensembleSize;
+            rec.pValue = std::min(rec.pValue, out.pValue);
+            if (!out.passed && !rec.failed) {
+                rec.failed = true;
+                rec.kind = out.spec.kind;
+            }
+        }
+        if (family == ProbeFamily::SegmentMirror && outcomes.size() == 2) {
+            rec.phaseAmbiguous = rec.failed && !outcomes[0].passed &&
+                                 outcomes[1].passed;
+        }
+        return rec;
+    }
 
     /** The family every record of this prober carries. */
     const ProbeFamily family;
@@ -468,17 +456,15 @@ class Prober
  * measurement-free program the Resimulate probe sequence is
  * spec-for-spec the same as the default mode's.
  *
- * A single (adaptive) probe runs on its own checker so escalation
- * rounds reuse the cached prefix statevector, with the ensemble
- * fanned across the runtime pool. Its assertions go to the checker in
- * one call (AssertionChecker::checkEscalated over the spec list), so
- * a dual probe's two breakpoints, which share the probe's seed, are
- * read out of one path walk per round: the pre-unwind one as a tap
- * of the walk to the probe's end. Its suspect prefix carries
+ * Every probe runs on its own checker, so an adaptive probe's
+ * escalation rounds reuse the cached prefix statevector. Its
+ * assertions go to the checker in one call (one Check), so a dual
+ * probe's two breakpoints, which share the probe's seed, are read out
+ * of one path walk per round: the pre-unwind one as a tap of the walk
+ * to the probe's end. An adaptive probe's suspect prefix also carries
  * checkpoint markers at the search floor, at the midpoint the search
  * probes next if this probe fails, and at the boundary
- * (runtime/checkpoint.hh). A LinearScan batch fans probe-wise
- * through runtime::BatchRunner in bounded-memory chunks.
+ * (runtime/checkpoint.hh).
  */
 class MirrorProber : public Prober
 {
@@ -523,74 +509,43 @@ class MirrorProber : public Prober
                 segStart[k] =
                     segmentSpans(ri[k - 1]) ? segStart[k - 1] : k;
             }
-            // The eager oracle records the full-space mixture
-            // predicate at every segment start — and, for a scan
-            // that will probe every boundary anyway, at every
-            // boundary. An adaptive search touches O(log n)
-            // boundaries, so its dual probes derive the per-boundary
-            // marginal predicate lazily instead (oracleAt), keeping
-            // memory at O(probed boundaries * 2^n), not O(n * 2^n).
-            scanAll = cfg.strategy == Strategy::LinearScan;
-            std::vector<std::size_t> boundaries;
-            if (scanAll) {
-                boundaries.resize(hi + 1);
-                for (std::size_t k = 0; k <= hi; ++k)
-                    boundaries[k] = k;
-            } else {
-                boundaries.assign(segStart.begin(), segStart.end());
-                std::sort(boundaries.begin(), boundaries.end());
-                boundaries.erase(std::unique(boundaries.begin(),
-                                             boundaries.end()),
-                                 boundaries.end());
-            }
-            oracle = std::make_unique<PredicateOracle>(
-                reference, allReg, cfg.seed, boundaries,
-                oracleOptionsFor(cfg));
         }
     }
 
-    ProbeRecord
-    probe(std::size_t boundary, std::size_t floor,
-          const assertions::EscalationPolicy &policy) override
+    std::vector<Check>
+    checks(std::size_t boundary, const std::size_t *floor) override
     {
         // One checker per probe program: escalated rounds then reuse
         // its cached prefix statevector and only resample shots, and
         // the boundary-keyed seed makes each round extend the earlier
-        // ensemble (sequential testing, deterministic). A dual probe's
-        // two specs share that seed, so one checker call checks both
-        // and each round walks the tail once, reading the pre-unwind
-        // breakpoint out as it passes (a tap, runtime/ensemble.hh).
-        // The search's checkpoint store carries prefix states from
-        // probe to probe: the floor, midpoint and boundary markers are
-        // where later probes resume.
-        floor = std::min(floor, boundary);
+        // ensemble (sequential testing, deterministic). An adaptive
+        // search's checkpoint store carries prefix states from probe
+        // to probe: the floor, midpoint and boundary markers are
+        // where later probes resume. A scan's probes run concurrently
+        // and share no store, which would make the simulated work
+        // depend on which probe finished first.
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed, boundary);
-        const assertions::AssertionChecker checker =
-            probeChecker(buildProbe(boundary, &floor), cc, &checkpoints);
-        return combineOutcomes(
-            boundary,
-            checker.checkEscalated(
-                specsFor(boundary, floor, /*family_wise=*/false), policy));
+        const bool adaptive = floor != nullptr;
+        const std::size_t lo = adaptive ? std::min(*floor, boundary) : 0;
+        std::vector<Check> out;
+        out.push_back(
+            {probeChecker(buildProbe(boundary, adaptive ? &lo : nullptr),
+                          cc, adaptive ? &checkpoints : nullptr),
+             specsFor(boundary, lo, !adaptive && cfg.holmBonferroni)});
+        return out;
     }
 
-    std::vector<ProbeRecord>
-    probeAll(const std::vector<std::size_t> &boundaries,
-             bool family_wise) override
+    void
+    prime(const std::vector<std::size_t> &boundaries) override
     {
-        // Family-wise control covers every component assertion
-        // (mirror specs are never Entangled, so it is plain Holm);
-        // each boundary's components then fold into one record.
-        return scanBatch(
-            boundaries, family_wise, cfg.numThreads,
-            [&](std::size_t boundary) {
-                auto cc = baseConfig(cfg);
-                cc.seed = seedFor(cfg.seed, boundary);
-                return std::vector<ScanProbe>{
-                    {buildProbe(boundary, nullptr),
-                     specsFor(boundary, 0, family_wise), cc}};
-            },
-            combineOutcomes);
+        // Every boundary up to the scan's last in one pass: the scan's
+        // own, and the segment starts their unwinds land on.
+        if (!resim)
+            return;
+        std::vector<std::size_t> upto(boundaries.back() + 1);
+        std::iota(upto.begin(), upto.end(), 0);
+        derive(upto, nullptr);
     }
 
     /**
@@ -619,16 +574,14 @@ class MirrorProber : public Prober
     circuit::QubitRegister allReg;
     std::vector<std::uint64_t> refValues;
     std::vector<std::size_t> segStart;
-    std::unique_ptr<PredicateOracle> oracle;
-    bool scanAll = false;
-    mutable std::map<std::size_t, PredicateOracle> lazyOracles;
+    OracleMemo<PredicateOracle> oracles;
 
     /** Prefix states shared by this search's single probes. */
     runtime::CheckpointStore checkpoints;
 
     /** The reference's exact mixture kept at the search floor, where
-     *  lazy oracles resume. */
-    mutable BranchMixture floorMixture;
+     *  a dual probe's own derivation resumes. */
+    BranchMixture floorMixture;
 
     static std::uint64_t
     basisValue(const sim::StateVector &state)
@@ -650,32 +603,38 @@ class MirrorProber : public Prober
     }
 
     /**
-     * The oracle holding the full-space predicate at `boundary`: the
-     * eager one where it recorded the boundary (segment starts; every
-     * boundary under LinearScan), else a lazily built and memoised
-     * single-boundary oracle (one extra measurement-resolved pass —
-     * cheap next to the probe's ensemble), resumed from the
-     * reference's mixture kept at min(floor, boundary). Called from
-     * the search thread only; probe workers never touch the cache.
+     * The oracle holding the full-space predicate at `boundary` (a
+     * scan primed every boundary it reads). Segment starts, where
+     * unwinds land, are derived together in one pass. A dual probe's
+     * own boundary is derived alone, resumed from the reference's
+     * mixture kept at min(floor, boundary): one extra
+     * measurement-resolved pass, cheap next to the probe's ensemble,
+     * so an adaptive search holds O(probed boundaries * 2^n), not
+     * O(n * 2^n).
      */
     const PredicateOracle &
-    oracleAt(std::size_t boundary, std::size_t floor) const
+    oracleAt(std::size_t boundary, std::size_t floor)
     {
-        if (scanAll || segStart[boundary] == boundary)
-            return *oracle;
-        auto it = lazyOracles.find(boundary);
-        if (it == lazyOracles.end()) {
-            floorMixture.target = std::min(floor, boundary);
-            it = lazyOracles
-                     .emplace(boundary,
-                              PredicateOracle(
-                                  reference, allReg, cfg.seed,
-                                  std::vector<std::size_t>{boundary},
-                                  oracleOptionsFor(cfg),
-                                  &floorMixture))
-                     .first;
+        if (const PredicateOracle *held = oracles.find(boundary))
+            return *held;
+        if (segStart[boundary] == boundary) {
+            std::vector<std::size_t> starts;
+            std::unique_copy(segStart.begin(), segStart.end(),
+                             std::back_inserter(starts));
+            return derive(starts, nullptr);
         }
-        return it->second;
+        floorMixture.target = std::min(floor, boundary);
+        return derive({boundary}, &floorMixture);
+    }
+
+    const PredicateOracle &
+    derive(const std::vector<std::size_t> &boundaries,
+           BranchMixture *resume)
+    {
+        return oracles.hold(boundaries,
+                            std::make_shared<const PredicateOracle>(
+                                reference, allReg, cfg.seed, boundaries,
+                                oracleOptionsFor(cfg), resume));
     }
 
     /**
@@ -737,12 +696,11 @@ class MirrorProber : public Prober
     /**
      * The probe's component assertions. Adaptive probes split their
      * alpha across a dual probe's two components (Bonferroni); a
-     * LinearScan family keeps per-spec alpha and lets the batch-level
+     * `family_wise` scan keeps per-spec alpha and lets its
      * Holm-Bonferroni step-down control the whole family instead.
      */
     std::vector<assertions::AssertionSpec>
-    specsFor(std::size_t boundary, std::size_t floor,
-             bool family_wise) const
+    specsFor(std::size_t boundary, std::size_t floor, bool family_wise)
     {
         std::vector<assertions::AssertionSpec> specs;
         if (!resim) {
@@ -758,6 +716,8 @@ class MirrorProber : public Prober
             return specs;
         }
 
+        const PredicateOracle &start =
+            oracleAt(segStartFor(boundary), floor);
         const bool dual = dualProbe(boundary);
         const double alpha =
             dual && !family_wise ? cfg.alpha / 2.0 : cfg.alpha;
@@ -776,31 +736,11 @@ class MirrorProber : public Prober
         // the segment start (for a measurement-free program that
         // start is the prologue and the predicate is the same
         // classical point mass as the default mode's).
-        assertions::AssertionSpec post = oracle->specAt(
-            segStartFor(boundary), kProbeLabel, alpha);
+        assertions::AssertionSpec post =
+            start.specAt(segStartFor(boundary), kProbeLabel, alpha);
         post.name = "mirror@" + std::to_string(boundary);
         specs.push_back(std::move(post));
         return specs;
-    }
-
-    /**
-     * combineRecords plus the mirror family's metadata: a dual probe
-     * (outcomes [pre-marginal, segment-unwind]) that rejected only
-     * through the computational pre-marginal while its phase-
-     * sensitive unwind passed is flagged phase-ambiguous — the
-     * divergence was transported here, not necessarily born here.
-     */
-    static ProbeRecord
-    combineOutcomes(
-        std::size_t boundary,
-        const std::vector<assertions::AssertionOutcome> &outcomes)
-    {
-        ProbeRecord rec = combineRecords(boundary, outcomes);
-        if (outcomes.size() == 2) {
-            rec.phaseAmbiguous = rec.failed && !outcomes[0].passed &&
-                                 outcomes[1].passed;
-        }
-        return rec;
     }
 };
 
@@ -808,7 +748,8 @@ class MirrorProber : public Prober
  * Predicate probes: the suspect program instrumented at every
  * boundary, one persistent checker (shared plan caches), and the
  * reference oracle's marginal predicate — or a scope-inherited
- * entangled/product kind — per boundary.
+ * entangled/product kind — per boundary. A scan's chunks share the
+ * checker too; runSearch clears its plan states between chunks.
  */
 class PredicateProber : public Prober
 {
@@ -827,9 +768,10 @@ class PredicateProber : public Prober
                     const circuit::QubitRegister &reg_a,
                     const circuit::QubitRegister *reg_b)
         : Prober(ProbeFamily::MixtureMarginal, hi), cfg(cfg),
-          regA(reg_a), instrumented(instrumentBoundaries(suspect)),
+          regA(reg_a),
           oracle(reference, reg_a, cfg.seed, oracleOptionsFor(cfg)),
-          checker(probeChecker(instrumented, baseConfig(cfg)))
+          checker(probeChecker(instrumentBoundaries(suspect),
+                               baseConfig(cfg)))
     {
         if (reg_b != nullptr) {
             regB = *reg_b;
@@ -838,55 +780,20 @@ class PredicateProber : public Prober
         }
     }
 
-    ProbeRecord
-    probe(std::size_t boundary, std::size_t /*floor*/,
-          const assertions::EscalationPolicy &policy) override
+    std::vector<Check>
+    checks(std::size_t boundary, const std::size_t * /*floor*/) override
     {
-        return toRecord(boundary, checker.checkEscalated(
-                                      specFor(boundary), policy));
-    }
-
-    std::vector<ProbeRecord>
-    probeAll(const std::vector<std::size_t> &boundaries,
-             bool family_wise) override
-    {
-        // Chunked like scanBatch, but one instrumented program carries
-        // every probe: the per-chunk checker (and its one cached
-        // prefix statevector per probed breakpoint) is dropped before
-        // the next chunk starts.
-        runtime::BatchRunner runner(cfg.numThreads);
-        std::vector<assertions::AssertionOutcome> outcomes;
-        outcomes.reserve(boundaries.size());
-        for (std::size_t base = 0; base < boundaries.size();
-             base += kScanChunk) {
-            const std::size_t end =
-                std::min(boundaries.size(), base + kScanChunk);
-            std::vector<assertions::AssertionSpec> specs;
-            specs.reserve(end - base);
-            for (std::size_t i = base; i < end; ++i)
-                specs.push_back(specFor(boundaries[i]));
-            const std::vector<runtime::BatchItem> items{
-                {&instrumented, specs, baseConfig(cfg)}};
-            const auto chunk = runner.checkAll(items)[0];
-            outcomes.insert(outcomes.end(), chunk.begin(),
-                            chunk.end());
-        }
-        if (family_wise)
-            holmFamily(outcomes);
-        std::vector<ProbeRecord> records;
-        records.reserve(boundaries.size());
-        for (std::size_t i = 0; i < boundaries.size(); ++i)
-            records.push_back(toRecord(boundaries[i], outcomes[i]));
-        return records;
+        std::vector<Check> out;
+        out.push_back({checker, {specFor(boundary)}});
+        return out;
     }
 
   private:
     LocateConfig cfg;
     circuit::QubitRegister regA;
     circuit::QubitRegister regB;
-    circuit::Circuit instrumented;
     PredicateOracle oracle;
-    assertions::AssertionChecker checker;
+    std::shared_ptr<assertions::AssertionChecker> checker;
     std::map<std::size_t, assertions::AssertionKind> scopeKinds;
 
     assertions::AssertionSpec
@@ -979,39 +886,20 @@ class SwapProber : public Prober
         }
     }
 
-    ProbeRecord
-    probe(std::size_t boundary, std::size_t /*floor*/,
-          const assertions::EscalationPolicy &policy) override
+    std::vector<Check>
+    checks(std::size_t boundary, const std::size_t * /*floor*/) override
     {
-        const assertions::AssertionChecker checker =
-            probeChecker(buildProbe(boundary), probeConfig(boundary));
-        return toRecord(boundary, checker.checkEscalated(
-                                      specFor(boundary), policy));
+        std::vector<Check> out;
+        out.push_back({probeChecker(buildProbe(boundary),
+                                    probeConfig(boundary)),
+                       {specFor(boundary)}});
+        return out;
     }
 
-    std::vector<ProbeRecord>
-    probeAll(const std::vector<std::size_t> &boundaries,
-             bool family_wise) override
+    void
+    prime(const std::vector<std::size_t> &boundaries) override
     {
-        // A scan wants every boundary's purity: one eager
-        // measurement-resolved pass beats one lazy pass per
-        // boundary. Built here rather than in the constructor so an
-        // Auto search that only ever issues its single decisive
-        // escalation-check probe never pays for it.
-        if (!oracle) {
-            oracle = std::make_unique<OverlapOracle>(
-                reference, oracleQubits, boundaries);
-        }
-        return scanBatch(
-            boundaries, family_wise, cfg.numThreads,
-            [&](std::size_t boundary) {
-                return std::vector<ScanProbe>{{buildProbe(boundary),
-                                               {specFor(boundary)},
-                                               probeConfig(boundary)}};
-            },
-            [](std::size_t boundary, const auto &outcomes) {
-                return toRecord(boundary, outcomes[0]);
-            });
+        derive(boundaries);
     }
 
   private:
@@ -1023,32 +911,25 @@ class SwapProber : public Prober
     circuit::QubitRegister ancReg;
     std::vector<unsigned> swapQubits;
     std::vector<unsigned> oracleQubits; // empty = full space
+    OracleMemo<OverlapOracle> purities;
 
-    /** Eager purity oracle, built on the first probeAll. */
-    std::unique_ptr<OverlapOracle> oracle;
-
-    /**
-     * Adaptive searches touch O(log n) boundaries: their purities are
-     * derived lazily (one measurement-resolved pass each, cheap next
-     * to the probe's ensemble) and memoised. Search-thread only.
-     */
-    mutable std::map<std::size_t, double> purityMemo;
-
-    double
-    purityAt(std::size_t boundary) const
+    const OverlapOracle &
+    derive(const std::vector<std::size_t> &boundaries)
     {
-        auto it = purityMemo.find(boundary);
-        if (it != purityMemo.end())
-            return it->second;
-        double purity;
-        if (oracle && oracle->recorded(boundary)) {
-            purity = oracle->purityAt(boundary);
-        } else {
-            const OverlapOracle one(reference, oracleQubits,
-                                    {boundary});
-            purity = one.purityAt(boundary);
-        }
-        return purityMemo.emplace(boundary, purity).first->second;
+        return purities.hold(boundaries,
+                             std::make_shared<const OverlapOracle>(
+                                 reference, oracleQubits, boundaries));
+    }
+
+    /** The reference's purity at `boundary`; an adaptive probe's
+     *  boundary is derived alone (one measurement-resolved pass,
+     *  cheap next to the probe's ensemble). */
+    double
+    purityAt(std::size_t boundary)
+    {
+        const OverlapOracle *held = purities.find(boundary);
+        return (held != nullptr ? *held : derive({boundary}))
+            .purityAt(boundary);
     }
 
     /** The boundary's salted stream, tensor-split at n. */
@@ -1082,7 +963,7 @@ class SwapProber : public Prober
     }
 
     assertions::AssertionSpec
-    specFor(std::size_t boundary) const
+    specFor(std::size_t boundary)
     {
         const double p0 = 0.5 * (1.0 + purityAt(boundary));
         assertions::AssertionSpec spec;
@@ -1110,8 +991,8 @@ class SwapProber : public Prober
  * basis-change epilogue appended to the probed register, and the
  * assertion is the oracle's frame-transported mixture marginal
  * (PredicateOracle with frames). An adaptive probe Bonferroni-splits
- * its alpha across the three frames; a LinearScan batch keeps
- * per-spec alpha and lets Holm-Bonferroni control the whole
+ * its alpha across the three frames; a scan under Holm-Bonferroni
+ * keeps per-spec alpha and lets the step-down control the whole
  * 3-per-boundary family. For a one-qubit register the three frames
  * determine the Bloch vector, so any divergence *on the register* is
  * visible the instruction it appears — including pure phase — at
@@ -1132,52 +1013,26 @@ class RotatedProber : public Prober
     {
     }
 
-    ProbeRecord
-    probe(std::size_t boundary, std::size_t /*floor*/,
-          const assertions::EscalationPolicy &policy) override
+    std::vector<Check>
+    checks(std::size_t boundary, const std::size_t *floor) override
     {
-        std::vector<assertions::AssertionOutcome> outcomes;
-        outcomes.reserve(3);
+        const double alpha = floor == nullptr && cfg.holmBonferroni
+                                 ? cfg.alpha
+                                 : cfg.alpha / 3.0;
+        std::vector<Check> out;
         for (Frame frame : kAllFrames) {
-            const assertions::AssertionChecker checker = probeChecker(
-                buildProbe(boundary, frame), frameConfig(boundary, frame));
-            outcomes.push_back(checker.checkEscalated(
-                specFor(oracleAt(boundary), boundary, frame,
-                        cfg.alpha / 3.0),
-                policy));
+            out.push_back({probeChecker(buildProbe(boundary, frame),
+                                        frameConfig(boundary, frame)),
+                           {oracleAt(boundary).specAt(
+                               boundary, kProbeLabel, alpha, frame)}});
         }
-        return combineRecords(boundary, outcomes);
+        return out;
     }
 
-    std::vector<ProbeRecord>
-    probeAll(const std::vector<std::size_t> &boundaries,
-             bool family_wise) override
+    void
+    prime(const std::vector<std::size_t> &boundaries) override
     {
-        const double alpha =
-            family_wise ? cfg.alpha : cfg.alpha / 3.0;
-        // A scan touches every boundary: one eager three-frame pass
-        // beats one lazy pass per boundary (built here, not in the
-        // constructor, so adaptive searches — which probe O(log n)
-        // boundaries through the oracleAt memo — never pay for it).
-        if (!scanOracle) {
-            scanOracle = std::make_unique<PredicateOracle>(
-                reference, regA, cfg.seed, &boundaries,
-                std::vector<Frame>{Frame::Z, Frame::X, Frame::Y},
-                oracleOptionsFor(cfg));
-        }
-        return scanBatch(
-            boundaries, family_wise, cfg.numThreads,
-            [&](std::size_t boundary) {
-                std::vector<ScanProbe> frames;
-                for (Frame frame : kAllFrames) {
-                    frames.push_back(
-                        {buildProbe(boundary, frame),
-                         {specFor(*scanOracle, boundary, frame, alpha)},
-                         frameConfig(boundary, frame)});
-                }
-                return frames;
-            },
-            combineRecords);
+        derive(boundaries);
     }
 
   private:
@@ -1186,34 +1041,28 @@ class RotatedProber : public Prober
     const circuit::Circuit &suspect;
     const circuit::Circuit &reference;
 
-    /** Eager three-frame oracle, built on the first probeAll. */
-    std::unique_ptr<PredicateOracle> scanOracle;
-
-    /**
-     * Adaptive probes derive their boundary's three-frame predicates
-     * lazily (one measurement-resolved pass each) and memoise them —
-     * escalation and confirmation rounds at the same boundary reuse
-     * the entry. Search-thread only.
-     */
-    mutable std::map<std::size_t, std::unique_ptr<PredicateOracle>>
-        lazyOracles;
+    /** Three-frame predicates; escalation and confirmation rounds at
+     *  a boundary reuse its entry. */
+    OracleMemo<PredicateOracle> oracles;
 
     const PredicateOracle &
-    oracleAt(std::size_t boundary) const
+    derive(const std::vector<std::size_t> &boundaries)
     {
-        auto it = lazyOracles.find(boundary);
-        if (it == lazyOracles.end()) {
-            const std::vector<std::size_t> one{boundary};
-            it = lazyOracles
-                     .emplace(boundary,
-                              std::make_unique<PredicateOracle>(
-                                  reference, regA, cfg.seed, &one,
-                                  std::vector<Frame>{
-                                      Frame::Z, Frame::X, Frame::Y},
-                                  oracleOptionsFor(cfg)))
-                     .first;
-        }
-        return *it->second;
+        return oracles.hold(boundaries,
+                            std::make_shared<const PredicateOracle>(
+                                reference, regA, cfg.seed, &boundaries,
+                                std::vector<Frame>{Frame::Z, Frame::X,
+                                                   Frame::Y},
+                                oracleOptionsFor(cfg)));
+    }
+
+    /** The oracle at `boundary`; an adaptive probe's boundary is
+     *  derived alone (one measurement-resolved pass). */
+    const PredicateOracle &
+    oracleAt(std::size_t boundary)
+    {
+        const PredicateOracle *held = oracles.find(boundary);
+        return held != nullptr ? *held : derive({boundary});
     }
 
     /** The frame's own stream at the boundary. */
@@ -1234,13 +1083,6 @@ class RotatedProber : public Prober
         probe.breakpoint(kProbeLabel);
         return probe;
     }
-
-    static assertions::AssertionSpec
-    specFor(const PredicateOracle &oracle, std::size_t boundary,
-            Frame frame, double alpha)
-    {
-        return oracle.specAt(boundary, kProbeLabel, alpha, frame);
-    }
 };
 
 /** Log one adjudicated probe into the report and the locate counters. */
@@ -1256,10 +1098,10 @@ logProbe(LocalizationReport &report, const ProbeRecord &rec)
 }
 
 /**
- * Run and log one single-boundary probe. Every single probe — the
- * search's and an escalation trigger's decisive one — goes through
- * here, so the trace gets one span per probe, annotated with
- * family/boundary/verdict.
+ * Run and log one single-boundary probe: its checks under `policy`,
+ * then the fold. Every single probe — the search's and an escalation
+ * trigger's decisive one — goes through here, so the trace gets one
+ * span per probe, annotated with family/boundary/verdict.
  */
 ProbeRecord
 recordProbe(Prober &prober, std::size_t boundary, std::size_t floor,
@@ -1267,8 +1109,12 @@ recordProbe(Prober &prober, std::size_t boundary, std::size_t floor,
             LocalizationReport &report)
 {
     QSA_OBS_SPAN(span, "locate.probe");
-    ProbeRecord rec = prober.probe(boundary, floor, policy);
-    rec.family = prober.family;
+    std::vector<assertions::AssertionOutcome> outcomes;
+    for (const Check &check : prober.checks(boundary, &floor)) {
+        for (auto &out : check.checker->checkEscalated(check.specs, policy))
+            outcomes.push_back(std::move(out));
+    }
+    const ProbeRecord rec = prober.fold(boundary, outcomes);
     span.arg("family", probeFamilyName(rec.family))
         .arg("boundary", rec.boundary)
         .arg("verdict", rec.failed ? "fail" : "pass")
@@ -1276,6 +1122,66 @@ recordProbe(Prober &prober, std::size_t boundary, std::size_t floor,
         .arg("ensemble", rec.ensembleSize);
     logProbe(report, rec);
     return rec;
+}
+
+/**
+ * LinearScan: every boundary's checks at the fixed exploratory
+ * ensemble (an escalation policy whose initial size is its cap: one
+ * round), then Holm-Bonferroni over every outcome when
+ * LocateConfig::holmBonferroni is set (mirror, swap and rotated specs
+ * are never Entangled, so theirs is plain Holm), then each boundary's
+ * fold. Checks are built on this thread in chunks of kScanChunk
+ * boundaries and fan out through one runtime::BatchRunner. A probe's
+ * own checker goes with its chunk; a checker that probes share (the
+ * predicate family's) drops its plan states after each chunk.
+ */
+std::vector<ProbeRecord>
+scan(Prober &prober, const std::vector<std::size_t> &boundaries,
+     const LocateConfig &cfg)
+{
+    prober.prime(boundaries);
+    const assertions::EscalationPolicy fixed{
+        cfg.ensembleSize, cfg.ensembleSize, cfg.passThreshold};
+    runtime::BatchRunner runner(cfg.numThreads);
+    std::vector<assertions::AssertionOutcome> outcomes;
+    std::vector<std::size_t> counts; // outcomes per boundary
+    counts.reserve(boundaries.size());
+    for (std::size_t base = 0; base < boundaries.size();
+         base += kScanChunk) {
+        const std::size_t end =
+            std::min(boundaries.size(), base + kScanChunk);
+        std::vector<Check> checks;
+        for (std::size_t i = base; i < end; ++i) {
+            std::size_t specs = 0;
+            for (Check &check : prober.checks(boundaries[i], nullptr)) {
+                specs += check.specs.size();
+                checks.push_back(std::move(check));
+            }
+            counts.push_back(specs);
+        }
+        std::vector<std::vector<assertions::AssertionOutcome>> results(
+            checks.size());
+        runner.forEach(checks.size(), [&](std::size_t j) {
+            results[j] =
+                checks[j].checker->checkEscalated(checks[j].specs, fixed);
+        });
+        for (std::size_t j = 0; j < checks.size(); ++j) {
+            outcomes.insert(outcomes.end(), results[j].begin(),
+                            results[j].end());
+            checks[j].checker->clearRuntimeCache();
+        }
+    }
+    if (cfg.holmBonferroni)
+        holmFamily(outcomes);
+    std::vector<ProbeRecord> records;
+    records.reserve(boundaries.size());
+    auto cursor = outcomes.begin();
+    for (std::size_t i = 0; i < boundaries.size(); ++i) {
+        records.push_back(
+            prober.fold(boundaries[i], {cursor, cursor + counts[i]}));
+        cursor += counts[i];
+    }
+    return records;
 }
 
 /**
@@ -1336,9 +1242,7 @@ runSearch(Prober &prober, const LocateConfig &cfg,
         std::size_t first_failing = 0;
         QSA_OBS_SPAN(scan_span, "locate.scan");
         scan_span.arg("boundaries", boundaries.size());
-        for (ProbeRecord &rec :
-             prober.probeAll(boundaries, cfg.holmBonferroni)) {
-            rec.family = prober.family;
+        for (const ProbeRecord &rec : scan(prober, boundaries, cfg)) {
             logProbe(report, rec);
             if (rec.failed && first_failing == 0)
                 first_failing = rec.boundary;
@@ -1513,15 +1417,6 @@ phaseAmbiguousVerdict(const LocalizationReport &report,
     return false;
 }
 
-/** Throw qsa::Error with the streamed message unless `ok`. */
-template <typename... Args>
-void
-require(bool ok, Args &&...args)
-{
-    if (!ok)
-        throw Error(messageString(std::forward<Args>(args)...));
-}
-
 /**
  * The one place that knows which family runs on which scope (the
  * table in locate.hh's file comment). Auto gets its cheap prober
@@ -1537,49 +1432,48 @@ makeProber(ProbeFamily family, const Scope &scope,
     const auto &regs = scope.registers();
     const unsigned n = suspect.numQubits();
     const bool resim = cfg.mode == assertions::EnsembleMode::Resimulate;
-    require(n == reference.numQubits(),
-            "suspect and reference use different qubit spaces (", n,
-            " vs ", reference.numQubits(), " qubits)");
-    require(n > 0, "empty qubit space");
+    fatal_if(n != reference.numQubits(),
+             "suspect and reference use different qubit spaces (", n,
+             " vs ", reference.numQubits(), " qubits)");
+    fatal_if(n == 0, "empty qubit space");
     for (const auto &reg : regs) {
         const auto &qs = reg.qubits();
-        require(!qs.empty() &&
-                    *std::max_element(qs.begin(), qs.end()) < n,
-                "register '", reg.name(),
-                "' is empty or reaches past the ", n, "-qubit space");
+        fatal_if(qs.empty() || *std::max_element(qs.begin(), qs.end()) >= n,
+                 "register '", reg.name(),
+                 "' is empty or reaches past the ", n, "-qubit space");
     }
 
     const bool mirror =
         regs.empty() && (family == ProbeFamily::SegmentMirror ||
                          family == ProbeFamily::Auto);
     const bool swap = regs.size() < 2 && family == ProbeFamily::SwapTest;
-    require(!regs.empty() || mirror || swap, probeFamilyName(family),
-            " probes assert on one register's marginal; localize on a "
-            "register scope instead");
-    require(regs.size() < 2 || family == ProbeFamily::SegmentMirror ||
-                family == ProbeFamily::MixtureMarginal,
-            "scope-inherited two-register probes support "
-            "ProbeFamily::MixtureMarginal only (got ",
-            probeFamilyName(family), ")");
-    require(!mirror || n <= kMirrorQubitGate,
-            "segment-mirror probes assert on the full qubit space and "
-            "support at most ", kMirrorQubitGate, " qubits (", n,
-            " requested); localize on a register scope instead");
-    require(!mirror || !resim || n <= kResimMirrorQubitGate,
-            "Resimulate segment-mirror probes hold a full-space mixture "
-            "per segment start and support at most ",
-            kResimMirrorQubitGate, " qubits (", n,
-            " requested); localize on a register scope instead");
-    require(!swap || n <= kSwapQubitGate,
-            "swap-test probes simulate two program copies plus an "
-            "ancilla and support at most ", kSwapQubitGate, " qubits (",
-            n, " requested); use rotated-marginal probes on a register "
-            "scope instead");
+    fatal_if(regs.empty() && !mirror && !swap, probeFamilyName(family),
+             " probes assert on one register's marginal; localize on a "
+             "register scope instead");
+    fatal_if(regs.size() >= 2 && family != ProbeFamily::SegmentMirror &&
+                 family != ProbeFamily::MixtureMarginal,
+             "scope-inherited two-register probes support "
+             "ProbeFamily::MixtureMarginal only (got ",
+             probeFamilyName(family), ")");
+    fatal_if(mirror && n > kMirrorQubitGate,
+             "segment-mirror probes assert on the full qubit space and "
+             "support at most ", kMirrorQubitGate, " qubits (", n,
+             " requested); localize on a register scope instead");
+    fatal_if(mirror && resim && n > kResimMirrorQubitGate,
+             "Resimulate segment-mirror probes hold a full-space mixture "
+             "per segment start and support at most ",
+             kResimMirrorQubitGate, " qubits (", n,
+             " requested); localize on a register scope instead");
+    fatal_if(swap && n > kSwapQubitGate,
+             "swap-test probes simulate two program copies plus an "
+             "ancilla and support at most ", kSwapQubitGate, " qubits (",
+             n, " requested); use rotated-marginal probes on a register "
+             "scope instead");
     const std::size_t hi =
         mirror ? mirrorRange(suspect, reference, resim)
                : clampedCommonBoundary(suspect, reference, resim);
-    require(hi > 0, "no probeable instruction boundary (is a program "
-                    "empty, or does it start with a measurement?)");
+    fatal_if(hi == 0, "no probeable instruction boundary (is a program "
+                      "empty, or does it start with a measurement?)");
 
     if (mirror) {
         return std::make_unique<MirrorProber>(suspect, reference, cfg,
@@ -1712,18 +1606,18 @@ BugLocator::BugLocator(const circuit::Circuit &suspect,
                        const LocateConfig &config)
     : suspect(suspect), reference(reference), config(config)
 {
-    require(config.ensembleSize > 0,
-            "probe ensemble size must be positive");
-    require(config.maxEnsembleSize >= config.ensembleSize,
-            "escalation cap below the probe ensemble size");
-    require(config.alpha > 0.0 && config.alpha < 1.0,
-            "alpha must lie strictly between 0 and 1");
+    fatal_if(config.ensembleSize == 0,
+             "probe ensemble size must be positive");
+    fatal_if(config.maxEnsembleSize < config.ensembleSize,
+             "escalation cap below the probe ensemble size");
+    fatal_if(!(config.alpha > 0.0 && config.alpha < 1.0),
+             "alpha must lie strictly between 0 and 1");
     // passThreshold <= alpha is legal: the inconclusive band is then
     // empty and probes simply never escalate (the pre-knob behaviour
     // for alpha >= 0.30 configs).
-    require(config.passThreshold >= 0.0 && config.passThreshold <= 1.0,
-            "escalation pass threshold ", config.passThreshold,
-            " outside [0, 1]");
+    fatal_if(!(config.passThreshold >= 0.0 && config.passThreshold <= 1.0),
+             "escalation pass threshold ", config.passThreshold,
+             " outside [0, 1]");
 }
 
 LocalizationReport

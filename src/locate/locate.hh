@@ -20,11 +20,10 @@
  *     (locate/predicates.hh);
  *  3. an adaptive binary search probes O(log n) boundaries, each
  *     probe an ensemble assertion whose trials fan across the
- *     qsa::runtime pool (LinearScan batches additionally fan
- *     probe-wise through runtime::BatchRunner), so a single
- *     localization run saturates the pool; both sides of the
- *     converged bracket are re-adjudicated on escalated ensembles
- *     (assertions::EscalationPolicy) before the verdict is final.
+ *     qsa::runtime pool, so a single localization run saturates the
+ *     pool; both sides of the converged bracket are re-adjudicated
+ *     on escalated ensembles (assertions::EscalationPolicy) before
+ *     the verdict is final.
  *
  * One entry point, BugLocator::locate(scope), serves every search.
  * The Scope says what is compared: the full qubit space, one
@@ -66,7 +65,10 @@
  * exhaustive baseline bench_locate compares against: a scan cannot
  * adjudicate "first failing" under family-wise control until the whole
  * family's p-values exist, whereas the adaptive search needs
- * exponentially fewer probes.
+ * exponentially fewer probes. Both strategies check a boundary with
+ * the same probe; a scan runs each at the fixed exploratory ensemble
+ * size, its probes fanned across the pool through
+ * runtime::BatchRunner.
  *
  * Mid-circuit measurement: under the default SampleFinalState probe
  * ensembles both families clamp the probeable range at the first

@@ -112,17 +112,17 @@ class BatchRunner
              const assertions::EscalationPolicy *escalation = nullptr,
              const std::vector<std::size_t> *ensemble_sizes = nullptr);
 
-  private:
-    unsigned numThreads;
-    std::once_flag poolOnce;
-    std::unique_ptr<ThreadPool> ownedPool;
-    ThreadPool *poolPtr = nullptr;
-
     /** Run body(i) for every i in [0, n): inline when there is
      *  nothing to fan out (see the file comment), otherwise on the
      *  pool, resolving it on first use. */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &body);
+
+  private:
+    unsigned numThreads;
+    std::once_flag poolOnce;
+    std::unique_ptr<ThreadPool> ownedPool;
+    ThreadPool *poolPtr = nullptr;
 };
 
 } // namespace qsa::runtime

@@ -12,10 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "qsa/qsa.hh"
+
+#include "program_generator.hh"
 
 namespace
 {
@@ -473,6 +476,102 @@ TEST(PrefixEquivalence, DivergentRunStopsCertification)
     r.cnot(qr[0], qr[1]);
     r.h(qr[1]); // vs H on q1
     EXPECT_EQ(analyze::equivalentPrefixBoundary(s, r), 2u);
+}
+
+/** The state the first `length` instructions of `circ` prepare. */
+sim::StateVector
+prefixState(const Circuit &circ, std::size_t length)
+{
+    sim::StateVector state(circ.numQubits());
+    std::map<std::string, std::uint64_t> measurements;
+    Rng rng(0);
+    circuit::runCircuitOn(circ.sliceRange(0, length), state, measurements,
+                          rng);
+    return state;
+}
+
+/** True for the Clifford gates appendGates emits. */
+bool
+cliffordGate(const circuit::Instruction &inst)
+{
+    const bool one_qubit = inst.kind == circuit::GateKind::H ||
+                           inst.kind == circuit::GateKind::S;
+    const bool cnot = inst.kind == circuit::GateKind::X;
+    return inst.controls.size() == (cnot ? 1u : 0u) && (one_qubit || cnot);
+}
+
+/** True when the two instructions act on no common qubit. */
+bool
+disjoint(const circuit::Instruction &a, const circuit::Instruction &b)
+{
+    for (const auto *x : {&a.targets, &a.controls}) {
+        for (const auto *y : {&b.targets, &b.controls}) {
+            for (unsigned p : *x)
+                for (unsigned q : *y)
+                    if (p == q)
+                        return false;
+        }
+    }
+    return true;
+}
+
+TEST(PrefixEquivalence, GeneratedPairsCertifyOnlyEquivalentPrefixes)
+{
+    // Measurement-free generated references; each suspect swaps two
+    // adjacent Clifford gates on disjoint qubits (the same length and
+    // the same tableau, but no longer structurally equal) and then
+    // replaces one later instruction: a Clifford gate by another one
+    // (a run of the same length with a different tableau), anything
+    // else by a rotation. Whatever boundary E the pre-pass certifies,
+    // both locate strategies start above it, so the two length-E
+    // prefixes must prepare the same state up to global phase.
+    std::size_t pairs = 0, past_swap = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Circuit reference(4);
+        testgen::ProgramGenerator(reference, seed).appendGates(0, 4, 40);
+        const auto &ri = reference.instructions();
+        Rng rng(seed);
+        std::vector<std::size_t> sites;
+        for (std::size_t i = 0; i + 2 < ri.size(); ++i) {
+            if (cliffordGate(ri[i]) && cliffordGate(ri[i + 1]) &&
+                disjoint(ri[i], ri[i + 1]))
+                sites.push_back(i);
+        }
+        if (sites.empty())
+            continue;
+        const std::size_t i = sites[rng.uniformInt(sites.size())];
+        const std::size_t j = i + 2 + rng.uniformInt(ri.size() - i - 2);
+
+        Circuit suspect = reference.sliceRange(0, i);
+        suspect.appendRange(reference, i + 1, i + 2);
+        suspect.appendRange(reference, i, i + 1);
+        suspect.appendRange(reference, i + 2, j);
+        const unsigned q = ri[j].targets[0];
+        if (!cliffordGate(ri[j]))
+            suspect.rx(q, 0.77);
+        else if (ri[j].kind == circuit::GateKind::H)
+            suspect.s(q);
+        else
+            suspect.h(q);
+        suspect.appendRange(reference, j + 1, ri.size());
+        ASSERT_EQ(suspect.size(), reference.size());
+
+        const std::size_t e =
+            analyze::equivalentPrefixBoundary(suspect, reference);
+        EXPECT_LE(e, j) << "seed " << seed;
+        EXPECT_GE(prefixState(suspect, e)
+                      .fidelity(prefixState(reference, e)),
+                  1.0 - 1e-9)
+            << "seed " << seed << ": swap at " << i << ", rotation at "
+            << j << ", certified " << e;
+        ++pairs;
+        if (e > i)
+            ++past_swap;
+    }
+    // Enough pairs, and the tableau match (not only structural
+    // equality) certified past the swap in some of them.
+    EXPECT_GE(pairs, 20u);
+    EXPECT_GT(past_swap, 0u);
 }
 
 // --- Session::analyze ------------------------------------------------------
