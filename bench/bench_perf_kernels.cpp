@@ -199,12 +199,13 @@ BENCHMARK(BM_TrotterStepCircuit);
 // exact, so scripts/check_bench_regression.py can gate them at a
 // tight tolerance: a kernel regression shows up as more amplitude
 // slots touched for the same probe count, long before wall-clock
-// noise would reveal it. The tensor:0 variant keeps the monolithic
-// swap-probe cost on record so the tensor-split win stays visible in
-// the artifact itself. The semiclassical Shor fixture pins the
-// Resimulate path walk: its tail re-simulates once per distinct
-// measurement-outcome path, so a return to per-trial tails shows up
-// as a many-fold rise in amp_touches_per_trial.
+// noise would reveal it. The swap probe's tensor:0 variant simulates
+// the 2n+1-qubit comparator program, kept on record so the paired
+// probe's (tensor:1) saving stays visible in the artifact itself. The
+// semiclassical Shor fixture pins the Resimulate path walk: its tail
+// re-simulates once per distinct measurement-outcome path, so a
+// return to per-trial tails shows up as a many-fold rise in
+// amp_touches_per_trial.
 
 /** Value of one metric in a registry snapshot (0 when absent). */
 std::int64_t
@@ -242,12 +243,29 @@ qftAdderFixture()
 }
 
 /**
- * Swap-test probe fixture, shaped exactly like the SwapProber's
- * output: a suspect-like half on [0, n), an embedded-reference half
- * on [n, 2n), and the ancilla-controlled-SWAP comparator. A
- * mid-circuit measurement per half keeps the tails nondeterministic,
- * so the tensor split's 2^(2n+1) -> 2^n per-gate saving is what the
- * counters record.
+ * One half of the swap-test probe fixture: n qubits superposed, qubit
+ * 0 measured mid-circuit under `label` (so the tail is
+ * nondeterministic), then a CNOT chain and a T layer. Appended to
+ * `circ` on the register `r`.
+ */
+void
+appendSwapHalf(circuit::Circuit &circ, const circuit::QubitRegister &r,
+               const std::string &label)
+{
+    const unsigned n = r.width();
+    for (unsigned q = 0; q < n; ++q)
+        circ.h(r.qubit(q));
+    circ.measureQubits({r.qubit(0)}, label);
+    for (unsigned q = 0; q + 1 < n; ++q)
+        circ.cnot(r.qubit(q), r.qubit(q + 1));
+    for (unsigned q = 0; q < n; ++q)
+        circ.t(r.qubit(q));
+}
+
+/**
+ * Swap-test probe fixture as the 2n+1-qubit comparator program: a
+ * suspect-like half on [0, n), a reference-like half on [n, 2n), and
+ * the ancilla-controlled-SWAP comparator, read at "cmp".
  */
 circuit::Circuit
 swapProbeFixture(unsigned n)
@@ -256,18 +274,8 @@ swapProbeFixture(unsigned n)
     const auto low = circ.addRegister("low", n);
     const auto high = circ.addRegister("high", n);
     const auto anc = circ.addRegister("anc", 1);
-    const auto half = [&](const circuit::QubitRegister &r,
-                          const std::string &label) {
-        for (unsigned q = 0; q < n; ++q)
-            circ.h(r.qubit(q));
-        circ.measureQubits({r.qubit(0)}, label);
-        for (unsigned q = 0; q + 1 < n; ++q)
-            circ.cnot(r.qubit(q), r.qubit(q + 1));
-        for (unsigned q = 0; q < n; ++q)
-            circ.t(r.qubit(q));
-    };
-    half(low, "m_low");
-    half(high, "m_high");
+    appendSwapHalf(circ, low, "m_low");
+    appendSwapHalf(circ, high, "m_high");
     const unsigned a = anc.qubit(0);
     circ.h(a);
     for (unsigned q = 0; q < n; ++q)
@@ -276,6 +284,35 @@ swapProbeFixture(unsigned n)
     circ.breakpoint("cmp");
     return circ;
 }
+
+/**
+ * The same comparison as a paired probe, as SwapProber checks it: the
+ * suspect half alone, read at "cmp", and the reference half its
+ * engine is paired with (runtime::EngineOptions::reference), compared
+ * on the full space. No program holds the comparator.
+ */
+struct PairedSwapProbe
+{
+    explicit PairedSwapProbe(unsigned n) : suspect(0), reference(0)
+    {
+        appendSwapHalf(suspect, suspect.addRegister("low", n), "m_low");
+        suspect.breakpoint("cmp");
+        appendSwapHalf(reference, reference.addRegister("high", n),
+                       "m_high");
+        options.reference = &reference;
+        spec.kind = assertions::AssertionKind::Superposition;
+        spec.breakpoint = "cmp";
+        spec.regA = circuit::QubitRegister("anc", {n});
+    }
+
+    PairedSwapProbe(const PairedSwapProbe &) = delete;
+    PairedSwapProbe &operator=(const PairedSwapProbe &) = delete;
+
+    circuit::Circuit suspect;
+    circuit::Circuit reference;
+    runtime::EngineOptions options;
+    assertions::AssertionSpec spec;
+};
 
 assertions::AssertionSpec
 kernelSpec(const circuit::Circuit &circ, const std::string &bp,
@@ -293,7 +330,7 @@ void
 runKernelFixture(benchmark::State &state,
                  const circuit::Circuit &circ,
                  const assertions::AssertionSpec &spec,
-                 unsigned tensor_split,
+                 const runtime::EngineOptions &options = {},
                  std::size_t trials = kKernelTrials)
 {
     assertions::CheckConfig cfg;
@@ -301,9 +338,8 @@ runKernelFixture(benchmark::State &state,
     cfg.mode = assertions::EnsembleMode::Resimulate;
     cfg.seed = 0x5eed;
     cfg.numThreads = 1;
-    cfg.tensorSplit = tensor_split;
     const auto once = [&]() {
-        const assertions::AssertionChecker checker(circ, cfg);
+        const assertions::AssertionChecker checker(circ, cfg, options);
         return checker.check(spec);
     };
 
@@ -327,17 +363,26 @@ void
 BM_KernelCostQftAdder(benchmark::State &state)
 {
     const auto circ = qftAdderFixture();
-    runKernelFixture(state, circ, kernelSpec(circ, "sum", "b"), 0);
+    runKernelFixture(state, circ, kernelSpec(circ, "sum", "b"));
 }
 BENCHMARK(BM_KernelCostQftAdder)->Unit(benchmark::kMillisecond);
 
+/**
+ * The 5-qubit swap probe: tensor:0 simulates the 2n+1-qubit
+ * comparator program, tensor:1 is the paired probe on the same two
+ * halves, which reads the comparator from their overlap.
+ */
 void
 BM_KernelCostSwapProbe(benchmark::State &state)
 {
     constexpr unsigned n = 5;
-    const auto circ = swapProbeFixture(n);
-    runKernelFixture(state, circ, kernelSpec(circ, "cmp", "anc"),
-                     state.range(0) != 0 ? n : 0);
+    if (state.range(0) == 0) {
+        const auto circ = swapProbeFixture(n);
+        runKernelFixture(state, circ, kernelSpec(circ, "cmp", "anc"));
+        return;
+    }
+    const PairedSwapProbe probe(n);
+    runKernelFixture(state, probe.suspect, probe.spec, probe.options);
 }
 BENCHMARK(BM_KernelCostSwapProbe)
     ->ArgName("tensor")
@@ -361,15 +406,15 @@ BM_KernelCostSemiclassical(benchmark::State &state)
     spec.breakpoint = "final";
     spec.regA = prog.helper;
     spec.expectedValue = 0;
-    runKernelFixture(state, prog.circuit, spec, 0, 64);
+    runKernelFixture(state, prog.circuit, spec, {}, 64);
 }
 BENCHMARK(BM_KernelCostSemiclassical)->Unit(benchmark::kMillisecond);
 
 /**
- * Replay both kernel-cost fixtures in their optimized configuration
- * with the registry freshly reset, so the --json document's
- * "metrics" object records a fixed workload's sim.gate_applies /
- * sim.amp_touches totals (gated within tolerance by CI).
+ * Replay the QFT-adder fixture and the paired swap probe with the
+ * registry freshly reset, so the --json document's "metrics" object
+ * records a fixed workload's sim.gate_applies / sim.amp_touches
+ * totals (gated within tolerance by CI).
  */
 void
 metricsEpilogue()
@@ -377,20 +422,19 @@ metricsEpilogue()
     obs::Registry::reset();
     const auto check = [](const circuit::Circuit &circ,
                           const assertions::AssertionSpec &spec,
-                          unsigned tensor_split) {
+                          const runtime::EngineOptions &options) {
         assertions::CheckConfig cfg;
         cfg.ensembleSize = kKernelTrials;
         cfg.mode = assertions::EnsembleMode::Resimulate;
         cfg.seed = 0x5eed;
         cfg.numThreads = 1;
-        cfg.tensorSplit = tensor_split;
-        const assertions::AssertionChecker checker(circ, cfg);
+        const assertions::AssertionChecker checker(circ, cfg, options);
         benchmark::DoNotOptimize(checker.check(spec));
     };
     const auto adder = qftAdderFixture();
-    check(adder, kernelSpec(adder, "sum", "b"), 0);
-    const auto probe = swapProbeFixture(5);
-    check(probe, kernelSpec(probe, "cmp", "anc"), 5);
+    check(adder, kernelSpec(adder, "sum", "b"), {});
+    const PairedSwapProbe probe(5);
+    check(probe.suspect, probe.spec, probe.options);
 }
 
 } // anonymous namespace

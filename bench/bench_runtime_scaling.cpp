@@ -14,6 +14,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "benchjson_main.hh"
 #include "qsa/qsa.hh"
 
@@ -114,10 +117,11 @@ void
 BM_BatchFanout(benchmark::State &state)
 {
     // Many assertion units across one pool: the production shape of a
-    // debugging sweep (several program variants, several assertions).
+    // debugging sweep (several program variants, several assertions),
+    // one checker per program, every (program, assertion) unit fanned
+    // out through the runner. Ensembles run inline on the batch
+    // workers.
     const auto &prog = groverProgram();
-    // Scheduling is the runner's: with several units, ensembles run
-    // inline on the batch workers (numThreads here would be ignored).
     assertions::CheckConfig cfg;
     cfg.ensembleSize = 128;
 
@@ -129,11 +133,21 @@ BM_BatchFanout(benchmark::State &state)
                 label, prog.circuit.registers().front());
         specs = proto.assertions();
     }
-    std::vector<const circuit::Circuit *> programs(4, &prog.circuit);
+    const std::vector<const circuit::Circuit *> programs(4, &prog.circuit);
 
     runtime::BatchRunner runner((unsigned)state.range(0));
     for (auto _ : state) {
-        auto outcomes = runner.checkAll(programs, specs, cfg);
+        std::vector<std::unique_ptr<assertions::AssertionChecker>> checkers;
+        for (const auto *program : programs)
+            checkers.push_back(
+                std::make_unique<assertions::AssertionChecker>(*program,
+                                                               cfg));
+        std::vector<assertions::AssertionOutcome> outcomes(
+            programs.size() * specs.size());
+        runner.forEach(outcomes.size(), [&](std::size_t k) {
+            outcomes[k] =
+                checkers[k / specs.size()]->check(specs[k % specs.size()]);
+        });
         benchmark::DoNotOptimize(outcomes);
     }
     state.SetItemsProcessed(state.iterations() * programs.size() *

@@ -47,7 +47,7 @@ assertionKindName(AssertionKind kind)
 
 AssertionChecker::AssertionChecker(circuit::Circuit prog,
                                    const CheckConfig &cfg,
-                                   runtime::CheckpointStore *checkpoints)
+                                   runtime::EngineOptions options)
     : program(std::move(prog)), config(cfg)
 {
     fatal_if(config.ensembleSize == 0,
@@ -55,8 +55,7 @@ AssertionChecker::AssertionChecker(circuit::Circuit prog,
     // Created eagerly so concurrent check() calls (BatchRunner fans
     // them across a pool) never race on lazy initialisation.
     engine = std::make_unique<runtime::EnsembleEngine>(
-        program, config.numThreads,
-        runtime::EngineOptions{config.tensorSplit, checkpoints});
+        program, config.numThreads, std::move(options));
 }
 
 AssertionChecker::~AssertionChecker() = default;

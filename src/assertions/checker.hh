@@ -8,6 +8,12 @@
  * versions"), an ensemble of executions is simulated, the truncating
  * measurement is applied, and the outcome counts feed a chi-square
  * test whose p-value decides the verdict.
+ *
+ * A checker whose engine is paired with a reference (a swap-test
+ * probe's, runtime::EngineOptions::reference) reads every assertion
+ * as the one bit of the swap-test comparator between its program's
+ * prefix and the reference's: the same statistics on a classical
+ * observation whose acceptance is an overlap.
  */
 
 #ifndef QSA_ASSERTIONS_CHECKER_HH
@@ -23,7 +29,6 @@
 namespace qsa::runtime
 {
 class BatchRunner;
-class CheckpointStore;
 class EnsembleEngine;
 } // namespace qsa::runtime
 
@@ -39,13 +44,16 @@ class AssertionChecker
      *        taken by value: pass an rvalue (a freshly built probe) to
      *        move it in, an lvalue to copy it
      * @param config ensemble/test configuration
-     * @param checkpoints prefix-state store shared with other
-     *        checkers (runtime/checkpoint.hh), or null; outcomes are
-     *        identical either way. Must outlive the checker.
+     * @param options the engine's options (runtime/ensemble.hh): a
+     *        prefix-state store shared with other checkers, under
+     *        which outcomes are identical, or the reference a
+     *        swap-test probe's checker is paired with, whose every
+     *        assertion then reads the comparator's one bit. What they
+     *        point to must outlive the checker.
      */
     AssertionChecker(circuit::Circuit program,
                      const CheckConfig &config = CheckConfig(),
-                     runtime::CheckpointStore *checkpoints = nullptr);
+                     runtime::EngineOptions options = {});
 
     ~AssertionChecker();
 

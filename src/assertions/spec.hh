@@ -141,15 +141,6 @@ struct CheckConfig
      * Off by default to preserve per-assertion semantics.
      */
     bool holmBonferroni = false;
-
-    /**
-     * Tensor-split hint for the engine
-     * (runtime::EngineOptions::tensorSplit): 0 = monolithic. Set by
-     * the swap-test prober to the suspect's qubit count so probe
-     * trials simulate the suspect and embedded-reference halves
-     * separately and combine only at the comparator.
-     */
-    unsigned tensorSplit = 0;
 };
 
 /**

@@ -442,19 +442,6 @@ Circuit::copyRange(const Circuit &src, std::size_t begin, std::size_t end,
                 inst.controls.append(controls->data(),
                                      controls->data() + controls->size());
             }
-            if (how.qubitOffset != 0) {
-                const auto shift = static_cast<unsigned>(how.qubitOffset);
-                for (unsigned &q : inst.targets)
-                    q += shift;
-                for (unsigned &q : inst.controls)
-                    q += shift;
-            }
-            if (!how.labelPrefix.empty()) {
-                if (!inst.label.empty())
-                    inst.label.insert(0, how.labelPrefix);
-                if (!inst.condLabel.empty())
-                    inst.condLabel.insert(0, how.labelPrefix);
-            }
             if (inst.kind == GateKind::Unitary) {
                 const sim::CMatrix &m = src.matrix(inst.matrixId);
                 inst.matrixId = addMatrix(how.adjoint ? m.adjoint() : m);
@@ -475,8 +462,7 @@ void
 Circuit::appendRange(const Circuit &src, std::size_t begin,
                      std::size_t end, const RangeCopy &how)
 {
-    fatal_if(static_cast<std::int64_t>(src.nQubits) + how.qubitOffset >
-                 static_cast<std::int64_t>(nQubits),
+    fatal_if(src.nQubits > nQubits,
              "appended circuit uses more qubits than the target");
     copyRange(src, begin, end, how);
 }
@@ -585,31 +571,6 @@ Circuit::sliceRange(std::size_t begin, std::size_t end) const
     slice.regs = regs;
     slice.copyRange(*this, begin, end, RangeCopy());
     return slice;
-}
-
-Circuit
-Circuit::embedded(unsigned total_qubits, unsigned offset,
-                  const std::string &label_prefix) const
-{
-    fatal_if(static_cast<std::uint64_t>(offset) + nQubits >
-                 total_qubits,
-             "cannot embed a ", nQubits, "-qubit circuit at offset ",
-             offset, " into a ", total_qubits, "-qubit space");
-
-    Circuit out(total_qubits);
-    for (const auto &r : regs) {
-        std::vector<unsigned> qubits;
-        qubits.reserve(r.width());
-        for (unsigned q : r.qubits())
-            qubits.push_back(q + offset);
-        out.regs.emplace_back(label_prefix + r.name(),
-                              std::move(qubits));
-    }
-    RangeCopy how;
-    how.qubitOffset = static_cast<int>(offset);
-    how.labelPrefix = label_prefix;
-    out.copyRange(*this, 0, insts.size(), how);
-    return out;
 }
 
 void

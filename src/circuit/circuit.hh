@@ -35,17 +35,6 @@ namespace qsa::circuit
  */
 struct RangeCopy
 {
-    /**
-     * Added to every qubit index: Circuit::embedded shifts a circuit
-     * up; a negative offset moves a block that touches only high
-     * qubits down.
-     */
-    int qubitOffset = 0;
-
-    /** Prepended to every non-empty label and condition label
-     *  (Circuit::embedded's renaming). */
-    std::string labelPrefix;
-
     /** Copy back to front, each instruction replaced by its
      *  adjoint under Circuit::inverse's rules. */
     bool adjoint = false;
@@ -179,11 +168,11 @@ class Circuit
     /**
      * Append instructions [begin, end) of `src`, each copied once,
      * rewritten as `how` says, and validated. The copy helpers
-     * (appendCircuit, inverse, sliceRange, prefixUpTo, embedded,
+     * (appendCircuit, inverse, sliceRange, prefixUpTo,
      * withBoundaryBreakpoints, appendControlled) all run this one
      * loop; callers assembling a program from ranges of others — the
-     * locate probes, the engine's tensor stages — call it directly
-     * instead of composing helpers that copy each instruction again.
+     * locate probes — call it directly instead of composing helpers
+     * that copy each instruction again.
      * Registers are not carried over. Adds the instructions copied to
      * the `circuit.copied_instructions` counter, once per call.
      */
@@ -239,21 +228,6 @@ class Circuit
      * same qubit space (used by the structural scopes).
      */
     Circuit sliceRange(std::size_t begin, std::size_t end) const;
-
-    /**
-     * Copy of this circuit embedded into a wider qubit space: every
-     * qubit index is shifted up by `offset` and the result is defined
-     * on `total_qubits` qubits. Measurement-record labels, breakpoint
-     * labels, and the classical conditions that reference them are
-     * prefixed with `label_prefix`, so two embedded copies of
-     * measuring programs keep disjoint classical records — the
-     * substrate of the swap-test comparator probes, which run the
-     * suspect on the low half and the reference on the high half of
-     * one probe program. Registers are carried over (shifted and
-     * prefixed) for introspection.
-     */
-    Circuit embedded(unsigned total_qubits, unsigned offset,
-                     const std::string &label_prefix = "") const;
 
     /** Drop instructions from the end until `new_size` remain. */
     void truncate(std::size_t new_size);

@@ -57,25 +57,19 @@ const std::string kBoundaryMarkLabel = "qsa_locate_boundary";
 const std::string kBoundaryPrefix = "qsa_locate_b";
 
 /**
- * Label prefix renaming the embedded reference copy's measurement
- * records and breakpoints inside a swap-test probe, so the two
- * program copies keep disjoint classical records.
- */
-const std::string kRefPrefix = "qsa_locate_ref:";
-
-/**
  * @{ @name Width gates
  * The widest programs (in qubits) each probe family accepts
  * (makeProber checks them).
  */
 
 /**
- * Swap-test probes simulate two embedded copies plus an ancilla
- * (2n+1 qubits). Their tensor-split trials (SwapProber::probeConfig)
- * touch the 2^(2n+1) space only for the ~n comparator gates, which
- * lifted this gate from 10; the bound is the comparator's full state
- * (2^23 amplitudes = 128 MiB per in-flight trial at n = 11). Auto's
- * escalation is skipped past it.
+ * Swap-test probes. The gate was set by the 2n+1-qubit comparator
+ * program the probes once simulated (2^23 amplitudes, 128 MiB, per
+ * in-flight trial at n = 11). A paired probe holds two 2^n states per
+ * path instead (SwapProber) and could go wider, but the gate stays at
+ * 11 and its error message keeps its bytes: Auto's escalation is
+ * skipped past it, so moving it would change which programs Auto
+ * escalates on and which swap searches are refused.
  */
 constexpr unsigned kSwapQubitGate = 11;
 
@@ -178,15 +172,15 @@ baseConfig(const LocateConfig &cfg)
 /**
  * A probe's checker, built under its own trace span: the checker
  * takes the probe program (moved in when the caller passes a fresh
- * one) and sets up its ensemble engine.
+ * one) and sets up its ensemble engine under `options`.
  */
 std::shared_ptr<assertions::AssertionChecker>
 probeChecker(circuit::Circuit program, const assertions::CheckConfig &cc,
-             runtime::CheckpointStore *checkpoints = nullptr)
+             runtime::EngineOptions options = {})
 {
     QSA_OBS_SPAN(span, "locate.probe.checker");
     return std::make_shared<assertions::AssertionChecker>(
-        std::move(program), cc, checkpoints);
+        std::move(program), cc, std::move(options));
 }
 
 /** The suspect with a breakpoint at every boundary, under the
@@ -528,10 +522,13 @@ class MirrorProber : public Prober
         cc.seed = seedFor(cfg.seed, boundary);
         const bool adaptive = floor != nullptr;
         const std::size_t lo = adaptive ? std::min(*floor, boundary) : 0;
+        runtime::EngineOptions options;
+        if (adaptive)
+            options.checkpoints = &checkpoints;
         std::vector<Check> out;
         out.push_back(
             {probeChecker(buildProbe(boundary, adaptive ? &lo : nullptr),
-                          cc, adaptive ? &checkpoints : nullptr),
+                          cc, std::move(options)),
              specsFor(boundary, lo, !adaptive && cfg.holmBonferroni)});
         return out;
     }
@@ -817,20 +814,28 @@ class PredicateProber : public Prober
 };
 
 /**
- * Swap-test probes: the probe program runs the suspect prefix on
- * qubits [0, n), the reference prefix — qubit indices shifted and
- * classical labels renamed (Circuit::embedded) — on [n, 2n), then an
- * H / controlled-SWAP-per-register-qubit / H comparator on ancilla
- * qubit 2n. For pure pair states the ancilla reads 0 with
- * probability (1 + |<psi|phi>|^2) / 2; the partial swap test over a
- * register measures the reduced-state overlap, and averaging over
- * independently sampled suspect and reference measurement branches
- * makes the unconditional ancilla distribution
+ * Swap-test probes: the probe at boundary b is the swap-test
+ * comparator of the suspect prefix [0, b) and the reference prefix
+ * [0, b) on the probed register (the full space without one): an
+ * ancilla in |+>, a controlled SWAP of each register qubit between
+ * the two copies, H, and a read of the ancilla. For pure pair states
+ * the ancilla reads 0 with probability (1 + |<psi|phi>|^2) / 2; over
+ * a register it measures the reduced-state overlap, and averaging
+ * over independently sampled suspect and reference measurement
+ * branches makes the unconditional ancilla distribution
  * Bernoulli((1 + tr(rho sigma)) / 2) for the two reduced mixtures.
  * The OverlapOracle supplies the null value (sigma = rho): a
  * classical point mass at 0 wherever the reference's reduced state
  * is pure — there a single observed 1 refutes the null outright — a
  * two-point distribution otherwise.
+ *
+ * No probe simulates the comparator. Its checker runs the suspect
+ * prefix and is paired with the reference (runtime::EngineOptions::
+ * reference): each trial walks the suspect prefix, then, from the
+ * leaf it reached, the reference prefix, and reads the comparator's
+ * bit from the two n-qubit leaf states' overlap, drawing exactly
+ * what a trial of the 2n+1-qubit comparator program would draw
+ * (runtime/ensemble.hh).
  *
  * Witness soundness: common unitary evolution of the register
  * preserves tr(rho sigma) exactly, so once a defective instruction
@@ -853,8 +858,9 @@ class PredicateProber : public Prober
  * full-space form backs the full scope's families on measure-light
  * programs.
  *
- * Cost: each probe simulates 2n+1 qubits, so the family is gated to
- * small programs and is the *escalation* family, not the default.
+ * Cost: each probe walks both prefixes, so the family is gated to
+ * small programs (kSwapQubitGate) and is the *escalation* family,
+ * not the default.
  */
 class SwapProber : public Prober
 {
@@ -862,28 +868,23 @@ class SwapProber : public Prober
     /**
      * @param reg comparator register (nullptr = the full space)
      *
-     * In Resimulate mode the probe runs both copies' measurements per
-     * trial, so even structurally diverging programs stay comparable
-     * past them (the range is clampedCommonBoundary's).
+     * In Resimulate mode each trial runs both prefixes' measurements,
+     * so even structurally diverging programs stay comparable past
+     * them (the range is clampedCommonBoundary's).
      */
     SwapProber(const circuit::Circuit &suspect,
                const circuit::Circuit &reference,
                const LocateConfig &cfg, std::size_t hi,
                const circuit::QubitRegister *reg)
         : Prober(ProbeFamily::SwapTest, hi), suspect(suspect),
-          reference(reference), cfg(cfg), n(suspect.numQubits()),
-          anc(2 * n), ancReg("qsa_swap_anc", {anc})
+          reference(reference), cfg(cfg),
+          ancReg("qsa_swap_anc", {suspect.numQubits()})
     {
-        if (reg != nullptr) {
-            swapQubits = reg->qubits();
-            oracleQubits = reg->qubits();
-        } else {
-            swapQubits.resize(n);
-            for (unsigned q = 0; q < n; ++q)
-                swapQubits[q] = q;
-            // Empty register selects the oracle's pairwise-fidelity
-            // full-space purity (no 2^n x 2^n density matrix).
-        }
+        // Empty selects the full space: the engine's fidelity and the
+        // oracle's pairwise-fidelity purity (no 2^n x 2^n density
+        // matrix).
+        if (reg != nullptr)
+            compared = reg->qubits();
     }
 
     std::vector<Check>
@@ -891,7 +892,8 @@ class SwapProber : public Prober
     {
         std::vector<Check> out;
         out.push_back({probeChecker(buildProbe(boundary),
-                                    probeConfig(boundary)),
+                                    probeConfig(boundary),
+                                    {nullptr, &reference, compared}),
                        {specFor(boundary)}});
         return out;
     }
@@ -906,11 +908,13 @@ class SwapProber : public Prober
     const circuit::Circuit &suspect;
     const circuit::Circuit &reference;
     LocateConfig cfg;
-    unsigned n = 0;
-    unsigned anc = 0;
+
+    /** The comparator's ancilla: the one bit a paired engine reads,
+     *  no qubit of the probe program. */
     circuit::QubitRegister ancReg;
-    std::vector<unsigned> swapQubits;
-    std::vector<unsigned> oracleQubits; // empty = full space
+
+    /** The compared register's qubits; empty = the full space. */
+    std::vector<unsigned> compared;
     OracleMemo<OverlapOracle> purities;
 
     const OverlapOracle &
@@ -918,7 +922,7 @@ class SwapProber : public Prober
     {
         return purities.hold(boundaries,
                              std::make_shared<const OverlapOracle>(
-                                 reference, oracleQubits, boundaries));
+                                 reference, compared, boundaries));
     }
 
     /** The reference's purity at `boundary`; an adaptive probe's
@@ -932,32 +936,24 @@ class SwapProber : public Prober
             .purityAt(boundary);
     }
 
-    /** The boundary's salted stream, tensor-split at n. */
+    /** The boundary's salted stream. */
     assertions::CheckConfig
     probeConfig(std::size_t boundary) const
     {
         auto cc = baseConfig(cfg);
         cc.seed = seedFor(cfg.seed ^ kSwapSeedSalt, boundary);
-        cc.tensorSplit = n;
         return cc;
     }
 
-    /** The probe program at `boundary`; each half is copied once,
-     *  straight into the 2n+1-qubit space. */
+    /** The probe program at `boundary`: the suspect prefix, copied
+     *  once, ending at the comparator's readout. The paired engine
+     *  walks the reference prefix in place. */
     circuit::Circuit
     buildProbe(std::size_t boundary) const
     {
         QSA_OBS_SPAN(span, "locate.probe.build");
-        circuit::Circuit probe(2 * n + 1);
+        circuit::Circuit probe(suspect.numQubits());
         probe.appendRange(suspect, 0, boundary);
-        circuit::RangeCopy high;
-        high.qubitOffset = static_cast<int>(n);
-        high.labelPrefix = kRefPrefix;
-        probe.appendRange(reference, 0, boundary, high);
-        probe.h(anc);
-        for (unsigned q : swapQubits)
-            probe.cswap(anc, q, n + q);
-        probe.h(anc);
         probe.breakpoint(kProbeLabel);
         return probe;
     }
@@ -996,8 +992,8 @@ class SwapProber : public Prober
  * 3-per-boundary family. For a one-qubit register the three frames
  * determine the Bloch vector, so any divergence *on the register* is
  * visible the instruction it appears — including pure phase — at
- * three cheap n-qubit probes per boundary instead of a 2n+1-qubit
- * swap test. The witness is still not monotone (divergence can
+ * three cheap n-qubit probes per boundary, without the swap test's
+ * reference walk. The witness is still not monotone (divergence can
  * rotate off the probed register later), so brackets carry the same
  * first-visible caveat as the computational marginal family.
  */

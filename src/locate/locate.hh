@@ -118,16 +118,18 @@
  *    not a monotone witness (later instructions can rotate the
  *    divergence off the probed register).
  *
- *  - *Swap-test probes* (ProbeFamily::SwapTest): the probe program
- *    runs the suspect prefix on the low qubit half, the reference
- *    prefix (labels renamed) on the high half, and an
- *    ancilla-controlled SWAP comparator between them; the ancilla
- *    reads 0 with probability (1 + tr(rho sigma)) / 2, asserted as
- *    the Bernoulli the OverlapOracle predicts from the reference's
- *    mixture purity. The overlap deficit is invariant under common
- *    unitary evolution, so within any measure-free segment this
- *    witness is *monotone* — sound for non-persistent divergence —
- *    at the cost of simulating 2n+1 qubits per probe.
+ *  - *Swap-test probes* (ProbeFamily::SwapTest): the swap-test
+ *    comparator of the suspect prefix and the reference prefix, an
+ *    ancilla-controlled SWAP between them, whose ancilla reads 0
+ *    with probability (1 + tr(rho sigma)) / 2, asserted as the
+ *    Bernoulli the OverlapOracle predicts from the reference's
+ *    mixture purity. Each trial walks both prefixes and reads that
+ *    bit from the two leaf states' overlap, without simulating the
+ *    comparator (runtime::EngineOptions::reference). The overlap
+ *    deficit is invariant under common unitary evolution, so within
+ *    any measure-free segment this witness is *monotone* — sound for
+ *    non-persistent divergence — at the cost of walking the
+ *    reference prefix from every suspect leaf of every probe.
  *
  * Static pruning (qsa::analyze): before any probe runs, the locator
  * asks `analyze::equivalentPrefixBoundary` for the largest boundary E
@@ -210,8 +212,9 @@ enum class ProbeFamily
      *  basis-change epilogues (phase-sensitive on the register). */
     RotatedMarginal,
 
-    /** Ancilla-controlled-SWAP comparator against an embedded
-     *  reference copy; monotone witness within unitary segments. */
+    /** Swap-test comparator of the suspect and reference prefixes,
+     *  read from their overlap; monotone witness within unitary
+     *  segments. */
     SwapTest,
 
     /** Per-segment witness selection: segment mirrors first,

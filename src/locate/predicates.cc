@@ -755,7 +755,7 @@ PredicateOracle::buildSampled(
     // depend on the thread count or on the order the walk visits
     // nodes in.
     const Rng draws(seed ^ kSampleDrawSalt);
-    const runtime::Tail tail({{&reference, 0, end}});
+    const runtime::Tail tail({&reference, 0, end});
     for (std::size_t lo = 0; lo < sampledTrials; lo += runtime::kWalkChunk) {
         runtime::StreamBank bank;
         bank.seed(seed, lo, std::min(sampledTrials - lo, runtime::kWalkChunk));
@@ -776,7 +776,7 @@ PredicateOracle::buildSampled(
             }
         };
         runtime::walkTail(tail, sim::StateVector(reference.numQubits()),
-                          bank, positions, draw);
+                          bank, 0, bank.size(), positions, draw);
     }
 
     // Sampled predicates are always Distribution-with-counts:

@@ -2,13 +2,13 @@
  * @file
  * Batch assertion checking across the ensemble pool.
  *
- * Production debugging sessions check many assertions over many program
- * variants (the bug-injection sweeps in bench/ are exactly that shape).
- * BatchRunner fans every (program, assertion) pair across one thread
- * pool at assertion granularity; each unit's ensemble generation then
- * runs inline on the worker it landed on (nested parallelFor calls run
- * inline — see pool.hh), so the pool is never oversubscribed and the
- * fan-out cannot deadlock.
+ * A checker's assertion plan (AssertionChecker::checkAll,
+ * session::Session::run) and a bug locator's LinearScan are many
+ * independent checks. BatchRunner fans them across one thread pool at
+ * check granularity; each unit's ensemble generation then runs inline
+ * on the worker it landed on (nested parallelFor calls run inline —
+ * see pool.hh), so the pool is never oversubscribed and the fan-out
+ * cannot deadlock.
  *
  * The pool is resolved on the first real fan-out, not at
  * construction: with at most one unit, or on a thread that already
@@ -17,9 +17,9 @@
  * thread and no pool is created, posted to or waited on.
  *
  * Results are positionally identical — and numerically bit-identical —
- * to checking each item serially with AssertionChecker::checkAll: both
- * paths route through qsa::runtime's EnsembleEngine with the same
- * per-trial stream derivation from CheckConfig::seed.
+ * to checking each spec serially: every check routes through
+ * qsa::runtime's EnsembleEngine with the same per-trial stream
+ * derivation from CheckConfig::seed.
  */
 
 #ifndef QSA_RUNTIME_BATCH_HH
@@ -36,27 +36,6 @@
 namespace qsa::runtime
 {
 
-/** One unit of batch work: a program plus the assertions to check. */
-struct BatchItem
-{
-    /** Program under test; must outlive the checkAll call. */
-    const circuit::Circuit *program = nullptr;
-
-    /** Assertions to check against it. */
-    std::vector<assertions::AssertionSpec> specs;
-
-    /**
-     * Ensemble/test configuration for this item. Note: numThreads is
-     * replaced by the batch's own scheduling — with several units,
-     * each unit's ensemble generation runs inline (serially) on the
-     * batch worker it lands on; with exactly one unit, the ensemble
-     * fans its trials across the runner's full concurrency instead.
-     * Outcomes are numThreads-invariant, so this changes nothing but
-     * scheduling.
-     */
-    assertions::CheckConfig config;
-};
-
 /** See file comment. */
 class BatchRunner
 {
@@ -69,24 +48,6 @@ class BatchRunner
     explicit BatchRunner(unsigned num_threads = 0);
 
     ~BatchRunner();
-
-    /**
-     * Check every spec of every item; result[i][j] is the outcome of
-     * items[i].specs[j].
-     */
-    std::vector<std::vector<assertions::AssertionOutcome>>
-    checkAll(const std::vector<BatchItem> &items);
-
-    /**
-     * Convenience fan-out: the same assertion list and configuration
-     * applied to many programs (e.g. one bug-injected variant each);
-     * result[i][j] is specs[j] checked on *programs[i].
-     */
-    std::vector<std::vector<assertions::AssertionOutcome>>
-    checkAll(const std::vector<const circuit::Circuit *> &programs,
-             const std::vector<assertions::AssertionSpec> &specs,
-             const assertions::CheckConfig &config =
-                 assertions::CheckConfig());
 
     /**
      * Fan one checker's specs across this runner's pool, sharing the

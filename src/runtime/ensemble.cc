@@ -6,6 +6,7 @@
 #include "runtime/ensemble.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <optional>
 
@@ -19,35 +20,6 @@ namespace qsa::runtime
 {
 
 /**
- * The high stage of a tensor-staged plan. A truncated program whose
- * leading instructions act only on the low `split` qubits, followed by
- * a run acting only on the high qubits, followed by a combining tail
- * on the full space, has the shape of every swap-test probe (suspect
- * prefix, embedded reference prefix, ancilla-controlled-SWAP
- * comparator). Ensembles simulate the two halves on 2^split- and
- * 2^(n-split)-sized states and tensor them together only for the
- * comparator (StateVector::tensorWith), cutting per-path cost from 2^n
- * toward 2^split + 2^(n-split) + |combo| full-space applies. RNG draw
- * order is the monolithic program order (low, then high, then combo),
- * so outcome streams match an unstaged run draw for draw.
- */
-struct HighStage
-{
-    explicit HighStage(unsigned num_qubits)
-        : block(num_qubits), head(num_qubits)
-    {
-    }
-
-    /** The high-only run, copied with indices shifted down by the
-     *  split: the one block a truncation copies, because it is
-     *  relabelled. */
-    circuit::Circuit block;
-
-    /** Deterministic head of `block`. */
-    Head head;
-};
-
-/**
  * Everything a gather at one breakpoint needs, built once per engine
  * and shared by both modes (see ensemble.hh): the deterministic head's
  * final state (simulated once), the number of RNG draws the head's
@@ -56,25 +28,20 @@ struct HighStage
  */
 struct BreakpointPlan
 {
-    BreakpointPlan(Head head_in, std::unique_ptr<const HighStage> high_in,
-                   const std::vector<InstructionRange> &ranges)
-        : head(std::move(head_in)), high(std::move(high_in)),
-          tail(ranges, high != nullptr ? &high->head : nullptr)
+    BreakpointPlan(Head head_in, const InstructionRange &range)
+        : head(std::move(head_in)), tail(range)
     {
     }
 
-    /** Head of the truncated program; in a staged plan, of its low
-     *  block, on the low qubits. */
+    /** Head of the truncated program. */
     Head head;
 
-    /** Staged plans only: the high block. */
-    std::unique_ptr<const HighStage> high;
-
-    /** The tail, in program order: the instructions after the head
-     *  (possibly none), then, staged, those after the high block's
-     *  head and the combining tail (everything after the high run, up
-     *  to the truncation, on the full space). */
+    /** The instructions after the head (possibly none). */
     Tail tail;
+
+    /** Paired engines only: the reference's prefix of the same
+     *  length, as a plan of its own. */
+    std::unique_ptr<const BreakpointPlan> reference;
 };
 
 namespace
@@ -155,52 +122,37 @@ extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
     return head;
 }
 
-/** Simulate the head of instructions [0, end) of `circ` into `head`
- *  (no checkpoint store); returns the head length. */
-std::size_t
-simulateHead(const circuit::Circuit &circ, std::size_t end, Head &head)
-{
-    return extendDeterministicHead(circ, 0, end, head.state, head.draws,
-                                   [](std::size_t) {});
-}
-
 /**
- * Where the tensor-split shape ends in the truncated program [0, end)
- * of `program`: the end of a maximal leading run touching only qubits
- * < split, and the end of the maximal run after it touching only
- * qubits >= split. Nullopt when either run is empty (nothing to
- * stage). Qubit-free markers bind to the phase they appear in.
+ * Read the leaf `state` of `plan`'s walk, reached by the bank's slots
+ * [lo, hi), out over `qubits`: `emit(probs, first, last)` gets an
+ * outcome distribution once per node, with the slots it covers. A
+ * plain plan's leaf is read at once, through its marginal. A paired
+ * plan's trials first discard the draws the reference head's resets
+ * would have made, then walk the reference's tail over [lo, hi) on
+ * the calling thread, and each reference leaf emits
+ * comparatorProbs(state, its state, compared). Returns the path
+ * segments that walk adds: its nodes, less the root, which continues
+ * this leaf's segment.
  */
-std::optional<std::pair<std::size_t, std::size_t>>
-stagedRuns(const circuit::Circuit &program, std::size_t end,
-           unsigned split)
+template <typename Emit>
+std::size_t
+readLeaf(const BreakpointPlan &plan, const std::vector<unsigned> &compared,
+         const sim::StateVector &state, const std::vector<unsigned> &qubits,
+         StreamBank &bank, std::size_t lo, std::size_t hi, const Emit &emit)
 {
-    const unsigned total = program.numQubits();
-    if (split == 0 || split >= total)
-        return std::nullopt;
-
-    // True for a qubit-free marker, which binds to the current phase.
-    const auto within = [](const circuit::Instruction &inst,
-                           unsigned base, unsigned bound) {
-        const auto inside = [&](unsigned q) {
-            return q >= base && q < bound;
-        };
-        return std::all_of(inst.targets.begin(), inst.targets.end(),
-                           inside) &&
-               std::all_of(inst.controls.begin(), inst.controls.end(),
-                           inside);
-    };
-
-    const auto &insts = program.instructions();
-    std::size_t low_end = 0;
-    while (low_end < end && within(insts[low_end], 0, split))
-        ++low_end;
-    std::size_t high_end = low_end;
-    while (high_end < end && within(insts[high_end], split, total))
-        ++high_end;
-    if (low_end == 0 || high_end == low_end)
-        return std::nullopt;
-    return std::make_pair(low_end, high_end);
+    if (plan.reference == nullptr) {
+        emit(state.marginalProbs(qubits), lo, hi);
+        return 0;
+    }
+    const BreakpointPlan &ref = *plan.reference;
+    bank.discard(lo, hi, ref.head.draws);
+    return walkTail(ref.tail, ref.head.state, bank, lo, hi, {},
+                    [&](std::size_t, const sim::StateVector &ref_state,
+                        std::size_t first, std::size_t last) {
+                        emit(comparatorProbs(state, ref_state, compared),
+                             first, last);
+                    }) -
+           1;
 }
 
 /**
@@ -208,23 +160,28 @@ stagedRuns(const circuit::Circuit &program, std::size_t end,
  * program that SampleFinalState samples from (stream Rng(seed).split(0),
  * ensemble.hh): the plan's head state itself when nothing follows it,
  * else a one-trial walk of the tail from it, whose leaf keeps the
- * marginal.
+ * marginal (readLeaf).
  */
 std::vector<double>
-finalMarginal(const BreakpointPlan &plan, std::uint64_t seed,
+finalMarginal(const BreakpointPlan &plan,
+              const std::vector<unsigned> &compared, std::uint64_t seed,
               const std::vector<unsigned> &qubits)
 {
-    const InstructionRange &tail = plan.tail.phases[0].range;
-    if (plan.high == nullptr && tail.begin == tail.end)
+    const InstructionRange &tail = plan.tail.range;
+    if (plan.reference == nullptr && tail.begin == tail.end)
         return plan.head.state.marginalProbs(qubits);
 
     StreamBank bank;
     bank.seed(seed, 0, 1);
     bank.discard(0, 1, plan.head.draws);
     std::vector<double> marginal;
-    walkTail(plan.tail, plan.head.state, bank, {},
-             [&](std::size_t, const sim::StateVector &state, std::size_t,
-                 std::size_t) { marginal = state.marginalProbs(qubits); });
+    walkTail(plan.tail, plan.head.state, bank, 0, 1, {},
+             [&](std::size_t, const sim::StateVector &state, std::size_t lo,
+                 std::size_t hi) {
+                 readLeaf(plan, compared, state, qubits, bank, lo, hi,
+                          [&](std::vector<double> probs, std::size_t,
+                              std::size_t) { marginal = std::move(probs); });
+             });
     return marginal;
 }
 
@@ -263,6 +220,27 @@ ensembleModeName(EnsembleMode mode)
 {
     return mode == EnsembleMode::Resimulate ? "resimulate"
                                             : "sample_final_state";
+}
+
+std::vector<double>
+comparatorProbs(const sim::StateVector &a, const sim::StateVector &b,
+                const std::vector<unsigned> &compared)
+{
+    double overlap = 0.0;
+    if (compared.empty()) {
+        overlap = a.fidelity(b);
+    } else {
+        // tr(rho sigma) = sum_rc rho_rc sigma_cr, and sigma is
+        // Hermitian, so each term is rho_rc conj(sigma_rc).
+        const sim::CMatrix rho = a.reducedDensityMatrix(compared);
+        const sim::CMatrix sigma = b.reducedDensityMatrix(compared);
+        for (std::size_t r = 0; r < rho.dim(); ++r) {
+            for (std::size_t c = 0; c < rho.dim(); ++c)
+                overlap += (rho.at(r, c) * std::conj(sigma.at(r, c))).real();
+        }
+    }
+    overlap = std::min(1.0, std::max(0.0, overlap));
+    return {0.5 * (1.0 + overlap), 0.5 * (1.0 - overlap)};
 }
 
 // --- CdfSampler ------------------------------------------------------------
@@ -304,8 +282,16 @@ CdfSampler::sample(double u) const
 EnsembleEngine::EnsembleEngine(const circuit::Circuit &prog,
                                unsigned num_threads,
                                EngineOptions opts)
-    : program(&prog), numThreads(num_threads), options(opts)
+    : program(&prog), numThreads(num_threads), options(std::move(opts))
 {
+    if (const circuit::Circuit *ref = options.reference) {
+        fatal_if(ref->numQubits() != prog.numQubits(),
+                 "a paired engine's reference has ", ref->numQubits(),
+                 " qubits, its program ", prog.numQubits());
+    }
+    for (const unsigned q : options.compared)
+        fatal_if(q >= prog.numQubits(), "compared qubit ", q,
+                 " out of range");
 }
 
 ThreadPool &
@@ -365,19 +351,20 @@ EnsembleEngine::singleFlight(std::map<Key, Claim<Value>> &cache,
 }
 
 std::size_t
-EnsembleEngine::deterministicHead(std::size_t end, sim::StateVector &state,
+EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
+                                  std::size_t end, sim::StateVector &state,
                                   std::size_t &draws,
                                   std::size_t &resumed)
 {
     resumed = 0;
     CheckpointStore *store = options.checkpoints;
     if (store == nullptr)
-        return extendDeterministicHead(*program, 0, end, state, draws,
+        return extendDeterministicHead(circ, 0, end, state, draws,
                                        [](std::size_t) {});
 
     // keys[i] addresses the first i instructions, up to the end of
     // the hash chain (the first Measure or conditioned instruction).
-    const auto &insts = program->instructions();
+    const auto &insts = circ.instructions();
     std::vector<CheckpointKey> keys;
     {
         QSA_OBS_SPAN(span, "runtime.checkpoint.keys");
@@ -389,7 +376,7 @@ EnsembleEngine::deterministicHead(std::size_t end, sim::StateVector &state,
             if (endsHead(inst))
                 break;
             if (inst.kind != circuit::GateKind::Breakpoint) {
-                key.chain = program->chainHash(key.chain, inst);
+                key.chain = circ.chainHash(key.chain, inst);
                 ++key.instructions;
             }
             keys.push_back(key);
@@ -411,7 +398,7 @@ EnsembleEngine::deterministicHead(std::size_t end, sim::StateVector &state,
             store->insert(keys[i], state, draws);
     };
     const std::size_t head = extendDeterministicHead(
-        *program, start, end, state, draws, keep);
+        circ, start, end, state, draws, keep);
     keep(head);
     return head;
 }
@@ -422,42 +409,28 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
     QSA_OBS_SPAN(span, "runtime.resim.head");
     span.arg("breakpoint", breakpoint);
     const std::size_t end = program->breakpointPosition(breakpoint);
-    const unsigned split = options.tensorSplit;
-    const auto runs = stagedRuns(*program, end, split);
-    if (!runs) {
-        Head head(program->numQubits());
-        std::size_t resumed = 0;
+    std::size_t resumed = 0;
+    std::size_t simulated = 0;
+    // The plan of the prefix [0, end) of `circ`.
+    const auto prefix = [&](const circuit::Circuit &circ) {
+        Head head(circ.numQubits());
+        std::size_t taken = 0;
         const std::size_t head_end =
-            deterministicHead(end, head.state, head.draws, resumed);
-        span.arg("resumed", resumed).arg("simulated", head_end - resumed);
-        return std::make_shared<BreakpointPlan>(
-            std::move(head), nullptr,
-            std::vector<InstructionRange>{{program, head_end, end}});
+            deterministicHead(circ, end, head.state, head.draws, taken);
+        resumed += taken;
+        simulated += head_end - taken;
+        return std::make_unique<BreakpointPlan>(
+            std::move(head), InstructionRange{&circ, head_end, end});
+    };
+    std::shared_ptr<BreakpointPlan> plan = prefix(*program);
+    if (const circuit::Circuit *ref = options.reference) {
+        fatal_if(end > ref->size(), "breakpoint '", breakpoint,
+                 "' lies past the reference's ", ref->size(),
+                 " instructions");
+        plan->reference = prefix(*ref);
     }
-
-    // Staged: per-half deterministic heads on the small spaces; trials
-    // copy the half states, run the half tails, and tensor only for
-    // the combining tail.
-    const auto [low_end, high_end] = *runs;
-    auto high = std::make_unique<HighStage>(program->numQubits() - split);
-    {
-        QSA_OBS_SPAN(slice, "runtime.slice");
-        circuit::RangeCopy down;
-        down.qubitOffset = -static_cast<int>(split);
-        high->block.appendRange(*program, low_end, high_end, down);
-    }
-    Head low(split);
-    const std::size_t low_head = simulateHead(*program, low_end, low);
-    const std::size_t high_head =
-        simulateHead(high->block, high->block.size(), high->head);
-    const std::vector<InstructionRange> ranges{
-        {program, low_head, low_end},
-        {&high->block, high_head, high->block.size()},
-        {program, high_end, end}};
-    QSA_OBS_COUNTER("runtime.tensor_stages.built", 1);
-    span.arg("resumed", 0).arg("simulated", low_head + high_head);
-    return std::make_shared<BreakpointPlan>(std::move(low), std::move(high),
-                                            ranges);
+    span.arg("resumed", resumed).arg("simulated", simulated);
+    return plan;
 }
 
 std::shared_ptr<const BreakpointPlan>
@@ -477,8 +450,9 @@ std::shared_ptr<const CdfSampler>
 EnsembleEngine::shotSampler(const EnsembleSpec &spec)
 {
     const auto build = [&] {
-        return std::make_shared<const CdfSampler>(finalMarginal(
-            *planAt(spec.breakpoint), spec.seed, spec.qubits));
+        return std::make_shared<const CdfSampler>(
+            finalMarginal(*planAt(spec.breakpoint), options.compared,
+                          spec.seed, spec.qubits));
     };
     bool built = false;
     auto sampler = singleFlight(
@@ -508,6 +482,11 @@ EnsembleEngine::gather(const EnsembleSpec &spec)
 std::vector<std::vector<std::uint64_t>>
 EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
 {
+    for (const EnsembleSpec &spec : specs) {
+        fatal_if(options.reference != nullptr && spec.qubits.size() != 1,
+                 "a paired engine reads one comparator bit per trial, "
+                 "not ", spec.qubits.size(), " qubits");
+    }
     std::vector<std::vector<std::uint64_t>> outs(specs.size());
     std::vector<char> done(specs.size(), 0);
     // Breakpoint positions of the specs that could share a walk (a
@@ -561,15 +540,16 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
             }
 
             // The group's other specs whose breakpoints lie in this
-            // plan's monolithic tail are read out as the walk passes
-            // them: the same head, the same tail up to there, and the
-            // same streams (ensemble.hh). Each still counts as a
-            // gather of its own.
+            // plan's tail are read out as the walk passes them: the
+            // same head, the same tail up to there, and the same
+            // streams (ensemble.hh). Each still counts as a gather of
+            // its own. A paired plan's readout needs the reference's
+            // walk, so it takes no taps.
             const auto plan = planAt(spec.breakpoint);
             std::vector<std::size_t> tapped;
             for (const std::size_t j : group) {
-                if (j != walked && plan->high == nullptr &&
-                    positions[j] >= plan->tail.phases[0].range.begin)
+                if (j != walked && plan->reference == nullptr &&
+                    positions[j] >= plan->tail.range.begin)
                     tapped.push_back(j);
             }
             std::sort(tapped.begin(), tapped.end(), byPosition);
@@ -584,11 +564,12 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
             span.arg("taps", tapped.size());
 
             // One walk per global chunk (see kWalkChunk). At a tap and
-            // at each leaf, the node's trials are read out with one
-            // CdfSampler over its marginal and, per trial, the next
-            // uniform of its own stream, as SampleFinalState draws its
-            // shots. The uniform is peeked, not drawn: a tap's trials
-            // walk on from there, and at a leaf nothing draws again.
+            // at each leaf (a paired plan's: each reference leaf under
+            // it, readLeaf), the node's trials are read out with one
+            // CdfSampler and, per trial, the next uniform of its own
+            // stream, as SampleFinalState draws its shots. The uniform
+            // is peeked, not drawn: a tap's trials walk on from there,
+            // and at a leaf nothing draws again.
             for (std::size_t lo = 0; lo < spec.shots; lo += kWalkChunk) {
                 QSA_OBS_SPAN(walk_span, "runtime.resim.walk");
                 const std::size_t hi = std::min(spec.shots, lo + kWalkChunk);
@@ -596,20 +577,29 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
                 bank.seed(spec.seed, lo, hi - lo);
                 // The draws the cached head's resets would have consumed.
                 bank.discard(0, bank.size(), plan->head.draws);
+                std::atomic<std::size_t> reference_segments{0};
                 const auto readout = [&](std::size_t k,
                                          const sim::StateVector &state,
                                          std::size_t first, std::size_t last) {
                     const std::size_t j = k < taps.size() ? tapped[k] : walked;
-                    QSA_OBS_COUNTER("sim.measurements", specs[j].qubits.size());
-                    const CdfSampler sampler(
-                        state.marginalProbs(specs[j].qubits));
                     std::uint64_t *dest = outs[j].data() + lo;
-                    for (std::size_t slot = first; slot < last; ++slot)
-                        dest[bank.trial(slot)] =
-                            sampler.sample(bank.peekUniform(slot));
+                    const auto read = [&](const std::vector<double> &probs,
+                                          std::size_t from, std::size_t to) {
+                        QSA_OBS_COUNTER("sim.measurements",
+                                        specs[j].qubits.size());
+                        const CdfSampler sampler(probs);
+                        for (std::size_t slot = from; slot < to; ++slot)
+                            dest[bank.trial(slot)] =
+                                sampler.sample(bank.peekUniform(slot));
+                    };
+                    reference_segments += readLeaf(
+                        *plan, options.compared, state, specs[j].qubits,
+                        bank, first, last, read);
                 };
-                const std::size_t segments = walkTail(
-                    plan->tail, plan->head.state, bank, taps, readout, fan_out);
+                const std::size_t segments =
+                    walkTail(plan->tail, plan->head.state, bank, 0,
+                             bank.size(), taps, readout, fan_out) +
+                    reference_segments.load();
                 QSA_OBS_COUNTER("runtime.resim.segments", segments);
                 walk_span.arg("trials", hi - lo).arg("segments", segments);
             }

@@ -15,8 +15,8 @@
  *  - results land in disjoint slots of a preallocated trial-ordered
  *    buffer, so the merge is deterministic by construction;
  *  - both modes start from one *plan* per breakpoint, built once and
- *    cached: the truncation point, the tensor-stage layout (below),
- *    and the truncated program's *deterministic head* — the longest
+ *    cached: the truncation point and the truncated program's
+ *    *deterministic head* — the longest
  *    prefix containing no measurement, no conditional instruction,
  *    and only resets whose outcome is certain (a reset whose other
  *    outcome has probability <= 1e-12 counts as certain) — simulated
@@ -28,8 +28,6 @@
  *    trials that share an outcome history share one state, each
  *    drawing exactly what it would draw alone. A tail with t binary
  *    measurements costs at most 2^t path segments, not N tails.
- *    Tensor-staged plans walk the low tail, then the high tail at each
- *    low leaf, then tensor the halves, then walk the combining tail.
  *    At a leaf, the truncating readout builds one CdfSampler over the
  *    leaf state's marginal of the readout qubits, and each trial maps
  *    one uniform from its own stream through it: the paper's one
@@ -37,7 +35,7 @@
  *    jointly, as SampleFinalState draws its shots.
  *  - in SampleFinalState mode the truncated program runs ONCE — the
  *    plan's head state itself when the tail is empty, otherwise a
- *    one-trial walk of the tail(s) — and the N shots are split into
+ *    one-trial walk of the tail — and the N shots are split into
  *    contiguous shards, one per available worker, and
  *    multinomial-sampled from that state's outcome distribution via
  *    inverse-CDF binary search (a CdfSampler cached per breakpoint,
@@ -58,25 +56,43 @@
  *  - truncation copies nothing: a breakpoint resolves to its position
  *    in the bound program, and the truncated program, its
  *    deterministic head and its tail are instruction ranges of that
- *    program, read in place. Only a tensor-staged plan copies one
- *    block, its high-qubit run, which is relabelled onto the small
- *    state.
+ *    program, read in place.
  *  - a multi-spec gather walks once for every Resimulate spec that
  *    shares the walked spec's seed and trial count and whose
  *    breakpoint lies at or after the start of the walked plan's
- *    monolithic tail: such a spec truncates the same program earlier,
+ *    tail: such a spec truncates the same program earlier,
  *    so its own plan would have the same head (the head rule stops at
  *    the same instruction), and its own walk would be the walked
  *    tree cut off at its breakpoint. Each node whose cursor reaches
  *    that breakpoint reads the spec out there, a *tap*: one
- *    CdfSampler over the node's marginal, as at a leaf. Staged plans
+ *    CdfSampler over the node's marginal, as at a leaf. Paired plans
  *    take no taps.
  *  - with a shared CheckpointStore (EngineOptions::checkpoints), a
- *    monolithic plan's head resumes from the longest stored prefix of
+ *    plan's head resumes from the longest stored prefix of
  *    its own program and stores a checkpoint at every marker it
  *    passes and at the head's end (checkpoint.hh). The resumed part
  *    is never re-run, so results equal a store-free run bit for bit;
  *    only the work counters shrink.
+ *  - a *paired* engine (EngineOptions::reference) is the swap-test
+ *    comparator of its program and a reference, without the
+ *    2n+1-qubit comparator program. Its plan at a breakpoint b is the
+ *    program's prefix [0, b) and the reference's prefix [0, b), each
+ *    a head and a tail. A trial walks the program's tail; from the
+ *    leaf it reaches, it discards the draws the reference head's
+ *    resets would have made and walks the reference's tail over that
+ *    leaf's slots (a walk of its own, inline on the leaf's thread).
+ *    At each pair of leaves, with pure states psi and phi, the
+ *    comparator's ancilla reads 0 with probability (1 + T) / 2,
+ *    T = tr(rho_R sigma_R) their overlap on the compared qubits R
+ *    (comparatorProbs), so the readout is one bit: a two-bin
+ *    CdfSampler over [(1 + T) / 2, (1 - T) / 2] maps the trial's next
+ *    uniform. This is the draw order of the comparator program
+ *    itself (the suspect's draws, the reference's, then the
+ *    readout), so trial vectors equal a plain engine's on that
+ *    program, except where a uniform falls in the rounding gap
+ *    between the simulated and the computed P(0) (below 1e-13 on the
+ *    differential test's programs). SampleFinalState runs the same
+ *    two walks once, as one trial.
  *
  * Work accounting: in Resimulate mode the sim.* counters measure
  * path-node work, not per-trial work. sim.gate_applies and
@@ -84,8 +100,11 @@
  * sim.measurements counts one per measured qubit per path node: one
  * per tail measurement, and |qubits| per leaf for the readout,
  * however many trials share that node. runtime.resim.segments counts
- * the tail's path segments (tree nodes); a readout adds none. A tap
- * adds |qubits| to sim.measurements per tapped node and no segments;
+ * the tail's path segments (tree nodes); a readout adds none. A
+ * paired plan counts the reference walks' segments too, less one per
+ * walk, whose root continues the program leaf's segment, and one
+ * readout measurement per leaf pair. A tap adds |qubits| to
+ * sim.measurements per tapped node and no segments;
  * the tail before it is counted once, by the walk. Trials
  * (runtime.ensemble.trials) and gathers (runtime.ensemble.gather's
  * count) still count per spec, tapped or walked. Certain resets inside
@@ -103,7 +122,10 @@
  *    resets would have made, so trial outcomes are bit-identical to an
  *    uncached full re-simulation followed by that one draw (up to
  *    reset outcomes whose probability is below the ~1e-12 determinism
- *    tolerance); the path walk (walk.hh) changes no outcome. A tap
+ *    tolerance); the path walk (walk.hh) changes no outcome. A paired
+ *    engine's trial m draws the program's tail, discards the
+ *    reference head's draws, draws the reference's tail, then reads
+ *    its one uniform: the comparator program's order. A tap
  *    reads trial m's next uniform without consuming it
  *    (StreamBank::peekUniform): that is the uniform a separate gather
  *    of the tapped spec maps through the same marginal, since its
@@ -138,8 +160,8 @@
 namespace qsa::runtime
 {
 
-// Private to ensemble.cc: a breakpoint's truncation point, tensor
-// stages, deterministic head(s) and tail(s).
+// Private to ensemble.cc: a breakpoint's deterministic head and tail,
+// and a paired engine's reference prefix.
 struct BreakpointPlan;
 
 /** How ensemble members are produced. */
@@ -211,24 +233,38 @@ class CdfSampler
 struct EngineOptions
 {
     /**
-     * Tensor-split hint: when non-zero, truncated prefixes whose
-     * leading instructions separate into a low block on this many
-     * qubits followed by a high-only block (the swap-probe shape) are
-     * simulated half-by-half and tensored at the combining tail.
-     * Prefixes without that structure fall back to monolithic
-     * execution automatically.
-     */
-    unsigned tensorSplit = 0;
-
-    /**
      * Shared store of deterministic prefix states (checkpoint.hh), or
-     * null. Monolithic plans' heads then resume from the longest
-     * stored prefix of their own program and store a checkpoint at
-     * every marker they pass and at the head's end. Results are
-     * identical with and without a store. Must outlive the engine.
+     * null. Plans' heads then resume from the longest stored prefix of
+     * their own program and store a checkpoint at every marker they
+     * pass and at the head's end. Results are identical with and
+     * without a store. Must outlive the engine.
      */
     CheckpointStore *checkpoints = nullptr;
+
+    /**
+     * The reference of a paired engine (file comment), or null: every
+     * gather then reads out the swap-test comparator of the program's
+     * prefix and the reference's prefix of the same length, one bit
+     * per trial, for a spec naming one qubit (the comparator's
+     * ancilla). Same qubit count as the program; must outlive the
+     * engine.
+     */
+    const circuit::Circuit *reference = nullptr;
+
+    /** A paired engine's compared qubits; empty = the full space. */
+    std::vector<unsigned> compared;
 };
+
+/**
+ * The swap-test comparator's ancilla distribution on two pure states
+ * of one width: [(1 + T) / 2, (1 - T) / 2], where T = tr(rho_R
+ * sigma_R) is their overlap on `compared` (empty = the full space,
+ * where T is a.fidelity(b)), from the two reduced density matrices,
+ * and clamped to [0, 1].
+ */
+std::vector<double> comparatorProbs(const sim::StateVector &a,
+                                    const sim::StateVector &b,
+                                    const std::vector<unsigned> &compared);
 
 /**
  * See file comment. An engine is bound to one program; it may be used
@@ -262,7 +298,7 @@ class EnsembleEngine
      * bit for bit. Resimulate specs with one seed and one trial count
      * draw from the same trial streams, so the walk of the latest
      * breakpoint among them reads out each other one whose breakpoint
-     * lies in its plan's monolithic tail as a *tap* (file comment);
+     * lies in its plan's tail as a *tap* (file comment);
      * every other spec gathers alone. Throws as gathering the specs
      * one by one would, though not necessarily for the same spec
      * first.
@@ -336,14 +372,15 @@ class EnsembleEngine
 
     /**
      * Simulate the deterministic head of the truncated program
-     * [0, end) into `state` (|0...0> on entry) through
-     * options.checkpoints when set: resume from the longest stored
-     * prefix, then store a checkpoint at every marker passed and at
-     * the head's end. Returns the head length; `draws` receives the
-     * head resets' per-trial draws and `resumed` the instructions
-     * taken from the store.
+     * [0, end) of `circ` (the program or the reference) into `state`
+     * (|0...0> on entry) through options.checkpoints when set: resume
+     * from the longest stored prefix, then store a checkpoint at every
+     * marker passed and at the head's end. Returns the head length;
+     * `draws` receives the head resets' per-trial draws and `resumed`
+     * the instructions taken from the store.
      */
-    std::size_t deterministicHead(std::size_t end,
+    std::size_t deterministicHead(const circuit::Circuit &circ,
+                                  std::size_t end,
                                   sim::StateVector &state,
                                   std::size_t &draws,
                                   std::size_t &resumed);

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string_view>
@@ -21,27 +20,22 @@
 namespace qsa::runtime
 {
 
-Tail::Tail(const std::vector<InstructionRange> &ranges, const Head *high)
-    : high(high)
+Tail::Tail(const InstructionRange &range) : range(range)
 {
     std::unordered_map<std::string_view, std::uint32_t> slots;
     const auto slotOf = [&](const std::string &label) {
         const auto next = static_cast<std::uint32_t>(slots.size());
         return slots.try_emplace(label, next).first->second;
     };
-    for (const InstructionRange &range : ranges) {
-        TailPhase phase{range, {}};
-        phase.labels.reserve(range.end - range.begin);
-        const auto &insts = range.circ->instructions();
-        for (std::size_t i = range.begin; i < range.end; ++i) {
-            LabelSlots labels;
-            if (insts[i].kind == circuit::GateKind::Measure)
-                labels.write = slotOf(insts[i].label);
-            if (!insts[i].condLabel.empty())
-                labels.read = slotOf(insts[i].condLabel);
-            phase.labels.push_back(labels);
-        }
-        phases.push_back(std::move(phase));
+    labels.reserve(range.end - range.begin);
+    const auto &insts = range.circ->instructions();
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+        LabelSlots slot;
+        if (insts[i].kind == circuit::GateKind::Measure)
+            slot.write = slotOf(insts[i].label);
+        if (!insts[i].condLabel.empty())
+            slot.read = slotOf(insts[i].condLabel);
+        labels.push_back(slot);
     }
     recordSlots = slots.size();
 }
@@ -79,12 +73,13 @@ class PathWalk
     {
     }
 
-    /** Walk the whole tree from `root` (see walkTail). */
+    /** Walk the tree of slots [lo, hi) from `root` (see walkTail). */
     std::size_t
-    run(sim::StateVector root, ThreadPool *pool)
+    run(sim::StateVector root, std::size_t lo, std::size_t hi,
+        ThreadPool *pool)
     {
-        walk(Node{std::move(root), nullptr, Record(tail.recordSlots), 0,
-                  bank.size(), 0, tail.phases[0].range.begin, 0, 0, 0},
+        walk(Node{std::move(root), Record(tail.recordSlots), lo, hi,
+                  tail.range.begin, 0, 0, 0},
              pool);
         return segments.load();
     }
@@ -93,11 +88,8 @@ class PathWalk
     /** A group of trials sharing one measurement-outcome history. */
     struct Node
     {
-        /** State of the current phase (a half while staged). */
+        /** State after this outcome history. */
         sim::StateVector state;
-
-        /** Staged high phase: the low leaf this subtree tensors with. */
-        std::shared_ptr<const sim::StateVector> low;
 
         /** Measurement record of this outcome history. */
         Record record;
@@ -106,10 +98,8 @@ class PathWalk
         std::size_t lo = 0;
         std::size_t hi = 0;
 
-        /** Cursor: phase (phases.size() = leaf), instruction (an index
-         *  into the phase's circuit), target within a multi-qubit
-         *  Measure. */
-        std::size_t phase = 0;
+        /** Cursor: instruction (an index into the tail's circuit),
+         *  target within a multi-qubit Measure. */
         std::size_t pc = 0;
         std::size_t sub = 0;
 
@@ -127,28 +117,6 @@ class PathWalk
 
     /** Path segments simulated (tree nodes). */
     std::atomic<std::size_t> segments{0};
-
-    /** Cross into phase `next`: the staged hand-offs, or the leaf. */
-    void
-    enterPhase(Node &node, std::size_t next)
-    {
-        node.phase = next;
-        node.pc = next < tail.phases.size() ? tail.phases[next].range.begin
-                                            : 0;
-        node.value = 0;
-        if (tail.high == nullptr || next == tail.phases.size())
-            return;
-        if (next == 1) {
-            // Low leaf: start this history's high half from its head.
-            node.low = std::make_shared<const sim::StateVector>(
-                std::move(node.state));
-            node.state = tail.high->state;
-            bank.discard(node.lo, node.hi, tail.high->draws);
-        } else {
-            node.state = node.low->tensorWith(node.state);
-            node.low.reset();
-        }
-    }
 
     /**
      * Measure `qubit` for every trial of `node`: probabilityOne once,
@@ -184,9 +152,8 @@ class PathWalk
             collapse(node, 1);
             return std::nullopt;
         }
-        Node sibling{node.state, node.low,   node.record, ones,
-                     node.hi,    node.phase, node.pc,     node.sub,
-                     node.value, node.position};
+        Node sibling{node.state, node.record, ones,      node.hi,
+                     node.pc,    node.sub,    node.value, node.position};
         node.hi = ones;
         collapse(node, 0);
         collapse(sibling, 1);
@@ -203,28 +170,23 @@ class PathWalk
     {
         segments.fetch_add(1, std::memory_order_relaxed);
         while (true) {
-            // Positions lie in a one-phase tail, so a cursor at one has
-            // run every instruction before it and none after.
+            // A cursor at a position has run every instruction before
+            // it and none after.
             if (node.position < positions.size() &&
                 positions[node.position] == node.pc) {
                 observe(node.position, node.state, node.lo, node.hi);
                 ++node.position;
                 continue;
             }
-            if (node.phase == tail.phases.size()) {
+            if (node.pc == tail.range.end) {
                 observe(positions.size(), node.state, node.lo, node.hi);
                 return std::nullopt;
             }
-            const TailPhase &phase = tail.phases[node.phase];
-            if (node.pc == phase.range.end) {
-                enterPhase(node, node.phase + 1);
-                continue;
-            }
-            const circuit::Circuit &circ = *phase.range.circ;
+            const circuit::Circuit &circ = *tail.range.circ;
             const circuit::Instruction &inst =
                 circ.instructions()[node.pc];
             const LabelSlots &labels =
-                phase.labels[node.pc - phase.range.begin];
+                tail.labels[node.pc - tail.range.begin];
             if (!conditionHolds(inst, labels, node.record)) {
                 ++node.pc;
                 continue;
@@ -335,10 +297,12 @@ class PathWalk
 
 std::size_t
 walkTail(const Tail &tail, sim::StateVector root, StreamBank &bank,
+         std::size_t lo, std::size_t hi,
          const std::vector<std::size_t> &positions,
          const WalkObserver &observe, ThreadPool *pool)
 {
-    return PathWalk(tail, bank, positions, observe).run(std::move(root), pool);
+    return PathWalk(tail, bank, positions, observe)
+        .run(std::move(root), lo, hi, pool);
 }
 
 } // namespace qsa::runtime

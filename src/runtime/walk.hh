@@ -22,7 +22,9 @@
  * gather reads trials out there (ensemble.hh), the sampled predicate
  * oracle draws each trial's boundary outcomes there
  * (locate/predicates.hh), and SampleFinalState's single run is a
- * one-trial walk whose leaf keeps the marginal.
+ * one-trial walk whose leaf keeps the marginal. A walk may cover part
+ * of a bank: a paired engine's leaf walks the reference's prefix over
+ * just the leaf's slots, from inside the observer (ensemble.hh).
  *
  * The walk is iterative: its live states are the splits on the current
  * path plus at most one handed-off subtree per pool thread. Given a
@@ -50,7 +52,7 @@ namespace qsa::runtime
 
 /**
  * Instructions [begin, end) of `circ`, read in place: a truncated
- * program, a head, a tail or a tensor stage, never a copy.
+ * program, a head or a tail, never a copy.
  */
 struct InstructionRange
 {
@@ -81,36 +83,21 @@ struct LabelSlots
     std::uint32_t read = kNone;
 };
 
-/** One stretch of the tail that runs on one state, with the record
- *  slots of its instructions (labels[i - range.begin]). */
-struct TailPhase
-{
-    InstructionRange range;
-    std::vector<LabelSlots> labels;
-};
-
 /**
  * What a walk steps through: a truncated program's nondeterministic
- * phases, in program order, their labels resolved to record slots
- * once (numbered in the order the ranges first name them), so a
- * node's record is a flat vector. A monolithic tail has one phase. A
- * tensor-staged tail (ensemble.hh) has three: at each low leaf the
- * walk sets the node's state aside, starts the high phase from
- * `high`'s state after each trial discards `high`'s draws, and runs
- * the combining phase on the tensor product of the two.
+ * tail, its labels resolved to record slots once (numbered in the
+ * order the tail first names them), so a node's record is a flat
+ * vector: labels[i - range.begin] holds instruction i's slots.
  */
 struct Tail
 {
-    explicit Tail(const std::vector<InstructionRange> &ranges,
-                  const Head *high = nullptr);
+    explicit Tail(const InstructionRange &range);
 
-    std::vector<TailPhase> phases;
+    InstructionRange range;
+    std::vector<LabelSlots> labels;
 
     /** Distinct labels the tail measures or conditions on. */
     std::size_t recordSlots = 0;
-
-    /** Staged tails only: the high block's head. */
-    const Head *high = nullptr;
 };
 
 /**
@@ -135,9 +122,9 @@ using WalkObserver =
                        std::size_t lo, std::size_t hi)>;
 
 /**
- * Walk every slot of `bank` through `tail` from `root`, calling
- * `observe` at each of `positions` (ascending instruction indices
- * into a one-phase tail's program; a position equal to the tail's end
+ * Walk the slots [lo, hi) of `bank` through `tail` from `root`,
+ * calling `observe` at each of `positions` (ascending instruction
+ * indices into the tail's program; a position equal to the tail's end
  * is reached just before the leaf) and at each leaf. Runs on every
  * thread of `pool` at once, or on the calling thread alone when null.
  * Throws what a trial run alone would throw first on some path (a
@@ -145,7 +132,7 @@ using WalkObserver =
  * `observe` throws. Returns the path segments walked (tree nodes).
  */
 std::size_t walkTail(const Tail &tail, sim::StateVector root,
-                     StreamBank &bank,
+                     StreamBank &bank, std::size_t lo, std::size_t hi,
                      const std::vector<std::size_t> &positions,
                      const WalkObserver &observe,
                      ThreadPool *pool = nullptr);

@@ -216,7 +216,8 @@ class StateVector
      * swap-test comparator *tests* (tests/test_sim.cc builds
      * suspect (x) reference (x) ancilla by hand to pin the partial
      * swap-test identity the probe family relies on; the probes
-     * themselves prepare the two copies by circuit embedding).
+     * themselves read the comparator from the two states' overlap,
+     * runtime::comparatorProbs).
      */
     StateVector tensorWith(const StateVector &other) const;
 

@@ -322,6 +322,82 @@ TEST(CliffordVsOracle, PrepZRecyclingAgrees)
     expectOracleAgreement(circ, q, "prepz");
 }
 
+/**
+ * A seeded Clifford-only program on `n` >= 2 qubits (register "q"):
+ * H, S, X, Z, CNOT, CZ and SWAP, and resets to either bit. A reset
+ * lands only where the tableau resets exactly, on a deterministic or
+ * an unentangled qubit (CliffordSimulation degrades to Top at a reset
+ * of an entangled one, which becomes an H instead), so the whole
+ * program stays decidable. `random_resets` counts the resets of a
+ * qubit in superposition, which split the oracle's mixture.
+ */
+Circuit
+generatedClifford(std::uint64_t seed, unsigned n, std::size_t count,
+                  std::size_t &random_resets)
+{
+    Circuit circ;
+    circ.addRegister("q", n);
+    StabilizerTableau tab(n);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < count; ++i) {
+        const auto a = static_cast<unsigned>(rng.uniformInt(n));
+        auto b = static_cast<unsigned>(rng.uniformInt(n - 1));
+        b += b >= a ? 1 : 0;
+        switch (rng.uniformInt(8)) {
+          case 0: circ.h(a); tab.h(a); break;
+          case 1: circ.s(a); tab.s(a); break;
+          case 2: circ.x(a); tab.x(a); break;
+          case 3: circ.z(a); tab.z(a); break;
+          case 4: circ.cnot(a, b); tab.cnot(a, b); break;
+          case 5: circ.cz(a, b); tab.cz(a, b); break;
+          case 6: circ.swap(a, b); tab.swap(a, b); break;
+          default: {
+            const bool bit = rng.bernoulli(0.5);
+            if (tab.measureIsDeterministic(a)) {
+                if (tab.deterministicValue(a) != bit)
+                    tab.x(a);
+            } else if (tab.qubitIsUnentangled(a)) {
+                tab.forceMeasure(a, bit);
+                ++random_resets;
+            } else {
+                circ.h(a);
+                tab.h(a);
+                break;
+            }
+            circ.prepZ(a, bit ? 1 : 0);
+            break;
+          }
+        }
+    }
+    return circ;
+}
+
+TEST(CliffordVsOracle, GeneratedProgramsAgreeAtEveryBoundary)
+{
+    std::size_t random_resets = 0;
+    std::size_t resets = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        const unsigned n = 2 + seed % 5;
+        const Circuit circ = generatedClifford(seed, n, 36, random_resets);
+        const std::string where = "seed " + std::to_string(seed);
+        for (const auto &inst : circ.instructions())
+            resets += inst.kind == circuit::GateKind::PrepZ;
+
+        // Every qubit alone, the first and last together, and the
+        // whole register.
+        for (unsigned q = 0; q < n; ++q)
+            expectOracleAgreement(circ, QubitRegister("r", {q}),
+                                  where + " q" + std::to_string(q));
+        expectOracleAgreement(circ, QubitRegister("p", {0, n - 1}),
+                              where + " pair");
+        expectOracleAgreement(circ, circ.reg("q"), where + " all");
+    }
+    // Both kinds of reset occur: of a deterministic qubit and of one
+    // in superposition.
+    EXPECT_GT(random_resets, 0u);
+    EXPECT_GT(resets, random_resets);
+}
+
 // --- CliffordSimulation: Top degradation -----------------------------------
 
 TEST(CliffordTop, NonCliffordGateDegrades)

@@ -51,6 +51,15 @@ using qsa::testgen::ProgramGenerator;
 /** Final breakpoint of every probe-like program. */
 const std::string kEnd = "probe_end";
 
+/** Engine options sharing `store`. */
+runtime::EngineOptions
+sharing(runtime::CheckpointStore &store)
+{
+    runtime::EngineOptions options;
+    options.checkpoints = &store;
+    return options;
+}
+
 #if QSA_OBS_ENABLED
 /** Counters that must not depend on the thread count. */
 std::map<std::string, std::int64_t>
@@ -199,7 +208,7 @@ expectStoreMatchesStoreFree(const std::vector<Circuit> &programs,
         runtime::CheckpointStore store;
         for (std::size_t i = 0; i < programs.size(); ++i) {
             runtime::EnsembleEngine engine(
-                programs[i], threads, runtime::EngineOptions{0, &store});
+                programs[i], threads, sharing(store));
             EXPECT_EQ(engine.gather(specs[i]), trials[i])
                 << "program " << i << " threads=" << threads;
             EXPECT_LE(store.bytes(), runtime::CheckpointStore::kBudgetBytes);
@@ -253,7 +262,7 @@ TEST(CheckpointEngine, MixedModesShareOneStore)
         const auto spec = endSpec(programs[i], mode, 0x3a11 + i);
         runtime::EnsembleEngine plain(programs[i], 1);
         runtime::EnsembleEngine shared(programs[i], 1,
-                                       runtime::EngineOptions{0, &store});
+                                       sharing(store));
         EXPECT_EQ(shared.gather(spec), plain.gather(spec)) << i;
     }
     EXPECT_GT(store.size(), 0u);
@@ -283,11 +292,11 @@ TEST(CheckpointEngine, UnitaryMatricesAreHashedByContent)
         runtime::CheckpointStore store;
         const auto spec = endSpec(b, mode, 0x7);
         runtime::EnsembleEngine first(a, 1,
-                                      runtime::EngineOptions{0, &store});
+                                      sharing(store));
         (void)first.gather(spec);
         runtime::EnsembleEngine plain(b, 1);
         runtime::EnsembleEngine shared(b, 1,
-                                       runtime::EngineOptions{0, &store});
+                                       sharing(store));
         EXPECT_EQ(shared.gather(spec), plain.gather(spec));
     }
 }
@@ -546,7 +555,7 @@ TEST(CheckpointBudget, SeventeenQubitStatesAreNeverStored)
     circ.h(3);
     circ.breakpoint(kEnd);
     runtime::EnsembleEngine engine(circ, 1,
-                                   runtime::EngineOptions{0, &store});
+                                   sharing(store));
     runtime::EnsembleEngine plain(circ, 1);
     const auto spec =
         endSpec(circ, runtime::EnsembleMode::SampleFinalState, 0x17);

@@ -1,17 +1,16 @@
 /**
  * @file
  * Differential tests of the copy-free paths. Circuit::appendRange
- * copies a range of another circuit once, plain, shifted and renamed,
- * or as its marker-free adjoint; it must build exactly the program
- * the public helpers build by composition (equal contentHash() and
- * registers), on generated programs with markers, conditioned gates
- * and dense Unitary instructions. The ensemble engine truncates its
- * program by instruction range instead of copying a prefix; a gather
- * at every marker of a generated program must be bit-identical, with
- * equal sim.* work, to a gather on an engine bound to that prefix
- * copied out (prefixUpTo plus a trailing marker), in both ensemble
- * modes, with and without a checkpoint store, and for a
- * tensor-staged swap-shaped program.
+ * copies a range of another circuit once, plain or as its marker-free
+ * adjoint; it must build exactly the program the public helpers build
+ * by composition (equal contentHash() and registers), on generated
+ * programs with markers, conditioned gates and dense Unitary
+ * instructions. The ensemble engine truncates its program by
+ * instruction range instead of copying a prefix; a gather at every
+ * marker of a generated program must be bit-identical, with equal
+ * sim.* work, to a gather on an engine bound to that prefix copied
+ * out (prefixUpTo plus a trailing marker), in both ensemble modes,
+ * with and without a checkpoint store.
  */
 
 #include <gtest/gtest.h>
@@ -182,44 +181,6 @@ TEST(RangeCopy, AdjointRangeMatchesInverseOfStrippedSlice)
     }
 }
 
-TEST(RangeCopy, ShiftedRangeMatchesEmbeddedSlice)
-{
-    const unsigned space = 2 * kQubits + 1;
-    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-        SCOPED_TRACE(seed);
-        const Circuit src = markedProgram(seed);
-        Rng rng(seed);
-        for (int trial = 0; trial < 6; ++trial) {
-            const std::size_t b = rng.uniformInt(src.size() + 1);
-            const auto offset =
-                static_cast<unsigned>(rng.uniformInt(kQubits + 2));
-            const std::string prefix = trial % 2 == 0 ? "ref:" : "";
-            RangeCopy how;
-            how.qubitOffset = static_cast<int>(offset);
-            how.labelPrefix = prefix;
-            Circuit direct = destination(space);
-            direct.appendRange(src, 0, b, how);
-            Circuit composed = destination(space);
-            composed.appendCircuit(
-                src.sliceRange(0, b).embedded(space, offset, prefix));
-            expectSameProgram(direct, composed);
-        }
-    }
-}
-
-TEST(RangeCopy, NegativeOffsetUndoesEmbedding)
-{
-    const Circuit src = markedProgram(3);
-    const Circuit wide = src.embedded(2 * kQubits, kQubits, "hi:");
-    RangeCopy down;
-    down.qubitOffset = -static_cast<int>(kQubits);
-    Circuit back(kQubits);
-    back.appendRange(wide, 0, wide.size(), down);
-    Circuit plain(kQubits);
-    plain.appendCircuit(src.embedded(kQubits, 0, "hi:"));
-    expectSameProgram(back, plain);
-}
-
 TEST(RangeCopy, RejectsWhatTheHelpersReject)
 {
     const Circuit src = markedProgram(5);
@@ -328,12 +289,12 @@ void
 expectRangeMatchesCopiedPrefix(const Circuit &program,
                                const std::vector<unsigned> &qubits,
                                runtime::EnsembleMode mode,
-                               unsigned tensor_split, bool shared_stores)
+                               bool shared_stores)
 {
     runtime::CheckpointStore whole_store;
     runtime::CheckpointStore copied_store;
-    runtime::EngineOptions whole_options{tensor_split, nullptr};
-    runtime::EngineOptions copied_options{tensor_split, nullptr};
+    runtime::EngineOptions whole_options;
+    runtime::EngineOptions copied_options;
     if (shared_stores) {
         whole_options.checkpoints = &whole_store;
         copied_options.checkpoints = &copied_store;
@@ -370,52 +331,11 @@ TEST(RangeTruncation, GatherAtEveryMarkerMatchesCopiedPrefix)
                                 runtime::EnsembleMode::SampleFinalState}) {
             for (const bool stores : {false, true}) {
                 SCOPED_TRACE(stores ? "shared stores" : "no store");
-                expectRangeMatchesCopiedPrefix(program, qubits, mode, 0,
+                expectRangeMatchesCopiedPrefix(program, qubits, mode,
                                                stores);
             }
         }
     }
-}
-
-TEST(RangeTruncation, TensorStagedPrefixMatchesCopiedPrefix)
-{
-    // Swap-probe shape: a suspect-like block on [0, n), a
-    // reference-like block on [n, 2n), then an ancilla-controlled
-    // swap comparator; markers inside every phase.
-    const unsigned n = 3;
-    const unsigned anc = 2 * n;
-    Circuit program(2 * n + 1);
-    ProgramGenerator low(program, 11);
-    testgen::prologue(program, 0);
-    low.append(0, n, 6);
-    program.breakpoint("low");
-    low.appendGates(0, n, 4);
-    ProgramGenerator high(program, 12);
-    testgen::prologue(program, n);
-    high.appendGates(n, 2 * n, 3);
-    program.breakpoint("high");
-    high.append(n, 2 * n, 5);
-    program.breakpoint("halves");
-    program.h(anc);
-    for (unsigned q = 0; q < n; ++q)
-        program.cswap(anc, q, n + q);
-    program.breakpoint("compared");
-    program.h(anc);
-    program.breakpoint("probe");
-
-#if QSA_OBS_ENABLED
-    const std::int64_t built = counter("runtime.tensor_stages.built");
-#endif
-    for (const auto mode : {runtime::EnsembleMode::Resimulate,
-                            runtime::EnsembleMode::SampleFinalState}) {
-        expectRangeMatchesCopiedPrefix(program, {anc, 0, n}, mode, n,
-                                       false);
-    }
-#if QSA_OBS_ENABLED
-    // Four of the five markers see both halves, in each mode and on
-    // both sides.
-    EXPECT_EQ(counter("runtime.tensor_stages.built") - built, 16);
-#endif
 }
 
 } // namespace

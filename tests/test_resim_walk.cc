@@ -7,8 +7,8 @@
  * through the tail. On seeded generated programs with mid-circuit
  * multi-qubit Measure, PrepZ and classically conditioned gates, its
  * trial vectors must equal an uncached reference at every boundary,
- * for every thread count, in monolithic and tensor-staged plans, and
- * the simulation work it reports must not depend on the thread count.
+ * for every thread count, and the simulation work it reports must not
+ * depend on the thread count.
  * The Resimulate reference is runCircuit of the truncated program on
  * Rng(seed).split(m), then one uniform from the same stream through a
  * CdfSampler over the final state's marginal; the SampleFinalState one
@@ -50,31 +50,10 @@ namespace
 
 using namespace qsa;
 using qsa::circuit::Circuit;
-using qsa::testgen::ProgramGenerator;
 using qsa::testgen::monolithicProgram;
-using qsa::testgen::prologue;
 
 /** Breakpoint prefix of the instrumented programs below. */
 const std::string kBoundary = "walk_b";
-
-/**
- * Swap-probe-shaped program: a block on the low `split` qubits, a
- * block on the next `split`, then a combining block on all 2 * split
- * + 1 qubits — the shape EngineOptions::tensorSplit stages.
- */
-Circuit
-stagedProgram(std::uint64_t seed, unsigned split, std::size_t count)
-{
-    const unsigned n = 2 * split + 1;
-    Circuit circ(n);
-    ProgramGenerator gen(circ, seed);
-    prologue(circ, 0);
-    gen.append(0, split, count);
-    prologue(circ, split);
-    gen.append(split, 2 * split, count);
-    gen.append(0, n, count / 2);
-    return circ;
-}
 
 /**
  * The readout of one boundary: a pseudo-random qubit subset, by
@@ -169,7 +148,6 @@ workCounters()
         if (name.rfind("sim.", 0) == 0 ||
             name.rfind("runtime.resim.", 0) == 0 ||
             name == "runtime.ensemble.trials" ||
-            name == "runtime.tensor_stages.built" ||
             (name.rfind("runtime.", 0) == 0 &&
              name.find("_cache.") != std::string::npos))
             out[name] = value;
@@ -180,13 +158,11 @@ workCounters()
 
 /**
  * Gather every boundary of `program` in `mode` at each thread count
- * and compare against the uncached reference; returns the tensor
- * stages built.
+ * and compare against the uncached reference.
  */
-std::int64_t
+void
 expectWalkMatchesReference(const Circuit &program,
-                           runtime::EnsembleMode mode,
-                           unsigned tensor_split, std::uint64_t seed,
+                           runtime::EnsembleMode mode, std::uint64_t seed,
                            std::size_t shots)
 {
     const Circuit instrumented = program.withBoundaryBreakpoints(kBoundary);
@@ -203,7 +179,6 @@ expectWalkMatchesReference(const Circuit &program,
         specs.push_back(std::move(spec));
     }
 
-    std::int64_t stages_built = 0;
 #if QSA_OBS_ENABLED
     std::map<std::string, std::int64_t> serial_work;
 #endif
@@ -213,9 +188,7 @@ expectWalkMatchesReference(const Circuit &program,
             std::string(" level=") + sim::detail::kernelLevelName(level);
         for (const unsigned threads : {1u, 4u, 0u}) {
             obs::Registry::reset();
-            runtime::EnsembleEngine engine(
-                instrumented, threads,
-                runtime::EngineOptions{tensor_split});
+            runtime::EnsembleEngine engine(instrumented, threads);
             for (std::size_t i = 0; i < specs.size(); ++i) {
                 EXPECT_EQ(engine.gather(specs[i]), expected[i])
                     << specs[i].breakpoint << " threads=" << threads
@@ -232,12 +205,9 @@ expectWalkMatchesReference(const Circuit &program,
             else
                 EXPECT_EQ(work, serial_work)
                     << "threads=" << threads << where;
-            if (work.count("runtime.tensor_stages.built"))
-                stages_built = work.at("runtime.tensor_stages.built");
 #endif
         }
     }
-    return stages_built;
 }
 
 /** Monolithic programs of seeds 1..10 in `mode`. */
@@ -248,28 +218,8 @@ expectMonolithicMatchReference(runtime::EnsembleMode mode)
         SCOPED_TRACE("program seed " + std::to_string(seed));
         const Circuit program =
             monolithicProgram(seed, 3 + seed % 3, 28);
-        expectWalkMatchesReference(program, mode, 0, 0x9a11 * seed, 96);
+        expectWalkMatchesReference(program, mode, 0x9a11 * seed, 96);
     }
-}
-
-/** Staged programs of seeds 1..6 in `mode`; at least one boundary
- *  must run tensor-staged. */
-void
-expectStagedMatchReference(runtime::EnsembleMode mode)
-{
-    std::int64_t staged = 0;
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-        SCOPED_TRACE("program seed " + std::to_string(seed));
-        const unsigned split = 2 + seed % 2;
-        const Circuit program = stagedProgram(seed + 100, split, 12);
-        staged += expectWalkMatchesReference(program, mode, split,
-                                             0x57a6 * seed, 96);
-    }
-#if QSA_OBS_ENABLED
-    EXPECT_GT(staged, 0) << "no boundary ran tensor-staged";
-#else
-    (void)staged;
-#endif
 }
 
 TEST(ResimWalk, MonolithicMatchesPerTrialReference)
@@ -277,19 +227,9 @@ TEST(ResimWalk, MonolithicMatchesPerTrialReference)
     expectMonolithicMatchReference(runtime::EnsembleMode::Resimulate);
 }
 
-TEST(ResimWalk, StagedMatchesPerTrialReference)
-{
-    expectStagedMatchReference(runtime::EnsembleMode::Resimulate);
-}
-
 TEST(SampleFinalState, MonolithicMatchesOneRunReference)
 {
     expectMonolithicMatchReference(runtime::EnsembleMode::SampleFinalState);
-}
-
-TEST(SampleFinalState, StagedMatchesOneRunReference)
-{
-    expectStagedMatchReference(runtime::EnsembleMode::SampleFinalState);
 }
 
 TEST(ResimWalk, ChunkedEnsemblesMatchAcrossChunkBoundaries)
@@ -319,20 +259,18 @@ TEST(ResimWalk, ChunkedEnsemblesMatchAcrossChunkBoundaries)
 /**
  * One multi-spec gather of `specs` against a separate gather of each,
  * at each kernel level and thread count 1, 4 and 0. Under QSA_OBS the
- * work must not depend on the thread count, and with `expect_taps`
- * the multi-spec gather must have built fewer plans than the separate
- * gathers, which it only skips for specs it read out as taps.
+ * work must not depend on the thread count, and the multi-spec gather
+ * must have built fewer plans than the separate gathers, which it only
+ * skips for specs it read out as taps.
  */
 void
 expectTapsMatchSeparateGathers(const Circuit &instrumented,
-                               const std::vector<runtime::EnsembleSpec> &specs,
-                               unsigned tensor_split, bool expect_taps)
+                               const std::vector<runtime::EnsembleSpec> &specs)
 {
     std::vector<std::vector<std::uint64_t>> separate;
     obs::Registry::reset();
     {
-        runtime::EnsembleEngine engine(instrumented, 1,
-                                       runtime::EngineOptions{tensor_split});
+        runtime::EnsembleEngine engine(instrumented, 1);
         for (const auto &spec : specs)
             separate.push_back(engine.gather(spec));
     }
@@ -348,8 +286,7 @@ expectTapsMatchSeparateGathers(const Circuit &instrumented,
                 "threads=" + std::to_string(threads) +
                 " level=" + sim::detail::kernelLevelName(level);
             obs::Registry::reset();
-            runtime::EnsembleEngine engine(
-                instrumented, threads, runtime::EngineOptions{tensor_split});
+            runtime::EnsembleEngine engine(instrumented, threads);
             const auto joint = engine.gather(specs);
             ASSERT_EQ(joint.size(), specs.size()) << where;
             for (std::size_t i = 0; i < specs.size(); ++i)
@@ -358,16 +295,12 @@ expectTapsMatchSeparateGathers(const Circuit &instrumented,
                     << where;
 #if QSA_OBS_ENABLED
             auto work = workCounters();
-            if (expect_taps) {
-                EXPECT_LT(work["runtime.head_cache.misses"], separate_plans)
-                    << where;
-            }
+            EXPECT_LT(work["runtime.head_cache.misses"], separate_plans)
+                << where;
             if (serial_work.empty())
                 serial_work = work;
             else
                 EXPECT_EQ(work, serial_work) << where;
-#else
-            (void)expect_taps;
 #endif
         }
     }
@@ -423,19 +356,7 @@ TEST(ResimWalk, TapsMatchSeparateGathers)
         const Circuit program = monolithicProgram(seed, 3 + seed % 3, 28);
         expectTapsMatchSeparateGathers(
             program.withBoundaryBreakpoints(kBoundary),
-            tapSpecs(program, 0x7a95 * seed, 96), 0, true);
-    }
-}
-
-TEST(ResimWalk, StagedPlansTakeNoTapsAndStillMatch)
-{
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        SCOPED_TRACE("program seed " + std::to_string(seed));
-        const unsigned split = 2 + seed % 2;
-        const Circuit program = stagedProgram(seed + 100, split, 12);
-        expectTapsMatchSeparateGathers(
-            program.withBoundaryBreakpoints(kBoundary),
-            tapSpecs(program, 0x57a7 * seed, 64), split, false);
+            tapSpecs(program, 0x7a95 * seed, 96));
     }
 }
 
@@ -456,7 +377,7 @@ TEST(ResimWalk, TapsMatchAcrossChunkBoundaries)
         specs.push_back(std::move(spec));
     }
     expectTapsMatchSeparateGathers(program.withBoundaryBreakpoints(kBoundary),
-                                   specs, 0, true);
+                                   specs);
 }
 
 TEST(ResimWalk, InlineInsideAWorkerMatches)

@@ -701,59 +701,6 @@ TEST(EnsembleEngine, TappedGatherThrowsAsItsSpecsWould)
 
 // --- BatchRunner -----------------------------------------------------------
 
-TEST(BatchRunner, MatchesSerialCheckAll)
-{
-    const auto bell = bellProgram();
-
-    // A broken variant: the missing CNOT leaves the pair unentangled.
-    circuit::Circuit broken;
-    auto a = broken.addRegister("a", 1);
-    auto b = broken.addRegister("b", 1);
-    broken.h(a[0]);
-    broken.breakpoint("pair");
-    (void)b;
-
-    assertions::CheckConfig cfg;
-    cfg.ensembleSize = 256;
-    cfg.seed = 0xfeed;
-
-    std::vector<assertions::AssertionSpec> specs;
-    {
-        assertions::AssertionChecker proto(bell, cfg);
-        proto.assertEntangled("pair", bell.reg("a"), bell.reg("b"));
-        proto.assertSuperposition("pair", bell.reg("a"));
-        specs = proto.assertions();
-    }
-
-    runtime::BatchRunner runner(4);
-    const auto batch = runner.checkAll({&bell, &broken}, specs, cfg);
-    ASSERT_EQ(batch.size(), 2u);
-
-    std::size_t program_index = 0;
-    for (const circuit::Circuit *program :
-         {&bell, static_cast<const circuit::Circuit *>(&broken)}) {
-        assertions::AssertionChecker serial(*program, cfg);
-        for (const auto &spec : specs)
-            serial.addAssertion(spec);
-        const auto expected = serial.checkAll();
-        const auto &got = batch[program_index];
-        ASSERT_EQ(got.size(), expected.size());
-        for (std::size_t j = 0; j < expected.size(); ++j) {
-            EXPECT_EQ(got[j].pValue, expected[j].pValue);
-            EXPECT_EQ(got[j].statistic, expected[j].statistic);
-            EXPECT_EQ(got[j].passed, expected[j].passed);
-            EXPECT_EQ(got[j].countsA, expected[j].countsA);
-            EXPECT_EQ(got[j].jointCounts, expected[j].jointCounts);
-        }
-        ++program_index;
-    }
-
-    // Sanity on the verdicts themselves: the Bell pair is entangled,
-    // the broken variant is not.
-    EXPECT_TRUE(batch[0][0].passed);
-    EXPECT_FALSE(batch[1][0].passed);
-}
-
 TEST(BatchRunner, BatchedCheckAllMatchesSerialPerSpecLoop)
 {
     // AssertionChecker::checkAll now fans its specs through
@@ -826,32 +773,8 @@ TEST(BatchRunner, SharedCheckerOverloadMatchesDirectChecks)
     }
 }
 
-TEST(BatchRunner, PerItemConfigsAreHonoured)
-{
-    const auto bell = bellProgram();
-
-    assertions::AssertionSpec spec;
-    spec.kind = assertions::AssertionKind::Superposition;
-    spec.breakpoint = "pair";
-    spec.regA = bell.reg("a");
-
-    runtime::BatchItem fast;
-    fast.program = &bell;
-    fast.specs = {spec};
-    fast.config.ensembleSize = 64;
-
-    runtime::BatchItem big = fast;
-    big.config.ensembleSize = 512;
-
-    runtime::BatchRunner runner(2);
-    const auto results = runner.checkAll({fast, big});
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0][0].ensembleSize, 64u);
-    EXPECT_EQ(results[1][0].ensembleSize, 512u);
-}
-
 /** Two programs (the Bell pair and an unentangled variant) and two
- *  specs each: four batch units, enough to fan out. */
+ *  specs each: two batch units per checker, enough to fan out. */
 struct LazyBatchFixture
 {
     circuit::Circuit bell = bellProgram();
@@ -873,12 +796,19 @@ struct LazyBatchFixture
         specs = proto.assertions();
     }
 
+    /** The two programs. */
+    std::vector<const circuit::Circuit *>
+    programs() const
+    {
+        return {&bell, &broken};
+    }
+
     /** The same checks, one program at a time on one thread. */
     std::vector<std::vector<assertions::AssertionOutcome>>
     serial() const
     {
         std::vector<std::vector<assertions::AssertionOutcome>> out;
-        for (const circuit::Circuit *program : {&bell, &broken}) {
+        for (const circuit::Circuit *program : programs()) {
             auto config = cfg;
             config.numThreads = 1;
             assertions::AssertionChecker checker(*program, config);
@@ -926,17 +856,13 @@ TEST(BatchRunner, UnderAWorkerScopeSpawnsNothingAndMatchesSerial)
     {
         const runtime::ThreadPool::WorkerScope scope;
         runtime::BatchRunner runner(8);
-        const auto batch = runner.checkAll({&f.bell, &f.broken}, f.specs,
-                                           f.cfg);
-        ASSERT_EQ(batch.size(), 2u);
-        expectSameOutcomes(batch[0], want[0]);
-        expectSameOutcomes(batch[1], want[1]);
-
-        // The plan-execution overload, on a checker of 8 threads.
+        // One checker of 8 threads per program.
         auto config = f.cfg;
         config.numThreads = 8;
-        assertions::AssertionChecker checker(f.bell, config);
-        expectSameOutcomes(runner.checkAll(checker, f.specs), want[0]);
+        for (std::size_t i = 0; i < f.programs().size(); ++i) {
+            assertions::AssertionChecker checker(*f.programs()[i], config);
+            expectSameOutcomes(runner.checkAll(checker, f.specs), want[i]);
+        }
     }
 #if QSA_OBS_ENABLED
     EXPECT_EQ(counterValue("runtime.pool.spawned_threads"), spawned0);
@@ -956,11 +882,11 @@ TEST(BatchRunner, SpawnsItsDedicatedPoolOnceOnFirstFanOut)
         << "constructing the runner spawned its pool";
 #endif
     for (int round = 0; round < 2; ++round) {
-        const auto batch = runner.checkAll({&f.bell, &f.broken}, f.specs,
-                                           f.cfg);
-        ASSERT_EQ(batch.size(), 2u);
-        expectSameOutcomes(batch[0], want[0]);
-        expectSameOutcomes(batch[1], want[1]);
+        for (std::size_t i = 0; i < f.programs().size(); ++i) {
+            const assertions::AssertionChecker checker(*f.programs()[i],
+                                                       f.cfg);
+            expectSameOutcomes(runner.checkAll(checker, f.specs), want[i]);
+        }
 #if QSA_OBS_ENABLED
         EXPECT_EQ(counterValue("runtime.pool.spawned_threads"),
                   spawned0 + 7)

@@ -1,15 +1,24 @@
 /**
  * @file
- * Tensor-product swap-test tests: simulating the suspect and
- * embedded-reference halves of a swap probe separately and combining
- * only at the ancilla-controlled-SWAP comparator must reproduce the
- * monolithic execution — same seeded overlap Bernoulli histograms —
- * and the staged swap probes must bracket a phase defect, while
- * cutting per-trial amplitude traffic from 2^(2n+1) toward 2^n.
+ * Swap-test probes without the comparator program. A swap probe's
+ * checker is paired with the reference (runtime::EngineOptions::
+ * reference): each trial walks the suspect prefix, then the
+ * reference prefix from the leaf it reached, and reads the
+ * comparator's bit from the two leaf states' overlap. On seeded
+ * generated (suspect, reference) pairs with mid-circuit measures,
+ * label reuse, resets and conditions in both programs, a paired check
+ * must equal, trial for trial, a plain checker on the 2n+1-qubit
+ * comparator program built by hand (comparatorProgram, the reference
+ * implementation), at every boundary, on the full space and on a
+ * register, in both ensemble modes, at 1, 4 and 0 threads; at every
+ * pair of leaves the overlap must give the simulated comparator's
+ * P(0) to 1e-12; and the paired checks must touch less than half the
+ * amplitudes. The swap-test bug locator must bracket a phase defect.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -17,14 +26,20 @@
 
 #include "assertions/checker.hh"
 #include "circuit/circuit.hh"
+#include "circuit/executor.hh"
+#include "common/rng.hh"
 #include "locate/locate.hh"
 #include "obs/obs.hh"
+#include "runtime/ensemble.hh"
+
+#include "program_generator.hh"
 
 namespace
 {
 
 using namespace qsa;
 using qsa::circuit::Circuit;
+using qsa::circuit::GateKind;
 using qsa::circuit::QubitRegister;
 using qsa::locate::BugLocator;
 using qsa::locate::LocateConfig;
@@ -32,166 +47,313 @@ using qsa::locate::LocalizationReport;
 using qsa::locate::ProbeFamily;
 using qsa::locate::Strategy;
 
-// --- Engine-level identity on a hand-built swap probe ------------------------
+// --- Paired probes against the simulated comparator --------------------------
+
+/** Qubits of every generated program in the differential test. */
+constexpr unsigned kQubits = 3;
+
+/** Breakpoint both checkers read at. */
+const std::string kRead = "cmp";
 
 /**
- * The swap-probe shape the SwapProber emits: a suspect-like block on
- * qubits [0, n), a reference-like block on [n, 2n), and the
- * ancilla-controlled-SWAP comparator on everything. The two halves
- * never touch across the split before the comparator, which is what
- * makes the program tensor-splittable at n.
+ * A generated reference with mid-circuit measures (label reuse
+ * included), resets and conditions, with a dense-unitary run in the
+ * middle, and a suspect that replaces its first unconditioned gate
+ * past the first quarter with a rotation and measures its target into
+ * "m0" right after it: the two programs diverge in their states, in
+ * their records and in their outcome trees.
+ */
+struct GeneratedPair
+{
+    Circuit suspect{kQubits};
+    Circuit reference{kQubits};
+    QubitRegister reg;
+};
+
+GeneratedPair
+generatedPair(std::uint64_t seed)
+{
+    GeneratedPair pair;
+    testgen::ProgramGenerator gen(pair.reference, seed);
+    testgen::prologue(pair.reference, 0);
+    gen.append(0, kQubits, 10);
+    gen.appendGates(0, kQubits, 4);
+    gen.append(0, kQubits, 12);
+    const auto &insts = pair.reference.instructions();
+    std::size_t site = insts.size() / 4;
+    while (site + 1 < insts.size() &&
+           (!circuit::gateKindInvertible(insts[site].kind) ||
+            !insts[site].condLabel.empty()))
+        ++site;
+    const unsigned target = insts[site].targets[0];
+    pair.suspect = pair.reference.sliceRange(0, site);
+    pair.suspect.ry(target, 1.3);
+    pair.suspect.measureQubits({target}, "m0");
+    pair.suspect.appendRange(pair.reference, site + 1, insts.size());
+    pair.reg = QubitRegister("r", {target, (target + 1) % kQubits});
+    return pair;
+}
+
+/**
+ * The swap-test comparator on a 2n+1-qubit `circ`: H on the ancilla
+ * 2n, a controlled SWAP of each compared qubit q with q + n, H.
+ * `compared` empty compares the full space.
+ */
+void
+appendComparator(Circuit &circ, unsigned n,
+                 const std::vector<unsigned> &compared)
+{
+    const unsigned anc = 2 * n;
+    circ.h(anc);
+    for (unsigned q = 0; q < n; ++q) {
+        if (compared.empty() ||
+            std::find(compared.begin(), compared.end(), q) != compared.end())
+            circ.cswap(anc, q, n + q);
+    }
+    circ.h(anc);
+}
+
+/**
+ * The comparator at boundary `b` as one 2n+1-qubit program: the
+ * suspect prefix on [0, n), the reference prefix on [n, 2n) with
+ * every qubit shifted up by n and every label renamed (so the copies
+ * keep disjoint records), the comparator, and the breakpoint kRead.
  */
 Circuit
-probeShapedProgram(unsigned n, bool phase_defect)
+comparatorProgram(const Circuit &suspect, const Circuit &reference,
+                  std::size_t b, const std::vector<unsigned> &compared)
 {
-    Circuit circ(0);
-    const auto low = circ.addRegister("low", n);
-    const auto high = circ.addRegister("high", n);
-    const auto anc = circ.addRegister("anc", 1);
-
-    // Each half carries a mid-circuit measurement, so Resimulate
-    // cannot absorb it into a deterministic head: the gates after it
-    // re-run per trial — on a 2^n half when staged, on the full
-    // 2^(2n+1) space when monolithic.
-    const auto half = [&](const QubitRegister &r, bool defect,
-                          const std::string &label) {
-        for (unsigned q = 0; q < n; ++q)
-            circ.h(r.qubit(q));
-        circ.measureQubits({r.qubit(0)}, label);
-        for (unsigned layer = 0; layer < 2; ++layer) {
-            for (unsigned q = 0; q + 1 < n; ++q)
-                circ.cnot(r.qubit(q), r.qubit(q + 1));
-            for (unsigned q = 0; q < n; ++q)
-                circ.t(r.qubit(q));
-            circ.h(r.qubit(1));
-        }
-        if (defect)
-            circ.s(r.qubit(1));
-        else
-            circ.t(r.qubit(1));
-    };
-    half(low, false, "m_low");
-    half(high, phase_defect, "m_high");
-
-    const unsigned a = anc.qubit(0);
-    circ.h(a);
-    for (unsigned q = 0; q < n; ++q)
-        circ.cswap(a, low.qubit(q), high.qubit(q));
-    circ.h(a);
-    circ.breakpoint("cmp");
-    return circ;
+    const unsigned n = suspect.numQubits();
+    Circuit probe(2 * n + 1);
+    probe.appendRange(suspect, 0, b);
+    for (std::size_t i = 0; i < b; ++i) {
+        circuit::Instruction inst = reference.instructions()[i];
+        for (unsigned &q : inst.targets)
+            q += n;
+        for (unsigned &q : inst.controls)
+            q += n;
+        if (!inst.label.empty())
+            inst.label = "ref:" + inst.label;
+        if (!inst.condLabel.empty())
+            inst.condLabel = "ref:" + inst.condLabel;
+        if (inst.kind == GateKind::Unitary)
+            inst.matrixId =
+                probe.addMatrix(reference.matrix(inst.matrixId));
+        probe.append(inst);
+    }
+    appendComparator(probe, n, compared);
+    probe.breakpoint(kRead);
+    return probe;
 }
 
-assertions::CheckConfig
-splitConfig(unsigned tensor_split, unsigned threads,
-            assertions::EnsembleMode mode)
+/** The paired probe's program at `b`: the suspect prefix, read at
+ *  kRead. */
+Circuit
+pairedProgram(const Circuit &suspect, std::size_t b)
 {
-    assertions::CheckConfig cfg;
-    cfg.ensembleSize = 256;
-    cfg.seed = 0x7e4501;
-    cfg.numThreads = threads;
-    cfg.mode = mode;
-    cfg.tensorSplit = tensor_split;
-    return cfg;
+    Circuit probe(suspect.numQubits());
+    probe.appendRange(suspect, 0, b);
+    probe.breakpoint(kRead);
+    return probe;
 }
 
+/** A one-qubit assertion at kRead on `qubit`. */
 assertions::AssertionSpec
-ancillaSpec(const Circuit &circ)
+bitSpec(unsigned qubit)
 {
     assertions::AssertionSpec spec;
     spec.kind = assertions::AssertionKind::Superposition;
-    spec.breakpoint = "cmp";
-    spec.regA = circ.reg("anc");
+    spec.breakpoint = kRead;
+    spec.regA = QubitRegister("anc", {qubit});
     return spec;
 }
 
+#if QSA_OBS_ENABLED
+/** The work counters a check reports. */
+std::map<std::string, std::int64_t>
+work()
+{
+    std::map<std::string, std::int64_t> out;
+    for (const auto &[name, value] : obs::Registry::snapshot()) {
+        if (name.rfind("sim.", 0) == 0 || name == "runtime.resim.segments")
+            out[name] = value;
+    }
+    return out;
+}
+#endif
+
 /**
- * The staged halves round differently from the monolithic product
- * state, but the ancilla's Bernoulli parameter is far from every
- * seeded draw, so the overlap histograms must be exactly equal in
- * both modes — and bit-identical across thread counts regardless.
+ * Every boundary of `pair`, compared on `compared`, in `mode`: the
+ * paired check at 1, 4 and 0 threads against the plain checker on
+ * the comparator program, trial for trial and outcome for outcome.
+ * Under QSA_OBS, with the paired checks' work summed over the
+ * boundaries, per thread count: equal for every thread count, below
+ * half the comparator programs' amp touches, the same path segments
+ * and no more measurements.
  */
 void
-expectSameAncillaHistograms(bool phase_defect)
+expectPairedMatchesComparator(const GeneratedPair &pair,
+                              const std::vector<unsigned> &compared,
+                              assertions::EnsembleMode mode,
+                              std::uint64_t seed)
 {
-    const unsigned n = 3;
-    const Circuit circ = probeShapedProgram(n, phase_defect);
-    const auto spec = ancillaSpec(circ);
+    const unsigned n = pair.suspect.numQubits();
+    const std::size_t common =
+        std::min(pair.suspect.size(), pair.reference.size());
+    assertions::CheckConfig cfg;
+    cfg.ensembleSize = 160;
+    cfg.mode = mode;
 
-    for (const auto mode :
-         {assertions::EnsembleMode::SampleFinalState,
-          assertions::EnsembleMode::Resimulate}) {
-        std::map<std::uint64_t, std::uint64_t> reference;
-        bool have_reference = false;
-        for (const unsigned split : {0u, n}) {
-            for (const unsigned threads : {1u, 4u, 0u}) {
-                const assertions::AssertionChecker checker(
-                    circ, splitConfig(split, threads, mode));
-                const auto outcome = checker.check(spec);
-                if (!have_reference) {
-                    reference = outcome.countsA;
-                    have_reference = true;
-                    continue;
-                }
-                EXPECT_EQ(outcome.countsA, reference)
-                    << "defect=" << phase_defect
-                    << " split=" << split << " threads=" << threads;
-            }
+    std::map<unsigned, std::map<std::string, std::int64_t>> paired_work;
+    std::map<std::string, std::int64_t> plain_work;
+    for (std::size_t b = 1; b <= common; ++b) {
+        SCOPED_TRACE("boundary " + std::to_string(b));
+        cfg.seed = seed + b;
+        cfg.numThreads = 1;
+        obs::Registry::reset();
+        const assertions::AssertionChecker plain(
+            comparatorProgram(pair.suspect, pair.reference, b, compared),
+            cfg);
+        const auto plain_spec = bitSpec(2 * n);
+        const auto expected = plain.gatherEnsemble(plain_spec);
+        const auto expected_outcome = plain.check(plain_spec);
+#if QSA_OBS_ENABLED
+        for (const auto &[name, value] : work())
+            plain_work[name] += value;
+#endif
+
+        for (const unsigned threads : {1u, 4u, 0u}) {
+            cfg.numThreads = threads;
+            runtime::EngineOptions options;
+            options.reference = &pair.reference;
+            options.compared = compared;
+            obs::Registry::reset();
+            const assertions::AssertionChecker paired(
+                pairedProgram(pair.suspect, b), cfg, options);
+            const auto spec = bitSpec(n);
+            EXPECT_EQ(paired.gatherEnsemble(spec), expected)
+                << "threads=" << threads;
+            const auto outcome = paired.check(spec);
+            EXPECT_EQ(outcome.countsA, expected_outcome.countsA)
+                << "threads=" << threads;
+            EXPECT_EQ(outcome.pValue, expected_outcome.pValue)
+                << "threads=" << threads;
+#if QSA_OBS_ENABLED
+            for (const auto &[name, value] : work())
+                paired_work[threads][name] += value;
+#endif
         }
-        // The overlap deficit must actually register on the ancilla.
-        // Without the defect only Resimulate can show it (the halves'
-        // mid-circuit collapses differ across trials; SampleFinalState
-        // follows a single trajectory whose collapses may coincide).
-        const auto ones = reference.count(1) ? reference.at(1) : 0;
-        if (phase_defect ||
-            mode == assertions::EnsembleMode::Resimulate) {
-            EXPECT_GT(ones, 0u) << "mode " << (int)mode;
+    }
+#if QSA_OBS_ENABLED
+    const auto &serial = paired_work[1];
+    EXPECT_EQ(paired_work[4], serial);
+    EXPECT_EQ(paired_work[0], serial);
+    ASSERT_GT(plain_work["sim.amp_touches"], 0);
+    EXPECT_LT(2 * serial.at("sim.amp_touches"),
+              plain_work["sim.amp_touches"]);
+    EXPECT_LT(serial.at("sim.gate_applies"), plain_work["sim.gate_applies"]);
+    EXPECT_LE(serial.at("sim.measurements"), plain_work["sim.measurements"]);
+    if (mode == assertions::EnsembleMode::Resimulate) {
+        EXPECT_GT(serial.at("runtime.resim.segments"), 0);
+        EXPECT_EQ(serial.at("runtime.resim.segments"),
+                  plain_work["runtime.resim.segments"]);
+    }
+#endif
+}
+
+TEST(PairedSwapProbe, MatchesTheComparatorProgramOnGeneratedPairs)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("pair seed " + std::to_string(seed));
+        const GeneratedPair pair = generatedPair(seed);
+        for (const auto mode : {assertions::EnsembleMode::Resimulate,
+                                assertions::EnsembleMode::SampleFinalState}) {
+            SCOPED_TRACE(runtime::ensembleModeName(mode));
+            expectPairedMatchesComparator(pair, {}, mode, 0x5a1d * seed);
+            expectPairedMatchesComparator(pair, pair.reg.qubits(), mode,
+                                          0x7e61 * seed);
         }
     }
 }
 
-TEST(TensorSplitEngine, IdenticalHalvesSameHistograms)
+/** Every measurement-outcome branch of the prefix [0, b) of `circ`. */
+std::vector<circuit::ExecutionBranch>
+prefixBranches(const Circuit &circ, std::size_t b)
 {
-    expectSameAncillaHistograms(false);
+    std::vector<circuit::ExecutionBranch> branches;
+    branches.push_back({1.0, sim::StateVector(circ.numQubits()), {}});
+    for (std::size_t i = 0; i < b; ++i)
+        circuit::stepBranches(circ, circ.instructions()[i], branches, 4096);
+    return branches;
 }
 
-TEST(TensorSplitEngine, PhaseDefectSameHistograms)
+TEST(PairedSwapProbe, OverlapGivesTheSimulatedComparatorAtEveryLeafPair)
 {
-    expectSameAncillaHistograms(true);
+    std::size_t pairs = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("pair seed " + std::to_string(seed));
+        const GeneratedPair pair = generatedPair(seed);
+        const unsigned n = pair.suspect.numQubits();
+        const std::size_t common =
+            std::min(pair.suspect.size(), pair.reference.size());
+        for (const std::vector<unsigned> &compared :
+             {std::vector<unsigned>{}, pair.reg.qubits()}) {
+            // The comparator alone, on the 2n+1-qubit product state.
+            Circuit comparator(2 * n + 1);
+            appendComparator(comparator, n, compared);
+            for (std::size_t b = 1; b <= common; ++b) {
+                for (const auto &sus : prefixBranches(pair.suspect, b)) {
+                    for (const auto &ref :
+                         prefixBranches(pair.reference, b)) {
+                        sim::StateVector joint =
+                            sus.state.tensorWith(ref.state).tensorWith(
+                                sim::StateVector(1));
+                        std::map<std::string, std::uint64_t> record;
+                        Rng rng(0);
+                        circuit::runCircuitOn(comparator, joint, record,
+                                              rng);
+                        const double simulated =
+                            1.0 - joint.probabilityOne(2 * n);
+                        const auto probs = runtime::comparatorProbs(
+                            sus.state, ref.state, compared);
+                        ASSERT_EQ(probs.size(), 2u);
+                        EXPECT_NEAR(probs[0], simulated, 1e-12)
+                            << "boundary " << b;
+                        ++pairs;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(pairs, 400u);
 }
 
-#if QSA_OBS_ENABLED
-
-TEST(TensorSplitEngine, StagedTrialsCutAmpTouches)
+TEST(PairedSwapProbe, RejectsWhatItCannotPair)
 {
-    const unsigned n = 4;
-    const Circuit circ = probeShapedProgram(n, true);
-    const auto spec = ancillaSpec(circ);
+    const GeneratedPair pair = generatedPair(1);
+    runtime::EngineOptions options;
+    options.reference = &pair.reference;
+    const Circuit wide(kQubits + 1);
+    EXPECT_THROW(runtime::EnsembleEngine(wide, 1, options), qsa::Error);
+    options.compared = {kQubits};
+    EXPECT_THROW(runtime::EnsembleEngine(pair.suspect, 1, options),
+                 qsa::Error);
 
-    const auto touches = [&](unsigned split) {
-        obs::Registry::reset();
-        const assertions::AssertionChecker checker(
-            circ,
-            splitConfig(split, 1,
-                        assertions::EnsembleMode::Resimulate));
-        (void)checker.check(spec);
-        for (const auto &[name, value] : obs::Registry::snapshot())
-            if (name == "sim.amp_touches")
-                return value;
-        return (std::int64_t)0;
-    };
-
-    const auto monolithic = touches(0);
-    const auto staged = touches(n);
-    ASSERT_GT(monolithic, 0);
-    ASSERT_GT(staged, 0);
-    // Pre-comparator gates run on 2^n-amplitude halves instead of the
-    // full 2^(2n+1) space; the headline claim is >= 2x overall.
-    EXPECT_LT(2 * staged, monolithic)
-        << "staged=" << staged << " monolithic=" << monolithic;
+    // A spec must read one bit, and the reference must reach the
+    // breakpoint.
+    options.compared = {};
+    Circuit longer = pair.suspect;
+    longer.h(0);
+    longer.breakpoint(kRead);
+    runtime::EnsembleEngine engine(longer, 1, options);
+    runtime::EnsembleSpec spec;
+    spec.breakpoint = kRead;
+    spec.qubits = {0, 1};
+    spec.shots = 8;
+    EXPECT_THROW(engine.gather(spec), qsa::Error);
+    spec.qubits = {kQubits};
+    EXPECT_THROW(engine.gather(spec), qsa::Error);
 }
-
-#endif // QSA_OBS_ENABLED
 
 // --- BugLocator bracket parity on a phase-blind fixture ----------------------
 
@@ -262,10 +424,9 @@ TEST(TensorSplitLocate, SwapProbeBracketParity)
     const Pair pair = phaseDefectPair();
     const QubitRegister q = pair.suspect.reg("q");
 
-    // Swap probes always run tensor-staged; staged against monolithic
-    // is pinned at the engine (TensorSplitEngine.*SameHistograms,
-    // ResimWalk.StagedMatchesPerTrialReference). Here both strategies
-    // must bracket the phase defect.
+    // Paired against the comparator program is pinned at the checker
+    // (PairedSwapProbe.*). Here both strategies must bracket the
+    // phase defect.
     for (const auto strategy :
          {Strategy::AdaptiveBinarySearch, Strategy::LinearScan}) {
         const BugLocator locator(pair.suspect, pair.reference,
@@ -289,7 +450,7 @@ TEST(TensorSplitLocate, StagedProbesThreadCountInvariant)
     }
     for (std::size_t r = 1; r < reports.size(); ++r) {
         expectSameBrackets(reports.front(), reports[r]);
-        // Staged trials key their streams by trial index, never by
+        // Paired trials key their streams by trial index, never by
         // worker or shard, so even the p-values are bit-identical.
         for (std::size_t i = 0; i < reports[r].probes.size(); ++i)
             EXPECT_EQ(reports.front().probes[i].pValue,
