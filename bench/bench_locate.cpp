@@ -4,7 +4,8 @@
  * the adaptive binary search versus the exhaustive linear scan, over
  * representative taxonomy defects (a flipped rotation deep in a
  * decomposed adder, a misrouted control in a modular multiplier, and
- * a wrong modular inverse in a controlled U_a).
+ * a wrong modular inverse in a controlled U_a, alone and inside the
+ * full Shor program).
  *
  * Run with --benchmark_counters_tabular=true; the "probes" and
  * "measurements" counters are the headline numbers — the adaptive
@@ -119,6 +120,17 @@ BM_LocateSemiclassical(benchmark::State &state)
 }
 BENCHMARK(BM_LocateSemiclassical)->Arg(6)
     ->Unit(benchmark::kMillisecond);
+
+// The full Shor wrong inverse as the paper-session workload localizes
+// it: SampleFinalState mirror probes, 64 escalating to 1,024 at pass
+// threshold 0.30. Every probe is paired with the reference and reads
+// the two prefix states' fidelity.
+void
+BM_LocateShor(benchmark::State &state)
+{
+    runLocate(state, locate::Strategy::AdaptiveBinarySearch);
+}
+BENCHMARK(BM_LocateShor)->Arg(7)->Unit(benchmark::kMillisecond);
 
 // Phase-sensitive families on the conditioned-Z-frame teleport — the
 // defect every computational-basis family brackets at the verify
@@ -245,6 +257,8 @@ metricsEpilogue()
     once(3, Strategy::LinearScan, EnsembleMode::Resimulate,
          ProbeFamily::SegmentMirror, nullptr);
     once(6, Strategy::AdaptiveBinarySearch, EnsembleMode::Resimulate,
+         ProbeFamily::SegmentMirror, nullptr);
+    once(7, Strategy::AdaptiveBinarySearch, EnsembleMode::SampleFinalState,
          ProbeFamily::SegmentMirror, nullptr);
     once(4, Strategy::AdaptiveBinarySearch, EnsembleMode::Resimulate,
          ProbeFamily::SwapTest, "recv");

@@ -219,6 +219,22 @@ semiclassicalWrongInversePair()
             algo::buildSemiclassicalShorProgram(good).circuit};
 }
 
+/**
+ * The same wrong inverse in the full Shor program (the localization
+ * the paper-session workload times): 13 PrepZ, then measurement-free
+ * gates, so every mirror probe reads the fidelity of the two prefix
+ * states and its reference head resumes from the suspect's floor.
+ */
+inline std::pair<Circuit, Circuit>
+shorWrongInversePair()
+{
+    algo::ShorConfig bad;
+    bad.pairs = algo::shorClassicalInputs(7, 15, 3);
+    bad.pairs[0].second = 12;
+    return {algo::buildShorProgram(bad).circuit,
+            algo::buildShorProgram(algo::ShorConfig()).circuit};
+}
+
 inline std::pair<Circuit, Circuit>
 fixturePair(int which)
 {
@@ -229,6 +245,7 @@ fixturePair(int which)
       case 3: return measuredTeleportPair();
       case 4: return zFrameTeleportPair();
       case 5: return wideMeasurePair();
+      case 7: return shorWrongInversePair();
       default: return semiclassicalWrongInversePair();
     }
 }
@@ -243,13 +260,15 @@ fixtureName(int which)
       case 3: return "measured-teleport";
       case 4: return "zframe-teleport";
       case 5: return "wide-measure";
+      case 7: return "shor-wrong-inverse";
       default: return "semiclassical-wrong-inverse";
     }
 }
 
-/** A fixture's ensemble sizes: 64 escalating to 1,024, except the
- *  semiclassical search, which runs on 32 escalating to 256 as the
- *  paper-session workload and its pinned test do. */
+/** A fixture's ensemble sizes: 64 escalating to 1,024 (full Shor's
+ *  paper-session policy), except the semiclassical search, which runs
+ *  on 32 escalating to 256 as the paper-session workload and its
+ *  pinned test do. */
 inline void
 setEnsembleSizes(locate::LocateConfig &cfg, int which)
 {

@@ -9,10 +9,11 @@
  * measurement is applied, and the outcome counts feed a chi-square
  * test whose p-value decides the verdict.
  *
- * A checker whose engine is paired with a reference (a swap-test
- * probe's, runtime::EngineOptions::reference) reads every assertion
- * as the one bit of the swap-test comparator between its program's
- * prefix and the reference's: the same statistics on a classical
+ * A checker whose engine is paired with a reference (a swap-test or
+ * mirror probe's, runtime::EngineOptions::reference) reads every
+ * assertion as one bit computed from its program's prefix and the
+ * reference's: the swap-test comparator's, or whether the mirror
+ * returns to its prologue. The same statistics on a classical
  * observation whose acceptance is an overlap.
  */
 
@@ -46,10 +47,10 @@ class AssertionChecker
      * @param config ensemble/test configuration
      * @param options the engine's options (runtime/ensemble.hh): a
      *        prefix-state store shared with other checkers, under
-     *        which outcomes are identical, or the reference a
-     *        swap-test probe's checker is paired with, whose every
-     *        assertion then reads the comparator's one bit. What they
-     *        point to must outlive the checker.
+     *        which outcomes are identical, and the reference a
+     *        swap-test or mirror probe's checker is paired with, whose
+     *        every assertion then reads the pairing's one bit. What
+     *        they point to must outlive the checker.
      */
     AssertionChecker(circuit::Circuit program,
                      const CheckConfig &config = CheckConfig(),

@@ -17,11 +17,9 @@
 
 #include "analyze/clifford.hh"
 #include "assertions/checker.hh"
-#include "circuit/executor.hh"
 #include "common/bits.hh"
 #include "common/errors.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "obs/obs.hh"
 #include "runtime/batch.hh"
 #include "runtime/checkpoint.hh"
@@ -67,9 +65,9 @@ const std::string kBoundaryPrefix = "qsa_locate_b";
  * program the probes once simulated (2^23 amplitudes, 128 MiB, per
  * in-flight trial at n = 11). A paired probe holds two 2^n states per
  * path instead (SwapProber) and could go wider, but the gate stays at
- * 11 and its error message keeps its bytes: Auto's escalation is
- * skipped past it, so moving it would change which programs Auto
- * escalates on and which swap searches are refused.
+ * 11: Auto's escalation is skipped past it, so moving it would change
+ * which programs Auto escalates on and which swap searches are
+ * refused.
  */
 constexpr unsigned kSwapQubitGate = 11;
 
@@ -430,6 +428,22 @@ class Prober
  * Mirror probes: suspect prefix followed by the adjoint of the
  * reference prefix, asserted classically equal to the prep state.
  *
+ * Where the unwind would land on the common PrepZ prologue (every
+ * SampleFinalState probe, and every Resimulate probe whose segment
+ * starts there), the mirror returns with probability
+ * F = |<psi_ref(b)|psi_sus(b)>|^2, so the probe is *paired*: its
+ * checker runs the suspect prefix alone and is paired with the
+ * reference (runtime::Pairing::Mirror), which reads one bit per trial
+ * through a two-bin CdfSampler over [F, 1 - F] from the two head
+ * states, and the spec is a classical point mass at 0 on that bit.
+ * Trial m maps the uniform the unwind probe mapped (the reference's
+ * resets draw nothing), so where the prologue value is 0 every trial
+ * is the unwind probe's. No unwind is simulated and no oracle is
+ * derived for it: through the search's checkpoint store, the
+ * reference head resumes from the suspect's stored prefixes (below
+ * the defect the two share keys) or from its own, stored at the
+ * probe's marks.
+ *
  * In Resimulate mode the adjoint covers the mirror *segment* — back
  * to the last measure/reset before the boundary — and the assertion
  * is the oracle's full-space mixture predicate at the segment start
@@ -445,20 +459,21 @@ class Prober
  * reached any computational marginal) and one after the unwind
  * asserting the segment-start predicate (phase-sensitive within the
  * segment), each at alpha/2 so the pair keeps the probe's error
- * budget. Boundaries whose unwind reaches the classical prologue
- * keep the single point-mass assertion — in particular, on a
- * measurement-free program the Resimulate probe sequence is
- * spec-for-spec the same as the default mode's.
+ * budget. Boundaries whose unwind reaches the classical prologue are
+ * paired — in particular, on a measurement-free program the
+ * Resimulate probe sequence is spec-for-spec the same as the default
+ * mode's.
  *
  * Every probe runs on its own checker, so an adaptive probe's
- * escalation rounds reuse the cached prefix statevector. Its
+ * escalation rounds reuse the cached prefix statevectors. Its
  * assertions go to the checker in one call (one Check), so a dual
  * probe's two breakpoints, which share the probe's seed, are read out
  * of one path walk per round: the pre-unwind one as a tap of the walk
  * to the probe's end. An adaptive probe's suspect prefix also carries
  * checkpoint markers at the search floor, at the midpoint the search
  * probes next if this probe fails, and at the boundary
- * (runtime/checkpoint.hh).
+ * (runtime/checkpoint.hh); a paired probe's reference ends at the
+ * boundary whatever markers its program carries.
  */
 class MirrorProber : public Prober
 {
@@ -469,27 +484,13 @@ class MirrorProber : public Prober
         : Prober(ProbeFamily::SegmentMirror, hi), suspect(suspect),
           reference(reference), cfg(cfg),
           resim(cfg.mode == assertions::EnsembleMode::Resimulate),
-          prologue(commonPrologue(suspect, reference))
+          prologue(commonPrologue(suspect, reference)),
+          bitReg("qsa_mirror_bit", {suspect.numQubits()})
     {
         std::vector<unsigned> qubits(suspect.numQubits());
         for (unsigned q = 0; q < suspect.numQubits(); ++q)
             qubits[q] = q;
         allReg = circuit::QubitRegister("qsa_locate_all", qubits);
-
-        // Boundaries at or below the common PrepZ prologue compare
-        // against the reference's classical state, tracked exactly
-        // here; boundaries above it get the adjoint-of-reference
-        // mirror appended.
-        sim::StateVector state(reference.numQubits());
-        std::map<std::string, std::uint64_t> meas;
-        Rng rng(cfg.seed);
-        refValues.push_back(basisValue(state));
-        for (std::size_t k = 0; k < prologue; ++k) {
-            circuit::stepInstruction(reference,
-                                     reference.instructions()[k], state,
-                                     meas, rng);
-            refValues.push_back(basisValue(state));
-        }
 
         if (resim) {
             // Mirror segment starts: segStart[k] is the largest
@@ -525,6 +526,10 @@ class MirrorProber : public Prober
         runtime::EngineOptions options;
         if (adaptive)
             options.checkpoints = &checkpoints;
+        if (paired(boundary)) {
+            options.reference = &reference;
+            options.pairing = runtime::Pairing::Mirror;
+        }
         std::vector<Check> out;
         out.push_back(
             {probeChecker(buildProbe(boundary, adaptive ? &lo : nullptr),
@@ -537,8 +542,10 @@ class MirrorProber : public Prober
     prime(const std::vector<std::size_t> &boundaries) override
     {
         // Every boundary up to the scan's last in one pass: the scan's
-        // own, and the segment starts their unwinds land on.
-        if (!resim)
+        // own, and the segment starts their unwinds land on. A scan
+        // whose probes are all paired reads no oracle.
+        const auto unpaired = [&](std::size_t b) { return !paired(b); };
+        if (std::none_of(boundaries.begin(), boundaries.end(), unpaired))
             return;
         std::vector<std::size_t> upto(boundaries.back() + 1);
         std::iota(upto.begin(), upto.end(), 0);
@@ -569,7 +576,9 @@ class MirrorProber : public Prober
     bool resim = false;
     std::size_t prologue = 0;
     circuit::QubitRegister allReg;
-    std::vector<std::uint64_t> refValues;
+
+    /** The one bit a paired probe reads, no qubit of the program. */
+    circuit::QubitRegister bitReg;
     std::vector<std::size_t> segStart;
     OracleMemo<PredicateOracle> oracles;
 
@@ -579,25 +588,6 @@ class MirrorProber : public Prober
     /** The reference's exact mixture kept at the search floor, where
      *  a dual probe's own derivation resumes. */
     BranchMixture floorMixture;
-
-    static std::uint64_t
-    basisValue(const sim::StateVector &state)
-    {
-        const auto &amps = state.amplitudes();
-        for (std::uint64_t v = 0; v < amps.size(); ++v) {
-            if (std::norm(amps[v]) >= 1.0 - 1e-9)
-                return v;
-        }
-        panic("reference prologue state is not a basis state");
-    }
-
-    /** Where this boundary's adjoint unwind lands. */
-    std::size_t
-    segStartFor(std::size_t boundary) const
-    {
-        return resim ? segStart[boundary]
-                     : std::min(boundary, prologue);
-    }
 
     /**
      * The oracle holding the full-space predicate at `boundary` (a
@@ -635,6 +625,18 @@ class MirrorProber : public Prober
     }
 
     /**
+     * True when the probe is paired with the reference: its unwind
+     * would land on the classical prologue (every SampleFinalState
+     * probe), so the chance that it returns is the fidelity of the
+     * two prefix states, and the probe simulates no unwind.
+     */
+    bool
+    paired(std::size_t boundary) const
+    {
+        return !resim || segStart[boundary] <= prologue;
+    }
+
+    /**
      * True when the boundary needs the dual (marginal + unwind)
      * probe: its unwind lands on a measurement mixture, not the
      * classical prologue, and is non-trivial.
@@ -642,20 +644,17 @@ class MirrorProber : public Prober
     bool
     dualProbe(std::size_t boundary) const
     {
-        if (!resim)
-            return false;
-        const std::size_t start = segStartFor(boundary);
-        return start > prologue && start < boundary;
+        return !paired(boundary) && segStart[boundary] < boundary;
     }
 
     /**
      * The probe program at `boundary`, assembled in one pass that
-     * copies each instruction once: the suspect prefix, then the
-     * reversed adjoint of the reference segment with its markers
-     * left out. With a `floor`, the suspect prefix carries the
-     * checkpoint markers at the floor, at the midpoint the search
-     * probes next if this probe fails (when it lies above the floor)
-     * and at the boundary.
+     * copies each instruction once: the suspect prefix, then, for a
+     * dual probe, the reversed adjoint of the reference segment with
+     * its markers left out. With a `floor`, the suspect prefix
+     * carries the checkpoint markers at the floor, at the midpoint the
+     * search probes next if this probe fails (when it lies above the
+     * floor) and at the boundary.
      */
     circuit::Circuit
     buildProbe(std::size_t boundary, const std::size_t *floor) const
@@ -673,10 +672,8 @@ class MirrorProber : public Prober
             probe.appendRange(suspect, mid, boundary);
             probe.breakpoint(kBoundaryMarkLabel);
         }
-        if (dualProbe(boundary))
+        if (dualProbe(boundary)) {
             probe.breakpoint(kProbePreLabel);
-        const std::size_t start = segStartFor(boundary);
-        if (boundary > start) {
             // The segment is measure-free by construction, so a
             // conditioned gate's record cannot change inside it and
             // conditioned inversion is exact.
@@ -684,7 +681,8 @@ class MirrorProber : public Prober
             unwind.adjoint = true;
             unwind.invertConditioned = true;
             unwind.skipMarkers = true;
-            probe.appendRange(reference, start, boundary, unwind);
+            probe.appendRange(reference, segStart[boundary], boundary,
+                              unwind);
         }
         probe.breakpoint(kProbeLabel);
         return probe;
@@ -700,21 +698,21 @@ class MirrorProber : public Prober
     specsFor(std::size_t boundary, std::size_t floor, bool family_wise)
     {
         std::vector<assertions::AssertionSpec> specs;
-        if (!resim) {
+        if (paired(boundary)) {
+            // The bit reads 0 when the mirror returns to the prologue:
+            // under the null (equal prefix states) on every trial.
             assertions::AssertionSpec spec;
             spec.kind = assertions::AssertionKind::Classical;
             spec.breakpoint = kProbeLabel;
-            spec.regA = allReg;
-            spec.expectedValue =
-                refValues[std::min(boundary, prologue)];
+            spec.regA = bitReg;
+            spec.expectedValue = 0;
             spec.alpha = cfg.alpha;
             spec.name = "mirror@" + std::to_string(boundary);
             specs.push_back(std::move(spec));
             return specs;
         }
 
-        const PredicateOracle &start =
-            oracleAt(segStartFor(boundary), floor);
+        const PredicateOracle &start = oracleAt(segStart[boundary], floor);
         const bool dual = dualProbe(boundary);
         const double alpha =
             dual && !family_wise ? cfg.alpha / 2.0 : cfg.alpha;
@@ -730,11 +728,9 @@ class MirrorProber : public Prober
             specs.push_back(std::move(pre));
         }
         // The unwound state must read as the reference's mixture at
-        // the segment start (for a measurement-free program that
-        // start is the prologue and the predicate is the same
-        // classical point mass as the default mode's).
+        // the segment start.
         assertions::AssertionSpec post =
-            start.specAt(segStartFor(boundary), kProbeLabel, alpha);
+            start.specAt(segStart[boundary], kProbeLabel, alpha);
         post.name = "mirror@" + std::to_string(boundary);
         specs.push_back(std::move(post));
         return specs;
@@ -1461,8 +1457,9 @@ makeProber(ProbeFamily family, const Scope &scope,
              kResimMirrorQubitGate, " qubits (", n,
              " requested); localize on a register scope instead");
     fatal_if(swap && n > kSwapQubitGate,
-             "swap-test probes simulate two program copies plus an "
-             "ancilla and support at most ", kSwapQubitGate, " qubits (",
+             "swap-test probes walk the suspect and reference prefixes "
+             "and read their overlap, and support at most ",
+             kSwapQubitGate, " qubits (",
              n, " requested); use rotated-marginal probes on a register "
              "scope instead");
     const std::size_t hi =

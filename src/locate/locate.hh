@@ -44,13 +44,17 @@
  * the swap test on the same scope (see the last bullet below). Every
  * other combination is rejected. The two classic families are:
  *
- *  - *Mirror probes* (full space): the probe program is the suspect
- *    prefix followed by the adjoint of the reference prefix, asserted
- *    classically equal to the initial state. Any behavioural
- *    divergence — including pure phase errors invisible to
- *    computational-basis marginals — lowers the probe fidelity below
- *    one, so the bracketed interval provably contains a diverging
- *    instruction. Requires the compared region to be unitary.
+ *  - *Mirror probes* (full space): the suspect prefix followed by the
+ *    adjoint of the reference prefix, asserted classically equal to
+ *    the initial state. Any behavioural divergence — including pure
+ *    phase errors invisible to computational-basis marginals —
+ *    lowers the probe fidelity below one, so the bracketed interval
+ *    provably contains a diverging instruction. Requires the compared
+ *    region to be unitary. The mirror returns with probability
+ *    F = |<psi_ref(b)|psi_sus(b)>|^2, so no probe simulates the
+ *    adjoint: its checker runs the suspect prefix, is paired with the
+ *    reference (runtime::Pairing::Mirror) and reads one bit per trial,
+ *    0 with probability F, asserted to read 0.
  *
  *  - *Predicate probes* (a register scope): the suspect program is
  *    instrumented at every boundary and each probe tests the oracle's
@@ -89,9 +93,11 @@
  *    (measure/reset) before the probe boundary — conditioned gates
  *    invert under their own condition — and the result is asserted
  *    against the oracle's full-space mixture predicate at that
- *    segment start. Phase sensitivity is retained within each
- *    measure-free segment; divergence at a segment start shows up in
- *    the mixture distribution itself. Boundaries where the two
+ *    segment start (a segment that starts at the prologue is read
+ *    as the fidelity bit, as under sampling). Phase sensitivity is
+ *    retained within each measure-free segment; divergence at a
+ *    segment start shows up in the mixture distribution itself.
+ *    Boundaries where the two
  *    programs' measurement/reset *structure* differs stay clamped
  *    (past such a point the mirror cannot be built).
  *

@@ -39,9 +39,14 @@
  * midpoint between floor and boundary) and the probed boundary. The
  * next probe lies at that midpoint if this one fails and above the
  * boundary if it passes, so its head resumes at its own boundary or at
- * this one's, and simulates only the suspect instructions after that
- * plus the probe's reference unwind. Engines without a store keep
- * their per-breakpoint caches only.
+ * this one's, and simulates only the suspect instructions after that.
+ * A probe paired with the reference (one that reads the fidelity of
+ * the two prefix states, ensemble.hh) resumes its reference head from
+ * the same store: below the first instruction where the programs
+ * differ, the reference's keys are the suspect's, and past it the
+ * reference head stores its own entries at the probe's three marks,
+ * so the next probe's reference resumes there too. Engines without a
+ * store keep their per-breakpoint caches only.
  */
 
 #ifndef QSA_RUNTIME_CHECKPOINT_HH

@@ -39,8 +39,8 @@ struct BreakpointPlan
     /** The instructions after the head (possibly none). */
     Tail tail;
 
-    /** Paired engines only: the reference's prefix of the same
-     *  length, as a plan of its own. */
+    /** Paired engines only: the reference's prefix at the same
+     *  boundary, as a plan of its own. */
     std::unique_ptr<const BreakpointPlan> reference;
 };
 
@@ -123,20 +123,73 @@ extendDeterministicHead(const circuit::Circuit &circ, std::size_t begin,
 }
 
 /**
+ * The mirror's readout on two pure states of one width: [F, 1 - F],
+ * F = |<a|b>|^2 clamped to [0, 1]. Measuring `a` in a basis that
+ * contains `b` finds `b` with probability F: the chance that the
+ * reference's adjoint, run after the program's prefix, returns the
+ * reference's prologue state.
+ */
+std::vector<double>
+mirrorProbs(const sim::StateVector &a, const sim::StateVector &b)
+{
+    const double f = std::min(1.0, std::max(0.0, a.fidelity(b)));
+    return {f, 1.0 - f};
+}
+
+/**
+ * A mirror pairing's stops in `ref`: for each marker of the program's
+ * prefix [0, end), and last for `end` itself, the position in `ref`
+ * after as many state-changing instructions as the program holds
+ * there (past ref's end when ref holds fewer). The last is where the
+ * reference's prefix ends, so the markers a probe program carries do
+ * not move it; at the others the reference's head stores checkpoints,
+ * as the program's head does at its markers.
+ */
+std::vector<std::size_t>
+mirrorStops(const circuit::Circuit &program, std::size_t end,
+            const circuit::Circuit &ref)
+{
+    const auto marker = [](const circuit::Instruction &inst) {
+        return inst.kind == circuit::GateKind::Breakpoint;
+    };
+    std::vector<std::size_t> counts;
+    std::size_t gates = 0;
+    for (std::size_t i = 0; i < end; ++i) {
+        if (marker(program.instructions()[i]))
+            counts.push_back(gates);
+        else
+            ++gates;
+    }
+    counts.push_back(gates);
+    std::vector<std::size_t> stops;
+    std::size_t pos = 0;
+    std::size_t seen = 0;
+    for (const std::size_t count : counts) {
+        for (; seen < count && pos < ref.size(); ++pos) {
+            if (!marker(ref.instructions()[pos]))
+                ++seen;
+        }
+        stops.push_back(seen < count ? ref.size() + 1 : pos);
+    }
+    return stops;
+}
+
+/**
  * Read the leaf `state` of `plan`'s walk, reached by the bank's slots
  * [lo, hi), out over `qubits`: `emit(probs, first, last)` gets an
  * outcome distribution once per node, with the slots it covers. A
- * plain plan's leaf is read at once, through its marginal. A paired
- * plan's trials first discard the draws the reference head's resets
- * would have made, then walk the reference's tail over [lo, hi) on
- * the calling thread, and each reference leaf emits
- * comparatorProbs(state, its state, compared). Returns the path
+ * plain plan's leaf is read at once, through its marginal, and so is
+ * a mirror plan's, through mirrorProbs against the reference's head
+ * state. A swap-test plan's trials first discard the draws the
+ * reference head's resets would have made, then walk the reference's
+ * tail over [lo, hi) on the calling thread, and each reference leaf
+ * emits comparatorProbs(state, its state, compared). Returns the path
  * segments that walk adds: its nodes, less the root, which continues
  * this leaf's segment.
  */
 template <typename Emit>
 std::size_t
-readLeaf(const BreakpointPlan &plan, const std::vector<unsigned> &compared,
+readLeaf(const BreakpointPlan &plan, const EngineOptions &options,
          const sim::StateVector &state, const std::vector<unsigned> &qubits,
          StreamBank &bank, std::size_t lo, std::size_t hi, const Emit &emit)
 {
@@ -145,11 +198,16 @@ readLeaf(const BreakpointPlan &plan, const std::vector<unsigned> &compared,
         return 0;
     }
     const BreakpointPlan &ref = *plan.reference;
+    if (options.pairing == Pairing::Mirror) {
+        emit(mirrorProbs(state, ref.head.state), lo, hi);
+        return 0;
+    }
     bank.discard(lo, hi, ref.head.draws);
     return walkTail(ref.tail, ref.head.state, bank, lo, hi, {},
                     [&](std::size_t, const sim::StateVector &ref_state,
                         std::size_t first, std::size_t last) {
-                        emit(comparatorProbs(state, ref_state, compared),
+                        emit(comparatorProbs(state, ref_state,
+                                             options.compared),
                              first, last);
                     }) -
            1;
@@ -158,29 +216,31 @@ readLeaf(const BreakpointPlan &plan, const std::vector<unsigned> &compared,
 /**
  * The marginal over `qubits` of the single run of the truncated
  * program that SampleFinalState samples from (stream Rng(seed).split(0),
- * ensemble.hh): the plan's head state itself when nothing follows it,
- * else a one-trial walk of the tail from it, whose leaf keeps the
- * marginal (readLeaf).
+ * ensemble.hh), as its leaf reads it (readLeaf): the plan's head state
+ * itself when nothing follows it and no reference is walked, else a
+ * one-trial walk of the tail from it.
  */
 std::vector<double>
-finalMarginal(const BreakpointPlan &plan,
-              const std::vector<unsigned> &compared, std::uint64_t seed,
-              const std::vector<unsigned> &qubits)
+finalMarginal(const BreakpointPlan &plan, const EngineOptions &options,
+              std::uint64_t seed, const std::vector<unsigned> &qubits)
 {
-    const InstructionRange &tail = plan.tail.range;
-    if (plan.reference == nullptr && tail.begin == tail.end)
-        return plan.head.state.marginalProbs(qubits);
-
+    std::vector<double> marginal;
+    const auto keep = [&](std::vector<double> probs, std::size_t,
+                          std::size_t) { marginal = std::move(probs); };
     StreamBank bank;
+    const InstructionRange &tail = plan.tail.range;
+    if (tail.begin == tail.end &&
+        (plan.reference == nullptr || options.pairing == Pairing::Mirror)) {
+        readLeaf(plan, options, plan.head.state, qubits, bank, 0, 1, keep);
+        return marginal;
+    }
+
     bank.seed(seed, 0, 1);
     bank.discard(0, 1, plan.head.draws);
-    std::vector<double> marginal;
     walkTail(plan.tail, plan.head.state, bank, 0, 1, {},
              [&](std::size_t, const sim::StateVector &state, std::size_t lo,
                  std::size_t hi) {
-                 readLeaf(plan, compared, state, qubits, bank, lo, hi,
-                          [&](std::vector<double> probs, std::size_t,
-                              std::size_t) { marginal = std::move(probs); });
+                 readLeaf(plan, options, state, qubits, bank, lo, hi, keep);
              });
     return marginal;
 }
@@ -352,10 +412,11 @@ EnsembleEngine::singleFlight(std::map<Key, Claim<Value>> &cache,
 
 std::size_t
 EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
-                                  std::size_t end, sim::StateVector &state,
-                                  std::size_t &draws,
-                                  std::size_t &resumed)
+                                  const std::vector<std::size_t> &stops,
+                                  sim::StateVector &state,
+                                  std::size_t &draws, std::size_t &resumed)
 {
+    const std::size_t end = stops.back();
     resumed = 0;
     CheckpointStore *store = options.checkpoints;
     if (store == nullptr)
@@ -397,9 +458,17 @@ EnsembleEngine::deterministicHead(const circuit::Circuit &circ,
         if (i > start && keys[i].instructions > 0)
             store->insert(keys[i], state, draws);
     };
-    const std::size_t head = extendDeterministicHead(
-        circ, start, end, state, draws, keep);
-    keep(head);
+    std::size_t head = start;
+    for (const std::size_t stop : stops) {
+        if (stop <= head)
+            continue;
+        const std::size_t reached =
+            extendDeterministicHead(circ, head, stop, state, draws, keep);
+        keep(reached);
+        if (reached < stop)
+            return reached;
+        head = reached;
+    }
     return head;
 }
 
@@ -411,23 +480,34 @@ EnsembleEngine::buildPlan(const std::string &breakpoint)
     const std::size_t end = program->breakpointPosition(breakpoint);
     std::size_t resumed = 0;
     std::size_t simulated = 0;
-    // The plan of the prefix [0, end) of `circ`.
-    const auto prefix = [&](const circuit::Circuit &circ) {
+    // The plan of the prefix of `circ` that ends at the last of
+    // `stops`.
+    const auto prefix = [&](const circuit::Circuit &circ,
+                            const std::vector<std::size_t> &stops) {
         Head head(circ.numQubits());
         std::size_t taken = 0;
         const std::size_t head_end =
-            deterministicHead(circ, end, head.state, head.draws, taken);
+            deterministicHead(circ, stops, head.state, head.draws, taken);
         resumed += taken;
         simulated += head_end - taken;
         return std::make_unique<BreakpointPlan>(
-            std::move(head), InstructionRange{&circ, head_end, end});
+            std::move(head), InstructionRange{&circ, head_end, stops.back()});
     };
-    std::shared_ptr<BreakpointPlan> plan = prefix(*program);
+    std::shared_ptr<BreakpointPlan> plan = prefix(*program, {end});
     if (const circuit::Circuit *ref = options.reference) {
-        fatal_if(end > ref->size(), "breakpoint '", breakpoint,
+        const bool mirror = options.pairing == Pairing::Mirror;
+        const std::vector<std::size_t> stops =
+            mirror ? mirrorStops(*program, end, *ref)
+                   : std::vector<std::size_t>{end};
+        fatal_if(stops.back() > ref->size(), "breakpoint '", breakpoint,
                  "' lies past the reference's ", ref->size(),
                  " instructions");
-        plan->reference = prefix(*ref);
+        plan->reference = prefix(*ref, stops);
+        const InstructionRange &ref_tail = plan->reference->tail.range;
+        fatal_if(mirror && ref_tail.begin != ref_tail.end,
+                 "a mirror pairing's reference prefix must be a "
+                 "deterministic head, but instruction ", ref_tail.begin,
+                 " measures, is conditioned or resets at random");
     }
     span.arg("resumed", resumed).arg("simulated", simulated);
     return plan;
@@ -451,8 +531,8 @@ EnsembleEngine::shotSampler(const EnsembleSpec &spec)
 {
     const auto build = [&] {
         return std::make_shared<const CdfSampler>(
-            finalMarginal(*planAt(spec.breakpoint), options.compared,
-                          spec.seed, spec.qubits));
+            finalMarginal(*planAt(spec.breakpoint), options, spec.seed,
+                          spec.qubits));
     };
     bool built = false;
     auto sampler = singleFlight(
@@ -484,8 +564,8 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
 {
     for (const EnsembleSpec &spec : specs) {
         fatal_if(options.reference != nullptr && spec.qubits.size() != 1,
-                 "a paired engine reads one comparator bit per trial, "
-                 "not ", spec.qubits.size(), " qubits");
+                 "a paired engine reads one bit per trial, not ",
+                 spec.qubits.size(), " qubits");
     }
     std::vector<std::vector<std::uint64_t>> outs(specs.size());
     std::vector<char> done(specs.size(), 0);
@@ -593,8 +673,8 @@ EnsembleEngine::gather(const std::vector<EnsembleSpec> &specs)
                                 sampler.sample(bank.peekUniform(slot));
                     };
                     reference_segments += readLeaf(
-                        *plan, options.compared, state, specs[j].qubits,
-                        bank, first, last, read);
+                        *plan, options, state, specs[j].qubits, bank,
+                        first, last, read);
                 };
                 const std::size_t segments =
                     walkTail(plan->tail, plan->head.state, bank, 0,

@@ -70,29 +70,49 @@
  *  - with a shared CheckpointStore (EngineOptions::checkpoints), a
  *    plan's head resumes from the longest stored prefix of
  *    its own program and stores a checkpoint at every marker it
- *    passes and at the head's end (checkpoint.hh). The resumed part
- *    is never re-run, so results equal a store-free run bit for bit;
- *    only the work counters shrink.
- *  - a *paired* engine (EngineOptions::reference) is the swap-test
- *    comparator of its program and a reference, without the
- *    2n+1-qubit comparator program. Its plan at a breakpoint b is the
- *    program's prefix [0, b) and the reference's prefix [0, b), each
- *    a head and a tail. A trial walks the program's tail; from the
- *    leaf it reaches, it discards the draws the reference head's
- *    resets would have made and walks the reference's tail over that
- *    leaf's slots (a walk of its own, inline on the leaf's thread).
- *    At each pair of leaves, with pure states psi and phi, the
- *    comparator's ancilla reads 0 with probability (1 + T) / 2,
- *    T = tr(rho_R sigma_R) their overlap on the compared qubits R
- *    (comparatorProbs), so the readout is one bit: a two-bin
- *    CdfSampler over [(1 + T) / 2, (1 - T) / 2] maps the trial's next
- *    uniform. This is the draw order of the comparator program
- *    itself (the suspect's draws, the reference's, then the
- *    readout), so trial vectors equal a plain engine's on that
- *    program, except where a uniform falls in the rounding gap
- *    between the simulated and the computed P(0) (below 1e-13 on the
- *    differential test's programs). SampleFinalState runs the same
- *    two walks once, as one trial.
+ *    passes and at the head's end (checkpoint.hh). A paired plan's
+ *    reference head uses the same store; a mirror pairing's stores
+ *    where the program's head stores, after the same numbers of
+ *    state-changing instructions. The resumed part is never re-run,
+ *    so results equal a store-free run bit for bit; only the work
+ *    counters shrink.
+ *  - a *paired* engine (EngineOptions::reference) reads one bit per
+ *    trial from its program's prefix and a reference's prefix at the
+ *    same boundary, each a head and a tail, as EngineOptions::pairing
+ *    says:
+ *     - Pairing::SwapTest is the swap-test comparator of the two,
+ *       without the 2n+1-qubit comparator program. The reference's
+ *       prefix is [0, b). A trial walks the program's tail; from the
+ *       leaf it reaches, it discards the draws the reference head's
+ *       resets would have made and walks the reference's tail over
+ *       that leaf's slots (a walk of its own, inline on the leaf's
+ *       thread). At each pair of leaves, with pure states psi and
+ *       phi, the comparator's ancilla reads 0 with probability
+ *       (1 + T) / 2, T = tr(rho_R sigma_R) their overlap on the
+ *       compared qubits R (comparatorProbs), so a two-bin CdfSampler
+ *       over [(1 + T) / 2, (1 - T) / 2] maps the trial's next
+ *       uniform. This is the draw order of the comparator program
+ *       itself (the suspect's draws, the reference's, then the
+ *       readout), so trial vectors equal a plain engine's on that
+ *       program, except where a uniform falls in the rounding gap
+ *       between the simulated and the computed P(0) (below 1e-13 on
+ *       the differential test's programs).
+ *     - Pairing::Mirror is the paper's mirror check without its
+ *       unwind: the program's prefix followed by the reference's
+ *       adjoint returns to the reference's prologue state with
+ *       probability F = |<phi|psi>|^2, the fidelity of the two
+ *       prefix states. The reference's prefix holds as many
+ *       state-changing instructions as the program's (the markers a
+ *       probe program carries do not move it) and must be a
+ *       deterministic head. At each program leaf a two-bin
+ *       CdfSampler over [F, 1 - F] maps the trial's next uniform; the
+ *       reference draws nothing, as the unwind it replaces ran none
+ *       of its resets. So where the prologue value is 0, trial
+ *       vectors equal a plain engine's on the unwind program (bin 0
+ *       is [0, F) in both readouts), up to the rounding gap between
+ *       the two ways of computing F (below 1e-14 on the differential
+ *       test's programs).
+ *    SampleFinalState runs the same reads once, as one trial.
  *
  * Work accounting: in Resimulate mode the sim.* counters measure
  * path-node work, not per-trial work. sim.gate_applies and
@@ -101,9 +121,10 @@
  * per tail measurement, and |qubits| per leaf for the readout,
  * however many trials share that node. runtime.resim.segments counts
  * the tail's path segments (tree nodes); a readout adds none. A
- * paired plan counts the reference walks' segments too, less one per
- * walk, whose root continues the program leaf's segment, and one
- * readout measurement per leaf pair. A tap adds |qubits| to
+ * paired plan counts one readout measurement per leaf pair, and a
+ * swap-test plan the reference walks' segments too, less one per
+ * walk, whose root continues the program leaf's segment. A tap adds
+ * |qubits| to
  * sim.measurements per tapped node and no segments;
  * the tail before it is counted once, by the walk. Trials
  * (runtime.ensemble.trials) and gathers (runtime.ensemble.gather's
@@ -122,10 +143,12 @@
  *    resets would have made, so trial outcomes are bit-identical to an
  *    uncached full re-simulation followed by that one draw (up to
  *    reset outcomes whose probability is below the ~1e-12 determinism
- *    tolerance); the path walk (walk.hh) changes no outcome. A paired
- *    engine's trial m draws the program's tail, discards the
- *    reference head's draws, draws the reference's tail, then reads
- *    its one uniform: the comparator program's order. A tap
+ *    tolerance); the path walk (walk.hh) changes no outcome. A
+ *    swap-test pairing's trial m draws the program's tail, discards
+ *    the reference head's draws, draws the reference's tail, then
+ *    reads its one uniform: the comparator program's order. A mirror
+ *    pairing's trial m draws the program's tail, then reads its one
+ *    uniform: the unwind program's order. A tap
  *    reads trial m's next uniform without consuming it
  *    (StreamBank::peekUniform): that is the uniform a separate gather
  *    of the tapped spec maps through the same marginal, since its
@@ -228,6 +251,23 @@ class CdfSampler
     std::vector<double> cdf;
 };
 
+/** What a paired engine reads out per trial (file comment). */
+enum class Pairing
+{
+    /**
+     * The swap-test comparator's ancilla: [(1 + T) / 2, (1 - T) / 2],
+     * T the two prefixes' overlap on the compared qubits.
+     */
+    SwapTest,
+
+    /**
+     * The mirror's return to its prologue: [F, 1 - F], F the fidelity
+     * of the program's prefix state and the reference's. The
+     * reference's prefix must be a deterministic head.
+     */
+    Mirror,
+};
+
 /** Per-engine simulation options (fixed for the engine's lifetime, so
  *  every cache entry is built under one option set). */
 struct EngineOptions
@@ -243,16 +283,20 @@ struct EngineOptions
 
     /**
      * The reference of a paired engine (file comment), or null: every
-     * gather then reads out the swap-test comparator of the program's
-     * prefix and the reference's prefix of the same length, one bit
-     * per trial, for a spec naming one qubit (the comparator's
-     * ancilla). Same qubit count as the program; must outlive the
+     * gather then reads out, as `pairing` says, one bit per trial
+     * from the program's prefix and the reference's prefix at the
+     * same boundary, for a spec naming one qubit (the bit's, outside
+     * the program). Same qubit count as the program; must outlive the
      * engine.
      */
     const circuit::Circuit *reference = nullptr;
 
-    /** A paired engine's compared qubits; empty = the full space. */
+    /** A paired engine's compared qubits (SwapTest); empty = the full
+     *  space. */
     std::vector<unsigned> compared;
+
+    /** What a paired engine reads out. */
+    Pairing pairing = Pairing::SwapTest;
 };
 
 /**
@@ -372,15 +416,16 @@ class EnsembleEngine
 
     /**
      * Simulate the deterministic head of the truncated program
-     * [0, end) of `circ` (the program or the reference) into `state`
-     * (|0...0> on entry) through options.checkpoints when set: resume
-     * from the longest stored prefix, then store a checkpoint at every
-     * marker passed and at the head's end. Returns the head length;
-     * `draws` receives the head resets' per-trial draws and `resumed`
-     * the instructions taken from the store.
+     * [0, end) of `circ` (the program or the reference), `end` the
+     * last of the ascending `stops`, into `state` (|0...0> on entry)
+     * through options.checkpoints when set: resume from the longest
+     * stored prefix, then store a checkpoint at every marker and stop
+     * passed and at the head's end. Returns the head length; `draws`
+     * receives the head resets' per-trial draws and `resumed` the
+     * instructions taken from the store.
      */
     std::size_t deterministicHead(const circuit::Circuit &circ,
-                                  std::size_t end,
+                                  const std::vector<std::size_t> &stops,
                                   sim::StateVector &state,
                                   std::size_t &draws,
                                   std::size_t &resumed);

@@ -211,8 +211,16 @@ ThreadPool::parallelFor(std::size_t n,
     }
     QSA_OBS_GAUGE_ADD("runtime.pool.queue_depth", -1);
 
-    if (job->error)
-        std::rethrow_exception(job->error);
+    // A worker may still hold the last reference to the job. Take the
+    // exception out under its lock, so the worker's destruction of the
+    // job cannot release the exception this thread is rethrowing.
+    std::exception_ptr error;
+    {
+        std::lock_guard<std::mutex> lock(job->errorMutex);
+        error = std::move(job->error);
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 ThreadPool &

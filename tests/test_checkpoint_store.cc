@@ -910,10 +910,13 @@ TEST(CheckpointLocator, MeasureFixturesKeepTheirTrajectories)
 TEST(CheckpointLocator, PaperWrongInversePairsKeepTheirTrajectories)
 {
     // Full Shor resumes more than its heads alone would: each probe
-    // also marks the midpoint the search probes next if it fails.
-    // Semiclassical Shor builds one plan per probe, not two: a
-    // dual probe's pre-unwind breakpoint is a tap of its walk.
-    expectPinned(paperFixtures(), {{"shor/wrong-inverse", 9985},
+    // also marks the midpoint the search probes next if it fails, and
+    // its paired reference head resumes from the suspect's entries
+    // (the floor's, below the defect) or from those an earlier
+    // reference head stored at the same marks. Semiclassical Shor
+    // builds one plan per probe, not two: a dual probe's pre-unwind
+    // breakpoint is a tap of its walk.
+    expectPinned(paperFixtures(), {{"shor/wrong-inverse", 18297},
                                    {"semiclassical-shor/wrong-inverse",
                                     8082}});
 }

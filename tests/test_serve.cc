@@ -642,9 +642,9 @@ TEST(ServeProtocol, SwapTestWidthGateMatchesTheLocator)
     EXPECT_NE(responseError(ladderLocateDoc(12, "swap_test",
                                             "sample_final_state"),
                             limits)
-                  .find("swap-test probes simulate two program copies "
-                        "plus an ancilla and support at most 11 qubits "
-                        "(12 requested)"),
+                  .find("swap-test probes walk the suspect and "
+                        "reference prefixes and read their overlap, and "
+                        "support at most 11 qubits (12 requested)"),
               std::string::npos);
 }
 
